@@ -25,10 +25,9 @@ from .scoring import (PointCloud, ScoringScheme, WitnessConfig, cech_score,
                       pullback_score, seeded_random_scheme, vr_points,
                       vr_scheme, cech_scheme, vr_score, witness_scheme,
                       witness_score)
-from .persistence import (Bar, Barcode, Filtration, PersistenceModule,
-                          TriangleReport, barcode, build_filtration,
-                          correlation_matrix, decomposition_barcode,
-                          full_barcode, partition_persistence,
-                          persistence_module, triangle_report)
+from .persistence import (Bar, Barcode, Filtration, TriangleReport,
+                          build_filtration, correlation_matrix,
+                          decomposition_barcode, full_barcode,
+                          partition_persistence, triangle_report)
 
 __version__ = "0.1.0"

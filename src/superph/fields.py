@@ -182,9 +182,10 @@ def rref(rows: Iterable[Sequence], ncols: int, field: Field):
 
 
 class FieldMatrix:
-    """Dense matrix of exact field scalars, row-major and immutable."""
+    """Dense matrix of exact field scalars, row-major and immutable; its
+    nonzero columns are indexed on first use by `apply`."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_nzcols")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Iterable):
         self.field = field
@@ -194,6 +195,7 @@ class FieldMatrix:
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
         self.entries = ent
+        self._nzcols = None
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "FieldMatrix":
@@ -233,23 +235,26 @@ class FieldMatrix:
     def row_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.cols, self.rows,
-                           [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
+    def _nonzero_columns(self) -> tuple:
+        """Per column, the (row, entry) pairs of its nonzero entries."""
+        if self._nzcols is None:
+            ent, nc = self.entries, self.cols
+            self._nzcols = tuple(
+                tuple((i, ent[i * nc + j]) for i in range(self.rows) if ent[i * nc + j])
+                for j in range(nc))
+        return self._nzcols
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product m @ vec."""
+        """Matrix-vector product m @ vec, summed over nonzero entries only."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         f = self.field
-        out = []
-        for i in range(self.rows):
-            acc = f.zero
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if v:
-                    acc = f.add(acc, f.mul(self.entries[base + j], f.of(v)))
-            out.append(acc)
+        out = [f.zero] * self.rows
+        for v, col in zip(vec, self._nonzero_columns()):
+            if v:
+                v = f.of(v)
+                for i, a in col:
+                    out[i] = f.add(out[i], f.mul(a, v))
         return tuple(out)
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -288,7 +293,7 @@ class FieldMatrix:
 class SubspaceBasis:
     """A linear subspace of F^n, stored as its canonical RREF row basis."""
 
-    __slots__ = ("field", "ambient_dim", "vectors")
+    __slots__ = ("field", "ambient_dim", "vectors", "_pivots")
 
     def __init__(self, field: Field, ambient_dim: int, vectors: Iterable[Sequence] = (),
                  _canonical: bool = False):
@@ -296,9 +301,11 @@ class SubspaceBasis:
         self.ambient_dim = ambient_dim
         if _canonical:
             self.vectors = tuple(tuple(v) for v in vectors)
+            self._pivots = None
         else:
-            reduced, _ = rref(vectors, ambient_dim, field)
+            reduced, pivots = rref(vectors, ambient_dim, field)
             self.vectors = tuple(tuple(r) for r in reduced)
+            self._pivots = tuple(pivots)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
@@ -323,10 +330,10 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def pivots(self) -> list[int]:
-        out = []
-        for v in self.vectors:
-            out.append(next(j for j, x in enumerate(v) if x != 0))
-        return out
+        if self._pivots is None:
+            self._pivots = tuple(next(j for j, x in enumerate(v) if x != 0)
+                                 for v in self.vectors)
+        return list(self._pivots)
 
     def reduce_vector(self, vec: Sequence) -> list:
         """Remainder of vec after elimination against the basis rows."""
@@ -344,7 +351,7 @@ class SubspaceBasis:
         return all(x == 0 for x in self.reduce_vector(vec))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
+        return other.vectors == self.vectors or all(self.contains(v) for v in other.vectors)
 
     def to_matrix_columns(self) -> FieldMatrix:
         if self.dim == 0:
@@ -431,11 +438,6 @@ def preimage_basis(m: FieldMatrix, s: SubspaceBasis) -> SubspaceBasis:
     ker = kernel_basis(FieldMatrix.from_columns(f, cols, m.rows))
     vecs = [list(k[:m.cols]) for k in ker.vectors]
     return SubspaceBasis(f, m.cols, vecs)
-
-
-def spans_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    _check_compatible(a, b)
-    return a.vectors == b.vectors
 
 
 def solve(m: FieldMatrix, target: Sequence):

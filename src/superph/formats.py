@@ -389,6 +389,9 @@ def write_correlation_csv(path, matrices: Iterable):
 
 
 def read_correlation_csv(path) -> list[tuple[str, str, str]]:
+    """(arrow, source interval id, target interval id) per row.  Interval ids
+    end in `[birth,death)` and so hold a comma; the two ids of a row are split
+    at the first `),`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "arrow,row,col,value":
@@ -397,10 +400,11 @@ def read_correlation_csv(path) -> list[tuple[str, str, str]]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 4 or parts[3] != "1":
+        arrow, _, ids = line.partition(",")
+        row, sep, col = ids.removesuffix(",1").partition("),")
+        if not (arrow and row and sep and col.endswith(")") and ids.endswith(",1")):
             raise FormatError(path, lineno, f"bad correlation triple: {line!r}")
-        out.append((parts[0], parts[1], parts[2]))
+        out.append((arrow, row + ")", col))
     return out
 
 

@@ -7,12 +7,16 @@ whose interval decompositions give three barcodes, linked by the exact
 triangle J : emb -> ambient, P : ambient -> relative, and the degree -1
 connecting map back to embedded homology.
 
-Persistence is computed from ranks of inclusion-induced maps at the finitely
-many critical values (rank inclusion–exclusion), not by a cell-wise column
-reduction: the infimum complexes of the embedded theory do not come from a
-cell filtration.  Every module here is a subquotient family Z(t)/B(t) of a
-fixed chain group with Z and B both monotone in t, which also yields
-interval-adapted representative bases for the correlation matrices.
+Every module here is a subquotient family Z(t)/B(t) of a fixed chain group
+with Z and B both monotone in t (checked when the family is built).  Its
+barcode is read off an interval decomposition: a flag basis of the B spaces,
+written in a flag basis of the Z spaces, is column-reduced with the
+lowest-one pairing of Zomorodian–Carlsson, over the finitely many critical
+values.  The infimum complexes of the embedded theory are not a cell-wise
+filtration, but their Z and B flags are, so the column algorithm applies to
+them.  The reduced columns are interval-adapted representatives, which also
+give the correlation matrices.  Rank inclusion–exclusion over composite
+inclusion-induced maps is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .delta import GradedSubset, SuperHypergraph
-from .fields import (Field, FieldMatrix, SubspaceBasis, express_in_vectors,
+from .fields import (Field, SubspaceBasis, express_in_vectors,
                      extend_independent, preimage_basis, subspace_intersect,
                      subspace_sum)
 from .homology import ChainComplex, boundary_matrices, cycles_in_span, _boundary_of_span
@@ -50,7 +54,7 @@ class Filtration:
     """
 
     __slots__ = ("sh", "times", "scores", "level_x", "level_h", "scheme_name",
-                 "_cc", "_zb", "_decomp")
+                 "_cc", "_zb", "_inf_zbs", "_inf_spaces", "_decomp")
 
     def __init__(self, sh: SuperHypergraph, times: Sequence[float],
                  scores: Sequence[Sequence[float]], scheme_name: str = ""):
@@ -68,6 +72,8 @@ class Filtration:
             self.level_h.append(sh.h.intersection(lx))
         self._cc: dict[Field, ChainComplex] = {}
         self._zb: dict = {}
+        self._inf_zbs: dict = {}
+        self._inf_spaces: dict = {}
         self._decomp: dict = {}
 
     @property
@@ -83,7 +89,8 @@ class Filtration:
 
     def zb_family(self, field: Field, which: str, degree: int):
         """Per-step (Z, B) subspaces of F^{X_degree} whose quotients are the
-        requested homology; both flags are monotone in the step."""
+        requested homology; both flags are monotone in the step, which is
+        checked here."""
         key = (field, which, degree)
         if key in self._zb:
             return self._zb[key]
@@ -104,6 +111,9 @@ class Filtration:
                 z, b = self._relative_zb(cc, xs, hs, n)
             if not z.contains_subspace(b):
                 raise AssertionError("boundary space not inside cycle space")
+            if out and not (z.contains_subspace(out[-1][0])
+                            and b.contains_subspace(out[-1][1])):
+                raise AssertionError("monotonicity of the subquotient family broken")
             out.append((z, b))
         self._zb[key] = out
         return out
@@ -113,21 +123,38 @@ class Filtration:
 
     def _inf_zb(self, cc: ChainComplex, marks: GradedSubset, n: int):
         """Cycles and boundaries of the infimum complex of a coordinate span:
-        Z = D_n ∩ ker ∂, B = D_n ∩ ∂(D_{n+1})."""
-        d_n = self._span(cc, marks, n)
-        z = cycles_in_span(cc, n, d_n)
-        d_up = self._span(cc, marks, n + 1) if n + 1 < cc.dim_count else None
-        b = subspace_intersect(d_n, _boundary_of_span(cc, n + 1, d_up)) \
-            if d_up is not None else SubspaceBasis.zero(cc.field, d_n.ambient_dim)
-        return z, b
+        Z = D_n ∩ ker ∂, B = D_n ∩ ∂(D_{n+1}); memoised on the marked cells
+        in degrees n and n+1."""
+        key = (cc.field, n, marks.at(n), marks.at(n + 1))
+        zb = self._inf_zbs.get(key)
+        if zb is None:
+            d_n = self._span(cc, marks, n)
+            z = cycles_in_span(cc, n, d_n)
+            d_up = self._span(cc, marks, n + 1) if n + 1 < cc.dim_count else None
+            b = subspace_intersect(d_n, _boundary_of_span(cc, n + 1, d_up)) \
+                if d_up is not None else SubspaceBasis.zero(cc.field, d_n.ambient_dim)
+            zb = self._inf_zbs[key] = (z, b)
+        return zb
 
     def _inf_space(self, cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
-        """inf_n of a coordinate span: D_n ∩ ∂⁻¹(D_{n-1})."""
-        d_n = self._span(cc, marks, n)
-        if n == 0 or n >= cc.dim_count:
-            return d_n
-        pre = preimage_basis(cc.boundaries[n], self._span(cc, marks, n - 1))
-        return subspace_intersect(d_n, pre)
+        """inf_n of a coordinate span: D_n ∩ ∂⁻¹(D_{n-1}), memoised on the
+        marked cells in degrees n and n-1.
+
+        When every face of every marked n-cell is marked, ∂(D_n) ⊆ D_{n-1}
+        and inf_n = D_n; that holds for every sublevel set X(t) of a regular
+        scheme."""
+        key = (cc.field, n, marks.at(n), marks.at(n - 1))
+        inf = self._inf_spaces.get(key)
+        if inf is None:
+            inf = self._span(cc, marks, n)
+            below = marks.at(n - 1)
+            faces = self.sh.x.faces
+            if 0 < n < cc.dim_count and not all(
+                    t in below for j in marks.at(n) for t in faces[n][j]):
+                pre = preimage_basis(cc.boundaries[n], self._span(cc, marks, n - 1))
+                inf = subspace_intersect(inf, pre)
+            self._inf_spaces[key] = inf
+        return inf
 
     def _relative_zb(self, cc: ChainComplex, xs: GradedSubset, hs: GradedSubset, n: int):
         """Subquotient presentation of H_n(inf(X(t)) / inf(H(t)))."""
@@ -206,90 +233,8 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
-# Persistence modules and barcodes
+# Barcodes
 # ---------------------------------------------------------------------------
-
-class PersistenceModule:
-    """Finite persistence module: one space per critical value with chosen
-    homology bases, and the inclusion-induced step maps between them."""
-
-    __slots__ = ("which", "degree", "field", "times", "dims", "maps", "_rank_cache")
-
-    def __init__(self, which: str, degree: int, field: Field, times: Sequence[float],
-                 dims: Sequence[int], maps: Sequence[FieldMatrix]):
-        self.which = which
-        self.degree = degree
-        self.field = field
-        self.times = tuple(times)
-        self.dims = tuple(dims)
-        self.maps = tuple(maps)
-        if len(self.maps) != max(len(self.dims) - 1, 0):
-            raise ValueError("need one step map per consecutive pair of spaces")
-        for i, m in enumerate(self.maps):
-            if m.cols != self.dims[i] or m.rows != self.dims[i + 1]:
-                raise ValueError(f"step map {i} has shape {m.rows}x{m.cols}, "
-                                 f"expected {self.dims[i + 1]}x{self.dims[i]}")
-        self._rank_cache: dict[tuple[int, int], int] = {}
-
-    @property
-    def steps(self) -> int:
-        return len(self.dims)
-
-    def composite(self, i: int, j: int) -> FieldMatrix:
-        """v_{t_i}^{t_j} as a matrix (i <= j)."""
-        if not 0 <= i <= j < self.steps:
-            raise IndexError((i, j))
-        m = FieldMatrix.identity(self.field, self.dims[i])
-        for k in range(i, j):
-            m = self.maps[k].matmul(m)
-        return m
-
-    def rank(self, i: int, j: int) -> int:
-        """Rank of v_{t_i}^{t_j}; 0 out of range, the dimension when i = j."""
-        if i > j or i < 0 or j >= self.steps:
-            return 0
-        if i == j:
-            return self.dims[i]
-        key = (i, j)
-        if key not in self._rank_cache:
-            from .fields import rank as _rank
-            self._rank_cache[key] = _rank(self.composite(i, j))
-        return self._rank_cache[key]
-
-    def verify_composition(self) -> bool:
-        for r in range(self.steps):
-            for s in range(r, self.steps):
-                for t in range(s, self.steps):
-                    lhs = self.composite(s, t).matmul(self.composite(r, s))
-                    if lhs != self.composite(r, t):
-                        return False
-        return True
-
-
-def persistence_module(filt: Filtration, field: Field, which: str,
-                       degree: int) -> PersistenceModule:
-    """Homology spaces at each critical value with inclusion-induced maps,
-    in the deterministic bases (boundary basis extended by representatives)."""
-    zb = filt.zb_family(field, which, degree)
-    reps: list[list[tuple]] = []
-    for z, b in zb:
-        reps.append(extend_independent(b, z.vectors))
-    dims = [len(r) for r in reps]
-    maps = []
-    ambient = filt.sh.x.n_cells(degree) if degree < filt.sh.x.dim_count else 0
-    for i in range(len(zb) - 1):
-        z1, b1 = zb[i + 1]
-        basis = list(reps[i + 1]) + list(b1.vectors)
-        cols = []
-        for rep in reps[i]:
-            coeffs = express_in_vectors(field, ambient, basis, rep)
-            if coeffs is None:
-                raise AssertionError("monotonicity of the subquotient family broken")
-            cols.append(list(coeffs[:dims[i + 1]]))
-        maps.append(FieldMatrix.from_columns(field, cols, dims[i + 1]) if cols
-                    else FieldMatrix.zeros(field, dims[i + 1], 0))
-    return PersistenceModule(which, degree, field, filt.times, dims, maps)
-
 
 @dataclass(frozen=True)
 class Bar:
@@ -307,37 +252,6 @@ class Barcode:
     def total_at(self, degree: int, t: float) -> int:
         return sum(b.multiplicity for b in self.bars
                    if b.degree == degree and b.birth <= t < b.death)
-
-
-def barcode(module: PersistenceModule) -> Barcode:
-    """Interval multiplicities by rank inclusion–exclusion:
-    mult[t_i, t_j) = r(i, j-1) - r(i-1, j-1) - r(i, j) + r(i-1, j)."""
-    k = module.steps
-    bars = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            mult = (module.rank(i, j - 1) - module.rank(i - 1, j - 1)
-                    - module.rank(i, j) + module.rank(i - 1, j))
-            if mult < 0:
-                raise AssertionError("negative interval multiplicity")
-            if mult:
-                bars.append(Bar(module.degree, module.times[i], module.times[j], mult))
-        mult = module.rank(i, k - 1) - module.rank(i - 1, k - 1)
-        if mult:
-            bars.append(Bar(module.degree, module.times[i], math.inf, mult))
-    bars.sort(key=lambda b: (b.birth, b.death))
-    return Barcode(module.which, tuple(bars))
-
-
-def full_barcode(filt: Filtration, field: Field, which: str) -> Barcode:
-    """Barcode across all degrees of the Δ-set."""
-    bars: list[Bar] = []
-    for n in range(filt.sh.x.dim_count):
-        if filt.steps == 0:
-            continue
-        bars.extend(barcode(persistence_module(filt, field, which, n)).bars)
-    bars.sort(key=lambda b: (b.degree, b.birth, b.death))
-    return Barcode(which, tuple(bars))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +342,8 @@ def _interval_decomposition(zb, field: Field, ambient: int,
 
 def decomposition_barcode(filt: Filtration, field: Field, which: str,
                           degree: int) -> Barcode:
-    """Barcode read off the interval-adapted decomposition (each summand has
-    multiplicity 1); used to cross-check the rank-based barcode."""
+    """Barcode of one degree read off the interval-adapted decomposition:
+    each summand is one copy of its interval."""
     summands = filt.decomposition(field, which, degree)
     acc: dict[tuple[float, float], int] = {}
     for s in summands:
@@ -438,6 +352,17 @@ def decomposition_barcode(filt: Filtration, field: Field, which: str,
         acc[(birth, death)] = acc.get((birth, death), 0) + 1
     bars = tuple(Bar(degree, b, d, m) for (b, d), m in sorted(acc.items()))
     return Barcode(which, bars)
+
+
+def full_barcode(filt: Filtration, field: Field, which: str) -> Barcode:
+    """Barcode across all degrees of the Δ-set."""
+    bars: list[Bar] = []
+    for n in range(filt.sh.x.dim_count):
+        if filt.steps == 0:
+            continue
+        bars.extend(decomposition_barcode(filt, field, which, n).bars)
+    bars.sort(key=lambda b: (b.degree, b.birth, b.death))
+    return Barcode(which, tuple(bars))
 
 
 # ---------------------------------------------------------------------------

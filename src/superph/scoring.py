@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .graphs import Subgraph
 
 Point = tuple[float, ...]
@@ -85,6 +83,8 @@ def vr_points(points: Sequence[Point]) -> float:
 
 def _circumball(support: Sequence[Point]) -> tuple[Point, float]:
     """Ball through the support points with center in their affine hull."""
+    import numpy as np  # only Čech scores need it; deferred to keep imports light
+
     if not support:
         return (), 0.0
     p0 = np.asarray(support[0], dtype=float)

@@ -8,11 +8,10 @@ import random
 import pytest
 
 from superph import (GF2, QQ, GradedSubset, MultiGraph, SuperHypergraph,
-                     barcode, boundary_matrices, build_filtration,
-                     clique_delta, embedded_betti, embedded_chain_data,
-                     from_hypergraph, full_barcode, full_subset, gap_series,
-                     hypergraph_cone, is_complete, mv_diagnostics,
-                     mod2_parity_check, persistence_module,
+                     boundary_matrices, build_filtration, clique_delta,
+                     embedded_betti, embedded_chain_data, from_hypergraph,
+                     full_barcode, full_subset, gap_series, hypergraph_cone,
+                     is_complete, mv_diagnostics, mod2_parity_check,
                      standard_simplex_delta, subcomplex_homology,
                      triangle_report, vr_scheme)
 from superph import formats
@@ -22,7 +21,8 @@ from superph.delta import DeltaSet, is_regular
 from conftest import (collapsed_tower, pillow_delta, random_cloud,
                       random_hypergraph, random_super_hypergraph,
                       unit_square_cloud)
-from oracles import brute_zb_dims_gf2, oracle_persistence_bars_gf2
+from oracles import (barcode, brute_zb_dims_gf2, oracle_persistence_bars_gf2,
+                     persistence_module)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -195,9 +195,11 @@ def test_criterion_10_classical_persistence_recovery():
         dsk = clique_delta(gk, max_dim=4)
         shk = SuperHypergraph(dsk, full_subset(dsk))
         fk = build_filtration(shk, vr_scheme(cloud))
+        full = full_barcode(fk, GF2, "ambient").bars
         for n in range(dsk.dim_count):
-            got = sorted((b.birth, b.death, b.multiplicity)
-                         for b in barcode(persistence_module(fk, GF2, "ambient", n)).bars)
+            rank_bars = barcode(persistence_module(fk, GF2, "ambient", n)).bars
+            assert tuple(b for b in full if b.degree == n) == rank_bars, (k, n)
+            got = sorted((b.birth, b.death, b.multiplicity) for b in rank_bars)
             want = oracle_persistence_bars_gf2(fk, n)
             assert len(got) == len(want), (k, n)
             for (b1, d1, m1), (b2, d2, m2) in zip(got, want):

@@ -139,6 +139,32 @@ def test_betti_gap_correlation_round_trips(tmp_path):
     assert formats.read_gap_csv(p2) == [0, 2, 1]
 
 
+def test_correlation_csv_round_trip(tmp_path):
+    # interval ids end in "[birth,death)" and so hold a comma
+    from superph import (QQ, SuperHypergraph, build_filtration, clique_delta,
+                         constant_scheme, correlation_matrix)
+    g = MultiGraph("abc", {"ab": ("a", "b"), "bc": ("b", "c")})
+    ds = clique_delta(g, max_dim=1)
+    filt = build_filtration(SuperHypergraph(ds, GradedSubset({0: {0, 1, 2}})),
+                            constant_scheme(0.0))
+    matrices = [correlation_matrix(filt, QQ, arrow, degree)
+                for arrow, degree in (("J", 0), ("P", 0), ("boundary", 1))]
+    want = [(cm.arrow, cm.rows[i].ident, cm.cols[j].ident)
+            for cm in matrices for (i, j) in sorted(cm.entries)]
+    assert {arrow for arrow, _, _ in want} == {"J", "boundary"}
+    assert all("," in row and "," in col for _, row, col in want)
+    p = tmp_path / "correlation.csv"
+    formats.write_correlation_csv(p, matrices)
+    assert formats.read_correlation_csv(p) == want
+    for bad in ("boundary,relative:d1:0:[0,inf),1",
+                "boundary,relative:d1:0:[0,inf),embedded:d0:0:[0,inf),2",
+                ",relative:d1:0:[0,inf),embedded:d0:0:[0,inf),1"):
+        p.write_text("arrow,row,col,value\n" + bad + "\n")
+        with pytest.raises(FormatError) as err:
+            formats.read_correlation_csv(p)
+        assert ":2:" in str(err.value)
+
+
 def test_config_parsing(tmp_path):
     p = tmp_path / "job.cfg"
     p.write_text("# job\nscheme = vr\nmax_dim = 2\n")
@@ -250,6 +276,9 @@ def test_cli_persist_square_and_determinism(tmp_path):
     bars = (tmp_path / "r1" / "barcodes.csv").read_text().splitlines()
     assert "1,0.5,0.707106781187,1,embedded" in bars
     assert "0,0,inf,1,ambient" in bars
+    rows = formats.read_correlation_csv(tmp_path / "r1" / "correlation.csv")
+    assert ("J", "embedded:d1:0:[0.5,0.707106781187)",
+            "ambient:d1:0:[0.5,0.707106781187)") in rows
 
 
 def test_cli_persist_seeded_random_determinism(tmp_path):

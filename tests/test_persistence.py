@@ -6,18 +6,20 @@ import math
 import pytest
 
 from superph import (GF2, QQ, Bar, DeltaSet, GradedSubset, MultiGraph,
-                     PersistenceModule, SuperHypergraph, barcode,
-                     build_filtration, clique_delta, constant_scheme,
-                     correlation_matrix, decomposition_barcode, full_barcode,
-                     full_subset, partition_persistence, persistence_module,
-                     seeded_random_scheme, triangle_report, vr_scheme)
+                     SuperHypergraph, build_filtration, clique_delta,
+                     constant_scheme, correlation_matrix,
+                     decomposition_barcode, full_barcode, full_subset,
+                     partition_persistence, seeded_random_scheme,
+                     triangle_report, vr_scheme)
 from superph.faceops import Clustering, SubgraphFamily, primary_vertex_deletion
-from superph.fields import FieldMatrix
-from superph.persistence import DominationError, RegularityError
+from superph.fields import (GF, FieldMatrix, SubspaceBasis, preimage_basis,
+                            subspace_intersect)
+from superph.persistence import DominationError, Filtration, RegularityError
 from superph.scoring import PointCloud, pullback_scheme, vr_points
 
 from conftest import pillow_delta, random_cloud, unit_square_cloud
-from oracles import oracle_persistence_bars_gf2
+from oracles import (PersistenceModule, barcode, oracle_persistence_bars_gf2,
+                     persistence_module, rank_full_barcode)
 
 SQ2 = float(f"{math.sqrt(2) / 2:.12g}")
 
@@ -109,6 +111,21 @@ def test_nonregular_scheme_rejected_then_experimental():
             rankbars = barcode(persistence_module(filt, GF2, which, n))
             decomp = decomposition_barcode(filt, GF2, which, n)
             assert rankbars.bars == decomp.bars
+
+
+def test_zb_family_rejects_shrinking_flags(monkeypatch):
+    filt = square_filtration()
+    real = Filtration._inf_zb
+
+    def shrink_last(self, cc, marks, n):
+        if marks is self.level_x[-1]:
+            zero = SubspaceBasis.zero(cc.field, cc.space_dim(n))
+            return zero, zero
+        return real(self, cc, marks, n)
+
+    monkeypatch.setattr(Filtration, "_inf_zb", shrink_last)
+    with pytest.raises(AssertionError, match="monotonicity"):
+        filt.zb_family(GF2, "ambient", 0)
 
 
 def test_filtration_levels_nested_and_delta_closed():
@@ -211,7 +228,11 @@ def test_barcode_counts_match_dims(rng):
 
 
 def test_decomposition_matches_rank_barcode(rng):
-    for _ in range(5):
+    # full_barcode (interval decomposition) against the rank inclusion–exclusion
+    # oracle, over three fields, with partial markings; every third case uses
+    # a non-regular scheme in experimental mode
+    nonregular = 0
+    for case in range(9):
         pc = random_cloud(rng, max_points=5)
         g = MultiGraph.complete(pc.ids())
         ds = clique_delta(g, max_dim=3)
@@ -219,12 +240,57 @@ def test_decomposition_matches_rank_barcode(rng):
                                   if rng.random() < 0.6}
                               for n in range(ds.dim_count)})
         sh = SuperHypergraph(ds, marks)
-        filt = build_filtration(sh, vr_scheme(pc))
-        for which in ("ambient", "embedded", "relative"):
-            for n in range(ds.dim_count):
-                a = barcode(persistence_module(filt, GF2, which, n)).bars
-                b = decomposition_barcode(filt, GF2, which, n).bars
-                assert a == b
+        scheme = vr_scheme(pc)
+        if case % 3 == 2:
+            scheme = seeded_random_scheme(rng.randrange(10**6))
+            try:
+                build_filtration(sh, scheme)
+            except RegularityError:
+                nonregular += 1
+        filt = build_filtration(sh, scheme, experimental=case % 3 == 2)
+        for field in (GF2, GF(3), QQ):
+            for which in ("ambient", "embedded", "relative"):
+                for n in range(ds.dim_count):
+                    a = barcode(persistence_module(filt, field, which, n)).bars
+                    b = decomposition_barcode(filt, field, which, n).bars
+                    assert a == b
+                assert full_barcode(filt, field, which) == \
+                    rank_full_barcode(filt, field, which), (case, field, which)
+    assert nonregular == 3
+
+
+def test_inf_space_memo_and_shortcut_match_intersection(rng):
+    # _inf_space returns D_n unreduced when the marking is closed under faces
+    # (every sublevel set X(t)) and memoises its result; both must agree with
+    # D_n ∩ ∂⁻¹(D_{n-1}), also on the non-closed markings H(t)
+    proper = 0
+    for _ in range(3):
+        pc = random_cloud(rng, max_points=5)
+        ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=3)
+        marks = GradedSubset({n: {j for j in range(ds.counts[n])
+                                  if rng.random() < 0.6}
+                              for n in range(ds.dim_count)})
+        filt = build_filtration(SuperHypergraph(ds, marks), vr_scheme(pc))
+        for field in (GF2, GF(3), QQ):
+            cc = filt.chain_complex(field)
+            for closed, levels in ((True, filt.level_x), (False, filt.level_h)):
+                for level in levels:
+                    for n in range(ds.dim_count):
+                        d_n = SubspaceBasis.coordinate(field, cc.space_dim(n), level.at(n))
+                        want = d_n
+                        if n:
+                            d_below = SubspaceBasis.coordinate(field, cc.space_dim(n - 1),
+                                                               level.at(n - 1))
+                            want = subspace_intersect(
+                                d_n, preimage_basis(cc.boundaries[n], d_below))
+                        got = filt._inf_space(cc, level, n)
+                        assert got == want
+                        assert filt._inf_space(cc, level, n) is got
+                        if closed:
+                            assert want == d_n
+                        elif want != d_n:
+                            proper += 1
+    assert proper > 0
 
 
 def test_embedded_persistence_against_marked_oracle(rng):
