@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import formats, render
+from . import formats, homology, render
 from .delta import (DeltaIdentityError, SuperHypergraph, from_simplicial,
                     full_subset, is_complete, is_regular)
 from .faceops import (edge_deletion_complex, link_blowup_faces,
@@ -237,12 +237,13 @@ def run_homology(cfg: JobConfig) -> RunReport:
     report.cell_counts = sh.x.counts
     fld = cfg.coefficient_field()
     t0 = time.perf_counter()
+    cc = homology.boundary_matrices(sh.x, fld)
     tables = {
-        "embedded": embedded_betti(sh, fld, "absolute"),
-        "relative": embedded_betti(sh, fld, "relative"),
-        "ambient": embedded_betti(sh, fld, "ambient"),
+        "embedded": embedded_betti(sh, fld, "absolute", cc=cc),
+        "relative": embedded_betti(sh, fld, "relative", cc=cc),
+        "ambient": embedded_betti(sh, fld, "ambient", cc=cc),
     }
-    series = gap_series(sh, fld)
+    series = gap_series(sh, fld, cc=cc)
     report.timings["homology"] = time.perf_counter() - t0
     os.makedirs(cfg.out, exist_ok=True)
     betti_path = os.path.join(cfg.out, "betti.csv")

@@ -183,7 +183,7 @@ def rref(rows: Iterable[Sequence], ncols: int, field: Field):
 
 class FieldMatrix:
     """Dense matrix of exact field scalars, row-major and immutable; its
-    nonzero columns are indexed on first use by `apply`."""
+    nonzero columns are indexed on first use."""
 
     __slots__ = ("field", "rows", "cols", "entries", "_nzcols")
 
@@ -235,7 +235,7 @@ class FieldMatrix:
     def row_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def _nonzero_columns(self) -> tuple:
+    def nonzero_columns(self) -> tuple:
         """Per column, the (row, entry) pairs of its nonzero entries."""
         if self._nzcols is None:
             ent, nc = self.entries, self.cols
@@ -250,7 +250,7 @@ class FieldMatrix:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         f = self.field
         out = [f.zero] * self.rows
-        for v, col in zip(vec, self._nonzero_columns()):
+        for v, col in zip(vec, self.nonzero_columns()):
             if v:
                 v = f.of(v)
                 for i, a in col:
@@ -271,9 +271,6 @@ class FieldMatrix:
                         acc = f.add(acc, f.mul(a, other.entry(k, j)))
                 flat.append(acc)
         return FieldMatrix(f, self.rows, other.cols, flat)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
 
     def __eq__(self, other):
         return (isinstance(other, FieldMatrix) and self.field == other.field
@@ -353,12 +350,6 @@ class SubspaceBasis:
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return other.vectors == self.vectors or all(self.contains(v) for v in other.vectors)
 
-    def to_matrix_columns(self) -> FieldMatrix:
-        if self.dim == 0:
-            return FieldMatrix.zeros(self.field, self.ambient_dim, 0)
-        return FieldMatrix.from_columns(self.field, [list(v) for v in self.vectors],
-                                        self.ambient_dim)
-
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim and self.vectors == other.vectors)
@@ -413,6 +404,10 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     f = a.field
     if a.dim == 0 or b.dim == 0:
         return SubspaceBasis.zero(f, a.ambient_dim)
+    if a.dim == a.ambient_dim:
+        return b
+    if b.dim == b.ambient_dim:
+        return a
     # Kernel vectors (u, v) of [A | B] satisfy A u = -B v, so A u runs over
     # the intersection as (u, v) runs over the kernel.
     cols = [list(v) for v in a.vectors] + [list(v) for v in b.vectors]

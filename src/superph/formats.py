@@ -70,6 +70,15 @@ def read_graph(path) -> MultiGraph:
 
 
 def write_graph(path, g: MultiGraph):
+    """Write the format `read_graph` reads.  Ids are written as their text,
+    so an id whose text is empty or holds whitespace or `#` (the comment
+    mark) is refused with ValueError."""
+    for kind, ids in (("vertex", g.vertices), ("edge", g.edge_ends)):
+        for i in ids:
+            text = str(i)
+            if text.split() != [text] or "#" in text:
+                raise ValueError(f"cannot write {kind} id {text!r}: graph file ids "
+                                 "must be non-empty and hold no whitespace or '#'")
     out = [f"directed {1 if g.directed else 0}"]
     for v in sorted(g.vertices):
         out.append(f"v {v}")

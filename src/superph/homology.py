@@ -6,10 +6,19 @@ subcomplex of C_*(X) inside D_*, inf_n = D_n ∩ ∂⁻¹(D_{n-1}); the supremum
 complex is the smallest subcomplex containing it, sup_n = D_n + ∂(D_{n+1}).
 Their common homology — cycles D_n ∩ ker ∂ modulo boundaries
 D_n ∩ ∂(D_{n+1}) — is the embedded homology of the pair.
+
+Each kind of homology has one (Z, B) builder, memoised on the chain complex
+by degree and marked cells: `inf_zb` gives the embedded homology of a
+marking (the ambient homology is the case H = X), and `relative_zb` gives
+the homology of inf(X') / inf(H') for markings H' ⊆ X'.  The static Betti
+numbers are the one-step case of the persistence modules built from the
+same builders, and geometric gap homology is the relative homology of the
+pair (Δ-closure of H, largest Δ-subset inside H).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,7 +26,7 @@ from .delta import (CellId, DeltaIdentityError, DeltaMorphism, DeltaSet,
                     GradedSubset, SuperHypergraph, delta_closure, full_subset,
                     max_delta_subset, validate_morphism)
 from .fields import (Field, FieldMatrix, SubspaceBasis, express_in_vectors,
-                     extend_independent, kernel_basis, preimage_basis, rank,
+                     extend_independent, kernel_basis, preimage_basis,
                      subspace_intersect, subspace_sum)
 
 
@@ -26,23 +35,18 @@ class ChainComplex:
     """Per-degree boundary matrices of a Δ-set over a field.
 
     boundaries[n] maps C_n -> C_{n-1} (rows index (n-1)-cells, columns index
-    n-cells); boundaries[0] has zero rows.
+    n-cells); boundaries[0] has zero rows.  `memo` holds the infimum spaces
+    and (Z, B) pairs built on this complex.
     """
 
     field: Field
     dims: tuple[int, ...]
     boundaries: tuple[FieldMatrix, ...]
+    memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim_count(self) -> int:
         return len(self.dims)
-
-    def boundary(self, n: int) -> FieldMatrix:
-        """∂_n, with empty matrices outside the graded range."""
-        if 0 <= n < len(self.boundaries):
-            return self.boundaries[n]
-        rows = self.dims[n - 1] if 0 < n <= len(self.dims) else 0
-        return FieldMatrix.zeros(self.field, rows, 0)
 
     def space_dim(self, n: int) -> int:
         return self.dims[n] if 0 <= n < len(self.dims) else 0
@@ -74,16 +78,6 @@ def boundary_matrices(x: DeltaSet, field: Field, validated: bool = False) -> Cha
     return cc
 
 
-def _coordinate_span(field: Field, ambient: int, idxs: Iterable[int]) -> SubspaceBasis:
-    return SubspaceBasis.coordinate(field, ambient, idxs)
-
-
-def marked_spans(sh: SuperHypergraph, field: Field) -> list[SubspaceBasis]:
-    """D_n = the coordinate span of H_n inside C_n(X), per degree."""
-    x = sh.x
-    return [_coordinate_span(field, x.counts[n], sh.h.at(n)) for n in range(x.dim_count)]
-
-
 @dataclass(frozen=True)
 class EmbeddedChainData:
     """Infimum and supremum subcomplex bases inside each C_n(X)."""
@@ -97,20 +91,13 @@ def embedded_chain_data(sh: SuperHypergraph, field: Field,
                         cc: ChainComplex | None = None) -> EmbeddedChainData:
     if cc is None:
         cc = boundary_matrices(sh.x, field)
-    d = marked_spans(sh, field)
     nd = sh.x.dim_count
     inf = []
     sup = []
     for n in range(nd):
-        if n == 0:
-            inf_n = d[0]
-        else:
-            pre = preimage_basis(cc.boundaries[n], d[n - 1])
-            inf_n = subspace_intersect(d[n], pre)
-        image_next = _boundary_of_span(cc, n + 1, d[n + 1] if n + 1 < nd else None)
-        sup_n = subspace_sum(d[n], image_next)
-        inf.append(inf_n)
-        sup.append(sup_n)
+        inf.append(inf_space(cc, sh.h, n))
+        image_next = _boundary_of_span(cc, n + 1, _coordinates(cc, sh.h, n + 1))
+        sup.append(subspace_sum(_coordinates(cc, sh.h, n), image_next))
     return EmbeddedChainData(field, tuple(inf), tuple(sup))
 
 
@@ -130,6 +117,8 @@ def cycles_in_span(cc: ChainComplex, n: int, span: SubspaceBasis) -> SubspaceBas
     bd = cc.boundaries[n]
     if span.dim == 0:
         return span
+    if span.dim == span.ambient_dim:
+        return kernel_basis(bd)
     restricted = FieldMatrix.from_columns(cc.field,
                                           [list(bd.apply(v)) for v in span.vectors],
                                           bd.rows)
@@ -146,20 +135,72 @@ def cycles_in_span(cc: ChainComplex, n: int, span: SubspaceBasis) -> SubspaceBas
 
 
 # ---------------------------------------------------------------------------
-# Betti numbers
+# Cycle and boundary spaces, memoised on the chain complex
 # ---------------------------------------------------------------------------
 
-def _embedded_zb(sh: SuperHypergraph, field: Field, cc: ChainComplex, n: int):
-    """(Z_n, B_n) of the infimum complex: D_n ∩ ker ∂ and D_n ∩ ∂(D_{n+1})."""
-    d_n = _coordinate_span(field, sh.x.counts[n], sh.h.at(n))
-    z = cycles_in_span(cc, n, d_n)
-    if n + 1 < sh.x.dim_count:
-        d_up = _coordinate_span(field, sh.x.counts[n + 1], sh.h.at(n + 1))
-        b = subspace_intersect(d_n, _boundary_of_span(cc, n + 1, d_up))
+def _coordinates(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
+    """D_n: the coordinate span of the marked n-cells inside C_n."""
+    return SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
+
+
+def inf_space(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
+    """inf_n of the marked span, D_n ∩ ∂⁻¹(D_{n-1}); memoised on the marked
+    cells in degrees n and n-1.
+
+    When ∂_n maps every marked n-cell into D_{n-1}, inf_n = D_n; that holds
+    for every Δ-subset, such as a sublevel set X(t) of a regular scheme."""
+    key = ("inf", n, marks.at(n), marks.at(n - 1))
+    inf = cc.memo.get(key)
+    if inf is None:
+        inf = _coordinates(cc, marks, n)
+        if 0 < n < cc.dim_count:
+            below = marks.at(n - 1)
+            columns = cc.boundaries[n].nonzero_columns()
+            if not all(i in below for j in marks.at(n) for i, _ in columns[j]):
+                pre = preimage_basis(cc.boundaries[n], _coordinates(cc, marks, n - 1))
+                inf = subspace_intersect(inf, pre)
+        cc.memo[key] = inf
+    return inf
+
+
+def inf_zb(cc: ChainComplex, marks: GradedSubset, n: int):
+    """Cycles and boundaries of the infimum complex of the marked span:
+    Z = D_n ∩ ker ∂ and B = D_n ∩ ∂(D_{n+1}); memoised on the marked cells
+    in degrees n and n+1."""
+    key = ("zb", n, marks.at(n), marks.at(n + 1))
+    zb = cc.memo.get(key)
+    if zb is None:
+        d_n = _coordinates(cc, marks, n)
+        z = cycles_in_span(cc, n, d_n)
+        if n + 1 < cc.dim_count:
+            b = subspace_intersect(
+                d_n, _boundary_of_span(cc, n + 1, _coordinates(cc, marks, n + 1)))
+        else:
+            b = SubspaceBasis.zero(cc.field, d_n.ambient_dim)
+        zb = cc.memo[key] = (z, b)
+    return zb
+
+
+def relative_zb(cc: ChainComplex, xs: GradedSubset, hs: GradedSubset, n: int):
+    """Cycles and boundaries presenting H_n(inf(xs) / inf(hs)), for markings
+    hs ⊆ xs."""
+    inf_x_n = inf_space(cc, xs, n)
+    inf_h_n = inf_space(cc, hs, n)
+    if n == 0:
+        z = inf_x_n
     else:
-        b = SubspaceBasis.zero(field, sh.x.counts[n])
+        pre = preimage_basis(cc.boundaries[n], inf_space(cc, hs, n - 1))
+        z = subspace_intersect(inf_x_n, pre)
+    if n + 1 < cc.dim_count:
+        b = subspace_sum(_boundary_of_span(cc, n + 1, inf_space(cc, xs, n + 1)), inf_h_n)
+    else:
+        b = inf_h_n
     return z, b
 
+
+# ---------------------------------------------------------------------------
+# Betti numbers
+# ---------------------------------------------------------------------------
 
 def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
                    cc: ChainComplex | None = None) -> tuple[int, ...]:
@@ -167,36 +208,22 @@ def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
 
     absolute: homology of the infimum complex of the marked span;
     relative:  homology of C_*(X)/inf_*;
-    ambient:   homology of C_*(X).
+    ambient:   homology of C_*(X), the infimum complex of the full marking.
     """
+    if mode not in ("absolute", "relative", "ambient"):
+        raise ValueError(f"unknown mode {mode!r}")
     if cc is None:
         cc = boundary_matrices(sh.x, field)
-    x = sh.x
-    nd = x.dim_count
+    full = full_subset(sh.x)
     out = []
-    if mode == "absolute":
-        for n in range(nd):
-            z, b = _embedded_zb(sh, field, cc, n)
-            out.append(z.dim - b.dim)
-    elif mode == "ambient":
-        for n in range(nd):
-            z = kernel_basis(cc.boundaries[n]).dim if n > 0 else x.counts[0]
-            b = rank(cc.boundaries[n + 1]) if n + 1 < nd else 0
-            out.append(z - b)
-    elif mode == "relative":
-        data = embedded_chain_data(sh, field, cc)
-        for n in range(nd):
-            if n == 0:
-                zq = x.counts[0]
-            else:
-                zq = preimage_basis(cc.boundaries[n], data.inf[n - 1]).dim
-            im = _boundary_of_span(cc, n + 1,
-                                   SubspaceBasis.full(field, x.counts[n + 1])
-                                   if n + 1 < nd else None)
-            bq = subspace_sum(im, data.inf[n]).dim
-            out.append(zq - data.inf[n].dim - (bq - data.inf[n].dim))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for n in range(sh.x.dim_count):
+        if mode == "absolute":
+            z, b = inf_zb(cc, sh.h, n)
+        elif mode == "ambient":
+            z, b = inf_zb(cc, full, n)
+        else:
+            z, b = relative_zb(cc, full, sh.h, n)
+        out.append(z.dim - b.dim)
     return tuple(out)
 
 
@@ -216,28 +243,11 @@ def geometric_gap_betti(sh: SuperHypergraph, field: Field) -> tuple[int, ...]:
     With an empty core this is the (unreduced) homology of the closure."""
     closure = delta_closure(sh)
     core = max_delta_subset(sh)
-    x = sh.x
-    cc = boundary_matrices(x, field)
-    idxs = [sorted(closure.at(n) - core.at(n)) for n in range(x.dim_count)]
-    pos = [{i: k for k, i in enumerate(ix)} for ix in idxs]
-    mats = []
-    for n in range(x.dim_count):
-        rows, cols = len(idxs[n - 1]) if n else 0, len(idxs[n])
-        ent = [[field.zero] * cols for _ in range(rows)]
-        if n:
-            bd = cc.boundaries[n]
-            for jj, j in enumerate(idxs[n]):
-                col = bd.column(j)
-                for i, v in enumerate(col):
-                    if v and i in pos[n - 1]:
-                        ent[pos[n - 1][i]][jj] = v
-        mats.append(FieldMatrix.from_rows(field, ent) if rows
-                    else FieldMatrix.zeros(field, 0, cols))
+    cc = boundary_matrices(sh.x, field)
     out = []
-    for n in range(x.dim_count):
-        z = kernel_basis(mats[n]).dim if n > 0 else len(idxs[0])
-        b = rank(mats[n + 1]) if n + 1 < x.dim_count else 0
-        out.append(z - b)
+    for n in range(sh.x.dim_count):
+        z, b = relative_zb(cc, closure, core, n)
+        out.append(z.dim - b.dim)
     return tuple(out)
 
 
@@ -251,7 +261,7 @@ def embedded_homology_basis(sh: SuperHypergraph, field: Field, n: int,
     chosen deterministically."""
     if cc is None:
         cc = boundary_matrices(sh.x, field)
-    z, b = _embedded_zb(sh, field, cc, n)
+    z, b = inf_zb(cc, sh.h, n)
     reps = extend_independent(b, z.vectors)
     return reps, b
 

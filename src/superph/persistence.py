@@ -8,10 +8,14 @@ triangle J : emb -> ambient, P : ambient -> relative, and the degree -1
 connecting map back to embedded homology.
 
 Every module here is a subquotient family Z(t)/B(t) of a fixed chain group
-with Z and B both monotone in t (checked when the family is built).  Its
-barcode is read off an interval decomposition: a flag basis of the B spaces,
-written in a flag basis of the Z spaces, is column-reduced with the
-lowest-one pairing of Zomorodian–Carlsson, over the finitely many critical
+with Z and B both monotone in t (checked when the family is built).  The
+spaces come from the one (Z, B) builder per module kind in
+`superph.homology`, memoised on the chain complex: `inf_zb` of X(t) or H(t)
+for the ambient and embedded modules, `relative_zb` of (X(t), H(t)) for the
+relative one.  The static Betti numbers are the one-step case.  A
+module's barcode is read off an interval decomposition: a flag basis of the
+B spaces, written in a flag basis of the Z spaces, is column-reduced with
+the lowest-one pairing of Zomorodian–Carlsson, over the finitely many critical
 values.  The infimum complexes of the embedded theory are not a cell-wise
 filtration, but their Z and B flags are, so the column algorithm applies to
 them.  The reduced columns are interval-adapted representatives, which also
@@ -27,9 +31,9 @@ from typing import Sequence
 
 from .delta import GradedSubset, SuperHypergraph
 from .fields import (Field, SubspaceBasis, express_in_vectors,
-                     extend_independent, preimage_basis, subspace_intersect,
-                     subspace_sum)
-from .homology import ChainComplex, boundary_matrices, cycles_in_span, _boundary_of_span
+                     extend_independent, subspace_sum)
+from .homology import (ChainComplex, boundary_matrices, inf_zb, relative_zb,
+                       _boundary_of_span)
 from .scoring import round_score
 
 MODULE_KINDS = ("ambient", "embedded", "relative")
@@ -54,7 +58,7 @@ class Filtration:
     """
 
     __slots__ = ("sh", "times", "scores", "level_x", "level_h", "scheme_name",
-                 "_cc", "_zb", "_inf_zbs", "_inf_spaces", "_decomp")
+                 "_cc", "_zb", "_decomp")
 
     def __init__(self, sh: SuperHypergraph, times: Sequence[float],
                  scores: Sequence[Sequence[float]], scheme_name: str = ""):
@@ -72,8 +76,6 @@ class Filtration:
             self.level_h.append(sh.h.intersection(lx))
         self._cc: dict[Field, ChainComplex] = {}
         self._zb: dict = {}
-        self._inf_zbs: dict = {}
-        self._inf_spaces: dict = {}
         self._decomp: dict = {}
 
     @property
@@ -98,17 +100,14 @@ class Filtration:
             raise ValueError(f"unknown module kind {which!r}")
         cc = self.chain_complex(field)
         n = degree
-        ambient = cc.space_dim(n)
         out = []
-        for i in range(self.steps):
-            xs = self.level_x[i]
-            hs = self.level_h[i]
+        for xs, hs in zip(self.level_x, self.level_h):
             if which == "ambient":
-                z, b = self._inf_zb(cc, xs, n)
+                z, b = inf_zb(cc, xs, n)
             elif which == "embedded":
-                z, b = self._inf_zb(cc, hs, n)
+                z, b = inf_zb(cc, hs, n)
             else:
-                z, b = self._relative_zb(cc, xs, hs, n)
+                z, b = relative_zb(cc, xs, hs, n)
             if not z.contains_subspace(b):
                 raise AssertionError("boundary space not inside cycle space")
             if out and not (z.contains_subspace(out[-1][0])
@@ -117,61 +116,6 @@ class Filtration:
             out.append((z, b))
         self._zb[key] = out
         return out
-
-    def _span(self, cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
-        return SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
-
-    def _inf_zb(self, cc: ChainComplex, marks: GradedSubset, n: int):
-        """Cycles and boundaries of the infimum complex of a coordinate span:
-        Z = D_n ∩ ker ∂, B = D_n ∩ ∂(D_{n+1}); memoised on the marked cells
-        in degrees n and n+1."""
-        key = (cc.field, n, marks.at(n), marks.at(n + 1))
-        zb = self._inf_zbs.get(key)
-        if zb is None:
-            d_n = self._span(cc, marks, n)
-            z = cycles_in_span(cc, n, d_n)
-            d_up = self._span(cc, marks, n + 1) if n + 1 < cc.dim_count else None
-            b = subspace_intersect(d_n, _boundary_of_span(cc, n + 1, d_up)) \
-                if d_up is not None else SubspaceBasis.zero(cc.field, d_n.ambient_dim)
-            zb = self._inf_zbs[key] = (z, b)
-        return zb
-
-    def _inf_space(self, cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
-        """inf_n of a coordinate span: D_n ∩ ∂⁻¹(D_{n-1}), memoised on the
-        marked cells in degrees n and n-1.
-
-        When every face of every marked n-cell is marked, ∂(D_n) ⊆ D_{n-1}
-        and inf_n = D_n; that holds for every sublevel set X(t) of a regular
-        scheme."""
-        key = (cc.field, n, marks.at(n), marks.at(n - 1))
-        inf = self._inf_spaces.get(key)
-        if inf is None:
-            inf = self._span(cc, marks, n)
-            below = marks.at(n - 1)
-            faces = self.sh.x.faces
-            if 0 < n < cc.dim_count and not all(
-                    t in below for j in marks.at(n) for t in faces[n][j]):
-                pre = preimage_basis(cc.boundaries[n], self._span(cc, marks, n - 1))
-                inf = subspace_intersect(inf, pre)
-            self._inf_spaces[key] = inf
-        return inf
-
-    def _relative_zb(self, cc: ChainComplex, xs: GradedSubset, hs: GradedSubset, n: int):
-        """Subquotient presentation of H_n(inf(X(t)) / inf(H(t)))."""
-        inf_x_n = self._inf_space(cc, xs, n)
-        inf_h_n = self._inf_space(cc, hs, n)
-        if n == 0:
-            z = inf_x_n
-        else:
-            inf_h_below = self._inf_space(cc, hs, n - 1)
-            pre = preimage_basis(cc.boundaries[n], inf_h_below)
-            z = subspace_intersect(inf_x_n, pre)
-        if n + 1 < cc.dim_count:
-            inf_x_up = self._inf_space(cc, xs, n + 1)
-            b = subspace_sum(_boundary_of_span(cc, n + 1, inf_x_up), inf_h_n)
-        else:
-            b = inf_h_n
-        return z, b
 
     def decomposition(self, field: Field, which: str, degree: int):
         key = (field, which, degree)

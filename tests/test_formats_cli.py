@@ -30,6 +30,28 @@ def test_graph_round_trip(tmp_path):
     assert back.directed == g.directed
 
 
+def test_graph_round_trip_string_ids(tmp_path):
+    names = ["a", "b", "c"]
+    g = MultiGraph(names, {f"e_{u}_{v}": (u, v) for u in names for v in names
+                           if u < v})
+    p = tmp_path / "k3.graph"
+    formats.write_graph(p, g)
+    back = formats.read_graph(p)
+    assert back.vertices == g.vertices
+    assert back.edge_ends == g.edge_ends
+    assert back.directed == g.directed
+
+
+def test_write_graph_refuses_ids_its_reader_rejects(tmp_path):
+    p = tmp_path / "g.graph"
+    with pytest.raises(ValueError, match=r"edge id \"\('k', 'a', 'b'\)\""):
+        formats.write_graph(p, MultiGraph.complete(["a", "b", "c"]))
+    for bad in ("", "x y", "x#y"):
+        with pytest.raises(ValueError, match="vertex id"):
+            formats.write_graph(p, MultiGraph([bad, "a"], {}))
+    assert not p.exists()
+
+
 def test_graph_parse_errors(tmp_path):
     p = tmp_path / "bad.graph"
     p.write_text("directed 0\nv a\nzz\n")
@@ -197,6 +219,35 @@ def test_cli_homology_on_delta_file(tmp_path, capsys):
     assert code == 0
     text = (out / "betti.csv").read_text()
     assert "embedded,0,1" in text and "embedded,2,1" in text
+
+
+def test_cli_homology_builds_one_boundary_per_job(tmp_path, monkeypatch):
+    # the three Betti tables and the gap series share one ∂; the outputs are
+    # those of a build per table
+    import superph.homology
+    real = superph.homology.boundary_matrices
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(superph.homology, "boundary_matrices", counted)
+    delta = tmp_path / "pillow.delta"
+    delta.write_text(
+        "cell 0 v :\ncell 1 e1 : v v\ncell 1 e2 : v v\n"
+        "cell 2 f1 : e1 e2 e1\ncell 2 f2 : e1 e2 e1\n"
+        "mark 0 v\nmark 2 f1\nmark 2 f2\n")
+    out = tmp_path / "out"
+    assert main(["homology", "--delta", str(delta), "--field", "rational",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert (out / "betti.csv").read_text() == (
+        "module,degree,value\n"
+        "embedded,0,1\nembedded,1,0\nembedded,2,1\n"
+        "relative,0,0\nrelative,1,1\nrelative,2,0\n"
+        "ambient,0,1\nambient,1,1\nambient,2,1\n")
+    assert (out / "gap.csv").read_text() == "degree,value\n0,0\n1,1\n2,1\n"
 
 
 def test_cli_homology_missing_edge_family(tmp_path):

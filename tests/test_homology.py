@@ -11,11 +11,12 @@ from superph import (GF2, QQ, GF, DeltaMorphism, DeltaSet, GradedSubset,
                      gap_series, geometric_gap_betti, induced_homology_map,
                      mod2_parity_check, mv_diagnostics, standard_simplex_delta,
                      subcomplex_homology)
+from superph.delta import delta_closure, max_delta_subset
 from superph.fields import SubspaceBasis
 
 from conftest import (collapsed_tower, pillow_delta, pillow_sh,
                       random_super_hypergraph)
-from oracles import brute_zb_dims_gf2
+from oracles import brute_zb_dims_gf2, quotient_gap_betti
 
 
 def pad(t, n):
@@ -358,6 +359,49 @@ def test_geometric_gap_examples():
     # one edge plus its faces: closure equals core
     sh2 = SuperHypergraph(shB.x, GradedSubset({0: {0, 1}, 1: {0}}))
     assert geometric_gap_betti(sh2, QQ) == (0, 0)
+
+
+def test_geometric_gap_matches_quotient_oracle(rng):
+    # relative (Z, B) spaces of (closure, core) against the quotient matrices
+    # on closure ∖ core; every third marking drops its vertices, so its core
+    # is empty
+    empty_core = partial = 0
+    for k in range(30):
+        sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
+        if k % 3 == 0:
+            sh = SuperHypergraph(sh.x, GradedSubset(
+                {n: sh.h.at(n) for n in sh.h.dims() if n}))
+        empty_core += not max_delta_subset(sh)
+        partial += delta_closure(sh) != sh.h
+        for field in (GF2, GF(3), QQ):
+            assert geometric_gap_betti(sh, field) == quotient_gap_betti(sh, field), \
+                (k, field)
+    assert empty_core >= 10 and partial > 0
+
+
+def test_shared_memo_does_not_leak_between_markings(rng):
+    # one chain complex serves two markings of the same X, in turn; every
+    # result must equal the one computed on a fresh chain complex
+    differ = 0
+    for _ in range(6):
+        sh = random_super_hypergraph(rng, max_vertices=5, max_edges=10)
+        x = sh.x
+        other = SuperHypergraph(x, GradedSubset(
+            {n: {j for j in range(x.counts[n]) if rng.random() < 0.5}
+             for n in range(x.dim_count)}))
+        for field in (GF2, GF(3), QQ):
+            cc = boundary_matrices(x, field)
+            tables = []
+            for marked in (sh, other, sh, other):
+                table = tuple(embedded_betti(marked, field, mode, cc=cc)
+                              for mode in ("absolute", "relative", "ambient"))
+                assert table == tuple(embedded_betti(marked, field, mode)
+                                      for mode in ("absolute", "relative", "ambient"))
+                gap = gap_series(marked, field, cc=cc)
+                assert gap == gap_series(marked, field)
+                tables.append((table, gap))
+            differ += tables[0] != tables[1]
+    assert differ > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from superph import (GF2, QQ, Bar, DeltaSet, GradedSubset, MultiGraph,
 from superph.faceops import Clustering, SubgraphFamily, primary_vertex_deletion
 from superph.fields import (GF, FieldMatrix, SubspaceBasis, preimage_basis,
                             subspace_intersect)
-from superph.persistence import DominationError, Filtration, RegularityError
+from superph.homology import inf_space, inf_zb
+from superph.persistence import DominationError, RegularityError
 from superph.scoring import PointCloud, pullback_scheme, vr_points
 
 from conftest import pillow_delta, random_cloud, unit_square_cloud
@@ -115,15 +116,14 @@ def test_nonregular_scheme_rejected_then_experimental():
 
 def test_zb_family_rejects_shrinking_flags(monkeypatch):
     filt = square_filtration()
-    real = Filtration._inf_zb
 
-    def shrink_last(self, cc, marks, n):
-        if marks is self.level_x[-1]:
+    def shrink_last(cc, marks, n):
+        if marks is filt.level_x[-1]:
             zero = SubspaceBasis.zero(cc.field, cc.space_dim(n))
             return zero, zero
-        return real(self, cc, marks, n)
+        return inf_zb(cc, marks, n)
 
-    monkeypatch.setattr(Filtration, "_inf_zb", shrink_last)
+    monkeypatch.setattr("superph.persistence.inf_zb", shrink_last)
     with pytest.raises(AssertionError, match="monotonicity"):
         filt.zb_family(GF2, "ambient", 0)
 
@@ -260,7 +260,7 @@ def test_decomposition_matches_rank_barcode(rng):
 
 
 def test_inf_space_memo_and_shortcut_match_intersection(rng):
-    # _inf_space returns D_n unreduced when the marking is closed under faces
+    # inf_space returns D_n unreduced when the marking is closed under faces
     # (every sublevel set X(t)) and memoises its result; both must agree with
     # D_n ∩ ∂⁻¹(D_{n-1}), also on the non-closed markings H(t)
     proper = 0
@@ -283,9 +283,9 @@ def test_inf_space_memo_and_shortcut_match_intersection(rng):
                                                                level.at(n - 1))
                             want = subspace_intersect(
                                 d_n, preimage_basis(cc.boundaries[n], d_below))
-                        got = filt._inf_space(cc, level, n)
+                        got = inf_space(cc, level, n)
                         assert got == want
-                        assert filt._inf_space(cc, level, n) is got
+                        assert inf_space(cc, level, n) is got
                         if closed:
                             assert want == d_n
                         elif want != d_n:
