@@ -407,41 +407,48 @@ def close_under_faces(seeds: Iterable[Hashable], grade: Callable[[Hashable], int
     """Least family containing *seeds* and closed under face_fn, as a Δ-set.
 
     grade(label) gives the dimension; face_fn(label) returns the ordered face
-    labels (d_0 .. d_n) of a label of positive grade.  Cells are indexed in
-    deterministic label order per dimension.  Raises DeltaIdentityError if the
-    face maps violate the Δ-identity.
+    labels (d_0 .. d_n) of a label of positive grade.  face_fn runs once per
+    distinct label: the face lists of the discovery pass become the face
+    rows, holding the first instance seen of each label.  Cells are indexed
+    in deterministic label order per dimension.  Raises DeltaStructureError
+    if a face has the wrong grade and DeltaIdentityError if the face maps
+    violate the Δ-identity.
     """
-    by_dim: dict[int, set] = {}
     seed_list = list(seeds)
-    stack = list(seed_list)
-    seen = set()
+    canon: dict = {}  # label -> the first instance seen of it
+    for lab in seed_list:
+        canon.setdefault(lab, lab)
+    stack = list(canon)
+    by_dim: dict[int, list] = {}
+    face_labels: dict[int, list] = {}  # id(label) -> canonical face labels
     while stack:
         lab = stack.pop()
-        if lab in seen:
-            continue
-        seen.add(lab)
         n = grade(lab)
         if n < 0:
             raise ValueError(f"negative grade for label {lab!r}")
-        by_dim.setdefault(n, set()).add(lab)
+        by_dim.setdefault(n, []).append(lab)
         if n > 0:
+            row = []
             for fl in face_fn(lab):
-                stack.append(fl)
+                c = canon.get(fl)
+                if c is None:
+                    canon[fl] = c = fl
+                    stack.append(fl)
+                row.append(c)
+            face_labels[id(lab)] = row
     if not by_dim:
         return DeltaSet((), (), ()), GradedSubset()
     top = max(by_dim)
     ordered = [sorted(by_dim.get(n, ()), key=cell_sort_key) for n in range(top + 1)]
-    index = {}
-    for n, labs in enumerate(ordered):
-        for j, lab in enumerate(labs):
-            index[lab] = (n, j)
+    # Face rows hold canonical instances only, so identity finds their cells.
+    index = {id(lab): (n, j) for n, labs in enumerate(ordered) for j, lab in enumerate(labs)}
     counts = [len(labs) for labs in ordered]
     faces: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
     for n in range(1, top + 1):
         for lab in ordered[n]:
             row = []
-            for fl in face_fn(lab):
-                fd, fi = index[fl]
+            for fl in face_labels.pop(id(lab)):
+                fd, fi = index[id(fl)]
                 if fd != n - 1:
                     raise DeltaStructureError(
                         f"face of a grade-{n} label has grade {fd}: {fl!r}")
@@ -451,7 +458,7 @@ def close_under_faces(seeds: Iterable[Hashable], grade: Callable[[Hashable], int
     report = ds.validate()
     if not report.ok:
         raise DeltaIdentityError(report)
-    marked = GradedSubset.from_cells(index[lab] for lab in seed_list)
+    marked = GradedSubset.from_cells(index[id(canon[lab])] for lab in seed_list)
     return ds, marked
 
 

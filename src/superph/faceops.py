@@ -246,9 +246,7 @@ def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHyper
             keep = sub.vertices - vj
             base = sub.restrict(keep)
             blow = link(vj) & sub.vertices
-            extra = [e for e, (u, w) in host.edge_ends.items()
-                     if u in blow and w in blow]
-            out.append(base.add_edges(extra))
+            out.append(base.add_edges(host.induced(blow).edges))
         return out
 
     if any(not m.vertices for m in fam):

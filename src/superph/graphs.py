@@ -13,9 +13,14 @@ from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
 class MultiGraph:
     """A (multi-)graph: vertex ids, edge ids and an incidence map
     edge -> (initial vertex, terminal vertex).  For undirected graphs the
-    incidence pair is treated as unordered."""
+    incidence pair is treated as unordered.
 
-    __slots__ = ("vertices", "edge_ends", "directed", "_adj")
+    Built once per graph: the edges joining each endpoint pair (both orders
+    when undirected), out- and in-adjacency, and the rank of every vertex
+    and edge id in `cell_sort_key` order, which subgraphs sort by."""
+
+    __slots__ = ("vertices", "edge_ends", "directed", "_adj", "_in_adj",
+                 "_between", "_vrank", "_erank")
 
     def __init__(self, vertices: Iterable[Hashable],
                  edges: Mapping[Hashable, tuple[Hashable, Hashable]],
@@ -28,13 +33,23 @@ class MultiGraph:
             ends[e] = (u, v)
         self.edge_ends = ends
         self.directed = bool(directed)
+        self._vrank = {v: i for i, v in
+                       enumerate(sorted(self.vertices, key=cell_sort_key))}
+        self._erank = {e: i for i, e in enumerate(sorted(ends, key=cell_sort_key))}
         adj: dict[Hashable, set] = {v: set() for v in self.vertices}
-        for u, v in ends.values():
+        in_adj = {v: set() for v in self.vertices} if self.directed else adj
+        between: dict[tuple, list] = {}
+        for e, (u, v) in ends.items():
+            between.setdefault((u, v), []).append(e)
             if u != v:
                 adj[u].add(v)
+                in_adj[v].add(u)
                 if not self.directed:
-                    adj[v].add(u)
+                    between.setdefault((v, u), []).append(e)
         self._adj = adj
+        self._in_adj = in_adj
+        self._between = {pair: tuple(sorted(es, key=self._erank.__getitem__))
+                         for pair, es in between.items()}
 
     @property
     def edges(self) -> frozenset:
@@ -60,21 +75,11 @@ class MultiGraph:
 
     def neighbors(self, v) -> set:
         """Adjacent vertices ignoring direction and loops."""
-        if not self.directed:
-            return set(self._adj[v])
-        out = set(self._adj[v])
-        for u, w in self.edge_ends.values():
-            if w == v and u != v:
-                out.add(u)
-        return out
+        return self._adj[v] | self._in_adj[v]
 
     def edges_between(self, u, v) -> list:
         """Edge ids joining u and v (from u to v when directed), sorted."""
-        out = []
-        for e, (a, b) in self.edge_ends.items():
-            if (a, b) == (u, v) or (not self.directed and (a, b) == (v, u)):
-                out.append(e)
-        return sorted(out, key=cell_sort_key)
+        return list(self._between.get((u, v), ()))
 
     def adjacent(self, u, v) -> bool:
         """True iff some edge joins u and v (either direction), u != v."""
@@ -85,7 +90,8 @@ class MultiGraph:
 
     def induced(self, vertices: Iterable) -> "Subgraph":
         vs = frozenset(vertices)
-        es = [e for e, (u, v) in self.edge_ends.items() if u in vs and v in vs]
+        between = self._between
+        es = [e for u in vs for v in vs for e in between.get((u, v), ())]
         return Subgraph(self, vs, es)
 
     def full(self) -> "Subgraph":
@@ -114,16 +120,16 @@ class Subgraph:
 
     def __init__(self, host: MultiGraph, vertices: Iterable, edges: Iterable = ()):
         self.host = host
-        self.vertices = frozenset(vertices)
+        self.vertices = vs = frozenset(vertices)
         self.edges = frozenset(edges)
-        if not self.vertices <= host.vertices:
+        if not vs <= host.vertices:
             raise ValueError("subgraph vertices not in host")
         for e in self.edges:
             u, v = host.edge_ends[e]
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vs or v not in vs:
                 raise ValueError(f"edge {e!r} selected without its endpoints")
-        self._key = (tuple(sorted(self.vertices, key=cell_sort_key)),
-                     tuple(sorted(self.edges, key=cell_sort_key)))
+        self._key = (tuple(sorted(vs, key=host._vrank.__getitem__)),
+                     tuple(sorted(self.edges, key=host._erank.__getitem__)))
 
     @property
     def key(self) -> tuple:
@@ -163,11 +169,7 @@ class Subgraph:
 
     def has_edge_between(self, u, v) -> bool:
         """True iff self has an edge from u to v (between, when undirected)."""
-        for e in self.edges:
-            a, b = self.host.edge_ends[e]
-            if (a, b) == (u, v) or (not self.host.directed and (a, b) == (v, u)):
-                return True
-        return False
+        return any(e in self.edges for e in self.host._between.get((u, v), ()))
 
     def __eq__(self, other):
         return isinstance(other, Subgraph) and self._key == other._key

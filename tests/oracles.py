@@ -8,7 +8,10 @@ inclusion–exclusion barcode, which reads the library's (Z, B) families but
 computes bars from ranks of dense composite maps instead of the interval
 decomposition, and the geometric gap homology, which takes the library's
 closure, core and ∂ but reduces the quotient matrices on closure ∖ core
-instead of the relative (Z, B) spaces.
+instead of the relative (Z, B) spaces.  The scanning graph lookups and the
+two-pass face closure are the routes the library's indexed ones replaced:
+they read a graph's incidence map or build the library's `DeltaSet`, but
+scan every edge per query and call face_fn twice per cell.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from superph.delta import delta_closure, max_delta_subset
+from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
+                           GradedSubset, cell_sort_key, delta_closure,
+                           max_delta_subset)
 from superph.fields import (Field, FieldMatrix, express_in_vectors,
                             extend_independent, rank as matrix_rank)
 from superph.homology import boundary_matrices
@@ -386,9 +391,86 @@ def brute_primary_closure_keys(members, order):
     return seen
 
 
+def two_pass_close_under_faces(seeds, grade, face_fn):
+    """Least family containing the seeds and closed under face_fn, as a
+    Δ-set: one pass discovers the labels, a second calls face_fn again on
+    every label of positive grade to index its faces."""
+    by_dim: dict[int, set] = {}
+    seed_list = list(seeds)
+    stack = list(seed_list)
+    seen = set()
+    while stack:
+        lab = stack.pop()
+        if lab in seen:
+            continue
+        seen.add(lab)
+        n = grade(lab)
+        if n < 0:
+            raise ValueError(f"negative grade for label {lab!r}")
+        by_dim.setdefault(n, set()).add(lab)
+        if n > 0:
+            for fl in face_fn(lab):
+                stack.append(fl)
+    if not by_dim:
+        return DeltaSet((), (), ()), GradedSubset()
+    top = max(by_dim)
+    ordered = [sorted(by_dim.get(n, ()), key=cell_sort_key) for n in range(top + 1)]
+    index = {}
+    for n, labs in enumerate(ordered):
+        for j, lab in enumerate(labs):
+            index[lab] = (n, j)
+    counts = [len(labs) for labs in ordered]
+    faces: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+    for n in range(1, top + 1):
+        for lab in ordered[n]:
+            row = []
+            for fl in face_fn(lab):
+                fd, fi = index[fl]
+                if fd != n - 1:
+                    raise DeltaStructureError(
+                        f"face of a grade-{n} label has grade {fd}: {fl!r}")
+                row.append(fi)
+            faces[n].append(tuple(row))
+    ds = DeltaSet(counts, faces, ordered)
+    report = ds.validate()
+    if not report.ok:
+        raise DeltaIdentityError(report)
+    marked = GradedSubset.from_cells(index[lab] for lab in seed_list)
+    return ds, marked
+
+
 def exhaustive_subsets(items, max_size=None):
     items = list(items)
     n = len(items) if max_size is None else min(len(items), max_size)
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             yield combo
+
+
+# ---------------------------------------------------------------------------
+# Scanning graph lookups
+# ---------------------------------------------------------------------------
+
+def scan_edges_between(g, u, v):
+    """Edge ids joining u and v (from u to v when directed), sorted, by a
+    scan of every edge of g."""
+    out = []
+    for e, (a, b) in g.edge_ends.items():
+        if (a, b) == (u, v) or (not g.directed and (a, b) == (v, u)):
+            out.append(e)
+    return sorted(out, key=cell_sort_key)
+
+
+def scan_neighbors(g, v):
+    """Vertices joined to v by an edge in either direction, loops excluded."""
+    out = set()
+    for a, b in g.edge_ends.values():
+        if a != b and v in (a, b):
+            out.add(b if a == v else a)
+    return out
+
+
+def scan_has_edge_between(sub, u, v):
+    """True iff the subgraph has an edge from u to v (between, when
+    undirected), by a scan of its edges."""
+    return any(e in sub.edges for e in scan_edges_between(sub.host, u, v))

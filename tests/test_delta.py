@@ -1,5 +1,7 @@
 """Δ-set core: validation, closures, completeness, morphisms."""
 
+from collections import Counter
+
 import pytest
 
 from superph import (DeltaMorphism, DeltaSet, GradedSubset, SuperHypergraph,
@@ -7,7 +9,8 @@ from superph import (DeltaMorphism, DeltaSet, GradedSubset, SuperHypergraph,
                      full_subset, hypergraph_cone, is_complete, is_regular,
                      max_delta_subset, standard_simplex_delta,
                      validate_morphism)
-from superph.delta import DeltaStructureError
+from superph.delta import (DeltaIdentityError, DeltaStructureError,
+                           close_under_faces)
 
 from conftest import (collapsed_tower, pillow_delta,
                       two_simplex_missing_vertex_sh, vertex_identified_quotient)
@@ -46,6 +49,62 @@ def test_validate_reports_out_of_range():
 def test_structure_error_on_bad_face_arity():
     with pytest.raises(DeltaStructureError):
         DeltaSet([1, 1], [(), [(0,)]])
+
+
+# ---------------------------------------------------------------------------
+# close_under_faces
+# ---------------------------------------------------------------------------
+
+def simplex_grade(s):
+    return len(s) - 1
+
+
+def simplex_faces(s):
+    return [s[:i] + s[i + 1:] for i in range(len(s))]
+
+
+def test_close_under_faces_rejects_identity_violation():
+    def swapped(s):
+        faces = simplex_faces(s)
+        if len(s) == 3:
+            faces[0], faces[1] = faces[1], faces[0]
+        return faces
+
+    with pytest.raises(DeltaIdentityError) as err:
+        close_under_faces([(0, 1, 2)], simplex_grade, swapped)
+    assert err.value.report.violations
+
+
+def test_close_under_faces_rejects_face_of_wrong_grade():
+    def short(s):
+        return [s[:1]] + simplex_faces(s)[1:] if len(s) == 3 else simplex_faces(s)
+
+    with pytest.raises(DeltaStructureError, match="grade-2 label has grade 0"):
+        close_under_faces([(0, 1, 2)], simplex_grade, short)
+
+
+def test_close_under_faces_rejects_negative_grade():
+    with pytest.raises(ValueError, match="negative grade") as err:
+        close_under_faces([(0, 1)], simplex_grade, lambda s: [(), s[:1]])
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="negative grade"):
+        close_under_faces([()], simplex_grade, simplex_faces)
+
+
+def test_close_under_faces_calls_face_fn_once_per_cell():
+    calls = Counter()
+
+    def counting(s):
+        calls[s] += 1
+        return simplex_faces(s)
+
+    # two tetrahedra sharing a triangle, one seed given twice
+    ds, marked = close_under_faces([(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3)],
+                                   simplex_grade, counting)
+    positive = {ds.label(n, j) for n, j in ds.cells() if n > 0}
+    assert set(calls) == positive
+    assert sum(calls.values()) == sum(ds.counts[1:]) == len(positive)
+    assert ds.counts == (5, 9, 7, 2) and len(marked) == 2
 
 
 # ---------------------------------------------------------------------------

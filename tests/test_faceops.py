@@ -5,14 +5,17 @@ import random
 
 import pytest
 
+import superph.faceops
+import superph.graphs
 from superph import (Clustering, MarkedSubgraph, MultiGraph, SubgraphFamily,
                      VertexOrder, cliques, clique_delta, edge_deletion_complex,
                      extend_graph, link_blowup_faces, partition_faces,
                      primary_vertex_deletion, secondary_vertex_deletion,
                      starting_vertex_faces)
+from superph.delta import close_under_faces
 from superph.faceops import bfs_layers
 
-from oracles import brute_primary_closure_keys
+from oracles import brute_primary_closure_keys, two_pass_close_under_faces
 
 
 def k4():
@@ -323,3 +326,54 @@ def test_extend_graph_edge_counts():
     assert len(ghat.edge_ends) == 1 + 6
     gu = MultiGraph("abc", {"e1": ("a", "b")})
     assert len(extend_graph(gu).edge_ends) == 1 + 3
+
+
+# ---------------------------------------------------------------------------
+# the one-pass face closure against the two-pass oracle
+# ---------------------------------------------------------------------------
+
+def random_marked_member(rng, g):
+    """A random subgraph cut down to what its first vertex reaches."""
+    sub = random_subgraph(rng, g)
+    sv = frozenset(sorted(sub.vertices)[:1])
+    return MarkedSubgraph(sub.restrict(set().union(*bfs_layers(sub, sv))), sv)
+
+
+def random_clustering(rng, g):
+    blocks = {}
+    for v in sorted(g.vertices):
+        blocks.setdefault(rng.randint(0, 2), []).append(v)
+    return Clustering(g, list(blocks.values()))
+
+
+def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
+    compared = []
+
+    def both(seeds, grade, face_fn):
+        seeds = list(seeds)
+        want_ds, want_marked = two_pass_close_under_faces(seeds, grade, face_fn)
+        ds, marked = close_under_faces(seeds, grade, face_fn)
+        assert ds.counts == want_ds.counts and ds.faces == want_ds.faces
+        assert ds.labels == want_ds.labels
+        assert marked == want_marked
+        compared.append(ds.counts)
+        return ds, marked
+
+    monkeypatch.setattr(superph.graphs, "close_under_faces", both)
+    monkeypatch.setattr(superph.faceops, "close_under_faces", both)
+    rng = random.Random(0xFACE)
+    for _ in range(6):
+        g = random_graph(rng, rng.randint(3, 6), p=0.6)
+        multi = MultiGraph(g.vertices, {**g.edge_ends, **{
+            ("p", e): ends for e, ends in g.edge_ends.items() if rng.random() < 0.3}})
+        fam = SubgraphFamily(g, [random_subgraph(rng, g) for _ in range(rng.randint(1, 4))])
+        clus = random_clustering(rng, g)
+        dg = random_graph(rng, rng.randint(2, 5), p=0.6, directed=rng.random() < 0.5)
+        clique_delta(multi, max_dim=3)
+        primary_vertex_deletion(fam)
+        secondary_vertex_deletion(fam)
+        partition_faces(fam, clus)
+        link_blowup_faces(fam, clus)
+        starting_vertex_faces([random_marked_member(rng, dg) for _ in range(2)], dg)
+    assert len(compared) == 36
+    assert sum(len(counts) > 2 for counts in compared) >= 12

@@ -1,12 +1,16 @@
 """Graph model and the classical complexes."""
 
 import itertools
+import random
 
 import pytest
 
 from superph import (MultiGraph, Subgraph, VertexOrder, clique_delta, cliques,
                      completion, is_subgraph, neighborhood_complex,
                      path_complex)
+from superph.delta import cell_sort_key
+
+from oracles import scan_edges_between, scan_has_edge_between, scan_neighbors
 
 
 def path_graph():
@@ -42,6 +46,74 @@ def test_subgraph_canonical_key_deduplicates():
     s1 = g.subgraph({1, 2}, {"a"})
     s2 = g.subgraph([2, 1], ["a"])
     assert s1 == s2 and hash(s1) == hash(s2)
+
+
+# ---------------------------------------------------------------------------
+# the endpoint-pair index against scans of the incidence map
+# ---------------------------------------------------------------------------
+
+MIXED_VERTICES = (0, 1, 2, 10, "a", "b", "z", (0, "x"), ("t", 1), (2,))
+
+
+def random_multigraph(rng, directed):
+    """Mixed int/str/tuple vertex and edge ids, with loops and parallel
+    edges more likely than in a uniform draw."""
+    vs = rng.sample(MIXED_VERTICES, rng.randint(1, 7))
+    edges = {}
+    for k in range(rng.randint(0, 16)):
+        eid = rng.choice((k, f"e{k}", ("e", k), (k, "p")))
+        if rng.random() < 0.3 and edges:
+            u, v = rng.choice(list(edges.values()))  # a parallel edge
+            if not directed and rng.random() < 0.5:
+                u, v = v, u
+        elif rng.random() < 0.2:
+            u = v = rng.choice(vs)  # a loop
+        else:
+            u, v = rng.choice(vs), rng.choice(vs)
+        edges[eid] = (u, v)
+    return MultiGraph(vs, edges, directed=directed)
+
+
+def random_multigraph_subgraph(rng, g):
+    vs = {v for v in g.vertices if rng.random() < 0.6}
+    es = [e for e, (u, w) in g.edge_ends.items()
+          if u in vs and w in vs and rng.random() < 0.6]
+    return Subgraph(g, vs, es)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_edge_index_matches_scan(directed):
+    rng = random.Random(5 + directed)
+    loops = parallels = 0
+    for _ in range(60):
+        g = random_multigraph(rng, directed)
+        ends = list(g.edge_ends.values())
+        loops += sum(u == v for u, v in ends)
+        parallels += len(ends) - len(set(ends))
+        subs = [random_multigraph_subgraph(rng, g) for _ in range(3)]
+        probe = sorted(g.vertices, key=cell_sort_key) + ["absent"]
+        for u, v in itertools.product(probe, repeat=2):
+            assert g.edges_between(u, v) == scan_edges_between(g, u, v), (g, u, v)
+            for sub in subs:
+                assert sub.has_edge_between(u, v) == scan_has_edge_between(sub, u, v)
+        for v in g.vertices:
+            assert g.neighbors(v) == scan_neighbors(g, v)
+        for sub in subs:
+            scanned = [e for e, (u, w) in g.edge_ends.items()
+                       if u in sub.vertices and w in sub.vertices]
+            assert g.induced(sub.vertices).edges == frozenset(scanned)
+    assert loops and parallels
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_subgraph_key_matches_cell_sort_key(directed):
+    rng = random.Random(7 + directed)
+    for _ in range(60):
+        g = random_multigraph(rng, directed)
+        for sub in [g.full(), g.subgraph((), ())] + \
+                [random_multigraph_subgraph(rng, g) for _ in range(4)]:
+            assert sub.key == (tuple(sorted(sub.vertices, key=cell_sort_key)),
+                               tuple(sorted(sub.edges, key=cell_sort_key)))
 
 
 # ---------------------------------------------------------------------------
