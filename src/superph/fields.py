@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over GF(2), GF(p) and the rationals.
+"""Exact linear algebra over GF(2), GF(p) and the rationals.
 
 Every homology computation in this package reduces to rank, kernel, image,
-intersection and preimage problems over a coefficient field.  All routines
-are dense and exact.  Pivots are always the first nonzero entry in column
-order, so every derived basis is canonical and results are bit-for-bit
-reproducible across runs.
+intersection and preimage problems over a coefficient field.  Ranks of
+boundary matrices come from one sparse lowest-one column reduction,
+`reduce_columns`; the subspace routines are dense.  All routines are exact.
+Dense pivots are always the first nonzero entry in column order, so every
+derived basis is canonical and results are bit-for-bit reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -181,6 +183,64 @@ def rref(rows: Iterable[Sequence], ncols: int, field: Field):
     return mat[:top], pivots
 
 
+# ---------------------------------------------------------------------------
+# Sparse lowest-one column reduction
+# ---------------------------------------------------------------------------
+
+def _axpy(field: Field, dst: dict, c, src: dict):
+    """dst -= c * src on sparse vectors {index: scalar}, dropping zeros."""
+    for i, b in src.items():
+        t = field.sub(dst[i], field.mul(c, b)) if i in dst else field.neg(field.mul(c, b))
+        if t:
+            dst[i] = t
+        else:
+            del dst[i]
+
+
+def reduce_columns(field: Field, columns: Iterable, row_rank: dict | None = None
+                   ) -> tuple[list, list[dict]]:
+    """Lowest-one column reduction (Edelsbrunner–Letscher–Zomorodian 2002,
+    Zomorodian–Carlsson 2005) of sparse columns over any field.
+
+    Each column is an iterable of (row, nonzero scalar) pairs or a dict
+    {row: nonzero scalar}; columns are reduced in the order given.  The low
+    of a column is its nonzero row that comes last in the pivot order: the
+    row with the greatest `row_rank[row]`, or the greatest row index when
+    `row_rank` is None.  A column whose low is already taken is reduced by
+    the earlier column owning that low, until its low is new or it is zero.
+
+    Returns (lows, vs): lows[j] is the low of reduced column j, None when it
+    reduced to zero, and vs[j] is the combination {input column index:
+    scalar} of input columns that reduced column j equals.  The non-None
+    lows are distinct, so their count is the rank of the input columns, and
+    the vs of zero columns are a basis of the relations among them.
+    """
+    key = None if row_rank is None else row_rank.__getitem__
+    lows: list = []
+    vs: list[dict] = []
+    reduced: list[dict] = []
+    owner: dict = {}
+    for j, col in enumerate(columns):
+        r = dict(col)
+        v = {j: field.one}
+        low = None
+        while r:
+            low = max(r, key=key)
+            k = owner.get(low)
+            if k is None:
+                owner[low] = j
+                break
+            rk = reduced[k]
+            c = field.mul(r[low], field.inv(rk[low]))
+            _axpy(field, r, c, rk)
+            _axpy(field, v, c, vs[k])
+            low = None
+        lows.append(low)
+        vs.append(v)
+        reduced.append(r)
+    return lows, vs
+
+
 class FieldMatrix:
     """Dense matrix of exact field scalars, row-major and immutable; its
     nonzero columns are indexed on first use."""
@@ -213,6 +273,20 @@ class FieldMatrix:
             nrows = len(columns[0])
         flat = [columns[j][i] for i in range(nrows) for j in range(nc)]
         return cls(field, nrows, nc, flat)
+
+    @classmethod
+    def from_sparse_columns(cls, field: Field, nrows: int,
+                            columns: Sequence[Sequence[tuple[int, object]]]) -> "FieldMatrix":
+        """Dense matrix from per-column (row, nonzero entry) pairs in row
+        order; the pairs become its nonzero-column index."""
+        nc = len(columns)
+        flat = [field.zero] * (nrows * nc)
+        for j, col in enumerate(columns):
+            for i, a in col:
+                flat[i * nc + j] = a
+        m = cls(field, nrows, nc, flat)
+        m._nzcols = tuple(tuple(col) for col in columns)
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
@@ -279,9 +353,6 @@ class FieldMatrix:
 
     def __hash__(self):
         return hash((self.field, self.rows, self.cols, self.entries))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     def __repr__(self):
         return f"FieldMatrix({self.field!r}, {self.rows}x{self.cols})"

@@ -196,7 +196,7 @@ def read_delta(path) -> tuple[DeltaSet, GradedSubset | None]:
     """Δ-set file: `cell <dim> <id> : <face ids>` lines (face ids name cells
     of the previous dimension, d_0 first) and optional `mark <dim> <id>`
     lines selecting the marked subset."""
-    cells: dict[int, list[tuple[str, list[str]]]] = {}
+    cells: dict[int, list[tuple[str, list[str], int]]] = {}
     marks: list[tuple[int, str, int]] = []
     for lineno, line in _lines(path):
         parts = line.split()
@@ -208,7 +208,14 @@ def read_delta(path) -> tuple[DeltaSet, GradedSubset | None]:
                 dim = int(parts[1])
             except ValueError:
                 raise FormatError(path, lineno, f"bad dimension {parts[1]!r}")
-            cells.setdefault(dim, []).append((parts[2], parts[4:]))
+            if dim < 0:
+                raise FormatError(path, lineno, f"negative dimension {dim}")
+            face_ids = parts[4:]
+            if len(face_ids) != (dim + 1 if dim else 0):
+                need = f"needs {dim + 1} faces" if dim else "must have no faces"
+                raise FormatError(path, lineno, f"cell {parts[2]!r} of dimension {dim} "
+                                                f"{need}, got {len(face_ids)}")
+            cells.setdefault(dim, []).append((parts[2], face_ids, lineno))
         elif parts[0] == "mark" and len(parts) == 3:
             try:
                 marks.append((int(parts[1]), parts[2], lineno))
@@ -225,28 +232,25 @@ def read_delta(path) -> tuple[DeltaSet, GradedSubset | None]:
     faces = []
     labels = []
     index: dict[tuple[int, str], int] = {}
+    # a cell line of dimension n holds n + 1 face ids, so top is bounded by
+    # the length of the longest line
     for n in range(top + 1):
         named = cells.get(n, [])
-        for j, (name, _) in enumerate(named):
+        for j, (name, _, lineno) in enumerate(named):
             if (n, name) in index:
-                raise FormatError(path, 1, f"duplicate cell id {name!r} in dimension {n}")
+                raise FormatError(path, lineno,
+                                  f"duplicate cell id {name!r} in dimension {n}")
             index[(n, name)] = j
         counts.append(len(named))
-        labels.append(tuple(name for name, _ in named))
+        labels.append(tuple(name for name, _, _ in named))
         rows = []
-        for name, face_ids in named:
+        for name, face_ids, lineno in named:
             if n == 0:
-                if face_ids:
-                    raise FormatError(path, 1, f"0-cell {name!r} must have no faces")
                 continue
-            if len(face_ids) != n + 1:
-                raise FormatError(path, 1,
-                                  f"cell {name!r} of dimension {n} needs {n + 1} faces, "
-                                  f"got {len(face_ids)}")
             row = []
             for f in face_ids:
                 if (n - 1, f) not in index:
-                    raise FormatError(path, 1,
+                    raise FormatError(path, lineno,
                                       f"cell {name!r}: unknown face {f!r} in dimension {n - 1}")
                 row.append(index[(n - 1, f)])
             rows.append(tuple(row))

@@ -7,13 +7,29 @@ complex is the smallest subcomplex containing it, sup_n = D_n + ∂(D_{n+1}).
 Their common homology — cycles D_n ∩ ker ∂ modulo boundaries
 D_n ∩ ∂(D_{n+1}) — is the embedded homology of the pair.
 
-Each kind of homology has one (Z, B) builder, memoised on the chain complex
-by degree and marked cells: `inf_zb` gives the embedded homology of a
-marking (the ambient homology is the case H = X), and `relative_zb` gives
-the homology of inf(X') / inf(H') for markings H' ⊆ X'.  The static Betti
-numbers are the one-step case of the persistence modules built from the
-same builders, and geometric gap homology is the relative homology of the
-pair (Δ-closure of H, largest Δ-subset inside H).
+The static invariants are ranks of pieces of ∂, read off one sparse
+lowest-one column reduction (`fields.reduce_columns`) of the boundary
+columns, memoised on the chain complex.  With M_n = ∂_n restricted to the
+rows X_{n-1} ∖ H_{n-1} and the columns H_n:
+
+- ambient β_n = |X_n| - rk ∂_n - rk ∂_{n+1};
+- embedded β_n = |H_n| - rk ∂_n|H_n - rk ∂_{n+1}|H_{n+1} + rk M_{n+1};
+- gap_n = dim sup_n - dim inf_n = rk M_n + rk M_{n+1};
+- relative β_n = |X_n| - dim inf_n - r_n - r_{n+1}, the homology of
+  C_*(X)/inf_*, where dim inf_n = |H_n| - rk M_n and r_n, the rank of ∂_n
+  modulo inf_{n-1}, is the rank of ∂_n on the rows X_{n-1} ∖ H_{n-1};
+- geometric gap homology, of the pair (Δ-closure of H, largest Δ-subset
+  inside H), from the ranks of ∂ restricted to closure ∖ core.
+
+Every one of these is the rank of ∂_n on a set of columns, or of its block
+on the rows outside a set of marked rows; one reduction with the unmarked
+rows ordered last gives both.
+
+The persistence modules, homology bases, induced maps and Mayer–Vietoris
+diagnostics still work with dense subspaces: `inf_zb` gives the (Z, B)
+pair of a marking's infimum complex and `relative_zb` that of
+inf(X') / inf(H') for markings H' ⊆ X', both memoised on the chain
+complex, whose dense boundary matrices are built on first use.
 """
 
 from __future__ import annotations
@@ -27,21 +43,23 @@ from .delta import (CellId, DeltaIdentityError, DeltaMorphism, DeltaSet,
                     max_delta_subset, validate_morphism)
 from .fields import (Field, FieldMatrix, SubspaceBasis, express_in_vectors,
                      extend_independent, kernel_basis, preimage_basis,
-                     subspace_intersect, subspace_sum)
+                     reduce_columns, subspace_intersect, subspace_sum)
 
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Per-degree boundary matrices of a Δ-set over a field.
+    """Per-degree boundary maps of a Δ-set over a field.
 
-    boundaries[n] maps C_n -> C_{n-1} (rows index (n-1)-cells, columns index
-    n-cells); boundaries[0] has zero rows.  `memo` holds the infimum spaces
-    and (Z, B) pairs built on this complex.
+    columns[n][j] is ∂_n of the j-th n-cell as (row, nonzero entry) pairs in
+    row order, rows indexing (n-1)-cells; the columns of degree 0 are empty.
+    `boundaries` gives the same maps as dense matrices, built on first read
+    by the subspace routes.  `memo` holds the column reductions, infimum
+    spaces and (Z, B) pairs built on this complex.
     """
 
     field: Field
     dims: tuple[int, ...]
-    boundaries: tuple[FieldMatrix, ...]
+    columns: tuple[tuple[tuple[tuple[int, object], ...], ...], ...]
     memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -51,31 +69,49 @@ class ChainComplex:
     def space_dim(self, n: int) -> int:
         return self.dims[n] if 0 <= n < len(self.dims) else 0
 
+    @property
+    def boundaries(self) -> tuple[FieldMatrix, ...]:
+        """Dense ∂_n: boundaries[n] maps C_n -> C_{n-1}; boundaries[0] has
+        zero rows."""
+        mats = self.memo.get("boundaries")
+        if mats is None:
+            mats = self.memo["boundaries"] = tuple(
+                FieldMatrix.from_sparse_columns(self.field, self.space_dim(n - 1), cols)
+                for n, cols in enumerate(self.columns))
+        return mats
+
 
 def boundary_matrices(x: DeltaSet, field: Field, validated: bool = False) -> ChainComplex:
-    """∂_n(cell) = Σ_i (-1)^i d_i(cell); over GF(2) the unsigned face count."""
+    """∂_n(cell) = Σ_i (-1)^i d_i(cell); over GF(2) the unsigned face count.
+
+    Each degree's sparse columns are built once from the face lists, and
+    ∂∂ = 0 is checked on them."""
     if not validated:
         report = x.validate()
         if not report.ok:
             raise DeltaIdentityError(report)
-    mats = []
+    columns = []
     for n in range(x.dim_count):
-        rows = x.counts[n - 1] if n > 0 else 0
-        cols = x.counts[n]
-        entries = [[field.zero] * cols for _ in range(rows)]
-        if n > 0:
-            for j in range(cols):
+        cols = []
+        for j in range(x.counts[n]):
+            col: dict = {}
+            if n > 0:
                 sign = field.one
-                for i, t in enumerate(x.faces[n][j]):
-                    entries[t][j] = field.add(entries[t][j], sign)
+                for t in x.faces[n][j]:
+                    col[t] = field.add(col.get(t, field.zero), sign)
                     sign = field.neg(sign)
-        mats.append(FieldMatrix.from_rows(field, entries) if rows
-                    else FieldMatrix.zeros(field, 0, cols))
-    cc = ChainComplex(field, x.counts, tuple(mats))
+            cols.append(tuple(sorted((i, a) for i, a in col.items() if a)))
+        columns.append(tuple(cols))
     for n in range(2, x.dim_count):
-        if not cc.boundaries[n - 1].matmul(cc.boundaries[n]).is_zero():
-            raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
-    return cc
+        below = columns[n - 1]
+        for col in columns[n]:
+            acc: dict = {}
+            for t, a in col:
+                for i, b in below[t]:
+                    acc[i] = field.add(acc.get(i, field.zero), field.mul(a, b))
+            if any(acc.values()):
+                raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
+    return ChainComplex(field, x.counts, tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -155,7 +191,7 @@ def inf_space(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
         inf = _coordinates(cc, marks, n)
         if 0 < n < cc.dim_count:
             below = marks.at(n - 1)
-            columns = cc.boundaries[n].nonzero_columns()
+            columns = cc.columns[n]
             if not all(i in below for j in marks.at(n) for i, _ in columns[j]):
                 pre = preimage_basis(cc.boundaries[n], _coordinates(cc, marks, n - 1))
                 inf = subspace_intersect(inf, pre)
@@ -199,56 +235,92 @@ def relative_zb(cc: ChainComplex, xs: GradedSubset, hs: GradedSubset, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Betti numbers
+# Betti numbers from ranks of the sparse reduction
 # ---------------------------------------------------------------------------
+
+def _ranks(cc: ChainComplex, n: int, cols: frozenset, marked_rows: frozenset):
+    """(rk of ∂_n on the columns `cols`, rk of its block on the rows
+    X_{n-1} ∖ marked_rows); memoised on the arguments.
+
+    The columns are reduced with the unmarked rows ordered last, so a reduced
+    column has an unmarked low exactly when it has an unmarked entry: the
+    columns with unmarked lows are independent on the unmarked rows, and the
+    others vanish there."""
+    if not 0 < n < cc.dim_count:
+        return 0, 0
+    key = ("ranks", n, cols, marked_rows)
+    ranks = cc.memo.get(key)
+    if ranks is None:
+        rows = cc.space_dim(n - 1)
+        row_rank = {i: i if i in marked_rows else rows + i for i in range(rows)}
+        lows, _ = reduce_columns(cc.field, [cc.columns[n][j] for j in sorted(cols)],
+                                 row_rank)
+        ranks = cc.memo[key] = (len(lows) - lows.count(None),
+                                sum(low is not None and low not in marked_rows
+                                    for low in lows))
+    return ranks
+
 
 def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
                    cc: ChainComplex | None = None) -> tuple[int, ...]:
     """Betti numbers of the embedded (absolute), relative, or ambient homology.
 
-    absolute: homology of the infimum complex of the marked span;
-    relative:  homology of C_*(X)/inf_*;
-    ambient:   homology of C_*(X), the infimum complex of the full marking.
+    With M_n = ∂_n on the rows X_{n-1} ∖ H_{n-1} and the columns H_n:
+
+    absolute: homology of the infimum complex of the marked span,
+              β_n = |H_n| - rk ∂_n|H_n - rk ∂_{n+1}|H_{n+1} + rk M_{n+1};
+    relative: homology of C_*(X)/inf_*,
+              β_n = |X_n| - dim inf_n - r_n - r_{n+1}, where
+              dim inf_n = |H_n| - rk M_n and r_n, the rank of ∂_n into
+              C_{n-1}/inf_{n-1}, is the rank of ∂_n on the rows
+              X_{n-1} ∖ H_{n-1} (im ∂_n ∩ inf_{n-1} = im ∂_n ∩ D_{n-1},
+              since boundaries are cycles);
+    ambient:  homology of C_*(X), β_n = |X_n| - rk ∂_n - rk ∂_{n+1}.
     """
     if mode not in ("absolute", "relative", "ambient"):
         raise ValueError(f"unknown mode {mode!r}")
     if cc is None:
         cc = boundary_matrices(sh.x, field)
-    full = full_subset(sh.x)
+    x, h = full_subset(sh.x), sh.h
+    marks = x if mode == "ambient" else h
     out = []
     for n in range(sh.x.dim_count):
-        if mode == "absolute":
-            z, b = inf_zb(cc, sh.h, n)
-        elif mode == "ambient":
-            z, b = inf_zb(cc, full, n)
+        if mode == "relative":
+            dim_inf = len(h.at(n)) - _ranks(cc, n, h.at(n), h.at(n - 1))[1]
+            out.append(cc.dims[n] - dim_inf - _ranks(cc, n, x.at(n), h.at(n - 1))[1]
+                       - _ranks(cc, n + 1, x.at(n + 1), h.at(n))[1])
         else:
-            z, b = relative_zb(cc, full, sh.h, n)
-        out.append(z.dim - b.dim)
+            rank_n = _ranks(cc, n, marks.at(n), marks.at(n - 1))[0]
+            rank_up, rank_m_up = _ranks(cc, n + 1, marks.at(n + 1), marks.at(n))
+            out.append(len(marks.at(n)) - rank_n - rank_up + rank_m_up)
     return tuple(out)
 
 
 def gap_series(sh: SuperHypergraph, field: Field,
                cc: ChainComplex | None = None) -> tuple[int, ...]:
     """Coefficients of the Hilbert–Poincaré series of sup/inf:
-    coefficient n = dim sup_n - dim inf_n."""
+    coefficient n = dim sup_n - dim inf_n = rk M_n + rk M_{n+1}."""
     if cc is None:
         cc = boundary_matrices(sh.x, field)
-    data = embedded_chain_data(sh, field, cc)
-    return tuple(s.dim - i.dim for s, i in zip(data.sup, data.inf))
+    h = sh.h
+    ranks = [_ranks(cc, n, h.at(n), h.at(n - 1))[1] for n in range(sh.x.dim_count + 1)]
+    return tuple(ranks[n] + ranks[n + 1] for n in range(sh.x.dim_count))
 
 
 def geometric_gap_betti(sh: SuperHypergraph, field: Field) -> tuple[int, ...]:
     """Homology of the pair (Δ-closure of H, largest Δ-subset inside H):
-    the chain complex of the closure modulo the chain complex of the core.
-    With an empty core this is the (unreduced) homology of the closure."""
+    the chain complex of the closure modulo the chain complex of the core,
+    on the cells of closure ∖ core with ∂ restricted to them.  With an empty
+    core this is the (unreduced) homology of the closure."""
     closure = delta_closure(sh)
     core = max_delta_subset(sh)
     cc = boundary_matrices(sh.x, field)
-    out = []
-    for n in range(sh.x.dim_count):
-        z, b = relative_zb(cc, closure, core, n)
-        out.append(z.dim - b.dim)
-    return tuple(out)
+    x = full_subset(sh.x)
+    nd = sh.x.dim_count
+    cells = [closure.at(n) - core.at(n) for n in range(nd)]
+    ranks = [0] + [_ranks(cc, n, cells[n], x.at(n - 1) - cells[n - 1])[1]
+                   for n in range(1, nd)] + [0]
+    return tuple(len(cells[n]) - ranks[n] - ranks[n + 1] for n in range(nd))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Gate on the benchmark harness: the smallest construction run finishes,
+"""Gate on the benchmark harness: the smallest run of a workload finishes,
 passes its output checks and reports the end-to-end metrics that
 BENCHMARK.json declares.  No timing is checked."""
 
@@ -12,10 +12,9 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.slow
-def test_bench_construct_score_small_run():
+def check_small_run(workload: str):
     cmd = [sys.executable, os.path.join(ROOT, "bench", "run.py"),
-           "--workload", "construct_score", "--seed", "7", "--seconds", "1",
+           "--workload", workload, "--seed", "7", "--seconds", "1",
            "--trace", "0", "--size", "small"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           timeout=600, check=False)
@@ -27,3 +26,13 @@ def test_bench_construct_score_small_run():
         declared = {m["name"]: m["unit"] for m in json.load(fh)["end_to_end"]}
     assert {k: m["unit"] for k, m in result["metrics"].items()} == declared
     assert all(isinstance(m["value"], float) for m in result["metrics"].values())
+
+
+@pytest.mark.slow
+def test_bench_construct_score_small_run():
+    check_small_run("construct_score")
+
+
+@pytest.mark.slow
+def test_bench_homology_hypergraph_small_run():
+    check_small_run("homology_hypergraph")

@@ -7,7 +7,8 @@ import pytest
 
 from superph.fields import (GF, GF2, QQ, FieldMatrix, SubspaceBasis,
                             image_basis, kernel_basis, preimage_basis, rank,
-                            solve, subspace_intersect, subspace_sum)
+                            reduce_columns, solve, subspace_intersect,
+                            subspace_sum)
 
 from oracles import dim_span_gf2_masks
 
@@ -53,6 +54,29 @@ def test_rank_nullity(field, rng):
         m = FieldMatrix(field, rows, cols,
                         [rng.randint(-3, 3) for _ in range(rows * cols)])
         assert rank(m) + kernel_basis(m).dim == cols
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ])
+def test_reduce_columns_lows_and_v(field, rng):
+    # random sparse columns and a random pivot order: the non-None lows are
+    # distinct and count the dense rank; each V column is unit
+    # upper-triangular and combines the input columns into a column whose
+    # last row in the pivot order is its low (zero when the low is None)
+    for _ in range(25):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = FieldMatrix(field, rows, cols, [rng.choice((0, 0, 1, -1, 2))
+                                            for _ in range(rows * cols)])
+        order = list(range(rows))
+        rng.shuffle(order)
+        row_rank = {r: k for k, r in enumerate(order)}
+        lows, vs = reduce_columns(field, m.nonzero_columns(), row_rank)
+        found = [low for low in lows if low is not None]
+        assert len(found) == len(set(found)) == rank(m)
+        for j, (low, v) in enumerate(zip(lows, vs)):
+            assert v[j] == field.one and max(v) == j
+            combo = m.apply([v.get(k, field.zero) for k in range(cols)])
+            support = [i for i, a in enumerate(combo) if a]
+            assert low == (max(support, key=row_rank.get) if support else None)
 
 
 # ---------------------------------------------------------------------------

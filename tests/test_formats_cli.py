@@ -221,6 +221,29 @@ def test_cli_homology_on_delta_file(tmp_path, capsys):
     assert "embedded,0,1" in text and "embedded,2,1" in text
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("cell 0 v :\ncell -1 ghost :\n", 2, "negative dimension -1"),
+    # the face count is checked while reading, before the bad line after it
+    ("cell 2000000 a : v\nnot a cell\n", 1,
+     "dimension 2000000 needs 2000001 faces, got 1"),
+    ("cell 0 v : w\n", 1, "cell 'v' of dimension 0 must have no faces"),
+    ("cell 0 v :\ncell 0 w :\ncell 1 e : v\n", 3, "needs 2 faces, got 1"),
+    ("cell 0 v :\ncell 0 w :\ncell 1 e : v w\ncell 1 e : w v\n", 4,
+     "duplicate cell id 'e' in dimension 1"),
+    ("cell 0 v :\ncell 1 e : v x\ncell 0 w :\n", 2, "unknown face 'x' in dimension 0"),
+])
+def test_cli_homology_rejects_malformed_delta(tmp_path, capsys, text, lineno, message):
+    # each malformed cell line fails the job with exit code 1, naming its own
+    # line, before any cell beyond it is built
+    delta = tmp_path / "bad.delta"
+    delta.write_text(text)
+    code = main(["homology", "--delta", str(delta), "--field", "gf2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"bad.delta:{lineno}: " in err and message in err, err
+
+
 def test_cli_homology_builds_one_boundary_per_job(tmp_path, monkeypatch):
     # the three Betti tables and the gap series share one ∂; the outputs are
     # those of a build per table

@@ -1,14 +1,17 @@
 """Homology engine: boundary matrices, embedded/relative/ambient homology,
 gap series, induced maps, Mayer–Vietoris diagnostics, mod-2 parity."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superph import (GF2, QQ, GF, DeltaMorphism, DeltaSet, GradedSubset,
-                     SuperHypergraph, boundary_matrices, embedded_betti,
-                     embedded_chain_data, from_hypergraph, full_subset,
-                     gap_series, geometric_gap_betti, induced_homology_map,
+                     MultiGraph, SuperHypergraph, boundary_matrices,
+                     clique_delta, embedded_betti, embedded_chain_data,
+                     from_hypergraph, full_subset, gap_series,
+                     geometric_gap_betti, induced_homology_map,
                      mod2_parity_check, mv_diagnostics, standard_simplex_delta,
                      subcomplex_homology)
 from superph.delta import delta_closure, max_delta_subset
@@ -16,7 +19,9 @@ from superph.fields import SubspaceBasis
 
 from conftest import (collapsed_tower, pillow_delta, pillow_sh,
                       random_super_hypergraph)
-from oracles import brute_zb_dims_gf2, quotient_gap_betti
+from oracles import (brute_zb_dims_gf2, dense_embedded_betti,
+                     dense_gap_series, dense_geometric_gap_betti,
+                     quotient_gap_betti)
 
 
 def pad(t, n):
@@ -43,6 +48,16 @@ def test_boundary_pillow():
     assert cc.boundaries[2].column(0) == (Fraction(2), Fraction(-1))
     cc2 = boundary_matrices(pillow_delta(), GF2)
     assert cc2.boundaries[2].column(0) == (0, 1)
+
+
+def test_boundary_validated_checks_boundary_squared():
+    # a 2-cell with the same edge as every face breaks the Δ-identity; with
+    # validate() skipped, the ∂∂ = 0 check on the sparse columns still raises
+    x = standard_simplex_delta(2)
+    broken = DeltaSet(x.counts, [x.faces[0], x.faces[1], [(0, 0, 0)]])
+    for field in (GF2, GF(3), QQ):
+        with pytest.raises(AssertionError, match="∂∂ != 0 between degrees 2 and 0"):
+            boundary_matrices(broken, field, validated=True)
 
 
 def test_boundary_rejects_invalid_delta():
@@ -401,7 +416,76 @@ def test_shared_memo_does_not_leak_between_markings(rng):
                 assert gap == gap_series(marked, field)
                 tables.append((table, gap))
             differ += tables[0] != tables[1]
+            # markings equal to sh except in one degree share every memo key
+            # that leaves that degree out
+            for k in range(x.dim_count):
+                variant = SuperHypergraph(x, GradedSubset(
+                    {n: sh.h.at(n) for n in sh.h.dims() if n != k}))
+                for mode in ("absolute", "relative"):
+                    assert embedded_betti(variant, field, mode, cc=cc) == \
+                        embedded_betti(variant, field, mode)
+                assert gap_series(variant, field, cc=cc) == gap_series(variant, field)
     assert differ > 0
+
+
+def _static_tables(sh, field):
+    return (tuple(embedded_betti(sh, field, mode)
+                  for mode in ("absolute", "relative", "ambient")),
+            gap_series(sh, field), geometric_gap_betti(sh, field))
+
+
+def _dense_tables(sh, field):
+    return (tuple(dense_embedded_betti(sh, field, mode)
+                  for mode in ("absolute", "relative", "ambient")),
+            dense_gap_series(sh, field), dense_geometric_gap_betti(sh, field))
+
+
+def _random_clique_sh(rng, vertices=7, edges=15, marked=0.7):
+    pairs = list(itertools.combinations(range(vertices), 2))
+    g = MultiGraph(range(vertices), {f"e{u}_{v}": (u, v)
+                                     for u, v in rng.sample(pairs, edges)})
+    x = clique_delta(g, max_dim=3)
+    return SuperHypergraph(x, GradedSubset(
+        {n: rng.sample(range(x.counts[n]), round(marked * x.counts[n]))
+         for n in range(x.dim_count)}))
+
+
+def test_sparse_static_homology_matches_dense_oracle(rng):
+    # Betti tables, gap series and geometric gap homology from the sparse
+    # reduction against the dense (Z, B) route, on random closures of
+    # hypergraphs, marked clique Δ-sets like the benchmark's, and the
+    # non-simplicial pillow and collapsed towers
+    cases = [random_super_hypergraph(rng, max_vertices=5, max_edges=10, keep=keep)
+             for keep in (0.3, 0.6, 0.85) for _ in range(6)]
+    cases += [_random_clique_sh(rng) for _ in range(4)]
+    cases += [pillow_sh(), pillow_sh(include_vertex=False)]
+    cases += [SuperHypergraph(collapsed_tower(k), GradedSubset({1: {0}, k: {0}}))
+              for k in (2, 3, 4)]
+    partial = 0
+    for k, sh in enumerate(cases):
+        for field in (GF2, GF(3), QQ):
+            tables = _static_tables(sh, field)
+            assert tables == _dense_tables(sh, field), (k, field)
+            partial += any(tables[1])
+    assert partial >= 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_static_homology_property(data):
+    # small Δ-sets (closures of drawn hypergraphs, or collapsed towers) with
+    # drawn markings and fields: the sparse tables equal the dense oracle
+    if data.draw(st.booleans()):
+        edges = data.draw(st.lists(st.frozensets(st.integers(0, 4), min_size=1,
+                                                 max_size=4), min_size=1, max_size=6))
+        x = from_hypergraph(edges).x
+    else:
+        x = collapsed_tower(data.draw(st.integers(1, 4)))
+    marks = GradedSubset({n: data.draw(st.sets(st.integers(0, x.counts[n] - 1)))
+                          for n in range(x.dim_count)})
+    field = data.draw(st.sampled_from((GF2, GF(3), QQ)))
+    sh = SuperHypergraph(x, marks)
+    assert _static_tables(sh, field) == _dense_tables(sh, field)
 
 
 # ---------------------------------------------------------------------------
