@@ -1,9 +1,11 @@
 """Exact linear algebra over GF(2), GF(p) and the rationals.
 
 Every homology computation in this package reduces to rank, kernel, image,
-intersection and preimage problems over a coefficient field.  Ranks of
-boundary matrices come from one sparse lowest-one column reduction,
-`reduce_columns`; the subspace routines are dense.  All routines are exact.
+intersection and preimage problems over a coefficient field.  The static
+ranks of boundary matrices and every persistence module come from one
+sparse lowest-one column reduction, `reduce_columns`; the dense subspace
+routines serve homology bases, induced maps and the Mayer–Vietoris
+diagnostics.  All routines are exact.
 Dense pivots are always the first nonzero entry in column order, so every
 derived basis is canonical and results are bit-for-bit reproducible across
 runs.
@@ -187,7 +189,7 @@ def rref(rows: Iterable[Sequence], ncols: int, field: Field):
 # Sparse lowest-one column reduction
 # ---------------------------------------------------------------------------
 
-def _axpy(field: Field, dst: dict, c, src: dict):
+def axpy(field: Field, dst: dict, c, src: dict):
     """dst -= c * src on sparse vectors {index: scalar}, dropping zeros."""
     for i, b in src.items():
         t = field.sub(dst[i], field.mul(c, b)) if i in dst else field.neg(field.mul(c, b))
@@ -198,7 +200,7 @@ def _axpy(field: Field, dst: dict, c, src: dict):
 
 
 def reduce_columns(field: Field, columns: Iterable, row_rank: dict | None = None
-                   ) -> tuple[list, list[dict]]:
+                   ) -> tuple[list, list[dict], list[dict]]:
     """Lowest-one column reduction (Edelsbrunner–Letscher–Zomorodian 2002,
     Zomorodian–Carlsson 2005) of sparse columns over any field.
 
@@ -209,11 +211,12 @@ def reduce_columns(field: Field, columns: Iterable, row_rank: dict | None = None
     `row_rank` is None.  A column whose low is already taken is reduced by
     the earlier column owning that low, until its low is new or it is zero.
 
-    Returns (lows, vs): lows[j] is the low of reduced column j, None when it
-    reduced to zero, and vs[j] is the combination {input column index:
-    scalar} of input columns that reduced column j equals.  The non-None
-    lows are distinct, so their count is the rank of the input columns, and
-    the vs of zero columns are a basis of the relations among them.
+    Returns (lows, vs, reduced): lows[j] is the low of reduced column j,
+    None when it reduced to zero, reduced[j] is that column as {row: nonzero
+    scalar}, and vs[j] is the combination {input column index: scalar} of
+    input columns that it equals.  The non-None lows are distinct, so their
+    count is the rank of the input columns, and the vs of zero columns are a
+    basis of the relations among them.
     """
     key = None if row_rank is None else row_rank.__getitem__
     lows: list = []
@@ -232,13 +235,13 @@ def reduce_columns(field: Field, columns: Iterable, row_rank: dict | None = None
                 break
             rk = reduced[k]
             c = field.mul(r[low], field.inv(rk[low]))
-            _axpy(field, r, c, rk)
-            _axpy(field, v, c, vs[k])
+            axpy(field, r, c, rk)
+            axpy(field, v, c, vs[k])
             low = None
         lows.append(low)
         vs.append(v)
         reduced.append(r)
-    return lows, vs
+    return lows, vs, reduced
 
 
 class FieldMatrix:

@@ -23,13 +23,15 @@ rows X_{n-1} ∖ H_{n-1} and the columns H_n:
 
 Every one of these is the rank of ∂_n on a set of columns, or of its block
 on the rows outside a set of marked rows; one reduction with the unmarked
-rows ordered last gives both.
+rows ordered last gives both, and the ambient and relative tables share the
+reduction of each full ∂_n.  The persistence modules (`superph.persistence`)
+are filtered versions of the same reduction.
 
-The persistence modules, homology bases, induced maps and Mayer–Vietoris
-diagnostics still work with dense subspaces: `inf_zb` gives the (Z, B)
-pair of a marking's infimum complex and `relative_zb` that of
-inf(X') / inf(H') for markings H' ⊆ X', both memoised on the chain
-complex, whose dense boundary matrices are built on first use.
+Homology bases, induced maps and the Mayer–Vietoris diagnostics are the
+only dense code: paper features on small inputs, built on `inf_space` (a
+marking's infimum chains) and `inf_zb` (its cycles and boundaries), both
+memoised on the chain complex, whose dense boundary matrices are built on
+first use.
 """
 
 from __future__ import annotations
@@ -217,23 +219,6 @@ def inf_zb(cc: ChainComplex, marks: GradedSubset, n: int):
     return zb
 
 
-def relative_zb(cc: ChainComplex, xs: GradedSubset, hs: GradedSubset, n: int):
-    """Cycles and boundaries presenting H_n(inf(xs) / inf(hs)), for markings
-    hs ⊆ xs."""
-    inf_x_n = inf_space(cc, xs, n)
-    inf_h_n = inf_space(cc, hs, n)
-    if n == 0:
-        z = inf_x_n
-    else:
-        pre = preimage_basis(cc.boundaries[n], inf_space(cc, hs, n - 1))
-        z = subspace_intersect(inf_x_n, pre)
-    if n + 1 < cc.dim_count:
-        b = subspace_sum(_boundary_of_span(cc, n + 1, inf_space(cc, xs, n + 1)), inf_h_n)
-    else:
-        b = inf_h_n
-    return z, b
-
-
 # ---------------------------------------------------------------------------
 # Betti numbers from ranks of the sparse reduction
 # ---------------------------------------------------------------------------
@@ -253,8 +238,8 @@ def _ranks(cc: ChainComplex, n: int, cols: frozenset, marked_rows: frozenset):
     if ranks is None:
         rows = cc.space_dim(n - 1)
         row_rank = {i: i if i in marked_rows else rows + i for i in range(rows)}
-        lows, _ = reduce_columns(cc.field, [cc.columns[n][j] for j in sorted(cols)],
-                                 row_rank)
+        lows = reduce_columns(cc.field, [cc.columns[n][j] for j in sorted(cols)],
+                              row_rank)[0]
         ranks = cc.memo[key] = (len(lows) - lows.count(None),
                                 sum(low is not None and low not in marked_rows
                                     for low in lows))
@@ -282,17 +267,22 @@ def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
     if cc is None:
         cc = boundary_matrices(sh.x, field)
     x, h = full_subset(sh.x), sh.h
-    marks = x if mode == "ambient" else h
     out = []
     for n in range(sh.x.dim_count):
-        if mode == "relative":
-            dim_inf = len(h.at(n)) - _ranks(cc, n, h.at(n), h.at(n - 1))[1]
-            out.append(cc.dims[n] - dim_inf - _ranks(cc, n, x.at(n), h.at(n - 1))[1]
-                       - _ranks(cc, n + 1, x.at(n + 1), h.at(n))[1])
+        if mode == "absolute":
+            rank_n = _ranks(cc, n, h.at(n), h.at(n - 1))[0]
+            rank_up, rank_m_up = _ranks(cc, n + 1, h.at(n + 1), h.at(n))
+            out.append(len(h.at(n)) - rank_n - rank_up + rank_m_up)
+            continue
+        # rk ∂_n on X_n does not depend on the row order, so the ambient
+        # table reads it off the reduction of the relative table
+        full_n = _ranks(cc, n, x.at(n), h.at(n - 1))
+        full_up = _ranks(cc, n + 1, x.at(n + 1), h.at(n))
+        if mode == "ambient":
+            out.append(cc.dims[n] - full_n[0] - full_up[0])
         else:
-            rank_n = _ranks(cc, n, marks.at(n), marks.at(n - 1))[0]
-            rank_up, rank_m_up = _ranks(cc, n + 1, marks.at(n + 1), marks.at(n))
-            out.append(len(marks.at(n)) - rank_n - rank_up + rank_m_up)
+            dim_inf = len(h.at(n)) - _ranks(cc, n, h.at(n), h.at(n - 1))[1]
+            out.append(cc.dims[n] - dim_inf - full_n[1] - full_up[1])
     return tuple(out)
 
 

@@ -7,33 +7,49 @@ whose interval decompositions give three barcodes, linked by the exact
 triangle J : emb -> ambient, P : ambient -> relative, and the degree -1
 connecting map back to embedded homology.
 
-Every module here is a subquotient family Z(t)/B(t) of a fixed chain group
-with Z and B both monotone in t (checked when the family is built).  The
-spaces come from the one (Z, B) builder per module kind in
-`superph.homology`, memoised on the chain complex: `inf_zb` of X(t) or H(t)
-for the ambient and embedded modules, `relative_zb` of (X(t), H(t)) for the
-relative one.  The static Betti numbers are the one-step case.  A
-module's barcode is read off an interval decomposition: a flag basis of the
-B spaces, written in a flag basis of the Z spaces, is column-reduced with
-the lowest-one pairing of Zomorodian–Carlsson, over the finitely many critical
-values.  The infimum complexes of the embedded theory are not a cell-wise
-filtration, but their Z and B flags are, so the column algorithm applies to
-them.  The reduced columns are interval-adapted representatives, which also
-give the correlation matrices.  Rank inclusion–exclusion over composite
-inclusion-induced maps is kept only as a test oracle.
+A filtration stores one entry step per cell.  Each module is the homology
+of a filtered chain complex written in a filtered basis (every basis
+element enters at one step), and all three are read off one sparse
+lowest-one column reduction per degree (`fields.reduce_columns`,
+Zomorodian–Carlsson 2005):
+
+- ambient: the infimum complex inf(X(t)); under a regular scheme X(t) is a
+  Δ-subset and the basis is the cells themselves;
+- embedded: the infimum complex inf(H(t));
+- relative: the mapping cone of inf(H(t)) -> inf(X(t)), with
+  Cone_n = inf_{n-1}(H) ⊕ inf_n(X) and d(a, c) = (-∂a, ι(a) + ∂c), whose
+  homology is that of inf(X(t)) / inf(H(t)) (relative persistence,
+  Cohen-Steiner–Edelsbrunner–Harer 2009).
+
+The filtered basis of an infimum complex comes from the same reduction: the
+marked n-cells, in order of entry, are reduced against rows ordered by
+entry (never-marked rows last); the V column of cell σ enters at the entry
+of σ, or of its low when that is later, and is dropped if that is never.
+The basis vectors have distinct lead cells, so coordinates in the basis
+are a triangular solve by lead.
+
+In a complex reduced in (entry, position) order, a pair (low ρ, column τ)
+is the bar [e(ρ), e(τ)), kept when it has positive length, with the
+reduced column as its representative; an unpaired zero column σ is the bar
+[e(σ), ∞) with its V column as representative.  These representatives
+have distinct lows, so a cycle is written in them by one triangular solve
+by low, whatever the step: that gives the correlation matrices.  The
+triangle's dimensions and ranks come from sums of cycle and boundary
+spaces, dim(Z + B)(t) - dim B(t), by incremental reductions in entry
+order, so its exactness remains a check independent of the barcodes.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .delta import GradedSubset, SuperHypergraph
-from .fields import (Field, SubspaceBasis, express_in_vectors,
-                     extend_independent, subspace_sum)
-from .homology import (ChainComplex, boundary_matrices, inf_zb, relative_zb,
-                       _boundary_of_span)
+from .fields import Field, axpy, reduce_columns
+from .homology import ChainComplex, boundary_matrices
 from .scoring import round_score
 
 MODULE_KINDS = ("ambient", "embedded", "relative")
@@ -54,11 +70,13 @@ def _label_subgraph(label):
 class Filtration:
     """Sublevel filtration of a super-hypergraph at its critical values.
 
-    level_x[i] / level_h[i] are the cells of X(t_i) and H(t_i) = H ∩ X(t_i).
+    entry[n][j] is the step at which cell (n, j) joins X(t): the first i with
+    scores[n][j] <= times[i], or math.inf if there is none.  level_x[i] /
+    level_h[i], the cells of X(t_i) and H(t_i) = H ∩ X(t_i), are built on
+    first read.
     """
 
-    __slots__ = ("sh", "times", "scores", "level_x", "level_h", "scheme_name",
-                 "_cc", "_zb", "_decomp")
+    __slots__ = ("sh", "times", "scores", "scheme_name", "entry", "_cc", "_memo")
 
     def __init__(self, sh: SuperHypergraph, times: Sequence[float],
                  scores: Sequence[Sequence[float]], scheme_name: str = ""):
@@ -66,17 +84,13 @@ class Filtration:
         self.times = tuple(times)
         self.scores = tuple(tuple(s) for s in scores)
         self.scheme_name = scheme_name
-        self.level_x = []
-        self.level_h = []
-        for t in self.times:
-            cells = {n: {j for j in range(sh.x.counts[n]) if self.scores[n][j] <= t}
-                     for n in range(sh.x.dim_count)}
-            lx = GradedSubset(cells)
-            self.level_x.append(lx)
-            self.level_h.append(sh.h.intersection(lx))
+        steps = len(self.times)
+        self.entry = tuple(
+            tuple(i if i < steps else math.inf
+                  for i in (bisect.bisect_left(self.times, s) for s in row))
+            for row in self.scores)
         self._cc: dict[Field, ChainComplex] = {}
-        self._zb: dict = {}
-        self._decomp: dict = {}
+        self._memo: dict = {}
 
     @property
     def steps(self) -> int:
@@ -87,43 +101,20 @@ class Filtration:
             self._cc[field] = boundary_matrices(self.sh.x, field)
         return self._cc[field]
 
-    # -- subquotient families ------------------------------------------------
+    @property
+    def level_x(self) -> list[GradedSubset]:
+        if "level_x" not in self._memo:
+            self._memo["level_x"] = [
+                GradedSubset({n: [j for j, e in enumerate(row) if e <= i]
+                              for n, row in enumerate(self.entry)})
+                for i in range(self.steps)]
+        return self._memo["level_x"]
 
-    def zb_family(self, field: Field, which: str, degree: int):
-        """Per-step (Z, B) subspaces of F^{X_degree} whose quotients are the
-        requested homology; both flags are monotone in the step, which is
-        checked here."""
-        key = (field, which, degree)
-        if key in self._zb:
-            return self._zb[key]
-        if which not in MODULE_KINDS:
-            raise ValueError(f"unknown module kind {which!r}")
-        cc = self.chain_complex(field)
-        n = degree
-        out = []
-        for xs, hs in zip(self.level_x, self.level_h):
-            if which == "ambient":
-                z, b = inf_zb(cc, xs, n)
-            elif which == "embedded":
-                z, b = inf_zb(cc, hs, n)
-            else:
-                z, b = relative_zb(cc, xs, hs, n)
-            if not z.contains_subspace(b):
-                raise AssertionError("boundary space not inside cycle space")
-            if out and not (z.contains_subspace(out[-1][0])
-                            and b.contains_subspace(out[-1][1])):
-                raise AssertionError("monotonicity of the subquotient family broken")
-            out.append((z, b))
-        self._zb[key] = out
-        return out
-
-    def decomposition(self, field: Field, which: str, degree: int):
-        key = (field, which, degree)
-        if key not in self._decomp:
-            self._decomp[key] = _interval_decomposition(
-                self.zb_family(field, which, degree), field,
-                self.sh.x.n_cells(degree), degree)
-        return self._decomp[key]
+    @property
+    def level_h(self) -> list[GradedSubset]:
+        if "level_h" not in self._memo:
+            self._memo["level_h"] = [self.sh.h.intersection(lx) for lx in self.level_x]
+        return self._memo["level_h"]
 
 
 def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) -> Filtration:
@@ -177,6 +168,287 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
+# Filtered bases of infimum complexes
+# ---------------------------------------------------------------------------
+
+def _chain_boundary(cc: ChainComplex, n: int, chain: dict) -> dict:
+    """∂_n of a sparse chain {n-cell: scalar}."""
+    f = cc.field
+    out: dict = {}
+    for j, c in chain.items():
+        for i, a in cc.columns[n][j]:
+            out[i] = f.add(out.get(i, f.zero), f.mul(c, a))
+    return {i: a for i, a in out.items() if a}
+
+
+class _Basis(NamedTuple):
+    """Filtered basis of one degree of an infimum complex: vectors[k], a
+    sparse chain {cell: scalar}, enters at entries[k].  lead[cell] = k when
+    vectors[k] has coefficient one on that cell and its other cells come
+    earlier in the order `rank` of the marked cells."""
+
+    entries: tuple
+    vectors: tuple
+    lead: dict
+    rank: dict
+
+    def coordinates(self, field: Field, chain: dict) -> dict:
+        """{k: scalar} with chain = Σ scalar · vectors[k], by a triangular
+        solve by lead."""
+        x = dict(chain)
+        out = {}
+        while x:
+            j = max(x, key=lambda cell: self.rank.get(cell, math.inf))
+            k = self.lead.get(j)
+            if k is None:
+                raise AssertionError("chain outside the infimum complex")
+            out[k] = c = x[j]
+            axpy(field, x, c, self.vectors[k])
+        return out
+
+
+def _inf_basis(cc: ChainComplex, entry: Sequence[Sequence], n: int) -> _Basis:
+    """Filtered basis of inf_n of the marking whose cells enter at `entry`
+    (math.inf: never marked).
+
+    The marked n-cells are reduced in (entry, index) order against rows in
+    (entry, index) order, never-marked rows last: the V column of cell σ
+    enters at e(σ), or at e(low) when its low is later, and is dropped when
+    that is never.  When every marked cell's faces enter no later than the
+    cell, the marking is a filtered Δ-subset and the basis is its cells."""
+    e = entry[n]
+    cells = sorted((j for j in range(len(e)) if e[j] != math.inf), key=lambda j: (e[j], j))
+    rank = {j: r for r, j in enumerate(cells)}
+    one = cc.field.one
+    below = entry[n - 1] if n else ()
+    if all(below[i] <= e[j] for j in cells for i, _ in cc.columns[n][j]):
+        return _Basis(tuple(e[j] for j in cells), tuple({j: one} for j in cells),
+                      {j: k for k, j in enumerate(cells)}, rank)
+    rows = sorted(range(len(below)), key=lambda i: (below[i], i))
+    lows, vs, _ = reduce_columns(cc.field, [cc.columns[n][j] for j in cells],
+                                 {i: r for r, i in enumerate(rows)})
+    kept = []
+    for j, low, v in zip(cells, lows, vs):
+        at = e[j] if low is None else max(e[j], below[low])
+        if at != math.inf:
+            kept.append((at, {cells[k]: c for k, c in v.items()}, j))
+    return _Basis(tuple(k[0] for k in kept), tuple(k[1] for k in kept),
+                  {k[2]: p for p, k in enumerate(kept)}, rank)
+
+
+# ---------------------------------------------------------------------------
+# Filtered complexes, reduced once
+# ---------------------------------------------------------------------------
+
+class _Summand(NamedTuple):
+    """One interval summand [birth, death) of a module degree (death None:
+    never dies); `low` names its representative cycle."""
+
+    birth: int
+    death: int | None
+    low: int
+
+    def overlaps(self, other: "_Summand") -> bool:
+        end = min(math.inf if self.death is None else self.death,
+                  math.inf if other.death is None else other.death)
+        return max(self.birth, other.birth) < end
+
+
+def _check_filtered(field: Field, entries, columns):
+    """The differential respects entries and squares to zero."""
+    for n in range(1, len(entries)):
+        for k, col in enumerate(columns[n]):
+            if any(entries[n - 1][r] > entries[n][k] for r in col):
+                raise AssertionError("monotonicity of the filtered basis broken")
+            if n > 1:
+                dd: dict = {}
+                for r, c in col.items():
+                    axpy(field, dd, field.neg(c), columns[n - 1][r])
+                if dd:
+                    raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
+
+
+class _Complex:
+    """A filtered chain complex in a filtered basis, reduced degree by degree.
+
+    entries[n][k] is the entry step of basis element k of degree n;
+    columns[n][k] is its differential as {element of degree n-1: scalar};
+    chains[n][k] is the chain of X_n it stands for (for the cone, the
+    inf(X) part).  `coordinates(n, chain)` writes a cycle of the module,
+    given by its chain, in the basis.  Module degrees are 0 .. top-1.
+
+    Checked here: the differential respects entries (the filtration is
+    monotone), d∘d = 0, and every boundary column's low is a cycle pivot
+    (boundaries lie in the cycle space).
+    """
+
+    def __init__(self, field: Field, entries, columns, chains, coordinates, top: int):
+        self.field = field
+        self.entries = entries
+        self.columns = columns
+        self.chains = chains
+        self.coordinates = coordinates
+        self.rank = [{k: p for p, k in enumerate(sorted(range(len(e)),
+                                                       key=lambda k: (e[k], k)))}
+                     for e in entries]
+        _check_filtered(field, entries, columns)
+        f = field
+        # cycles[n]: V column of each zero column of degree n; killers[n]:
+        # positive element of degree n -> (killing element of degree n+1,
+        # its reduced column)
+        self.cycles: list[dict] = []
+        killers: list[dict] = [{} for _ in entries]
+        for n, e in enumerate(entries):
+            if n == 0:
+                self.cycles.append({k: {k: f.one} for k in range(len(e))})
+                continue
+            order = sorted(range(len(e)), key=self.rank[n].__getitem__)
+            lows, vs, reduced = reduce_columns(f, [columns[n][k] for k in order],
+                                               self.rank[n - 1])
+            cyc = {}
+            for k, low, v, r in zip(order, lows, vs, reduced):
+                if low is None:
+                    cyc[k] = {order[p]: c for p, c in v.items()}
+                elif low not in self.cycles[n - 1]:
+                    raise AssertionError("boundary space not inside cycle space")
+                else:
+                    killers[n - 1][low] = (k, r)
+            self.cycles.append(cyc)
+        self.reps: list[dict] = []
+        self.summands: list[list[_Summand]] = []
+        for n in range(top):
+            reps, summands = {}, []
+            for s, v in self.cycles[n].items():
+                birth = entries[n][s]
+                if s in killers[n]:
+                    t, reps[s] = killers[n][s]
+                    if entries[n + 1][t] > birth:
+                        summands.append(_Summand(birth, entries[n + 1][t], s))
+                else:
+                    reps[s] = v
+                    summands.append(_Summand(birth, None, s))
+            summands.sort(key=lambda u: (u.birth, math.inf if u.death is None else u.death,
+                                         self.rank[n][u.low]))
+            self.reps.append(reps)
+            self.summands.append(summands)
+
+    def chain(self, n: int, coords: dict) -> dict:
+        out: dict = {}
+        f = self.field
+        for k, c in coords.items():
+            axpy(f, out, f.neg(c), self.chains[n][k])
+        return out
+
+    def representative(self, n: int, summand: _Summand) -> dict:
+        """The representative cycle of a summand, as a chain."""
+        return self.chain(n, self.reps[n][summand.low])
+
+    def solve(self, n: int, coords: dict) -> dict:
+        """Coefficients {low: scalar} of a degree-n cycle, given in basis
+        coordinates, in the representatives: one triangular solve by low."""
+        f = self.field
+        x = dict(coords)
+        out = {}
+        while x:
+            low = max(x, key=self.rank[n].__getitem__)
+            rep = self.reps[n].get(low)
+            if rep is None:
+                raise AssertionError("arrow image outside the target cycle space")
+            c = f.mul(x[low], f.inv(rep[low]))
+            axpy(f, x, c, rep)
+            out[low] = c
+        return out
+
+    def cycle_chains(self, n: int) -> list[tuple[int, dict]]:
+        """(entry, chain) generators of the cycle spaces Z(t) in degree n."""
+        return [(self.entries[n][k], self.chain(n, v)) for k, v in self.cycles[n].items()]
+
+    def boundary_chains(self, n: int) -> list[tuple[int, dict]]:
+        """(entry, chain) generators of the boundary spaces B(t) in degree n."""
+        if n + 1 >= len(self.entries):
+            return []
+        return [(self.entries[n + 1][k], self.chain(n, col))
+                for k, col in enumerate(self.columns[n + 1])]
+
+
+def _bases(filt: Filtration, field: Field, which: str) -> tuple[_Basis, ...]:
+    key = (field, "bases", which)
+    if key not in filt._memo:
+        cc = filt.chain_complex(field)
+        entry = filt.entry
+        if which == "embedded":
+            h = filt.sh.h
+            entry = tuple(tuple(e if j in h.at(n) else math.inf for j, e in enumerate(row))
+                          for n, row in enumerate(entry))
+        filt._memo[key] = tuple(_inf_basis(cc, entry, n) for n in range(cc.dim_count))
+    return filt._memo[key]
+
+
+def _basis_complex(cc: ChainComplex, bases: Sequence[_Basis]) -> _Complex:
+    f = cc.field
+    columns = [[{} for _ in b.vectors] if n == 0 else
+               [bases[n - 1].coordinates(f, _chain_boundary(cc, n, v)) for v in b.vectors]
+               for n, b in enumerate(bases)]
+    return _Complex(f, [b.entries for b in bases], columns, [b.vectors for b in bases],
+                    lambda n, chain: bases[n].coordinates(f, chain), len(bases))
+
+
+def _cone(cc: ChainComplex, hb: Sequence[_Basis], xb: Sequence[_Basis]) -> _Complex:
+    """Mapping cone of inf(H) -> inf(X): Cone_n lists the inf_{n-1}(H)
+    basis (a-part) and then the inf_n(X) basis (c-part), with
+    d(a, c) = (-∂a, ι(a) + ∂c)."""
+    f = cc.field
+    nd = len(xb)
+    none = _Basis((), (), {}, {})
+
+    def part(bases, n):
+        return bases[n] if 0 <= n < nd else none
+
+    def pair(n, a, c):
+        """Cone_n coordinates of (a, c), for chains a ∈ inf_{n-1}(H) and
+        c ∈ inf_n(X)."""
+        out = part(hb, n - 1).coordinates(f, a)
+        shift = len(part(hb, n - 1).entries)
+        out.update((shift + r, s) for r, s in part(xb, n).coordinates(f, c).items())
+        return out
+
+    def minus_boundary(n, chain):
+        return {i: f.neg(s) for i, s in _chain_boundary(cc, n, chain).items()}
+
+    entries, columns, chains = [], [], []
+    for n in range(nd + 1):
+        a, c = part(hb, n - 1), part(xb, n)
+        entries.append(a.entries + c.entries)
+        columns.append([pair(n - 1, minus_boundary(n - 1, v), v) for v in a.vectors]
+                       + [pair(n - 1, {}, _chain_boundary(cc, n, v)) for v in c.vectors])
+        chains.append(({},) * len(a.vectors) + c.vectors)
+    # a relative cycle c stands for the cone cycle (-∂c, c)
+    return _Complex(f, entries, columns, chains,
+                    lambda n, chain: pair(n, minus_boundary(n, chain), chain), nd)
+
+
+def _complex(filt: Filtration, field: Field, which: str) -> _Complex:
+    """The reduced filtered complex of one module kind, memoised."""
+    if which not in MODULE_KINDS:
+        raise ValueError(f"unknown module kind {which!r}")
+    key = (field, which)
+    if key not in filt._memo:
+        cc = filt.chain_complex(field)
+        if which == "relative":
+            cx = _cone(cc, _bases(filt, field, "embedded"), _bases(filt, field, "ambient"))
+        else:
+            cx = _basis_complex(cc, _bases(filt, field, which))
+        filt._memo[key] = cx
+    return filt._memo[key]
+
+
+def _summands(filt: Filtration, field: Field, which: str, degree: int) -> list[_Summand]:
+    if filt.steps == 0 or not 0 <= degree < filt.sh.x.dim_count:
+        return []
+    return _complex(filt, field, which).summands[degree]
+
+
+# ---------------------------------------------------------------------------
 # Barcodes
 # ---------------------------------------------------------------------------
 
@@ -198,115 +470,18 @@ class Barcode:
                    if b.degree == degree and b.birth <= t < b.death)
 
 
-# ---------------------------------------------------------------------------
-# Interval-adapted representatives
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntervalSummand:
-    """One interval summand with a representative vector: its class is a
-    basis element of Z(t)/B(t) for birth <= t < death and zero afterwards."""
-
-    degree: int
-    birth_index: int
-    death_index: int | None
-    rep: tuple
-
-    def alive_at(self, i: int) -> bool:
-        return self.birth_index <= i and (self.death_index is None or i < self.death_index)
-
-
-def _interval_decomposition(zb, field: Field, ambient: int,
-                            degree: int) -> list[IntervalSummand]:
-    """Decompose the subquotient family (Z(i) / B(i)) into intervals.
-
-    Builds a flag basis of the Z spaces with entry times, expresses a flag
-    basis of the B spaces in those coordinates, and column-reduces with the
-    classical lowest-one pairing.  The reduced boundary columns themselves
-    are the representatives of the finite bars, so the adapted-basis maps
-    send representatives to representatives or to zero.
-    """
-    zvecs: list[tuple] = []
-    zentry: list[int] = []
-    zspan = SubspaceBasis.zero(field, ambient)
-    bcols: list[tuple[int, list]] = []  # (step, column over z-coordinates)
-    bspan = SubspaceBasis.zero(field, ambient)
-    for i, (z, b) in enumerate(zb):
-        added = extend_independent(zspan, z.vectors)
-        if added:
-            zvecs.extend(added)
-            zentry.extend([i] * len(added))
-            zspan = subspace_sum(zspan, SubspaceBasis(field, ambient, added))
-        new_b = extend_independent(bspan, b.vectors)
-        if new_b:
-            bspan = subspace_sum(bspan, SubspaceBasis(field, ambient, new_b))
-            for vec in new_b:
-                coeffs = express_in_vectors(field, ambient, zvecs, vec)
-                if coeffs is None:
-                    raise AssertionError("boundary vector outside the cycle flag")
-                bcols.append((i, list(coeffs)))
-
-    def low(col: list) -> int | None:
-        for r in range(len(col) - 1, -1, -1):
-            if col[r]:
-                return r
-        return None
-
-    paired: dict[int, tuple[int, list]] = {}  # low z-row -> (death step, column)
-    for step, col in bcols:
-        col = col + [field.zero] * (len(zvecs) - len(col))
-        l = low(col)
-        while l is not None and l in paired:
-            other = paired[l][1]
-            factor = field.mul(col[l], field.inv(other[l]))
-            col = [field.sub(a, field.mul(factor, b)) for a, b in zip(col, other)]
-            l = low(col)
-        if l is None:
-            raise AssertionError("dependent boundary generator escaped the flag")
-        paired[l] = (step, col)
-
-    out = []
-    for idx in range(len(zvecs)):
-        birth = zentry[idx]
-        if idx in paired:
-            death, col = paired[idx]
-            if death == birth:
-                continue  # zero-length interval: a zero object
-            vec = [field.zero] * ambient
-            for c, zv in zip(col, zvecs):
-                if c:
-                    vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, zv)]
-            out.append(IntervalSummand(degree, birth, death, tuple(vec)))
-        else:
-            out.append(IntervalSummand(degree, birth, None, tuple(zvecs[idx])))
-    out.sort(key=lambda s: (s.birth_index,
-                            math.inf if s.death_index is None else s.death_index))
-    return out
-
-
-def decomposition_barcode(filt: Filtration, field: Field, which: str,
-                          degree: int) -> Barcode:
-    """Barcode of one degree read off the interval-adapted decomposition:
-    each summand is one copy of its interval."""
-    summands = filt.decomposition(field, which, degree)
-    acc: dict[tuple[float, float], int] = {}
-    for s in summands:
-        birth = filt.times[s.birth_index]
-        death = math.inf if s.death_index is None else filt.times[s.death_index]
-        acc[(birth, death)] = acc.get((birth, death), 0) + 1
-    bars = tuple(Bar(degree, b, d, m) for (b, d), m in sorted(acc.items()))
-    return Barcode(which, bars)
-
-
 def full_barcode(filt: Filtration, field: Field, which: str) -> Barcode:
-    """Barcode across all degrees of the Δ-set."""
-    bars: list[Bar] = []
+    """Barcode across all degrees of the Δ-set: each interval summand of the
+    module's reduction is one copy of its interval."""
+    if which not in MODULE_KINDS:
+        raise ValueError(f"unknown module kind {which!r}")
+    acc: dict[tuple[int, float, float], int] = {}
     for n in range(filt.sh.x.dim_count):
-        if filt.steps == 0:
-            continue
-        bars.extend(decomposition_barcode(filt, field, which, n).bars)
-    bars.sort(key=lambda b: (b.degree, b.birth, b.death))
-    return Barcode(which, tuple(bars))
+        for s in _summands(filt, field, which, n):
+            key = (n, filt.times[s.birth],
+                   math.inf if s.death is None else filt.times[s.death])
+            acc[key] = acc.get(key, 0) + 1
+    return Barcode(which, tuple(Bar(n, b, d, m) for (n, b, d), m in sorted(acc.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -340,62 +515,58 @@ class CorrelationMatrix:
 
 def _interval_ids(filt: Filtration, which: str, degree: int,
                   summands) -> tuple[IntervalId, ...]:
-    out = []
-    for k, s in enumerate(summands):
-        birth = filt.times[s.birth_index]
-        death = math.inf if s.death_index is None else filt.times[s.death_index]
-        out.append(IntervalId(which, degree, k, birth, death))
-    return tuple(out)
+    return tuple(IntervalId(which, degree, k, filt.times[s.birth],
+                            math.inf if s.death is None else filt.times[s.death])
+                 for k, s in enumerate(summands))
+
+
+def _arrow_ends(arrow: str, degree: int):
+    if arrow not in ARROWS:
+        raise ValueError(f"unknown arrow {arrow!r}; one of {ARROWS}")
+    if arrow == "J":
+        return ("embedded", degree), ("ambient", degree)
+    if arrow == "P":
+        return ("ambient", degree), ("relative", degree)
+    return ("relative", degree), ("embedded", degree - 1)
+
+
+def _arrow_coefficients(filt: Filtration, field: Field, arrow: str, degree: int):
+    """(source summands, target summands, coefficients): coefficients[a] is
+    {target summand index: nonzero scalar} of the arrow's image of source
+    representative a, written in the target's representatives."""
+    src, dst = _arrow_ends(arrow, degree)
+    src_sum = _summands(filt, field, *src)
+    dst_sum = _summands(filt, field, *dst)
+    coeffs: list[dict] = []
+    if src_sum and dst_sum:
+        scx, dcx = _complex(filt, field, src[0]), _complex(filt, field, dst[0])
+        column = {s.low: b for b, s in enumerate(dst_sum)}
+        for s in src_sum:
+            chain = scx.representative(degree, s)
+            if arrow == "boundary":
+                chain = _chain_boundary(filt.chain_complex(field), degree, chain)
+            solved = dcx.solve(dst[1], dcx.coordinates(dst[1], chain))
+            coeffs.append({column[low]: c for low, c in solved.items() if low in column})
+    return src_sum, dst_sum, coeffs
 
 
 def correlation_matrix(filt: Filtration, field: Field, arrow: str,
                        degree: int) -> CorrelationMatrix:
     """0/1 matrix over interval summands: entry (α, β) is 1 iff the arrow's
-    block from summand α to summand β is nonzero at some critical value in
-    the overlap of their intervals, in the fixed interval-adapted bases.
+    image of α's representative, written in the target's representatives,
+    has a nonzero coefficient on β and the two intervals overlap.  The
+    representatives are interval-adapted, so that coefficient is the arrow's
+    block from α to β at every critical value where both are alive.
 
     J : embedded -> ambient and P : ambient -> relative are degree-preserving;
     the connecting arrow maps relative degree n to embedded degree n-1.
     """
-    if arrow not in ARROWS:
-        raise ValueError(f"unknown arrow {arrow!r}; one of {ARROWS}")
-    cc = filt.chain_complex(field)
-    if arrow == "J":
-        src = ("embedded", degree)
-        dst = ("ambient", degree)
-    elif arrow == "P":
-        src = ("ambient", degree)
-        dst = ("relative", degree)
-    else:
-        src = ("relative", degree)
-        dst = ("embedded", degree - 1)
-    src_sum = filt.decomposition(field, src[0], src[1]) if src[1] >= 0 else []
-    dst_sum = filt.decomposition(field, dst[0], dst[1]) if dst[1] >= 0 else []
-    rows = _interval_ids(filt, src[0], src[1], src_sum)
-    cols = _interval_ids(filt, dst[0], dst[1], dst_sum)
-    if not src_sum or not dst_sum:
-        return CorrelationMatrix(arrow, rows, cols, frozenset())
-    dst_zb = filt.zb_family(field, dst[0], dst[1])
-    dst_ambient = filt.sh.x.n_cells(dst[1])
-    entries = set()
-    for i in range(filt.steps):
-        alive_src = [(a, s) for a, s in enumerate(src_sum) if s.alive_at(i)]
-        alive_dst = [(b, s) for b, s in enumerate(dst_sum) if s.alive_at(i)]
-        if not alive_src or not alive_dst:
-            continue
-        _, b_space = dst_zb[i]
-        basis = [s.rep for _, s in alive_dst] + list(b_space.vectors)
-        for a, s in alive_src:
-            vec = list(s.rep)
-            if arrow == "boundary":
-                vec = list(cc.boundaries[degree].apply(vec))
-            coeffs = express_in_vectors(field, dst_ambient, basis, vec)
-            if coeffs is None:
-                raise AssertionError("arrow image outside the target cycle space")
-            for k, (b, _) in enumerate(alive_dst):
-                if coeffs[k]:
-                    entries.add((a, b))
-    return CorrelationMatrix(arrow, rows, cols, frozenset(entries))
+    src, dst = _arrow_ends(arrow, degree)
+    src_sum, dst_sum, coeffs = _arrow_coefficients(filt, field, arrow, degree)
+    entries = frozenset((a, b) for a, row in enumerate(coeffs) for b in row
+                        if src_sum[a].overlaps(dst_sum[b]))
+    return CorrelationMatrix(arrow, _interval_ids(filt, src[0], src[1], src_sum),
+                             _interval_ids(filt, dst[0], dst[1], dst_sum), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -424,58 +595,61 @@ class TriangleReport:
     exact: bool
 
 
+def _rank_profile(field: Field, gens: list[tuple[int, dict]], steps: int) -> list[int]:
+    """dim span{v : (i, v) in gens, i <= s} at every step s, from one
+    reduction of the generators in entry order."""
+    gens = sorted(gens, key=lambda g: g[0])
+    new = [0] * steps
+    for (i, _), low in zip(gens, reduce_columns(field, [v for _, v in gens])[0]):
+        if low is not None:
+            new[i] += 1
+    return list(itertools.accumulate(new))
+
+
 def triangle_report(filt: Filtration, field: Field) -> TriangleReport:
     """Rank bookkeeping of the long exact sequence
     ... -> emb_n -> amb_n -> rel_n -> emb_{n-1} -> ... at every critical
-    value; flags any failure of exactness (there must be none)."""
+    value; flags any failure of exactness (there must be none).
+
+    With Z and B the cycle and boundary spaces of each module as chains of
+    X_n (the relative ones presenting inf(X)/inf(H)), every entry is
+    dim(Z' + B)(t) - dim B(t): the dimensions from each module's own pair,
+    rank J from (Z_emb, B_amb), rank P from (Z_amb, B_rel) and the connecting
+    rank from (∂Z_rel, B_emb one degree down)."""
+    steps, nd = filt.steps, filt.sh.x.dim_count
+    if not steps:
+        return TriangleReport((), True)
     cc = filt.chain_complex(field)
-    nd = filt.sh.x.dim_count
+    cxs = {w: _complex(filt, field, w) for w in MODULE_KINDS}
+    z = {(w, n): cxs[w].cycle_chains(n) for w in MODULE_KINDS for n in range(nd)}
+    b = {(w, n): cxs[w].boundary_chains(n) for w in MODULE_KINDS for n in range(nd)}
+
+    def quotient(zs, bs, b_profile):
+        return [s - t for s, t in zip(_rank_profile(field, zs + bs, steps), b_profile)]
+
+    b_dim = {key: _rank_profile(field, gens, steps) for key, gens in b.items()}
+    zero = [0] * steps
+    connecting = [zero] + [
+        quotient([(i, _chain_boundary(cc, n, v)) for i, v in z["relative", n]],
+                 b["embedded", n - 1], b_dim["embedded", n - 1])
+        for n in range(1, nd)] + [zero]
     rows = []
     exact = True
-
-    def family(which, n):
-        if n < 0 or n >= nd:
-            return None
-        return filt.zb_family(field, which, n)
-
     for n in range(nd):
-        emb = family("embedded", n)
-        amb = family("ambient", n)
-        rel = family("relative", n)
-        emb_below = family("embedded", n - 1)
-        rel_above = family("relative", n + 1)
-        for i in range(filt.steps):
-            ez, eb = emb[i]
-            az, ab = amb[i]
-            rz, rb = rel[i]
-            dim_e = ez.dim - eb.dim
-            dim_a = az.dim - ab.dim
-            dim_r = rz.dim - rb.dim
-            rank_j = subspace_sum(ez, ab).dim - ab.dim
-            rank_p = subspace_sum(az, rb).dim - rb.dim
-            rank_bd = _connecting_rank(cc, n, rz, emb_below[i][1] if emb_below else None)
-            rank_bd_above = _connecting_rank(cc, n + 1, rel_above[i][0], eb) \
-                if rel_above else 0
-            ok_amb = rank_j + rank_p == dim_a
-            ok_rel = rank_p + rank_bd == dim_r
-            ok_emb = rank_bd_above + rank_j == dim_e
+        dims = [quotient(z[w, n], b[w, n], b_dim[w, n])
+                for w in ("embedded", "ambient", "relative")]
+        rank_j = quotient(z["embedded", n], b["ambient", n], b_dim["ambient", n])
+        rank_p = quotient(z["ambient", n], b["relative", n], b_dim["relative", n])
+        for i in range(steps):
+            dim_e, dim_a, dim_r = (d[i] for d in dims)
+            ok_amb = rank_j[i] + rank_p[i] == dim_a
+            ok_rel = rank_p[i] + connecting[n][i] == dim_r
+            ok_emb = connecting[n + 1][i] + rank_j[i] == dim_e
             exact = exact and ok_amb and ok_rel and ok_emb
             rows.append(TriangleRow(n, i, filt.times[i], dim_e, dim_a, dim_r,
-                                    rank_j, rank_p, rank_bd,
+                                    rank_j[i], rank_p[i], connecting[n][i],
                                     ok_amb, ok_rel, ok_emb))
     return TriangleReport(tuple(rows), exact)
-
-
-def _connecting_rank(cc: ChainComplex, n: int, rel_z: SubspaceBasis | None,
-                     emb_b_below: SubspaceBasis | None) -> int:
-    """Rank of the connecting map out of relative degree n: classes of
-    boundaries of relative cycles modulo embedded boundaries below."""
-    if rel_z is None or n <= 0 or n >= cc.dim_count:
-        return 0
-    image = _boundary_of_span(cc, n, rel_z)
-    if emb_b_below is None:
-        emb_b_below = SubspaceBasis.zero(cc.field, cc.space_dim(n - 1))
-    return subspace_sum(image, emb_b_below).dim - emb_b_below.dim
 
 
 # ---------------------------------------------------------------------------

@@ -36,3 +36,8 @@ def test_bench_construct_score_small_run():
 @pytest.mark.slow
 def test_bench_homology_hypergraph_small_run():
     check_small_run("homology_hypergraph")
+
+
+@pytest.mark.slow
+def test_bench_persist_vr_circle_small_run():
+    check_small_run("persist_vr_circle")

@@ -60,8 +60,9 @@ def test_rank_nullity(field, rng):
 def test_reduce_columns_lows_and_v(field, rng):
     # random sparse columns and a random pivot order: the non-None lows are
     # distinct and count the dense rank; each V column is unit
-    # upper-triangular and combines the input columns into a column whose
-    # last row in the pivot order is its low (zero when the low is None)
+    # upper-triangular and combines the input columns into the reduced
+    # column, whose last row in the pivot order is its low (zero when the
+    # low is None)
     for _ in range(25):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         m = FieldMatrix(field, rows, cols, [rng.choice((0, 0, 1, -1, 2))
@@ -69,7 +70,7 @@ def test_reduce_columns_lows_and_v(field, rng):
         order = list(range(rows))
         rng.shuffle(order)
         row_rank = {r: k for k, r in enumerate(order)}
-        lows, vs = reduce_columns(field, m.nonzero_columns(), row_rank)
+        lows, vs, reduced = reduce_columns(field, m.nonzero_columns(), row_rank)
         found = [low for low in lows if low is not None]
         assert len(found) == len(set(found)) == rank(m)
         for j, (low, v) in enumerate(zip(lows, vs)):
@@ -77,6 +78,7 @@ def test_reduce_columns_lows_and_v(field, rng):
             combo = m.apply([v.get(k, field.zero) for k in range(cols)])
             support = [i for i, a in enumerate(combo) if a]
             assert low == (max(support, key=row_rank.get) if support else None)
+            assert reduced[j] == {i: combo[i] for i in support}
 
 
 # ---------------------------------------------------------------------------

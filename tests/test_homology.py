@@ -470,6 +470,30 @@ def test_sparse_static_homology_matches_dense_oracle(rng):
     assert partial >= 30
 
 
+def test_betti_tables_reduce_each_full_boundary_once(rng, monkeypatch):
+    # the ambient table takes rk ∂_n from the reduction of the relative
+    # table (the rank does not depend on the row order): one reduction of
+    # ∂_n on H_n and one on X_n per degree n >= 1, not a third
+    import superph.homology
+    real = superph.homology.reduce_columns
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(superph.homology, "reduce_columns", counted)
+    sh = _random_clique_sh(rng)
+    assert all(0 < len(sh.h.at(n)) < sh.x.counts[n] for n in range(sh.x.dim_count))
+    cc = boundary_matrices(sh.x, QQ)
+    tables = tuple(embedded_betti(sh, QQ, mode, cc=cc)
+                   for mode in ("absolute", "relative", "ambient"))
+    assert gap_series(sh, QQ, cc=cc) == dense_gap_series(sh, QQ)
+    assert len(calls) == 2 * (sh.x.dim_count - 1)
+    assert tables == tuple(dense_embedded_betti(sh, QQ, mode)
+                           for mode in ("absolute", "relative", "ambient"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_static_homology_property(data):

@@ -1,26 +1,32 @@
 """Filtrations, persistence modules, barcodes, correlation matrices and the
 exact triangle."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superph import (GF2, QQ, Bar, DeltaSet, GradedSubset, MultiGraph,
                      SuperHypergraph, build_filtration, clique_delta,
-                     constant_scheme, correlation_matrix,
-                     decomposition_barcode, full_barcode, full_subset,
-                     partition_persistence, seeded_random_scheme,
+                     constant_scheme, correlation_matrix, full_barcode,
+                     full_subset, partition_persistence, seeded_random_scheme,
                      triangle_report, vr_scheme)
+from superph import persistence
 from superph.faceops import Clustering, SubgraphFamily, primary_vertex_deletion
-from superph.fields import (GF, FieldMatrix, SubspaceBasis, preimage_basis,
+from superph.fields import (GF, FieldMatrix, SubspaceBasis, express_in_vectors,
+                            preimage_basis, rank as matrix_rank,
                             subspace_intersect)
-from superph.homology import inf_space, inf_zb
-from superph.persistence import DominationError, RegularityError
+from superph.homology import ChainComplex, boundary_matrices, inf_space, inf_zb
+from superph.persistence import (ARROWS, MODULE_KINDS, DominationError,
+                                 RegularityError)
 from superph.scoring import PointCloud, pullback_scheme, vr_points
 
 from conftest import pillow_delta, random_cloud, unit_square_cloud
-from oracles import (PersistenceModule, barcode, oracle_persistence_bars_gf2,
-                     persistence_module, rank_full_barcode)
+from oracles import (PersistenceModule, barcode, decomposition_barcode,
+                     dense_full_barcode, dense_triangle_report,
+                     oracle_persistence_bars_gf2, persistence_module,
+                     rank_full_barcode, zb_family)
 
 SQ2 = float(f"{math.sqrt(2) / 2:.12g}")
 
@@ -123,9 +129,9 @@ def test_zb_family_rejects_shrinking_flags(monkeypatch):
             return zero, zero
         return inf_zb(cc, marks, n)
 
-    monkeypatch.setattr("superph.persistence.inf_zb", shrink_last)
+    monkeypatch.setattr("oracles.inf_zb", shrink_last)
     with pytest.raises(AssertionError, match="monotonicity"):
-        filt.zb_family(GF2, "ambient", 0)
+        zb_family(filt, GF2, "ambient", 0)
 
 
 def test_filtration_levels_nested_and_delta_closed():
@@ -259,6 +265,120 @@ def test_decomposition_matches_rank_barcode(rng):
     assert nonregular == 3
 
 
+def _inf_below_marking(filt) -> bool:
+    """Whether inf(H(t)) ≠ D(H(t)) at some step: a marked cell with an
+    unmarked face."""
+    x = filt.sh.x
+    return any(t not in lh.at(n - 1)
+               for lh in filt.level_h for n in range(1, x.dim_count)
+               for j in lh.at(n) for t in x.faces[n][j])
+
+
+def _assert_matches_dense(filt, field, label):
+    for which in MODULE_KINDS:
+        assert full_barcode(filt, field, which) == \
+            dense_full_barcode(filt, field, which), (label, field, which)
+    assert triangle_report(filt, field) == dense_triangle_report(filt, field), \
+        (label, field)
+
+
+def test_sparse_persistence_matches_dense_oracle(rng):
+    # the sparse engine against the dense (Z, B) route: barcodes and every
+    # triangle row, over three fields, partial markings p ∈ {0.3, 0.6, 0.85}
+    # and non-regular schemes in experimental mode
+    proper = nonregular = 0
+    for case in range(12):
+        pc = random_cloud(rng, max_points=5)
+        ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=3)
+        p = (0.3, 0.6, 0.85)[case % 3]
+        marks = GradedSubset({n: {j for j in range(ds.counts[n]) if rng.random() < p}
+                              for n in range(ds.dim_count)})
+        sh = SuperHypergraph(ds, marks)
+        experimental = case % 4 >= 2
+        scheme = vr_scheme(pc)
+        if experimental:
+            scheme = seeded_random_scheme(rng.randrange(10**6))
+            try:
+                build_filtration(sh, scheme)
+            except RegularityError:
+                nonregular += 1
+        filt = build_filtration(sh, scheme, experimental=experimental)
+        proper += _inf_below_marking(filt)
+        for field in (GF2, GF(3), QQ):
+            _assert_matches_dense(filt, field, case)
+    assert proper >= 6 and nonregular >= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_persistence_property(data):
+    # drawn clouds on a small integer grid (so critical values tie), drawn
+    # markings and fields, VR or a seeded random scheme in experimental mode
+    points = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                min_size=1, max_size=5, unique=True))
+    pc = PointCloud(dict(enumerate(points)))
+    ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=data.draw(st.integers(1, 3)))
+    marks = GradedSubset({n: data.draw(st.sets(st.integers(0, ds.counts[n] - 1)))
+                          for n in range(ds.dim_count)})
+    if data.draw(st.booleans()):
+        filt = build_filtration(SuperHypergraph(ds, marks),
+                                seeded_random_scheme(data.draw(st.integers(0, 10**6))),
+                                experimental=True)
+    else:
+        filt = build_filtration(SuperHypergraph(ds, marks), vr_scheme(pc))
+    _assert_matches_dense(filt, data.draw(st.sampled_from((GF2, GF(3), QQ))), "drawn")
+
+
+def _tampered(field):
+    """The square's chain complex with ∂ of one triangle replaced by the
+    first edge alone, so ∂∂ != 0 there: no check in `boundary_matrices`
+    sees it."""
+    filt = square_filtration()
+    cc = boundary_matrices(filt.sh.x, field)
+    first = min(range(cc.dims[1]), key=lambda e: (filt.entry[1][e], e))
+    triangle = next(j for j, col in enumerate(cc.columns[2])
+                    if first in dict(col))
+    columns = list(cc.columns)
+    columns[2] = tuple(((first, field.one),) if j == triangle else col
+                       for j, col in enumerate(columns[2]))
+    return filt, ChainComplex(field, cc.dims, tuple(columns))
+
+
+@pytest.mark.parametrize("which", MODULE_KINDS)
+def test_filtered_complex_checks_boundary_squared(monkeypatch, which):
+    # ∂∂ = 0 on the ambient and embedded complexes and on the cone
+    filt, broken = _tampered(QQ)
+    monkeypatch.setattr("superph.persistence.boundary_matrices", lambda x, f: broken)
+    with pytest.raises(AssertionError, match="∂∂ != 0"):
+        full_barcode(filt, QQ, which)
+
+
+def test_filtered_complex_checks_boundaries_are_cycles(monkeypatch):
+    # with the ∂∂ check off, the broken triangle's column keeps the first
+    # edge, which kills a component, as its low: a boundary outside the
+    # cycle space
+    filt, broken = _tampered(GF2)
+    monkeypatch.setattr("superph.persistence.boundary_matrices", lambda x, f: broken)
+    monkeypatch.setattr("superph.persistence._check_filtered", lambda *a: None)
+    with pytest.raises(AssertionError, match="boundary space not inside cycle space"):
+        full_barcode(filt, GF2, "ambient")
+
+
+def test_filtered_complex_checks_monotone_entries(monkeypatch):
+    # a basis whose triangles enter before their edges is not a filtration
+    real = persistence._inf_basis
+
+    def early(cc, entry, n):
+        basis = real(cc, entry, n)
+        if n == 2:
+            basis = basis._replace(entries=(0,) * len(basis.entries))
+        return basis
+
+    monkeypatch.setattr("superph.persistence._inf_basis", early)
+    with pytest.raises(AssertionError, match="monotonicity"):
+        full_barcode(square_filtration(), GF2, "ambient")
+
+
 def test_inf_space_memo_and_shortcut_match_intersection(rng):
     # inf_space returns D_n unreduced when the marking is closed under faces
     # (every sublevel set X(t)) and memoises its result; both must agree with
@@ -361,46 +481,110 @@ def test_correlation_boundary_two_edge_instance():
     assert cm.entries == frozenset({(0, 0), (0, 1), (1, 1), (1, 2)})
 
 
+def _dense(chain: dict, size: int, field) -> list:
+    vec = [field.zero] * size
+    for j, c in chain.items():
+        vec[j] = c
+    return vec
+
+
+def _alive(summand, i: int) -> bool:
+    return summand.birth <= i and (summand.death is None or i < summand.death)
+
+
 def test_correlation_coefficients_constant_on_overlap(rng):
     # naturality of the triangle arrows with interval-adapted bases forces
     # every (source, target) coefficient to be constant across the steps
-    # where both summands are alive
-    from superph.fields import express_in_vectors
+    # where both summands are alive.  Each step solves the arrow's image of
+    # the source representative densely in the alive target representatives
+    # plus the dense oracle's B(t); the constant must be the coefficient of
+    # the engine's one solve per representative.
+    dead_targets = 0
     for _ in range(4):
-        pc = random_cloud(rng, max_points=5)
+        pc = random_cloud(rng, max_points=6)
         g = MultiGraph.complete(pc.ids())
-        ds = clique_delta(g, max_dim=3)
+        ds = clique_delta(g, max_dim=2)
         marks = GradedSubset({n: {j for j in range(ds.counts[n])
                                   if rng.random() < 0.6}
                               for n in range(ds.dim_count)})
         filt = build_filtration(SuperHypergraph(ds, marks), vr_scheme(pc))
-        cc = filt.chain_complex(GF2)
-        for arrow, src, dst in (("J", ("embedded", 1), ("ambient", 1)),
-                                ("P", ("ambient", 1), ("relative", 1)),
-                                ("boundary", ("relative", 1), ("embedded", 0))):
-            src_sum = filt.decomposition(GF2, *src)
-            dst_sum = filt.decomposition(GF2, *dst)
-            dst_zb = filt.zb_family(GF2, *dst)
-            amb = filt.sh.x.n_cells(dst[1])
-            seen: dict[tuple[int, int], object] = {}
-            for i in range(filt.steps):
-                alive_dst = [(b, s) for b, s in enumerate(dst_sum) if s.alive_at(i)]
-                if not alive_dst:
+        for field in (GF2, GF(3)):
+            cc = filt.chain_complex(field)
+            for arrow, degree in itertools.product(ARROWS, range(ds.dim_count)):
+                src, dst = persistence._arrow_ends(arrow, degree)
+                src_sum, dst_sum, coeffs = persistence._arrow_coefficients(
+                    filt, field, arrow, degree)
+                if not src_sum or not dst_sum:
                     continue
-                basis = [s.rep for _, s in alive_dst] + list(dst_zb[i][1].vectors)
-                for a, s in enumerate(src_sum):
-                    if not s.alive_at(i):
+                scx = persistence._complex(filt, field, src[0])
+                dcx = persistence._complex(filt, field, dst[0])
+                dst_zb = zb_family(filt, field, *dst)
+                amb = filt.sh.x.n_cells(dst[1])
+                seen: dict[tuple[int, int], object] = {}
+                for i in range(filt.steps):
+                    alive_dst = [(b, s) for b, s in enumerate(dst_sum) if _alive(s, i)]
+                    if not alive_dst:
                         continue
-                    vec = list(s.rep)
-                    if arrow == "boundary":
-                        vec = list(cc.boundaries[1].apply(vec))
-                    coeffs = express_in_vectors(GF2, amb, basis, vec)
-                    for k, (b, _) in enumerate(alive_dst):
-                        key = (a, b)
-                        if key in seen:
-                            assert seen[key] == coeffs[k], (arrow, key)
-                        else:
-                            seen[key] = coeffs[k]
+                    basis = [_dense(dcx.representative(dst[1], s), amb, field)
+                             for _, s in alive_dst] + list(dst_zb[i][1].vectors)
+                    for a, s in enumerate(src_sum):
+                        if not _alive(s, i):
+                            continue
+                        vec = _dense(scx.representative(degree, s), ds.counts[degree],
+                                     field)
+                        if arrow == "boundary":
+                            vec = list(cc.boundaries[degree].apply(vec))
+                        coeffs_i = express_in_vectors(field, amb, basis, vec)
+                        for k, (b, _) in enumerate(alive_dst):
+                            key = (a, b)
+                            if key in seen:
+                                assert seen[key] == coeffs_i[k], (arrow, key)
+                            else:
+                                seen[key] = coeffs_i[k]
+                for (a, b), c in seen.items():
+                    assert coeffs[a].get(b, field.zero) == c, (arrow, a, b)
+                # an entry is a nonzero block at some step where both are
+                # alive; the solve may also reach targets dead by then
+                assert correlation_matrix(filt, field, arrow, degree).entries == \
+                    {key for key, c in seen.items() if c}
+                dead_targets += sum(b not in {k[1] for k in seen if k[0] == a}
+                                    for a, row in enumerate(coeffs) for b in row)
+    assert dead_targets > 0
+
+
+def test_correlation_block_ranks_equal_triangle_ranks(rng):
+    # basis-free: at every step the arrow's coefficient block over the alive
+    # summands has the rank the triangle report takes from sums of spaces
+    checked = 0
+    for case in range(6):
+        pc = random_cloud(rng, max_points=5)
+        ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=3)
+        marks = GradedSubset({n: {j for j in range(ds.counts[n])
+                                  if rng.random() < (0.3, 0.6, 0.85)[case % 3]}
+                              for n in range(ds.dim_count)})
+        experimental = case % 2 == 1
+        scheme = seeded_random_scheme(rng.randrange(10**6)) if experimental \
+            else vr_scheme(pc)
+        filt = build_filtration(SuperHypergraph(ds, marks), scheme,
+                                experimental=experimental)
+        for field in (GF2, GF(3), QQ):
+            rows = {(r.degree, r.step): r for r in triangle_report(filt, field).rows}
+            for arrow in ARROWS:
+                for n in range(ds.dim_count):
+                    src_sum, dst_sum, coeffs = persistence._arrow_coefficients(
+                        filt, field, arrow, n)
+                    for i in range(filt.steps):
+                        alive_a = [a for a, s in enumerate(src_sum) if _alive(s, i)]
+                        alive_b = [b for b, s in enumerate(dst_sum) if _alive(s, i)]
+                        got = matrix_rank(FieldMatrix.from_rows(
+                            field, [[coeffs[a].get(b, field.zero) for b in alive_b]
+                                    for a in alive_a])) if alive_a and alive_b else 0
+                        row = rows[n, i]
+                        want = {"J": row.rank_j, "P": row.rank_p,
+                                "boundary": row.rank_boundary}[arrow]
+                        assert got == want, (case, field, arrow, n, i)
+                        checked += want > 0
+    assert checked > 50
 
 
 def test_correlation_entries_respect_overlap(rng):
