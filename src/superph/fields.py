@@ -3,9 +3,10 @@
 Every homology computation in this package reduces to rank, kernel, image,
 intersection and preimage problems over a coefficient field.  The static
 ranks of boundary matrices and every persistence module come from one
-sparse lowest-one column reduction, `reduce_columns`; the dense subspace
-routines serve homology bases, induced maps and the Mayer–Vietoris
-diagnostics.  All routines are exact.
+sparse lowest-one column reduction, `reduce_columns`.  The dense subspace
+routines are plain Gauss–Jordan elimination (`rref`), one loop for every
+field; they serve homology bases, induced maps and the Mayer–Vietoris
+diagnostics on small inputs.  All routines are exact.
 Dense pivots are always the first nonzero entry in column order, so every
 derived basis is canonical and results are bit-for-bit reproducible across
 runs.
@@ -115,40 +116,8 @@ def GF(p: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Reduced row echelon form (the single algorithmic backbone)
+# Reduced row echelon form (dense subspaces)
 # ---------------------------------------------------------------------------
-
-def _rref_gf2(rows: Sequence[Sequence[int]], ncols: int):
-    # Rows packed into ints, bit j = column j; XOR elimination.
-    packed = []
-    for r in rows:
-        x = 0
-        for j, v in enumerate(r):
-            if int(v) & 1:
-                x |= 1 << j
-        packed.append(x)
-    pivots: list[int] = []
-    top = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(top, len(packed)):
-            if (packed[i] >> col) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        packed[top], packed[piv] = packed[piv], packed[top]
-        pv = packed[top]
-        for i in range(len(packed)):
-            if i != top and (packed[i] >> col) & 1:
-                packed[i] ^= pv
-        pivots.append(col)
-        top += 1
-    out = []
-    for x in packed[:top]:
-        out.append([(x >> j) & 1 for j in range(ncols)])
-    return out, pivots
-
 
 def rref(rows: Iterable[Sequence], ncols: int, field: Field):
     """Reduced row echelon form.
@@ -157,9 +126,6 @@ def rref(rows: Iterable[Sequence], ncols: int, field: Field):
     strictly increasing and every pivot entry is 1 with zeros elsewhere in
     its column, so the result is a canonical basis of the row space.
     """
-    rows = [list(r) for r in rows]
-    if field.kind == "gf2":
-        return _rref_gf2(rows, ncols)
     mat = [[field.of(v) for v in r] for r in rows]
     pivots: list[int] = []
     top = 0
@@ -175,11 +141,12 @@ def rref(rows: Iterable[Sequence], ncols: int, field: Field):
         scale = field.inv(mat[top][col])
         if scale != field.one:
             mat[top] = [field.mul(scale, v) for v in mat[top]]
-        prow = mat[top]
-        for i in range(len(mat)):
-            if i != top and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(mat[i], prow)]
+        support = [(k, b) for k, b in enumerate(mat[top]) if b]
+        for i, row in enumerate(mat):
+            c = row[col]
+            if i != top and c:
+                for k, b in support:
+                    row[k] = field.sub(row[k], field.mul(c, b))
         pivots.append(col)
         top += 1
     return mat[:top], pivots
@@ -245,10 +212,9 @@ def reduce_columns(field: Field, columns: Iterable, row_rank: dict | None = None
 
 
 class FieldMatrix:
-    """Dense matrix of exact field scalars, row-major and immutable; its
-    nonzero columns are indexed on first use."""
+    """Dense matrix of exact field scalars, row-major and immutable."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_nzcols")
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Iterable):
         self.field = field
@@ -258,7 +224,6 @@ class FieldMatrix:
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
         self.entries = ent
-        self._nzcols = None
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "FieldMatrix":
@@ -280,16 +245,13 @@ class FieldMatrix:
     @classmethod
     def from_sparse_columns(cls, field: Field, nrows: int,
                             columns: Sequence[Sequence[tuple[int, object]]]) -> "FieldMatrix":
-        """Dense matrix from per-column (row, nonzero entry) pairs in row
-        order; the pairs become its nonzero-column index."""
+        """Dense matrix from per-column (row, nonzero entry) pairs."""
         nc = len(columns)
         flat = [field.zero] * (nrows * nc)
         for j, col in enumerate(columns):
             for i, a in col:
                 flat[i * nc + j] = a
-        m = cls(field, nrows, nc, flat)
-        m._nzcols = tuple(tuple(col) for col in columns)
-        return m
+        return cls(field, nrows, nc, flat)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
@@ -312,26 +274,20 @@ class FieldMatrix:
     def row_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def nonzero_columns(self) -> tuple:
-        """Per column, the (row, entry) pairs of its nonzero entries."""
-        if self._nzcols is None:
-            ent, nc = self.entries, self.cols
-            self._nzcols = tuple(
-                tuple((i, ent[i * nc + j]) for i in range(self.rows) if ent[i * nc + j])
-                for j in range(nc))
-        return self._nzcols
-
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product m @ vec, summed over nonzero entries only."""
+        """Matrix-vector product m @ vec."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         f = self.field
-        out = [f.zero] * self.rows
-        for v, col in zip(vec, self.nonzero_columns()):
-            if v:
-                v = f.of(v)
-                for i, a in col:
-                    out[i] = f.add(out[i], f.mul(a, v))
+        terms = [(j, f.of(v)) for j, v in enumerate(vec) if v]
+        out = []
+        for i in range(self.rows):
+            row = self.row(i)
+            acc = f.zero
+            for j, v in terms:
+                if row[j]:
+                    acc = f.add(acc, f.mul(row[j], v))
+            out.append(acc)
         return tuple(out)
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -421,9 +377,6 @@ class SubspaceBasis:
     def contains(self, vec: Sequence) -> bool:
         return all(x == 0 for x in self.reduce_vector(vec))
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return other.vectors == self.vectors or all(self.contains(v) for v in other.vectors)
-
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim and self.vectors == other.vectors)
@@ -438,12 +391,6 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
-
-def rank(m: FieldMatrix) -> int:
-    """Dimension of the column space."""
-    _, pivots = rref(m.row_lists(), m.cols, m.field)
-    return len(pivots)
-
 
 def kernel_basis(m: FieldMatrix) -> SubspaceBasis:
     """Basis of the null space {x : m @ x = 0}."""
@@ -461,12 +408,6 @@ def kernel_basis(m: FieldMatrix) -> SubspaceBasis:
     return SubspaceBasis(f, m.cols, vecs)
 
 
-def image_basis(m: FieldMatrix) -> SubspaceBasis:
-    """Canonical basis of the column space."""
-    cols = [list(m.column(j)) for j in range(m.cols)]
-    return SubspaceBasis(m.field, m.rows, cols)
-
-
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     _check_compatible(a, b)
     return SubspaceBasis(a.field, a.ambient_dim, list(a.vectors) + list(b.vectors))
@@ -478,10 +419,6 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     f = a.field
     if a.dim == 0 or b.dim == 0:
         return SubspaceBasis.zero(f, a.ambient_dim)
-    if a.dim == a.ambient_dim:
-        return b
-    if b.dim == b.ambient_dim:
-        return a
     # Kernel vectors (u, v) of [A | B] satisfy A u = -B v, so A u runs over
     # the intersection as (u, v) runs over the kernel.
     cols = [list(v) for v in a.vectors] + [list(v) for v in b.vectors]

@@ -29,9 +29,9 @@ are filtered versions of the same reduction.
 
 Homology bases, induced maps and the Mayer–Vietoris diagnostics are the
 only dense code: paper features on small inputs, built on `inf_space` (a
-marking's infimum chains) and `inf_zb` (its cycles and boundaries), both
-memoised on the chain complex, whose dense boundary matrices are built on
-first use.
+marking's infimum chains) and `inf_zb` (its cycles and boundaries), each
+computed straight from its definition with the chain complex's dense
+boundary matrices, which are built on first use.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class ChainComplex:
     columns[n][j] is ∂_n of the j-th n-cell as (row, nonzero entry) pairs in
     row order, rows indexing (n-1)-cells; the columns of degree 0 are empty.
     `boundaries` gives the same maps as dense matrices, built on first read
-    by the subspace routes.  `memo` holds the column reductions, infimum
-    spaces and (Z, B) pairs built on this complex.
+    by the subspace routes.  `memo` holds the column reductions and dense
+    matrices built on this complex.
     """
 
     field: Field
@@ -83,15 +83,14 @@ class ChainComplex:
         return mats
 
 
-def boundary_matrices(x: DeltaSet, field: Field, validated: bool = False) -> ChainComplex:
+def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     """∂_n(cell) = Σ_i (-1)^i d_i(cell); over GF(2) the unsigned face count.
 
-    Each degree's sparse columns are built once from the face lists, and
-    ∂∂ = 0 is checked on them."""
-    if not validated:
-        report = x.validate()
-        if not report.ok:
-            raise DeltaIdentityError(report)
+    The Δ-identity is validated first.  Each degree's sparse columns are
+    built once from the face lists, and ∂∂ = 0 is checked on them."""
+    report = x.validate()
+    if not report.ok:
+        raise DeltaIdentityError(report)
     columns = []
     for n in range(x.dim_count):
         cols = []
@@ -155,8 +154,6 @@ def cycles_in_span(cc: ChainComplex, n: int, span: SubspaceBasis) -> SubspaceBas
     bd = cc.boundaries[n]
     if span.dim == 0:
         return span
-    if span.dim == span.ambient_dim:
-        return kernel_basis(bd)
     restricted = FieldMatrix.from_columns(cc.field,
                                           [list(bd.apply(v)) for v in span.vectors],
                                           bd.rows)
@@ -173,7 +170,7 @@ def cycles_in_span(cc: ChainComplex, n: int, span: SubspaceBasis) -> SubspaceBas
 
 
 # ---------------------------------------------------------------------------
-# Cycle and boundary spaces, memoised on the chain complex
+# Infimum chains, cycles and boundaries of a marked span
 # ---------------------------------------------------------------------------
 
 def _coordinates(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
@@ -182,41 +179,21 @@ def _coordinates(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis
 
 
 def inf_space(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
-    """inf_n of the marked span, D_n ∩ ∂⁻¹(D_{n-1}); memoised on the marked
-    cells in degrees n and n-1.
-
-    When ∂_n maps every marked n-cell into D_{n-1}, inf_n = D_n; that holds
-    for every Δ-subset, such as a sublevel set X(t) of a regular scheme."""
-    key = ("inf", n, marks.at(n), marks.at(n - 1))
-    inf = cc.memo.get(key)
-    if inf is None:
-        inf = _coordinates(cc, marks, n)
-        if 0 < n < cc.dim_count:
-            below = marks.at(n - 1)
-            columns = cc.columns[n]
-            if not all(i in below for j in marks.at(n) for i, _ in columns[j]):
-                pre = preimage_basis(cc.boundaries[n], _coordinates(cc, marks, n - 1))
-                inf = subspace_intersect(inf, pre)
-        cc.memo[key] = inf
-    return inf
+    """inf_n of the marked span, D_n ∩ ∂⁻¹(D_{n-1})."""
+    d_n = _coordinates(cc, marks, n)
+    if not 0 < n < cc.dim_count:
+        return d_n
+    return subspace_intersect(
+        d_n, preimage_basis(cc.boundaries[n], _coordinates(cc, marks, n - 1)))
 
 
 def inf_zb(cc: ChainComplex, marks: GradedSubset, n: int):
     """Cycles and boundaries of the infimum complex of the marked span:
-    Z = D_n ∩ ker ∂ and B = D_n ∩ ∂(D_{n+1}); memoised on the marked cells
-    in degrees n and n+1."""
-    key = ("zb", n, marks.at(n), marks.at(n + 1))
-    zb = cc.memo.get(key)
-    if zb is None:
-        d_n = _coordinates(cc, marks, n)
-        z = cycles_in_span(cc, n, d_n)
-        if n + 1 < cc.dim_count:
-            b = subspace_intersect(
-                d_n, _boundary_of_span(cc, n + 1, _coordinates(cc, marks, n + 1)))
-        else:
-            b = SubspaceBasis.zero(cc.field, d_n.ambient_dim)
-        zb = cc.memo[key] = (z, b)
-    return zb
+    Z = D_n ∩ ker ∂ and B = D_n ∩ ∂(D_{n+1})."""
+    d_n = _coordinates(cc, marks, n)
+    b = subspace_intersect(
+        d_n, _boundary_of_span(cc, n + 1, _coordinates(cc, marks, n + 1)))
+    return cycles_in_span(cc, n, d_n), b
 
 
 # ---------------------------------------------------------------------------

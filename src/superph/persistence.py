@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .delta import GradedSubset, SuperHypergraph
+from .delta import SuperHypergraph
 from .fields import Field, axpy, reduce_columns
 from .homology import ChainComplex, boundary_matrices
 from .scoring import round_score
@@ -71,24 +71,21 @@ class Filtration:
     """Sublevel filtration of a super-hypergraph at its critical values.
 
     entry[n][j] is the step at which cell (n, j) joins X(t): the first i with
-    scores[n][j] <= times[i], or math.inf if there is none.  level_x[i] /
-    level_h[i], the cells of X(t_i) and H(t_i) = H ∩ X(t_i), are built on
-    first read.
+    scores[n][j] <= times[i], or math.inf if there is none.  The chain
+    complexes and reduced filtered complexes built on it are memoised.
     """
 
-    __slots__ = ("sh", "times", "scores", "scheme_name", "entry", "_cc", "_memo")
+    __slots__ = ("sh", "times", "entry", "_cc", "_memo")
 
     def __init__(self, sh: SuperHypergraph, times: Sequence[float],
-                 scores: Sequence[Sequence[float]], scheme_name: str = ""):
+                 scores: Sequence[Sequence[float]]):
         self.sh = sh
         self.times = tuple(times)
-        self.scores = tuple(tuple(s) for s in scores)
-        self.scheme_name = scheme_name
         steps = len(self.times)
         self.entry = tuple(
             tuple(i if i < steps else math.inf
                   for i in (bisect.bisect_left(self.times, s) for s in row))
-            for row in self.scores)
+            for row in scores)
         self._cc: dict[Field, ChainComplex] = {}
         self._memo: dict = {}
 
@@ -100,21 +97,6 @@ class Filtration:
         if field not in self._cc:
             self._cc[field] = boundary_matrices(self.sh.x, field)
         return self._cc[field]
-
-    @property
-    def level_x(self) -> list[GradedSubset]:
-        if "level_x" not in self._memo:
-            self._memo["level_x"] = [
-                GradedSubset({n: [j for j, e in enumerate(row) if e <= i]
-                              for n, row in enumerate(self.entry)})
-                for i in range(self.steps)]
-        return self._memo["level_x"]
-
-    @property
-    def level_h(self) -> list[GradedSubset]:
-        if "level_h" not in self._memo:
-            self._memo["level_h"] = [self.sh.h.intersection(lx) for lx in self.level_x]
-        return self._memo["level_h"]
 
 
 def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) -> Filtration:
@@ -164,7 +146,7 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
             "scheme is not regular on this input; pass experimental=True to "
             "use infimum chains of the sublevel sets")
     times = sorted({v for row in scores for v in row})
-    return Filtration(sh, times, scores, getattr(scheme, "name", ""))
+    return Filtration(sh, times, scores)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ so the main library is checked by a second route, not by itself.  Some
 exceptions read library pieces but compute by another route:
 
 - the dense persistence route: per-step (Z, B) subspaces of every module
-  from the library's dense `inf_zb`/`inf_space`, their interval
+  from the library's dense `inf_zb`/`inf_space` (memoised here, since the
+  route asks for the same marked spans at every step), their interval
   decomposition, barcodes and triangle ranks from sums of those subspaces,
   where the library reduces one sparse filtered complex per module;
 - the rank inclusion–exclusion barcode, which computes bars from ranks of
@@ -30,17 +31,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from superph import homology
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            GradedSubset, cell_sort_key, delta_closure,
                            full_subset, max_delta_subset)
 from superph.fields import (Field, FieldMatrix, SubspaceBasis,
                             express_in_vectors, extend_independent,
-                            preimage_basis, rank as matrix_rank,
-                            subspace_intersect, subspace_sum)
+                            kernel_basis, preimage_basis, subspace_intersect,
+                            subspace_sum)
 from superph.homology import (_boundary_of_span, boundary_matrices,
-                              embedded_chain_data, inf_space, inf_zb)
+                              embedded_chain_data)
 from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
                                  TriangleRow)
+
+
+# ---------------------------------------------------------------------------
+# Dense linear algebra from the library's kernel and RREF
+# ---------------------------------------------------------------------------
+
+def rank(m: FieldMatrix) -> int:
+    """Dimension of the column space: columns minus the dimension of the
+    kernel."""
+    return m.cols - kernel_basis(m).dim
+
+
+def image_basis(m: FieldMatrix) -> SubspaceBasis:
+    """Canonical basis of the column space."""
+    return SubspaceBasis(m.field, m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def contains_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+    """Whether span(b) ⊆ span(a)."""
+    return all(a.contains(v) for v in b.vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +212,7 @@ def oracle_persistence_bars_gf2(filt, degree, marked_only=False):
     z_gens = []
     b_gens = []
     for i in range(steps):
-        level = filt.level_h[i] if marked_only else filt.level_x[i]
+        level = levels(filt)[1 if marked_only else 0][i]
         cols = sorted(level.at(n))
         up = sorted(level.at(n + 1))
         # kernel of the restricted boundary, via column elimination on
@@ -239,6 +261,46 @@ def oracle_persistence_bars_gf2(filt, degree, marked_only=False):
 # Dense persistence: per-step (Z, B) subspaces (differential oracle)
 # ---------------------------------------------------------------------------
 
+def levels(filt):
+    """(level_x, level_h): the cells of X(t_i) and of H(t_i) = H ∩ X(t_i)
+    at every step i, built once per filtration."""
+    if "oracle_levels" not in filt._memo:
+        level_x = [GradedSubset({n: [j for j, e in enumerate(row) if e <= i]
+                                 for n, row in enumerate(filt.entry)})
+                   for i in range(filt.steps)]
+        filt._memo["oracle_levels"] = (level_x,
+                                       [filt.sh.h.intersection(lx) for lx in level_x])
+    return filt._memo["oracle_levels"]
+
+
+def inf_space(cc, marks, n: int) -> SubspaceBasis:
+    """The library's `inf_space`, memoised on the chain complex by the
+    marked cells in degrees n and n-1.
+
+    When ∂_n maps every marked n-cell into D_{n-1}, inf_n = D_n, so the
+    library is not called; that holds for every Δ-subset, such as a sublevel
+    set X(t) of a regular scheme."""
+    key = ("oracle_inf", n, marks.at(n), marks.at(n - 1))
+    if key not in cc.memo:
+        below = marks.at(n - 1)
+        if 0 < n < cc.dim_count and all(i in below for j in marks.at(n)
+                                        for i, _ in cc.columns[n][j]):
+            inf = SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
+        else:
+            inf = homology.inf_space(cc, marks, n)
+        cc.memo[key] = inf
+    return cc.memo[key]
+
+
+def inf_zb(cc, marks, n: int):
+    """The library's `inf_zb`, memoised on the chain complex by the marked
+    cells in degrees n and n+1."""
+    key = ("oracle_zb", n, marks.at(n), marks.at(n + 1))
+    if key not in cc.memo:
+        cc.memo[key] = homology.inf_zb(cc, marks, n)
+    return cc.memo[key]
+
+
 def relative_zb(cc, xs, hs, n: int):
     """Cycles and boundaries presenting H_n(inf(xs) / inf(hs)), for markings
     hs ⊆ xs."""
@@ -264,17 +326,17 @@ def zb_family(filt, field: Field, which: str, degree: int):
         raise ValueError(f"unknown module kind {which!r}")
     cc = filt.chain_complex(field)
     out = []
-    for xs, hs in zip(filt.level_x, filt.level_h):
+    for xs, hs in zip(*levels(filt)):
         if which == "ambient":
             z, b = inf_zb(cc, xs, degree)
         elif which == "embedded":
             z, b = inf_zb(cc, hs, degree)
         else:
             z, b = relative_zb(cc, xs, hs, degree)
-        if not z.contains_subspace(b):
+        if not contains_subspace(z, b):
             raise AssertionError("boundary space not inside cycle space")
-        if out and not (z.contains_subspace(out[-1][0])
-                        and b.contains_subspace(out[-1][1])):
+        if out and not (contains_subspace(z, out[-1][0])
+                        and contains_subspace(b, out[-1][1])):
             raise AssertionError("monotonicity of the subquotient family broken")
         out.append((z, b))
     return out
@@ -477,7 +539,7 @@ class PersistenceModule:
             return self.dims[i]
         key = (i, j)
         if key not in self._rank_cache:
-            self._rank_cache[key] = matrix_rank(self.composite(i, j))
+            self._rank_cache[key] = rank(self.composite(i, j))
         return self._rank_cache[key]
 
     def verify_composition(self) -> bool:
@@ -611,8 +673,8 @@ def quotient_gap_betti(sh, field: Field) -> tuple[int, ...]:
                     else FieldMatrix.zeros(field, 0, cols))
     out = []
     for n in range(x.dim_count):
-        z = len(idxs[n]) - matrix_rank(mats[n])
-        b = matrix_rank(mats[n + 1]) if n + 1 < x.dim_count else 0
+        z = len(idxs[n]) - rank(mats[n])
+        b = rank(mats[n + 1]) if n + 1 < x.dim_count else 0
         out.append(z - b)
     return tuple(out)
 

@@ -1,6 +1,7 @@
 """Gate on the benchmark harness: the smallest run of a workload finishes,
 passes its output checks and reports the end-to-end metrics that
-BENCHMARK.json declares.  No timing is checked."""
+BENCHMARK.json declares, and the traced run's wrappers come off the dense
+kernels again.  No timing is checked."""
 
 import json
 import os
@@ -10,6 +11,37 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_tracer_uninstall_restores_dense_kernels(monkeypatch):
+    # the traced run patches fields.rref, FieldMatrix.apply and
+    # FieldMatrix.matmul by name: a traced job counts one call of each, and
+    # uninstall puts the original functions back
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import spans
+    from superph import fields
+
+    fm = fields.FieldMatrix
+    originals = (fields.rref, fm.__dict__["apply"], fm.__dict__["matmul"])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert fields.rref is not originals[0]
+
+        def job():
+            m = fm.identity(fields.GF2, 2)
+            fields.rref([[1, 1]], 2, fields.GF2)
+            m.apply((1, 0))
+            m.matmul(m)
+
+        tracer.job(0, job)
+    finally:
+        tracer.uninstall()
+    counts = tracer.job_metrics(0)[1]
+    assert [counts[f"fields.{k}_calls"] for k in ("rref", "apply", "matmul")] == [1, 1, 1]
+    assert fields.rref is originals[0]
+    assert fm.__dict__["apply"] is originals[1]
+    assert fm.__dict__["matmul"] is originals[2]
 
 
 def check_small_run(workload: str):

@@ -2,6 +2,7 @@
 gap series, induced maps, Mayer–Vietoris diagnostics, mod-2 parity."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,15 @@ from superph import (GF2, QQ, GF, DeltaMorphism, DeltaSet, GradedSubset,
                      geometric_gap_betti, induced_homology_map,
                      mod2_parity_check, mv_diagnostics, standard_simplex_delta,
                      subcomplex_homology)
-from superph.delta import delta_closure, max_delta_subset
+from superph import persistence
+from superph.delta import ValidationReport, delta_closure, max_delta_subset
 from superph.fields import SubspaceBasis
 
 from conftest import (collapsed_tower, pillow_delta, pillow_sh,
                       random_super_hypergraph)
-from oracles import (brute_zb_dims_gf2, dense_embedded_betti,
+from oracles import (brute_zb_dims_gf2, contains_subspace, dense_embedded_betti,
                      dense_gap_series, dense_geometric_gap_betti,
-                     quotient_gap_betti)
+                     quotient_gap_betti, rank)
 
 
 def pad(t, n):
@@ -50,14 +52,16 @@ def test_boundary_pillow():
     assert cc2.boundaries[2].column(0) == (0, 1)
 
 
-def test_boundary_validated_checks_boundary_squared():
+def test_boundary_validated_checks_boundary_squared(monkeypatch):
     # a 2-cell with the same edge as every face breaks the Δ-identity; with
-    # validate() skipped, the ∂∂ = 0 check on the sparse columns still raises
+    # validate() reporting ok, the ∂∂ = 0 check on the sparse columns still
+    # raises
     x = standard_simplex_delta(2)
     broken = DeltaSet(x.counts, [x.faces[0], x.faces[1], [(0, 0, 0)]])
+    monkeypatch.setattr(DeltaSet, "validate", lambda self: ValidationReport(True))
     for field in (GF2, GF(3), QQ):
         with pytest.raises(AssertionError, match="∂∂ != 0 between degrees 2 and 0"):
-            boundary_matrices(broken, field, validated=True)
+            boundary_matrices(broken, field)
 
 
 def test_boundary_rejects_invalid_delta():
@@ -105,13 +109,42 @@ def test_chain_data_invariants(rng):
             data = embedded_chain_data(sh, field, cc)
             for n in range(sh.x.dim_count):
                 d_n = SubspaceBasis.coordinate(field, sh.x.counts[n], sh.h.at(n))
-                assert d_n.contains_subspace(data.inf[n])
-                assert data.sup[n].contains_subspace(d_n)
+                assert contains_subspace(d_n, data.inf[n])
+                assert contains_subspace(data.sup[n], d_n)
                 if n > 0:
                     for v in data.inf[n].vectors:
                         assert data.inf[n - 1].contains(cc.boundaries[n].apply(v))
                     for v in data.sup[n].vectors:
                         assert data.sup[n - 1].contains(cc.boundaries[n].apply(v))
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ])
+def test_dense_inf_matches_sparse_inf_basis(field, rng):
+    # the dense island's inf_n, computed from its definition
+    # D_n ∩ ∂⁻¹(D_{n-1}), against the span of the sparse engine's filtered
+    # basis of the one-step marking (entry 0 on H, never elsewhere), on
+    # partial markings (some not closed under faces, so inf ≠ D) and on full
+    # markings
+    proper = full = 0
+    for case in range(16):
+        sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8,
+                                     keep=(0.5, 0.8)[case % 2])
+        x = sh.x
+        if case % 4 == 3:
+            sh = SuperHypergraph(x, full_subset(x))
+            full += 1
+        cc = boundary_matrices(x, field)
+        data = embedded_chain_data(sh, field, cc)
+        entry = tuple(tuple(0 if j in sh.h.at(n) else math.inf for j in range(count))
+                      for n, count in enumerate(x.counts))
+        for n, count in enumerate(x.counts):
+            basis = persistence._inf_basis(cc, entry, n)
+            assert set(basis.entries) <= {0}
+            span = SubspaceBasis(field, count, [[v.get(j, field.zero) for j in range(count)]
+                                                for v in basis.vectors])
+            assert data.inf[n] == span
+            proper += span != SubspaceBasis.coordinate(field, count, sh.h.at(n))
+    assert proper >= 3 and full == 4
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +576,6 @@ def test_induced_inclusion_rank_matches_brute(rng):
     ident = DeltaMorphism(x, x, [list(range(c)) for c in x.counts])
     mat = induced_homology_map(ident, sub, full, QQ, 1)
     # the boundary cycle dies in the full simplex
-    from superph.fields import rank
     assert (mat.rows, mat.cols) == (0, 1)
 
 
@@ -551,7 +583,6 @@ def test_induced_injective_onto_marked_is_invertible(rng):
     # an injective Δ-map carrying the marked set onto the marked set induces
     # an isomorphism: restrict a random pair to the Δ-closure of its marks
     from superph import delta_closure
-    from superph.fields import rank
     for _ in range(8):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         closure = delta_closure(sh)

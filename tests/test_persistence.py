@@ -12,21 +12,21 @@ from superph import (GF2, QQ, Bar, DeltaSet, GradedSubset, MultiGraph,
                      constant_scheme, correlation_matrix, full_barcode,
                      full_subset, partition_persistence, seeded_random_scheme,
                      triangle_report, vr_scheme)
-from superph import persistence
+from superph import homology, persistence
 from superph.faceops import Clustering, SubgraphFamily, primary_vertex_deletion
 from superph.fields import (GF, FieldMatrix, SubspaceBasis, express_in_vectors,
-                            preimage_basis, rank as matrix_rank,
-                            subspace_intersect)
-from superph.homology import ChainComplex, boundary_matrices, inf_space, inf_zb
+                            preimage_basis, subspace_intersect)
+from superph.homology import ChainComplex, boundary_matrices
 from superph.persistence import (ARROWS, MODULE_KINDS, DominationError,
                                  RegularityError)
 from superph.scoring import PointCloud, pullback_scheme, vr_points
 
 from conftest import pillow_delta, random_cloud, unit_square_cloud
+import oracles
 from oracles import (PersistenceModule, barcode, decomposition_barcode,
-                     dense_full_barcode, dense_triangle_report,
+                     dense_full_barcode, dense_triangle_report, inf_zb, levels,
                      oracle_persistence_bars_gf2, persistence_module,
-                     rank_full_barcode, zb_family)
+                     rank as matrix_rank, rank_full_barcode, zb_family)
 
 SQ2 = float(f"{math.sqrt(2) / 2:.12g}")
 
@@ -63,8 +63,9 @@ def test_constant_scheme_single_step():
     sh = labeled_pillow_sh()
     filt = build_filtration(sh, constant_scheme(0.0))
     assert filt.times == (0.0,)
-    assert filt.level_x[0] == full_subset(sh.x)
-    assert filt.level_h[0] == sh.h
+    level_x, level_h = levels(filt)
+    assert level_x[0] == full_subset(sh.x)
+    assert level_h[0] == sh.h
     # single-column barcode equals the static Betti table
     from superph import embedded_betti
     bc = full_barcode(filt, GF2, "embedded")
@@ -77,9 +78,10 @@ def test_constant_scheme_single_step():
 def test_square_filtration_steps():
     filt = square_filtration()
     assert filt.times == (0.0, 0.5, SQ2)
-    assert len(filt.level_x[0]) == 4
-    assert len(filt.level_x[1]) == 4 + 4
-    assert len(filt.level_x[2]) == 15
+    level_x = levels(filt)[0]
+    assert len(level_x[0]) == 4
+    assert len(level_x[1]) == 4 + 4
+    assert len(level_x[2]) == 15
 
 
 def test_empty_filtration():
@@ -124,7 +126,7 @@ def test_zb_family_rejects_shrinking_flags(monkeypatch):
     filt = square_filtration()
 
     def shrink_last(cc, marks, n):
-        if marks is filt.level_x[-1]:
+        if marks is levels(filt)[0][-1]:
             zero = SubspaceBasis.zero(cc.field, cc.space_dim(n))
             return zero, zero
         return inf_zb(cc, marks, n)
@@ -137,10 +139,11 @@ def test_zb_family_rejects_shrinking_flags(monkeypatch):
 def test_filtration_levels_nested_and_delta_closed():
     filt = square_filtration()
     from superph.homology import boundary_matrices
+    level_x = levels(filt)[0]
     for i in range(filt.steps):
-        lv = filt.level_x[i]
+        lv = level_x[i]
         if i:
-            assert filt.level_x[i - 1].issubset(lv)
+            assert level_x[i - 1].issubset(lv)
         x = filt.sh.x
         for n in range(1, x.dim_count):
             for j in lv.at(n):
@@ -270,7 +273,7 @@ def _inf_below_marking(filt) -> bool:
     unmarked face."""
     x = filt.sh.x
     return any(t not in lh.at(n - 1)
-               for lh in filt.level_h for n in range(1, x.dim_count)
+               for lh in levels(filt)[1] for n in range(1, x.dim_count)
                for j in lh.at(n) for t in x.faces[n][j])
 
 
@@ -380,8 +383,9 @@ def test_filtered_complex_checks_monotone_entries(monkeypatch):
 
 
 def test_inf_space_memo_and_shortcut_match_intersection(rng):
-    # inf_space returns D_n unreduced when the marking is closed under faces
-    # (every sublevel set X(t)) and memoises its result; both must agree with
+    # the oracle's inf_space returns D_n unreduced when the marking is closed
+    # under faces (every sublevel set X(t)) and memoises its result; both
+    # must agree with the library's plain inf_space and with
     # D_n ∩ ∂⁻¹(D_{n-1}), also on the non-closed markings H(t)
     proper = 0
     for _ in range(3):
@@ -393,8 +397,8 @@ def test_inf_space_memo_and_shortcut_match_intersection(rng):
         filt = build_filtration(SuperHypergraph(ds, marks), vr_scheme(pc))
         for field in (GF2, GF(3), QQ):
             cc = filt.chain_complex(field)
-            for closed, levels in ((True, filt.level_x), (False, filt.level_h)):
-                for level in levels:
+            for closed, marked in zip((True, False), levels(filt)):
+                for level in marked:
                     for n in range(ds.dim_count):
                         d_n = SubspaceBasis.coordinate(field, cc.space_dim(n), level.at(n))
                         want = d_n
@@ -403,9 +407,9 @@ def test_inf_space_memo_and_shortcut_match_intersection(rng):
                                                                level.at(n - 1))
                             want = subspace_intersect(
                                 d_n, preimage_basis(cc.boundaries[n], d_below))
-                        got = inf_space(cc, level, n)
-                        assert got == want
-                        assert inf_space(cc, level, n) is got
+                        got = oracles.inf_space(cc, level, n)
+                        assert got == want == homology.inf_space(cc, level, n)
+                        assert oracles.inf_space(cc, level, n) is got
                         if closed:
                             assert want == d_n
                         elif want != d_n:
