@@ -75,10 +75,12 @@ class JobConfig:
             current = getattr(cfg, key)
             if isinstance(current, bool):
                 value = str(value).lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
+            elif isinstance(current, (int, float)):
+                try:
+                    value = type(current)(value)
+                except ValueError:
+                    raise UsageError(f"config key {key!r}: bad {type(current).__name__} "
+                                     f"{value!r}") from None
             setattr(cfg, key, value)
         return cfg
 
@@ -89,7 +91,10 @@ class JobConfig:
         if name == "rational":
             return QQ
         if name.startswith("gfp:"):
-            return GF(int(name.split(":", 1)[1]))
+            try:
+                return GF(int(name.split(":", 1)[1]))
+            except ValueError as exc:
+                raise UsageError(f"bad field {self.field!r}: {exc}") from None
         raise UsageError(f"unknown field {self.field!r} (gf2 | gfp:<p> | rational)")
 
 

@@ -111,10 +111,6 @@ class DeltaSet:
     def dim_count(self) -> int:
         return len(self.counts)
 
-    @property
-    def top_dim(self) -> int:
-        return len(self.counts) - 1
-
     def n_cells(self, dim: int) -> int:
         return self.counts[dim] if 0 <= dim < len(self.counts) else 0
 
@@ -275,9 +271,6 @@ class DeltaMorphism:
     def apply(self, cell: CellId) -> CellId:
         dim, idx = cell
         return (dim, self.maps[dim][idx])
-
-    def apply_subset(self, sub: GradedSubset) -> GradedSubset:
-        return GradedSubset.from_cells(self.apply(c) for c in sub.cells())
 
 
 @dataclass(frozen=True)

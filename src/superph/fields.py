@@ -3,7 +3,10 @@
 Every homology computation in this package reduces to rank, kernel, image,
 intersection and preimage problems over a coefficient field.  The static
 ranks of boundary matrices and every persistence module come from one
-sparse lowest-one column reduction, `reduce_columns`.  The dense subspace
+sparse lowest-one column reduction, `reduce_columns`, on sparse vectors
+{index: nonzero scalar}.  Its echelon step, `reduce_vector`, also writes a
+vector in any family with distinct lows (the triangular solves of the
+persistence layer), and `combine` forms Σ c·v.  The dense subspace
 routines are plain Gauss–Jordan elimination (`rref`), one loop for every
 field; they serve homology bases, induced maps and the Mayer–Vietoris
 diagnostics on small inputs.  All routines are exact.
@@ -166,17 +169,52 @@ def axpy(field: Field, dst: dict, c, src: dict):
             del dst[i]
 
 
-def reduce_columns(field: Field, columns: Iterable, row_rank: dict | None = None
+def combine(field: Field, coeffs: dict, vectors) -> dict:
+    """Σ c · vectors[k] over coeffs {k: c}, as a sparse vector without
+    zeros."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        for i, b in vectors[k].items():
+            out[i] = field.add(out[i], field.mul(c, b)) if i in out else field.mul(c, b)
+    return {i: a for i, a in out.items() if a}
+
+
+def reduce_vector(field: Field, r: dict, owner: dict, vectors, key=None) -> tuple:
+    """Reduce the sparse vector r, in place, against vectors with distinct
+    lows.
+
+    The low of a nonzero vector is its index that comes last in the pivot
+    order: the greatest `key(index)`, or the greatest index when key is
+    None.  owner[low] = k when vectors[k] has that low.  While the low of r
+    is owned, the multiple of its owner that cancels it is subtracted, so
+    the low only falls and each owner is used at most once.
+
+    Returns (low, multiples): the low of what is left of r, owned by no
+    vector (None when r reduced to zero), and {k: scalar} with
+    r as given = r as left + Σ scalar · vectors[k].
+    """
+    multiples: dict = {}
+    while r:
+        low = max(r, key=key)
+        k = owner.get(low)
+        if k is None:
+            return low, multiples
+        v = vectors[k]
+        a = v[low]
+        c = multiples[k] = r[low] if a == 1 else field.mul(r[low], field.inv(a))
+        axpy(field, r, c, v)
+    return None, multiples
+
+
+def reduce_columns(field: Field, columns: Iterable[dict], row_rank: dict | None = None
                    ) -> tuple[list, list[dict], list[dict]]:
     """Lowest-one column reduction (Edelsbrunner–Letscher–Zomorodian 2002,
     Zomorodian–Carlsson 2005) of sparse columns over any field.
 
-    Each column is an iterable of (row, nonzero scalar) pairs or a dict
-    {row: nonzero scalar}; columns are reduced in the order given.  The low
-    of a column is its nonzero row that comes last in the pivot order: the
-    row with the greatest `row_rank[row]`, or the greatest row index when
-    `row_rank` is None.  A column whose low is already taken is reduced by
-    the earlier column owning that low, until its low is new or it is zero.
+    Each column is a dict {row: nonzero scalar}; columns are reduced in the
+    order given, each by `reduce_vector` against the earlier columns that
+    own a low.  The pivot order of the rows is `row_rank[row]`, or the row
+    index when `row_rank` is None.
 
     Returns (lows, vs, reduced): lows[j] is the low of reduced column j,
     None when it reduced to zero, reduced[j] is that column as {row: nonzero
@@ -192,19 +230,12 @@ def reduce_columns(field: Field, columns: Iterable, row_rank: dict | None = None
     owner: dict = {}
     for j, col in enumerate(columns):
         r = dict(col)
+        low, multiples = reduce_vector(field, r, owner, reduced, key)
         v = {j: field.one}
-        low = None
-        while r:
-            low = max(r, key=key)
-            k = owner.get(low)
-            if k is None:
-                owner[low] = j
-                break
-            rk = reduced[k]
-            c = field.mul(r[low], field.inv(rk[low]))
-            axpy(field, r, c, rk)
+        for k, c in multiples.items():
             axpy(field, v, c, vs[k])
-            low = None
+        if low is not None:
+            owner[low] = j
         lows.append(low)
         vs.append(v)
         reduced.append(r)
@@ -244,12 +275,12 @@ class FieldMatrix:
 
     @classmethod
     def from_sparse_columns(cls, field: Field, nrows: int,
-                            columns: Sequence[Sequence[tuple[int, object]]]) -> "FieldMatrix":
-        """Dense matrix from per-column (row, nonzero entry) pairs."""
+                            columns: Sequence[dict]) -> "FieldMatrix":
+        """Dense matrix from sparse columns {row: nonzero entry}."""
         nc = len(columns)
         flat = [field.zero] * (nrows * nc)
         for j, col in enumerate(columns):
-            for i, a in col:
+            for i, a in col.items():
                 flat[i * nc + j] = a
         return cls(field, nrows, nc, flat)
 

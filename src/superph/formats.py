@@ -344,52 +344,59 @@ def write_barcodes_csv(path, barcodes: Iterable[Barcode]):
     atomic_write(path, "\n".join(out) + "\n")
 
 
-def read_barcodes_csv(path) -> list[Barcode]:
-    groups: dict[str, list[Bar]] = {}
+def _csv_rows(path, header: str, what: str, parse) -> list:
+    """parse(line) for each non-blank line after the header line, which must
+    read `header`; a ValueError from parse is a FormatError at its line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "degree,birth,death,multiplicity,module":
-        raise FormatError(path, 1, "missing barcode header")
+    if not lines or lines[0] != header:
+        raise FormatError(path, 1, f"missing {what} header")
+    out = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise FormatError(path, lineno, f"expected 5 fields, got {len(parts)}")
-        try:
-            degree = int(parts[0])
-            birth = float(parts[1])
-            death = math.inf if parts[2] == "inf" else float(parts[2])
-            mult = int(parts[3])
-        except ValueError as exc:
-            raise FormatError(path, lineno, str(exc)) from exc
-        groups.setdefault(parts[4], []).append(Bar(degree, birth, death, mult))
+        if line.strip():
+            try:
+                out.append(parse(line))
+            except ValueError as exc:
+                raise FormatError(path, lineno, str(exc)) from exc
+    return out
+
+
+def _fields(line: str, count: int) -> list[str]:
+    parts = line.split(",")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} fields, got {len(parts)}")
+    return parts
+
+
+def read_barcodes_csv(path) -> list[Barcode]:
+    groups: dict[str, list[Bar]] = {}
+
+    def add(line):
+        degree, birth, death, mult, module = _fields(line, 5)
+        groups.setdefault(module, []).append(Bar(
+            int(degree), float(birth), math.inf if death == "inf" else float(death),
+            int(mult)))
+
+    _csv_rows(path, "degree,birth,death,multiplicity,module", "barcode", add)
     return [Barcode(module, tuple(bars)) for module, bars in sorted(groups.items())]
 
 
 def read_betti_csv(path) -> dict[str, list[int]]:
     tables: dict[str, list[int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "module,degree,value":
-        raise FormatError(path, 1, "missing betti header")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        module, degree, value = line.split(",")
+
+    def add(line):
+        module, degree, value = _fields(line, 3)
         row = tables.setdefault(module, [])
         if int(degree) != len(row):
-            raise FormatError(path, lineno, "degrees out of order")
+            raise ValueError("degrees out of order")
         row.append(int(value))
+
+    _csv_rows(path, "module,degree,value", "betti", add)
     return tables
 
 
 def read_gap_csv(path) -> list[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "degree,value":
-        raise FormatError(path, 1, "missing gap header")
-    return [int(line.split(",")[1]) for line in lines[1:] if line.strip()]
+    return _csv_rows(path, "degree,value", "gap", lambda line: int(_fields(line, 2)[1]))
 
 
 def write_correlation_csv(path, matrices: Iterable):
@@ -405,20 +412,15 @@ def read_correlation_csv(path) -> list[tuple[str, str, str]]:
     """(arrow, source interval id, target interval id) per row.  Interval ids
     end in `[birth,death)` and so hold a comma; the two ids of a row are split
     at the first `),`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "arrow,row,col,value":
-        raise FormatError(path, 1, "missing correlation header")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+
+    def triple(line):
         arrow, _, ids = line.partition(",")
         row, sep, col = ids.removesuffix(",1").partition("),")
         if not (arrow and row and sep and col.endswith(")") and ids.endswith(",1")):
-            raise FormatError(path, lineno, f"bad correlation triple: {line!r}")
-        out.append((arrow, row + ")", col))
-    return out
+            raise ValueError(f"bad correlation triple: {line!r}")
+        return arrow, row + ")", col
+
+    return _csv_rows(path, "arrow,row,col,value", "correlation", triple)
 
 
 def write_triangle_csv(path, report):

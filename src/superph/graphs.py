@@ -55,9 +55,6 @@ class MultiGraph:
     def edges(self) -> frozenset:
         return frozenset(self.edge_ends)
 
-    def ends(self, e) -> tuple:
-        return self.edge_ends[e]
-
     def is_simple(self) -> bool:
         seen = set()
         for u, v in self.edge_ends.values():
@@ -69,10 +66,6 @@ class MultiGraph:
             seen.add(key)
         return True
 
-    def out_neighbors(self, v) -> set:
-        """Adjacent vertices (out-neighbors when directed)."""
-        return set(self._adj[v])
-
     def neighbors(self, v) -> set:
         """Adjacent vertices ignoring direction and loops."""
         return self._adj[v] | self._in_adj[v]
@@ -80,10 +73,6 @@ class MultiGraph:
     def edges_between(self, u, v) -> list:
         """Edge ids joining u and v (from u to v when directed), sorted."""
         return list(self._between.get((u, v), ()))
-
-    def adjacent(self, u, v) -> bool:
-        """True iff some edge joins u and v (either direction), u != v."""
-        return u != v and (v in self._adj[u] or (self.directed and u in self._adj[v]))
 
     def subgraph(self, vertices: Iterable, edges: Iterable) -> "Subgraph":
         return Subgraph(self, vertices, edges)
@@ -135,9 +124,6 @@ class Subgraph:
     def key(self) -> tuple:
         """Canonical encoding (sorted vertex ids, sorted edge ids)."""
         return self._key
-
-    def ends(self, e) -> tuple:
-        return self.host.edge_ends[e]
 
     def delete_vertex(self, v) -> "Subgraph":
         """Remove v together with all incident edges."""

@@ -43,17 +43,19 @@ from typing import Iterable, Sequence
 from .delta import (CellId, DeltaIdentityError, DeltaMorphism, DeltaSet,
                     GradedSubset, SuperHypergraph, delta_closure, full_subset,
                     max_delta_subset, validate_morphism)
-from .fields import (Field, FieldMatrix, SubspaceBasis, express_in_vectors,
-                     extend_independent, kernel_basis, preimage_basis,
-                     reduce_columns, subspace_intersect, subspace_sum)
+from .fields import (Field, FieldMatrix, SubspaceBasis, combine,
+                     express_in_vectors, extend_independent, kernel_basis,
+                     preimage_basis, reduce_columns, subspace_intersect,
+                     subspace_sum)
 
 
 @dataclass(frozen=True)
 class ChainComplex:
     """Per-degree boundary maps of a Δ-set over a field.
 
-    columns[n][j] is ∂_n of the j-th n-cell as (row, nonzero entry) pairs in
-    row order, rows indexing (n-1)-cells; the columns of degree 0 are empty.
+    columns[n][j] is ∂_n of the j-th n-cell as a sparse column {row: nonzero
+    entry} in row order, rows indexing (n-1)-cells; the columns of degree 0
+    are empty.
     `boundaries` gives the same maps as dense matrices, built on first read
     by the subspace routes.  `memo` holds the column reductions and dense
     matrices built on this complex.
@@ -61,7 +63,7 @@ class ChainComplex:
 
     field: Field
     dims: tuple[int, ...]
-    columns: tuple[tuple[tuple[tuple[int, object], ...], ...], ...]
+    columns: tuple[tuple[dict, ...], ...]
     memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -101,17 +103,11 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
                 for t in x.faces[n][j]:
                     col[t] = field.add(col.get(t, field.zero), sign)
                     sign = field.neg(sign)
-            cols.append(tuple(sorted((i, a) for i, a in col.items() if a)))
+            cols.append({i: a for i, a in sorted(col.items()) if a})
         columns.append(tuple(cols))
     for n in range(2, x.dim_count):
-        below = columns[n - 1]
-        for col in columns[n]:
-            acc: dict = {}
-            for t, a in col:
-                for i, b in below[t]:
-                    acc[i] = field.add(acc.get(i, field.zero), field.mul(a, b))
-            if any(acc.values()):
-                raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
+        if any(combine(field, col, columns[n - 1]) for col in columns[n]):
+            raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
     return ChainComplex(field, x.counts, tuple(columns))
 
 

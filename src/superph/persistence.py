@@ -26,7 +26,8 @@ marked n-cells, in order of entry, are reduced against rows ordered by
 entry (never-marked rows last); the V column of cell σ enters at the entry
 of σ, or of its low when that is later, and is dropped if that is never.
 The basis vectors have distinct lead cells, so coordinates in the basis
-are a triangular solve by lead.
+are a triangular solve by lead (`fields.reduce_vector`, the echelon step of
+the column reduction).
 
 In a complex reduced in (entry, position) order, a pair (low ρ, column τ)
 is the bar [e(ρ), e(τ)), kept when it has positive length, with the
@@ -34,9 +35,11 @@ reduced column as its representative; an unpaired zero column σ is the bar
 [e(σ), ∞) with its V column as representative.  These representatives
 have distinct lows, so a cycle is written in them by one triangular solve
 by low, whatever the step: that gives the correlation matrices.  The
-triangle's dimensions and ranks come from sums of cycle and boundary
-spaces, dim(Z + B)(t) - dim B(t), by incremental reductions in entry
-order, so its exactness remains a check independent of the barcodes.
+triangle reads each module's dimension dim Z(t) - dim B(t) off the same
+reduction, whose cycle pivots and killing columns are bases of Z(t) and
+B(t); only its ranks J, P and the connecting rank reduce sums of two
+modules' spaces, dim(Z' + B)(t) - dim B(t), in entry order, so its
+exactness checks the modules' reductions against independent ones.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .delta import SuperHypergraph
-from .fields import Field, axpy, reduce_columns
+from .fields import Field, combine, reduce_columns, reduce_vector
 from .homology import ChainComplex, boundary_matrices
 from .scoring import round_score
 
@@ -155,12 +158,7 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
 
 def _chain_boundary(cc: ChainComplex, n: int, chain: dict) -> dict:
     """∂_n of a sparse chain {n-cell: scalar}."""
-    f = cc.field
-    out: dict = {}
-    for j, c in chain.items():
-        for i, a in cc.columns[n][j]:
-            out[i] = f.add(out.get(i, f.zero), f.mul(c, a))
-    return {i: a for i, a in out.items() if a}
+    return combine(cc.field, chain, cc.columns[n])
 
 
 class _Basis(NamedTuple):
@@ -177,15 +175,10 @@ class _Basis(NamedTuple):
     def coordinates(self, field: Field, chain: dict) -> dict:
         """{k: scalar} with chain = Σ scalar · vectors[k], by a triangular
         solve by lead."""
-        x = dict(chain)
-        out = {}
-        while x:
-            j = max(x, key=lambda cell: self.rank.get(cell, math.inf))
-            k = self.lead.get(j)
-            if k is None:
-                raise AssertionError("chain outside the infimum complex")
-            out[k] = c = x[j]
-            axpy(field, x, c, self.vectors[k])
+        low, out = reduce_vector(field, dict(chain), self.lead, self.vectors,
+                                 lambda cell: self.rank.get(cell, math.inf))
+        if low is not None:
+            raise AssertionError("chain outside the infimum complex")
         return out
 
 
@@ -203,7 +196,7 @@ def _inf_basis(cc: ChainComplex, entry: Sequence[Sequence], n: int) -> _Basis:
     rank = {j: r for r, j in enumerate(cells)}
     one = cc.field.one
     below = entry[n - 1] if n else ()
-    if all(below[i] <= e[j] for j in cells for i, _ in cc.columns[n][j]):
+    if all(below[i] <= e[j] for j in cells for i in cc.columns[n][j]):
         return _Basis(tuple(e[j] for j in cells), tuple({j: one} for j in cells),
                       {j: k for k, j in enumerate(cells)}, rank)
     rows = sorted(range(len(below)), key=lambda i: (below[i], i))
@@ -242,12 +235,8 @@ def _check_filtered(field: Field, entries, columns):
         for k, col in enumerate(columns[n]):
             if any(entries[n - 1][r] > entries[n][k] for r in col):
                 raise AssertionError("monotonicity of the filtered basis broken")
-            if n > 1:
-                dd: dict = {}
-                for r, c in col.items():
-                    axpy(field, dd, field.neg(c), columns[n - 1][r])
-                if dd:
-                    raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
+            if n > 1 and combine(field, col, columns[n - 1]):
+                raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
 
 
 class _Complex:
@@ -267,7 +256,6 @@ class _Complex:
     def __init__(self, field: Field, entries, columns, chains, coordinates, top: int):
         self.field = field
         self.entries = entries
-        self.columns = columns
         self.chains = chains
         self.coordinates = coordinates
         self.rank = [{k: p for p, k in enumerate(sorted(range(len(e)),
@@ -279,7 +267,7 @@ class _Complex:
         # positive element of degree n -> (killing element of degree n+1,
         # its reduced column)
         self.cycles: list[dict] = []
-        killers: list[dict] = [{} for _ in entries]
+        self.killers = killers = [{} for _ in entries]
         for n, e in enumerate(entries):
             if n == 0:
                 self.cycles.append({k: {k: f.one} for k in range(len(e))})
@@ -296,7 +284,10 @@ class _Complex:
                 else:
                     killers[n - 1][low] = (k, r)
             self.cycles.append(cyc)
+        # reps[n]: the representative of each degree-n cycle pivot, keyed by
+        # its low; each owns its own low in `solve`
         self.reps: list[dict] = []
+        self.owners: list[dict] = []
         self.summands: list[list[_Summand]] = []
         for n in range(top):
             reps, summands = {}, []
@@ -312,14 +303,11 @@ class _Complex:
             summands.sort(key=lambda u: (u.birth, math.inf if u.death is None else u.death,
                                          self.rank[n][u.low]))
             self.reps.append(reps)
+            self.owners.append(dict(zip(reps, reps)))
             self.summands.append(summands)
 
     def chain(self, n: int, coords: dict) -> dict:
-        out: dict = {}
-        f = self.field
-        for k, c in coords.items():
-            axpy(f, out, f.neg(c), self.chains[n][k])
-        return out
+        return combine(self.field, coords, self.chains[n])
 
     def representative(self, n: int, summand: _Summand) -> dict:
         """The representative cycle of a summand, as a chain."""
@@ -328,17 +316,10 @@ class _Complex:
     def solve(self, n: int, coords: dict) -> dict:
         """Coefficients {low: scalar} of a degree-n cycle, given in basis
         coordinates, in the representatives: one triangular solve by low."""
-        f = self.field
-        x = dict(coords)
-        out = {}
-        while x:
-            low = max(x, key=self.rank[n].__getitem__)
-            rep = self.reps[n].get(low)
-            if rep is None:
-                raise AssertionError("arrow image outside the target cycle space")
-            c = f.mul(x[low], f.inv(rep[low]))
-            axpy(f, x, c, rep)
-            out[low] = c
+        low, out = reduce_vector(self.field, dict(coords), self.owners[n], self.reps[n],
+                                 self.rank[n].__getitem__)
+        if low is not None:
+            raise AssertionError("arrow image outside the target cycle space")
         return out
 
     def cycle_chains(self, n: int) -> list[tuple[int, dict]]:
@@ -346,11 +327,10 @@ class _Complex:
         return [(self.entries[n][k], self.chain(n, v)) for k, v in self.cycles[n].items()]
 
     def boundary_chains(self, n: int) -> list[tuple[int, dict]]:
-        """(entry, chain) generators of the boundary spaces B(t) in degree n."""
-        if n + 1 >= len(self.entries):
-            return []
-        return [(self.entries[n + 1][k], self.chain(n, col))
-                for k, col in enumerate(self.columns[n + 1])]
+        """(entry, chain) bases of the boundary spaces B(t) in degree n: the
+        reduced killing columns."""
+        return [(self.entries[n + 1][t], self.chain(n, r))
+                for t, r in self.killers[n].values()]
 
 
 def _bases(filt: Filtration, field: Field, which: str) -> tuple[_Basis, ...]:
@@ -577,15 +557,20 @@ class TriangleReport:
     exact: bool
 
 
+def _step_counts(entries, steps: int) -> list[int]:
+    """The number of entries at or before each step."""
+    new = [0] * steps
+    for i in entries:
+        new[i] += 1
+    return list(itertools.accumulate(new))
+
+
 def _rank_profile(field: Field, gens: list[tuple[int, dict]], steps: int) -> list[int]:
     """dim span{v : (i, v) in gens, i <= s} at every step s, from one
     reduction of the generators in entry order."""
     gens = sorted(gens, key=lambda g: g[0])
-    new = [0] * steps
-    for (i, _), low in zip(gens, reduce_columns(field, [v for _, v in gens])[0]):
-        if low is not None:
-            new[i] += 1
-    return list(itertools.accumulate(new))
+    lows = reduce_columns(field, [v for _, v in gens])[0]
+    return _step_counts([i for (i, _), low in zip(gens, lows) if low is not None], steps)
 
 
 def triangle_report(filt: Filtration, field: Field) -> TriangleReport:
@@ -594,10 +579,14 @@ def triangle_report(filt: Filtration, field: Field) -> TriangleReport:
     value; flags any failure of exactness (there must be none).
 
     With Z and B the cycle and boundary spaces of each module as chains of
-    X_n (the relative ones presenting inf(X)/inf(H)), every entry is
-    dim(Z' + B)(t) - dim B(t): the dimensions from each module's own pair,
-    rank J from (Z_emb, B_amb), rank P from (Z_amb, B_rel) and the connecting
-    rank from (∂Z_rel, B_emb one degree down)."""
+    X_n (the relative ones presenting inf(X)/inf(H)), each module's
+    dimension dim Z(t) - dim B(t) is read off its own reduction: its cycle
+    pivots and its killing columns, each entering at one step, are bases of
+    Z(t) and B(t).  The ranks are dim(Z' + B)(t) - dim B(t), each from one
+    reduction of a sum of two modules' spaces: rank J from (Z_emb, B_amb),
+    rank P from (Z_amb, B_rel) and the connecting rank from (∂Z_rel, B_emb
+    one degree down).  So exactness checks the three modules' reductions
+    against three independent ones."""
     steps, nd = filt.steps, filt.sh.x.dim_count
     if not steps:
         return TriangleReport((), True)
@@ -606,22 +595,26 @@ def triangle_report(filt: Filtration, field: Field) -> TriangleReport:
     z = {(w, n): cxs[w].cycle_chains(n) for w in MODULE_KINDS for n in range(nd)}
     b = {(w, n): cxs[w].boundary_chains(n) for w in MODULE_KINDS for n in range(nd)}
 
-    def quotient(zs, bs, b_profile):
-        return [s - t for s, t in zip(_rank_profile(field, zs + bs, steps), b_profile)]
+    def dim(basis):
+        return _step_counts([i for i, _ in basis], steps)
 
-    b_dim = {key: _rank_profile(field, gens, steps) for key, gens in b.items()}
+    def quotient(span, bs):
+        return [s - t for s, t in zip(span, dim(bs))]
+
+    def rank(zs, bs):
+        return quotient(_rank_profile(field, zs + bs, steps), bs)
+
     zero = [0] * steps
     connecting = [zero] + [
-        quotient([(i, _chain_boundary(cc, n, v)) for i, v in z["relative", n]],
-                 b["embedded", n - 1], b_dim["embedded", n - 1])
+        rank([(i, _chain_boundary(cc, n, v)) for i, v in z["relative", n]],
+             b["embedded", n - 1])
         for n in range(1, nd)] + [zero]
     rows = []
     exact = True
     for n in range(nd):
-        dims = [quotient(z[w, n], b[w, n], b_dim[w, n])
-                for w in ("embedded", "ambient", "relative")]
-        rank_j = quotient(z["embedded", n], b["ambient", n], b_dim["ambient", n])
-        rank_p = quotient(z["ambient", n], b["relative", n], b_dim["relative", n])
+        dims = [quotient(dim(z[w, n]), b[w, n]) for w in ("embedded", "ambient", "relative")]
+        rank_j = rank(z["embedded", n], b["ambient", n])
+        rank_p = rank(z["ambient", n], b["relative", n])
         for i in range(steps):
             dim_e, dim_a, dim_r = (d[i] for d in dims)
             ok_amb = rank_j[i] + rank_p[i] == dim_a

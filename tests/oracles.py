@@ -37,7 +37,7 @@ from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            full_subset, max_delta_subset)
 from superph.fields import (Field, FieldMatrix, SubspaceBasis,
                             express_in_vectors, extend_independent,
-                            kernel_basis, preimage_basis, subspace_intersect,
+                            preimage_basis, rref, subspace_intersect,
                             subspace_sum)
 from superph.homology import (_boundary_of_span, boundary_matrices,
                               embedded_chain_data)
@@ -50,9 +50,9 @@ from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
 # ---------------------------------------------------------------------------
 
 def rank(m: FieldMatrix) -> int:
-    """Dimension of the column space: columns minus the dimension of the
-    kernel."""
-    return m.cols - kernel_basis(m).dim
+    """Dimension of the column space: the number of pivots of the rows'
+    reduced echelon form."""
+    return len(rref(m.row_lists(), m.cols, m.field)[1])
 
 
 def image_basis(m: FieldMatrix) -> SubspaceBasis:
@@ -284,7 +284,7 @@ def inf_space(cc, marks, n: int) -> SubspaceBasis:
     if key not in cc.memo:
         below = marks.at(n - 1)
         if 0 < n < cc.dim_count and all(i in below for j in marks.at(n)
-                                        for i, _ in cc.columns[n][j]):
+                                        for i in cc.columns[n][j]):
             inf = SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
         else:
             inf = homology.inf_space(cc, marks, n)

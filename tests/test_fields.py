@@ -53,7 +53,7 @@ def test_rank_nullity(field, rng):
         m = FieldMatrix(field, rows, cols,
                         [rng.randint(-3, 3) for _ in range(rows * cols)])
         assert rank(m) + kernel_basis(m).dim == cols
-        # column rank from the rows' kernel equals the column space's dimension
+        # row rank from the pivots equals the column space's dimension
         assert rank(m) == image_basis(m).dim
 
 
@@ -71,7 +71,7 @@ def test_reduce_columns_lows_and_v(field, rng):
         order = list(range(rows))
         rng.shuffle(order)
         row_rank = {r: k for k, r in enumerate(order)}
-        columns = [[(i, a) for i, a in enumerate(m.column(j)) if a] for j in range(cols)]
+        columns = [{i: a for i, a in enumerate(m.column(j)) if a} for j in range(cols)]
         lows, vs, reduced = reduce_columns(field, columns, row_rank)
         found = [low for low in lows if low is not None]
         assert len(found) == len(set(found)) == rank(m)

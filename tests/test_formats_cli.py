@@ -161,6 +161,25 @@ def test_betti_gap_correlation_round_trips(tmp_path):
     assert formats.read_gap_csv(p2) == [0, 2, 1]
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    ("read_betti_csv", "module,degree,value\nembedded,0,1\nembedded,1\n",
+     "expected 3 fields, got 2"),
+    ("read_betti_csv", "module,degree,value\nembedded,0,1\nembedded,1,x\n",
+     "invalid literal for int()"),
+    ("read_betti_csv", "module,degree,value\nembedded,0,1\nembedded,2,1\n",
+     "degrees out of order"),
+    ("read_gap_csv", "degree,value\n0,0\n1\n", "expected 2 fields, got 1"),
+    ("read_gap_csv", "degree,value\n0,0\n1,one\n", "invalid literal for int()"),
+])
+def test_betti_gap_malformed_row(tmp_path, reader, text, message):
+    # a short or non-integer row names its file and line
+    p = tmp_path / "table.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError) as err:
+        getattr(formats, reader)(p)
+    assert f"table.csv:3: {message}" in str(err.value)
+
+
 def test_correlation_csv_round_trip(tmp_path):
     # interval ids end in "[birth,death)" and so hold a comma
     from superph import (QQ, SuperHypergraph, build_filtration, clique_delta,
@@ -390,6 +409,27 @@ def test_cli_usage_errors(tmp_path):
     cloud = write_square_inputs(tmp_path)
     assert main(["persist", "--cloud", str(cloud), "--construction", "zz",
                  "--scheme", "vr"]) == 1
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ("max_dim = two\n", [], "config key 'max_dim': bad int 'two'"),
+    (None, ["--field", "gfp:4"], "bad field 'gfp:4': modulus must be a prime"),
+    (None, ["--field", "gfp:x"], "bad field 'gfp:x'"),
+])
+def test_cli_unparsable_config_value_is_usage_error(tmp_path, capsys, config, flags,
+                                                    message):
+    # a config value that does not parse is a usage/config error (exit 1),
+    # not a validation failure (exit 2)
+    cloud = write_square_inputs(tmp_path)
+    argv = ["homology", "--cloud", str(cloud), "--construction", "clique",
+            "--out", str(tmp_path / "out")] + flags
+    if config is not None:
+        job = tmp_path / "job.cfg"
+        job.write_text(config)
+        argv += ["--config", str(job)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 def test_cli_validate_reports_violation(tmp_path, capsys):

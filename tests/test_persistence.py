@@ -339,10 +339,9 @@ def _tampered(field):
     filt = square_filtration()
     cc = boundary_matrices(filt.sh.x, field)
     first = min(range(cc.dims[1]), key=lambda e: (filt.entry[1][e], e))
-    triangle = next(j for j, col in enumerate(cc.columns[2])
-                    if first in dict(col))
+    triangle = next(j for j, col in enumerate(cc.columns[2]) if first in col)
     columns = list(cc.columns)
-    columns[2] = tuple(((first, field.one),) if j == triangle else col
+    columns[2] = tuple({first: field.one} if j == triangle else col
                        for j, col in enumerate(columns[2]))
     return filt, ChainComplex(field, cc.dims, tuple(columns))
 
@@ -648,6 +647,35 @@ def test_triangle_random_subsets(rng):
         filt = build_filtration(SuperHypergraph(ds, marks), vr_scheme(pc))
         assert triangle_report(filt, GF2).exact
         assert triangle_report(filt, QQ).exact
+
+
+def test_triangle_reduces_only_sums_of_spaces(rng, monkeypatch):
+    # each module's dimensions come from its own reduction, so once the three
+    # modules are reduced the triangle reduces only the sums behind rank J,
+    # rank P and the connecting rank: 3·nd - 1 reductions on an nd-degree
+    # filtration, and the rows still equal the dense route's
+    real = persistence.reduce_columns
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(persistence, "reduce_columns", counted)
+    for field in (GF2, GF(3), QQ):
+        pc = PointCloud({i: (round(rng.uniform(0, 4), 3), round(rng.uniform(0, 4), 3))
+                         for i in range(5)})
+        ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=3)
+        marks = GradedSubset({n: {j for j in range(ds.counts[n]) if rng.random() < 0.6}
+                              for n in range(ds.dim_count)})
+        filt = build_filtration(SuperHypergraph(ds, marks), vr_scheme(pc))
+        for which in MODULE_KINDS:
+            full_barcode(filt, field, which)
+        calls.clear()
+        report = triangle_report(filt, field)
+        assert len(calls) == 3 * ds.dim_count - 1 == 11
+        assert report.exact
+        assert report == dense_triangle_report(filt, field)
 
 
 # ---------------------------------------------------------------------------
