@@ -48,7 +48,7 @@ print("Δ-identity holds:", pillow.validate().ok)
 sh3 = SuperHypergraph(pillow, GradedSubset({2: {0, 1}}))
 data = embedded_chain_data(sh3, QQ)
 print("inf_2 dimension:", data.inf[2].dim,
-      " contains f1 - f2:", data.inf[2].contains([1, -1]))
+      " contains f1 - f2:", data.inf[2].contains({0: 1, 1: -1}))
 print("embedded Betti:", embedded_betti(sh3, QQ))
 print("-> the difference of the parallel faces is an embedded 2-cycle.")
 

@@ -1,18 +1,20 @@
 """Exact linear algebra over GF(2), GF(p) and the rationals.
 
 Every homology computation in this package reduces to rank, kernel, image,
-intersection and preimage problems over a coefficient field.  The static
-ranks of boundary matrices and every persistence module come from one
-sparse lowest-one column reduction, `reduce_columns`, on sparse vectors
-{index: nonzero scalar}.  Its echelon step, `reduce_vector`, also writes a
-vector in any family with distinct lows (the triangular solves of the
-persistence layer), and `combine` forms Σ c·v.  The dense subspace
-routines are plain Gauss–Jordan elimination (`rref`), one loop for every
-field; they serve homology bases, induced maps and the Mayer–Vietoris
-diagnostics on small inputs.  All routines are exact.
-Dense pivots are always the first nonzero entry in column order, so every
-derived basis is canonical and results are bit-for-bit reproducible across
-runs.
+intersection and preimage problems over a coefficient field, and every one
+of them is solved by one sparse lowest-one column reduction,
+`reduce_columns`, on sparse vectors {index: nonzero scalar}.  Its echelon
+step, `reduce_vector`, also writes a vector in any family with distinct
+lows (the triangular solves of the persistence layer), and `combine` forms
+Σ c·v.  A `Span` keeps the reduced echelon basis of a subspace, so equal
+spans compare equal and results are bit-for-bit reproducible across runs:
+a sum of spans is one reduction of their vectors, and a kernel
+(`relations`), an intersection or a preimage is the relations among a
+concatenation of columns.  All routines are exact.
+
+`FieldMatrix` is a small dense matrix, the return type of induced maps;
+`rref` (Gauss–Jordan elimination) has no caller in the package and stays
+beside it for the benchmark's traced run, which wraps both by name.
 """
 
 from __future__ import annotations
@@ -119,44 +121,7 @@ def GF(p: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Reduced row echelon form (dense subspaces)
-# ---------------------------------------------------------------------------
-
-def rref(rows: Iterable[Sequence], ncols: int, field: Field):
-    """Reduced row echelon form.
-
-    Returns (reduced nonzero rows, pivot column indices).  Pivot columns are
-    strictly increasing and every pivot entry is 1 with zeros elsewhere in
-    its column, so the result is a canonical basis of the row space.
-    """
-    mat = [[field.of(v) for v in r] for r in rows]
-    pivots: list[int] = []
-    top = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(top, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[top], mat[piv] = mat[piv], mat[top]
-        scale = field.inv(mat[top][col])
-        if scale != field.one:
-            mat[top] = [field.mul(scale, v) for v in mat[top]]
-        support = [(k, b) for k, b in enumerate(mat[top]) if b]
-        for i, row in enumerate(mat):
-            c = row[col]
-            if i != top and c:
-                for k, b in support:
-                    row[k] = field.sub(row[k], field.mul(c, b))
-        pivots.append(col)
-        top += 1
-    return mat[:top], pivots
-
-
-# ---------------------------------------------------------------------------
-# Sparse lowest-one column reduction
+# Sparse lowest-one column reduction and spans
 # ---------------------------------------------------------------------------
 
 def axpy(field: Field, dst: dict, c, src: dict):
@@ -242,6 +207,106 @@ def reduce_columns(field: Field, columns: Iterable[dict], row_rank: dict | None 
     return lows, vs, reduced
 
 
+def relations(field: Field, columns: Sequence[dict]) -> list[dict]:
+    """A basis of the relations among sparse columns: the {k: scalar} with
+    Σ scalar · columns[k] = 0, as the V columns of the columns that
+    `reduce_columns` reduces to zero."""
+    lows, vs, _ = reduce_columns(field, columns)
+    return [v for low, v in zip(lows, vs) if low is None]
+
+
+class Span:
+    """The span of sparse vectors {index: scalar}, in its reduced echelon
+    basis.
+
+    `vectors` have distinct lows (greatest indices), in increasing order;
+    each has coefficient one at its own low and zero at every other
+    vector's low.  That basis is unique, so equal spans compare equal."""
+
+    __slots__ = ("field", "vectors", "_owner")
+
+    def __init__(self, field: Field, vectors: Iterable[dict] = ()):
+        basis: dict = {}
+        for v in sorted(filter(None, reduce_columns(field, vectors)[2]), key=max):
+            for low in [i for i in v if i in basis]:
+                axpy(field, v, v[low], basis[low])
+            c = field.inv(v[max(v)])
+            basis[max(v)] = {i: field.mul(c, a) for i, a in v.items()}
+        self.field = field
+        self.vectors = tuple(basis.values())
+        self._owner = {low: k for k, low in enumerate(basis)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.vectors)
+
+    def contains(self, vec: dict) -> bool:
+        return reduce_vector(self.field, dict(vec), self._owner, self.vectors)[0] is None
+
+    def sum(self, other: "Span") -> "Span":
+        return Span(self.field, self.vectors + other.vectors)
+
+    def intersect(self, other: "Span") -> "Span":
+        """Σ u_k · self.vectors[k] over the relations (u, w) of the
+        concatenated vectors [self | other]."""
+        n = self.dim
+        return Span(self.field, [combine(self.field, {k: c for k, c in v.items() if k < n},
+                                         self.vectors)
+                                 for v in relations(self.field, self.vectors + other.vectors)])
+
+    def __eq__(self, other):
+        return (isinstance(other, Span) and self.field == other.field
+                and self.vectors == other.vectors)
+
+    def __repr__(self):
+        return f"Span({self.field!r}, dim={self.dim})"
+
+
+def preimage(field: Field, columns: Sequence[dict], s: Span) -> Span:
+    """{x : Σ x_k · columns[k] ∈ span(s)}, as vectors {k: scalar}: the
+    first parts of the relations of [columns | s]."""
+    n = len(columns)
+    return Span(field, [{k: c for k, c in v.items() if k < n}
+                        for v in relations(field, list(columns) + list(s.vectors))])
+
+
+# ---------------------------------------------------------------------------
+# Dense matrices
+# ---------------------------------------------------------------------------
+
+def rref(rows: Iterable[Sequence], ncols: int, field: Field):
+    """Reduced row echelon form.
+
+    Returns (reduced nonzero rows, pivot column indices).  Pivot columns are
+    strictly increasing and every pivot entry is 1 with zeros elsewhere in
+    its column, so the result is a canonical basis of the row space.
+    """
+    mat = [[field.of(v) for v in r] for r in rows]
+    pivots: list[int] = []
+    top = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(top, len(mat)):
+            if mat[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        scale = field.inv(mat[top][col])
+        if scale != field.one:
+            mat[top] = [field.mul(scale, v) for v in mat[top]]
+        support = [(k, b) for k, b in enumerate(mat[top]) if b]
+        for i, row in enumerate(mat):
+            c = row[col]
+            if i != top and c:
+                for k, b in support:
+                    row[k] = field.sub(row[k], field.mul(c, b))
+        pivots.append(col)
+        top += 1
+    return mat[:top], pivots
+
+
 class FieldMatrix:
     """Dense matrix of exact field scalars, row-major and immutable."""
 
@@ -274,17 +339,6 @@ class FieldMatrix:
         return cls(field, nrows, nc, flat)
 
     @classmethod
-    def from_sparse_columns(cls, field: Field, nrows: int,
-                            columns: Sequence[dict]) -> "FieldMatrix":
-        """Dense matrix from sparse columns {row: nonzero entry}."""
-        nc = len(columns)
-        flat = [field.zero] * (nrows * nc)
-        for j, col in enumerate(columns):
-            for i, a in col.items():
-                flat[i * nc + j] = a
-        return cls(field, nrows, nc, flat)
-
-    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
         return cls(field, rows, cols, [field.zero] * (rows * cols))
 
@@ -301,9 +355,6 @@ class FieldMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product m @ vec."""
@@ -346,175 +397,3 @@ class FieldMatrix:
 
     def __repr__(self):
         return f"FieldMatrix({self.field!r}, {self.rows}x{self.cols})"
-
-
-class SubspaceBasis:
-    """A linear subspace of F^n, stored as its canonical RREF row basis."""
-
-    __slots__ = ("field", "ambient_dim", "vectors", "_pivots")
-
-    def __init__(self, field: Field, ambient_dim: int, vectors: Iterable[Sequence] = (),
-                 _canonical: bool = False):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        if _canonical:
-            self.vectors = tuple(tuple(v) for v in vectors)
-            self._pivots = None
-        else:
-            reduced, pivots = rref(vectors, ambient_dim, field)
-            self.vectors = tuple(tuple(r) for r in reduced)
-            self._pivots = tuple(pivots)
-
-    @classmethod
-    def zero(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
-        return cls(field, ambient_dim, (), _canonical=True)
-
-    @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
-        return cls.coordinate(field, ambient_dim, range(ambient_dim))
-
-    @classmethod
-    def coordinate(cls, field: Field, ambient_dim: int, indices: Iterable[int]) -> "SubspaceBasis":
-        """Span of the unit vectors at the given coordinate indices."""
-        vecs = []
-        for i in sorted(set(indices)):
-            v = [field.zero] * ambient_dim
-            v[i] = field.one
-            vecs.append(tuple(v))
-        return cls(field, ambient_dim, vecs, _canonical=True)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def pivots(self) -> list[int]:
-        if self._pivots is None:
-            self._pivots = tuple(next(j for j, x in enumerate(v) if x != 0)
-                                 for v in self.vectors)
-        return list(self._pivots)
-
-    def reduce_vector(self, vec: Sequence) -> list:
-        """Remainder of vec after elimination against the basis rows."""
-        f = self.field
-        v = [f.of(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        for row, p in zip(self.vectors, self.pivots()):
-            c = v[p]
-            if c != 0:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce_vector(vec))
-
-    def __eq__(self, other):
-        return (isinstance(other, SubspaceBasis) and self.field == other.field
-                and self.ambient_dim == other.ambient_dim and self.vectors == other.vectors)
-
-    def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.vectors))
-
-    def __repr__(self):
-        return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-# ---------------------------------------------------------------------------
-# Spec operations
-# ---------------------------------------------------------------------------
-
-def kernel_basis(m: FieldMatrix) -> SubspaceBasis:
-    """Basis of the null space {x : m @ x = 0}."""
-    f = m.field
-    reduced, pivots = rref(m.row_lists(), m.cols, f)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vecs = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced[r][fc])
-        vecs.append(v)
-    return SubspaceBasis(f, m.cols, vecs)
-
-
-def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    _check_compatible(a, b)
-    return SubspaceBasis(a.field, a.ambient_dim, list(a.vectors) + list(b.vectors))
-
-
-def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Basis of span(a) ∩ span(b)."""
-    _check_compatible(a, b)
-    f = a.field
-    if a.dim == 0 or b.dim == 0:
-        return SubspaceBasis.zero(f, a.ambient_dim)
-    # Kernel vectors (u, v) of [A | B] satisfy A u = -B v, so A u runs over
-    # the intersection as (u, v) runs over the kernel.
-    cols = [list(v) for v in a.vectors] + [list(v) for v in b.vectors]
-    ker = kernel_basis(FieldMatrix.from_columns(f, cols, a.ambient_dim))
-    vecs = []
-    for k in ker.vectors:
-        u = k[:a.dim]
-        vec = [f.zero] * a.ambient_dim
-        for ci, c in enumerate(u):
-            if c:
-                row = a.vectors[ci]
-                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
-        vecs.append(vec)
-    return SubspaceBasis(f, a.ambient_dim, vecs)
-
-
-def preimage_basis(m: FieldMatrix, s: SubspaceBasis) -> SubspaceBasis:
-    """Basis of {x : m @ x ∈ span(s)}; always contains the kernel of m."""
-    if s.ambient_dim != m.rows:
-        raise ValueError(f"subspace ambient {s.ambient_dim} != matrix rows {m.rows}")
-    f = m.field
-    cols = [list(m.column(j)) for j in range(m.cols)] + [list(v) for v in s.vectors]
-    ker = kernel_basis(FieldMatrix.from_columns(f, cols, m.rows))
-    vecs = [list(k[:m.cols]) for k in ker.vectors]
-    return SubspaceBasis(f, m.cols, vecs)
-
-
-def solve(m: FieldMatrix, target: Sequence):
-    """A solution x of m @ x = target, or None if inconsistent."""
-    f = m.field
-    if len(target) != m.rows:
-        raise ValueError("target length mismatch")
-    aug = [list(m.row(i)) + [f.of(target[i])] for i in range(m.rows)]
-    reduced, pivots = rref(aug, m.cols + 1, f)
-    if m.cols in pivots:
-        return None
-    x = [f.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][m.cols]
-    return tuple(x)
-
-
-def express_in_vectors(field: Field, ambient_dim: int, vectors: Sequence[Sequence], target: Sequence):
-    """Coefficients c with sum(c_i * vectors_i) = target, or None."""
-    if not vectors:
-        return () if all(field.of(x) == 0 for x in target) else None
-    m = FieldMatrix.from_columns(field, [list(v) for v in vectors], ambient_dim)
-    return solve(m, target)
-
-
-def extend_independent(base: SubspaceBasis, candidates: Iterable[Sequence]) -> list[tuple]:
-    """Candidates (in order) that successively enlarge span(base)."""
-    f = base.field
-    work = [list(v) for v in base.vectors]
-    added = []
-    for cand in candidates:
-        rows, pivots = rref(work + [list(cand)], base.ambient_dim, f)
-        if len(rows) > len(work):
-            work = rows
-            added.append(tuple(f.of(x) for x in cand))
-    return added
-
-
-def _check_compatible(a: SubspaceBasis, b: SubspaceBasis):
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(f"ambient dimension mismatch: {a.ambient_dim} != {b.ambient_dim}")

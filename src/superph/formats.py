@@ -12,7 +12,6 @@ import hashlib
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .delta import DeltaSet, DeltaStructureError, GradedSubset

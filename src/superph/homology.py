@@ -27,11 +27,14 @@ rows ordered last gives both, and the ambient and relative tables share the
 reduction of each full ∂_n.  The persistence modules (`superph.persistence`)
 are filtered versions of the same reduction.
 
-Homology bases, induced maps and the Mayer–Vietoris diagnostics are the
-only dense code: paper features on small inputs, built on `inf_space` (a
-marking's infimum chains) and `inf_zb` (its cycles and boundaries), each
-computed straight from its definition with the chain complex's dense
-boundary matrices, which are built on first use.
+The chain data, Mayer–Vietoris diagnostics and subcomplex homology work
+on `fields.Span`s of sparse chains: a sum is one reduction, and an
+intersection, a preimage or the cycles of a span are the relations of one
+reduction.  Homology bases and induced maps are the one-step case of the
+persistence engine: in the filtration where every cell enters at step 0,
+the never-dying bars of the embedded module are a basis, and a pushed-
+forward representative is written in the target's representatives by one
+triangular solve.
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ from typing import Iterable, Sequence
 from .delta import (CellId, DeltaIdentityError, DeltaMorphism, DeltaSet,
                     GradedSubset, SuperHypergraph, delta_closure, full_subset,
                     max_delta_subset, validate_morphism)
-from .fields import (Field, FieldMatrix, SubspaceBasis, combine,
-                     express_in_vectors, extend_independent, kernel_basis,
-                     preimage_basis, reduce_columns, subspace_intersect,
-                     subspace_sum)
+from .fields import (Field, FieldMatrix, Span, combine, preimage, reduce_columns,
+                     relations)
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,7 @@ class ChainComplex:
 
     columns[n][j] is ∂_n of the j-th n-cell as a sparse column {row: nonzero
     entry} in row order, rows indexing (n-1)-cells; the columns of degree 0
-    are empty.
-    `boundaries` gives the same maps as dense matrices, built on first read
-    by the subspace routes.  `memo` holds the column reductions and dense
-    matrices built on this complex.
+    are empty.  `memo` holds the column reductions built on this complex.
     """
 
     field: Field
@@ -72,17 +70,6 @@ class ChainComplex:
 
     def space_dim(self, n: int) -> int:
         return self.dims[n] if 0 <= n < len(self.dims) else 0
-
-    @property
-    def boundaries(self) -> tuple[FieldMatrix, ...]:
-        """Dense ∂_n: boundaries[n] maps C_n -> C_{n-1}; boundaries[0] has
-        zero rows."""
-        mats = self.memo.get("boundaries")
-        if mats is None:
-            mats = self.memo["boundaries"] = tuple(
-                FieldMatrix.from_sparse_columns(self.field, self.space_dim(n - 1), cols)
-                for n, cols in enumerate(self.columns))
-        return mats
 
 
 def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
@@ -113,83 +100,31 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
 
 @dataclass(frozen=True)
 class EmbeddedChainData:
-    """Infimum and supremum subcomplex bases inside each C_n(X)."""
+    """Infimum and supremum subcomplexes inside each C_n(X), as spans of
+    chains {n-cell: scalar}."""
 
     field: Field
-    inf: tuple[SubspaceBasis, ...]
-    sup: tuple[SubspaceBasis, ...]
+    inf: tuple[Span, ...]
+    sup: tuple[Span, ...]
 
 
 def embedded_chain_data(sh: SuperHypergraph, field: Field,
                         cc: ChainComplex | None = None) -> EmbeddedChainData:
+    """inf_n = D_n ∩ ∂⁻¹(D_{n-1}) and sup_n = D_n + ∂(D_{n+1}), where D_n
+    is the coordinate span of the marked n-cells."""
     if cc is None:
         cc = boundary_matrices(sh.x, field)
-    nd = sh.x.dim_count
+    h = sh.h
     inf = []
     sup = []
-    for n in range(nd):
-        inf.append(inf_space(cc, sh.h, n))
-        image_next = _boundary_of_span(cc, n + 1, _coordinates(cc, sh.h, n + 1))
-        sup.append(subspace_sum(_coordinates(cc, sh.h, n), image_next))
+    for n in range(cc.dim_count):
+        cells = sorted(h.at(n))
+        below = Span(field, ({i: field.one} for i in h.at(n - 1)))
+        pre = preimage(field, [cc.columns[n][j] for j in cells], below)
+        inf.append(Span(field, ({cells[k]: c for k, c in v.items()} for v in pre.vectors)))
+        up = [cc.columns[n + 1][j] for j in h.at(n + 1)] if n + 1 < cc.dim_count else []
+        sup.append(Span(field, [{j: field.one} for j in cells] + up))
     return EmbeddedChainData(field, tuple(inf), tuple(sup))
-
-
-def _boundary_of_span(cc: ChainComplex, n: int, span: SubspaceBasis | None) -> SubspaceBasis:
-    """∂_n applied to a subspace of C_n, as a subspace of C_{n-1}."""
-    ambient = cc.space_dim(n - 1)
-    if span is None or span.dim == 0 or n >= cc.dim_count or n <= 0:
-        return SubspaceBasis.zero(cc.field, ambient)
-    bd = cc.boundaries[n]
-    return SubspaceBasis(cc.field, ambient, [bd.apply(v) for v in span.vectors])
-
-
-def cycles_in_span(cc: ChainComplex, n: int, span: SubspaceBasis) -> SubspaceBasis:
-    """span ∩ ker ∂_n."""
-    if n == 0 or n >= cc.dim_count:
-        return span
-    bd = cc.boundaries[n]
-    if span.dim == 0:
-        return span
-    restricted = FieldMatrix.from_columns(cc.field,
-                                          [list(bd.apply(v)) for v in span.vectors],
-                                          bd.rows)
-    coeff_kernel = kernel_basis(restricted)
-    vecs = []
-    f = cc.field
-    for k in coeff_kernel.vectors:
-        vec = [f.zero] * span.ambient_dim
-        for c, row in zip(k, span.vectors):
-            if c:
-                vec = [f.add(a, f.mul(c, b)) for a, b in zip(vec, row)]
-        vecs.append(vec)
-    return SubspaceBasis(f, span.ambient_dim, vecs)
-
-
-# ---------------------------------------------------------------------------
-# Infimum chains, cycles and boundaries of a marked span
-# ---------------------------------------------------------------------------
-
-def _coordinates(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
-    """D_n: the coordinate span of the marked n-cells inside C_n."""
-    return SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
-
-
-def inf_space(cc: ChainComplex, marks: GradedSubset, n: int) -> SubspaceBasis:
-    """inf_n of the marked span, D_n ∩ ∂⁻¹(D_{n-1})."""
-    d_n = _coordinates(cc, marks, n)
-    if not 0 < n < cc.dim_count:
-        return d_n
-    return subspace_intersect(
-        d_n, preimage_basis(cc.boundaries[n], _coordinates(cc, marks, n - 1)))
-
-
-def inf_zb(cc: ChainComplex, marks: GradedSubset, n: int):
-    """Cycles and boundaries of the infimum complex of the marked span:
-    Z = D_n ∩ ker ∂ and B = D_n ∩ ∂(D_{n+1})."""
-    d_n = _coordinates(cc, marks, n)
-    b = subspace_intersect(
-        d_n, _boundary_of_span(cc, n + 1, _coordinates(cc, marks, n + 1)))
-    return cycles_in_span(cc, n, d_n), b
 
 
 # ---------------------------------------------------------------------------
@@ -290,78 +225,81 @@ def geometric_gap_betti(sh: SuperHypergraph, field: Field) -> tuple[int, ...]:
 # Homology bases and induced maps
 # ---------------------------------------------------------------------------
 
-def embedded_homology_basis(sh: SuperHypergraph, field: Field, n: int,
-                            cc: ChainComplex | None = None):
-    """(representatives, boundary basis) for the degree-n embedded homology,
-    chosen deterministically."""
-    if cc is None:
-        cc = boundary_matrices(sh.x, field)
-    z, b = inf_zb(cc, sh.h, n)
-    reps = extend_independent(b, z.vectors)
-    return reps, b
+def _embedded_module(sh: SuperHypergraph, field: Field, n: int):
+    """(reduced complex, degree-n summands) of the embedded module of the
+    one-step filtration, in which every cell enters at step 0: no summand
+    dies, and their representatives are a basis of the embedded homology."""
+    from .persistence import Filtration, _complex, _summands
+    filt = Filtration(sh, (0.0,), [[0.0] * count for count in sh.x.counts])
+    return _complex(filt, field, "embedded"), _summands(filt, field, "embedded", n)
+
+
+def embedded_homology_basis(sh: SuperHypergraph, field: Field, n: int):
+    """(representatives, boundaries) for the degree-n embedded homology:
+    representative cycles as chains {n-cell: scalar}, and the span of the
+    boundaries of the infimum complex, chosen deterministically."""
+    cx, summands = _embedded_module(sh, field, n)
+    killed = cx.boundary_chains(n) if 0 <= n < sh.x.dim_count else ()
+    return ([cx.representative(n, s) for s in summands],
+            Span(field, (chain for _, chain in killed)))
 
 
 def induced_homology_map(m: DeltaMorphism, source: SuperHypergraph,
                          target: SuperHypergraph, field: Field,
                          degree: int) -> FieldMatrix:
     """Matrix of the induced map on embedded homology in the deterministic
-    bases of source and target."""
+    bases of source and target: column k holds the pushed-forward k-th
+    source representative, written in the target's representatives by one
+    triangular solve."""
     report = validate_morphism(m, source.h, target.h)
     if not report.ok:
         raise ValueError(f"invalid morphism: {report.failures[0]}")
-    cc_s = boundary_matrices(source.x, field)
-    cc_t = boundary_matrices(target.x, field)
-    reps_s, _ = embedded_homology_basis(source, field, degree, cc_s)
-    reps_t, b_t = embedded_homology_basis(target, field, degree, cc_t)
-    nt = target.x.n_cells(degree)
+    scx, src = _embedded_module(source, field, degree)
+    dcx, dst = _embedded_module(target, field, degree)
+    if not src:
+        return FieldMatrix.zeros(field, len(dst), 0)
+    units = [{t: field.one} for t in m.maps[degree]]
     cols = []
-    for rep in reps_s:
-        img = [field.zero] * nt
-        for j, c in enumerate(rep):
-            if c:
-                tj = m.maps[degree][j]
-                img[tj] = field.add(img[tj], c)
-        coeffs = express_in_vectors(field, nt, list(reps_t) + list(b_t.vectors), img)
-        if coeffs is None:
-            raise AssertionError("image class not in target homology; morphism broken")
-        cols.append(list(coeffs[:len(reps_t)]))
-    if not cols:
-        return FieldMatrix.zeros(field, len(reps_t), 0)
-    return FieldMatrix.from_columns(field, cols, len(reps_t))
+    for s in src:
+        chain = combine(field, scx.representative(degree, s), units)
+        solved = dcx.solve(degree, dcx.coordinates(degree, chain))
+        cols.append([solved.get(t.low, field.zero) for t in dst])
+    return FieldMatrix.from_columns(field, cols, len(dst))
 
 
 # ---------------------------------------------------------------------------
 # Subcomplex homology and Mayer–Vietoris diagnostics
 # ---------------------------------------------------------------------------
 
-def subcomplex_homology(cc: ChainComplex, spaces: Sequence[SubspaceBasis]) -> tuple[int, ...]:
-    """Betti numbers of a family of subspaces V_n ⊆ C_n closed under ∂."""
-    out = []
-    nd = len(spaces)
-    for n in range(nd):
-        z = cycles_in_span(cc, n, spaces[n])
-        b = _boundary_of_span(cc, n + 1, spaces[n + 1] if n + 1 < nd else None)
-        out.append(z.dim - b.dim)
-    return tuple(out)
+def _zb(cc: ChainComplex, spaces: Sequence[Span], n: int) -> tuple[Span, Span]:
+    """Cycles and boundaries in degree n of the subcomplex V_* ⊆ C_*."""
+    f = cc.field
+    span = spaces[n]
+    kernel = relations(f, [combine(f, v, cc.columns[n]) for v in span.vectors])
+    up = spaces[n + 1].vectors if n + 1 < len(spaces) else ()
+    return (Span(f, (combine(f, u, span.vectors) for u in kernel)),
+            Span(f, (combine(f, v, cc.columns[n + 1]) for v in up)))
 
 
-def inclusion_quasi_iso(cc: ChainComplex, sub: Sequence[SubspaceBasis],
-                        sup: Sequence[SubspaceBasis]) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+def subcomplex_homology(cc: ChainComplex, spaces: Sequence[Span]) -> tuple[int, ...]:
+    """Betti numbers of a family of spans V_n ⊆ C_n closed under ∂."""
+    return tuple(z.dim - b.dim for z, b in (_zb(cc, spaces, n) for n in range(len(spaces))))
+
+
+def inclusion_quasi_iso(cc: ChainComplex, sub: Sequence[Span],
+                        sup: Sequence[Span]) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
     """Whether the inclusion of subcomplexes induces isomorphisms on homology.
 
     Returns (flag, per-degree (dim H(sub), dim H(sup), rank of induced map)).
     """
     rows = []
     ok = True
-    nd = len(sub)
-    for n in range(nd):
-        z_v = cycles_in_span(cc, n, sub[n])
-        b_v = _boundary_of_span(cc, n + 1, sub[n + 1] if n + 1 < nd else None)
-        z_w = cycles_in_span(cc, n, sup[n])
-        b_w = _boundary_of_span(cc, n + 1, sup[n + 1] if n + 1 < nd else None)
+    for n in range(len(sub)):
+        z_v, b_v = _zb(cc, sub, n)
+        z_w, b_w = _zb(cc, sup, n)
         hv = z_v.dim - b_v.dim
         hw = z_w.dim - b_w.dim
-        rk = subspace_sum(z_v, b_w).dim - b_w.dim
+        rk = z_v.sum(b_w).dim - b_w.dim
         rows.append((hv, hw, rk))
         if not (hv == hw == rk):
             ok = False
@@ -431,10 +369,10 @@ def mv_diagnostics(sh: SuperHypergraph, a: GradedSubset, b: GradedSubset,
     data_x = chain_data(sh.h)
 
     nd = x.dim_count
-    sup_int = [subspace_intersect(data_a.sup[n], data_b.sup[n]) for n in range(nd)]
-    sup_sum = [subspace_sum(data_a.sup[n], data_b.sup[n]) for n in range(nd)]
-    inf_int = [subspace_intersect(data_a.inf[n], data_b.inf[n]) for n in range(nd)]
-    inf_sum = [subspace_sum(data_a.inf[n], data_b.inf[n]) for n in range(nd)]
+    sup_int = [data_a.sup[n].intersect(data_b.sup[n]) for n in range(nd)]
+    sup_sum = [data_a.sup[n].sum(data_b.sup[n]) for n in range(nd)]
+    inf_int = [data_a.inf[n].intersect(data_b.inf[n]) for n in range(nd)]
+    inf_sum = [data_a.inf[n].sum(data_b.inf[n]) for n in range(nd)]
 
     sup_ok = all(sup_sum[n] == data_x.sup[n] for n in range(nd))
     inf_ok = all(inf_int[n] == data_ab.inf[n] for n in range(nd))

@@ -5,9 +5,16 @@ definitions (bitmask enumeration, forward elimination, fixed-point closure)
 so the main library is checked by a second route, not by itself.  Some
 exceptions read library pieces but compute by another route:
 
+- the dense subspace layer: canonical RREF bases (`SubspaceBasis`) from the
+  library's `rref`, with kernel, sum, intersection, preimage, solve and
+  independent-extension routines, dense boundary matrices, and on them the
+  embedded chain data, subcomplex homology, inclusion quasi-isomorphism
+  test, Mayer–Vietoris report, homology bases and induced maps, each
+  straight from its definition, where the library reduces sparse spans or
+  one-step filtered complexes;
 - the dense persistence route: per-step (Z, B) subspaces of every module
-  from the library's dense `inf_zb`/`inf_space` (memoised here, since the
-  route asks for the same marked spans at every step), their interval
+  from that layer's `inf_zb`/`inf_space` (memoised here, since the route
+  asks for the same marked spans at every step), their interval
   decomposition, barcodes and triangle ranks from sums of those subspaces,
   where the library reduces one sparse filtered complex per module;
 - the rank inclusion–exclusion barcode, which computes bars from ranks of
@@ -31,28 +38,217 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from superph import homology
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
-                           GradedSubset, cell_sort_key, delta_closure,
-                           full_subset, max_delta_subset)
-from superph.fields import (Field, FieldMatrix, SubspaceBasis,
-                            express_in_vectors, extend_independent,
-                            preimage_basis, rref, subspace_intersect,
-                            subspace_sum)
-from superph.homology import (_boundary_of_span, boundary_matrices,
-                              embedded_chain_data)
+                           GradedSubset, SuperHypergraph, cell_sort_key,
+                           delta_closure, full_subset, max_delta_subset)
+from superph.fields import Field, FieldMatrix, Span, rref
+from superph.homology import MvReport, MvRow, boundary_matrices
 from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
                                  TriangleRow)
 
 
 # ---------------------------------------------------------------------------
-# Dense linear algebra from the library's kernel and RREF
+# Dense subspaces: canonical RREF bases and the spec operations
 # ---------------------------------------------------------------------------
+
+def row_lists(m: FieldMatrix) -> list[list]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def from_sparse_columns(field: Field, nrows: int, columns) -> FieldMatrix:
+    """Dense matrix from sparse columns {row: nonzero entry}."""
+    nc = len(columns)
+    flat = [field.zero] * (nrows * nc)
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            flat[i * nc + j] = a
+    return FieldMatrix(field, nrows, nc, flat)
+
+
+def boundaries(cc) -> tuple[FieldMatrix, ...]:
+    """Dense ∂_n of a chain complex: boundaries(cc)[n] maps C_n -> C_{n-1};
+    degree 0 has zero rows.  Built once per chain complex."""
+    if "oracle_boundaries" not in cc.memo:
+        cc.memo["oracle_boundaries"] = tuple(
+            from_sparse_columns(cc.field, cc.space_dim(n - 1), cols)
+            for n, cols in enumerate(cc.columns))
+    return cc.memo["oracle_boundaries"]
+
+
+class SubspaceBasis:
+    """A linear subspace of F^n, stored as its canonical RREF row basis."""
+
+    __slots__ = ("field", "ambient_dim", "vectors", "_pivots")
+
+    def __init__(self, field: Field, ambient_dim: int, vectors=(), _canonical: bool = False):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        if _canonical:
+            self.vectors = tuple(tuple(v) for v in vectors)
+            self._pivots = None
+        else:
+            reduced, pivots = rref(vectors, ambient_dim, field)
+            self.vectors = tuple(tuple(r) for r in reduced)
+            self._pivots = tuple(pivots)
+
+    @classmethod
+    def zero(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
+        return cls(field, ambient_dim, (), _canonical=True)
+
+    @classmethod
+    def full(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
+        return cls.coordinate(field, ambient_dim, range(ambient_dim))
+
+    @classmethod
+    def coordinate(cls, field: Field, ambient_dim: int, indices) -> "SubspaceBasis":
+        """Span of the unit vectors at the given coordinate indices."""
+        vecs = []
+        for i in sorted(set(indices)):
+            v = [field.zero] * ambient_dim
+            v[i] = field.one
+            vecs.append(tuple(v))
+        return cls(field, ambient_dim, vecs, _canonical=True)
+
+    @property
+    def dim(self) -> int:
+        return len(self.vectors)
+
+    def pivots(self) -> list[int]:
+        if self._pivots is None:
+            self._pivots = tuple(next(j for j, x in enumerate(v) if x != 0)
+                                 for v in self.vectors)
+        return list(self._pivots)
+
+    def reduce_vector(self, vec: Sequence) -> list:
+        """Remainder of vec after elimination against the basis rows."""
+        f = self.field
+        v = [f.of(x) for x in vec]
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        for row, p in zip(self.vectors, self.pivots()):
+            c = v[p]
+            if c != 0:
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec: Sequence) -> bool:
+        return all(x == 0 for x in self.reduce_vector(vec))
+
+    def __eq__(self, other):
+        return (isinstance(other, SubspaceBasis) and self.field == other.field
+                and self.ambient_dim == other.ambient_dim and self.vectors == other.vectors)
+
+    def __hash__(self):
+        return hash((self.field, self.ambient_dim, self.vectors))
+
+    def __repr__(self):
+        return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _kernel_vectors(m: FieldMatrix) -> list[list]:
+    """Null-space basis of m, one vector per free column of its RREF."""
+    f = m.field
+    reduced, pivots = rref(row_lists(m), m.cols, f)
+    pivot_set = set(pivots)
+    vecs = []
+    for fc in (j for j in range(m.cols) if j not in pivot_set):
+        v = [f.zero] * m.cols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(reduced[r][fc])
+        vecs.append(v)
+    return vecs
+
+
+def kernel_basis(m: FieldMatrix) -> SubspaceBasis:
+    """Canonical basis of the null space {x : m @ x = 0}."""
+    return SubspaceBasis(m.field, m.cols, _kernel_vectors(m))
+
+
+def _combination(field: Field, ambient: int, coeffs, vectors) -> list:
+    vec = [field.zero] * ambient
+    for c, row in zip(coeffs, vectors):
+        if c:
+            vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, row)]
+    return vec
+
+
+def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
+    _check_compatible(a, b)
+    return SubspaceBasis(a.field, a.ambient_dim, list(a.vectors) + list(b.vectors))
+
+
+def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
+    """Basis of span(a) ∩ span(b)."""
+    _check_compatible(a, b)
+    f = a.field
+    if a.dim == 0 or b.dim == 0:
+        return SubspaceBasis.zero(f, a.ambient_dim)
+    # Kernel vectors (u, v) of [A | B] satisfy A u = -B v, so A u runs over
+    # the intersection as (u, v) runs over the kernel.
+    cols = [list(v) for v in a.vectors] + [list(v) for v in b.vectors]
+    ker = _kernel_vectors(FieldMatrix.from_columns(f, cols, a.ambient_dim))
+    return SubspaceBasis(f, a.ambient_dim, [_combination(f, a.ambient_dim, k[:a.dim], a.vectors)
+                                            for k in ker])
+
+
+def preimage_basis(m: FieldMatrix, s: SubspaceBasis) -> SubspaceBasis:
+    """Basis of {x : m @ x ∈ span(s)}; always contains the kernel of m."""
+    if s.ambient_dim != m.rows:
+        raise ValueError(f"subspace ambient {s.ambient_dim} != matrix rows {m.rows}")
+    f = m.field
+    cols = [list(m.column(j)) for j in range(m.cols)] + [list(v) for v in s.vectors]
+    ker = _kernel_vectors(FieldMatrix.from_columns(f, cols, m.rows))
+    return SubspaceBasis(f, m.cols, [k[:m.cols] for k in ker])
+
+
+def solve(m: FieldMatrix, target: Sequence):
+    """A solution x of m @ x = target, or None if inconsistent."""
+    f = m.field
+    if len(target) != m.rows:
+        raise ValueError("target length mismatch")
+    aug = [list(m.row(i)) + [f.of(target[i])] for i in range(m.rows)]
+    reduced, pivots = rref(aug, m.cols + 1, f)
+    if m.cols in pivots:
+        return None
+    x = [f.zero] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][m.cols]
+    return tuple(x)
+
+
+def express_in_vectors(field: Field, ambient_dim: int, vectors, target: Sequence):
+    """Coefficients c with sum(c_i * vectors_i) = target, or None."""
+    if not vectors:
+        return () if all(field.of(x) == 0 for x in target) else None
+    m = FieldMatrix.from_columns(field, [list(v) for v in vectors], ambient_dim)
+    return solve(m, target)
+
+
+def extend_independent(base: SubspaceBasis, candidates) -> list[tuple]:
+    """Candidates (in order) that successively enlarge span(base)."""
+    f = base.field
+    work = [list(v) for v in base.vectors]
+    added = []
+    for cand in candidates:
+        rows, pivots = rref(work + [list(cand)], base.ambient_dim, f)
+        if len(rows) > len(work):
+            work = rows
+            added.append(tuple(f.of(x) for x in cand))
+    return added
+
+
+def _check_compatible(a: SubspaceBasis, b: SubspaceBasis):
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError(f"ambient dimension mismatch: {a.ambient_dim} != {b.ambient_dim}")
+
 
 def rank(m: FieldMatrix) -> int:
     """Dimension of the column space: the number of pivots of the rows'
     reduced echelon form."""
-    return len(rref(m.row_lists(), m.cols, m.field)[1])
+    return len(rref(row_lists(m), m.cols, m.field)[1])
 
 
 def image_basis(m: FieldMatrix) -> SubspaceBasis:
@@ -63,6 +259,162 @@ def image_basis(m: FieldMatrix) -> SubspaceBasis:
 def contains_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """Whether span(b) ⊆ span(a)."""
     return all(a.contains(v) for v in b.vectors)
+
+
+def dense_vector(field: Field, size: int, chain: dict) -> list:
+    """The sparse vector {index: scalar} as a list of length size."""
+    vec = [field.zero] * size
+    for i, c in chain.items():
+        vec[i] = c
+    return vec
+
+
+def dense_span(span: Span, size: int) -> SubspaceBasis:
+    """A sparse span as a dense subspace of F^size."""
+    return SubspaceBasis(span.field, size, [dense_vector(span.field, size, v)
+                                            for v in span.vectors])
+
+
+# ---------------------------------------------------------------------------
+# Dense chain data, homology bases, induced maps and Mayer–Vietoris
+# ---------------------------------------------------------------------------
+
+def _coordinates(cc, marks, n: int) -> SubspaceBasis:
+    """D_n: the coordinate span of the marked n-cells inside C_n."""
+    return SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
+
+
+def boundary_of_span(cc, n: int, span: SubspaceBasis | None) -> SubspaceBasis:
+    """∂_n applied to a subspace of C_n, as a subspace of C_{n-1}."""
+    ambient = cc.space_dim(n - 1)
+    if span is None or span.dim == 0 or n >= cc.dim_count or n <= 0:
+        return SubspaceBasis.zero(cc.field, ambient)
+    bd = boundaries(cc)[n]
+    return SubspaceBasis(cc.field, ambient, [bd.apply(v) for v in span.vectors])
+
+
+def cycles_in_span(cc, n: int, span: SubspaceBasis) -> SubspaceBasis:
+    """span ∩ ker ∂_n."""
+    if n == 0 or n >= cc.dim_count or span.dim == 0:
+        return span
+    bd = boundaries(cc)[n]
+    restricted = FieldMatrix.from_columns(cc.field, [list(bd.apply(v)) for v in span.vectors],
+                                          bd.rows)
+    return SubspaceBasis(cc.field, span.ambient_dim,
+                         [_combination(cc.field, span.ambient_dim, k, span.vectors)
+                          for k in _kernel_vectors(restricted)])
+
+
+def dense_inf_space(cc, marks, n: int) -> SubspaceBasis:
+    """inf_n of the marked span, D_n ∩ ∂⁻¹(D_{n-1}), from its definition."""
+    d_n = _coordinates(cc, marks, n)
+    if not 0 < n < cc.dim_count:
+        return d_n
+    return subspace_intersect(
+        d_n, preimage_basis(boundaries(cc)[n], _coordinates(cc, marks, n - 1)))
+
+
+@dataclass(frozen=True)
+class DenseChainData:
+    inf: tuple[SubspaceBasis, ...]
+    sup: tuple[SubspaceBasis, ...]
+
+
+def dense_embedded_chain_data(sh, field: Field, cc=None) -> DenseChainData:
+    """inf_n and sup_n = D_n + ∂(D_{n+1}) as dense subspaces."""
+    if cc is None:
+        cc = boundary_matrices(sh.x, field)
+    nd = sh.x.dim_count
+    return DenseChainData(
+        tuple(dense_inf_space(cc, sh.h, n) for n in range(nd)),
+        tuple(subspace_sum(_coordinates(cc, sh.h, n),
+                           boundary_of_span(cc, n + 1, _coordinates(cc, sh.h, n + 1)))
+              for n in range(nd)))
+
+
+def dense_subcomplex_homology(cc, spaces) -> tuple[int, ...]:
+    """Betti numbers of a family of dense subspaces V_n ⊆ C_n closed under ∂."""
+    nd = len(spaces)
+    return tuple(cycles_in_span(cc, n, spaces[n]).dim
+                 - boundary_of_span(cc, n + 1, spaces[n + 1] if n + 1 < nd else None).dim
+                 for n in range(nd))
+
+
+def dense_inclusion_quasi_iso(cc, sub, sup):
+    """(flag, per-degree (dim H(sub), dim H(sup), rank of induced map))."""
+    rows = []
+    nd = len(sub)
+    for n in range(nd):
+        b_v = boundary_of_span(cc, n + 1, sub[n + 1] if n + 1 < nd else None)
+        b_w = boundary_of_span(cc, n + 1, sup[n + 1] if n + 1 < nd else None)
+        z_v = cycles_in_span(cc, n, sub[n])
+        hv = z_v.dim - b_v.dim
+        hw = cycles_in_span(cc, n, sup[n]).dim - b_w.dim
+        rows.append((hv, hw, subspace_sum(z_v, b_w).dim - b_w.dim))
+    return all(hv == hw == rk for hv, hw, rk in rows), tuple(rows)
+
+
+def dense_mv_diagnostics(sh, a, b, field: Field) -> MvReport:
+    """The Mayer–Vietoris report from dense chain data."""
+    x = sh.x
+    cc = boundary_matrices(x, field)
+    data_a, data_b, data_ab, data_x = (
+        dense_embedded_chain_data(SuperHypergraph(x, marks), field, cc)
+        for marks in (sh.h.intersection(a), sh.h.intersection(b),
+                      sh.h.intersection(a).intersection(b), sh.h))
+    nd = x.dim_count
+    sup_int = [subspace_intersect(data_a.sup[n], data_b.sup[n]) for n in range(nd)]
+    sup_sum = [subspace_sum(data_a.sup[n], data_b.sup[n]) for n in range(nd)]
+    inf_int = [subspace_intersect(data_a.inf[n], data_b.inf[n]) for n in range(nd)]
+    inf_sum = [subspace_sum(data_a.inf[n], data_b.inf[n]) for n in range(nd)]
+    rows = tuple(MvRow(n, sup_int[n].dim, sup_sum[n].dim, inf_int[n].dim,
+                       inf_sum[n].dim, data_a.inf[n].dim, data_b.inf[n].dim,
+                       data_a.sup[n].dim, data_b.sup[n].dim)
+                 for n in range(nd))
+    betti_a = dense_subcomplex_homology(cc, data_a.inf)
+    betti_b = dense_subcomplex_homology(cc, data_b.inf)
+    return MvReport(
+        rows=rows,
+        sup_sum_equals_sup_x=all(sup_sum[n] == data_x.sup[n] for n in range(nd)),
+        inf_intersect_equals_inf_of_intersection=all(inf_int[n] == data_ab.inf[n]
+                                                     for n in range(nd)),
+        left_quasi_iso=dense_inclusion_quasi_iso(cc, inf_int, sup_int)[0],
+        middle_quasi_iso=(dense_inclusion_quasi_iso(cc, data_a.inf, data_a.sup)[0]
+                          and dense_inclusion_quasi_iso(cc, data_b.inf, data_b.sup)[0]),
+        right_quasi_iso=dense_inclusion_quasi_iso(cc, inf_sum, sup_sum)[0],
+        betti_intersection=dense_subcomplex_homology(cc, inf_int),
+        betti_summands=tuple(zip(betti_a, betti_b)),
+        betti_union=dense_subcomplex_homology(cc, inf_sum),
+    )
+
+
+def dense_embedded_homology_basis(sh, field: Field, n: int):
+    """(representatives, boundary basis) of the degree-n embedded homology:
+    the cycles D_n ∩ ker ∂ that successively enlarge B = D_n ∩ ∂(D_{n+1})."""
+    z, b = inf_zb(boundary_matrices(sh.x, field), sh.h, n)
+    return extend_independent(b, z.vectors), b
+
+
+def dense_induced_homology_map(m, source, target, field: Field, degree: int) -> FieldMatrix:
+    """The induced map on embedded homology in the dense bases of source and
+    target."""
+    reps_s, _ = dense_embedded_homology_basis(source, field, degree)
+    reps_t, b_t = dense_embedded_homology_basis(target, field, degree)
+    nt = target.x.n_cells(degree)
+    cols = []
+    for rep in reps_s:
+        img = [field.zero] * nt
+        for j, c in enumerate(rep):
+            if c:
+                tj = m.maps[degree][j]
+                img[tj] = field.add(img[tj], c)
+        coeffs = express_in_vectors(field, nt, list(reps_t) + list(b_t.vectors), img)
+        if coeffs is None:
+            raise AssertionError("image class not in target homology; morphism broken")
+        cols.append(list(coeffs[:len(reps_t)]))
+    if not cols:
+        return FieldMatrix.zeros(field, len(reps_t), 0)
+    return FieldMatrix.from_columns(field, cols, len(reps_t))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +626,12 @@ def levels(filt):
 
 
 def inf_space(cc, marks, n: int) -> SubspaceBasis:
-    """The library's `inf_space`, memoised on the chain complex by the
-    marked cells in degrees n and n-1.
+    """`dense_inf_space`, memoised on the chain complex by the marked cells
+    in degrees n and n-1.
 
     When ∂_n maps every marked n-cell into D_{n-1}, inf_n = D_n, so the
-    library is not called; that holds for every Δ-subset, such as a sublevel
-    set X(t) of a regular scheme."""
+    definition is not evaluated; that holds for every Δ-subset, such as a
+    sublevel set X(t) of a regular scheme."""
     key = ("oracle_inf", n, marks.at(n), marks.at(n - 1))
     if key not in cc.memo:
         below = marks.at(n - 1)
@@ -287,17 +639,20 @@ def inf_space(cc, marks, n: int) -> SubspaceBasis:
                                         for i in cc.columns[n][j]):
             inf = SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
         else:
-            inf = homology.inf_space(cc, marks, n)
+            inf = dense_inf_space(cc, marks, n)
         cc.memo[key] = inf
     return cc.memo[key]
 
 
 def inf_zb(cc, marks, n: int):
-    """The library's `inf_zb`, memoised on the chain complex by the marked
-    cells in degrees n and n+1."""
+    """Cycles and boundaries of the infimum complex of the marked span,
+    Z = D_n ∩ ker ∂ and B = D_n ∩ ∂(D_{n+1}), memoised on the chain complex
+    by the marked cells in degrees n and n+1."""
     key = ("oracle_zb", n, marks.at(n), marks.at(n + 1))
     if key not in cc.memo:
-        cc.memo[key] = homology.inf_zb(cc, marks, n)
+        d_n = _coordinates(cc, marks, n)
+        cc.memo[key] = (cycles_in_span(cc, n, d_n), subspace_intersect(
+            d_n, boundary_of_span(cc, n + 1, _coordinates(cc, marks, n + 1))))
     return cc.memo[key]
 
 
@@ -309,10 +664,10 @@ def relative_zb(cc, xs, hs, n: int):
     if n == 0:
         z = inf_x_n
     else:
-        pre = preimage_basis(cc.boundaries[n], inf_space(cc, hs, n - 1))
+        pre = preimage_basis(boundaries(cc)[n], inf_space(cc, hs, n - 1))
         z = subspace_intersect(inf_x_n, pre)
     if n + 1 < cc.dim_count:
-        b = subspace_sum(_boundary_of_span(cc, n + 1, inf_space(cc, xs, n + 1)), inf_h_n)
+        b = subspace_sum(boundary_of_span(cc, n + 1, inf_space(cc, xs, n + 1)), inf_h_n)
     else:
         b = inf_h_n
     return z, b
@@ -455,7 +810,7 @@ def _connecting_rank(cc, n: int, rel_z, emb_b_below) -> int:
     boundaries of relative cycles modulo embedded boundaries below."""
     if rel_z is None or n <= 0 or n >= cc.dim_count:
         return 0
-    image = _boundary_of_span(cc, n, rel_z)
+    image = boundary_of_span(cc, n, rel_z)
     if emb_b_below is None:
         emb_b_below = SubspaceBasis.zero(cc.field, cc.space_dim(n - 1))
     return subspace_sum(image, emb_b_below).dim - emb_b_below.dim
@@ -629,7 +984,7 @@ def dense_embedded_betti(sh, field: Field, mode: str = "absolute") -> tuple[int,
 
 def dense_gap_series(sh, field: Field) -> tuple[int, ...]:
     """dim sup_n - dim inf_n of the library's dense chain data."""
-    data = embedded_chain_data(sh, field)
+    data = dense_embedded_chain_data(sh, field)
     return tuple(s.dim - i.dim for s, i in zip(data.sup, data.inf))
 
 
@@ -664,7 +1019,7 @@ def quotient_gap_betti(sh, field: Field) -> tuple[int, ...]:
         rows, cols = len(idxs[n - 1]) if n else 0, len(idxs[n])
         ent = [[field.zero] * cols for _ in range(rows)]
         if n:
-            bd = cc.boundaries[n]
+            bd = boundaries(cc)[n]
             for jj, j in enumerate(idxs[n]):
                 for i, v in enumerate(bd.column(j)):
                     if v and i in pos[n - 1]:

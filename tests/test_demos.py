@@ -1,5 +1,5 @@
-"""Every demo runs to completion; the embedded-homology demo, the only
-public consumer of the dense subspace routines, prints its infimum line."""
+"""Every demo runs to completion; the embedded-homology demo, which reads
+the chain data's sparse spans, prints its infimum line."""
 
 import os
 import subprocess

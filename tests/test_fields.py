@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from superph.fields import (GF, GF2, QQ, FieldMatrix, SubspaceBasis,
-                            kernel_basis, preimage_basis, reduce_columns,
-                            solve, subspace_intersect, subspace_sum)
+from superph.fields import GF, GF2, QQ, FieldMatrix, reduce_columns
 
-from oracles import contains_subspace, dim_span_gf2_masks, image_basis, rank
+from oracles import (SubspaceBasis, contains_subspace, dim_span_gf2_masks,
+                     image_basis, kernel_basis, preimage_basis, rank, solve,
+                     subspace_intersect, subspace_sum)
 
 
 def gf2_vectors(n):

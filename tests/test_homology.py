@@ -3,6 +3,7 @@ gap series, induced maps, Mayer–Vietoris diagnostics, mod-2 parity."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,19 @@ from superph import (GF2, QQ, GF, DeltaMorphism, DeltaSet, GradedSubset,
                      subcomplex_homology)
 from superph import persistence
 from superph.delta import ValidationReport, delta_closure, max_delta_subset
-from superph.fields import SubspaceBasis
-
+from superph.fields import Span, preimage, relations
+from superph.homology import embedded_homology_basis, inclusion_quasi_iso
 from conftest import (collapsed_tower, pillow_delta, pillow_sh,
                       random_super_hypergraph)
-from oracles import (brute_zb_dims_gf2, contains_subspace, dense_embedded_betti,
+from oracles import (SubspaceBasis, boundaries, boundary_of_span,
+                     brute_zb_dims_gf2, contains_subspace, cycles_in_span,
+                     dense_embedded_betti, dense_embedded_chain_data,
                      dense_gap_series, dense_geometric_gap_betti,
-                     quotient_gap_betti, rank)
+                     dense_inclusion_quasi_iso, dense_induced_homology_map,
+                     dense_inf_space, dense_mv_diagnostics, dense_span,
+                     dense_subcomplex_homology, dense_vector, inf_zb,
+                     kernel_basis, preimage_basis, quotient_gap_betti, rank,
+                     subspace_intersect, subspace_sum)
 
 
 def pad(t, n):
@@ -36,20 +43,20 @@ def pad(t, n):
 
 def test_boundary_two_simplex_signs():
     cc = boundary_matrices(standard_simplex_delta(2), QQ)
-    assert cc.boundaries[2].column(0) == (Fraction(1), Fraction(-1), Fraction(1))
+    assert boundaries(cc)[2].column(0) == (Fraction(1), Fraction(-1), Fraction(1))
 
 
 def test_boundary_gf2_unsigned():
     cc = boundary_matrices(standard_simplex_delta(2), GF2)
-    assert set(cc.boundaries[2].column(0)) == {1}
+    assert set(boundaries(cc)[2].column(0)) == {1}
 
 
 def test_boundary_pillow():
     cc = boundary_matrices(pillow_delta(), QQ)
     # d0 f = d2 f = e1, d1 f = e2: column is 2 e1 - e2
-    assert cc.boundaries[2].column(0) == (Fraction(2), Fraction(-1))
+    assert boundaries(cc)[2].column(0) == (Fraction(2), Fraction(-1))
     cc2 = boundary_matrices(pillow_delta(), GF2)
-    assert cc2.boundaries[2].column(0) == (0, 1)
+    assert boundaries(cc2)[2].column(0) == (0, 1)
 
 
 def test_boundary_validated_checks_boundary_squared(monkeypatch):
@@ -81,13 +88,13 @@ def test_chain_data_full_marking_is_everything():
     x = standard_simplex_delta(2)
     data = embedded_chain_data(SuperHypergraph(x, full_subset(x)), QQ)
     for n in range(x.dim_count):
-        assert data.inf[n] == SubspaceBasis.full(QQ, x.counts[n])
-        assert data.sup[n] == SubspaceBasis.full(QQ, x.counts[n])
+        assert dense_span(data.inf[n], x.counts[n]) == SubspaceBasis.full(QQ, x.counts[n])
+        assert dense_span(data.sup[n], x.counts[n]) == SubspaceBasis.full(QQ, x.counts[n])
 
 
 def test_chain_data_pillow():
     data = embedded_chain_data(pillow_sh(), QQ)
-    assert data.inf[2].dim == 1 and data.inf[2].contains([1, -1])
+    assert data.inf[2].dim == 1 and data.inf[2].contains({0: 1, 1: -1})
     assert data.inf[1].dim == 0
 
 
@@ -107,24 +114,26 @@ def test_chain_data_invariants(rng):
         for field in (GF2, QQ):
             cc = boundary_matrices(sh.x, field)
             data = embedded_chain_data(sh, field, cc)
+            inf = [dense_span(s, c) for s, c in zip(data.inf, sh.x.counts)]
+            sup = [dense_span(s, c) for s, c in zip(data.sup, sh.x.counts)]
             for n in range(sh.x.dim_count):
                 d_n = SubspaceBasis.coordinate(field, sh.x.counts[n], sh.h.at(n))
-                assert contains_subspace(d_n, data.inf[n])
-                assert contains_subspace(data.sup[n], d_n)
+                assert contains_subspace(d_n, inf[n])
+                assert contains_subspace(sup[n], d_n)
                 if n > 0:
-                    for v in data.inf[n].vectors:
-                        assert data.inf[n - 1].contains(cc.boundaries[n].apply(v))
-                    for v in data.sup[n].vectors:
-                        assert data.sup[n - 1].contains(cc.boundaries[n].apply(v))
+                    for v in inf[n].vectors:
+                        assert inf[n - 1].contains(boundaries(cc)[n].apply(v))
+                    for v in sup[n].vectors:
+                        assert sup[n - 1].contains(boundaries(cc)[n].apply(v))
 
 
 @pytest.mark.parametrize("field", [GF2, GF(3), QQ])
 def test_dense_inf_matches_sparse_inf_basis(field, rng):
-    # the dense island's inf_n, computed from its definition
-    # D_n ∩ ∂⁻¹(D_{n-1}), against the span of the sparse engine's filtered
-    # basis of the one-step marking (entry 0 on H, never elsewhere), on
-    # partial markings (some not closed under faces, so inf ≠ D) and on full
-    # markings
+    # the dense oracle's inf_n, computed from its definition
+    # D_n ∩ ∂⁻¹(D_{n-1}), and the sparse chain data's inf_n against the span
+    # of the sparse engine's filtered basis of the one-step marking (entry 0
+    # on H, never elsewhere), on partial markings (some not closed under
+    # faces, so inf ≠ D) and on full markings
     proper = full = 0
     for case in range(16):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8,
@@ -142,7 +151,8 @@ def test_dense_inf_matches_sparse_inf_basis(field, rng):
             assert set(basis.entries) <= {0}
             span = SubspaceBasis(field, count, [[v.get(j, field.zero) for j in range(count)]
                                                 for v in basis.vectors])
-            assert data.inf[n] == span
+            assert dense_inf_space(cc, sh.h, n) == span
+            assert dense_span(data.inf[n], count) == span
             proper += span != SubspaceBasis.coordinate(field, count, sh.h.at(n))
     assert proper >= 3 and full == 4
 
@@ -240,8 +250,6 @@ def test_betti_brute_force_gf2(rng):
 def test_nonface_marking_detects_cycles(rng):
     # when only non-face cells are marked, embedded homology in degree n is
     # exactly span(H_n) ∩ ker boundary
-    from superph.fields import SubspaceBasis
-    from superph.homology import cycles_in_span
     for _ in range(10):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         x = sh.x
@@ -316,13 +324,12 @@ def test_closure_stability(rng):
 def test_relative_homology_inf_and_sup_quotients_agree(rng):
     # C/inf and C/sup have isomorphic homology; the engine uses the
     # inf-quotient, so recompute through the sup-quotient as a dual route
-    from superph.fields import SubspaceBasis, preimage_basis, subspace_sum
-    from superph.homology import _boundary_of_span
     for _ in range(10):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         for field in (GF2, QQ):
             cc = boundary_matrices(sh.x, field)
             data = embedded_chain_data(sh, field, cc)
+            sup = [dense_span(s, c) for s, c in zip(data.sup, sh.x.counts)]
             via_inf = embedded_betti(sh, field, "relative", cc=cc)
             nd = sh.x.dim_count
             via_sup = []
@@ -330,12 +337,12 @@ def test_relative_homology_inf_and_sup_quotients_agree(rng):
                 if n == 0:
                     zq = sh.x.counts[0]
                 else:
-                    zq = preimage_basis(cc.boundaries[n], data.sup[n - 1]).dim
-                im = _boundary_of_span(
+                    zq = preimage_basis(boundaries(cc)[n], sup[n - 1]).dim
+                im = boundary_of_span(
                     cc, n + 1,
                     SubspaceBasis.full(field, sh.x.counts[n + 1])
                     if n + 1 < nd else None)
-                via_sup.append(zq - subspace_sum(im, data.sup[n]).dim)
+                via_sup.append(zq - subspace_sum(im, sup[n]).dim)
             assert via_inf == tuple(via_sup)
 
 
@@ -382,18 +389,18 @@ def test_gap_nonnegative_and_acyclic(rng):
         assert all(v >= 0 for v in series)
         # homology of sup/inf is zero: dim Z(quotient) == dim B(quotient)
         data = embedded_chain_data(sh, GF2, cc)
-        from superph.fields import preimage_basis, subspace_intersect, subspace_sum
-        from superph.homology import _boundary_of_span
+        inf = [dense_span(s, c) for s, c in zip(data.inf, sh.x.counts)]
+        sup = [dense_span(s, c) for s, c in zip(data.sup, sh.x.counts)]
         nd = sh.x.dim_count
         for n in range(nd):
             if n == 0:
-                zq = data.sup[0]
+                zq = sup[0]
             else:
-                pre = preimage_basis(cc.boundaries[n], data.inf[n - 1])
-                zq = subspace_intersect(data.sup[n], pre)
-            up = data.sup[n + 1] if n + 1 < nd else None
-            bq = subspace_sum(_boundary_of_span(cc, n + 1, up), data.inf[n])
-            assert zq.dim - data.inf[n].dim == bq.dim - data.inf[n].dim
+                pre = preimage_basis(boundaries(cc)[n], inf[n - 1])
+                zq = subspace_intersect(sup[n], pre)
+            up = sup[n + 1] if n + 1 < nd else None
+            bq = subspace_sum(boundary_of_span(cc, n + 1, up), inf[n])
+            assert zq.dim - inf[n].dim == bq.dim - inf[n].dim
 
 
 def test_geometric_gap_examples():
@@ -527,7 +534,7 @@ def test_betti_tables_reduce_each_full_boundary_once(rng, monkeypatch):
                            for mode in ("absolute", "relative", "ambient"))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_sparse_static_homology_property(data):
     # small Δ-sets (closures of drawn hypergraphs, or collapsed towers) with
@@ -671,6 +678,91 @@ def test_mv_precondition_checks():
 
 
 # ---------------------------------------------------------------------------
+# sparse spans against the dense subspace layer
+# ---------------------------------------------------------------------------
+
+def _random_chains(rng, field, size, count):
+    """count random sparse vectors over `size` coordinates, zero and
+    dependent ones included."""
+    out = []
+    for _ in range(count):
+        v = {i: field.of(rng.choice((1, -1, 2))) for i in range(size) if rng.random() < 0.4}
+        out.append({i: a for i, a in v.items() if a})
+    return out
+
+
+def _dense_basis(field, size, chains):
+    return SubspaceBasis(field, size, [dense_vector(field, size, v) for v in chains])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.3, 0.6, 0.85)),
+       st.sampled_from((GF2, GF(3), QQ)))
+def test_sparse_spans_match_dense_oracle_property(seed, keep, field):
+    # on a random closure of a hypergraph with a partial marking: the sparse
+    # span's sum, intersection, preimage and kernel, the chain data,
+    # subcomplex homology, the inclusion test, the Mayer–Vietoris report and
+    # the induced maps' shapes and ranks against the dense subspace layer;
+    # the induced maps also compose
+    rng = random.Random(seed)
+    sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8, keep=keep)
+    x, counts = sh.x, sh.x.counts
+    cc = boundary_matrices(x, field)
+    for n, size in enumerate(counts):
+        a = _random_chains(rng, field, size, rng.randint(0, 4))
+        b = _random_chains(rng, field, size, rng.randint(0, 4))
+        sa, sb = Span(field, a), Span(field, b)
+        da, db = _dense_basis(field, size, a), _dense_basis(field, size, b)
+        assert dense_span(sa, size) == da and all(sa.contains(v) for v in a)
+        assert dense_span(sa.sum(sb), size) == subspace_sum(da, db)
+        assert dense_span(sa.intersect(sb), size) == subspace_intersect(da, db)
+        # reduced echelon bases: equal spans compare equal
+        assert sa.sum(sb) == sb.sum(sa) == Span(field, b + a)
+        assert sa.intersect(sb) == sb.intersect(sa)
+        if n:
+            below = _random_chains(rng, field, counts[n - 1], rng.randint(0, 3))
+            assert dense_span(preimage(field, cc.columns[n], Span(field, below)), size) == \
+                preimage_basis(boundaries(cc)[n], _dense_basis(field, counts[n - 1], below))
+            assert dense_span(Span(field, relations(field, cc.columns[n])), size) == \
+                kernel_basis(boundaries(cc)[n])
+
+    data = embedded_chain_data(sh, field, cc)
+    dense = dense_embedded_chain_data(sh, field, cc)
+    assert [dense_span(s, c) for s, c in zip(data.inf, counts)] == list(dense.inf)
+    assert [dense_span(s, c) for s, c in zip(data.sup, counts)] == list(dense.sup)
+    for spans, dense_spans in ((data.inf, dense.inf), (data.sup, dense.sup)):
+        assert subcomplex_homology(cc, spans) == dense_subcomplex_homology(cc, dense_spans)
+    assert inclusion_quasi_iso(cc, data.inf, data.sup) == \
+        dense_inclusion_quasi_iso(cc, dense.inf, dense.sup)
+
+    part = GradedSubset.from_cells(c for c in x.cells() if rng.random() < 0.5)
+    rest = GradedSubset.from_cells(c for c in x.cells() if c not in part)
+    cover_a = delta_closure(SuperHypergraph(x, part))
+    cover_b = delta_closure(SuperHypergraph(x, rest))
+    assert mv_diagnostics(sh, cover_a, cover_b, field) == \
+        dense_mv_diagnostics(sh, cover_a, cover_b, field)
+
+    ident = DeltaMorphism(x, x, [list(range(c)) for c in counts])
+    sub = SuperHypergraph(x, sh.h.intersection(cover_a))
+    subsub = SuperHypergraph(x, sub.h.intersection(cover_b))
+    for degree in range(x.dim_count):
+        got = induced_homology_map(ident, sub, sh, field, degree)
+        want = dense_induced_homology_map(ident, sub, sh, field, degree)
+        assert (got.rows, got.cols, rank(got)) == (want.rows, want.cols, rank(want))
+        first = induced_homology_map(ident, subsub, sub, field, degree)
+        assert got.matmul(first) == induced_homology_map(ident, subsub, sh, field, degree)
+        # the homology basis: cycles of the infimum complex, independent
+        # modulo its boundaries and as many as the Betti number
+        reps, bounds = embedded_homology_basis(sh, field, degree)
+        z, b = inf_zb(cc, sh.h, degree)
+        assert dense_span(bounds, counts[degree]) == b
+        dense_reps = [dense_vector(field, counts[degree], r) for r in reps]
+        assert all(z.contains(r) for r in dense_reps)
+        assert subspace_sum(b, SubspaceBasis(field, counts[degree], dense_reps)).dim == \
+            b.dim + len(reps) == b.dim + embedded_betti(sh, field, cc=cc)[degree]
+
+
+# ---------------------------------------------------------------------------
 # mod-2 parity
 # ---------------------------------------------------------------------------
 
@@ -702,5 +794,5 @@ def test_parity_matches_gf2_boundary(rng):
         vec = [0] * x.counts[n]
         for _, j in cells:
             vec[j] ^= 1
-        bd = cc.boundaries[n].apply(vec) if n > 0 else ()
+        bd = boundaries(cc)[n].apply(vec) if n > 0 else ()
         assert rep.is_cycle == all(v == 0 for v in bd)
