@@ -13,14 +13,16 @@ from .faceops import (Clustering, MarkedSubgraph, SubgraphFamily,
                       partition_faces, primary_vertex_deletion,
                       secondary_vertex_deletion, starting_vertex_faces)
 from .homology import (boundary_matrices, embedded_betti, embedded_chain_data,
-                       gap_series, geometric_gap_betti, induced_homology_map,
-                       mod2_parity_check, mv_diagnostics, subcomplex_homology)
+                       gap_series, geometric_gap_betti, mod2_parity_check,
+                       mv_diagnostics, subcomplex_homology)
 from .scoring import (PointCloud, WitnessConfig, cech_score, cech_points,
                       constant_scheme, critical_values, is_regular_scheme,
                       min_enclosing_ball, pullback_score, seeded_random_scheme,
                       vr_points, vr_scheme, cech_scheme, vr_score,
                       witness_scheme, witness_score)
 from .persistence import (Bar, build_filtration, correlation_matrix,
-                          full_barcode, partition_persistence, triangle_report)
+                          embedded_homology_basis, full_barcode,
+                          induced_homology_map, partition_persistence,
+                          triangle_report)
 
 __version__ = "0.1.0"

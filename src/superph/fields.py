@@ -9,8 +9,8 @@ lows (the triangular solves of the persistence layer), and `combine` forms
 Σ c·v.  A `Span` keeps the reduced echelon basis of a subspace, so equal
 spans compare equal and results are bit-for-bit reproducible across runs:
 a sum of spans is one reduction of their vectors, and a kernel
-(`relations`), an intersection or a preimage is the relations among a
-concatenation of columns.  All routines are exact.
+(`relations`) or an intersection is the relations among a concatenation
+of columns.  All routines are exact.
 
 `FieldMatrix` is a small dense matrix, the return type of induced maps;
 `rref` (Gauss–Jordan elimination) has no caller in the package and stays
@@ -20,6 +20,7 @@ beside it for the benchmark's traced run, which wraps both by name.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 
@@ -215,25 +216,32 @@ def relations(field: Field, columns: Sequence[dict]) -> list[dict]:
     return [v for low, v in zip(lows, vs) if low is None]
 
 
+def _clean(field: Field, vec: dict) -> dict:
+    """A sparse vector given from outside: canonical scalars, no zeros."""
+    return {i: c for i, c in ((i, field.of(a)) for i, a in vec.items()) if c}
+
+
 class Span:
     """The span of sparse vectors {index: scalar}, in its reduced echelon
     basis.
 
     `vectors` have distinct lows (greatest indices), in increasing order;
     each has coefficient one at its own low and zero at every other
-    vector's low.  That basis is unique, so equal spans compare equal."""
+    vector's low.  That basis is unique, so equal spans compare equal.  The
+    vectors are read-only mappings."""
 
     __slots__ = ("field", "vectors", "_owner")
 
     def __init__(self, field: Field, vectors: Iterable[dict] = ()):
         basis: dict = {}
-        for v in sorted(filter(None, reduce_columns(field, vectors)[2]), key=max):
+        reduced = reduce_columns(field, (_clean(field, v) for v in vectors))[2]
+        for v in sorted(filter(None, reduced), key=max):
             for low in [i for i in v if i in basis]:
                 axpy(field, v, v[low], basis[low])
             c = field.inv(v[max(v)])
             basis[max(v)] = {i: field.mul(c, a) for i, a in v.items()}
         self.field = field
-        self.vectors = tuple(basis.values())
+        self.vectors = tuple(MappingProxyType(v) for v in basis.values())
         self._owner = {low: k for k, low in enumerate(basis)}
 
     @property
@@ -241,7 +249,8 @@ class Span:
         return len(self.vectors)
 
     def contains(self, vec: dict) -> bool:
-        return reduce_vector(self.field, dict(vec), self._owner, self.vectors)[0] is None
+        return reduce_vector(self.field, _clean(self.field, vec), self._owner,
+                             self.vectors)[0] is None
 
     def sum(self, other: "Span") -> "Span":
         return Span(self.field, self.vectors + other.vectors)
@@ -260,14 +269,6 @@ class Span:
 
     def __repr__(self):
         return f"Span({self.field!r}, dim={self.dim})"
-
-
-def preimage(field: Field, columns: Sequence[dict], s: Span) -> Span:
-    """{x : Σ x_k · columns[k] ∈ span(s)}, as vectors {k: scalar}: the
-    first parts of the relations of [columns | s]."""
-    n = len(columns)
-    return Span(field, [{k: c for k, c in v.items() if k < n}
-                        for v in relations(field, list(columns) + list(s.vectors))])
 
 
 # ---------------------------------------------------------------------------

@@ -27,27 +27,26 @@ rows ordered last gives both, and the ambient and relative tables share the
 reduction of each full ∂_n.  The persistence modules (`superph.persistence`)
 are filtered versions of the same reduction.
 
-The chain data, Mayer–Vietoris diagnostics and subcomplex homology work
-on `fields.Span`s of sparse chains: a sum is one reduction, and an
-intersection, a preimage or the cycles of a span are the relations of one
-reduction.  Homology bases and induced maps are the one-step case of the
-persistence engine: in the filtration where every cell enters at step 0,
-the never-dying bars of the embedded module are a basis, and a pushed-
-forward representative is written in the target's representatives by one
-triangular solve.
+A basis of inf_n is the filtered basis of a marking (`inf_basis`), which
+the persistence modules also build on: the marked n-cells reduced against
+rows with the unmarked ones last.  The chain data, Mayer–Vietoris
+diagnostics and subcomplex homology work on `fields.Span`s of sparse
+chains: a sum is one reduction, and an intersection or the cycles of a
+span are the relations of one reduction.  Homology bases and induced maps
+are the one-step case of the persistence engine
+(`persistence.embedded_homology_basis`, `persistence.induced_homology_map`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .delta import (CellId, DeltaIdentityError, DeltaMorphism, DeltaSet,
-                    GradedSubset, SuperHypergraph, delta_closure, full_subset,
-                    max_delta_subset, validate_morphism)
-from .fields import (Field, FieldMatrix, Span, combine, preimage, reduce_columns,
-                     relations)
+from .delta import (CellId, DeltaIdentityError, DeltaSet, GradedSubset,
+                    SuperHypergraph, delta_closure, full_subset, max_delta_subset)
+from .fields import Field, Span, combine, reduce_columns, reduce_vector, relations
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,60 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     return ChainComplex(field, x.counts, tuple(columns))
 
 
+# ---------------------------------------------------------------------------
+# Infimum complexes
+# ---------------------------------------------------------------------------
+
+class FilteredBasis(NamedTuple):
+    """Filtered basis of one degree of an infimum complex: vectors[k], a
+    sparse chain {cell: scalar}, enters at entries[k].  lead[cell] = k when
+    vectors[k] has coefficient one on that cell and its other cells come
+    earlier in the order `rank` of the marked cells."""
+
+    entries: tuple
+    vectors: tuple
+    lead: dict
+    rank: dict
+
+    def coordinates(self, field: Field, chain: dict) -> dict:
+        """{k: scalar} with chain = Σ scalar · vectors[k], by a triangular
+        solve by lead."""
+        low, out = reduce_vector(field, dict(chain), self.lead, self.vectors,
+                                 lambda cell: self.rank.get(cell, math.inf))
+        if low is not None:
+            raise AssertionError("chain outside the infimum complex")
+        return out
+
+
+def inf_basis(cc: ChainComplex, entry: Sequence[Sequence], n: int) -> FilteredBasis:
+    """Filtered basis of inf_n of the marking whose cells enter at `entry`
+    (math.inf: never marked).
+
+    The marked n-cells are reduced in (entry, index) order against rows in
+    (entry, index) order, never-marked rows last: the V column of cell σ
+    enters at e(σ), or at e(low) when its low is later, and is dropped when
+    that is never.  When every marked cell's faces enter no later than the
+    cell, the marking is a filtered Δ-subset and the basis is its cells."""
+    e = entry[n]
+    cells = sorted((j for j in range(len(e)) if e[j] != math.inf), key=lambda j: (e[j], j))
+    rank = {j: r for r, j in enumerate(cells)}
+    one = cc.field.one
+    below = entry[n - 1] if n else ()
+    if all(below[i] <= e[j] for j in cells for i in cc.columns[n][j]):
+        return FilteredBasis(tuple(e[j] for j in cells), tuple({j: one} for j in cells),
+                             {j: k for k, j in enumerate(cells)}, rank)
+    rows = sorted(range(len(below)), key=lambda i: (below[i], i))
+    lows, vs, _ = reduce_columns(cc.field, [cc.columns[n][j] for j in cells],
+                                 {i: r for r, i in enumerate(rows)})
+    kept = []
+    for j, low, v in zip(cells, lows, vs):
+        at = e[j] if low is None else max(e[j], below[low])
+        if at != math.inf:
+            kept.append((at, {cells[k]: c for k, c in v.items()}, j))
+    return FilteredBasis(tuple(k[0] for k in kept), tuple(k[1] for k in kept),
+                         {k[2]: p for p, k in enumerate(kept)}, rank)
+
+
 @dataclass(frozen=True)
 class EmbeddedChainData:
     """Infimum and supremum subcomplexes inside each C_n(X), as spans of
@@ -111,19 +164,19 @@ class EmbeddedChainData:
 def embedded_chain_data(sh: SuperHypergraph, field: Field,
                         cc: ChainComplex | None = None) -> EmbeddedChainData:
     """inf_n = D_n ∩ ∂⁻¹(D_{n-1}) and sup_n = D_n + ∂(D_{n+1}), where D_n
-    is the coordinate span of the marked n-cells."""
+    is the coordinate span of the marked n-cells; inf_n is spanned by the
+    basis of the marking entering at one step."""
     if cc is None:
         cc = boundary_matrices(sh.x, field)
     h = sh.h
+    entry = tuple(tuple(0 if j in h.at(n) else math.inf for j in range(count))
+                  for n, count in enumerate(cc.dims))
     inf = []
     sup = []
     for n in range(cc.dim_count):
-        cells = sorted(h.at(n))
-        below = Span(field, ({i: field.one} for i in h.at(n - 1)))
-        pre = preimage(field, [cc.columns[n][j] for j in cells], below)
-        inf.append(Span(field, ({cells[k]: c for k, c in v.items()} for v in pre.vectors)))
+        inf.append(Span(field, inf_basis(cc, entry, n).vectors))
         up = [cc.columns[n + 1][j] for j in h.at(n + 1)] if n + 1 < cc.dim_count else []
-        sup.append(Span(field, [{j: field.one} for j in cells] + up))
+        sup.append(Span(field, [{j: field.one} for j in h.at(n)] + up))
     return EmbeddedChainData(field, tuple(inf), tuple(sup))
 
 
@@ -219,52 +272,6 @@ def geometric_gap_betti(sh: SuperHypergraph, field: Field) -> tuple[int, ...]:
     ranks = [0] + [_ranks(cc, n, cells[n], x.at(n - 1) - cells[n - 1])[1]
                    for n in range(1, nd)] + [0]
     return tuple(len(cells[n]) - ranks[n] - ranks[n + 1] for n in range(nd))
-
-
-# ---------------------------------------------------------------------------
-# Homology bases and induced maps
-# ---------------------------------------------------------------------------
-
-def _embedded_module(sh: SuperHypergraph, field: Field, n: int):
-    """(reduced complex, degree-n summands) of the embedded module of the
-    one-step filtration, in which every cell enters at step 0: no summand
-    dies, and their representatives are a basis of the embedded homology."""
-    from .persistence import Filtration, _complex, _summands
-    filt = Filtration(sh, (0.0,), [[0.0] * count for count in sh.x.counts])
-    return _complex(filt, field, "embedded"), _summands(filt, field, "embedded", n)
-
-
-def embedded_homology_basis(sh: SuperHypergraph, field: Field, n: int):
-    """(representatives, boundaries) for the degree-n embedded homology:
-    representative cycles as chains {n-cell: scalar}, and the span of the
-    boundaries of the infimum complex, chosen deterministically."""
-    cx, summands = _embedded_module(sh, field, n)
-    killed = cx.boundary_chains(n) if 0 <= n < sh.x.dim_count else ()
-    return ([cx.representative(n, s) for s in summands],
-            Span(field, (chain for _, chain in killed)))
-
-
-def induced_homology_map(m: DeltaMorphism, source: SuperHypergraph,
-                         target: SuperHypergraph, field: Field,
-                         degree: int) -> FieldMatrix:
-    """Matrix of the induced map on embedded homology in the deterministic
-    bases of source and target: column k holds the pushed-forward k-th
-    source representative, written in the target's representatives by one
-    triangular solve."""
-    report = validate_morphism(m, source.h, target.h)
-    if not report.ok:
-        raise ValueError(f"invalid morphism: {report.failures[0]}")
-    scx, src = _embedded_module(source, field, degree)
-    dcx, dst = _embedded_module(target, field, degree)
-    if not src:
-        return FieldMatrix.zeros(field, len(dst), 0)
-    units = [{t: field.one} for t in m.maps[degree]]
-    cols = []
-    for s in src:
-        chain = combine(field, scx.representative(degree, s), units)
-        solved = dcx.solve(degree, dcx.coordinates(degree, chain))
-        cols.append([solved.get(t.low, field.zero) for t in dst])
-    return FieldMatrix.from_columns(field, cols, len(dst))
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ Zomorodian–Carlsson 2005):
   homology is that of inf(X(t)) / inf(H(t)) (relative persistence,
   Cohen-Steiner–Edelsbrunner–Harer 2009).
 
-The filtered basis of an infimum complex comes from the same reduction: the
-marked n-cells, in order of entry, are reduced against rows ordered by
-entry (never-marked rows last); the V column of cell σ enters at the entry
-of σ, or of its low when that is later, and is dropped if that is never.
-The basis vectors have distinct lead cells, so coordinates in the basis
-are a triangular solve by lead (`fields.reduce_vector`, the echelon step of
-the column reduction).
+The filtered basis of an infimum complex (`homology.inf_basis`) comes from
+the same reduction: the marked n-cells, in order of entry, are reduced
+against rows ordered by entry (never-marked rows last); the V column of
+cell σ enters at the entry of σ, or of its low when that is later, and is
+dropped if that is never.  The basis vectors have distinct lead cells, so
+coordinates in the basis are a triangular solve by lead
+(`fields.reduce_vector`, the echelon step of the column reduction).
 
 In a complex reduced in (entry, position) order, a pair (low ρ, column τ)
 is the bar [e(ρ), e(τ)), kept when it has positive length, with the
@@ -40,6 +40,12 @@ reduction, whose cycle pivots and killing columns are bases of Z(t) and
 B(t); only its ranks J, P and the connecting rank reduce sums of two
 modules' spaces, dim(Z' + B)(t) - dim B(t), in entry order, so its
 exactness checks the modules' reductions against independent ones.
+
+Static homology bases and induced maps are the one-step case: in the
+filtration where every cell enters at step 0, the never-dying bars of the
+embedded module are a basis of the embedded homology, and a pushed-forward
+representative is written in the target's representatives by the same
+solve as an arrow of the triangle.
 """
 
 from __future__ import annotations
@@ -50,9 +56,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .delta import SuperHypergraph
-from .fields import Field, combine, reduce_columns, reduce_vector
-from .homology import ChainComplex, boundary_matrices
+from .delta import DeltaMorphism, SuperHypergraph, validate_morphism
+from .fields import Field, FieldMatrix, Span, combine, reduce_columns, reduce_vector
+from .homology import ChainComplex, FilteredBasis, boundary_matrices, inf_basis
 from .scoring import round_score
 
 MODULE_KINDS = ("ambient", "embedded", "relative")
@@ -161,56 +167,6 @@ def _chain_boundary(cc: ChainComplex, n: int, chain: dict) -> dict:
     return combine(cc.field, chain, cc.columns[n])
 
 
-class _Basis(NamedTuple):
-    """Filtered basis of one degree of an infimum complex: vectors[k], a
-    sparse chain {cell: scalar}, enters at entries[k].  lead[cell] = k when
-    vectors[k] has coefficient one on that cell and its other cells come
-    earlier in the order `rank` of the marked cells."""
-
-    entries: tuple
-    vectors: tuple
-    lead: dict
-    rank: dict
-
-    def coordinates(self, field: Field, chain: dict) -> dict:
-        """{k: scalar} with chain = Σ scalar · vectors[k], by a triangular
-        solve by lead."""
-        low, out = reduce_vector(field, dict(chain), self.lead, self.vectors,
-                                 lambda cell: self.rank.get(cell, math.inf))
-        if low is not None:
-            raise AssertionError("chain outside the infimum complex")
-        return out
-
-
-def _inf_basis(cc: ChainComplex, entry: Sequence[Sequence], n: int) -> _Basis:
-    """Filtered basis of inf_n of the marking whose cells enter at `entry`
-    (math.inf: never marked).
-
-    The marked n-cells are reduced in (entry, index) order against rows in
-    (entry, index) order, never-marked rows last: the V column of cell σ
-    enters at e(σ), or at e(low) when its low is later, and is dropped when
-    that is never.  When every marked cell's faces enter no later than the
-    cell, the marking is a filtered Δ-subset and the basis is its cells."""
-    e = entry[n]
-    cells = sorted((j for j in range(len(e)) if e[j] != math.inf), key=lambda j: (e[j], j))
-    rank = {j: r for r, j in enumerate(cells)}
-    one = cc.field.one
-    below = entry[n - 1] if n else ()
-    if all(below[i] <= e[j] for j in cells for i in cc.columns[n][j]):
-        return _Basis(tuple(e[j] for j in cells), tuple({j: one} for j in cells),
-                      {j: k for k, j in enumerate(cells)}, rank)
-    rows = sorted(range(len(below)), key=lambda i: (below[i], i))
-    lows, vs, _ = reduce_columns(cc.field, [cc.columns[n][j] for j in cells],
-                                 {i: r for r, i in enumerate(rows)})
-    kept = []
-    for j, low, v in zip(cells, lows, vs):
-        at = e[j] if low is None else max(e[j], below[low])
-        if at != math.inf:
-            kept.append((at, {cells[k]: c for k, c in v.items()}, j))
-    return _Basis(tuple(k[0] for k in kept), tuple(k[1] for k in kept),
-                  {k[2]: p for p, k in enumerate(kept)}, rank)
-
-
 # ---------------------------------------------------------------------------
 # Filtered complexes, reduced once
 # ---------------------------------------------------------------------------
@@ -313,11 +269,12 @@ class _Complex:
         """The representative cycle of a summand, as a chain."""
         return self.chain(n, self.reps[n][summand.low])
 
-    def solve(self, n: int, coords: dict) -> dict:
-        """Coefficients {low: scalar} of a degree-n cycle, given in basis
-        coordinates, in the representatives: one triangular solve by low."""
-        low, out = reduce_vector(self.field, dict(coords), self.owners[n], self.reps[n],
-                                 self.rank[n].__getitem__)
+    def solve(self, n: int, chain: dict) -> dict:
+        """Coefficients {low: scalar} of a degree-n cycle of the module,
+        given by its chain, in the representatives: its basis coordinates,
+        then one triangular solve by low."""
+        low, out = reduce_vector(self.field, self.coordinates(n, chain), self.owners[n],
+                                 self.reps[n], self.rank[n].__getitem__)
         if low is not None:
             raise AssertionError("arrow image outside the target cycle space")
         return out
@@ -333,7 +290,7 @@ class _Complex:
                 for t, r in self.killers[n].values()]
 
 
-def _bases(filt: Filtration, field: Field, which: str) -> tuple[_Basis, ...]:
+def _bases(filt: Filtration, field: Field, which: str) -> tuple[FilteredBasis, ...]:
     key = (field, "bases", which)
     if key not in filt._memo:
         cc = filt.chain_complex(field)
@@ -342,11 +299,11 @@ def _bases(filt: Filtration, field: Field, which: str) -> tuple[_Basis, ...]:
             h = filt.sh.h
             entry = tuple(tuple(e if j in h.at(n) else math.inf for j, e in enumerate(row))
                           for n, row in enumerate(entry))
-        filt._memo[key] = tuple(_inf_basis(cc, entry, n) for n in range(cc.dim_count))
+        filt._memo[key] = tuple(inf_basis(cc, entry, n) for n in range(cc.dim_count))
     return filt._memo[key]
 
 
-def _basis_complex(cc: ChainComplex, bases: Sequence[_Basis]) -> _Complex:
+def _basis_complex(cc: ChainComplex, bases: Sequence[FilteredBasis]) -> _Complex:
     f = cc.field
     columns = [[{} for _ in b.vectors] if n == 0 else
                [bases[n - 1].coordinates(f, _chain_boundary(cc, n, v)) for v in b.vectors]
@@ -355,13 +312,13 @@ def _basis_complex(cc: ChainComplex, bases: Sequence[_Basis]) -> _Complex:
                     lambda n, chain: bases[n].coordinates(f, chain), len(bases))
 
 
-def _cone(cc: ChainComplex, hb: Sequence[_Basis], xb: Sequence[_Basis]) -> _Complex:
+def _cone(cc: ChainComplex, hb: Sequence[FilteredBasis], xb: Sequence[FilteredBasis]) -> _Complex:
     """Mapping cone of inf(H) -> inf(X): Cone_n lists the inf_{n-1}(H)
     basis (a-part) and then the inf_n(X) basis (c-part), with
     d(a, c) = (-∂a, ι(a) + ∂c)."""
     f = cc.field
     nd = len(xb)
-    none = _Basis((), (), {}, {})
+    none = FilteredBasis((), (), {}, {})
 
     def part(bases, n):
         return bases[n] if 0 <= n < nd else none
@@ -507,7 +464,7 @@ def _arrow_coefficients(filt: Filtration, field: Field, arrow: str, degree: int)
             chain = scx.representative(degree, s)
             if arrow == "boundary":
                 chain = _chain_boundary(filt.chain_complex(field), degree, chain)
-            solved = dcx.solve(dst[1], dcx.coordinates(dst[1], chain))
+            solved = dcx.solve(dst[1], chain)
             coeffs.append({column[low]: c for low, c in solved.items() if low in column})
     return src_sum, dst_sum, coeffs
 
@@ -529,6 +486,49 @@ def correlation_matrix(filt: Filtration, field: Field, arrow: str,
                         if src_sum[a].overlaps(dst_sum[b]))
     return CorrelationMatrix(arrow, _interval_ids(filt, src[0], src[1], src_sum),
                              _interval_ids(filt, dst[0], dst[1], dst_sum), entries)
+
+
+# ---------------------------------------------------------------------------
+# Homology bases and induced maps
+# ---------------------------------------------------------------------------
+
+def _one_step_module(sh: SuperHypergraph, field: Field, n: int):
+    """(reduced complex, degree-n summands) of the embedded module of the
+    one-step filtration, in which every cell enters at step 0: no summand
+    dies, and their representatives are a basis of the embedded homology."""
+    filt = Filtration(sh, (0.0,), [[0.0] * count for count in sh.x.counts])
+    return _complex(filt, field, "embedded"), _summands(filt, field, "embedded", n)
+
+
+def embedded_homology_basis(sh: SuperHypergraph, field: Field, n: int):
+    """(representatives, boundaries) for the degree-n embedded homology:
+    representative cycles as chains {n-cell: scalar}, and the span of the
+    boundaries of the infimum complex, chosen deterministically."""
+    cx, summands = _one_step_module(sh, field, n)
+    killed = cx.boundary_chains(n) if 0 <= n < sh.x.dim_count else ()
+    return ([cx.representative(n, s) for s in summands],
+            Span(field, (chain for _, chain in killed)))
+
+
+def induced_homology_map(m: DeltaMorphism, source: SuperHypergraph,
+                         target: SuperHypergraph, field: Field,
+                         degree: int) -> FieldMatrix:
+    """Matrix of the induced map on embedded homology in the bases of
+    `embedded_homology_basis`: column k holds the pushed-forward k-th source
+    representative, written in the target's representatives."""
+    report = validate_morphism(m, source.h, target.h)
+    if not report.ok:
+        raise ValueError(f"invalid morphism: {report.failures[0]}")
+    scx, src = _one_step_module(source, field, degree)
+    dcx, dst = _one_step_module(target, field, degree)
+    if not src:
+        return FieldMatrix.zeros(field, len(dst), 0)
+    units = [{t: field.one} for t in m.maps[degree]]
+    cols = []
+    for s in src:
+        solved = dcx.solve(degree, combine(field, scx.representative(degree, s), units))
+        cols.append([solved.get(t.low, field.zero) for t in dst])
+    return FieldMatrix.from_columns(field, cols, len(dst))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superph.fields import GF, GF2, QQ, FieldMatrix, reduce_columns
+from superph.fields import GF, GF2, QQ, FieldMatrix, Span, reduce_columns
 
 from oracles import (SubspaceBasis, contains_subspace, dim_span_gf2_masks,
                      image_basis, kernel_basis, preimage_basis, rank, solve,
@@ -189,6 +189,25 @@ def test_intersect_commutative_and_dim_formula(rng):
         ba = subspace_intersect(b, a)
         assert ab == ba
         assert ab.dim == a.dim + b.dim - subspace_sum(a, b).dim
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ])
+def test_span_drops_explicit_zeros(field):
+    # an entry that is zero, or zero mod p, is no entry: it is neither a low
+    # nor a pivot to invert
+    p = field.p or 0
+    span = Span(field, [{0: 1, 1: 0}, {2: p, 1: 1}])
+    assert span == Span(field, [{0: 1}, {1: 1}]) and span.dim == 2
+    assert span.contains({0: 1, 1: 0}) and span.contains({0: 2, 1: -1, 2: 0})
+    assert span.contains({3: p}) and not span.contains({2: 1, 3: 0})
+    assert Span(field, [{0: 0}, {}]).dim == 0
+
+
+def test_span_vectors_are_read_only():
+    span = Span(QQ, [{0: 1, 1: 2}])
+    with pytest.raises(TypeError):
+        span.vectors[0][0] = 5
+    assert dict(span.vectors[0]) == {0: Fraction(1, 2), 1: 1}
 
 
 def test_preimage_full_and_zero():

@@ -369,7 +369,7 @@ def test_filtered_complex_checks_boundaries_are_cycles(monkeypatch):
 
 def test_filtered_complex_checks_monotone_entries(monkeypatch):
     # a basis whose triangles enter before their edges is not a filtration
-    real = persistence._inf_basis
+    real = persistence.inf_basis
 
     def early(cc, entry, n):
         basis = real(cc, entry, n)
@@ -377,7 +377,7 @@ def test_filtered_complex_checks_monotone_entries(monkeypatch):
             basis = basis._replace(entries=(0,) * len(basis.entries))
         return basis
 
-    monkeypatch.setattr("superph.persistence._inf_basis", early)
+    monkeypatch.setattr("superph.persistence.inf_basis", early)
     with pytest.raises(AssertionError, match="monotonicity"):
         full_barcode(square_filtration(), GF2, "ambient")
 
