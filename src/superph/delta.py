@@ -20,10 +20,14 @@ CellId = tuple[int, int]
 
 
 def cell_sort_key(obj):
-    """Total order on heterogeneous label atoms, for deterministic indexing."""
-    key = getattr(obj, "key", None)
-    if key is not None and not isinstance(obj, type):
-        return cell_sort_key(key)
+    """Total order on heterogeneous label atoms, for deterministic indexing.
+
+    An object with a `sort_key` attribute sorts by that value (a subgraph
+    by its host's vertex and edge ranks); numbers, strings, tuples and sets
+    sort by kind, then by value, tuples and sets element-wise."""
+    own = getattr(obj, "sort_key", None)
+    if own is not None and not isinstance(obj, type):
+        return own
     if isinstance(obj, bool):
         return (0, int(obj))
     if isinstance(obj, (int, float, Fraction)):

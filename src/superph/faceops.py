@@ -19,7 +19,9 @@ from .graphs import MultiGraph, Subgraph, VertexOrder, is_subgraph
 class SubgraphFamily:
     """A finite family of subgraphs of a common host graph.
 
-    Duplicate members (by canonical encoding) are dropped.
+    Duplicate members (equal vertex and edge id sets) are dropped, the
+    first one kept.  A member built on another host object is rebuilt on
+    this host, so every cell of a construction sorts by one host's ranks.
     """
 
     __slots__ = ("host", "members")
@@ -30,9 +32,9 @@ class SubgraphFamily:
         for m in members:
             if not is_subgraph(m, host):
                 raise ValueError(f"not a subgraph of the host: {m!r}")
-            if m.key not in seen:
-                seen.add(m.key)
-                uniq.append(m)
+            if m not in seen:
+                seen.add(m)
+                uniq.append(m if m.host is host else Subgraph(host, m.vertices, m.edges))
         self.host = host
         self.members = tuple(uniq)
 
@@ -93,6 +95,11 @@ class MarkedSubgraph:
     @property
     def key(self):
         return (self.subgraph.key, tuple(sorted(self.sv, key=cell_sort_key)))
+
+    @property
+    def sort_key(self):
+        """`cell_sort_key` order: that of the key, element by element."""
+        return cell_sort_key(self.key)
 
 
 def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:

@@ -44,16 +44,18 @@ def _lines(path):
 
 def read_graph(path) -> MultiGraph:
     """Graph file: `directed 0|1` header, `v <id>` and `e <id> <head> <tail>`
-    lines.  Ids are strings."""
+    lines.  Ids are strings; a vertex or edge id given twice is an error."""
     directed = None
-    vertices: list[str] = []
+    vertices: set[str] = set()
     edges: dict[str, tuple[str, str]] = {}
     for lineno, line in _lines(path):
         parts = line.split()
         if parts[0] == "directed" and len(parts) == 2 and parts[1] in ("0", "1"):
             directed = parts[1] == "1"
         elif parts[0] == "v" and len(parts) == 2:
-            vertices.append(parts[1])
+            if parts[1] in vertices:
+                raise FormatError(path, lineno, f"duplicate vertex id {parts[1]!r}")
+            vertices.add(parts[1])
         elif parts[0] == "e" and len(parts) == 4:
             if parts[1] in edges:
                 raise FormatError(path, lineno, f"duplicate edge id {parts[1]!r}")
@@ -147,12 +149,14 @@ def write_family(path, members: Iterable[Subgraph], sv: Iterable[frozenset] | No
 
 
 def read_clustering(path, g: MultiGraph) -> Clustering:
-    """Clustering file: `<vertex> <block index>` lines."""
+    """Clustering file: `<vertex> <block index>` lines, one per vertex."""
     assign: dict[str, int] = {}
     for lineno, line in _lines(path):
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(path, lineno, f"expected `<vertex> <block>`: {line!r}")
+        if parts[0] in assign:
+            raise FormatError(path, lineno, f"vertex {parts[0]!r} assigned twice")
         try:
             assign[parts[0]] = int(parts[1])
         except ValueError:
@@ -169,8 +173,8 @@ def read_clustering(path, g: MultiGraph) -> Clustering:
 
 
 def read_point_cloud(path) -> PointCloud:
-    """Delimiter-separated rows: vertex id then coordinates.  Fields split on
-    commas when present, else whitespace."""
+    """Delimiter-separated rows: vertex id then finite coordinates, one row
+    per vertex.  Fields split on commas when present, else whitespace."""
     points = {}
     for lineno, line in _lines(path):
         parts = [p for p in (line.split(",") if "," in line else line.split()) if p.strip()]
@@ -180,7 +184,12 @@ def read_point_cloud(path) -> PointCloud:
             coords = tuple(float(c) for c in parts[1:])
         except ValueError as exc:
             raise FormatError(path, lineno, f"bad coordinate: {exc}") from exc
-        points[parts[0].strip()] = coords
+        if not all(map(math.isfinite, coords)):
+            raise FormatError(path, lineno, f"non-finite coordinate in {coords}")
+        name = parts[0].strip()
+        if name in points:
+            raise FormatError(path, lineno, f"duplicate vertex id {name!r}")
+        points[name] = coords
     try:
         return PointCloud(points)
     except ValueError as exc:

@@ -17,7 +17,9 @@ class MultiGraph:
 
     Built once per graph: the edges joining each endpoint pair (both orders
     when undirected), out- and in-adjacency, and the rank of every vertex
-    and edge id in `cell_sort_key` order, which subgraphs sort by."""
+    and edge id in `cell_sort_key` order.  A subgraph's `key` lists its ids
+    in rank order and its `sort_key` is its sorted ranks, so building either
+    compares no ids."""
 
     __slots__ = ("vertices", "edge_ends", "directed", "_adj", "_in_adj",
                  "_between", "_vrank", "_erank")
@@ -103,9 +105,15 @@ class MultiGraph:
 
 class Subgraph:
     """A subgraph of a host graph: vertex and edge subsets with the host's
-    incidence restricted; every endpoint of a selected edge is selected."""
+    incidence restricted; every endpoint of a selected edge is selected.
 
-    __slots__ = ("host", "vertices", "edges", "_key")
+    Identity is the pair of id sets: two subgraphs are equal, and hash
+    alike, when their vertex and edge ids are, whatever their hosts.  The
+    canonical encoding `key` and the `cell_sort_key` value `sort_key` are
+    built from the host's ranks on first read and cached, so a subgraph
+    that is only looked up in a set of cells never builds them."""
+
+    __slots__ = ("host", "vertices", "edges", "_key", "_sort_key")
 
     def __init__(self, host: MultiGraph, vertices: Iterable, edges: Iterable = ()):
         self.host = host
@@ -117,13 +125,28 @@ class Subgraph:
             u, v = host.edge_ends[e]
             if u not in vs or v not in vs:
                 raise ValueError(f"edge {e!r} selected without its endpoints")
-        self._key = (tuple(sorted(vs, key=host._vrank.__getitem__)),
-                     tuple(sorted(self.edges, key=host._erank.__getitem__)))
+        self._key = self._sort_key = None
 
     @property
     def key(self) -> tuple:
-        """Canonical encoding (sorted vertex ids, sorted edge ids)."""
+        """Canonical encoding (sorted vertex ids, sorted edge ids), in
+        `cell_sort_key` order of the ids; built on first read."""
+        if self._key is None:
+            host = self.host
+            self._key = (tuple(sorted(self.vertices, key=host._vrank.__getitem__)),
+                         tuple(sorted(self.edges, key=host._erank.__getitem__)))
         return self._key
+
+    @property
+    def sort_key(self) -> tuple:
+        """(4, sorted vertex ranks, sorted edge ranks) in the host; built on
+        first read.  Among subgraphs of one host this orders as `key` does
+        under `cell_sort_key`, since the ranks follow that order."""
+        if self._sort_key is None:
+            vrank, erank = self.host._vrank, self.host._erank
+            self._sort_key = (4, tuple(sorted([vrank[v] for v in self.vertices])),
+                              tuple(sorted([erank[e] for e in self.edges])))
+        return self._sort_key
 
     def delete_vertex(self, v) -> "Subgraph":
         """Remove v together with all incident edges."""
@@ -158,13 +181,15 @@ class Subgraph:
         return any(e in self.edges for e in self.host._between.get((u, v), ()))
 
     def __eq__(self, other):
-        return isinstance(other, Subgraph) and self._key == other._key
+        return (isinstance(other, Subgraph) and self.vertices == other.vertices
+                and self.edges == other.edges)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.vertices, self.edges))
 
     def __repr__(self):
-        return f"Subgraph(V={self._key[0]}, E={self._key[1]})"
+        vs, es = self.key
+        return f"Subgraph(V={vs}, E={es})"
 
 
 class VertexOrder:

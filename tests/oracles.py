@@ -27,7 +27,9 @@ exceptions read library pieces but compute by another route:
 The scanning graph lookups and the two-pass face closure are the routes the
 library's indexed ones replaced: they read a graph's incidence map or build
 the library's `DeltaSet`, but scan every edge per query and call face_fn
-twice per cell.
+twice per cell.  The closure orders its cells by `recursive_sort_key`,
+which compares the labels' ids, where the library compares a subgraph's
+host ranks.
 """
 
 from __future__ import annotations
@@ -1055,6 +1057,26 @@ def brute_primary_closure_keys(members, order):
     return seen
 
 
+def recursive_sort_key(obj):
+    """Total order on labels from their ids alone: a label with a `key`
+    (a subgraph or a marked subgraph) sorts by its key; numbers, strings,
+    tuples and sets sort by kind, then by value, element-wise."""
+    key = getattr(obj, "key", None)
+    if key is not None and not isinstance(obj, type):
+        return recursive_sort_key(key)
+    if isinstance(obj, bool):
+        return (0, int(obj))
+    if isinstance(obj, (int, float, Fraction)):
+        return (0, obj)
+    if isinstance(obj, str):
+        return (1, obj)
+    if isinstance(obj, tuple):
+        return (2, tuple(recursive_sort_key(x) for x in obj))
+    if isinstance(obj, (set, frozenset)):
+        return (3, tuple(sorted(recursive_sort_key(x) for x in obj)))
+    return (9, repr(obj))
+
+
 def two_pass_close_under_faces(seeds, grade, face_fn):
     """Least family containing the seeds and closed under face_fn, as a
     Δ-set: one pass discovers the labels, a second calls face_fn again on
@@ -1078,7 +1100,7 @@ def two_pass_close_under_faces(seeds, grade, face_fn):
     if not by_dim:
         return DeltaSet((), (), ()), GradedSubset()
     top = max(by_dim)
-    ordered = [sorted(by_dim.get(n, ()), key=cell_sort_key) for n in range(top + 1)]
+    ordered = [sorted(by_dim.get(n, ()), key=recursive_sort_key) for n in range(top + 1)]
     index = {}
     for n, labs in enumerate(ordered):
         for j, lab in enumerate(labs):

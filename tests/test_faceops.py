@@ -12,10 +12,11 @@ from superph import (Clustering, MarkedSubgraph, MultiGraph, SubgraphFamily,
                      extend_graph, link_blowup_faces, partition_faces,
                      primary_vertex_deletion, secondary_vertex_deletion,
                      starting_vertex_faces)
-from superph.delta import close_under_faces
+from superph.delta import cell_sort_key, close_under_faces
 from superph.faceops import bfs_layers
 
 from oracles import brute_primary_closure_keys, two_pass_close_under_faces
+from test_graphs import random_multigraph
 
 
 def k4():
@@ -33,9 +34,10 @@ def random_graph(rng, n, p=0.5, directed=False):
 
 
 def random_subgraph(rng, g):
-    vs = [v for v in g.vertices if rng.random() < 0.7]
+    ordered = sorted(g.vertices, key=cell_sort_key)
+    vs = [v for v in ordered if rng.random() < 0.7]
     if not vs:
-        vs = [sorted(g.vertices)[0]]
+        vs = ordered[:1]
     vset = set(vs)
     es = [e for e, (u, w) in g.edge_ends.items()
           if u in vset and w in vset and rng.random() < 0.7]
@@ -335,18 +337,21 @@ def test_extend_graph_edge_counts():
 def random_marked_member(rng, g):
     """A random subgraph cut down to what its first vertex reaches."""
     sub = random_subgraph(rng, g)
-    sv = frozenset(sorted(sub.vertices)[:1])
+    sv = frozenset(sorted(sub.vertices, key=cell_sort_key)[:1])
     return MarkedSubgraph(sub.restrict(set().union(*bfs_layers(sub, sv))), sv)
 
 
 def random_clustering(rng, g):
     blocks = {}
-    for v in sorted(g.vertices):
+    for v in sorted(g.vertices, key=cell_sort_key):
         blocks.setdefault(rng.randint(0, 2), []).append(v)
     return Clustering(g, list(blocks.values()))
 
 
-def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
+def compare_with_two_pass_oracle(monkeypatch):
+    """Route every construction's closure through both the library and the
+    two-pass oracle, whose cell order compares ids; returns the list of
+    compared Δ-set shapes."""
     compared = []
 
     def both(seeds, grade, face_fn):
@@ -361,6 +366,11 @@ def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
 
     monkeypatch.setattr(superph.graphs, "close_under_faces", both)
     monkeypatch.setattr(superph.faceops, "close_under_faces", both)
+    return compared
+
+
+def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
+    compared = compare_with_two_pass_oracle(monkeypatch)
     rng = random.Random(0xFACE)
     for _ in range(6):
         g = random_graph(rng, rng.randint(3, 6), p=0.6)
@@ -372,6 +382,49 @@ def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
         clique_delta(multi, max_dim=3)
         primary_vertex_deletion(fam)
         secondary_vertex_deletion(fam)
+        partition_faces(fam, clus)
+        link_blowup_faces(fam, clus)
+        starting_vertex_faces([random_marked_member(rng, dg) for _ in range(2)], dg)
+    assert len(compared) == 36
+    assert sum(len(counts) > 2 for counts in compared) >= 12
+
+
+def simple_part(g):
+    """The first edge of each unordered pair of distinct vertices of g."""
+    edges, pairs = {}, set()
+    for e in sorted(g.edge_ends, key=cell_sort_key):
+        u, v = g.edge_ends[e]
+        if u != v and frozenset((u, v)) not in pairs:
+            pairs.add(frozenset((u, v)))
+            edges[e] = (u, v)
+    return MultiGraph(g.vertices, edges)
+
+
+def test_close_under_faces_matches_two_pass_oracle_on_mixed_ids(monkeypatch):
+    # int, str and tuple ids, loops and parallel edges; some members are
+    # built on a smaller host object, whose ranks differ from the family's
+    compared = compare_with_two_pass_oracle(monkeypatch)
+    rng = random.Random(0xD1CE)
+    hosts = 0
+    while hosts < 6:
+        g = random_multigraph(rng, directed=False)
+        if len(g.vertices) < 3 or not g.edge_ends:
+            continue
+        hosts += 1
+        part = g.induced(sorted(g.vertices, key=cell_sort_key)[1:])
+        small = MultiGraph(part.vertices, {e: g.edge_ends[e] for e in
+                                           sorted(part.edges, key=cell_sort_key)})
+        members = [random_subgraph(rng, g) for _ in range(rng.randint(1, 3))]
+        members.append(random_subgraph(rng, small))
+        fam = SubgraphFamily(g, members)
+        simple = simple_part(g)
+        simple_fam = SubgraphFamily(simple, [random_subgraph(rng, simple)
+                                             for _ in range(rng.randint(1, 4))])
+        clus = random_clustering(rng, g)
+        dg = random_multigraph(rng, directed=True)
+        clique_delta(g, max_dim=3)
+        primary_vertex_deletion(fam)
+        secondary_vertex_deletion(simple_fam)
         partition_faces(fam, clus)
         link_blowup_faces(fam, clus)
         starting_vertex_faces([random_marked_member(rng, dg) for _ in range(2)], dg)

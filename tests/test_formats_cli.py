@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,8 @@ from superph.persistence import Bar, Barcode
 from superph.render import render_diagram
 
 from conftest import pillow_delta
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,51 @@ def test_clustering_round_trip(tmp_path):
     p.write_text("a 0\n")
     with pytest.raises(FormatError):
         formats.read_clustering(p, g)
+
+
+def test_graph_rejects_repeated_vertex_line(tmp_path):
+    p = tmp_path / "g.graph"
+    p.write_text("directed 0\nv a\nv b\nv a\ne ab a b\n")
+    with pytest.raises(FormatError, match=r":4: duplicate vertex id 'a'"):
+        formats.read_graph(p)
+
+
+def test_clustering_rejects_vertex_listed_twice(tmp_path):
+    g = MultiGraph(["a", "b"], {})
+    p = tmp_path / "c.txt"
+    p.write_text("a 0\nb 0\na 1\n")
+    with pytest.raises(FormatError, match=r":3: vertex 'a' assigned twice"):
+        formats.read_clustering(p, g)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("a 0 0\nb 1 0\nc nan 1\n", 3, "non-finite coordinate"),
+    ("a, 0, 0\nb, -inf, 0\nc, 1, 1\n", 2, "non-finite coordinate"),
+    ("a 0 0\nb 1 0\na 0 1\n", 3, "duplicate vertex id 'a'"),
+])
+def test_cli_score_rejects_bad_point_cloud(tmp_path, capsys, text, lineno, message):
+    # a NaN coordinate would drop its cells' critical values and a repeated
+    # id would keep only its last row: both stop the job at the line
+    cloud = tmp_path / "c.xy"
+    cloud.write_text(text)
+    with pytest.raises(FormatError, match=f":{lineno}: {message}"):
+        formats.read_point_cloud(cloud)
+    code = main(["score", "--cloud", str(cloud), "--construction", "clique",
+                 "--scheme", "vr"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f":{lineno}: {message}" in captured.err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the Čech scores and is imported there: a module-level
+    # import would add its load time to every command
+    code = "import sys, superph.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_point_cloud_formats(tmp_path):

@@ -10,7 +10,8 @@ from superph import (MultiGraph, Subgraph, VertexOrder, clique_delta, cliques,
                      path_complex)
 from superph.delta import cell_sort_key
 
-from oracles import scan_edges_between, scan_has_edge_between, scan_neighbors
+from oracles import (recursive_sort_key, scan_edges_between, scan_has_edge_between,
+                     scan_neighbors)
 
 
 def path_graph():
@@ -75,7 +76,8 @@ def random_multigraph(rng, directed):
 
 
 def random_multigraph_subgraph(rng, g):
-    vs = {v for v in g.vertices if rng.random() < 0.6}
+    # draw in id order: set order of str ids changes with the hash seed
+    vs = {v for v in sorted(g.vertices, key=cell_sort_key) if rng.random() < 0.6}
     es = [e for e, (u, w) in g.edge_ends.items()
           if u in vs and w in vs and rng.random() < 0.6]
     return Subgraph(g, vs, es)
@@ -114,6 +116,43 @@ def test_subgraph_key_matches_cell_sort_key(directed):
                 [random_multigraph_subgraph(rng, g) for _ in range(4)]:
             assert sub.key == (tuple(sorted(sub.vertices, key=cell_sort_key)),
                                tuple(sorted(sub.edges, key=cell_sort_key)))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_subgraph_identity_is_the_id_sets(directed):
+    # one subgraph reached by five routes; identity, key and sort order
+    # compare ids only, never the host object or the route
+    rng = random.Random(11 + directed)
+    routes = 0
+    while routes < 40:
+        g = random_multigraph(rng, directed)
+        sub = random_multigraph_subgraph(rng, g)
+        outside = sorted(g.vertices - sub.vertices, key=cell_sort_key)
+        if not outside:
+            continue
+        routes += 1
+        w = outside[0]
+        vs, es = sub.vertices, sub.edges
+        ends = g.edge_ends
+        with_w = [e for e in g.edges if w in ends[e] and set(ends[e]) <= vs | {w}]
+        crossing = [e for e in g.edges if not set(ends[e]) <= vs]
+        half = sorted(es, key=cell_sort_key)[:len(es) // 2]
+        twin = MultiGraph(g.vertices, g.edge_ends, directed=directed)
+        same = [Subgraph(g, vs, es),
+                Subgraph(g, vs | {w}, es | set(with_w)).delete_vertex(w),
+                Subgraph(g, g.vertices, es | set(crossing)).restrict(vs),
+                Subgraph(g, vs, half).add_edges(es),
+                Subgraph(twin, vs, es)]
+        assert len(set(same)) == 1
+        for s in same:
+            assert s == same[0] and hash(s) == hash(same[0])
+        want = (tuple(sorted(vs, key=cell_sort_key)), tuple(sorted(es, key=cell_sort_key)))
+        assert all(s.key == want for s in same)
+        assert len({s.sort_key for s in same}) == 1
+        subs = [random_multigraph_subgraph(rng, g) for _ in range(8)] + \
+            [g.full(), g.subgraph((), ()), same[3], same[4]]
+        assert [s.key for s in sorted(subs, key=cell_sort_key)] == \
+            [s.key for s in sorted(subs, key=recursive_sort_key)]
 
 
 # ---------------------------------------------------------------------------
