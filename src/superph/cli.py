@@ -9,6 +9,7 @@ overriding individual keys.  Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -82,6 +83,8 @@ class JobConfig:
                     raise UsageError(f"config key {key!r}: bad {type(current).__name__} "
                                      f"{value!r}") from None
             setattr(cfg, key, value)
+        if cfg.max_dim < 0:
+            raise UsageError(f"config key 'max_dim': must be >= 0, got {cfg.max_dim}")
         return cfg
 
     def coefficient_field(self):
@@ -371,7 +374,10 @@ def _job_config(args) -> JobConfig:
     return JobConfig.load(args.config, overrides)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and kept for the
+    process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="superph",
         description="embedded homology and super-persistent homology of "
@@ -382,9 +388,12 @@ def main(argv=None) -> int:
     pr = sub.add_parser("render")
     pr.add_argument("--input", required=True, help="barcode csv")
     pr.add_argument("--output", required=True, help="svg path")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 

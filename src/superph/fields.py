@@ -12,6 +12,13 @@ a sum of spans is one reduction of their vectors, and a kernel
 (`relations`) or an intersection is the relations among a concatenation
 of columns.  All routines are exact.
 
+Over GF(2), the package's default field, every nonzero scalar is 1 and
+vectors are {index: 1} dicts.  `axpy` subtracts a vector as the symmetric
+difference of supports and `combine` keeps the indices hit an odd number
+of times, so the reduction's inner loop calls no `Field` method; GF(p) and
+Q take the generic route, which `tests/oracles.py` also runs over GF(2)
+as the reference.
+
 `FieldMatrix` is a small dense matrix, the return type of induced maps;
 `rref` (Gauss–Jordan elimination) has no caller in the package and stays
 beside it for the benchmark's traced run, which wraps both by name.
@@ -126,7 +133,19 @@ def GF(p: int) -> Field:
 # ---------------------------------------------------------------------------
 
 def axpy(field: Field, dst: dict, c, src: dict):
-    """dst -= c * src on sparse vectors {index: scalar}, dropping zeros."""
+    """dst -= c * src on sparse vectors {index: scalar}, dropping zeros.
+
+    Over GF(2) every nonzero scalar is 1, so for c = 1 this is the symmetric
+    difference of the supports: an index of src leaves dst if it is there
+    and enters it with coefficient 1 if not, without a `Field` call."""
+    if field.p == 2:
+        if c:
+            for i in src:
+                if i in dst:
+                    del dst[i]
+                else:
+                    dst[i] = 1
+        return
     for i, b in src.items():
         t = field.sub(dst[i], field.mul(c, b)) if i in dst else field.neg(field.mul(c, b))
         if t:
@@ -137,7 +156,18 @@ def axpy(field: Field, dst: dict, c, src: dict):
 
 def combine(field: Field, coeffs: dict, vectors) -> dict:
     """Σ c · vectors[k] over coeffs {k: c}, as a sparse vector without
-    zeros."""
+    zeros.
+
+    Over GF(2) an index keeps coefficient 1 when an odd number of the
+    vectors with c = 1 hold it, and the sum calls no `Field` method."""
+    if field.p == 2:
+        odd: dict = {}
+        get = odd.get
+        for k, c in coeffs.items():
+            if c:
+                for i in vectors[k]:
+                    odd[i] = not get(i)
+        return {i: 1 for i, a in odd.items() if a}
     out: dict = {}
     for k, c in coeffs.items():
         for i, b in vectors[k].items():

@@ -280,6 +280,8 @@ def clique_delta(g: MultiGraph, order: VertexOrder | None = None,
     vertex (in order) with its incident edges."""
     if g.directed:
         raise ValueError("clique Δ-set is defined for undirected graphs")
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     if order is None:
         order = VertexOrder.default(g)
     seeds = cliques(g, max_dim + 1)
@@ -355,6 +357,8 @@ def path_complex(g: MultiGraph, max_len: int) -> SuperHypergraph:
     """
     if not g.directed or not g.is_simple():
         raise ValueError("path complex requires a simple digraph")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     comp = completion(g)
     vs = sorted(g.vertices, key=cell_sort_key)
 

@@ -5,6 +5,10 @@ definitions (bitmask enumeration, forward elimination, fixed-point closure)
 so the main library is checked by a second route, not by itself.  Some
 exceptions read library pieces but compute by another route:
 
+- the generic sparse arithmetic (`dict_axpy`, `dict_combine`, and
+  `dict_route` to run the library on them): Σ c·v through `Field` calls
+  over every field, where the library takes symmetric differences and
+  occurrence parities over GF(2);
 - the dense subspace layer: canonical RREF bases (`SubspaceBasis`) from the
   library's `rref`, with kernel, sum, intersection, preimage, solve and
   independent-extension routines, dense boundary matrices, and on them the
@@ -34,6 +38,7 @@ host ranks.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +52,49 @@ from superph.fields import Field, FieldMatrix, Span, rref
 from superph.homology import MvReport, MvRow, boundary_matrices
 from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
                                  TriangleRow)
+
+
+# ---------------------------------------------------------------------------
+# Generic sparse arithmetic, for every field
+# ---------------------------------------------------------------------------
+
+def dict_axpy(field: Field, dst: dict, c, src: dict):
+    """dst -= c * src through `Field` calls: the generic route of
+    `fields.axpy`, which the library takes only over GF(p) and Q."""
+    for i, b in src.items():
+        t = field.sub(dst[i], field.mul(c, b)) if i in dst else field.neg(field.mul(c, b))
+        if t:
+            dst[i] = t
+        else:
+            del dst[i]
+
+
+def dict_combine(field: Field, coeffs: dict, vectors) -> dict:
+    """Σ c · vectors[k] through `Field` calls: the generic route of
+    `fields.combine`."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        for i, b in vectors[k].items():
+            out[i] = field.add(out[i], field.mul(c, b)) if i in out else field.mul(c, b)
+    return {i: a for i, a in out.items() if a}
+
+
+@contextlib.contextmanager
+def dict_route():
+    """Run the library on the generic arithmetic over every field, GF(2)
+    included: `axpy` and `combine` are swapped for the two routines above
+    wherever the library binds them, and restored on exit."""
+    from superph import fields, homology, persistence
+    saved = [(m, name, getattr(m, name))
+             for m, name in ((fields, "axpy"), (fields, "combine"),
+                             (homology, "combine"), (persistence, "combine"))]
+    for m, name, _ in saved:
+        setattr(m, name, dict_axpy if name == "axpy" else dict_combine)
+    try:
+        yield
+    finally:
+        for m, name, fn in saved:
+            setattr(m, name, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superph.fields import GF, GF2, QQ, FieldMatrix, Span, reduce_columns
+from superph.fields import (GF, GF2, QQ, FieldMatrix, Span, axpy, combine, reduce_columns,
+                            reduce_vector)
 
-from oracles import (SubspaceBasis, contains_subspace, dim_span_gf2_masks,
-                     image_basis, kernel_basis, preimage_basis, rank, solve,
-                     subspace_intersect, subspace_sum)
+from oracles import (SubspaceBasis, contains_subspace, dict_axpy, dict_combine, dict_route,
+                     dim_span_gf2_masks, image_basis, kernel_basis, preimage_basis, rank,
+                     solve, subspace_intersect, subspace_sum)
 
 
 def gf2_vectors(n):
@@ -278,3 +280,89 @@ def test_matmul_apply_agree(rng):
     prod = a.matmul(b)
     for j in range(2):
         assert prod.column(j) == a.apply(b.column(j))
+
+
+# ---------------------------------------------------------------------------
+# GF(2) arithmetic against the generic route
+# ---------------------------------------------------------------------------
+
+def _items(vectors):
+    """Sparse vectors as item lists, so that the order of the keys counts."""
+    return [list(v.items()) for v in vectors]
+
+
+def _gf2_family(supports, repeats, cancels):
+    """{i: 1} vectors on the drawn supports, plus copies of some (repeated
+    vectors) and the sums of some pairs (cancelling triples)."""
+    vectors = [dict.fromkeys(s, 1) for s in supports]
+    if vectors:
+        vectors += [dict(vectors[k % len(vectors)]) for k in repeats]
+        vectors += [dict_combine(GF2, {a % len(vectors): 1, b % len(vectors): 1}, vectors)
+                    for a, b in cancels]
+    return vectors
+
+
+def _assert_gf2_matches_dict_route(vectors, coeffs, probe, row_rank):
+    # axpy of every ordered pair, in place, and combine
+    for dst in vectors:
+        for src in vectors:
+            fast, slow = dict(dst), dict(dst)
+            axpy(GF2, fast, 1, src)
+            dict_axpy(GF2, slow, 1, src)
+            assert list(fast.items()) == list(slow.items())
+    assert list(combine(GF2, coeffs, vectors).items()) == \
+        list(dict_combine(GF2, coeffs, vectors).items())
+    # the whole reduction, with and without a row order
+    for rr in (None, row_rank):
+        fast = reduce_columns(GF2, vectors, rr)
+        with dict_route():
+            slow = reduce_columns(GF2, vectors, rr)
+        assert fast[0] == slow[0]
+        assert _items(fast[1]) == _items(slow[1]) and _items(fast[2]) == _items(slow[2])
+        owner = {low: j for j, low in enumerate(fast[0]) if low is not None}
+        key = None if rr is None else rr.__getitem__
+        r_fast, r_slow = dict(probe), dict(probe)
+        out_fast = reduce_vector(GF2, r_fast, owner, fast[2], key)
+        with dict_route():
+            out_slow = reduce_vector(GF2, r_slow, owner, fast[2], key)
+        assert out_fast == out_slow and list(r_fast.items()) == list(r_slow.items())
+    # spans: bases, sums, intersections and membership
+    half = len(vectors) // 2
+    a, b = Span(GF2, vectors[:half]), Span(GF2, vectors[half:])
+    fast = (a, b, a.sum(b), a.intersect(b), a.contains(probe))
+    with dict_route():
+        a, b = Span(GF2, vectors[:half]), Span(GF2, vectors[half:])
+        slow = (a, b, a.sum(b), a.intersect(b), a.contains(probe))
+    assert fast == slow
+
+
+def test_gf2_arithmetic_matches_dict_route(rng):
+    # seeded families of up to 12 vectors on 10 rows, with empty, repeated
+    # and cancelling vectors
+    for _ in range(40):
+        supports = [rng.sample(range(10), rng.randint(0, 6)) for _ in range(rng.randint(0, 8))]
+        repeats = [rng.randrange(8) for _ in range(rng.randint(0, 2))]
+        cancels = [(rng.randrange(8), rng.randrange(8)) for _ in range(rng.randint(0, 2))]
+        vectors = _gf2_family(supports, repeats, cancels)
+        coeffs = {k: 1 for k in range(len(vectors)) if rng.random() < 0.6}
+        probe = dict.fromkeys(rng.sample(range(10), rng.randint(0, 6)), 1)
+        order = list(range(10))
+        rng.shuffle(order)
+        _assert_gf2_matches_dict_route(vectors, coeffs, probe,
+                                       {r: k for k, r in enumerate(order)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_gf2_arithmetic_matches_dict_route_property(data):
+    indices = st.lists(st.integers(0, 7), unique=True, max_size=6)
+    supports = data.draw(st.lists(indices, max_size=7))
+    repeats = data.draw(st.lists(st.integers(0, 6), max_size=2))
+    cancels = data.draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=2))
+    vectors = _gf2_family(supports, repeats, cancels)
+    coeffs = dict.fromkeys(data.draw(st.lists(st.integers(0, max(len(vectors) - 1, 0)),
+                                              unique=True, max_size=len(vectors))), 1)
+    probe = dict.fromkeys(data.draw(indices), 1)
+    order = data.draw(st.permutations(range(8)))
+    _assert_gf2_matches_dict_route(vectors, coeffs, probe,
+                                   {r: k for k, r in enumerate(order)})

@@ -481,6 +481,80 @@ def test_cli_unparsable_config_value_is_usage_error(tmp_path, capsys, config, fl
     assert err.startswith("error: ") and message in err, err
 
 
+@pytest.mark.parametrize("value", ["-1", "-5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, construction", [("score", "clique"),
+                                                   ("persist", "clique"),
+                                                   ("score", "path")])
+def test_cli_negative_max_dim_is_usage_error(tmp_path, capsys, command, construction,
+                                             source, value):
+    # a negative dimension bound is a config error naming its key, not a
+    # job run with max_dim 0
+    cloud = write_square_inputs(tmp_path)
+    graph = tmp_path / "arc.graph"
+    graph.write_text("directed 1\nv a\nv b\ne ab a b\n")
+    argv = [command, "--construction", construction, "--out", str(tmp_path / "out")]
+    argv += (["--cloud", str(cloud), "--scheme", "vr"] if construction == "clique"
+             else ["--graph", str(graph), "--scheme", "constant"])
+    if source == "flag":
+        argv += ["--max-dim", value]
+    else:
+        job = tmp_path / "job.cfg"
+        job.write_text(f"max_dim = {value}\n")
+        argv += ["--config", str(job)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key 'max_dim': must be >= 0, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # one process serves a persist, a bad flag, a render and the same
+    # persist again with the exit codes, messages and output bytes of four
+    # separate processes
+    cloud = write_square_inputs(tmp_path)
+
+    def calls(out):
+        persist = ["persist", "--cloud", str(cloud), "--construction", "clique",
+                   "--scheme", "vr", "--max-dim", "2", "--out"]
+        return [persist + [str(out / "first")],
+                ["persist", "--cloud", str(cloud), "--no-such-flag", "1"],
+                ["render", "--input", str(out / "first" / "barcodes.csv"),
+                 "--output", str(out / "diagram.svg")],
+                persist + [str(out / "again")]]
+
+    def outputs(out):
+        files = {}
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                lines = path.read_bytes().splitlines(keepends=True)
+                if path.name == "report.txt":  # timings differ from run to run
+                    lines = [x for x in lines if not x.startswith(b"time ")]
+                files[str(path.relative_to(out))] = lines
+        return files
+
+    in_process = []
+    for argv in calls(tmp_path / "in_process"):
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    fresh = []
+    for argv in calls(tmp_path / "fresh"):
+        proc = subprocess.run([sys.executable, "-m", "superph.cli"] + argv, env=env,
+                              cwd=ROOT, capture_output=True, text=True, timeout=120,
+                              check=False)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [c[0] for c in in_process] == [0, 1, 0, 0]
+    assert in_process == fresh
+    assert outputs(tmp_path / "in_process") == outputs(tmp_path / "fresh")
+    assert set(outputs(tmp_path / "fresh")) == {
+        "diagram.svg", *(f"{run}/{name}" for run in ("first", "again")
+                         for name in ("barcodes.csv", "correlation.csv", "triangle.csv",
+                                      "manifest.txt", "report.txt"))}
+
+
 def test_cli_validate_reports_violation(tmp_path, capsys):
     delta = tmp_path / "bad.delta"
     # swapped faces of the 2-cell of a triangle: identity fails

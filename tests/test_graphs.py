@@ -208,6 +208,15 @@ def test_clique_delta_k3_is_two_simplex():
     assert ds.validate().ok
 
 
+@pytest.mark.parametrize("max_dim", [-1, -5])
+def test_negative_max_dim_rejected(max_dim):
+    with pytest.raises(ValueError, match="max_dim must be >= 0"):
+        clique_delta(triangle_graph(), max_dim=max_dim)
+    dg = MultiGraph(["a", "b"], {"e": ("a", "b")}, directed=True)
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
+        path_complex(dg, max_dim)
+
+
 def test_clique_delta_four_cycle():
     g = MultiGraph([0, 1, 2, 3], {"a": (0, 1), "b": (1, 2), "c": (2, 3), "d": (0, 3)})
     ds = clique_delta(g, max_dim=3)

@@ -333,6 +333,29 @@ def test_sparse_persistence_property(data):
     _assert_matches_dense(filt, data.draw(st.sampled_from((GF2, GF(3), QQ))), "drawn")
 
 
+def test_gf2_persistence_matches_dict_route(rng):
+    # barcodes, every correlation matrix and the triangle over GF(2), on the
+    # library's arithmetic and on the generic route, each on a fresh
+    # filtration (the reductions are memoised on it)
+    def outputs(sh, scheme):
+        filt = build_filtration(sh, scheme)
+        return ([full_barcode(filt, GF2, w) for w in MODULE_KINDS],
+                [correlation_matrix(filt, GF2, a, n)
+                 for a in ARROWS for n in range(sh.x.dim_count)],
+                triangle_report(filt, GF2))
+
+    for case in range(6):
+        pc = random_cloud(rng, max_points=7)
+        ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=3)
+        marks = GradedSubset({n: {j for j in range(ds.counts[n]) if rng.random() < 0.7}
+                              for n in range(ds.dim_count)})
+        sh = SuperHypergraph(ds, marks)
+        fast = outputs(sh, vr_scheme(pc))
+        with oracles.dict_route():
+            slow = outputs(sh, vr_scheme(pc))
+        assert fast == slow, case
+
+
 def _tampered(field):
     """The square's chain complex with ∂ of one triangle replaced by the
     first edge alone, so ∂∂ != 0 there: no check in `boundary_matrices`
