@@ -10,7 +10,7 @@ Run:  python3 demos/starting_vertices_and_schemes.py
 """
 
 from superph import (GF2, MarkedSubgraph, MultiGraph, PointCloud,
-                     SubgraphFamily, WitnessConfig, constant_scheme,
+                     SubgraphFamily, constant_scheme,
                      embedded_betti, is_regular_scheme, path_complex,
                      seeded_random_scheme, starting_vertex_faces, vr_scheme,
                      witness_scheme, witness_score)
@@ -43,11 +43,11 @@ print("=" * 72)
 print("3. Witness scorings on a line of landmarks")
 print("=" * 72)
 pc = PointCloud({0: (0.0,), 1: (1.0,), 2: (3.0,)})
-cfg = WitnessConfig()  # witnesses default to the cloud itself
+# without a witness set, the witnesses are the cloud's own points
 for variant in ("strong", "vr_strong", "weak", "vr_weak"):
     vals = {}
     for lam in ([0], [0, 1]):
-        vals[tuple(lam)] = round(witness_score(lam, pc, cfg, variant), 4)
+        vals[tuple(lam)] = round(witness_score(lam, pc, variant), 4)
     print(f"  {variant:10s}: {vals}")
 print("-> weak variants can DROP when the subset grows (the exclusion set")
 print("   shrinks), so they are not regular scoring schemes.")
@@ -61,7 +61,7 @@ fam = SubgraphFamily(kg, [kg.full(), kg.induced({0, 1}), kg.induced({0})])
 # one landmark more than the family ever uses keeps the weak variants total
 pc2 = PointCloud({0: (0.0,), 1: (1.0,), 2: (2.5,), 3: (6.0,)})
 for scheme in (vr_scheme(pc2), constant_scheme(1.0),
-               witness_scheme(pc2, cfg, "weak"), seeded_random_scheme(5)):
+               witness_scheme(pc2, "weak"), seeded_random_scheme(5)):
     ok, pair = is_regular_scheme(scheme, fam)
     shown = None if pair is None else (pair[0].key[0], pair[1].key[0])
     print(f"  {scheme.name:16s} regular on family: {ok}   counterexample: {shown}")

@@ -26,9 +26,9 @@ from .graphs import MultiGraph, Subgraph, clique_delta, neighborhood_complex, pa
 from .homology import embedded_betti, gap_series
 from .persistence import (DominationError, RegularityError, build_filtration,
                           correlation_matrix, full_barcode, triangle_report)
-from .scoring import (PointCloud, WitnessConfig, cech_points, cech_scheme,
-                      constant_scheme, critical_values, pullback_scheme,
-                      seeded_random_scheme, vr_points, vr_scheme, witness_scheme)
+from .scoring import (PointCloud, cech_points, cech_scheme, constant_scheme,
+                      critical_values, pullback_scheme, seeded_random_scheme,
+                      vr_points, vr_scheme, witness_scheme)
 
 CONSTRUCTIONS = ("clique", "neighborhood", "path", "primary_vd", "secondary_vd",
                  "edge_del", "partition", "link_blowup", "starting_vertex", "delta")
@@ -75,7 +75,11 @@ class JobConfig:
                 raise UsageError(f"unknown config key {key!r}")
             current = getattr(cfg, key)
             if isinstance(current, bool):
-                value = str(value).lower() in ("1", "true", "yes")
+                flag = str(value).lower()
+                if flag not in ("1", "true", "yes", "0", "false", "no"):
+                    raise UsageError(f"config key {key!r}: bad bool {value!r} "
+                                     f"(1/0, true/false or yes/no)")
+                value = flag in ("1", "true", "yes")
             elif isinstance(current, (int, float)):
                 try:
                     value = type(current)(value)
@@ -221,12 +225,14 @@ def build_scheme(cfg: JobConfig):
         return cech_scheme(_load_cloud(cfg))
     if name.startswith("witness:"):
         cloud = _load_cloud(cfg)
-        witness_set = None
+        witnesses = None
         if cfg.witnesses:
-            wc = formats.read_point_cloud(cfg.witnesses)
-            witness_set = tuple(wc.all_points())
-        return witness_scheme(cloud, WitnessConfig(witness_set), name.split(":", 1)[1])
+            witnesses = formats.read_point_cloud(cfg.witnesses).all_points()
+        return witness_scheme(cloud, name.split(":", 1)[1], witnesses)
     if name == "pullback":
+        if cfg.pullback_base not in ("vr", "cech"):
+            raise UsageError(f"config key 'pullback_base': must be vr or cech, "
+                             f"got {cfg.pullback_base!r}")
         cloud = _load_cloud(cfg)
         base = vr_points if cfg.pullback_base == "vr" else cech_points
         return pullback_scheme(cloud.points, base, name=f"pullback:{cfg.pullback_base}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .delta import GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces
-from .graphs import MultiGraph, Subgraph, VertexOrder, is_subgraph
+from .graphs import MultiGraph, Subgraph, is_subgraph
 
 
 class SubgraphFamily:
@@ -122,45 +122,42 @@ def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
 # Vertex-deletion topologies
 # ---------------------------------------------------------------------------
 
-def primary_vertex_deletion(fam: SubgraphFamily,
-                            order: VertexOrder | None = None) -> SuperHypergraph:
+def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
     """Grade by vertex count minus one; d_i deletes the i-th vertex (in the
-    total order) together with its incident edges.  The parental Δ-set is
-    the family plus all iterated faces."""
+    host's rank order) together with its incident edges.  The parental
+    Δ-set is the family plus all iterated faces."""
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
-    if order is None:
-        order = VertexOrder.default(fam.host)
+    rank = fam.host._vrank.__getitem__
 
     def grade(sub: Subgraph) -> int:
         return len(sub.vertices) - 1
 
     def face_fn(sub: Subgraph):
-        return [sub.delete_vertex(v) for v in order.sorted(sub.vertices)]
+        return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=rank)]
 
     ds, marked = close_under_faces(fam.members, grade, face_fn)
     return SuperHypergraph(ds, marked)
 
 
-def secondary_vertex_deletion(fam: SubgraphFamily,
-                              order: VertexOrder | None = None) -> SuperHypergraph:
-    """d_i removes the i-th vertex and adds the host edge between its order
-    neighbors v_{i-1}, v_{i+1} when the host has one.  Host must be simple.
-    The Δ-identity is validated on the constructed family; a violation is
-    surfaced as a construction error naming the witnessing triple."""
+def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
+    """d_i removes the i-th vertex (in the host's rank order) and adds the
+    host edge between its order neighbors v_{i-1}, v_{i+1} when the host has
+    one.  Host must be simple.  The Δ-identity is validated on the
+    constructed family; a violation is surfaced as a construction error
+    naming the witnessing triple."""
     if not fam.host.is_simple():
         raise ValueError("secondary vertex-deletion requires a simple host graph")
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
-    if order is None:
-        order = VertexOrder.default(fam.host)
     host = fam.host
+    rank = host._vrank.__getitem__
 
     def grade(sub: Subgraph) -> int:
         return len(sub.vertices) - 1
 
     def face_fn(sub: Subgraph):
-        ordered = order.sorted(sub.vertices)
+        ordered = sorted(sub.vertices, key=rank)
         out = []
         for i, v in enumerate(ordered):
             nxt = sub.delete_vertex(v)

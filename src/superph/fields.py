@@ -195,6 +195,8 @@ def reduce_vector(field: Field, r: dict, owner: dict, vectors, key=None) -> tupl
         k = owner.get(low)
         if k is None:
             return low, multiples
+        if k in multiples:
+            raise AssertionError(f"owner {k} used twice: the low {low!r} did not fall")
         v = vectors[k]
         a = v[low]
         c = multiples[k] = r[low] if a == 1 else field.mul(r[low], field.inv(a))
@@ -353,19 +355,8 @@ class FieldMatrix:
         self.entries = ent
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "FieldMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = [x for r in rows for x in r]
-        return cls(field, nr, nc, flat)
-
-    @classmethod
-    def from_columns(cls, field: Field, columns: Sequence[Sequence], nrows: int | None = None) -> "FieldMatrix":
+    def from_columns(cls, field: Field, columns: Sequence[Sequence], nrows: int) -> "FieldMatrix":
         nc = len(columns)
-        if nrows is None:
-            if nc == 0:
-                raise ValueError("nrows required for a matrix with no columns")
-            nrows = len(columns[0])
         flat = [columns[j][i] for i in range(nrows) for j in range(nc)]
         return cls(field, nrows, nc, flat)
 
@@ -373,19 +364,11 @@ class FieldMatrix:
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
         return cls(field, rows, cols, [field.zero] * (rows * cols))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "FieldMatrix":
-        return cls(field, n, n, [field.one if i == j else field.zero
-                                 for i in range(n) for j in range(n)])
-
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product m @ vec."""

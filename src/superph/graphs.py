@@ -3,8 +3,8 @@ built from them (clique Δ-set, neighborhood complex, path complex)."""
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import combinations, product
+from typing import Hashable, Iterable, Mapping
 
 from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
                     close_under_faces)
@@ -19,7 +19,8 @@ class MultiGraph:
     when undirected), out- and in-adjacency, and the rank of every vertex
     and edge id in `cell_sort_key` order.  A subgraph's `key` lists its ids
     in rank order and its `sort_key` is its sorted ranks, so building either
-    compares no ids."""
+    compares no ids.  The vertex-deletion face maps delete a subgraph's
+    vertices in the same rank order."""
 
     __slots__ = ("vertices", "edge_ends", "directed", "_adj", "_in_adj",
                  "_between", "_vrank", "_erank")
@@ -192,25 +193,6 @@ class Subgraph:
         return f"Subgraph(V={vs}, E={es})"
 
 
-class VertexOrder:
-    """A strict total order on a graph's vertices."""
-
-    __slots__ = ("sequence", "rank")
-
-    def __init__(self, sequence: Sequence):
-        self.sequence = tuple(sequence)
-        self.rank = {v: i for i, v in enumerate(self.sequence)}
-        if len(self.rank) != len(self.sequence):
-            raise ValueError("vertex order contains duplicates")
-
-    @classmethod
-    def default(cls, g: MultiGraph) -> "VertexOrder":
-        return cls(sorted(g.vertices, key=cell_sort_key))
-
-    def sorted(self, vertices: Iterable) -> list:
-        return sorted(vertices, key=lambda v: self.rank[v])
-
-
 def is_subgraph(h: Subgraph, g: MultiGraph) -> bool:
     """Containment plus incidence restriction."""
     if not (h.vertices <= g.vertices and h.edges <= g.edges):
@@ -254,44 +236,26 @@ def cliques(g: MultiGraph, max_size: int) -> list[Subgraph]:
     for v in vs:
         extend((v,))
 
-    out = []
-    for vset in vertex_sets:
-        pair_choices = []
-        ok = True
-        for i in range(len(vset)):
-            for j in range(i + 1, len(vset)):
-                es = g.edges_between(vset[i], vset[j])
-                if not es:
-                    ok = False
-                    break
-                pair_choices.append(es)
-            if not ok:
-                break
-        if not ok:
-            continue
-        for combo in product(*pair_choices):
-            out.append(Subgraph(g, vset, combo))
-    return out
+    return [Subgraph(g, vset, combo) for vset in vertex_sets
+            for combo in product(*(g.edges_between(a, b)
+                                   for a, b in combinations(vset, 2)))]
 
 
-def clique_delta(g: MultiGraph, order: VertexOrder | None = None,
-                 max_dim: int = 3) -> DeltaSet:
+def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
     """Δ-set whose n-cells are the (n+1)-vertex cliques; d_i deletes the i-th
-    vertex (in order) with its incident edges."""
+    vertex in the host's rank order with its incident edges."""
     if g.directed:
         raise ValueError("clique Δ-set is defined for undirected graphs")
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    if order is None:
-        order = VertexOrder.default(g)
     seeds = cliques(g, max_dim + 1)
+    rank = g._vrank.__getitem__
 
     def grade(sub: Subgraph) -> int:
         return len(sub.vertices) - 1
 
     def face_fn(sub: Subgraph):
-        ordered = order.sorted(sub.vertices)
-        return [sub.delete_vertex(v) for v in ordered]
+        return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=rank)]
 
     ds, _ = close_under_faces(seeds, grade, face_fn)
     return ds

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import Subgraph
@@ -148,33 +147,24 @@ def cech_score(lam: Iterable, pc: PointCloud) -> float:
     return cech_points(pts)
 
 
-@dataclass(frozen=True)
-class WitnessConfig:
-    """Finite witness set over which the schemes' infima range; defaults to
-    the point cloud itself."""
-
-    witness_set: tuple[Point, ...] | None = None
-
-    def witnesses(self, pc: PointCloud) -> list[Point]:
-        if self.witness_set is not None:
-            if not self.witness_set:
-                raise ValueError("witness set is empty")
-            return [tuple(float(c) for c in p) for p in self.witness_set]
-        return pc.all_points()
-
-
 WITNESS_VARIANTS = ("strong", "vr_strong", "weak", "vr_weak")
 
 
-def witness_score(lam: Iterable, pc: PointCloud, cfg: WitnessConfig,
-                  variant: str) -> float:
-    """The four witness schemes, with inf over x restricted to the witness
-    set.  Weak variants require the subset to be proper in the landmark set."""
+def witness_score(lam: Iterable, pc: PointCloud, variant: str,
+                  witnesses: Sequence[Sequence[float]] | None = None) -> float:
+    """The four witness schemes, with inf over x restricted to the finite
+    witness set, the cloud's own points when `witnesses` is None.  Weak
+    variants require the subset to be proper in the landmark set."""
     if variant not in WITNESS_VARIANTS:
         raise ValueError(f"unknown witness variant {variant!r}")
     lam = _nonempty(lam)
     lam_pts = pc.of(lam)
-    witnesses = cfg.witnesses(pc)
+    if witnesses is None:
+        witnesses = pc.all_points()
+    elif not witnesses:
+        raise ValueError("witness set is empty")
+    else:
+        witnesses = [tuple(float(c) for c in p) for p in witnesses]
     landmarks = pc.all_points()
     if variant in ("weak", "vr_weak"):
         lam_set = set(lam)
@@ -252,32 +242,33 @@ def cech_scheme(pc: PointCloud) -> ScoringScheme:
     return ScoringScheme("cech", lambda h: cech_score(h.vertices, pc), regular=True)
 
 
-def witness_scheme(pc: PointCloud, cfg: WitnessConfig, variant: str) -> ScoringScheme:
+def witness_scheme(pc: PointCloud, variant: str,
+                   witnesses: Sequence[Sequence[float]] | None = None) -> ScoringScheme:
     if variant not in WITNESS_VARIANTS:
         raise ValueError(f"unknown witness variant {variant!r}")
     regular = variant in ("strong", "vr_strong")
     return ScoringScheme(f"witness:{variant}",
-                         lambda h: witness_score(h.vertices, pc, cfg, variant),
+                         lambda h: witness_score(h.vertices, pc, variant, witnesses),
                          regular=regular)
 
 
 def pullback_scheme(f: Mapping | Callable, base: Callable[[Sequence[Point]], float],
-                    name: str = "pullback", regular: bool = True) -> ScoringScheme:
-    return ScoringScheme(name, lambda h: pullback_score(f, base, h), regular=regular)
+                    name: str = "pullback") -> ScoringScheme:
+    return ScoringScheme(name, lambda h: pullback_score(f, base, h), regular=True)
 
 
 def constant_scheme(value: float = 0.0) -> ScoringScheme:
     return ScoringScheme("constant", lambda h: value, regular=True)
 
 
-def seeded_random_scheme(seed: int, lo: float = 0.0, hi: float = 1.0) -> ScoringScheme:
-    """Uniform scores keyed by a stable digest of (seed, canonical subgraph
-    encoding); deterministic across processes.  Not regular in general."""
+def seeded_random_scheme(seed: int) -> ScoringScheme:
+    """Uniform scores in [0, 1) keyed by a stable digest of (seed, canonical
+    subgraph encoding); deterministic across processes.  Not regular in
+    general."""
 
     def fn(h: Subgraph) -> float:
         digest = hashlib.sha256(f"{seed}:{h.key!r}".encode()).digest()
-        u = int.from_bytes(digest[:8], "big") / 2.0**64
-        return lo + (hi - lo) * u
+        return int.from_bytes(digest[:8], "big") / 2.0**64
 
     return ScoringScheme(f"seeded_random:{seed}", fn, regular=False)
 

@@ -9,8 +9,9 @@ exceptions read library pieces but compute by another route:
   `dict_route` to run the library on them): Σ c·v through `Field` calls
   over every field, where the library takes symmetric differences and
   occurrence parities over GF(2);
-- the dense subspace layer: canonical RREF bases (`SubspaceBasis`) from the
-  library's `rref`, with kernel, sum, intersection, preimage, solve and
+- the dense subspace layer: dense matrices from rows, their columns and
+  identities, canonical RREF bases (`SubspaceBasis`) from the library's
+  `rref`, with kernel, sum, intersection, preimage, solve and
   independent-extension routines, dense boundary matrices, and on them the
   embedded chain data, subcomplex homology, inclusion quasi-isomorphism
   test, Mayer–Vietoris report, homology bases and induced maps, each
@@ -103,6 +104,21 @@ def dict_route():
 
 def row_lists(m: FieldMatrix) -> list[list]:
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def matrix_from_rows(field: Field, rows: Sequence[Sequence]) -> FieldMatrix:
+    """Dense matrix from equal-length rows."""
+    nc = len(rows[0]) if rows else 0
+    return FieldMatrix(field, len(rows), nc, [x for r in rows for x in r])
+
+
+def matrix_column(m: FieldMatrix, j: int) -> tuple:
+    return tuple(m.entries[i * m.cols + j] for i in range(m.rows))
+
+
+def identity_matrix(field: Field, n: int) -> FieldMatrix:
+    return FieldMatrix(field, n, n, [field.one if i == j else field.zero
+                                     for i in range(n) for j in range(n)])
 
 
 def from_sparse_columns(field: Field, nrows: int, columns) -> FieldMatrix:
@@ -247,7 +263,7 @@ def preimage_basis(m: FieldMatrix, s: SubspaceBasis) -> SubspaceBasis:
     if s.ambient_dim != m.rows:
         raise ValueError(f"subspace ambient {s.ambient_dim} != matrix rows {m.rows}")
     f = m.field
-    cols = [list(m.column(j)) for j in range(m.cols)] + [list(v) for v in s.vectors]
+    cols = [list(matrix_column(m, j)) for j in range(m.cols)] + [list(v) for v in s.vectors]
     ker = _kernel_vectors(FieldMatrix.from_columns(f, cols, m.rows))
     return SubspaceBasis(f, m.cols, [k[:m.cols] for k in ker])
 
@@ -303,7 +319,7 @@ def rank(m: FieldMatrix) -> int:
 
 def image_basis(m: FieldMatrix) -> SubspaceBasis:
     """Canonical basis of the column space."""
-    return SubspaceBasis(m.field, m.rows, [m.column(j) for j in range(m.cols)])
+    return SubspaceBasis(m.field, m.rows, [matrix_column(m, j) for j in range(m.cols)])
 
 
 def contains_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
@@ -931,7 +947,7 @@ class PersistenceModule:
         """v_{t_i}^{t_j} as a matrix (i <= j)."""
         if not 0 <= i <= j < self.steps:
             raise IndexError((i, j))
-        m = FieldMatrix.identity(self.field, self.dims[i])
+        m = identity_matrix(self.field, self.dims[i])
         for k in range(i, j):
             m = self.maps[k].matmul(m)
         return m
@@ -1071,10 +1087,10 @@ def quotient_gap_betti(sh, field: Field) -> tuple[int, ...]:
         if n:
             bd = boundaries(cc)[n]
             for jj, j in enumerate(idxs[n]):
-                for i, v in enumerate(bd.column(j)):
+                for i, v in enumerate(matrix_column(bd, j)):
                     if v and i in pos[n - 1]:
                         ent[pos[n - 1][i]][jj] = v
-        mats.append(FieldMatrix.from_rows(field, ent) if rows
+        mats.append(matrix_from_rows(field, ent) if rows
                     else FieldMatrix.zeros(field, 0, cols))
     out = []
     for n in range(x.dim_count):
@@ -1088,8 +1104,9 @@ def quotient_gap_betti(sh, field: Field) -> tuple[int, ...]:
 # Brute-force closures
 # ---------------------------------------------------------------------------
 
-def brute_primary_closure_keys(members, order):
-    """Least fixed point of single-vertex deletions, as canonical keys."""
+def brute_primary_closure_keys(members):
+    """Least fixed point of single-vertex deletions, as canonical keys; the
+    vertices are deleted in `cell_sort_key` order of their ids."""
     seen = set()
     stack = list(members)
     while stack:
@@ -1098,7 +1115,7 @@ def brute_primary_closure_keys(members, order):
             continue
         seen.add(sub.key)
         if len(sub.vertices) > 1:
-            for v in order.sorted(sub.vertices):
+            for v in sorted(sub.vertices, key=cell_sort_key):
                 stack.append(sub.delete_vertex(v))
         elif len(sub.vertices) == 1:
             pass

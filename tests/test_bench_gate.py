@@ -29,7 +29,7 @@ def test_tracer_uninstall_restores_dense_kernels(monkeypatch):
         assert fields.rref is not originals[0]
 
         def job():
-            m = fm.identity(fields.GF2, 2)
+            m = fm(fields.GF2, 2, 2, (1, 0, 0, 1))
             fields.rref([[1, 1]], 2, fields.GF2)
             m.apply((1, 0))
             m.matmul(m)

@@ -8,7 +8,7 @@ import pytest
 import superph.faceops
 import superph.graphs
 from superph import (Clustering, MarkedSubgraph, MultiGraph, SubgraphFamily,
-                     VertexOrder, cliques, clique_delta, edge_deletion_complex,
+                     cliques, clique_delta, edge_deletion_complex,
                      extend_graph, link_blowup_faces, partition_faces,
                      primary_vertex_deletion, secondary_vertex_deletion,
                      starting_vertex_faces)
@@ -70,7 +70,7 @@ def test_primary_four_cycle_closure():
     fam = SubgraphFamily(g, [g.subgraph({1, 2, 3, 4}, c4)])
     sh = primary_vertex_deletion(fam)
     # oracle: least fixed point of single-vertex deletions
-    keys = brute_primary_closure_keys(list(fam), VertexOrder.default(g))
+    keys = brute_primary_closure_keys(list(fam))
     got = {sh.x.label(n, j).key for n, j in sh.x.cells()}
     assert got == keys
     assert sh.x.counts == (4, 6, 4, 1)
@@ -83,7 +83,7 @@ def test_primary_closure_matches_brute_force(rng):
         fam = SubgraphFamily(g, members)
         sh = primary_vertex_deletion(fam)
         assert sh.x.validate().ok
-        keys = brute_primary_closure_keys(list(fam), VertexOrder.default(g))
+        keys = brute_primary_closure_keys(list(fam))
         got = {sh.x.label(n, j).key for n, j in sh.x.cells()}
         assert got == keys
 
@@ -92,6 +92,56 @@ def test_primary_rejects_empty_member():
     g = k4()
     with pytest.raises(ValueError):
         primary_vertex_deletion(SubgraphFamily(g, [g.subgraph((), ())]))
+
+
+# ---------------------------------------------------------------------------
+# the face order of the vertex deletions
+# ---------------------------------------------------------------------------
+
+def mixed_id_host():
+    # int and string ids, vertices and edges inserted out of `cell_sort_key`
+    # order; simple, with the pairs {1, "c"} and {"a", 10} left out
+    vertices = ["b", 10, "a", 2, "c", 1]
+    pairs = [(u, v) for u, v in itertools.combinations(vertices, 2)
+             if {u, v} not in ({1, "c"}, {"a", 10})]
+    random.Random(3).shuffle(pairs)
+    return MultiGraph(vertices, {f"e{u}{v}": (u, v) for u, v in pairs})
+
+
+def expected_face(host, label, i, bridge):
+    """The label with its i-th vertex, in `cell_sort_key` order of the ids,
+    deleted with its edges, plus the host edge joining its two neighbors in
+    that order when bridge is set."""
+    ordered = sorted(label.vertices, key=cell_sort_key)
+    v = ordered[i]
+    edges = {e for e in label.edges if v not in host.edge_ends[e]}
+    if bridge and 0 < i < len(ordered) - 1:
+        edges |= set(host.edges_between(ordered[i - 1], ordered[i + 1]))
+    return label.vertices - {v}, edges
+
+
+@pytest.mark.parametrize("construction", ["clique", "primary", "secondary"])
+def test_vertex_deletion_faces_follow_the_id_order(construction):
+    host = mixed_id_host()
+    members = [host.full(), host.induced({"b", 2, "c", 1}),
+               host.subgraph({"b", 10, 2, 1}, host.edges_between(1, 2)
+                             + host.edges_between(10, "b"))]
+    if construction == "clique":
+        x = clique_delta(host, max_dim=5)
+    elif construction == "primary":
+        x = primary_vertex_deletion(SubgraphFamily(host, members)).x
+    else:
+        x = secondary_vertex_deletion(SubgraphFamily(host, members)).x
+    checked = 0
+    for n in range(1, x.dim_count):
+        for j in range(x.counts[n]):
+            label = x.label(n, j)
+            for i, t in enumerate(x.faces[n][j]):
+                face = x.label(n - 1, t)
+                assert (face.vertices, face.edges) == \
+                    expected_face(host, label, i, construction == "secondary")
+                checked += 1
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Exact linear algebra: frozen examples plus exhaustive GF(2) oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +13,11 @@ from superph.fields import (GF, GF2, QQ, FieldMatrix, Span, axpy, combine, reduc
                             reduce_vector)
 
 from oracles import (SubspaceBasis, contains_subspace, dict_axpy, dict_combine, dict_route,
-                     dim_span_gf2_masks, image_basis, kernel_basis, preimage_basis, rank,
-                     solve, subspace_intersect, subspace_sum)
+                     dim_span_gf2_masks, identity_matrix, image_basis, kernel_basis,
+                     matrix_column, matrix_from_rows, preimage_basis, rank, solve,
+                     subspace_intersect, subspace_sum)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def gf2_vectors(n):
@@ -31,13 +37,13 @@ def test_rank_empty_matrix():
 
 
 def test_rank_identity():
-    assert rank(FieldMatrix.identity(GF2, 3)) == 3
+    assert rank(identity_matrix(GF2, 3)) == 3
 
 
 def test_rank_gf2_dependent_rows():
     # oracle: largest independent column subset, checked exhaustively
-    m = FieldMatrix.from_rows(GF2, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-    cols = [mask(m.column(j)) for j in range(3)]
+    m = matrix_from_rows(GF2, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    cols = [mask(matrix_column(m, j)) for j in range(3)]
     best = 0
     for r in range(4):
         for combo in itertools.combinations(range(3), r):
@@ -73,7 +79,7 @@ def test_reduce_columns_lows_and_v(field, rng):
         order = list(range(rows))
         rng.shuffle(order)
         row_rank = {r: k for k, r in enumerate(order)}
-        columns = [{i: a for i, a in enumerate(m.column(j)) if a} for j in range(cols)]
+        columns = [{i: a for i, a in enumerate(matrix_column(m, j)) if a} for j in range(cols)]
         lows, vs, reduced = reduce_columns(field, columns, row_rank)
         found = [low for low in lows if low is not None]
         assert len(found) == len(set(found)) == rank(m)
@@ -90,7 +96,7 @@ def test_reduce_columns_lows_and_v(field, rng):
 # ---------------------------------------------------------------------------
 
 def test_kernel_identity_trivial():
-    assert kernel_basis(FieldMatrix.identity(QQ, 4)).dim == 0
+    assert kernel_basis(identity_matrix(QQ, 4)).dim == 0
 
 
 def test_kernel_zero_matrix_full():
@@ -99,7 +105,7 @@ def test_kernel_zero_matrix_full():
 
 def test_kernel_gf2_pair():
     # oracle: exhaust all four GF(2)^2 vectors
-    m = FieldMatrix.from_rows(GF2, [[1, 1]])
+    m = matrix_from_rows(GF2, [[1, 1]])
     expect = [v for v in gf2_vectors(2) if (v[0] + v[1]) % 2 == 0 and any(v)]
     assert expect == [(1, 1)]
     k = kernel_basis(m)
@@ -119,14 +125,14 @@ def test_kernel_vectors_annihilate(rng):
 
 def test_image_zero_and_identity():
     assert image_basis(FieldMatrix.zeros(QQ, 3, 2)).dim == 0
-    im = image_basis(FieldMatrix.identity(GF2, 3))
+    im = image_basis(identity_matrix(GF2, 3))
     assert im == SubspaceBasis.full(GF2, 3)
 
 
 def test_image_proportional_columns():
     # both columns proportional to (2,1): cross-multiplication 2*2 == 4*1
     assert Fraction(2) * Fraction(2) == Fraction(4) * Fraction(1)
-    im = image_basis(FieldMatrix.from_rows(QQ, [[2, 4], [1, 2]]))
+    im = image_basis(matrix_from_rows(QQ, [[2, 4], [1, 2]]))
     assert im.dim == 1 and im.contains((2, 1))
 
 
@@ -137,7 +143,7 @@ def test_image_matches_exhaustive_gf2(rng):
         rows = rng.randint(1, 5)
         m = FieldMatrix(GF2, rows, cols, [rng.randint(0, 1) for _ in range(rows * cols)])
         im = image_basis(m)
-        col_masks = [mask(m.column(j)) for j in range(cols)]
+        col_masks = [mask(matrix_column(m, j)) for j in range(cols)]
         span = {0}
         for c in col_masks:
             span |= {s ^ c for s in span}
@@ -213,13 +219,13 @@ def test_span_vectors_are_read_only():
 
 
 def test_preimage_full_and_zero():
-    m = FieldMatrix.from_rows(GF2, [[1, 0], [0, 1]])
+    m = matrix_from_rows(GF2, [[1, 0], [0, 1]])
     assert preimage_basis(m, SubspaceBasis.full(GF2, 2)).dim == 2
     assert preimage_basis(m, SubspaceBasis.zero(GF2, 2)) == kernel_basis(m)
 
 
 def test_preimage_gf2_exhaustive():
-    m = FieldMatrix.from_rows(GF2, [[1, 0], [0, 1]])
+    m = matrix_from_rows(GF2, [[1, 0], [0, 1]])
     s = SubspaceBasis(GF2, 2, [(1, 1)])
     pre = preimage_basis(m, s)
     expect = [v for v in gf2_vectors(2) if s.contains(m.apply(v))]
@@ -245,14 +251,14 @@ def test_preimage_contains_kernel(rng):
 def test_row_shuffle_leaves_kernel_span(rng):
     for _ in range(15):
         rows = [[rng.randint(0, 1) for _ in range(5)] for _ in range(4)]
-        m = FieldMatrix.from_rows(GF2, rows)
+        m = matrix_from_rows(GF2, rows)
         perm = rows[:]
         rng.shuffle(perm)
-        assert kernel_basis(m) == kernel_basis(FieldMatrix.from_rows(GF2, perm))
+        assert kernel_basis(m) == kernel_basis(matrix_from_rows(GF2, perm))
 
 
 def test_solve_consistent_and_inconsistent():
-    m = FieldMatrix.from_rows(QQ, [[1, 2], [2, 4]])
+    m = matrix_from_rows(QQ, [[1, 2], [2, 4]])
     assert solve(m, (1, 2)) is not None
     assert solve(m, (1, 3)) is None
 
@@ -268,7 +274,7 @@ def test_gfp_inverse_and_reduction():
 def test_rational_uses_exact_fractions():
     # elimination keeps exact arithmetic: a matrix engineered to blow up
     # floating point has exact rank 3
-    m = FieldMatrix.from_rows(QQ, [[Fraction(1, 3), 1, 0],
+    m = matrix_from_rows(QQ, [[Fraction(1, 3), 1, 0],
                                    [0, Fraction(1, 7), 1],
                                    [1, 0, Fraction(10**12)]])
     assert rank(m) == 3
@@ -279,7 +285,7 @@ def test_matmul_apply_agree(rng):
     b = FieldMatrix(GF(5), 4, 2, [rng.randint(0, 4) for _ in range(8)])
     prod = a.matmul(b)
     for j in range(2):
-        assert prod.column(j) == a.apply(b.column(j))
+        assert matrix_column(prod, j) == a.apply(matrix_column(b, j))
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +372,23 @@ def test_gf2_arithmetic_matches_dict_route_property(data):
     order = data.draw(st.permutations(range(8)))
     _assert_gf2_matches_dict_route(vectors, coeffs, probe,
                                    {r: k for k, r in enumerate(order)})
+
+
+def test_reduce_vector_fails_when_the_low_does_not_fall():
+    # an axpy that never removes a key keeps the low in place, so its owner
+    # comes up again; the reduction must raise instead of looping.  It runs
+    # in a subprocess with a time limit, so a loop fails the test instead of
+    # hanging the suite.
+    code = ("from superph import fields\n"
+            "def union_axpy(field, dst, c, src):\n"
+            "    dst.update(dict.fromkeys(src, 1))\n"
+            "fields.axpy = union_axpy\n"
+            "try:\n"
+            "    fields.reduce_vector(fields.GF2, {0: 1, 2: 1}, {2: 0}, [{1: 1, 2: 1}])\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "owner 0 used twice: the low 2 did not fall\n"

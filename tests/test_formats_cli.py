@@ -509,6 +509,50 @@ def test_cli_negative_max_dim_is_usage_error(tmp_path, capsys, command, construc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value, loaded", [
+    ("1", True), ("TRUE", True), ("Yes", True),
+    ("0", False), ("False", False), ("no", False),
+    ("ture", None), ("yes please", None), ("2", None), ("", None)])
+def test_cli_config_booleans_are_strict(tmp_path, capsys, value, loaded):
+    # a boolean key takes 1/0, true/false or yes/no in any case; any other
+    # value is a config error naming the key, not a silent False
+    cloud = write_square_inputs(tmp_path)
+    job = tmp_path / "job.cfg"
+    job.write_text(f"experimental = {value}\nproperties = {value}\n")
+    out = tmp_path / "out"
+    code = main(["homology", "--cloud", str(cloud), "--construction", "clique",
+                 "--config", str(job), "--out", str(out)])
+    if loaded is None:
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: config key 'experimental': bad bool {value!r} "
+            f"(1/0, true/false or yes/no)\n")
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert (out / "properties.txt").exists() == loaded
+
+
+@pytest.mark.parametrize("base, code, last", [("vr", 0, "0.5"), ("cech", 0, "0.57735026919"),
+                                              ("foo", 1, None), ("VR", 1, None)])
+def test_cli_pullback_base_is_vr_or_cech(tmp_path, capsys, base, code, last):
+    # on an equilateral unit triangle the Čech radius 1/sqrt(3) exceeds the
+    # half diameter 1/2; a base other than vr or cech is a config error, not
+    # a Čech run under another name
+    cloud = tmp_path / "triangle.xy"
+    cloud.write_text(f"a 0 0\nb 1 0\nc 0.5 {math.sqrt(3) / 2!r}\n")
+    assert main(["score", "--cloud", str(cloud), "--construction", "clique",
+                 "--scheme", "pullback", "--max-dim", "2",
+                 "--pullback-base", base]) == code
+    captured = capsys.readouterr()
+    if last is None:
+        assert captured.out == ""
+        assert captured.err == (f"error: config key 'pullback_base': must be vr or cech, "
+                                f"got {base!r}\n")
+    else:
+        assert captured.out.split()[-1] == last
+
+
 def test_cli_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     # one process serves a persist, a bad flag, a render and the same
     # persist again with the exit codes, messages and output bytes of four

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from superph import (MultiGraph, Subgraph, VertexOrder, clique_delta, cliques,
-                     completion, is_subgraph, neighborhood_complex,
-                     path_complex)
+from superph import (MultiGraph, Subgraph, clique_delta, cliques, completion,
+                     is_subgraph, neighborhood_complex, path_complex)
 from superph.delta import cell_sort_key
 
 from oracles import (recursive_sort_key, scan_edges_between, scan_has_edge_between,
@@ -348,8 +347,3 @@ def test_completion_has_all_ordered_pairs():
     assert comp.is_simple()
     assert len(comp.edge_ends) == 6
     assert "e1" in comp.edge_ends
-
-
-def test_vertex_order_rejects_duplicates():
-    with pytest.raises(ValueError):
-        VertexOrder(["a", "a"])

@@ -24,8 +24,9 @@ from conftest import pillow_delta, random_cloud, unit_square_cloud
 import oracles
 from oracles import (PersistenceModule, SubspaceBasis, barcode, boundaries,
                      decomposition_barcode, dense_full_barcode, dense_inf_space,
-                     dense_triangle_report, express_in_vectors, inf_zb, levels,
-                     oracle_persistence_bars_gf2, persistence_module,
+                     dense_triangle_report, express_in_vectors, identity_matrix,
+                     inf_zb, levels, matrix_from_rows, oracle_persistence_bars_gf2,
+                     persistence_module,
                      preimage_basis, rank as matrix_rank, rank_full_barcode,
                      subspace_intersect, zb_family)
 
@@ -193,7 +194,7 @@ def test_module_composition_law(rng):
 
 def test_barcode_constant_module():
     m = PersistenceModule("ambient", 0, GF2, (1.0, 2.0, 3.0), (1, 1, 1),
-                          (FieldMatrix.identity(GF2, 1),) * 2)
+                          (identity_matrix(GF2, 1),) * 2)
     bc = barcode(m)
     assert bc.bars == (Bar(0, 1.0, math.inf, 1),)
 
@@ -603,7 +604,7 @@ def test_correlation_block_ranks_equal_triangle_ranks(rng):
                     for i in range(filt.steps):
                         alive_a = [a for a, s in enumerate(src_sum) if _alive(s, i)]
                         alive_b = [b for b, s in enumerate(dst_sum) if _alive(s, i)]
-                        got = matrix_rank(FieldMatrix.from_rows(
+                        got = matrix_rank(matrix_from_rows(
                             field, [[coeffs[a].get(b, field.zero) for b in alive_b]
                                     for a in alive_a])) if alive_a and alive_b else 0
                         row = rows[n, i]

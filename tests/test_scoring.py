@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from superph import (MultiGraph, PointCloud, SubgraphFamily, WitnessConfig,
+from superph import (MultiGraph, PointCloud, SubgraphFamily,
                      cech_points, cech_score, clique_delta, constant_scheme,
                      critical_values, is_regular_scheme, min_enclosing_ball,
                      pullback_score, seeded_random_scheme, vr_points,
@@ -96,42 +96,46 @@ def test_monotone_under_inclusion(rng):
 
 def test_witness_strong_single_landmark():
     pc = PointCloud({"l": (2.0, 2.0)})
-    cfg = WitnessConfig(witness_set=((2.0, 2.0),))
-    assert witness_score(["l"], pc, cfg, "strong") == 0.0
+    assert witness_score(["l"], pc, "strong", witnesses=((2.0, 2.0),)) == 0.0
 
 
 def test_witness_weak_two_point_line():
     pc = PointCloud({0: (0.0,), 1: (1.0,)})
-    got = witness_score([0], pc, WitnessConfig(), "weak")
+    got = witness_score([0], pc, "weak")
     # enumerate both witnesses: x=0 gives -1, x=1 gives 1
     assert got == -1.0
 
 
 def test_witness_strong_three_point_line():
     pc = PointCloud({0: (0.0,), 1: (1.0,), 2: (3.0,)})
-    got = witness_score([0, 1], pc, WitnessConfig(), "strong")
+    got = witness_score([0, 1], pc, "strong")
     assert got == 1.0  # values at x = 0, 1, 3 are 1, 1, 3
 
 
 def test_witness_weak_rejects_full_subset():
     pc = PointCloud({0: (0.0,), 1: (1.0,)})
     with pytest.raises(ValueError):
-        witness_score([0, 1], pc, WitnessConfig(), "weak")
+        witness_score([0, 1], pc, "weak")
 
 
 def test_witness_single_witness_degenerate_inf():
     pc = PointCloud({0: (0.0,), 1: (2.0,)})
     w = (5.0,)
-    cfg = WitnessConfig(witness_set=(w,))
-    got = witness_score([0], pc, cfg, "strong")
+    got = witness_score([0], pc, "strong", witnesses=[w])
     assert got == math.dist(w, (0.0,)) - math.dist(w, (2.0,))
 
 
 def test_witness_vr_variants_singleton():
     pc = PointCloud({0: (0.0,), 1: (1.0,)})
-    cfg = WitnessConfig()
-    assert witness_score([0], pc, cfg, "vr_strong") == \
-        witness_score([0], pc, cfg, "strong")
+    assert witness_score([0], pc, "vr_strong") == witness_score([0], pc, "strong")
+
+
+def test_witness_set_given_empty_or_as_ints():
+    pc = PointCloud({0: (0.0,), 1: (2.0,)})
+    with pytest.raises(ValueError, match="witness set is empty"):
+        witness_score([0], pc, "strong", witnesses=())
+    assert witness_score([0], pc, "strong", witnesses=[(5,)]) == \
+        witness_score([0], pc, "strong", witnesses=[(5.0,)])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +191,7 @@ def test_weak_witness_not_regular_on_line():
     from superph import witness_scheme
     pc = PointCloud({0: (0.0,), 1: (1.0,), 2: (2.5,), 3: (6.0,)})
     g = MultiGraph.complete([0, 1, 2, 3])
-    scheme = witness_scheme(pc, WitnessConfig(), "weak")
+    scheme = witness_scheme(pc, "weak")
     fam = SubgraphFamily(g, [g.induced(s) for s in
                              [{0}, {0, 1}, {0, 1, 2}, {1, 2}, {2}, {1}]])
     ok, pair = is_regular_scheme(scheme, fam)
