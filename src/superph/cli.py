@@ -16,16 +16,16 @@ import time
 from dataclasses import dataclass, field
 
 from . import formats, homology, render
-from .delta import (DeltaIdentityError, SuperHypergraph, from_simplicial,
-                    full_subset, is_complete, is_regular)
+from .delta import (DeltaIdentityError, DeltaSet, SuperHypergraph, from_hypergraph,
+                    from_simplicial, full_subset, is_complete, is_regular)
 from .faceops import (edge_deletion_complex, link_blowup_faces,
                       partition_faces, primary_vertex_deletion,
                       secondary_vertex_deletion, starting_vertex_faces)
 from .fields import GF, GF2, QQ
 from .graphs import MultiGraph, Subgraph, clique_delta, neighborhood_complex, path_complex
 from .homology import embedded_betti, gap_series
-from .persistence import (DominationError, RegularityError, build_filtration,
-                          correlation_matrix, full_barcode, triangle_report)
+from .persistence import (build_filtration, correlation_matrix, full_barcode,
+                          triangle_report)
 from .scoring import (PointCloud, cech_points, cech_scheme, constant_scheme,
                       critical_values, pullback_scheme, seeded_random_scheme,
                       vr_points, vr_scheme, witness_scheme)
@@ -138,9 +138,7 @@ def _require(cfg: JobConfig, attr: str, why: str) -> str:
 
 def _load_graph(cfg: JobConfig) -> MultiGraph:
     if cfg.graph:
-        if not os.path.exists(cfg.graph):
-            raise UsageError(f"input file not found: {cfg.graph}")
-        return formats.read_graph(cfg.graph)
+        return formats.read_graph(_require(cfg, "graph", "this construction"))
     if cfg.cloud:
         cloud = _load_cloud(cfg)
         return MultiGraph.complete(cloud.ids())
@@ -150,6 +148,11 @@ def _load_graph(cfg: JobConfig) -> MultiGraph:
 def _load_cloud(cfg: JobConfig) -> PointCloud:
     path = _require(cfg, "cloud", "this scheme")
     return formats.read_point_cloud(path)
+
+
+def _relabel(x: DeltaSet, cell) -> DeltaSet:
+    """x with every cell label replaced by cell(label)."""
+    return x.with_labels([[cell(label) for label in row] for row in x.labels])
 
 
 def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
@@ -170,11 +173,8 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
         ds = clique_delta(g, max_dim=cfg.max_dim)
         return SuperHypergraph(ds, full_subset(ds))
     if kind == "neighborhood":
-        complex_ = neighborhood_complex(g)
-        ds = from_simplicial(complex_)
-        labels = [[Subgraph(g, ds.label(n, j), ()) for j in range(ds.counts[n])]
-                  for n in range(ds.dim_count)]
-        return SuperHypergraph(ds.with_labels(labels), full_subset(ds))
+        ds = from_simplicial(neighborhood_complex(g))
+        return SuperHypergraph(_relabel(ds, lambda vs: Subgraph(g, vs)), full_subset(ds))
     if kind == "path":
         return path_complex(g, cfg.max_dim)
     fam_path = _require(cfg, "family", f"the {kind} construction")
@@ -184,31 +184,19 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
     if kind == "secondary_vd":
         return secondary_vertex_deletion(fam)
     if kind == "edge_del":
-        from .delta import from_hypergraph
-        result = edge_deletion_complex(fam)
-        hyperedges = [tuple(sorted(es)) for es in result.hyperedges]
-        sh = from_hypergraph(hyperedges)
-        labels = []
-        for n in range(sh.x.dim_count):
-            row = []
-            for j in range(sh.x.counts[n]):
-                es = sh.x.label(n, j)
-                vs = set()
-                for e in es:
-                    vs.update(g.edge_ends[e])
-                row.append(Subgraph(g, vs, es))
-            labels.append(row)
-        return SuperHypergraph(sh.x.with_labels(labels), sh.h)
+        sh = from_hypergraph(edge_deletion_complex(fam).hyperedges)
+        ends = g.edge_ends
+        return SuperHypergraph(
+            _relabel(sh.x, lambda es: Subgraph(g, [v for e in es for v in ends[e]], es)), sh.h)
     if kind in ("partition", "link_blowup"):
         cl_path = _require(cfg, "clustering", f"the {kind} construction")
         clustering = formats.read_clustering(cl_path, g)
         builder = partition_faces if kind == "partition" else link_blowup_faces
         return builder(fam, clustering)
-    if kind == "starting_vertex":
-        if marked_members is None:
-            raise UsageError("starting_vertex construction needs `sv` lines in the family file")
-        return starting_vertex_faces(marked_members, g)
-    raise UsageError(f"unhandled construction {kind!r}")
+    # the one construction left: starting_vertex
+    if marked_members is None:
+        raise UsageError("starting_vertex construction needs `sv` lines in the family file")
+    return starting_vertex_faces(marked_members, g)
 
 
 def build_scheme(cfg: JobConfig):
@@ -327,13 +315,7 @@ def run_validate(cfg: JobConfig) -> int:
         for cell, i, j in exc.report.violations:
             print(f"violation: cell {cell} (i={i}, j={j})")
         return 2
-    report = sh.x.validate()
-    if not report.ok:
-        for err in report.structural:
-            print(f"structural: {err}")
-        for cell, i, j in report.violations:
-            print(f"violation: cell {cell} (i={i}, j={j})")
-        return 2
+    # every construction route has validated the Δ-identity
     print("validate_delta: ok")
     regular = is_regular(sh)
     print(f"regular: {'yes' if regular else 'no'}")
@@ -415,17 +397,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "validate":
             return run_validate(cfg)
-        if args.command == "score":
-            return run_score(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return run_score(cfg)
     except (UsageError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DeltaIdentityError, DominationError, RegularityError,
-            ValidationFailure) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # Δ-identity, domination, regularity, triangle
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # computation error

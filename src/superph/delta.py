@@ -459,6 +459,28 @@ def close_under_faces(seeds: Iterable[Hashable], grade: Callable[[Hashable], int
     return ds, marked
 
 
+def tuple_grade(lab: tuple) -> int:
+    """Grade of a vertex-tuple label: its length minus one."""
+    return len(lab) - 1
+
+
+def tuple_faces(lab: tuple) -> list[tuple]:
+    """Faces of a vertex-tuple label: d_i deletes the i-th vertex."""
+    return [lab[:i] + lab[i + 1:] for i in range(len(lab))]
+
+
+def _vertex_positions(vertices: set, order: Sequence | None) -> dict:
+    """Position of each vertex in the total order (cell_sort_key order by
+    default); the order must cover every vertex."""
+    if order is None:
+        order = sorted(vertices, key=cell_sort_key)
+    pos = {v: i for i, v in enumerate(order)}
+    missing = vertices - set(pos)
+    if missing:
+        raise ValueError(f"order does not cover vertices: {sorted(missing, key=cell_sort_key)}")
+    return pos
+
+
 def from_simplicial(complex_: Iterable[Iterable], order: Sequence | None = None) -> DeltaSet:
     """Δ-set of a simplicial complex (one cell per simplex, d_i deletes the
     i-th vertex in the total order).  The complex must be closed under
@@ -466,47 +488,28 @@ def from_simplicial(complex_: Iterable[Iterable], order: Sequence | None = None)
     simplices = {frozenset(s) for s in complex_}
     if any(not s for s in simplices):
         raise ValueError("empty simplex not allowed")
-    vertices = set().union(*simplices) if simplices else set()
-    if order is None:
-        order = sorted(vertices, key=cell_sort_key)
-    pos = {v: i for i, v in enumerate(order)}
-    missing = set(vertices) - set(pos)
-    if missing:
-        raise ValueError(f"order does not cover vertices: {sorted(missing, key=cell_sort_key)}")
+    pos = _vertex_positions(set().union(*simplices), order)
     for s in simplices:
         if len(s) > 1:
             for v in s:
                 if s - {v} not in simplices:
                     raise ValueError(f"complex not closed under subsets: missing face of "
                                      f"{tuple(sorted(s, key=cell_sort_key))}")
-
-    def grade(lab):
-        return len(lab) - 1
-
-    def face_fn(lab):
-        return [lab[:i] + lab[i + 1:] for i in range(len(lab))]
-
-    seeds = [tuple(sorted(s, key=lambda v: pos[v])) for s in simplices]
-    ds, _ = close_under_faces(seeds, grade, face_fn)
+    seeds = [tuple(sorted(s, key=pos.__getitem__)) for s in simplices]
+    ds, _ = close_under_faces(seeds, tuple_grade, tuple_faces)
     return ds
 
 
 def from_hypergraph(hyperedges: Iterable[Iterable], order: Sequence | None = None) -> SuperHypergraph:
     """Super-hypergraph of a hypergraph: parental Δ-set is the simplicial
-    closure, marked cells are the hyperedges themselves."""
+    closure (the hyperedges closed under vertex deletion), marked cells are
+    the hyperedges themselves."""
     edges = {frozenset(e) for e in hyperedges}
     if any(not e for e in edges):
         raise ValueError("hyperedges must be nonempty")
-    closure = set()
-    for e in edges:
-        elems = sorted(e, key=cell_sort_key)
-        n = len(elems)
-        for mask in range(1, 1 << n):
-            closure.add(frozenset(elems[i] for i in range(n) if mask >> i & 1))
-    ds = from_simplicial(closure, order)
-    label_index = {frozenset(ds.label(n, j)): (n, j) for n, j in ds.cells()}
-    marked = GradedSubset.from_cells(label_index[e] for e in edges)
-    return SuperHypergraph(ds, marked)
+    pos = _vertex_positions(set().union(*edges), order)
+    seeds = [tuple(sorted(e, key=pos.__getitem__)) for e in edges]
+    return SuperHypergraph(*close_under_faces(seeds, tuple_grade, tuple_faces))
 
 
 def hypergraph_cone(hyperedges: Iterable[Iterable], apex) -> list[frozenset]:
@@ -521,8 +524,7 @@ def hypergraph_cone(hyperedges: Iterable[Iterable], apex) -> list[frozenset]:
 
 
 def standard_simplex_delta(n: int) -> DeltaSet:
-    """Δ-set of the full n-simplex on vertices 0..n."""
-    simplices = []
-    for mask in range(1, 1 << (n + 1)):
-        simplices.append(frozenset(i for i in range(n + 1) if mask >> i & 1))
-    return from_simplicial(simplices)
+    """Δ-set of the full n-simplex on vertices 0..n (empty for n < 0)."""
+    seeds = [tuple(range(n + 1))] if n >= 0 else []
+    ds, _ = close_under_faces(seeds, tuple_grade, tuple_faces)
+    return ds

@@ -2,9 +2,12 @@
 
 Five constructions: primary and secondary vertex deletion, edge deletion,
 partition (cluster) faces, link-blowup faces, and starting-vertex faces on
-the ∞-extended working graph.  Every constructor returns a validated
-super-hypergraph whose parental Δ-set cells are canonical subgraph
-encodings, so cells reached along different deletion sequences coincide.
+the ∞-extended working graph.  Every constructor but edge deletion seeds
+`close_under_faces` with its members and one face map, and returns the
+validated super-hypergraph whose parental Δ-set cells are canonical
+subgraph encodings, so cells reached along different deletion sequences
+coincide.  Edge deletion returns the members' edge sets and whether they
+are closed under single-edge deletion.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .delta import GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces
-from .graphs import MultiGraph, Subgraph, is_subgraph
+from .graphs import (MultiGraph, Subgraph, is_subgraph, vertex_deletion_faces,
+                     vertex_deletion_grade)
 
 
 class SubgraphFamily:
@@ -72,6 +76,10 @@ class Clustering:
         """Cluster indices met by the subgraph, increasing."""
         return sorted({self.block_of[v] for v in sub.vertices})
 
+    def grade(self, sub: Subgraph) -> int:
+        """Number of clusters the subgraph meets, minus one."""
+        return len(self.touched(sub)) - 1
+
 
 @dataclass(frozen=True)
 class MarkedSubgraph:
@@ -122,22 +130,18 @@ def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
 # Vertex-deletion topologies
 # ---------------------------------------------------------------------------
 
+def _close_family(fam: SubgraphFamily, grade, face_fn) -> SuperHypergraph:
+    """The family closed under face_fn, with the members marked."""
+    if any(not m.vertices for m in fam):
+        raise ValueError("members must have at least one vertex")
+    return SuperHypergraph(*close_under_faces(fam.members, grade, face_fn))
+
+
 def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
     """Grade by vertex count minus one; d_i deletes the i-th vertex (in the
     host's rank order) together with its incident edges.  The parental
     Δ-set is the family plus all iterated faces."""
-    if any(not m.vertices for m in fam):
-        raise ValueError("members must have at least one vertex")
-    rank = fam.host._vrank.__getitem__
-
-    def grade(sub: Subgraph) -> int:
-        return len(sub.vertices) - 1
-
-    def face_fn(sub: Subgraph):
-        return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=rank)]
-
-    ds, marked = close_under_faces(fam.members, grade, face_fn)
-    return SuperHypergraph(ds, marked)
+    return _close_family(fam, vertex_deletion_grade, vertex_deletion_faces)
 
 
 def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
@@ -146,29 +150,19 @@ def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
     one.  Host must be simple.  The Δ-identity is validated on the
     constructed family; a violation is surfaced as a construction error
     naming the witnessing triple."""
-    if not fam.host.is_simple():
-        raise ValueError("secondary vertex-deletion requires a simple host graph")
-    if any(not m.vertices for m in fam):
-        raise ValueError("members must have at least one vertex")
     host = fam.host
+    if not host.is_simple():
+        raise ValueError("secondary vertex-deletion requires a simple host graph")
     rank = host._vrank.__getitem__
-
-    def grade(sub: Subgraph) -> int:
-        return len(sub.vertices) - 1
 
     def face_fn(sub: Subgraph):
         ordered = sorted(sub.vertices, key=rank)
-        out = []
-        for i, v in enumerate(ordered):
-            nxt = sub.delete_vertex(v)
-            if 0 < i < len(ordered) - 1:
-                joining = host.edges_between(ordered[i - 1], ordered[i + 1])
-                nxt = nxt.add_edges(joining)
-            out.append(nxt)
+        out = [sub.delete_vertex(v) for v in ordered]
+        for i in range(1, len(ordered) - 1):
+            out[i] = out[i].add_edges(host.edges_between(ordered[i - 1], ordered[i + 1]))
         return out
 
-    ds, marked = close_under_faces(fam.members, grade, face_fn)
-    return SuperHypergraph(ds, marked)
+    return _close_family(fam, vertex_deletion_grade, face_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +205,11 @@ def partition_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergr
     """Grade by the number of touched clusters minus one; d_j removes every
     vertex of the j-th touched cluster with its incident edges."""
 
-    def grade(sub: Subgraph) -> int:
-        return len(clustering.touched(sub)) - 1
-
     def face_fn(sub: Subgraph):
-        touched = clustering.touched(sub)
-        out = []
-        for k in touched:
-            keep = sub.vertices - clustering.blocks[k]
-            out.append(sub.restrict(keep))
-        return out
+        return [sub.restrict(sub.vertices - clustering.blocks[k])
+                for k in clustering.touched(sub)]
 
-    if any(not m.vertices for m in fam):
-        raise ValueError("members must have at least one vertex")
-    ds, marked = close_under_faces(fam.members, grade, face_fn)
-    return SuperHypergraph(ds, marked)
+    return _close_family(fam, clustering.grade, face_fn)
 
 
 def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergraph:
@@ -239,9 +223,6 @@ def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHyper
             out |= host.neighbors(v)
         return out - vs
 
-    def grade(sub: Subgraph) -> int:
-        return len(clustering.touched(sub)) - 1
-
     def face_fn(sub: Subgraph):
         touched = clustering.touched(sub)
         out = []
@@ -253,10 +234,7 @@ def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHyper
             out.append(base.add_edges(host.induced(blow).edges))
         return out
 
-    if any(not m.vertices for m in fam):
-        raise ValueError("members must have at least one vertex")
-    ds, marked = close_under_faces(fam.members, grade, face_fn)
-    return SuperHypergraph(ds, marked)
+    return _close_family(fam, clustering.grade, face_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from typing import Hashable, Iterable, Mapping
 
 from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
-                    close_under_faces)
+                    close_under_faces, tuple_faces, tuple_grade)
 
 
 class MultiGraph:
@@ -241,6 +241,17 @@ def cliques(g: MultiGraph, max_size: int) -> list[Subgraph]:
                                    for a, b in combinations(vset, 2)))]
 
 
+def vertex_deletion_grade(sub: Subgraph) -> int:
+    """Grade of a subgraph under vertex deletion: its vertex count minus one."""
+    return len(sub.vertices) - 1
+
+
+def vertex_deletion_faces(sub: Subgraph) -> list[Subgraph]:
+    """d_i deletes the i-th vertex, in the host's rank order, together with
+    its incident edges."""
+    return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=sub.host._vrank.__getitem__)]
+
+
 def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
     """Δ-set whose n-cells are the (n+1)-vertex cliques; d_i deletes the i-th
     vertex in the host's rank order with its incident edges."""
@@ -248,16 +259,8 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
         raise ValueError("clique Δ-set is defined for undirected graphs")
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    seeds = cliques(g, max_dim + 1)
-    rank = g._vrank.__getitem__
-
-    def grade(sub: Subgraph) -> int:
-        return len(sub.vertices) - 1
-
-    def face_fn(sub: Subgraph):
-        return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=rank)]
-
-    ds, _ = close_under_faces(seeds, grade, face_fn)
+    ds, _ = close_under_faces(cliques(g, max_dim + 1), vertex_deletion_grade,
+                              vertex_deletion_faces)
     return ds
 
 
@@ -339,13 +342,7 @@ def path_complex(g: MultiGraph, max_len: int) -> SuperHypergraph:
     for v in vs:
         extend((v,))
 
-    def grade(seq: tuple) -> int:
-        return len(seq) - 1
-
-    def face_fn(seq: tuple):
-        return [seq[:i] + seq[i + 1:] for i in range(len(seq))]
-
-    ds, _ = close_under_faces(sequences, grade, face_fn)
+    ds, _ = close_under_faces(sequences, tuple_grade, tuple_faces)
 
     edge_set = {ends: e for e, ends in g.edge_ends.items()}
     marked_cells = []

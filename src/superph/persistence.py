@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 from .delta import DeltaMorphism, SuperHypergraph, validate_morphism
 from .fields import Field, FieldMatrix, Span, combine, reduce_columns, reduce_vector
 from .homology import ChainComplex, FilteredBasis, boundary_matrices, inf_basis
-from .scoring import round_score
+from .scoring import cell_scores, label_subgraph
 
 MODULE_KINDS = ("ambient", "embedded", "relative")
 
@@ -70,10 +70,6 @@ class DominationError(ValueError):
 
 class RegularityError(ValueError):
     """The scoring scheme is not regular on this input."""
-
-
-def _label_subgraph(label):
-    return getattr(label, "subgraph", label)
 
 
 class Filtration:
@@ -122,7 +118,7 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
         raise DominationError("cells carry no subgraph labels")
     seen = {}
     for n, j in x.cells():
-        sub = _label_subgraph(x.label(n, j))
+        sub = label_subgraph(x.label(n, j))
         key = getattr(sub, "key", None)
         if key is None:
             raise DominationError(f"cell ({n},{j}) label is not a subgraph")
@@ -136,16 +132,13 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
     # Δ-subsets because score monotonicity is validated below.
     for n in range(1, x.dim_count):
         for j in range(x.counts[n]):
-            big = _label_subgraph(x.label(n, j))
+            big = label_subgraph(x.label(n, j))
             for t in x.faces[n][j]:
-                small = _label_subgraph(x.label(n - 1, t))
+                small = label_subgraph(x.label(n - 1, t))
                 if not small.vertices <= big.vertices:
                     raise DominationError(
                         f"face of cell ({n},{j}) does not shrink its vertex set")
-    scores = []
-    for n in range(x.dim_count):
-        scores.append([round_score(scheme.score(_label_subgraph(x.label(n, j))))
-                       for j in range(x.counts[n])])
+    scores = cell_scores(scheme, x)
     monotone = all(scores[n - 1][t] <= scores[n][j]
                    for n in range(1, x.dim_count)
                    for j in range(x.counts[n])

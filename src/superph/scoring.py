@@ -175,11 +175,10 @@ def witness_score(lam: Iterable, pc: PointCloud, variant: str,
     else:
         near = landmarks
 
-    def nearest(x: Point) -> float:
-        return min(_dist(x, z) for z in near)
-
+    # each witness with its distance to the nearest landmark
+    offsets = [(x, min(_dist(x, z) for z in near)) for x in witnesses]
     if variant in ("strong", "weak"):
-        return min(max(_dist(x, y) for y in lam_pts) - nearest(x) for x in witnesses)
+        return min(max(_dist(x, y) for y in lam_pts) - nx for x, nx in offsets)
     # VR variants: outer sup over vertex pairs (a singleton degenerates to
     # the plain variant on that point).
     best = -math.inf
@@ -188,7 +187,7 @@ def witness_score(lam: Iterable, pc: PointCloud, variant: str,
             if len(lam_pts) > 1 and i == j:
                 continue
             pi, pj = lam_pts[i], lam_pts[j]
-            val = min(max(_dist(x, pi), _dist(x, pj)) - nearest(x) for x in witnesses)
+            val = min(max(_dist(x, pi), _dist(x, pj)) - nx for x, nx in offsets)
             best = max(best, val)
     return best
 
@@ -307,11 +306,18 @@ def is_regular_scheme(s: ScoringScheme, fam) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def label_subgraph(label):
+    """The subgraph a cell label stands for: a marked subgraph's subgraph,
+    else the label itself."""
+    return getattr(label, "subgraph", label)
+
+
+def cell_scores(s: ScoringScheme, x) -> list[list[float]]:
+    """Rounded score of every cell label of a Δ-set, per dimension."""
+    return [[round_score(s.score(label_subgraph(x.label(n, j)))) for j in range(x.counts[n])]
+            for n in range(x.dim_count)]
+
+
 def critical_values(s: ScoringScheme, x) -> list[float]:
     """Sorted distinct (rounded) scores of all cell labels of a Δ-set."""
-    vals = set()
-    for n, j in x.cells():
-        label = x.label(n, j)
-        sub = getattr(label, "subgraph", label)
-        vals.add(round_score(s.score(sub)))
-    return sorted(vals)
+    return sorted({v for row in cell_scores(s, x) for v in row})

@@ -1122,6 +1122,31 @@ def brute_primary_closure_keys(members):
     return seen
 
 
+def subset_closure(hyperedges, order=None):
+    """The simplicial closure of a hypergraph by bitmask enumeration of every
+    nonempty subset of every hyperedge, as (counts, faces, labels, marked
+    cells).  Labels are vertex tuples in the total order (`cell_sort_key`
+    order by default), indexed per dimension in `cell_sort_key` order;
+    d_i deletes the i-th vertex; the marked cells are the hyperedges."""
+    edges = {frozenset(e) for e in hyperedges}
+    if order is None:
+        order = sorted(set().union(*edges), key=cell_sort_key)
+    pos = {v: i for i, v in enumerate(order)}
+    simplices = set()
+    for e in edges:
+        elems = sorted(e, key=pos.__getitem__)
+        for mask in range(1, 1 << len(elems)):
+            simplices.add(tuple(v for i, v in enumerate(elems) if mask >> i & 1))
+    top = max((len(s) for s in simplices), default=0) - 1
+    labels = tuple(tuple(sorted((s for s in simplices if len(s) == n + 1), key=cell_sort_key))
+                   for n in range(top + 1))
+    index = {s: j for row in labels for j, s in enumerate(row)}
+    faces = tuple(tuple(tuple(index[s[:i] + s[i + 1:]] for i in range(len(s))) for s in row)
+                  if n else () for n, row in enumerate(labels))
+    marked = sorted((len(e) - 1, index[tuple(sorted(e, key=pos.__getitem__))]) for e in edges)
+    return tuple(len(row) for row in labels), faces, labels, marked
+
+
 def recursive_sort_key(obj):
     """Total order on labels from their ids alone: a label with a `key`
     (a subgraph or a marked subgraph) sorts by its key; numbers, strings,
@@ -1196,6 +1221,35 @@ def exhaustive_subsets(items, max_size=None):
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             yield combo
+
+
+# ---------------------------------------------------------------------------
+# Witness scores
+# ---------------------------------------------------------------------------
+
+def per_pair_witness_score(lam, pc, variant, witnesses=None):
+    """The four witness scores straight from their definitions: for every
+    vertex pair (or the one point) and every witness, the farthest point of
+    the pair less the witness's distance to its nearest landmark, that
+    distance recomputed each time; inf over witnesses, sup over pairs."""
+    lam = sorted(set(lam), key=repr)
+    pts = [pc.points[v] for v in lam]
+    ws = list(pc.points.values()) if witnesses is None else \
+        [tuple(float(c) for c in w) for w in witnesses]
+    if variant.endswith("weak"):
+        near = [p for v, p in pc.points.items() if v not in set(lam)]
+    else:
+        near = list(pc.points.values())
+
+    def value(group):
+        return min(max(math.dist(x, y) for y in group) - min(math.dist(x, z) for z in near)
+                   for x in ws)
+
+    if variant in ("strong", "weak"):
+        return value(pts)
+    if len(pts) == 1:
+        return value(pts)
+    return max(value([p, q]) for p, q in itertools.combinations(pts, 2))
 
 
 # ---------------------------------------------------------------------------

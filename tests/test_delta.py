@@ -1,5 +1,6 @@
 """Δ-set core: validation, closures, completeness, morphisms."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,8 @@ from superph import (DeltaMorphism, DeltaSet, GradedSubset, SuperHypergraph,
                      validate_morphism)
 from superph.delta import (DeltaIdentityError, DeltaStructureError,
                            close_under_faces)
+
+from oracles import subset_closure
 
 from conftest import (collapsed_tower, pillow_delta,
                       two_simplex_missing_vertex_sh, vertex_identified_quotient)
@@ -138,6 +141,45 @@ def test_from_hypergraph_marks_hyperedges():
     sh = from_hypergraph([(0, 1, 2), (0, 1)])
     assert sh.x.counts == (3, 3, 1)
     assert len(sh.h) == 2
+
+
+def _shape(x, marked=None):
+    return (x.counts, x.faces, x.labels, None if marked is None else marked.cells())
+
+
+def test_simplicial_constructors_match_subset_closure_oracle():
+    # seeded hypergraphs (mixed int/str vertices) and their cones, in the
+    # default order and in random total orders
+    rng = random.Random(15)
+    for _ in range(60):
+        verts = rng.sample([0, 1, 2, 3, 4, "a", "b", (1, "c")], rng.randint(1, 7))
+        edges = [rng.sample(verts, rng.randint(1, min(4, len(verts))))
+                 for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.4:
+            edges = hypergraph_cone(edges, "apex")
+            verts = verts + ["apex"]
+        order = rng.sample(verts, len(verts))
+        for o in (None, order):
+            counts, faces, labels, marked = subset_closure(edges, o)
+            sh = from_hypergraph(edges, o)
+            assert _shape(sh.x, sh.h) == (counts, faces, labels, marked)
+            simplices = {frozenset(s) for row in labels for s in row}
+            assert _shape(from_simplicial(simplices, o)) == (counts, faces, labels, None)
+    for n in range(-2, 6):
+        counts, faces, labels, _ = subset_closure([range(n + 1)] if n >= 0 else [])
+        assert _shape(standard_simplex_delta(n)) == (counts, faces, labels, None)
+
+
+def test_constructors_keep_their_input_checks():
+    with pytest.raises(ValueError, match="hyperedges must be nonempty"):
+        from_hypergraph([(0, 1), ()])
+    with pytest.raises(ValueError, match="order does not cover vertices"):
+        from_hypergraph([(0, 1), (1, 2)], order=[0, 1])
+    with pytest.raises(ValueError, match="order does not cover vertices"):
+        from_simplicial([{0}, {1}], order=[1])
+    with pytest.raises(ValueError, match="empty simplex"):
+        from_simplicial([{0}, ()])
+    assert from_hypergraph([]).x.counts == ()
 
 
 def test_hypergraph_cone_shape():

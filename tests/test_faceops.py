@@ -57,6 +57,19 @@ def test_primary_on_cliques_reproduces_clique_delta():
     assert sh.h.members == {n: frozenset(range(c)) for n, c in enumerate(ds.counts)}
 
 
+def test_clique_delta_is_primary_deletion_of_cliques():
+    # one face map: the clique Δ-set is the primary vertex-deletion closure
+    # of the cliques, with the same counts, faces and labels
+    rng = random.Random(15)
+    for _ in range(40):
+        g = random_multigraph(rng, directed=False)
+        k = rng.randint(0, 3)
+        x = clique_delta(g, max_dim=k)
+        sh = primary_vertex_deletion(SubgraphFamily(g, cliques(g, k + 1)))
+        assert sh.x == x and sh.x.labels == x.labels
+        assert len(sh.h) == x.total_cells()
+
+
 def test_primary_single_vertex_member():
     g = k4()
     sh = primary_vertex_deletion(SubgraphFamily(g, [g.subgraph({1}, ())]))

@@ -1,6 +1,7 @@
 """Scoring schemes: frozen values, witness enumeration, regularity checks."""
 
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from superph import (MultiGraph, PointCloud, SubgraphFamily,
                      pullback_score, seeded_random_scheme, vr_points,
                      vr_scheme, vr_score, witness_score)
 from superph.scoring import round_score
+
+from oracles import per_pair_witness_score
 
 from conftest import unit_square_cloud
 
@@ -136,6 +139,22 @@ def test_witness_set_given_empty_or_as_ints():
         witness_score([0], pc, "strong", witnesses=())
     assert witness_score([0], pc, "strong", witnesses=[(5,)]) == \
         witness_score([0], pc, "strong", witnesses=[(5.0,)])
+
+
+@pytest.mark.parametrize("variant", ["strong", "vr_strong", "weak", "vr_weak"])
+def test_witness_score_matches_per_pair_reference(variant):
+    rng = random.Random(f"witness/{variant}")
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        pc = PointCloud({f"p{i}": tuple(rng.uniform(-2, 2) for _ in range(dim))
+                         for i in range(rng.randint(2, 9))})
+        ids = pc.ids()
+        lam = rng.sample(ids, rng.randint(1, len(ids) - 1))
+        given = [tuple(rng.uniform(-3, 3) for _ in range(dim))
+                 for _ in range(rng.randint(1, 6))]
+        for witnesses in (None, given):
+            assert witness_score(lam, pc, variant, witnesses) == \
+                per_pair_witness_score(lam, pc, variant, witnesses)
 
 
 # ---------------------------------------------------------------------------
