@@ -3,10 +3,14 @@
 Every homology computation in this package reduces to rank, kernel, image,
 intersection and preimage problems over a coefficient field, and every one
 of them is solved by one sparse lowest-one column reduction,
-`reduce_columns`, on sparse vectors {index: nonzero scalar}.  Its echelon
-step, `reduce_vector`, also writes a vector in any family with distinct
-lows (the triangular solves of the persistence layer), and `combine` forms
-Σ c·v.  A `Span` keeps the reduced echelon basis of a subspace, so equal
+`reduce_columns`, on sparse vectors {index: nonzero scalar}.  The low of a
+vector is its greatest index.  A caller whose pivot order is not the order
+of its indices relabels its vectors once, at the edge, into pivot
+positions: the places of the indices in `pivot_order`, by (entry, index).
+So the kernels take no order argument and compare plain indices.  The
+echelon step, `reduce_vector`, also writes a vector in any family with
+distinct lows (the triangular solves of the persistence layer), and
+`combine` forms Σ c·v.  A `Span` keeps the reduced echelon basis of a subspace, so equal
 spans compare equal and results are bit-for-bit reproducible across runs:
 a sum of spans is one reduction of their vectors, and a kernel
 (`relations`) or an intersection is the relations among a concatenation
@@ -175,15 +179,22 @@ def combine(field: Field, coeffs: dict, vectors) -> dict:
     return {i: a for i, a in out.items() if a}
 
 
-def reduce_vector(field: Field, r: dict, owner: dict, vectors, key=None) -> tuple:
+def pivot_order(entries: Sequence) -> tuple[list, dict]:
+    """The indices of `entries` in pivot order, by (entry, index), and
+    {index: its position in that order}.  Relabelling vectors by the
+    positions makes the greatest position the low."""
+    order = sorted(range(len(entries)), key=entries.__getitem__)
+    return order, {i: p for p, i in enumerate(order)}
+
+
+def reduce_vector(field: Field, r: dict, owner: dict, vectors) -> tuple:
     """Reduce the sparse vector r, in place, against vectors with distinct
     lows.
 
-    The low of a nonzero vector is its index that comes last in the pivot
-    order: the greatest `key(index)`, or the greatest index when key is
-    None.  owner[low] = k when vectors[k] has that low.  While the low of r
-    is owned, the multiple of its owner that cancels it is subtracted, so
-    the low only falls and each owner is used at most once.
+    The low of a nonzero vector is its greatest index.  owner[low] = k when
+    vectors[k] has that low.  While the low of r is owned, the multiple of
+    its owner that cancels it is subtracted, so the low only falls and each
+    owner is used at most once.
 
     Returns (low, multiples): the low of what is left of r, owned by no
     vector (None when r reduced to zero), and {k: scalar} with
@@ -191,7 +202,7 @@ def reduce_vector(field: Field, r: dict, owner: dict, vectors, key=None) -> tupl
     """
     multiples: dict = {}
     while r:
-        low = max(r, key=key)
+        low = max(r)
         k = owner.get(low)
         if k is None:
             return low, multiples
@@ -204,15 +215,13 @@ def reduce_vector(field: Field, r: dict, owner: dict, vectors, key=None) -> tupl
     return None, multiples
 
 
-def reduce_columns(field: Field, columns: Iterable[dict], row_rank: dict | None = None
-                   ) -> tuple[list, list[dict], list[dict]]:
+def reduce_columns(field: Field, columns: Iterable[dict]) -> tuple[list, list[dict], list[dict]]:
     """Lowest-one column reduction (Edelsbrunner–Letscher–Zomorodian 2002,
     Zomorodian–Carlsson 2005) of sparse columns over any field.
 
-    Each column is a dict {row: nonzero scalar}; columns are reduced in the
-    order given, each by `reduce_vector` against the earlier columns that
-    own a low.  The pivot order of the rows is `row_rank[row]`, or the row
-    index when `row_rank` is None.
+    Each column is a dict {row: nonzero scalar} over rows numbered in pivot
+    order; columns are reduced in the order given, each by `reduce_vector`
+    against the earlier columns that own a low, its greatest row.
 
     Returns (lows, vs, reduced): lows[j] is the low of reduced column j,
     None when it reduced to zero, reduced[j] is that column as {row: nonzero
@@ -221,14 +230,13 @@ def reduce_columns(field: Field, columns: Iterable[dict], row_rank: dict | None 
     count is the rank of the input columns, and the vs of zero columns are a
     basis of the relations among them.
     """
-    key = None if row_rank is None else row_rank.__getitem__
     lows: list = []
     vs: list[dict] = []
     reduced: list[dict] = []
     owner: dict = {}
     for j, col in enumerate(columns):
         r = dict(col)
-        low, multiples = reduce_vector(field, r, owner, reduced, key)
+        low, multiples = reduce_vector(field, r, owner, reduced)
         v = {j: field.one}
         for k, c in multiples.items():
             axpy(field, v, c, vs[k])

@@ -270,7 +270,9 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
 
 def neighborhood_complex(g: MultiGraph) -> list[frozenset]:
     """Simplices are vertex sets whose members are all adjacent to a common
-    other vertex; closed under nonempty subsets by construction."""
+    other vertex; closed under nonempty subsets by construction.  Every
+    nonempty subset of each neighbourhood is listed, with no dimension
+    bound, so a vertex of degree k alone gives 2^k - 1 simplices."""
     simplices: set[frozenset] = set()
     for w in g.vertices:
         nb = sorted(g.neighbors(w) - {w}, key=cell_sort_key)

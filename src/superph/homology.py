@@ -46,7 +46,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .delta import (CellId, DeltaIdentityError, DeltaSet, GradedSubset,
                     SuperHypergraph, delta_closure, full_subset, max_delta_subset)
-from .fields import Field, Span, combine, reduce_columns, reduce_vector, relations
+from .fields import (Field, Span, combine, pivot_order, reduce_columns, reduce_vector,
+                     relations)
 
 
 @dataclass(frozen=True)
@@ -102,21 +103,28 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
 # ---------------------------------------------------------------------------
 
 class FilteredBasis(NamedTuple):
-    """Filtered basis of one degree of an infimum complex: vectors[k], a
-    sparse chain {cell: scalar}, enters at entries[k].  lead[cell] = k when
-    vectors[k] has coefficient one on that cell and its other cells come
-    earlier in the order `rank` of the marked cells."""
+    """Filtered basis of one degree of an infimum complex.
+
+    vectors[k], a sparse chain {cell: scalar}, enters at entries[k].  The
+    cells are numbered by `position` in pivot order, never-marked cells
+    last, and columns[k] is vectors[k] over those positions.  lead[p] = k
+    when columns[k] has coefficient one at position p and its other entries
+    at earlier positions, so the columns have distinct lows."""
 
     entries: tuple
     vectors: tuple
+    columns: tuple
     lead: dict
-    rank: dict
+    position: dict
 
     def coordinates(self, field: Field, chain: dict) -> dict:
-        """{k: scalar} with chain = Σ scalar · vectors[k], by a triangular
-        solve by lead."""
-        low, out = reduce_vector(field, dict(chain), self.lead, self.vectors,
-                                 lambda cell: self.rank.get(cell, math.inf))
+        """{k: scalar} with chain = Σ scalar · vectors[k]: the chain is
+        relabelled to positions once and solved triangularly by lead.
+        Never-marked cells come after every marked one, so a chain holding
+        one, like any chain outside the span, is left with a low and
+        raises."""
+        low, out = reduce_vector(field, {self.position[c]: a for c, a in chain.items()},
+                                 self.lead, self.columns)
         if low is not None:
             raise AssertionError("chain outside the infimum complex")
         return out
@@ -126,29 +134,33 @@ def inf_basis(cc: ChainComplex, entry: Sequence[Sequence], n: int) -> FilteredBa
     """Filtered basis of inf_n of the marking whose cells enter at `entry`
     (math.inf: never marked).
 
-    The marked n-cells are reduced in (entry, index) order against rows in
-    (entry, index) order, never-marked rows last: the V column of cell σ
-    enters at e(σ), or at e(low) when its low is later, and is dropped when
-    that is never.  When every marked cell's faces enter no later than the
-    cell, the marking is a filtered Δ-subset and the basis is its cells."""
+    The marked n-cells, in pivot order (`fields.pivot_order` of their
+    entries), are reduced against the rows relabelled to their pivot
+    positions, never-marked rows last: the V column of cell σ enters at
+    e(σ), or at e(low) when its low is later, and is dropped when that is
+    never.  When every marked cell's faces enter no later than the cell, the
+    marking is a filtered Δ-subset and the basis is its cells."""
     e = entry[n]
-    cells = sorted((j for j in range(len(e)) if e[j] != math.inf), key=lambda j: (e[j], j))
-    rank = {j: r for r, j in enumerate(cells)}
+    order, position = pivot_order(e)
+    cells = [j for j in order if e[j] != math.inf]
     one = cc.field.one
     below = entry[n - 1] if n else ()
     if all(below[i] <= e[j] for j in cells for i in cc.columns[n][j]):
         return FilteredBasis(tuple(e[j] for j in cells), tuple({j: one} for j in cells),
-                             {j: k for k, j in enumerate(cells)}, rank)
-    rows = sorted(range(len(below)), key=lambda i: (below[i], i))
-    lows, vs, _ = reduce_columns(cc.field, [cc.columns[n][j] for j in cells],
-                                 {i: r for r, i in enumerate(rows)})
+                             tuple({p: one} for p in range(len(cells))),
+                             {p: p for p in range(len(cells))}, position)
+    rows, row_position = pivot_order(below)
+    lows, vs, _ = reduce_columns(
+        cc.field, ({row_position[i]: a for i, a in cc.columns[n][j].items()} for j in cells))
     kept = []
-    for j, low, v in zip(cells, lows, vs):
-        at = e[j] if low is None else max(e[j], below[low])
+    for p, (j, low, v) in enumerate(zip(cells, lows, vs)):
+        at = e[j] if low is None else max(e[j], below[rows[low]])
         if at != math.inf:
-            kept.append((at, {cells[k]: c for k, c in v.items()}, j))
-    return FilteredBasis(tuple(k[0] for k in kept), tuple(k[1] for k in kept),
-                         {k[2]: p for p, k in enumerate(kept)}, rank)
+            kept.append((at, dict(v), p))  # compact: axpy grew and shrank v
+    return FilteredBasis(tuple(k[0] for k in kept),
+                         tuple({cells[p]: c for p, c in k[1].items()} for k in kept),
+                         tuple(k[1] for k in kept), {k[2]: b for b, k in enumerate(kept)},
+                         position)
 
 
 @dataclass(frozen=True)
@@ -188,21 +200,22 @@ def _ranks(cc: ChainComplex, n: int, cols: frozenset, marked_rows: frozenset):
     """(rk of ∂_n on the columns `cols`, rk of its block on the rows
     X_{n-1} ∖ marked_rows); memoised on the arguments.
 
-    The columns are reduced with the unmarked rows ordered last, so a reduced
-    column has an unmarked low exactly when it has an unmarked entry: the
-    columns with unmarked lows are independent on the unmarked rows, and the
-    others vanish there."""
+    The columns are reduced with the rows in pivot order of entry 0 for the
+    marked rows and 1 for the unmarked ones, so a reduced column has an
+    unmarked low exactly when it has an unmarked entry: the columns with
+    unmarked lows are independent on the unmarked rows, and the others
+    vanish there."""
     if not 0 < n < cc.dim_count:
         return 0, 0
     key = ("ranks", n, cols, marked_rows)
     ranks = cc.memo.get(key)
     if ranks is None:
-        rows = cc.space_dim(n - 1)
-        row_rank = {i: i if i in marked_rows else rows + i for i in range(rows)}
-        lows = reduce_columns(cc.field, [cc.columns[n][j] for j in sorted(cols)],
-                              row_rank)[0]
+        rows, position = pivot_order([0 if i in marked_rows else 1
+                                      for i in range(cc.space_dim(n - 1))])
+        lows = reduce_columns(cc.field, ({position[i]: a for i, a in cc.columns[n][j].items()}
+                                         for j in sorted(cols)))[0]
         ranks = cc.memo[key] = (len(lows) - lows.count(None),
-                                sum(low is not None and low not in marked_rows
+                                sum(low is not None and rows[low] not in marked_rows
                                     for low in lows))
     return ranks
 

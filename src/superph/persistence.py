@@ -21,21 +21,27 @@ Zomorodian–Carlsson 2005):
   homology is that of inf(X(t)) / inf(H(t)) (relative persistence,
   Cohen-Steiner–Edelsbrunner–Harer 2009).
 
+Every reduction here uses one pivot order, (entry, index), fixed once at
+the edge: cells and basis elements are relabelled to their positions in
+`fields.pivot_order` of the entries when a basis or a complex is built, so
+the kernels compare plain ints, and chains go back to cells only through
+the stored cell chains.
+
 The filtered basis of an infimum complex (`homology.inf_basis`) comes from
-the same reduction: the marked n-cells, in order of entry, are reduced
-against rows ordered by entry (never-marked rows last); the V column of
+the same reduction: the marked n-cells, in pivot order, are reduced
+against the rows in pivot order (never-marked rows last); the V column of
 cell σ enters at the entry of σ, or of its low when that is later, and is
-dropped if that is never.  The basis vectors have distinct lead cells, so
-coordinates in the basis are a triangular solve by lead
+dropped if that is never.  The basis vectors have distinct lead positions,
+so coordinates in the basis are a triangular solve by lead
 (`fields.reduce_vector`, the echelon step of the column reduction).
 
-In a complex reduced in (entry, position) order, a pair (low ρ, column τ)
-is the bar [e(ρ), e(τ)), kept when it has positive length, with the
-reduced column as its representative; an unpaired zero column σ is the bar
-[e(σ), ∞) with its V column as representative.  These representatives
-have distinct lows, so a cycle is written in them by one triangular solve
-by low, whatever the step: that gives the correlation matrices.  The
-triangle reads each module's dimension dim Z(t) - dim B(t) off the same
+In a complex reduced in pivot order, a pair (low ρ, column τ) is the bar
+[e(ρ), e(τ)), kept when it has positive length, with the reduced column as
+its representative; an unpaired zero column σ is the bar [e(σ), ∞) with
+its V column as representative.  These representatives have distinct
+lows, so a cycle is written in them by one triangular solve by low,
+whatever the step: that gives the correlation matrices.  The triangle
+reads each module's dimension dim Z(t) - dim B(t) off the same
 reduction, whose cycle pivots and killing columns are bases of Z(t) and
 B(t); only its ranks J, P and the connecting rank reduce sums of two
 modules' spaces, dim(Z' + B)(t) - dim B(t), in entry order, so its
@@ -57,7 +63,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .delta import DeltaMorphism, SuperHypergraph, validate_morphism
-from .fields import Field, FieldMatrix, Span, combine, reduce_columns, reduce_vector
+from .fields import (Field, FieldMatrix, Span, combine, pivot_order, reduce_columns,
+                     reduce_vector)
 from .homology import ChainComplex, FilteredBasis, boundary_matrices, inf_basis
 from .scoring import cell_scores, label_subgraph
 
@@ -152,17 +159,13 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
-# Filtered bases of infimum complexes
+# Filtered complexes, reduced once
 # ---------------------------------------------------------------------------
 
 def _chain_boundary(cc: ChainComplex, n: int, chain: dict) -> dict:
     """∂_n of a sparse chain {n-cell: scalar}."""
     return combine(cc.field, chain, cc.columns[n])
 
-
-# ---------------------------------------------------------------------------
-# Filtered complexes, reduced once
-# ---------------------------------------------------------------------------
 
 class _Summand(NamedTuple):
     """One interval summand [birth, death) of a module degree (death None:
@@ -191,11 +194,15 @@ def _check_filtered(field: Field, entries, columns):
 class _Complex:
     """A filtered chain complex in a filtered basis, reduced degree by degree.
 
-    entries[n][k] is the entry step of basis element k of degree n;
-    columns[n][k] is its differential as {element of degree n-1: scalar};
-    chains[n][k] is the chain of X_n it stands for (for the cone, the
-    inf(X) part).  `coordinates(n, chain)` writes a cycle of the module,
-    given by its chain, in the basis.  Module degrees are 0 .. top-1.
+    It is given entries[n][k], the entry step of basis element k of degree
+    n; columns[n][k], its differential as {element of degree n-1: scalar};
+    chains[n][k], the chain of X_n it stands for (for the cone, the inf(X)
+    part); and `coordinates(n, chain)`, which writes a cycle of the module,
+    given by its chain, in the basis.  Once, when it is built, each degree's
+    basis is renumbered in pivot order (`fields.pivot_order` of the
+    entries; element k moves to position[n][k]), so `entries`, `chains`,
+    the reduction and the solves are all indexed by position.  Module
+    degrees are 0 .. top-1.
 
     Checked here: the differential respects entries (the filtration is
     monotone), d∘d = 0, and every boundary column's low is a cycle pivot
@@ -204,30 +211,27 @@ class _Complex:
 
     def __init__(self, field: Field, entries, columns, chains, coordinates, top: int):
         self.field = field
-        self.entries = entries
-        self.chains = chains
         self.coordinates = coordinates
-        self.rank = [{k: p for p, k in enumerate(sorted(range(len(e)),
-                                                       key=lambda k: (e[k], k)))}
-                     for e in entries]
+        orders = [pivot_order(e) for e in entries]
+        self.position = [position for _, position in orders]
+        self.entries = entries = [[e[k] for k in order]
+                                  for e, (order, _) in zip(entries, orders)]
+        self.chains = [[c[k] for k in order] for c, (order, _) in zip(chains, orders)]
+        # degree-0 columns are empty, so position[-1] is never read
+        columns = [[{self.position[n - 1][i]: a for i, a in columns[n][k].items()}
+                    for k in order] for n, (order, _) in enumerate(orders)]
         _check_filtered(field, entries, columns)
-        f = field
-        # cycles[n]: V column of each zero column of degree n; killers[n]:
-        # positive element of degree n -> (killing element of degree n+1,
-        # its reduced column)
+        # cycles[n]: V column of each zero column of degree n (every element
+        # of degree 0, whose columns are empty); killers[n]: positive element
+        # of degree n -> (killing element of degree n+1, its reduced column)
         self.cycles: list[dict] = []
         self.killers = killers = [{} for _ in entries]
-        for n, e in enumerate(entries):
-            if n == 0:
-                self.cycles.append({k: {k: f.one} for k in range(len(e))})
-                continue
-            order = sorted(range(len(e)), key=self.rank[n].__getitem__)
-            lows, vs, reduced = reduce_columns(f, [columns[n][k] for k in order],
-                                               self.rank[n - 1])
+        for n in range(len(entries)):
+            lows, vs, reduced = reduce_columns(field, columns[n])
             cyc = {}
-            for k, low, v, r in zip(order, lows, vs, reduced):
+            for k, (low, v, r) in enumerate(zip(lows, vs, reduced)):
                 if low is None:
-                    cyc[k] = {order[p]: c for p, c in v.items()}
+                    cyc[k] = dict(v)  # compact: axpy grew and shrank v
                 elif low not in self.cycles[n - 1]:
                     raise AssertionError("boundary space not inside cycle space")
                 else:
@@ -250,7 +254,7 @@ class _Complex:
                     reps[s] = v
                     summands.append(_Summand(birth, None, s))
             summands.sort(key=lambda u: (u.birth, math.inf if u.death is None else u.death,
-                                         self.rank[n][u.low]))
+                                         u.low))
             self.reps.append(reps)
             self.owners.append(dict(zip(reps, reps)))
             self.summands.append(summands)
@@ -266,8 +270,9 @@ class _Complex:
         """Coefficients {low: scalar} of a degree-n cycle of the module,
         given by its chain, in the representatives: its basis coordinates,
         then one triangular solve by low."""
-        low, out = reduce_vector(self.field, self.coordinates(n, chain), self.owners[n],
-                                 self.reps[n], self.rank[n].__getitem__)
+        low, out = reduce_vector(
+            self.field, {self.position[n][k]: c for k, c in self.coordinates(n, chain).items()},
+            self.owners[n], self.reps[n])
         if low is not None:
             raise AssertionError("arrow image outside the target cycle space")
         return out
@@ -311,7 +316,7 @@ def _cone(cc: ChainComplex, hb: Sequence[FilteredBasis], xb: Sequence[FilteredBa
     d(a, c) = (-∂a, ι(a) + ∂c)."""
     f = cc.field
     nd = len(xb)
-    none = FilteredBasis((), (), {}, {})
+    none = FilteredBasis((), (), (), {}, {})
 
     def part(bases, n):
         return bases[n] if 0 <= n < nd else none

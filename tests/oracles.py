@@ -9,6 +9,10 @@ exceptions read library pieces but compute by another route:
   `dict_route` to run the library on them): Σ c·v through `Field` calls
   over every field, where the library takes symmetric differences and
   occurrence parities over GF(2);
+- the keyed reduction (`keyed_reduce_vector`, `keyed_reduce_columns`):
+  the lowest-one reduction with the pivot order passed in as a key on the
+  vectors' own indices, on the generic arithmetic, where the library
+  relabels vectors into pivot positions and takes the greatest one;
 - the dense subspace layer: dense matrices from rows, their columns and
   identities, canonical RREF bases (`SubspaceBasis`) from the library's
   `rref`, with kernel, sum, intersection, preimage, solve and
@@ -56,7 +60,7 @@ from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
 
 
 # ---------------------------------------------------------------------------
-# Generic sparse arithmetic, for every field
+# Generic sparse arithmetic and the keyed reduction, for every field
 # ---------------------------------------------------------------------------
 
 def dict_axpy(field: Field, dst: dict, c, src: dict):
@@ -96,6 +100,46 @@ def dict_route():
     finally:
         for m, name, fn in saved:
             setattr(m, name, fn)
+
+
+def keyed_reduce_vector(field: Field, r: dict, owner: dict, vectors, key=None) -> tuple:
+    """`fields.reduce_vector` with the pivot order as an argument: the low
+    of a nonzero vector is its index with the greatest `key(index)`, or the
+    greatest index when key is None.  Returns (low, multiples) as the
+    library does."""
+    multiples: dict = {}
+    while r:
+        low = max(r, key=key)
+        k = owner.get(low)
+        if k is None:
+            return low, multiples
+        if k in multiples:
+            raise AssertionError(f"owner {k} used twice: the low {low!r} did not fall")
+        v = vectors[k]
+        a = v[low]
+        c = multiples[k] = r[low] if a == 1 else field.mul(r[low], field.inv(a))
+        dict_axpy(field, r, c, v)
+    return None, multiples
+
+
+def keyed_reduce_columns(field: Field, columns, row_rank: dict | None = None):
+    """`fields.reduce_columns` with the pivot order of the rows as an
+    argument, `row_rank[row]` (the row itself when None): (lows, vs,
+    reduced) with the lows and reduced columns over the rows as given."""
+    key = None if row_rank is None else row_rank.__getitem__
+    lows, vs, reduced, owner = [], [], [], {}
+    for j, col in enumerate(columns):
+        r = dict(col)
+        low, multiples = keyed_reduce_vector(field, r, owner, reduced, key)
+        v = {j: field.one}
+        for k, c in multiples.items():
+            dict_axpy(field, v, c, vs[k])
+        if low is not None:
+            owner[low] = j
+        lows.append(low)
+        vs.append(v)
+        reduced.append(r)
+    return lows, vs, reduced
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from superph.fields import (GF, GF2, QQ, FieldMatrix, Span, axpy, combine, reduc
 
 from oracles import (SubspaceBasis, contains_subspace, dict_axpy, dict_combine, dict_route,
                      dim_span_gf2_masks, identity_matrix, image_basis, kernel_basis,
-                     matrix_column, matrix_from_rows, preimage_basis, rank, solve,
-                     subspace_intersect, subspace_sum)
+                     keyed_reduce_columns, keyed_reduce_vector, matrix_column,
+                     matrix_from_rows, preimage_basis, rank, solve, subspace_intersect,
+                     subspace_sum)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -67,11 +68,11 @@ def test_rank_nullity(field, rng):
 
 @pytest.mark.parametrize("field", [GF2, GF(3), QQ])
 def test_reduce_columns_lows_and_v(field, rng):
-    # random sparse columns and a random pivot order: the non-None lows are
-    # distinct and count the dense rank; each V column is unit
-    # upper-triangular and combines the input columns into the reduced
-    # column, whose last row in the pivot order is its low (zero when the
-    # low is None)
+    # random sparse columns with their rows relabelled to the positions of
+    # a random pivot order: the non-None lows are distinct and count the
+    # dense rank; each V column is unit upper-triangular and combines the
+    # input columns into the reduced column, whose last row in the pivot
+    # order is its low (zero when the low is None)
     for _ in range(25):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         m = FieldMatrix(field, rows, cols, [rng.choice((0, 0, 1, -1, 2))
@@ -79,16 +80,66 @@ def test_reduce_columns_lows_and_v(field, rng):
         order = list(range(rows))
         rng.shuffle(order)
         row_rank = {r: k for k, r in enumerate(order)}
-        columns = [{i: a for i, a in enumerate(matrix_column(m, j)) if a} for j in range(cols)]
-        lows, vs, reduced = reduce_columns(field, columns, row_rank)
+        columns = [{row_rank[i]: a for i, a in enumerate(matrix_column(m, j)) if a}
+                   for j in range(cols)]
+        lows, vs, reduced = reduce_columns(field, columns)
         found = [low for low in lows if low is not None]
         assert len(found) == len(set(found)) == rank(m)
         for j, (low, v) in enumerate(zip(lows, vs)):
             assert v[j] == field.one and max(v) == j
             combo = m.apply([v.get(k, field.zero) for k in range(cols)])
             support = [i for i, a in enumerate(combo) if a]
-            assert low == (max(support, key=row_rank.get) if support else None)
-            assert reduced[j] == {i: combo[i] for i in support}
+            assert (None if low is None else order[low]) == \
+                (max(support, key=row_rank.get) if support else None)
+            assert reduced[j] == {row_rank[i]: combo[i] for i in support}
+
+
+def _relabel(vec: dict, labels) -> dict:
+    """vec with index i renamed labels[i], in the same key order."""
+    return {labels[i]: a for i, a in vec.items()}
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ])
+def test_reduce_columns_on_positions_matches_keyed_oracle(field, rng):
+    # seeded sparse columns, zero and repeated columns included, under a
+    # shuffled row order: reducing the columns relabelled to pivot positions
+    # without a key gives the keyed reference's lows (mapped back), V
+    # columns and reduced columns, key order included, and so does the
+    # echelon step on a probe vector against the reduced columns
+    repeated = 0
+    for _ in range(40):
+        nrows = rng.randint(1, 8)
+
+        def vector():
+            vec = {i: field.of(rng.choice((1, -1, 2)))
+                   for i in rng.sample(range(nrows), rng.randint(0, nrows))}
+            return {i: a for i, a in vec.items() if a}
+
+        columns = [vector() for _ in range(rng.randint(0, 7))]
+        if columns:
+            columns += [dict(rng.choice(columns)) for _ in range(rng.randint(0, 2))]
+        columns.insert(rng.randint(0, len(columns)), {})
+        nonzero = [tuple(c.items()) for c in columns if c]
+        repeated += len(nonzero) > len(set(nonzero))
+        order = list(range(nrows))
+        rng.shuffle(order)
+        position = {i: p for p, i in enumerate(order)}
+        lows, vs, reduced = reduce_columns(field, [_relabel(c, position) for c in columns])
+        ref_lows, ref_vs, ref_reduced = keyed_reduce_columns(field, columns, position)
+        assert [None if low is None else order[low] for low in lows] == ref_lows
+        assert _items(vs) == _items(ref_vs)
+        assert _items([_relabel(r, order) for r in reduced]) == _items(ref_reduced)
+        probe = vector()
+        r, ref_r = _relabel(probe, position), dict(probe)
+        low, multiples = reduce_vector(field, r, {low: j for j, low in enumerate(lows)
+                                                  if low is not None}, reduced)
+        ref_low, ref_multiples = keyed_reduce_vector(
+            field, ref_r, {low: j for j, low in enumerate(ref_lows) if low is not None},
+            ref_reduced, position.__getitem__)
+        assert (None if low is None else order[low]) == ref_low
+        assert list(multiples.items()) == list(ref_multiples.items())
+        assert list(_relabel(r, order).items()) == list(ref_r.items())
+    assert repeated >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +369,20 @@ def _assert_gf2_matches_dict_route(vectors, coeffs, probe, row_rank):
             assert list(fast.items()) == list(slow.items())
     assert list(combine(GF2, coeffs, vectors).items()) == \
         list(dict_combine(GF2, coeffs, vectors).items())
-    # the whole reduction, with and without a row order
-    for rr in (None, row_rank):
-        fast = reduce_columns(GF2, vectors, rr)
+    # the whole reduction, on the rows as given and relabelled to the
+    # positions of a row order
+    for vs, pr in ((vectors, probe),
+                   ([_relabel(v, row_rank) for v in vectors], _relabel(probe, row_rank))):
+        fast = reduce_columns(GF2, vs)
         with dict_route():
-            slow = reduce_columns(GF2, vectors, rr)
+            slow = reduce_columns(GF2, vs)
         assert fast[0] == slow[0]
         assert _items(fast[1]) == _items(slow[1]) and _items(fast[2]) == _items(slow[2])
         owner = {low: j for j, low in enumerate(fast[0]) if low is not None}
-        key = None if rr is None else rr.__getitem__
-        r_fast, r_slow = dict(probe), dict(probe)
-        out_fast = reduce_vector(GF2, r_fast, owner, fast[2], key)
+        r_fast, r_slow = dict(pr), dict(pr)
+        out_fast = reduce_vector(GF2, r_fast, owner, fast[2])
         with dict_route():
-            out_slow = reduce_vector(GF2, r_slow, owner, fast[2], key)
+            out_slow = reduce_vector(GF2, r_slow, owner, fast[2])
         assert out_fast == out_slow and list(r_fast.items()) == list(r_slow.items())
     # spans: bases, sums, intersections and membership
     half = len(vectors) // 2

@@ -17,7 +17,7 @@ from superph import (GF2, QQ, GF, DeltaMorphism, DeltaSet, GradedSubset,
                      mod2_parity_check, mv_diagnostics, standard_simplex_delta,
                      subcomplex_homology)
 from superph.delta import ValidationReport, delta_closure, max_delta_subset
-from superph.fields import Span, relations
+from superph.fields import Span, combine, relations
 from superph.homology import inclusion_quasi_iso, inf_basis
 from superph.persistence import embedded_homology_basis
 from conftest import (collapsed_tower, pillow_delta, pillow_sh,
@@ -156,6 +156,36 @@ def test_dense_inf_matches_sparse_inf_basis(field, rng):
             assert dense_span(data.inf[n], count) == span
             proper += span != SubspaceBasis.coordinate(field, count, sh.h.at(n))
     assert proper >= 3 and full == 4
+
+
+@pytest.mark.parametrize("field", [GF2, QQ])
+def test_inf_basis_coordinates_reject_chains_outside_inf(field):
+    # the 3-simplex with the vertex (0,) and the edges (0, 1), (2, 3) never
+    # marked: the basis of inf_0 is the marked vertices, and that of inf_1 a
+    # reduction, since the marked edges at (0,) have an unmarked face.
+    # Coordinates raise on a chain with one or two never-marked cells and on
+    # a marked edge at (0,), which lies in D_1 but not in inf_1; chains of
+    # inf_n are written back exactly, e02 - e03 (boundary e2 - e3) included
+    x = standard_simplex_delta(3)
+    cell = {x.label(n, j): j for n in range(x.dim_count) for j in range(x.counts[n])}
+    never = {(0,), (0, 1), (2, 3)}
+    entry = tuple(tuple(math.inf if x.label(n, j) in never else 0 for j in range(count))
+                  for n, count in enumerate(x.counts))
+    cc = boundary_matrices(x, field)
+    one = field.one
+    outside = {0: [{cell[0, ]: one}, {cell[0, ]: one, cell[1, ]: one}],
+               1: [{cell[0, 1]: one}, {cell[0, 1]: one, cell[2, 3]: one},
+                   {cell[0, 2]: one}, {cell[0, 2]: one, cell[1, 2]: one}]}
+    inside = {0: [{cell[1, ]: one, cell[3, ]: -one}],
+              1: [{cell[1, 2]: one}, {cell[0, 2]: one, cell[0, 3]: -one}]}
+    for n in (0, 1):
+        basis = inf_basis(cc, entry, n)
+        for chain in outside[n]:
+            with pytest.raises(AssertionError, match="chain outside the infimum complex"):
+                basis.coordinates(field, chain)
+        for chain in inside[n]:
+            chain = {j: field.of(a) for j, a in chain.items()}
+            assert combine(field, basis.coordinates(field, chain), basis.vectors) == chain
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +788,12 @@ def test_sparse_spans_match_dense_oracle_property(seed, keep, field):
         assert all(z.contains(r) for r in dense_reps)
         assert subspace_sum(b, SubspaceBasis(field, counts[degree], dense_reps)).dim == \
             b.dim + len(reps) == b.dim + embedded_betti(sh, field, cc=cc)[degree]
+
+
+def test_homology_basis_of_the_empty_delta_set():
+    x = standard_simplex_delta(-1)
+    reps, bounds = embedded_homology_basis(SuperHypergraph(x, full_subset(x)), QQ, 0)
+    assert reps == [] and bounds.dim == 0
 
 
 # ---------------------------------------------------------------------------

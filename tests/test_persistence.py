@@ -14,7 +14,7 @@ from superph import (GF2, QQ, Bar, DeltaSet, GradedSubset, MultiGraph,
                      triangle_report, vr_scheme)
 from superph import persistence
 from superph.faceops import Clustering, SubgraphFamily, primary_vertex_deletion
-from superph.fields import GF, FieldMatrix
+from superph.fields import GF, FieldMatrix, combine
 from superph.homology import ChainComplex, boundary_matrices
 from superph.persistence import (ARROWS, MODULE_KINDS, DominationError,
                                  RegularityError)
@@ -389,6 +389,20 @@ def test_filtered_complex_checks_boundaries_are_cycles(monkeypatch):
     monkeypatch.setattr("superph.persistence._check_filtered", lambda *a: None)
     with pytest.raises(AssertionError, match="boundary space not inside cycle space"):
         full_barcode(filt, GF2, "ambient")
+
+
+@pytest.mark.parametrize("field", [GF2, QQ])
+def test_solve_rejects_a_chain_outside_the_cycle_space(field):
+    # a single edge of the square is in the ambient basis but is no cycle,
+    # so writing it in the module's representatives must fail; the boundary
+    # of a triangle is a cycle and is written back exactly
+    filt = square_filtration()
+    cx = persistence._complex(filt, field, "ambient")
+    with pytest.raises(AssertionError, match="arrow image outside the target cycle space"):
+        cx.solve(1, {0: field.one})
+    chain = persistence._chain_boundary(filt.chain_complex(field), 2, {0: field.one})
+    reps = {low: cx.chain(1, v) for low, v in cx.reps[1].items()}
+    assert combine(field, cx.solve(1, chain), reps) == chain
 
 
 def test_filtered_complex_checks_monotone_entries(monkeypatch):
