@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 from . import formats, homology, render
 from .delta import (DeltaIdentityError, DeltaSet, SuperHypergraph, from_hypergraph,
-                    from_simplicial, full_subset, is_complete, is_regular)
+                    full_subset, is_complete, is_regular)
 from .faceops import (edge_deletion_complex, link_blowup_faces,
                       partition_faces, primary_vertex_deletion,
                       secondary_vertex_deletion, starting_vertex_faces)
 from .fields import GF, GF2, QQ
-from .graphs import MultiGraph, Subgraph, clique_delta, neighborhood_complex, path_complex
+from .graphs import MultiGraph, Subgraph, clique_delta, path_complex
 from .homology import embedded_betti, gap_series
 from .persistence import (build_filtration, correlation_matrix, full_barcode,
                           triangle_report)
@@ -173,7 +173,7 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
         ds = clique_delta(g, max_dim=cfg.max_dim)
         return SuperHypergraph(ds, full_subset(ds))
     if kind == "neighborhood":
-        ds = from_simplicial(neighborhood_complex(g))
+        ds = from_hypergraph(nb for nb in (g.neighbors(w) - {w} for w in g.vertices) if nb).x
         return SuperHypergraph(_relabel(ds, lambda vs: Subgraph(g, vs)), full_subset(ds))
     if kind == "path":
         return path_complex(g, cfg.max_dim)

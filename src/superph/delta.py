@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Sequence
 
 CellId = tuple[int, int]
 
@@ -120,9 +120,6 @@ class DeltaSet:
 
     def total_cells(self) -> int:
         return sum(self.counts)
-
-    def face(self, dim: int, idx: int, i: int) -> int:
-        return self.faces[dim][idx][i]
 
     def label(self, dim: int, idx: int):
         if self.labels is None:
@@ -481,23 +478,26 @@ def _vertex_positions(vertices: set, order: Sequence | None) -> dict:
     return pos
 
 
+def missing_face(family: AbstractSet[frozenset]) -> frozenset | None:
+    """A member of the family whose deletion of some single element is not
+    a member, or None when no member with two or more elements has one."""
+    return next((s for s in family if len(s) > 1 and any(s - {v} not in family for v in s)),
+                None)
+
+
 def from_simplicial(complex_: Iterable[Iterable], order: Sequence | None = None) -> DeltaSet:
     """Δ-set of a simplicial complex (one cell per simplex, d_i deletes the
     i-th vertex in the total order).  The complex must be closed under
-    nonempty subsets."""
+    nonempty subsets; it is then the closure of its simplices as
+    hyperedges."""
     simplices = {frozenset(s) for s in complex_}
     if any(not s for s in simplices):
         raise ValueError("empty simplex not allowed")
-    pos = _vertex_positions(set().union(*simplices), order)
-    for s in simplices:
-        if len(s) > 1:
-            for v in s:
-                if s - {v} not in simplices:
-                    raise ValueError(f"complex not closed under subsets: missing face of "
-                                     f"{tuple(sorted(s, key=cell_sort_key))}")
-    seeds = [tuple(sorted(s, key=pos.__getitem__)) for s in simplices]
-    ds, _ = close_under_faces(seeds, tuple_grade, tuple_faces)
-    return ds
+    s = missing_face(simplices)
+    if s is not None:
+        raise ValueError(f"complex not closed under subsets: missing face of "
+                         f"{tuple(sorted(s, key=cell_sort_key))}")
+    return from_hypergraph(simplices, order).x
 
 
 def from_hypergraph(hyperedges: Iterable[Iterable], order: Sequence | None = None) -> SuperHypergraph:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .delta import GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces
+from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
+                    missing_face)
 from .graphs import (MultiGraph, Subgraph, is_subgraph, vertex_deletion_faces,
                      vertex_deletion_grade)
 
@@ -184,15 +185,7 @@ def edge_deletion_complex(fam: SubgraphFamily) -> EdgeDeletionResult:
     if any(not m.edges for m in fam):
         raise ValueError("members must have at least one edge")
     edge_sets = {m.edges for m in fam}
-    closed = True
-    for es in edge_sets:
-        if len(es) >= 2:
-            for e in es:
-                if es - {e} not in edge_sets:
-                    closed = False
-                    break
-        if not closed:
-            break
+    closed = missing_face(edge_sets) is None
     hyper = tuple(sorted(edge_sets, key=cell_sort_key))
     return EdgeDeletionResult(hyper, closed, hyper if closed else None)
 

@@ -272,7 +272,9 @@ def neighborhood_complex(g: MultiGraph) -> list[frozenset]:
     """Simplices are vertex sets whose members are all adjacent to a common
     other vertex; closed under nonempty subsets by construction.  Every
     nonempty subset of each neighbourhood is listed, with no dimension
-    bound, so a vertex of degree k alone gives 2^k - 1 simplices."""
+    bound, so a vertex of degree k alone gives 2^k - 1 simplices.  The CLI
+    builds the same Δ-set as the closure of the neighbourhoods themselves
+    (`delta.from_hypergraph`), without listing the subsets."""
     simplices: set[frozenset] = set()
     for w in g.vertices:
         nb = sorted(g.neighbors(w) - {w}, key=cell_sort_key)

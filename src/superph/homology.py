@@ -352,14 +352,6 @@ class MvReport:
     betti_union: tuple[int, ...]
 
 
-def _is_delta_subset(x: DeltaSet, sub: GradedSubset) -> bool:
-    for n in range(1, x.dim_count):
-        for idx in sub.at(n):
-            if any(t not in sub.at(n - 1) for t in x.faces[n][idx]):
-                return False
-    return True
-
-
 def mv_diagnostics(sh: SuperHypergraph, a: GradedSubset, b: GradedSubset,
                    field: Field) -> MvReport:
     """Chain-level data of the Mayer–Vietoris square for a cover X = A ∪ B.
@@ -368,10 +360,13 @@ def mv_diagnostics(sh: SuperHypergraph, a: GradedSubset, b: GradedSubset,
     inf^{A∩B} = inf^A ∩ inf^B, reports the dimensions of the six chain rows
     and whether the flanking inclusions (left: inf^A ∩ inf^B into
     sup^A ∩ sup^B, right: inf^A + inf^B into sup^A + sup^B) are
-    quasi-isomorphisms; the middle inclusion always is.
+    quasi-isomorphisms; the middle inclusion always is.  A and B are
+    Δ-subsets when they equal their Δ-closures.  The Betti numbers of
+    inf^A ∩ inf^B, of inf^A and inf^B, and of inf^A + inf^B are the sources'
+    homology that the four inclusion checks compute.
     """
     x = sh.x
-    if not (_is_delta_subset(x, a) and _is_delta_subset(x, b)):
+    if not all(delta_closure(SuperHypergraph(x, s)) == s for s in (a, b)):
         raise ValueError("A and B must be Δ-subsets of the parental Δ-set")
     if a.union(b) != full_subset(x):
         raise ValueError("A ∪ B must cover every cell of X")
@@ -397,17 +392,15 @@ def mv_diagnostics(sh: SuperHypergraph, a: GradedSubset, b: GradedSubset,
     sup_ok = all(sup_sum[n] == data_x.sup[n] for n in range(nd))
     inf_ok = all(inf_int[n] == data_ab.inf[n] for n in range(nd))
 
-    left_ok, _ = inclusion_quasi_iso(cc, inf_int, sup_int)
-    right_ok, _ = inclusion_quasi_iso(cc, inf_sum, sup_sum)
-    mid_a, _ = inclusion_quasi_iso(cc, list(data_a.inf), list(data_a.sup))
-    mid_b, _ = inclusion_quasi_iso(cc, list(data_b.inf), list(data_b.sup))
+    left_ok, left = inclusion_quasi_iso(cc, inf_int, sup_int)
+    right_ok, right = inclusion_quasi_iso(cc, inf_sum, sup_sum)
+    mid_a, rows_a = inclusion_quasi_iso(cc, data_a.inf, data_a.sup)
+    mid_b, rows_b = inclusion_quasi_iso(cc, data_b.inf, data_b.sup)
 
     rows = tuple(MvRow(n, sup_int[n].dim, sup_sum[n].dim, inf_int[n].dim,
                        inf_sum[n].dim, data_a.inf[n].dim, data_b.inf[n].dim,
                        data_a.sup[n].dim, data_b.sup[n].dim)
                  for n in range(nd))
-    betti_a = subcomplex_homology(cc, list(data_a.inf))
-    betti_b = subcomplex_homology(cc, list(data_b.inf))
     return MvReport(
         rows=rows,
         sup_sum_equals_sup_x=sup_ok,
@@ -415,9 +408,9 @@ def mv_diagnostics(sh: SuperHypergraph, a: GradedSubset, b: GradedSubset,
         left_quasi_iso=left_ok,
         middle_quasi_iso=mid_a and mid_b,
         right_quasi_iso=right_ok,
-        betti_intersection=subcomplex_homology(cc, inf_int),
-        betti_summands=tuple(zip(betti_a, betti_b)),
-        betti_union=subcomplex_homology(cc, inf_sum),
+        betti_intersection=tuple(row[0] for row in left),
+        betti_summands=tuple((u[0], v[0]) for u, v in zip(rows_a, rows_b)),
+        betti_union=tuple(row[0] for row in right),
     )
 
 

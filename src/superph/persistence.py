@@ -8,24 +8,24 @@ triangle J : emb -> ambient, P : ambient -> relative, and the degree -1
 connecting map back to embedded homology.
 
 A filtration stores one entry step per cell.  Each module is the homology
-of a filtered chain complex written in a filtered basis (every basis
-element enters at one step), and all three are read off one sparse
-lowest-one column reduction per degree (`fields.reduce_columns`,
-Zomorodian–Carlsson 2005):
+of a mapping cone, a filtered chain complex written in a filtered basis
+(every basis element enters at one step), and all three are read off one
+sparse lowest-one column reduction per degree (`fields.reduce_columns`,
+Zomorodian–Carlsson 2005).  The cone of inf(H(t)) -> inf(X(t)) has
+Cone_n = inf_{n-1}(H) ⊕ inf_n(X) and d(a, c) = (-∂a, ι(a) + ∂c):
 
-- ambient: the infimum complex inf(X(t)); under a regular scheme X(t) is a
-  Δ-subset and the basis is the cells themselves;
-- embedded: the infimum complex inf(H(t));
-- relative: the mapping cone of inf(H(t)) -> inf(X(t)), with
-  Cone_n = inf_{n-1}(H) ⊕ inf_n(X) and d(a, c) = (-∂a, ι(a) + ∂c), whose
-  homology is that of inf(X(t)) / inf(H(t)) (relative persistence,
-  Cohen-Steiner–Edelsbrunner–Harer 2009).
+- relative: that cone, whose homology is that of inf(X(t)) / inf(H(t))
+  (relative persistence, Cohen-Steiner–Edelsbrunner–Harer 2009);
+- ambient: the cone of the zero map into inf(X(t)), which is inf(X(t));
+  under a regular scheme X(t) is a Δ-subset and the basis is the cells
+  themselves;
+- embedded: the cone of the zero map into inf(H(t)).
 
 Every reduction here uses one pivot order, (entry, index), fixed once at
 the edge: cells and basis elements are relabelled to their positions in
-`fields.pivot_order` of the entries when a basis or a complex is built, so
-the kernels compare plain ints, and chains go back to cells only through
-the stored cell chains.
+`fields.pivot_order` of the entries when a basis or a cone is built (cone
+coordinates land there directly), so the kernels compare plain ints, and
+chains go back to cells only through the stored cell chains.
 
 The filtered basis of an infimum complex (`homology.inf_basis`) comes from
 the same reduction: the marked n-cells, in pivot order, are reduced
@@ -192,34 +192,47 @@ def _check_filtered(field: Field, entries, columns):
 
 
 class _Complex:
-    """A filtered chain complex in a filtered basis, reduced degree by degree.
+    """The mapping cone of inf(H) -> inf(X) as a filtered chain complex,
+    reduced degree by degree.
 
-    It is given entries[n][k], the entry step of basis element k of degree
-    n; columns[n][k], its differential as {element of degree n-1: scalar};
-    chains[n][k], the chain of X_n it stands for (for the cone, the inf(X)
-    part); and `coordinates(n, chain)`, which writes a cycle of the module,
-    given by its chain, in the basis.  Once, when it is built, each degree's
-    basis is renumbered in pivot order (`fields.pivot_order` of the
-    entries; element k moves to position[n][k]), so `entries`, `chains`,
-    the reduction and the solves are all indexed by position.  Module
-    degrees are 0 .. top-1.
+    It is given the filtered bases hb of inf(H) and xb of inf(X).  Cone_n
+    lists the basis hb[n-1] (the a-part) and then the basis xb[n] (the
+    c-part), with d(a, c) = (-∂a, ι(a) + ∂c); its homology is that of
+    inf(X) / inf(H).  The ambient and embedded modules are the cone of the
+    zero map, hb = (), where Cone_n = xb[n] and d = ∂.  Once, when it is
+    built, each degree's elements are renumbered in pivot order
+    (`fields.pivot_order` of the entries; element k moves to
+    position[n][k]), so `entries`, `chains` (the c-part chain each element
+    stands for), the reduction and the solves are all indexed by position.
+    Module degrees are 0 .. len(xb)-1.
 
     Checked here: the differential respects entries (the filtration is
     monotone), d∘d = 0, and every boundary column's low is a cycle pivot
     (boundaries lie in the cycle space).
     """
 
-    def __init__(self, field: Field, entries, columns, chains, coordinates, top: int):
-        self.field = field
-        self.coordinates = coordinates
-        orders = [pivot_order(e) for e in entries]
-        self.position = [position for _, position in orders]
-        self.entries = entries = [[e[k] for k in order]
-                                  for e, (order, _) in zip(entries, orders)]
-        self.chains = [[c[k] for k in order] for c, (order, _) in zip(chains, orders)]
-        # degree-0 columns are empty, so position[-1] is never read
-        columns = [[{self.position[n - 1][i]: a for i, a in columns[n][k].items()}
-                    for k in order] for n, (order, _) in enumerate(orders)]
+    def __init__(self, cc: ChainComplex, hb: Sequence[FilteredBasis],
+                 xb: Sequence[FilteredBasis]):
+        self.cc = cc
+        self.field = field = cc.field
+        none = FilteredBasis((), (), (), {}, {})
+        self.parts = [(hb[n - 1] if 0 < n <= len(hb) else none, xb[n] if n < len(xb) else none)
+                      for n in range(len(xb) + 1)]
+        self.position, self.entries, self.chains, columns = [], [], [], []
+        for n, (a, c) in enumerate(self.parts):
+            e = a.entries + c.entries
+            order, position = pivot_order(e)
+            self.position.append(position)
+            self.entries.append([e[k] for k in order])
+            chains = ({},) * len(a.vectors) + c.vectors
+            self.chains.append([chains[k] for k in order])
+            # d(v, 0) = (-∂v, v) and d(0, v) = (0, ∂v) in Cone_{n-1}; degree-0
+            # columns are empty
+            cols = ([self.lift(n - 1, v) for v in a.vectors]
+                    + [self.coordinates(n - 1, {}, _chain_boundary(cc, n, v)) for v in c.vectors]
+                    if n else [{}] * len(e))
+            columns.append([cols[k] for k in order])
+        entries = self.entries
         _check_filtered(field, entries, columns)
         # cycles[n]: V column of each zero column of degree n (every element
         # of degree 0, whose columns are empty); killers[n]: positive element
@@ -242,7 +255,7 @@ class _Complex:
         self.reps: list[dict] = []
         self.owners: list[dict] = []
         self.summands: list[list[_Summand]] = []
-        for n in range(top):
+        for n in range(len(xb)):
             reps, summands = {}, []
             for s, v in self.cycles[n].items():
                 birth = entries[n][s]
@@ -266,13 +279,31 @@ class _Complex:
         """The representative cycle of a summand, as a chain."""
         return self.chain(n, self.reps[n][summand.low])
 
+    def coordinates(self, n: int, a: dict, c: dict) -> dict:
+        """{position: scalar} of the Cone_n element (a, c), for chains a of
+        inf_{n-1}(H) and c of inf_n(X)."""
+        ha, xc = self.parts[n]
+        position, shift = self.position[n], len(ha.entries)
+        out = {position[k]: s for k, s in ha.coordinates(self.field, a).items()}
+        out.update((position[shift + k], s) for k, s in xc.coordinates(self.field, c).items())
+        return out
+
+    def lift(self, n: int, chain: dict) -> dict:
+        """Cone_n coordinates of (-∂c, c) for a chain c of inf_n(X): the cone
+        cycle that a module cycle c stands for.  The a-part is solved only
+        where inf_{n-1}(H) has basis elements; elsewhere a is zero on every
+        cone cycle, and the reduction against the representatives is what
+        checks that c is a cycle."""
+        f = self.field
+        a = ({i: f.neg(s) for i, s in _chain_boundary(self.cc, n, chain).items()}
+             if self.parts[n][0].entries else {})
+        return self.coordinates(n, a, chain)
+
     def solve(self, n: int, chain: dict) -> dict:
         """Coefficients {low: scalar} of a degree-n cycle of the module,
-        given by its chain, in the representatives: its basis coordinates,
+        given by its chain, in the representatives: its cone coordinates,
         then one triangular solve by low."""
-        low, out = reduce_vector(
-            self.field, {self.position[n][k]: c for k, c in self.coordinates(n, chain).items()},
-            self.owners[n], self.reps[n])
+        low, out = reduce_vector(self.field, self.lift(n, chain), self.owners[n], self.reps[n])
         if low is not None:
             raise AssertionError("arrow image outside the target cycle space")
         return out
@@ -301,61 +332,16 @@ def _bases(filt: Filtration, field: Field, which: str) -> tuple[FilteredBasis, .
     return filt._memo[key]
 
 
-def _basis_complex(cc: ChainComplex, bases: Sequence[FilteredBasis]) -> _Complex:
-    f = cc.field
-    columns = [[{} for _ in b.vectors] if n == 0 else
-               [bases[n - 1].coordinates(f, _chain_boundary(cc, n, v)) for v in b.vectors]
-               for n, b in enumerate(bases)]
-    return _Complex(f, [b.entries for b in bases], columns, [b.vectors for b in bases],
-                    lambda n, chain: bases[n].coordinates(f, chain), len(bases))
-
-
-def _cone(cc: ChainComplex, hb: Sequence[FilteredBasis], xb: Sequence[FilteredBasis]) -> _Complex:
-    """Mapping cone of inf(H) -> inf(X): Cone_n lists the inf_{n-1}(H)
-    basis (a-part) and then the inf_n(X) basis (c-part), with
-    d(a, c) = (-∂a, ι(a) + ∂c)."""
-    f = cc.field
-    nd = len(xb)
-    none = FilteredBasis((), (), (), {}, {})
-
-    def part(bases, n):
-        return bases[n] if 0 <= n < nd else none
-
-    def pair(n, a, c):
-        """Cone_n coordinates of (a, c), for chains a ∈ inf_{n-1}(H) and
-        c ∈ inf_n(X)."""
-        out = part(hb, n - 1).coordinates(f, a)
-        shift = len(part(hb, n - 1).entries)
-        out.update((shift + r, s) for r, s in part(xb, n).coordinates(f, c).items())
-        return out
-
-    def minus_boundary(n, chain):
-        return {i: f.neg(s) for i, s in _chain_boundary(cc, n, chain).items()}
-
-    entries, columns, chains = [], [], []
-    for n in range(nd + 1):
-        a, c = part(hb, n - 1), part(xb, n)
-        entries.append(a.entries + c.entries)
-        columns.append([pair(n - 1, minus_boundary(n - 1, v), v) for v in a.vectors]
-                       + [pair(n - 1, {}, _chain_boundary(cc, n, v)) for v in c.vectors])
-        chains.append(({},) * len(a.vectors) + c.vectors)
-    # a relative cycle c stands for the cone cycle (-∂c, c)
-    return _Complex(f, entries, columns, chains,
-                    lambda n, chain: pair(n, minus_boundary(n, chain), chain), nd)
-
-
 def _complex(filt: Filtration, field: Field, which: str) -> _Complex:
     """The reduced filtered complex of one module kind, memoised."""
     if which not in MODULE_KINDS:
         raise ValueError(f"unknown module kind {which!r}")
     key = (field, which)
     if key not in filt._memo:
-        cc = filt.chain_complex(field)
-        if which == "relative":
-            cx = _cone(cc, _bases(filt, field, "embedded"), _bases(filt, field, "ambient"))
-        else:
-            cx = _basis_complex(cc, _bases(filt, field, which))
-        filt._memo[key] = cx
+        relative = which == "relative"
+        filt._memo[key] = _Complex(filt.chain_complex(field),
+                                   _bases(filt, field, "embedded") if relative else (),
+                                   _bases(filt, field, "ambient" if relative else which))
     return filt._memo[key]
 
 
@@ -519,8 +505,6 @@ def induced_homology_map(m: DeltaMorphism, source: SuperHypergraph,
         raise ValueError(f"invalid morphism: {report.failures[0]}")
     scx, src = _one_step_module(source, field, degree)
     dcx, dst = _one_step_module(target, field, degree)
-    if not src:
-        return FieldMatrix.zeros(field, len(dst), 0)
     units = [{t: field.one} for t in m.maps[degree]]
     cols = []
     for s in src:
@@ -629,10 +613,8 @@ def triangle_report(filt: Filtration, field: Field) -> TriangleReport:
 # Persistent partition homology
 # ---------------------------------------------------------------------------
 
-def partition_persistence(fam, clustering, scheme, field: Field,
-                          experimental: bool = False) -> dict[str, Barcode]:
+def partition_persistence(fam, clustering, scheme, field: Field) -> dict[str, Barcode]:
     """Partition faces + filtration + the three barcode families."""
     from .faceops import partition_faces
-    sh = partition_faces(fam, clustering)
-    filt = build_filtration(sh, scheme, experimental=experimental)
+    filt = build_filtration(partition_faces(fam, clustering), scheme)
     return {which: full_barcode(filt, field, which) for which in MODULE_KINDS}

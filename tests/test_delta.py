@@ -1,5 +1,7 @@
 """Δ-set core: validation, closures, completeness, morphisms."""
 
+import ast
+import itertools
 import random
 from collections import Counter
 
@@ -11,7 +13,9 @@ from superph import (DeltaMorphism, DeltaSet, GradedSubset, SuperHypergraph,
                      max_delta_subset, standard_simplex_delta,
                      validate_morphism)
 from superph.delta import (DeltaIdentityError, DeltaStructureError,
-                           close_under_faces)
+                           close_under_faces, missing_face)
+from superph.faceops import SubgraphFamily, edge_deletion_complex
+from superph.graphs import MultiGraph
 
 from oracles import subset_closure
 
@@ -180,6 +184,51 @@ def test_constructors_keep_their_input_checks():
     with pytest.raises(ValueError, match="empty simplex"):
         from_simplicial([{0}, ()])
     assert from_hypergraph([]).x.counts == ()
+
+
+def _closed_by_brute_force(family) -> bool:
+    """Every nonempty proper subset of every member is a member."""
+    return all(frozenset(c) in family for s in family
+               for k in range(1, len(s)) for c in itertools.combinations(s, k))
+
+
+def test_closure_check_matches_brute_force():
+    # seeded families of nonempty subsets of {0..4} (singletons, the empty
+    # family, subset-closed families and families with holes), read as
+    # vertex sets by `from_simplicial` and as edge sets by
+    # `edge_deletion_complex`
+    rng = random.Random(29)
+    universe = [frozenset(c) for k in range(1, 6) for c in itertools.combinations(range(5), k)]
+    host = MultiGraph(range(6), {i: (i, i + 1) for i in range(5)})
+    families = [set(), {frozenset([0])}, {frozenset([0]), frozenset([3])}]
+    for _ in range(150):
+        family = set(rng.sample(universe, rng.randint(1, 8)))
+        if rng.random() < 0.4:  # close it, then maybe punch one hole
+            family = {frozenset(c) for s in family for k in range(1, len(s) + 1)
+                      for c in itertools.combinations(s, k)}
+            if rng.random() < 0.5:
+                family.discard(rng.choice(sorted(family, key=sorted)))
+        families.append(family)
+    verdicts = Counter()
+    for family in families:
+        closed = _closed_by_brute_force(family)
+        verdicts[closed] += 1
+        found = missing_face(family)
+        assert (found is None) == closed
+        if found is not None:
+            assert found in family and any(found - {v} not in family for v in found)
+        members = [host.subgraph({v for e in es for v in host.edge_ends[e]}, es)
+                   for es in family]
+        res = edge_deletion_complex(SubgraphFamily(host, members))
+        assert res.closed == closed and (res.simplicial is not None) == closed
+        if closed:
+            assert from_simplicial(family).counts == from_hypergraph(family).x.counts
+            continue
+        with pytest.raises(ValueError, match="not closed under subsets") as err:
+            from_simplicial(family)
+        named = frozenset(ast.literal_eval(str(err.value).rsplit("missing face of ", 1)[1]))
+        assert named in family and any(named - {v} not in family for v in named)
+    assert verdicts[True] >= 20 and verdicts[False] >= 20
 
 
 def test_hypergraph_cone_shape():

@@ -2,15 +2,17 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from superph import GradedSubset, MultiGraph
+from superph import GradedSubset, MultiGraph, from_simplicial, full_subset
 from superph import formats
-from superph.cli import main
+from superph.cli import JobConfig, build_super_hypergraph, main
 from superph.formats import FormatError
+from superph.graphs import Subgraph, neighborhood_complex
 from superph.persistence import Bar, Barcode
 from superph.render import render_diagram
 
@@ -339,6 +341,30 @@ def test_cli_homology_builds_one_boundary_per_job(tmp_path, monkeypatch):
         "relative,0,0\nrelative,1,1\nrelative,2,0\n"
         "ambient,0,1\nambient,1,1\nambient,2,1\n")
     assert (out / "gap.csv").read_text() == "degree,value\n0,0\n1,1\n2,1\n"
+
+
+def test_cli_neighborhood_matches_subset_enumeration(tmp_path):
+    # seeded multigraphs with isolated vertices, loops, parallel edges and
+    # directed edges, read from a graph file: the CLI builds the Δ-set of the
+    # neighbourhoods' closure, which must equal the enumerated complex
+    rng = random.Random(31)
+    for case in range(25):
+        n = rng.randint(1, 7)
+        vertices = [f"v{i}" for i in range(n)]
+        edges = {f"e{k}": (rng.choice(vertices), rng.choice(vertices))
+                 for k in range(rng.randint(0, 2 * n))}
+        if edges and rng.random() < 0.5:  # a parallel copy of some edge
+            edges["p"] = edges[rng.choice(sorted(edges))]
+        path = tmp_path / f"g{case}.graph"
+        formats.write_graph(path, MultiGraph(vertices + ["iso"], edges,
+                                             directed=case % 2 == 1))
+        g = formats.read_graph(path)
+        sh = build_super_hypergraph(JobConfig(graph=str(path), construction="neighborhood"))
+        ref = from_simplicial(neighborhood_complex(g))
+        assert (sh.x.counts, sh.x.faces) == (ref.counts, ref.faces)
+        assert [[lab.key for lab in row] for row in sh.x.labels] == \
+            [[Subgraph(g, lab).key for lab in row] for row in ref.labels]
+        assert sh.h == full_subset(sh.x)
 
 
 def test_cli_homology_missing_edge_family(tmp_path):

@@ -1,6 +1,6 @@
 """Static hygiene of the package sources: no module imports a name it never
-reads.  `superph/__init__.py` is skipped, since its imports are the
-package's exports."""
+reads (`superph/__init__.py` is skipped, since its imports are the
+package's exports), and no private top-level definition is left unused."""
 
 import ast
 import os
@@ -42,3 +42,51 @@ def test_package_has_no_unread_imports():
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 found += [f"{name}:{line} {imp}" for line, imp in unread_imports(fh.read())]
     assert found == []
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of every private top-level definition (a `_name`
+    function, class or assignment target; dunders excepted) that its own
+    module never reads and no other module imports by name."""
+    defined = []
+    read: dict[str, set] = {}
+    imported = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read[module] = {n.id for n in ast.walk(tree)
+                        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source_module = node.module.rsplit(".", 1)[-1]
+                imported.update((source_module, a.name) for a in node.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    return [(module, line, name) for module, line, name in defined
+            if name not in read[module] and (module, name) not in imported]
+
+
+def test_unread_private_definitions_detector():
+    sources = {
+        "a": "_used = 1\n_lost = 2\n__all__ = []\ndef _shared(): pass\n"
+             "class _Gone: pass\n_x, _y = 1, 2\nprint(_used, _y)\n",
+        "b": "from .a import _shared\ndef _helper(): return _helper\n",
+    }
+    assert unread_private_definitions(sources) == [("a", 2, "_lost"), ("a", 5, "_Gone"),
+                                                   ("a", 6, "_x")]
+
+
+def test_package_has_no_unread_private_definitions():
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                sources[name[:-3]] = fh.read()
+    assert unread_private_definitions(sources) == []

@@ -405,6 +405,32 @@ def test_solve_rejects_a_chain_outside_the_cycle_space(field):
     assert combine(field, cx.solve(1, chain), reps) == chain
 
 
+@pytest.mark.parametrize("field", [GF2, QQ])
+def test_solve_rejects_a_non_cycle_on_the_embedded_module(field):
+    # with the vertices and edges of the square marked, a single edge is an
+    # element of inf(H) but no cycle
+    filt = square_filtration()
+    x = filt.sh.x
+    marked = SuperHypergraph(x, GradedSubset({0: range(x.counts[0]), 1: range(x.counts[1])}))
+    filt = build_filtration(marked, vr_scheme(unit_square_cloud()))
+    cx = persistence._complex(filt, field, "embedded")
+    with pytest.raises(AssertionError, match="arrow image outside the target cycle space"):
+        cx.solve(1, {0: field.one})
+
+
+@pytest.mark.parametrize("field", [GF2, QQ])
+def test_solve_rejects_a_relative_chain_whose_boundary_leaves_the_infimum(field):
+    # with one end of an edge marked, inf_0(H) is that vertex's line, and
+    # the edge's boundary, which holds the other end, leaves it
+    x = square_filtration().sh.x
+    end = x.faces[1][0][0]
+    filt = build_filtration(SuperHypergraph(x, GradedSubset({0: {end}})),
+                            vr_scheme(unit_square_cloud()))
+    cx = persistence._complex(filt, field, "relative")
+    with pytest.raises(AssertionError, match="chain outside the infimum complex"):
+        cx.solve(1, {0: field.one})
+
+
 def test_filtered_complex_checks_monotone_entries(monkeypatch):
     # a basis whose triangles enter before their edges is not a filtration
     real = persistence.inf_basis
