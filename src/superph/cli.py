@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: homology, persist, render, validate, score.  Job options come
-from a flat `key = value` config file (--config) with command-line flags
-overriding individual keys.  Exit codes: 0 success, 1 usage/config error,
-2 validation failure, 3 computation error.
+Subcommands: homology, persist, render, validate, score.  Job options are
+the fields of `JobConfig`: they come from a flat `key = value` config file
+(--config), and each key's flag (the key with dashes) overrides it.  Exit
+codes: 0 success, 1 usage/config error, 2 validation failure, 3 computation
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import formats, homology, render
 from .delta import (DeltaIdentityError, DeltaSet, SuperHypergraph, from_hypergraph,
@@ -55,11 +56,11 @@ class JobConfig:
     construction: str | None = None
     scheme: str | None = None
     field: str = "gf2"
-    max_dim: int = 3
     out: str = "."
+    pullback_base: str = "vr"
+    max_dim: int = 3
     constant_value: float = 0.0
     seed: int = 0
-    pullback_base: str = "vr"
     experimental: bool = False
     properties: bool = False
 
@@ -231,7 +232,35 @@ def build_scheme(cfg: JobConfig):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def run_homology(cfg: JobConfig) -> RunReport:
+def _properties(sh: SuperHypergraph) -> list[tuple[str, object]]:
+    """The property report of a built super-hypergraph, as (name, value)
+    pairs: every construction route has validated the Δ-identity; the
+    completeness facts follow only a regular one, the certificate only when
+    there is one."""
+    regular = is_regular(sh)
+    facts = [("validate_delta", "ok"), ("regular", regular)]
+    if regular:
+        comp = is_complete(sh)
+        facts.append(("complete", comp.complete))
+        if comp.certificate:
+            facts.append(("certificate", comp.certificate))
+    return facts
+
+
+def _write_outputs(out: str, report: RunReport, outputs) -> None:
+    """Write each (file name, `formats` writer name, data) output into the
+    directory `out`, then `manifest.txt` of them, then `report.txt`.
+    Writers are looked up on `formats` at call time."""
+    os.makedirs(out, exist_ok=True)
+    for name, writer, data in outputs:
+        path = os.path.join(out, name)
+        getattr(formats, writer)(path, data)
+        report.outputs.append(path)
+    formats.write_manifest(os.path.join(out, "manifest.txt"), report.outputs)
+    formats.atomic_write(os.path.join(out, "report.txt"), report.render())
+
+
+def run_homology(cfg: JobConfig) -> int:
     report = RunReport()
     t0 = time.perf_counter()
     sh = build_super_hypergraph(cfg)
@@ -247,30 +276,16 @@ def run_homology(cfg: JobConfig) -> RunReport:
     }
     series = gap_series(sh, fld, cc=cc)
     report.timings["homology"] = time.perf_counter() - t0
-    os.makedirs(cfg.out, exist_ok=True)
-    betti_path = os.path.join(cfg.out, "betti.csv")
-    gap_path = os.path.join(cfg.out, "gap.csv")
-    formats.write_betti_csv(betti_path, tables)
-    formats.write_gap_csv(gap_path, series)
-    report.outputs = [betti_path, gap_path]
+    outputs = [("betti.csv", "write_betti_csv", tables), ("gap.csv", "write_gap_csv", series)]
     if cfg.properties:
-        lines = [f"validate_delta ok"]
-        regular = is_regular(sh)
-        lines.append(f"regular {int(regular)}")
-        if regular:
-            comp = is_complete(sh)
-            lines.append(f"complete {int(comp.complete)}")
-            if comp.certificate:
-                lines.append(f"certificate {comp.certificate}")
-        prop_path = os.path.join(cfg.out, "properties.txt")
-        formats.atomic_write(prop_path, "\n".join(lines) + "\n")
-        report.outputs.append(prop_path)
-    formats.write_manifest(os.path.join(cfg.out, "manifest.txt"), report.outputs)
-    formats.atomic_write(os.path.join(cfg.out, "report.txt"), report.render())
-    return report
+        text = "".join(f"{name} {int(v) if isinstance(v, bool) else v}\n"
+                       for name, v in _properties(sh))
+        outputs.append(("properties.txt", "atomic_write", text))
+    _write_outputs(cfg.out, report, outputs)
+    return 0
 
 
-def run_persist(cfg: JobConfig) -> RunReport:
+def run_persist(cfg: JobConfig) -> int:
     report = RunReport()
     t0 = time.perf_counter()
     sh = build_super_hypergraph(cfg)
@@ -291,19 +306,12 @@ def run_persist(cfg: JobConfig) -> RunReport:
                 matrices.append(cm)
     triangle = triangle_report(filt, fld)
     report.timings["persistence"] = time.perf_counter() - t0
-    os.makedirs(cfg.out, exist_ok=True)
-    bars_path = os.path.join(cfg.out, "barcodes.csv")
-    corr_path = os.path.join(cfg.out, "correlation.csv")
-    tri_path = os.path.join(cfg.out, "triangle.csv")
-    formats.write_barcodes_csv(bars_path, barcodes)
-    formats.write_correlation_csv(corr_path, matrices)
-    formats.write_triangle_csv(tri_path, triangle)
-    report.outputs = [bars_path, corr_path, tri_path]
-    formats.write_manifest(os.path.join(cfg.out, "manifest.txt"), report.outputs)
-    formats.atomic_write(os.path.join(cfg.out, "report.txt"), report.render())
+    _write_outputs(cfg.out, report, [("barcodes.csv", "write_barcodes_csv", barcodes),
+                                     ("correlation.csv", "write_correlation_csv", matrices),
+                                     ("triangle.csv", "write_triangle_csv", triangle)])
     if not triangle.exact:
         raise ValidationFailure("exact triangle failed rank bookkeeping")
-    return report
+    return 0
 
 
 def run_validate(cfg: JobConfig) -> int:
@@ -315,15 +323,8 @@ def run_validate(cfg: JobConfig) -> int:
         for cell, i, j in exc.report.violations:
             print(f"violation: cell {cell} (i={i}, j={j})")
         return 2
-    # every construction route has validated the Δ-identity
-    print("validate_delta: ok")
-    regular = is_regular(sh)
-    print(f"regular: {'yes' if regular else 'no'}")
-    if regular:
-        comp = is_complete(sh)
-        print(f"complete: {'yes' if comp.complete else 'no'}")
-        if comp.certificate:
-            print(f"certificate: {comp.certificate}")
+    for name, v in _properties(sh):
+        print(f"{name}: {('yes' if v else 'no') if isinstance(v, bool) else v}")
     return 0
 
 
@@ -346,20 +347,20 @@ def run_render(input_path: str, output_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_job_flags(p: argparse.ArgumentParser):
+    """--config, then one flag per JobConfig field: the key with dashes,
+    taking a string (`JobConfig.load` parses it) or, for a bool key, set
+    to "1" by its presence."""
     p.add_argument("--config", help="flat key = value job file")
-    for key in ("graph", "cloud", "family", "clustering", "delta", "witnesses",
-                "construction", "scheme", "field", "out", "pullback_base"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    p.add_argument("--max-dim", dest="max_dim", type=int)
-    p.add_argument("--constant-value", dest="constant_value", type=float)
-    p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--experimental", dest="experimental", action="store_const", const="1")
-    p.add_argument("--properties", dest="properties", action="store_const", const="1")
+    for f in fields(JobConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, dest=f.name, action="store_const", const="1")
+        else:
+            p.add_argument(flag, dest=f.name)
 
 
-def _job_config(args) -> JobConfig:
-    overrides = {k: getattr(args, k, None) for k in JobConfig.__dataclass_fields__}
-    return JobConfig.load(args.config, overrides)
+RUNNERS = {"homology": run_homology, "persist": run_persist, "validate": run_validate,
+           "score": run_score}
 
 
 @functools.cache
@@ -371,7 +372,7 @@ def _parser() -> argparse.ArgumentParser:
         description="embedded homology and super-persistent homology of "
                     "super-hypergraphs built from graph data")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("homology", "persist", "validate", "score"):
+    for name in RUNNERS:
         _add_job_flags(sub.add_parser(name))
     pr = sub.add_parser("render")
     pr.add_argument("--input", required=True, help="barcode csv")
@@ -381,23 +382,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
     try:
-        if args.command == "render":
-            return run_render(args.input, args.output)
-        cfg = _job_config(args)
-        if args.command == "homology":
-            run_homology(cfg)
-            return 0
-        if args.command == "persist":
-            run_persist(cfg)
-            return 0
-        if args.command == "validate":
-            return run_validate(cfg)
-        return run_score(cfg)
+        command = args.pop("command")
+        if command == "render":
+            return run_render(args["input"], args["output"])
+        return RUNNERS[command](JobConfig.load(args.pop("config"), args))
     except (UsageError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

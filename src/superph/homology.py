@@ -74,6 +74,8 @@ class ChainComplex:
 
 def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     """∂_n(cell) = Σ_i (-1)^i d_i(cell); over GF(2) the unsigned face count.
+    Each coefficient is summed as an integer face count and then taken into
+    the field once.
 
     The Δ-identity is validated first.  Each degree's sparse columns are
     built once from the face lists, and ∂∂ = 0 is checked on them."""
@@ -84,13 +86,12 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     for n in range(x.dim_count):
         cols = []
         for j in range(x.counts[n]):
-            col: dict = {}
-            if n > 0:
-                sign = field.one
-                for t in x.faces[n][j]:
-                    col[t] = field.add(col.get(t, field.zero), sign)
-                    sign = field.neg(sign)
-            cols.append({i: a for i, a in sorted(col.items()) if a})
+            count: dict[int, int] = {}
+            if n > 0:  # faces[0] is ()
+                for i, t in enumerate(x.faces[n][j]):
+                    count[t] = count.get(t, 0) + (-1) ** i
+            col = ((t, field.of(c)) for t, c in sorted(count.items()))
+            cols.append({t: a for t, a in col if a})
         columns.append(tuple(cols))
     for n in range(2, x.dim_count):
         if any(combine(field, col, columns[n - 1]) for col in columns[n]):

@@ -83,11 +83,13 @@ class Filtration:
     """Sublevel filtration of a super-hypergraph at its critical values.
 
     entry[n][j] is the step at which cell (n, j) joins X(t): the first i with
-    scores[n][j] <= times[i], or math.inf if there is none.  The chain
-    complexes and reduced filtered complexes built on it are memoised.
+    scores[n][j] <= times[i], or math.inf if there is none; marked[n][j] is
+    the step at which it joins H(t), math.inf for a cell outside H.  The
+    chain complex over each field is memoised, and the reduced filtered
+    complexes on its `memo`, keyed by the entry tables they are built from.
     """
 
-    __slots__ = ("sh", "times", "entry", "_cc", "_memo")
+    __slots__ = ("sh", "times", "entry", "marked", "_cc")
 
     def __init__(self, sh: SuperHypergraph, times: Sequence[float],
                  scores: Sequence[Sequence[float]]):
@@ -98,8 +100,9 @@ class Filtration:
             tuple(i if i < steps else math.inf
                   for i in (bisect.bisect_left(self.times, s) for s in row))
             for row in scores)
+        self.marked = tuple(tuple(e if j in sh.h.at(n) else math.inf for j, e in enumerate(row))
+                            for n, row in enumerate(self.entry))
         self._cc: dict[Field, ChainComplex] = {}
-        self._memo: dict = {}
 
     @property
     def steps(self) -> int:
@@ -319,30 +322,33 @@ class _Complex:
                 for t, r in self.killers[n].values()]
 
 
-def _bases(filt: Filtration, field: Field, which: str) -> tuple[FilteredBasis, ...]:
-    key = (field, "bases", which)
-    if key not in filt._memo:
-        cc = filt.chain_complex(field)
-        entry = filt.entry
-        if which == "embedded":
-            h = filt.sh.h
-            entry = tuple(tuple(e if j in h.at(n) else math.inf for j, e in enumerate(row))
-                          for n, row in enumerate(entry))
-        filt._memo[key] = tuple(inf_basis(cc, entry, n) for n in range(cc.dim_count))
-    return filt._memo[key]
+def _bases(cc: ChainComplex, entry) -> tuple[FilteredBasis, ...]:
+    """The filtered bases of inf(·) of the marking entering at `entry`, in
+    every degree, memoised on the chain complex under that entry table."""
+    key = ("bases", entry)
+    if key not in cc.memo:
+        cc.memo[key] = tuple(inf_basis(cc, entry, n) for n in range(cc.dim_count))
+    return cc.memo[key]
 
 
 def _complex(filt: Filtration, field: Field, which: str) -> _Complex:
-    """The reduced filtered complex of one module kind, memoised."""
+    """The reduced filtered complex of one module kind, memoised on the chain
+    complex under the entry tables of its a-part and c-part: the relative
+    module is the cone of inf(H(t)) -> inf(X(t)), the ambient and embedded
+    ones the cone of the zero map into inf(X(t)) and inf(H(t)).  Under a full
+    marking the two tables are equal, so the embedded module is the ambient
+    one."""
     if which not in MODULE_KINDS:
         raise ValueError(f"unknown module kind {which!r}")
-    key = (field, which)
-    if key not in filt._memo:
-        relative = which == "relative"
-        filt._memo[key] = _Complex(filt.chain_complex(field),
-                                   _bases(filt, field, "embedded") if relative else (),
-                                   _bases(filt, field, "ambient" if relative else which))
-    return filt._memo[key]
+    cc = filt.chain_complex(field)
+    relative = which == "relative"
+    h_entry = filt.marked if relative else None
+    x_entry = filt.marked if which == "embedded" else filt.entry
+    key = ("cone", h_entry, x_entry)
+    if key not in cc.memo:
+        cc.memo[key] = _Complex(cc, _bases(cc, h_entry) if relative else (),
+                                _bases(cc, x_entry))
+    return cc.memo[key]
 
 
 def _summands(filt: Filtration, field: Field, which: str, degree: int) -> list[_Summand]:

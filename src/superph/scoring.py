@@ -45,7 +45,7 @@ class PointCloud:
 
     def coords(self, v) -> Point:
         if v not in self.points:
-            raise KeyError(f"vertex {v!r} is not embedded")
+            raise ValueError(f"vertex {v!r} is not embedded")
         return self.points[v]
 
     def of(self, vertices: Iterable) -> list[Point]:

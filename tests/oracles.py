@@ -53,7 +53,7 @@ from typing import Sequence
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            GradedSubset, SuperHypergraph, cell_sort_key,
                            delta_closure, full_subset, max_delta_subset)
-from superph.fields import Field, FieldMatrix, Span, rref
+from superph.fields import GF2, Field, FieldMatrix, Span, rref
 from superph.homology import MvReport, MvRow, boundary_matrices
 from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
                                  TriangleRow)
@@ -725,14 +725,15 @@ def oracle_persistence_bars_gf2(filt, degree, marked_only=False):
 
 def levels(filt):
     """(level_x, level_h): the cells of X(t_i) and of H(t_i) = H ∩ X(t_i)
-    at every step i, built once per filtration."""
-    if "oracle_levels" not in filt._memo:
+    at every step i, built once per filtration: they depend on no field, so
+    they are memoised on its GF(2) chain complex."""
+    memo = filt.chain_complex(GF2).memo
+    if "oracle_levels" not in memo:
         level_x = [GradedSubset({n: [j for j, e in enumerate(row) if e <= i]
                                  for n, row in enumerate(filt.entry)})
                    for i in range(filt.steps)]
-        filt._memo["oracle_levels"] = (level_x,
-                                       [filt.sh.h.intersection(lx) for lx in level_x])
-    return filt._memo["oracle_levels"]
+        memo["oracle_levels"] = (level_x, [filt.sh.h.intersection(lx) for lx in level_x])
+    return memo["oracle_levels"]
 
 
 def inf_space(cc, marks, n: int) -> SubspaceBasis:

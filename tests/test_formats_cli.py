@@ -1,5 +1,6 @@
 """File formats, CLI subcommands, exit codes, determinism, rendering."""
 
+import argparse
 import math
 import os
 import random
@@ -7,9 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from dataclasses import fields
 
 from superph import GradedSubset, MultiGraph, from_simplicial, full_subset
-from superph import formats
+from superph import cli, formats
 from superph.cli import JobConfig, build_super_hypergraph, main
 from superph.formats import FormatError
 from superph.graphs import Subgraph, neighborhood_complex
@@ -490,11 +492,15 @@ def test_cli_usage_errors(tmp_path):
     ("max_dim = two\n", [], "config key 'max_dim': bad int 'two'"),
     (None, ["--field", "gfp:4"], "bad field 'gfp:4': modulus must be a prime"),
     (None, ["--field", "gfp:x"], "bad field 'gfp:x'"),
+    (None, ["--max-dim", "x"], "config key 'max_dim': bad int 'x'"),
+    (None, ["--seed", "1.5"], "config key 'seed': bad int '1.5'"),
+    (None, ["--constant-value", "y"], "config key 'constant_value': bad float 'y'"),
 ])
 def test_cli_unparsable_config_value_is_usage_error(tmp_path, capsys, config, flags,
                                                     message):
     # a config value that does not parse is a usage/config error (exit 1),
-    # not a validation failure (exit 2)
+    # not a validation failure (exit 2); a flag is parsed as its config key
+    # is, with the same message, and nothing is written
     cloud = write_square_inputs(tmp_path)
     argv = ["homology", "--cloud", str(cloud), "--construction", "clique",
             "--out", str(tmp_path / "out")] + flags
@@ -505,6 +511,66 @@ def test_cli_unparsable_config_value_is_usage_error(tmp_path, capsys, config, fl
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+JOB_COMMANDS = ("homology", "persist", "validate", "score")
+
+
+def job_subparser(command: str) -> argparse.ArgumentParser:
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", JOB_COMMANDS)
+def test_cli_job_flags_are_the_config_keys(command):
+    # every job subcommand takes --config and one flag per config key, the
+    # key with dashes, and no other
+    flags = {(s, a.dest) for a in job_subparser(command)._actions
+             for s in a.option_strings if a.dest != "help"}
+    assert flags == {("--config", "config")} | {
+        ("--" + f.name.replace("_", "-"), f.name) for f in fields(JobConfig)}
+
+
+def sample_value(f) -> str:
+    if isinstance(f.default, bool):
+        return "1"
+    if isinstance(f.default, (int, float)):
+        return {int: "7", float: "0.25"}[type(f.default)]
+    return f"{f.name}-value"
+
+
+def loaded_config(monkeypatch, argv) -> JobConfig:
+    # the JobConfig a job is run with, caught where every runner starts
+    seen = []
+
+    def caught(cfg):
+        seen.append(cfg)
+        raise cli.UsageError("caught")
+
+    monkeypatch.setattr(cli, "build_super_hypergraph", caught)
+    assert main(argv) == 1
+    return seen.pop()
+
+
+@pytest.mark.parametrize("command", JOB_COMMANDS)
+def test_cli_flags_and_config_give_the_same_job(tmp_path, monkeypatch, command):
+    # a value set by flag loads as the same value set in the config file,
+    # for every key and every value type
+    flags, lines = [], []
+    for f in fields(JobConfig):
+        flag = "--" + f.name.replace("_", "-")
+        flags += [flag] if isinstance(f.default, bool) else [flag, sample_value(f)]
+        lines.append(f"{f.name} = {sample_value(f)}\n")
+    job = tmp_path / "job.cfg"
+    job.write_text("".join(lines))
+    by_flag = loaded_config(monkeypatch, [command] + flags)
+    assert by_flag == loaded_config(monkeypatch, [command, "--config", str(job)])
+    for f in fields(JobConfig):
+        value = getattr(by_flag, f.name)
+        want = str if f.default is None else type(f.default)
+        assert value != f.default and type(value) is want, f.name
 
 
 @pytest.mark.parametrize("value", ["-1", "-5"])
@@ -649,6 +715,66 @@ def test_cli_validate_completeness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "regular: yes" in out
     assert "complete: no" in out and "matching_pair" in out
+
+
+@pytest.mark.parametrize("text, shown, written", [
+    # not regular: the edge is no face of a marked cell
+    ("cell 0 a :\ncell 0 b :\ncell 1 ab : b a\nmark 0 a\nmark 0 b\n",
+     "validate_delta: ok\nregular: no\n", "validate_delta ok\nregular 0\n"),
+    # regular and complete: every cell marked
+    ("cell 0 a :\ncell 0 b :\ncell 1 ab : b a\n",
+     "validate_delta: ok\nregular: yes\ncomplete: yes\n",
+     "validate_delta ok\nregular 1\ncomplete 1\n"),
+    # regular, incomplete: two unmarked edges with the same faces
+    ("cell 0 v :\ncell 1 e1 : v v\ncell 1 e2 : v v\n"
+     "cell 2 f1 : e1 e2 e1\ncell 2 f2 : e1 e2 e1\nmark 0 v\nmark 2 f1\nmark 2 f2\n",
+     "validate_delta: ok\nregular: yes\ncomplete: no\n"
+     "certificate: ('matching_pair', (1, 0), (1, 1))\n",
+     "validate_delta ok\nregular 1\ncomplete 0\n"
+     "certificate ('matching_pair', (1, 0), (1, 1))\n"),
+])
+def test_cli_property_report(tmp_path, capsys, text, shown, written):
+    # `validate` prints the property report and `homology --properties`
+    # writes the same facts
+    delta = tmp_path / "x.delta"
+    delta.write_text(text)
+    assert main(["validate", "--delta", str(delta)]) == 0
+    assert capsys.readouterr().out == shown
+    out = tmp_path / "out"
+    assert main(["homology", "--delta", str(delta), "--properties", "--out", str(out)]) == 0
+    assert (out / "properties.txt").read_text() == written
+
+
+@pytest.mark.parametrize("command", ["persist", "score"])
+@pytest.mark.parametrize("scheme, message", [
+    ("vr", "vertex 'c' is not embedded"),
+    ("cech", "vertex 'c' is not embedded"),
+    ("witness:strong", "vertex 'c' is not embedded"),
+    ("pullback", "reference map undefined on vertex 'c'"),
+])
+def test_cli_unembedded_vertex_is_validation_failure(tmp_path, capsys, command, scheme,
+                                                     message):
+    # a graph vertex with no point in the cloud fails validation (exit 2)
+    # under every point-cloud scheme, before any output is written
+    graph = tmp_path / "triangle.graph"
+    graph.write_text("directed 0\nv a\nv b\nv c\ne ab a b\ne bc b c\ne ac a c\n")
+    cloud = tmp_path / "two.xy"
+    cloud.write_text("a 0 0\nb 1 0\n")
+    out = tmp_path / "out"
+    assert main([command, "--graph", str(graph), "--cloud", str(cloud), "--construction",
+                 "clique", "--scheme", scheme, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+    assert not out.exists()
+
+
+def test_readme_cli_section_names_every_job_key():
+    # the config keys are listed once, in JobConfig; the README's CLI section
+    # names each of them
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert [f.name for f in fields(JobConfig) if f"`{f.name}`" not in section] == []
 
 
 def test_cli_score_prints_critical_values(tmp_path, capsys):

@@ -431,6 +431,25 @@ def test_solve_rejects_a_relative_chain_whose_boundary_leaves_the_infimum(field)
         cx.solve(1, {0: field.one})
 
 
+@pytest.mark.parametrize("field", [GF2, QQ])
+def test_full_marking_builds_one_absolute_module(field):
+    # modules are keyed by the entry tables they are built from: under a
+    # full marking H(t) = X(t), so the embedded module is the ambient one;
+    # with a cell unmarked the tables differ and so do the modules
+    filt = square_filtration()
+    assert filt.marked == filt.entry
+    assert persistence._complex(filt, field, "embedded") is \
+        persistence._complex(filt, field, "ambient")
+    x = filt.sh.x
+    partial = SuperHypergraph(x, GradedSubset({n: range(count - (n == 2))
+                                               for n, count in enumerate(x.counts)}))
+    filt = build_filtration(partial, vr_scheme(unit_square_cloud()))
+    assert persistence._complex(filt, field, "embedded") is not \
+        persistence._complex(filt, field, "ambient")
+    assert persistence._complex(filt, field, "relative") is \
+        persistence._complex(filt, field, "relative")
+
+
 def test_filtered_complex_checks_monotone_entries(monkeypatch):
     # a basis whose triangles enter before their edges is not a filtration
     real = persistence.inf_basis

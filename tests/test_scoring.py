@@ -38,7 +38,7 @@ def test_vr_unit_square():
 
 def test_vr_unembedded_vertex():
     pc = PointCloud({0: (0.0,)})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="vertex 1 is not embedded"):
         vr_score([0, 1], pc)
 
 
