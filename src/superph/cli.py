@@ -240,7 +240,7 @@ def _properties(sh: SuperHypergraph) -> list[tuple[str, object]]:
     regular = is_regular(sh)
     facts = [("validate_delta", "ok"), ("regular", regular)]
     if regular:
-        comp = is_complete(sh)
+        comp = is_complete(sh, regular=True)
         facts.append(("complete", comp.complete))
         if comp.certificate:
             facts.append(("certificate", comp.certificate))

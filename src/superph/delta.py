@@ -100,16 +100,7 @@ class DeltaSet:
                 rows.append(row)
             norm_faces.append(tuple(rows))
         self.faces = tuple(norm_faces)
-        if labels is None:
-            self.labels = None
-        else:
-            lab = []
-            for n in range(len(self.counts)):
-                ln = tuple(labels[n]) if n < len(labels) else ()
-                if len(ln) != self.counts[n]:
-                    raise DeltaStructureError(f"dimension {n}: label count mismatch")
-                lab.append(ln)
-            self.labels = tuple(lab)
+        self.labels = _label_rows(self.counts, labels)
 
     @property
     def dim_count(self) -> int:
@@ -132,7 +123,12 @@ class DeltaSet:
                 yield (n, j)
 
     def with_labels(self, labels) -> "DeltaSet":
-        return DeltaSet(self.counts, self.faces, labels)
+        """This Δ-set's counts and face rows, shared, with other labels (or
+        none); only the label counts are checked."""
+        ds = DeltaSet.__new__(DeltaSet)
+        ds.counts, ds.faces = self.counts, self.faces
+        ds.labels = _label_rows(self.counts, labels)
+        return ds
 
     def validate(self) -> ValidationReport:
         """Check face-reference ranges, then every instance of the Δ-identity."""
@@ -168,6 +164,19 @@ class DeltaSet:
 
     def __repr__(self):
         return f"DeltaSet(counts={list(self.counts)})"
+
+
+def _label_rows(counts: tuple[int, ...], labels) -> tuple[tuple, ...] | None:
+    """Labels as one tuple per dimension, checked against the cell counts."""
+    if labels is None:
+        return None
+    rows = []
+    for n, count in enumerate(counts):
+        row = tuple(labels[n]) if n < len(labels) else ()
+        if len(row) != count:
+            raise DeltaStructureError(f"dimension {n}: label count mismatch")
+        rows.append(row)
+    return tuple(rows)
 
 
 class GradedSubset:
@@ -358,14 +367,16 @@ class CompletenessResult:
         return self.complete
 
 
-def is_complete(sh: SuperHypergraph) -> CompletenessResult:
+def is_complete(sh: SuperHypergraph, *, regular: bool | None = None) -> CompletenessResult:
     """Completeness criterion for a regular super-hypergraph.
 
     Vertex property: X_0 = H_0 when H_0 is nonempty, else |X_0| = 1.
     Matching-face property: distinct n-cells (n > 0) with identical face
-    lists only when both are marked.  Raises on non-regular input.
+    lists only when both are marked.  Raises on non-regular input; a caller
+    that already has `is_regular(sh)` passes it as `regular`, and the
+    Δ-closure is not computed again.
     """
-    if not is_regular(sh):
+    if not (is_regular(sh) if regular is None else regular):
         raise ValueError("completeness criterion requires a regular super-hypergraph")
     x, h = sh.x, sh.h
     if x.dim_count == 0:

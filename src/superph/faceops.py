@@ -4,9 +4,11 @@ Five constructions: primary and secondary vertex deletion, edge deletion,
 partition (cluster) faces, link-blowup faces, and starting-vertex faces on
 the ∞-extended working graph.  Every constructor but edge deletion seeds
 `close_under_faces` with its members and one face map, and returns the
-validated super-hypergraph whose parental Δ-set cells are canonical
-subgraph encodings, so cells reached along different deletion sequences
-coincide.  Edge deletion returns the members' edge sets and whether they
+validated super-hypergraph whose parental Δ-set cells are subgraphs, so
+cells reached along different deletion sequences coincide.  The vertex
+deletion, partition and link-blowup closures run on the members as host
+rank bitmasks (`graphs._Cell`) and build each cell's subgraph once, after
+the closure.  Edge deletion returns the members' edge sets and whether they
 are closed under single-edge deletion.
 """
 
@@ -17,8 +19,8 @@ from typing import Hashable, Iterable, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face)
-from .graphs import (MultiGraph, Subgraph, is_subgraph, vertex_deletion_faces,
-                     vertex_deletion_grade)
+from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _ranks, is_subgraph,
+                     subgraph_closure, vertex_deletion_map, vertex_grade)
 
 
 class SubgraphFamily:
@@ -53,7 +55,7 @@ class SubgraphFamily:
 class Clustering:
     """An ordered partition V_0, ..., V_m of the host's vertex set."""
 
-    __slots__ = ("blocks", "block_of")
+    __slots__ = ("blocks",)
 
     def __init__(self, host: MultiGraph, blocks: Sequence[Iterable]):
         bl = [frozenset(b) for b in blocks]
@@ -67,19 +69,10 @@ class Clustering:
         if union != set(host.vertices):
             raise ValueError("clusters must cover the vertex set")
         self.blocks = tuple(bl)
-        self.block_of = {v: i for i, b in enumerate(bl) for v in b}
 
     @classmethod
     def singletons(cls, host: MultiGraph) -> "Clustering":
         return cls(host, [[v] for v in sorted(host.vertices, key=cell_sort_key)])
-
-    def touched(self, sub: Subgraph) -> list[int]:
-        """Cluster indices met by the subgraph, increasing."""
-        return sorted({self.block_of[v] for v in sub.vertices})
-
-    def grade(self, sub: Subgraph) -> int:
-        """Number of clusters the subgraph meets, minus one."""
-        return len(self.touched(sub)) - 1
 
 
 @dataclass(frozen=True)
@@ -132,38 +125,43 @@ def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
 # ---------------------------------------------------------------------------
 
 def _close_family(fam: SubgraphFamily, grade, face_fn) -> SuperHypergraph:
-    """The family closed under face_fn, with the members marked."""
+    """The family's cells closed under face_fn, with the members marked."""
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
-    return SuperHypergraph(*close_under_faces(fam.members, grade, face_fn))
+    return SuperHypergraph(*subgraph_closure(fam.host, close_under_faces(
+        [_cell_of(m) for m in fam], grade, face_fn)))
 
 
 def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
     """Grade by vertex count minus one; d_i deletes the i-th vertex (in the
     host's rank order) together with its incident edges.  The parental
     Δ-set is the family plus all iterated faces."""
-    return _close_family(fam, vertex_deletion_grade, vertex_deletion_faces)
+    return _close_family(fam, vertex_grade, vertex_deletion_map(fam.host))
 
 
 def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
     """d_i removes the i-th vertex (in the host's rank order) and adds the
-    host edge between its order neighbors v_{i-1}, v_{i+1} when the host has
+    host edge from its order neighbor v_{i-1} to v_{i+1} when the host has
     one.  Host must be simple.  The Δ-identity is validated on the
     constructed family; a violation is surfaced as a construction error
     naming the witnessing triple."""
     host = fam.host
     if not host.is_simple():
         raise ValueError("secondary vertex-deletion requires a simple host graph")
-    rank = host._vrank.__getitem__
+    masks = host._rank_masks()
+    keep, pairs = [~m for m in masks.inc], masks.pairs
 
-    def face_fn(sub: Subgraph):
-        ordered = sorted(sub.vertices, key=rank)
-        out = [sub.delete_vertex(v) for v in ordered]
-        for i in range(1, len(ordered) - 1):
-            out[i] = out[i].add_edges(host.edges_between(ordered[i - 1], ordered[i + 1]))
+    def face_fn(cell: _Cell) -> list[_Cell]:
+        vm, em = cell
+        ranks = _ranks(vm)
+        out = [_Cell((vm ^ (1 << r), em & keep[r])) for r in ranks]
+        for i in range(1, len(ranks) - 1):
+            bridge = pairs.get((ranks[i - 1], ranks[i + 1]))
+            if bridge:
+                out[i] = _Cell((out[i][0], out[i][1] | bridge))
         return out
 
-    return _close_family(fam, vertex_deletion_grade, face_fn)
+    return _close_family(fam, vertex_grade, face_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -194,40 +192,62 @@ def edge_deletion_complex(fam: SubgraphFamily) -> EdgeDeletionResult:
 # Partition and link-blowup faces
 # ---------------------------------------------------------------------------
 
+def _cluster_masks(host: MultiGraph, clustering: Clustering) -> list[tuple[int, int, int]]:
+    """Per cluster: its vertex mask, and the complements of its vertex mask
+    and of its incident-edge mask."""
+    vrank, inc = host._vrank, host._rank_masks().inc
+    out = []
+    for block in clustering.blocks:
+        vm = em = 0
+        for v in block:
+            vm |= 1 << vrank[v]
+            em |= inc[vrank[v]]
+        out.append((vm, ~vm, ~em))
+    return out
+
+
+def _cluster_grade(masks: list[tuple[int, int, int]]):
+    """Grade of a cell: the number of clusters it meets, minus one."""
+
+    def grade(cell: _Cell) -> int:
+        vm = cell[0]
+        return sum(1 for bv, _, _ in masks if vm & bv) - 1
+
+    return grade
+
+
 def partition_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergraph:
     """Grade by the number of touched clusters minus one; d_j removes every
     vertex of the j-th touched cluster with its incident edges."""
+    masks = _cluster_masks(fam.host, clustering)
 
-    def face_fn(sub: Subgraph):
-        return [sub.restrict(sub.vertices - clustering.blocks[k])
-                for k in clustering.touched(sub)]
+    def face_fn(cell: _Cell) -> list[_Cell]:
+        vm, em = cell
+        return [_Cell((vm & nbv, em & nbe)) for bv, nbv, nbe in masks if vm & bv]
 
-    return _close_family(fam, clustering.grade, face_fn)
+    return _close_family(fam, _cluster_grade(masks), face_fn)
 
 
 def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergraph:
     """Cluster deletion that re-adds working-graph edges among the deleted
     cluster's neighbors: d_j(H) = H[V(H) - V_j] ∪ G[lk(V_j) ∩ V(H)]."""
-    host = fam.host
+    host_masks = fam.host._rank_masks()
+    nbrs, induced = host_masks.nbrs, host_masks.induced
+    masks = _cluster_masks(fam.host, clustering)
 
-    def link(vs: frozenset) -> set:
-        out = set()
-        for v in vs:
-            out |= host.neighbors(v)
-        return out - vs
-
-    def face_fn(sub: Subgraph):
-        touched = clustering.touched(sub)
+    def face_fn(cell: _Cell) -> list[_Cell]:
+        vm, em = cell
         out = []
-        for k in touched:
-            vj = sub.vertices & clustering.blocks[k]
-            keep = sub.vertices - vj
-            base = sub.restrict(keep)
-            blow = link(vj) & sub.vertices
-            out.append(base.add_edges(host.induced(blow).edges))
+        for bv, nbv, nbe in masks:
+            if vm & bv:
+                keep = vm & nbv
+                link = 0
+                for r in _ranks(vm & bv):
+                    link |= nbrs[r]
+                out.append(_Cell((keep, em & nbe | induced(link & keep))))
         return out
 
-    return _close_family(fam, clustering.grade, face_fn)
+    return _close_family(fam, _cluster_grade(masks), face_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,16 @@ class MultiGraph:
     incidence pair is treated as unordered.
 
     Built once per graph: the edges joining each endpoint pair (both orders
-    when undirected), out- and in-adjacency, and the rank of every vertex
-    and edge id in `cell_sort_key` order.  A subgraph's `key` lists its ids
-    in rank order and its `sort_key` is its sorted ranks, so building either
-    compares no ids.  The vertex-deletion face maps delete a subgraph's
-    vertices in the same rank order."""
+    when undirected), out- and in-adjacency, the rank of every vertex and
+    edge id in `cell_sort_key` order and the ids by rank.  A subgraph's
+    `key` lists its ids in rank order and its `sort_key` is its sorted
+    ranks, so building either compares no ids.  The constructions close
+    subgraphs as rank bitmasks over the tables of `_RankMasks`, built on
+    first use; their vertex-deletion face maps delete a subgraph's vertices
+    in rank order."""
 
     __slots__ = ("vertices", "edge_ends", "directed", "_adj", "_in_adj",
-                 "_between", "_vrank", "_erank")
+                 "_between", "_vrank", "_erank", "_vids", "_eids", "_masks")
 
     def __init__(self, vertices: Iterable[Hashable],
                  edges: Mapping[Hashable, tuple[Hashable, Hashable]],
@@ -36,9 +38,11 @@ class MultiGraph:
             ends[e] = (u, v)
         self.edge_ends = ends
         self.directed = bool(directed)
-        self._vrank = {v: i for i, v in
-                       enumerate(sorted(self.vertices, key=cell_sort_key))}
-        self._erank = {e: i for i, e in enumerate(sorted(ends, key=cell_sort_key))}
+        self._vids = tuple(sorted(self.vertices, key=cell_sort_key))
+        self._eids = tuple(sorted(ends, key=cell_sort_key))
+        self._vrank = {v: i for i, v in enumerate(self._vids)}
+        self._erank = {e: i for i, e in enumerate(self._eids)}
+        self._masks = None
         adj: dict[Hashable, set] = {v: set() for v in self.vertices}
         in_adj = {v: set() for v in self.vertices} if self.directed else adj
         between: dict[tuple, list] = {}
@@ -57,6 +61,11 @@ class MultiGraph:
     @property
     def edges(self) -> frozenset:
         return frozenset(self.edge_ends)
+
+    def _rank_masks(self) -> "_RankMasks":
+        if self._masks is None:
+            self._masks = _RankMasks(self)
+        return self._masks
 
     def is_simple(self) -> bool:
         seen = set()
@@ -207,8 +216,153 @@ def is_subgraph(h: Subgraph, g: MultiGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Subgraphs as rank bitmasks
+# ---------------------------------------------------------------------------
+
+class _RankMasks:
+    """A host's tables over vertex and edge ranks: bit r of a vertex (edge)
+    mask stands for the vertex (edge) of rank r.
+
+    `inc[r]` masks the edges incident to vertex r, loops included;
+    `pairs[a, b]` masks the edges from a to b, in both orders when
+    undirected, as `_between` does; `nbrs[r]` masks the vertices adjacent
+    to r ignoring direction and loops; `loops` masks the loops."""
+
+    __slots__ = ("inc", "pairs", "nbrs", "loops")
+
+    def __init__(self, g: MultiGraph):
+        vrank, erank = g._vrank, g._erank
+        self.inc = inc = [0] * len(vrank)
+        self.nbrs = nbrs = [0] * len(vrank)
+        self.pairs = pairs = {}
+        self.loops = 0
+        for e, (u, v) in g.edge_ends.items():
+            bit = 1 << erank[e]
+            a, b = vrank[u], vrank[v]
+            inc[a] |= bit
+            inc[b] |= bit
+            pairs[a, b] = pairs.get((a, b), 0) | bit
+            if a == b:
+                self.loops |= bit
+                continue
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+            if not g.directed:
+                pairs[b, a] = pairs.get((b, a), 0) | bit
+
+    def induced(self, vmask: int) -> int:
+        """Mask of the host edges with every endpoint in vmask: those met
+        at two of its vertices, and its loops."""
+        once = twice = 0
+        for r in _ranks(vmask):
+            m = self.inc[r]
+            twice |= once & m
+            once |= m
+        return twice | (once & self.loops)
+
+
+def _ranks(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, increasing."""
+    out = []
+    while mask:
+        r = mask.bit_length() - 1
+        out.append(r)
+        mask ^= 1 << r
+    out.reverse()
+    return tuple(out)
+
+
+class _Cell(tuple):
+    """A subgraph of a host as (vertex mask, edge mask) over its ranks.
+
+    Hashing and equality are the tuple's; `sort_key` is the `sort_key` of
+    the subgraph the cell stands for, so a closure of cells indexes them
+    as it would the subgraphs."""
+
+    __slots__ = ()
+
+    @property
+    def sort_key(self) -> tuple:
+        return (4, _ranks(self[0]), _ranks(self[1]))
+
+
+def _cell_of(sub: Subgraph) -> _Cell:
+    """The cell of a subgraph over its host's ranks."""
+    vrank, erank = sub.host._vrank, sub.host._erank
+    return _Cell((sum(1 << vrank[v] for v in sub.vertices),
+                  sum(1 << erank[e] for e in sub.edges)))
+
+
+def _subgraph_of(host: MultiGraph, cell: _Cell) -> Subgraph:
+    """The subgraph a cell stands for, built by the checked constructor,
+    its sort key filled in from the ranks."""
+    key = cell.sort_key
+    vids, eids = host._vids, host._eids
+    sub = Subgraph(host, [vids[r] for r in key[1]], [eids[r] for r in key[2]])
+    sub._sort_key = key
+    return sub
+
+
+def vertex_grade(cell: _Cell) -> int:
+    """Grade of a cell under vertex deletion: its vertex count minus one."""
+    return cell[0].bit_count() - 1
+
+
+def vertex_deletion_map(host: MultiGraph):
+    """The face map on the cells of host whose d_i deletes the i-th vertex,
+    in rank order, together with its incident edges."""
+    keep = [~m for m in host._rank_masks().inc]
+
+    def faces(cell: _Cell) -> list[_Cell]:
+        vm, em = cell
+        return [_Cell((vm ^ (1 << r), em & keep[r])) for r in _ranks(vm)]
+
+    return faces
+
+
+def subgraph_closure(host: MultiGraph, closure: tuple[DeltaSet, GradedSubset]
+                     ) -> tuple[DeltaSet, GradedSubset]:
+    """A `close_under_faces` result over cells of host, with every cell
+    label replaced by its subgraph.  Each cell is dropped as its subgraph
+    is built, so the cells and the subgraphs are not all held at once."""
+    ds, marked = closure
+    del closure
+    rows = [list(row) for row in ds.labels]
+    ds = ds.with_labels(None)
+    for row in rows:
+        for j, cell in enumerate(row):
+            row[j] = _subgraph_of(host, cell)
+    return ds.with_labels(rows), marked
+
+
+# ---------------------------------------------------------------------------
 # Cliques
 # ---------------------------------------------------------------------------
+
+def _clique_cells(g: MultiGraph, max_size: int) -> list[_Cell]:
+    """The cells of `cliques(g, max_size)`, in its order."""
+    if g.directed:
+        raise ValueError("cliques are defined for undirected graphs")
+    masks = g._rank_masks()
+    nbrs = masks.nbrs
+    choices = {pair: [1 << r for r in _ranks(m)] for pair, m in masks.pairs.items()}
+    out = []
+
+    def extend(ranks: tuple, vm: int, candidates: int):
+        for combo in product(*[choices[pair] for pair in combinations(ranks, 2)]):
+            out.append(_Cell((vm, sum(combo))))
+        if len(ranks) >= max_size:
+            return
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            extend(ranks + (w,), vm | low, candidates & nbrs[w])
+
+    for v in range(len(g._vids)):
+        extend((v,), 1 << v, nbrs[v] >> (v + 1) << (v + 1))
+    return out
+
 
 def cliques(g: MultiGraph, max_size: int) -> list[Subgraph]:
     """All complete subgraphs with at most max_size vertices.
@@ -216,40 +370,10 @@ def cliques(g: MultiGraph, max_size: int) -> list[Subgraph]:
     A clique cell is a vertex set plus one chosen edge per unordered pair;
     on multigraphs every combination of edge choices is a distinct clique
     (distinct cells sharing the same vertices).  Loops never participate.
-    Enumeration is lexicographic in (vertex set, edge choices).
+    Enumeration is lexicographic in (vertex set, edge choices), in the
+    host's rank order.
     """
-    if g.directed:
-        raise ValueError("cliques are defined for undirected graphs")
-    vs = sorted(g.vertices, key=cell_sort_key)
-    pos = {v: i for i, v in enumerate(vs)}
-    vertex_sets: list[tuple] = []
-
-    def extend(current: tuple):
-        vertex_sets.append(current)
-        if len(current) >= max_size:
-            return
-        last = pos[current[-1]]
-        for w in vs[last + 1:]:
-            if all(w in g._adj[u] for u in current):
-                extend(current + (w,))
-
-    for v in vs:
-        extend((v,))
-
-    return [Subgraph(g, vset, combo) for vset in vertex_sets
-            for combo in product(*(g.edges_between(a, b)
-                                   for a, b in combinations(vset, 2)))]
-
-
-def vertex_deletion_grade(sub: Subgraph) -> int:
-    """Grade of a subgraph under vertex deletion: its vertex count minus one."""
-    return len(sub.vertices) - 1
-
-
-def vertex_deletion_faces(sub: Subgraph) -> list[Subgraph]:
-    """d_i deletes the i-th vertex, in the host's rank order, together with
-    its incident edges."""
-    return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=sub.host._vrank.__getitem__)]
+    return [_subgraph_of(g, cell) for cell in _clique_cells(g, max_size)]
 
 
 def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
@@ -259,8 +383,8 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
         raise ValueError("clique Δ-set is defined for undirected graphs")
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    ds, _ = close_under_faces(cliques(g, max_dim + 1), vertex_deletion_grade,
-                              vertex_deletion_faces)
+    ds, _ = subgraph_closure(g, close_under_faces(
+        _clique_cells(g, max_dim + 1), vertex_grade, vertex_deletion_map(g)))
     return ds
 
 

@@ -167,8 +167,7 @@ def witness_score(lam: Iterable, pc: PointCloud, variant: str,
         witnesses = [tuple(float(c) for c in p) for p in witnesses]
     landmarks = pc.all_points()
     if variant in ("weak", "vr_weak"):
-        lam_set = set(lam)
-        excl = [p for v, p in pc.points.items() if v not in lam_set]
+        excl = [p for v, p in pc.points.items() if v not in lam]
         if not excl:
             raise ValueError("weak witness scoring needs a proper landmark subset")
         near = excl
@@ -204,8 +203,10 @@ def pullback_score(f: Mapping | Callable, base: Callable[[Sequence[Point]], floa
     return base(sorted(image))
 
 
-def _nonempty(lam: Iterable) -> list:
-    out = sorted(set(lam), key=repr)
+def _nonempty(lam: Iterable) -> set:
+    """The distinct vertices of lam, in no particular order: every score
+    takes a max or min over them, and Čech sorts its own points."""
+    out = set(lam)
     if not out:
         raise ValueError("vertex subset is empty")
     return out

@@ -38,7 +38,10 @@ library's indexed ones replaced: they read a graph's incidence map or build
 the library's `DeltaSet`, but scan every edge per query and call face_fn
 twice per cell.  The closure orders its cells by `recursive_sort_key`,
 which compares the labels' ids, where the library compares a subgraph's
-host ranks.
+host ranks.  The subgraph face maps of the vertex-deletion, partition and
+link-blowup constructions, and the clique enumeration, build every face as
+a checked `Subgraph` by the `Subgraph` methods and those scans, where the
+library closes bitmasks over the host's ranks.
 """
 
 from __future__ import annotations
@@ -1324,3 +1327,78 @@ def scan_has_edge_between(sub, u, v):
     """True iff the subgraph has an edge from u to v (between, when
     undirected), by a scan of its edges."""
     return any(e in sub.edges for e in scan_edges_between(sub.host, u, v))
+
+
+# ---------------------------------------------------------------------------
+# Subgraph face maps and cliques
+# ---------------------------------------------------------------------------
+
+def vertex_deletion_grade(sub):
+    """Grade of a subgraph under vertex deletion: its vertex count minus one."""
+    return len(sub.vertices) - 1
+
+
+def vertex_deletion_faces(sub):
+    """d_i deletes the i-th vertex, in `cell_sort_key` order of the ids,
+    together with its incident edges."""
+    return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=cell_sort_key)]
+
+
+def secondary_deletion_faces(sub):
+    """The vertex-deletion faces, d_i of an interior vertex with the host
+    edges from its order neighbor v_{i-1} to v_{i+1} added."""
+    ordered = sorted(sub.vertices, key=cell_sort_key)
+    out = vertex_deletion_faces(sub)
+    for i in range(1, len(ordered) - 1):
+        out[i] = out[i].add_edges(scan_edges_between(sub.host, ordered[i - 1], ordered[i + 1]))
+    return out
+
+
+def touched_clusters(clustering, sub):
+    """Indices of the clusters that meet the subgraph, increasing."""
+    return [k for k, block in enumerate(clustering.blocks) if block & sub.vertices]
+
+
+def cluster_grade(clustering):
+    """Grade of a subgraph under cluster faces: the number of clusters it
+    meets, minus one."""
+    return lambda sub: len(touched_clusters(clustering, sub)) - 1
+
+
+def partition_face_map(clustering):
+    """d_j restricts a subgraph to the vertices outside its j-th touched
+    cluster."""
+    def faces(sub):
+        return [sub.restrict(sub.vertices - clustering.blocks[k])
+                for k in touched_clusters(clustering, sub)]
+
+    return faces
+
+
+def link_blowup_face_map(clustering):
+    """d_j(H) = H[V(H) - V_j] ∪ G[lk(V_j) ∩ V(H)], the link and the induced
+    edges found by scans of the host's incidence map."""
+    def faces(sub):
+        host = sub.host
+        out = []
+        for k in touched_clusters(clustering, sub):
+            vj = sub.vertices & clustering.blocks[k]
+            link = set().union(*(scan_neighbors(host, v) for v in vj)) - vj
+            blow = link & sub.vertices
+            induced = [e for e, (u, w) in host.edge_ends.items() if u in blow and w in blow]
+            out.append(sub.restrict(sub.vertices - vj).add_edges(induced))
+        return out
+
+    return faces
+
+
+def brute_cliques(g, max_size):
+    """Every vertex set of at most max_size pairwise adjacent vertices, with
+    every choice of one edge per pair, from scans of the incidence map."""
+    ordered = sorted(g.vertices, key=cell_sort_key)
+    out = []
+    for size in range(1, max_size + 1):
+        for vs in itertools.combinations(ordered, size):
+            choices = [scan_edges_between(g, u, v) for u, v in itertools.combinations(vs, 2)]
+            out += [g.subgraph(vs, combo) for combo in itertools.product(*choices)]
+    return out

@@ -44,6 +44,33 @@ def test_tracer_uninstall_restores_dense_kernels(monkeypatch):
     assert fm.__dict__["matmul"] is originals[2]
 
 
+def test_tracer_patch_targets_exist_and_come_off(monkeypatch):
+    # every name the traced run patches is wrapped after install and the
+    # original again after uninstall; the construction names are pinned,
+    # so a refactor that drops one fails here, not in a traced benchmark run
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import spans
+    from superph import cli, faceops, graphs
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patches = list(tracer._patches)
+        for owner, attr, original in patches:
+            current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+            assert current is not original and hasattr(current, "__wrapped__"), (owner, attr)
+    finally:
+        tracer.uninstall()
+    targets = {(owner, attr) for owner, attr, _ in patches}
+    assert {(graphs, "close_under_faces"), (faceops, "close_under_faces"),
+            (cli, "clique_delta"), (cli, "primary_vertex_deletion"),
+            (cli, "secondary_vertex_deletion"), (cli, "partition_faces"),
+            (cli, "link_blowup_faces")} <= targets
+    for owner, attr, original in patches:
+        current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert current is original, (owner, attr)
+
+
 def check_small_run(workload: str):
     cmd = [sys.executable, os.path.join(ROOT, "bench", "run.py"),
            "--workload", workload, "--seed", "7", "--seconds", "1",

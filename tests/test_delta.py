@@ -58,6 +58,18 @@ def test_structure_error_on_bad_face_arity():
         DeltaSet([1, 1], [(), [(0,)]])
 
 
+def test_with_labels_shares_faces_and_checks_label_counts():
+    x = standard_simplex_delta(2)
+    y = x.with_labels([["a", "b", "c"], ("ab", "ac", "bc"), ["abc"]])
+    assert y.counts is x.counts and y.faces is x.faces and y == x
+    assert y.labels == (("a", "b", "c"), ("ab", "ac", "bc"), ("abc",))
+    assert y.with_labels(None).labels is None and x.labels is not None
+    with pytest.raises(DeltaStructureError, match="dimension 1: label count mismatch"):
+        x.with_labels([["a", "b", "c"], ["ab", "ac"], ["abc"]])
+    with pytest.raises(DeltaStructureError, match="dimension 2: label count mismatch"):
+        x.with_labels([["a", "b", "c"], ["ab", "ac", "bc"]])
+
+
 # ---------------------------------------------------------------------------
 # close_under_faces
 # ---------------------------------------------------------------------------

@@ -6,16 +6,18 @@ import random
 import pytest
 
 import superph.faceops
-import superph.graphs
 from superph import (Clustering, MarkedSubgraph, MultiGraph, SubgraphFamily,
                      cliques, clique_delta, edge_deletion_complex,
                      extend_graph, link_blowup_faces, partition_faces,
                      primary_vertex_deletion, secondary_vertex_deletion,
                      starting_vertex_faces)
-from superph.delta import cell_sort_key, close_under_faces
+from superph.delta import cell_sort_key, close_under_faces, full_subset
 from superph.faceops import bfs_layers
 
-from oracles import brute_primary_closure_keys, two_pass_close_under_faces
+from oracles import (brute_cliques, brute_primary_closure_keys, cluster_grade,
+                     link_blowup_face_map, partition_face_map, secondary_deletion_faces,
+                     two_pass_close_under_faces, vertex_deletion_faces,
+                     vertex_deletion_grade)
 from test_graphs import random_multigraph
 
 
@@ -303,7 +305,7 @@ def test_link_blowup_same_vertices_as_partition(rng):
         pt = partition_faces(fam, clus)
         assert lk.x.validate().ok
         member = fam.members[0]
-        n = len(clus.touched(member)) - 1
+        n = cluster_grade(clus)(member)
         if n > 0:
             jl = next(j for j in range(lk.x.counts[n])
                       if lk.x.label(n, j) == member)
@@ -411,11 +413,28 @@ def random_clustering(rng, g):
     return Clustering(g, list(blocks.values()))
 
 
+def assert_matches_oracle(x, marked, seeds, grade, face_fn):
+    """A construction's Δ-set and marks against the two-pass oracle's
+    closure of its seeds under a `Subgraph` face map of `oracles`, whose
+    cell order compares ids: counts, faces, label keys and marks."""
+    want_x, want_marked = two_pass_close_under_faces(seeds, grade, face_fn)
+    assert x.counts == want_x.counts and x.faces == want_x.faces
+    assert [[lab.key for lab in row] for row in x.labels] == \
+        [[lab.key for lab in row] for row in want_x.labels]
+    assert marked == want_marked
+
+
 def compare_with_two_pass_oracle(monkeypatch):
-    """Route every construction's closure through both the library and the
-    two-pass oracle, whose cell order compares ids; returns the list of
-    compared Δ-set shapes."""
+    """A function running the six constructions on its arguments, each
+    checked by `assert_matches_oracle`.  Starting-vertex faces keep their
+    face map to themselves: their closure is compared with the oracle on
+    its raw labels.  Returns the function and the list of compared Δ-set
+    shapes."""
     compared = []
+
+    def check(x, marked, seeds, grade, face_fn):
+        assert_matches_oracle(x, marked, seeds, grade, face_fn)
+        compared.append(x.counts)
 
     def both(seeds, grade, face_fn):
         seeds = list(seeds)
@@ -427,13 +446,28 @@ def compare_with_two_pass_oracle(monkeypatch):
         compared.append(ds.counts)
         return ds, marked
 
-    monkeypatch.setattr(superph.graphs, "close_under_faces", both)
-    monkeypatch.setattr(superph.faceops, "close_under_faces", both)
-    return compared
+    def run(clique_host, fam, secondary_fam, clus, sv_members, sv_host):
+        x = clique_delta(clique_host, max_dim=3)
+        check(x, full_subset(x), brute_cliques(clique_host, 4),
+              vertex_deletion_grade, vertex_deletion_faces)
+        sh = primary_vertex_deletion(fam)
+        check(sh.x, sh.h, fam.members, vertex_deletion_grade, vertex_deletion_faces)
+        sh = secondary_vertex_deletion(secondary_fam)
+        check(sh.x, sh.h, secondary_fam.members, vertex_deletion_grade,
+              secondary_deletion_faces)
+        sh = partition_faces(fam, clus)
+        check(sh.x, sh.h, fam.members, cluster_grade(clus), partition_face_map(clus))
+        sh = link_blowup_faces(fam, clus)
+        check(sh.x, sh.h, fam.members, cluster_grade(clus), link_blowup_face_map(clus))
+        with monkeypatch.context() as m:
+            m.setattr(superph.faceops, "close_under_faces", both)
+            starting_vertex_faces(sv_members, sv_host)
+
+    return run, compared
 
 
 def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
-    compared = compare_with_two_pass_oracle(monkeypatch)
+    run, compared = compare_with_two_pass_oracle(monkeypatch)
     rng = random.Random(0xFACE)
     for _ in range(6):
         g = random_graph(rng, rng.randint(3, 6), p=0.6)
@@ -442,12 +476,7 @@ def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
         fam = SubgraphFamily(g, [random_subgraph(rng, g) for _ in range(rng.randint(1, 4))])
         clus = random_clustering(rng, g)
         dg = random_graph(rng, rng.randint(2, 5), p=0.6, directed=rng.random() < 0.5)
-        clique_delta(multi, max_dim=3)
-        primary_vertex_deletion(fam)
-        secondary_vertex_deletion(fam)
-        partition_faces(fam, clus)
-        link_blowup_faces(fam, clus)
-        starting_vertex_faces([random_marked_member(rng, dg) for _ in range(2)], dg)
+        run(multi, fam, fam, clus, [random_marked_member(rng, dg) for _ in range(2)], dg)
     assert len(compared) == 36
     assert sum(len(counts) > 2 for counts in compared) >= 12
 
@@ -466,7 +495,7 @@ def simple_part(g):
 def test_close_under_faces_matches_two_pass_oracle_on_mixed_ids(monkeypatch):
     # int, str and tuple ids, loops and parallel edges; some members are
     # built on a smaller host object, whose ranks differ from the family's
-    compared = compare_with_two_pass_oracle(monkeypatch)
+    run, compared = compare_with_two_pass_oracle(monkeypatch)
     rng = random.Random(0xD1CE)
     hosts = 0
     while hosts < 6:
@@ -485,11 +514,33 @@ def test_close_under_faces_matches_two_pass_oracle_on_mixed_ids(monkeypatch):
                                              for _ in range(rng.randint(1, 4))])
         clus = random_clustering(rng, g)
         dg = random_multigraph(rng, directed=True)
-        clique_delta(g, max_dim=3)
-        primary_vertex_deletion(fam)
-        secondary_vertex_deletion(simple_fam)
-        partition_faces(fam, clus)
-        link_blowup_faces(fam, clus)
-        starting_vertex_faces([random_marked_member(rng, dg) for _ in range(2)], dg)
+        run(g, fam, simple_fam, clus, [random_marked_member(rng, dg) for _ in range(2)], dg)
     assert len(compared) == 36
     assert sum(len(counts) > 2 for counts in compared) >= 12
+
+
+def test_secondary_matches_oracle_on_directed_hosts():
+    # simple digraphs, often with both u -> v and v -> u, and members that
+    # drop host edges: a bridge is only the host edge from v_{i-1} to v_{i+1}
+    rng = random.Random(0xB1D6)
+    shapes = 0
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(3, 6), p=0.6, directed=True)
+        fam = SubgraphFamily(g, [random_subgraph(rng, g) for _ in range(rng.randint(1, 4))])
+        sh = secondary_vertex_deletion(fam)
+        assert_matches_oracle(sh.x, sh.h, fam.members, vertex_deletion_grade,
+                              secondary_deletion_faces)
+        shapes += len(sh.x.counts) > 2
+    assert shapes >= 6
+
+
+def test_secondary_bridge_follows_the_edge_direction():
+    # 1 -> 2 -> 3 with 3 -> 1 in the host: deleting 2 adds no edge, since
+    # the host has none from 1 to 3
+    g = MultiGraph([1, 2, 3], {"a": (1, 2), "b": (2, 3), "c": (3, 1)}, directed=True)
+    sh = secondary_vertex_deletion(SubgraphFamily(g, [g.subgraph({1, 2, 3}, ["a", "b"])]))
+    faces = [sh.x.label(1, t).key for t in sh.x.faces[2][0]]
+    assert faces == [((2, 3), ("b",)), ((1, 3), ()), ((1, 2), ("a",))]
+    back = MultiGraph([1, 2, 3], {"a": (1, 2), "b": (2, 3), "c": (1, 3)}, directed=True)
+    sh = secondary_vertex_deletion(SubgraphFamily(back, [back.subgraph({1, 2, 3}, ["a", "b"])]))
+    assert sh.x.label(1, sh.x.faces[2][0][1]).key == ((1, 3), ("c",))

@@ -10,6 +10,7 @@ import sys
 import pytest
 from dataclasses import fields
 
+import superph.delta
 from superph import GradedSubset, MultiGraph, from_simplicial, full_subset
 from superph import cli, formats
 from superph.cli import JobConfig, build_super_hypergraph, main
@@ -743,6 +744,24 @@ def test_cli_property_report(tmp_path, capsys, text, shown, written):
     out = tmp_path / "out"
     assert main(["homology", "--delta", str(delta), "--properties", "--out", str(out)]) == 0
     assert (out / "properties.txt").read_text() == written
+
+
+def test_property_report_computes_the_closure_once(tmp_path, monkeypatch, capsys):
+    # `is_regular` and `is_complete` find the Δ-closure in `superph.delta`:
+    # one property report builds it once
+    calls = []
+    closure = superph.delta.delta_closure
+    monkeypatch.setattr(superph.delta, "delta_closure",
+                        lambda sh: calls.append(sh) or closure(sh))
+    path = tmp_path / "x.delta"
+    path.write_text("cell 0 a :\ncell 0 b :\ncell 1 ab : b a\n")
+    assert main(["validate", "--delta", str(path)]) == 0
+    assert "complete: yes" in capsys.readouterr().out
+    assert len(calls) == 1
+    out = tmp_path / "out"
+    assert main(["homology", "--delta", str(path), "--properties", "--out", str(out)]) == 0
+    assert "complete 1" in (out / "properties.txt").read_text()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("command", ["persist", "score"])

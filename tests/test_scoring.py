@@ -157,6 +157,27 @@ def test_witness_score_matches_per_pair_reference(variant):
                 per_pair_witness_score(lam, pc, variant, witnesses)
 
 
+def test_scores_ignore_vertex_order_and_repeats():
+    # every score is a max or min over the vertex set (Čech sorts its own
+    # points): a shuffled or repeating vertex list scores bit-identically
+    rng = random.Random("vertex-order")
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        ids = rng.sample([0, 1, 2, 10, "a", "b", "z", (0, "x"), ("t", 1)], rng.randint(2, 9))
+        pc = PointCloud({v: tuple(rng.uniform(-2, 2) for _ in range(dim)) for v in ids})
+        lam = rng.sample(ids, rng.randint(1, len(ids) - 1))
+        shuffled = rng.sample(lam, len(lam))
+        repeated = lam + rng.choices(lam, k=3)
+        given = [tuple(rng.uniform(-3, 3) for _ in range(dim)) for _ in range(4)]
+        scores = [lambda vs: vr_score(vs, pc), lambda vs: cech_score(vs, pc)] + \
+            [lambda vs, v=variant, w=w: witness_score(vs, pc, v, w)
+             for variant in ("strong", "vr_strong", "weak", "vr_weak")
+             for w in (None, given)]
+        for score in scores:
+            want = score(lam).hex()
+            assert score(shuffled).hex() == want and score(repeated).hex() == want
+
+
 # ---------------------------------------------------------------------------
 # pull-back scoring
 # ---------------------------------------------------------------------------
