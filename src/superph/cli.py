@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import formats, homology, render
-from .delta import (DeltaIdentityError, DeltaSet, SuperHypergraph, from_hypergraph,
-                    full_subset, is_complete, is_regular)
+from .delta import (DeltaIdentityError, SuperHypergraph, from_hypergraph, full_subset,
+                    is_complete, is_regular, relabel)
 from .faceops import (edge_deletion_complex, link_blowup_faces,
                       partition_faces, primary_vertex_deletion,
                       secondary_vertex_deletion, starting_vertex_faces)
@@ -151,11 +151,6 @@ def _load_cloud(cfg: JobConfig) -> PointCloud:
     return formats.read_point_cloud(path)
 
 
-def _relabel(x: DeltaSet, cell) -> DeltaSet:
-    """x with every cell label replaced by cell(label)."""
-    return x.with_labels([[cell(label) for label in row] for row in x.labels])
-
-
 def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
     kind = cfg.construction
     if kind is None:
@@ -174,8 +169,9 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
         ds = clique_delta(g, max_dim=cfg.max_dim)
         return SuperHypergraph(ds, full_subset(ds))
     if kind == "neighborhood":
-        ds = from_hypergraph(nb for nb in (g.neighbors(w) - {w} for w in g.vertices) if nb).x
-        return SuperHypergraph(_relabel(ds, lambda vs: Subgraph(g, vs)), full_subset(ds))
+        sh = from_hypergraph(nb for nb in (g.neighbors(w) - {w} for w in g.vertices) if nb)
+        ds, _ = relabel((sh.x, sh.h), lambda vs: Subgraph(g, vs))
+        return SuperHypergraph(ds, full_subset(ds))
     if kind == "path":
         return path_complex(g, cfg.max_dim)
     fam_path = _require(cfg, "family", f"the {kind} construction")
@@ -187,8 +183,8 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
     if kind == "edge_del":
         sh = from_hypergraph(edge_deletion_complex(fam).hyperedges)
         ends = g.edge_ends
-        return SuperHypergraph(
-            _relabel(sh.x, lambda es: Subgraph(g, [v for e in es for v in ends[e]], es)), sh.h)
+        return SuperHypergraph(*relabel(
+            (sh.x, sh.h), lambda es: Subgraph(g, [v for e in es for v in ends[e]], es)))
     if kind in ("partition", "link_blowup"):
         cl_path = _require(cfg, "clustering", f"the {kind} construction")
         clustering = formats.read_clustering(cl_path, g)

@@ -93,7 +93,7 @@ class DeltaSet:
                     f"dimension {n}: {len(fl)} face lists for {self.counts[n]} cells")
             rows = []
             for j, row in enumerate(fl):
-                row = tuple(int(x) for x in row)
+                row = tuple(map(int, row))
                 if len(row) != n + 1:
                     raise DeltaStructureError(
                         f"cell ({n},{j}): face list has length {len(row)}, expected {n + 1}")
@@ -465,6 +465,22 @@ def close_under_faces(seeds: Iterable[Hashable], grade: Callable[[Hashable], int
         raise DeltaIdentityError(report)
     marked = GradedSubset.from_cells(index[id(canon[lab])] for lab in seed_list)
     return ds, marked
+
+
+def relabel(closure: tuple[DeltaSet, GradedSubset | None], label: Callable
+            ) -> tuple[DeltaSet, GradedSubset | None]:
+    """A (Δ-set, marks) pair, such as a `close_under_faces` result, with
+    every cell label replaced by label(cell label).  Each old label is
+    dropped as its replacement is built, so the two label sets are not all
+    held at once."""
+    ds, marked = closure
+    del closure
+    rows = [list(row) for row in ds.labels]
+    ds = ds.with_labels(None)
+    for row in rows:
+        for j, lab in enumerate(row):
+            row[j] = label(lab)
+    return ds.with_labels(rows), marked
 
 
 def tuple_grade(lab: tuple) -> int:

@@ -4,23 +4,25 @@ Five constructions: primary and secondary vertex deletion, edge deletion,
 partition (cluster) faces, link-blowup faces, and starting-vertex faces on
 the ∞-extended working graph.  Every constructor but edge deletion seeds
 `close_under_faces` with its members and one face map, and returns the
-validated super-hypergraph whose parental Δ-set cells are subgraphs, so
-cells reached along different deletion sequences coincide.  The vertex
-deletion, partition and link-blowup closures run on the members as host
-rank bitmasks (`graphs._Cell`) and build each cell's subgraph once, after
-the closure.  Edge deletion returns the members' edge sets and whether they
+validated super-hypergraph whose parental Δ-set cells are subgraphs (with
+their starting vertices, for starting-vertex faces), so cells reached
+along different deletion sequences coincide.  Every closure runs on the
+members as host rank bitmasks (`graphs._Cell`, and `_StartCell` with a
+starting-vertex mask) and labels each cell once, after the closure, by
+`relabel`.  Edge deletion returns the members' edge sets and whether they
 are closed under single-edge deletion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
-                    missing_face)
-from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _ranks, is_subgraph,
-                     subgraph_closure, vertex_deletion_map, vertex_grade)
+                    missing_face, relabel)
+from .graphs import (MultiGraph, Subgraph, _Cell, _RankMasks, _cell_of, _ranks,
+                     _subgraph_of, is_subgraph, vertex_deletion_map, vertex_grade)
 
 
 class SubgraphFamily:
@@ -84,14 +86,18 @@ class MarkedSubgraph:
     sv: frozenset
 
     def __post_init__(self):
-        if not self.sv <= self.subgraph.vertices:
+        sub = self.subgraph
+        if not self.sv <= sub.vertices:
             raise ValueError("starting vertices must lie in the subgraph")
-        if self.subgraph.vertices and not self.sv:
+        if sub.vertices and not self.sv:
             raise ValueError("nonempty subgraph needs at least one starting vertex")
-        layers = bfs_layers(self.subgraph, self.sv)
-        covered = set().union(*layers) if layers else set()
-        if covered != set(self.subgraph.vertices):
-            missing = sorted(self.subgraph.vertices - covered, key=cell_sort_key)
+        host = sub.host
+        vm, em = _cell_of(sub)
+        covered = 0
+        for layer in _layer_masks(host._rank_masks(), em, _vertex_mask(host, self.sv)):
+            covered |= layer
+        if covered != vm:
+            missing = [host._vids[r] for r in _ranks(vm & ~covered)]
             raise ValueError(f"vertices unreachable from the starting set: {missing}")
 
     @property
@@ -104,20 +110,41 @@ class MarkedSubgraph:
         return cell_sort_key(self.key)
 
 
-def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
-    """Neighborhood-extension partition: V_0 = start, V_{j+1} = the (out-)
-    link of the layer so far, until no new vertices appear."""
+def _vertex_mask(host: MultiGraph, vertices) -> int:
+    vrank = host._vrank
+    return sum(1 << vrank[v] for v in vertices)
+
+
+def _layer_masks(masks: _RankMasks, em: int, start: int) -> list[int]:
+    """The neighborhood-extension partition of the subgraph with edge mask
+    em from the vertex mask start, as vertex masks: V_0 = start, V_{j+1} =
+    the vertices outside the layers so far reached by an edge (out of) V_j."""
     if not start:
         return []
-    layers = [frozenset(start)]
-    assigned = set(start)
+    out, pairs = masks.out, masks.pairs
+    layers = [start]
+    assigned = start
     while True:
-        nxt = sub.out_neighbors_in(layers[-1]) - assigned
+        nxt = 0
+        for r in _ranks(layers[-1]):
+            for w in _ranks(out[r] & ~assigned):
+                if pairs[r, w] & em:
+                    nxt |= 1 << w
         if not nxt:
-            break
-        layers.append(frozenset(nxt))
+            return layers
+        layers.append(nxt)
         assigned |= nxt
-    return layers
+
+
+def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
+    """Neighborhood-extension partition: V_0 = start, V_{j+1} = the (out-)
+    link of the last layer outside the layers so far, until no new
+    vertices appear."""
+    host = sub.host
+    vids = host._vids
+    return [frozenset(vids[r] for r in _ranks(layer))
+            for layer in _layer_masks(host._rank_masks(), _cell_of(sub)[1],
+                                      _vertex_mask(host, start))]
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +155,8 @@ def _close_family(fam: SubgraphFamily, grade, face_fn) -> SuperHypergraph:
     """The family's cells closed under face_fn, with the members marked."""
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
-    return SuperHypergraph(*subgraph_closure(fam.host, close_under_faces(
-        [_cell_of(m) for m in fam], grade, face_fn)))
+    return SuperHypergraph(*relabel(close_under_faces([_cell_of(m) for m in fam], grade, face_fn),
+                                    partial(_subgraph_of, fam.host)))
 
 
 def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
@@ -255,29 +282,32 @@ def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHyper
 # ---------------------------------------------------------------------------
 
 def extend_graph(g: MultiGraph) -> MultiGraph:
-    """The extension Ĝ: one formal ∞ edge joining every pair of distinct
-    vertices (two directed ∞ edges per pair when g is directed)."""
+    """The extension Ĝ: one formal ∞ edge ("inf", u, v) joining every pair
+    of distinct vertices (two directed ∞ edges per pair when g is
+    directed).  Raises when an edge id of g is the id of a formal edge."""
     edges = dict(g.edge_ends)
     vs = sorted(g.vertices, key=cell_sort_key)
     for i, u in enumerate(vs):
         for v in vs[i + 1:]:
-            if g.directed:
-                edges[("inf", u, v)] = (u, v)
-                edges[("inf", v, u)] = (v, u)
-            else:
-                edges[("inf", u, v)] = (u, v)
+            for a, b in ((u, v), (v, u)) if g.directed else ((u, v),):
+                e = ("inf", a, b)
+                if e in edges:
+                    raise ValueError(f"edge id {e!r} is the id of a formal ∞ edge")
+                edges[e] = (a, b)
     return MultiGraph(g.vertices, edges, directed=g.directed)
 
 
-def _is_inf_edge(e: Hashable) -> bool:
-    return isinstance(e, tuple) and len(e) == 3 and e[0] == "inf"
+class _StartCell(tuple):
+    """A subgraph of Ĝ with starting vertices, as (vertex mask, edge mask,
+    starting-vertex mask) over Ĝ's ranks.  `sort_key` orders these cells
+    as `MarkedSubgraph.sort_key` orders the marked subgraphs they stand
+    for."""
 
+    __slots__ = ()
 
-def _inf_edge_id(g: MultiGraph, u, v):
-    if g.directed:
-        return ("inf", u, v)
-    a, b = sorted((u, v), key=cell_sort_key)
-    return ("inf", a, b)
+    @property
+    def sort_key(self) -> tuple:
+        return (_ranks(self[0]), _ranks(self[1]), _ranks(self[2]))
 
 
 def starting_vertex_faces(members: Sequence[MarkedSubgraph],
@@ -287,43 +317,49 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
     d_j removes the j-th layer of the neighborhood-extension partition and,
     for interior layers, patches the removed layer with formal ∞ edges of
     the extension Ĝ from layer j-1 to layer j+1 wherever the subgraph has no
-    own edge.  The result is dominated by Ĝ; marked cells are those carrying
-    no ∞ edges, i.e. the subgraphs of g itself.
+    own edge.  The result is dominated by Ĝ; marked cells are those whose
+    edges are all edges of g, i.e. the subgraphs of g itself.
     """
     ghat = extend_graph(g)
+    masks = ghat._rank_masks()
+    inc, pairs = masks.inc, masks.pairs
+    formal = sum(1 << r for e, r in ghat._erank.items() if e not in g.edge_ends)
     seeds = []
     for m in members:
         if not m.subgraph.vertices:
             raise ValueError("members must have at least one vertex")
-        sub = m.subgraph
-        if sub.host is not ghat:
-            if not is_subgraph(sub, g):
-                raise ValueError(f"member is not a subgraph of the working graph: {m!r}")
-            sub = Subgraph(ghat, sub.vertices, sub.edges)
-        seeds.append(MarkedSubgraph(sub, m.sv))
+        if not is_subgraph(m.subgraph, g):
+            raise ValueError(f"member is not a subgraph of the working graph: {m!r}")
+        vm, em = _cell_of(Subgraph(ghat, m.subgraph.vertices, m.subgraph.edges))
+        seeds.append(_StartCell((vm, em, _vertex_mask(ghat, m.sv))))
 
-    def grade(cell: MarkedSubgraph) -> int:
-        return len(bfs_layers(cell.subgraph, cell.sv)) - 1
+    def grade(cell: _StartCell) -> int:
+        return len(_layer_masks(masks, cell[1], cell[2])) - 1
 
-    def face_fn(cell: MarkedSubgraph):
-        layers = bfs_layers(cell.subgraph, cell.sv)
+    def face_fn(cell: _StartCell) -> list[_StartCell]:
+        vm, em, sm = cell
+        layers = _layer_masks(masks, em, sm)
         n = len(layers) - 1
         out = []
-        for j in range(n + 1):
-            keep = cell.subgraph.vertices - layers[j]
-            base = cell.subgraph.restrict(keep)
+        for j, layer in enumerate(layers):
+            drop = 0
+            for r in _ranks(layer):
+                drop |= inc[r]
+            face_em = em & ~drop
             if 0 < j < n:
-                patch = []
-                for v in layers[j - 1]:
-                    for w in layers[j + 1]:
-                        if not cell.subgraph.has_edge_between(v, w):
-                            patch.append(_inf_edge_id(ghat, v, w))
-                base = base.add_edges(patch)
-            sv = layers[1] if j == 0 else layers[0]
-            out.append(MarkedSubgraph(base, sv))
+                for v in _ranks(layers[j - 1]):
+                    for w in _ranks(layers[j + 1]):
+                        if not pairs[v, w] & em:
+                            face_em |= pairs[v, w] & formal
+            out.append(_StartCell((vm ^ layer, face_em, layers[1] if j == 0 else sm)))
         return out
 
-    ds, _ = close_under_faces(seeds, grade, face_fn)
+    def label(cell: _StartCell) -> MarkedSubgraph:
+        vm, em, sm = cell
+        return MarkedSubgraph(_subgraph_of(ghat, _Cell((vm, em))),
+                              frozenset(ghat._vids[r] for r in _ranks(sm)))
+
+    ds, _ = relabel(close_under_faces(seeds, grade, face_fn), label)
     marked_cells = [(n, j) for n, j in ds.cells()
-                    if not any(_is_inf_edge(e) for e in ds.label(n, j).subgraph.edges)]
+                    if ds.label(n, j).subgraph.edges.issubset(g.edge_ends)]
     return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))

@@ -3,11 +3,12 @@ built from them (clique Δ-set, neighborhood complex, path complex)."""
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product
 from typing import Hashable, Iterable, Mapping
 
 from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
-                    close_under_faces, tuple_faces, tuple_grade)
+                    close_under_faces, relabel, tuple_faces, tuple_grade)
 
 
 class MultiGraph:
@@ -158,38 +159,6 @@ class Subgraph:
                               tuple(sorted([erank[e] for e in self.edges])))
         return self._sort_key
 
-    def delete_vertex(self, v) -> "Subgraph":
-        """Remove v together with all incident edges."""
-        keep = self.vertices - {v}
-        es = [e for e in self.edges if v not in self.host.edge_ends[e]]
-        return Subgraph(self.host, keep, es)
-
-    def restrict(self, vertices: Iterable) -> "Subgraph":
-        """Induced subgraph of self on a vertex subset."""
-        vs = frozenset(vertices) & self.vertices
-        es = [e for e in self.edges
-              if self.host.edge_ends[e][0] in vs and self.host.edge_ends[e][1] in vs]
-        return Subgraph(self.host, vs, es)
-
-    def add_edges(self, edges: Iterable) -> "Subgraph":
-        return Subgraph(self.host, self.vertices, self.edges | frozenset(edges))
-
-    def out_neighbors_in(self, vs: Iterable) -> set:
-        """Vertices of self reachable by one (directed) edge from the set vs."""
-        vs = set(vs)
-        out = set()
-        for e in self.edges:
-            u, w = self.host.edge_ends[e]
-            if u in vs and w not in vs:
-                out.add(w)
-            if not self.host.directed and w in vs and u not in vs:
-                out.add(u)
-        return out
-
-    def has_edge_between(self, u, v) -> bool:
-        """True iff self has an edge from u to v (between, when undirected)."""
-        return any(e in self.edges for e in self.host._between.get((u, v), ()))
-
     def __eq__(self, other):
         return (isinstance(other, Subgraph) and self.vertices == other.vertices
                 and self.edges == other.edges)
@@ -226,14 +195,16 @@ class _RankMasks:
     `inc[r]` masks the edges incident to vertex r, loops included;
     `pairs[a, b]` masks the edges from a to b, in both orders when
     undirected, as `_between` does; `nbrs[r]` masks the vertices adjacent
-    to r ignoring direction and loops; `loops` masks the loops."""
+    to r ignoring direction and loops, `out[r]` those reached from r by an
+    edge (`nbrs` itself when undirected); `loops` masks the loops."""
 
-    __slots__ = ("inc", "pairs", "nbrs", "loops")
+    __slots__ = ("inc", "pairs", "nbrs", "out", "loops")
 
     def __init__(self, g: MultiGraph):
         vrank, erank = g._vrank, g._erank
         self.inc = inc = [0] * len(vrank)
         self.nbrs = nbrs = [0] * len(vrank)
+        self.out = out = [0] * len(vrank) if g.directed else nbrs
         self.pairs = pairs = {}
         self.loops = 0
         for e, (u, v) in g.edge_ends.items():
@@ -247,7 +218,9 @@ class _RankMasks:
                 continue
             nbrs[a] |= 1 << b
             nbrs[b] |= 1 << a
-            if not g.directed:
+            if g.directed:
+                out[a] |= 1 << b
+            else:
                 pairs[b, a] = pairs.get((b, a), 0) | bit
 
     def induced(self, vmask: int) -> int:
@@ -320,21 +293,6 @@ def vertex_deletion_map(host: MultiGraph):
     return faces
 
 
-def subgraph_closure(host: MultiGraph, closure: tuple[DeltaSet, GradedSubset]
-                     ) -> tuple[DeltaSet, GradedSubset]:
-    """A `close_under_faces` result over cells of host, with every cell
-    label replaced by its subgraph.  Each cell is dropped as its subgraph
-    is built, so the cells and the subgraphs are not all held at once."""
-    ds, marked = closure
-    del closure
-    rows = [list(row) for row in ds.labels]
-    ds = ds.with_labels(None)
-    for row in rows:
-        for j, cell in enumerate(row):
-            row[j] = _subgraph_of(host, cell)
-    return ds.with_labels(rows), marked
-
-
 # ---------------------------------------------------------------------------
 # Cliques
 # ---------------------------------------------------------------------------
@@ -383,8 +341,8 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
         raise ValueError("clique Δ-set is defined for undirected graphs")
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    ds, _ = subgraph_closure(g, close_under_faces(
-        _clique_cells(g, max_dim + 1), vertex_grade, vertex_deletion_map(g)))
+    ds, _ = relabel(close_under_faces(_clique_cells(g, max_dim + 1), vertex_grade,
+                                      vertex_deletion_map(g)), partial(_subgraph_of, g))
     return ds
 
 
@@ -417,6 +375,7 @@ def completion(g: MultiGraph) -> MultiGraph:
 
     Between every ordered pair of distinct vertices there is exactly one
     edge: g's own edge when present, else a synthetic ("inf", u, v) edge.
+    Raises when g has an edge with the id of a synthetic edge it needs.
     """
     if not g.directed or not g.is_simple():
         raise ValueError("completion requires a simple digraph")
@@ -425,7 +384,10 @@ def completion(g: MultiGraph) -> MultiGraph:
     for u in g.vertices:
         for v in g.vertices:
             if u != v and (u, v) not in present:
-                edges[("inf", u, v)] = (u, v)
+                e = ("inf", u, v)
+                if e in edges:
+                    raise ValueError(f"edge id {e!r} is the id of a synthetic completion edge")
+                edges[e] = (u, v)
     return MultiGraph(g.vertices, edges, directed=True)
 
 
@@ -446,9 +408,9 @@ def path_complex(g: MultiGraph, max_len: int) -> SuperHypergraph:
 
     Parental cells in dimension k are the injective vertex sequences of
     length k+1 (k <= max_len), i.e. the directed paths of the completion;
-    d_i deletes the i-th vertex.  Marked cells are the sequences whose every
-    consecutive pair is an edge of g: the directed paths of g itself.
-    Embedded homology of the result is the path homology input.
+    d_i deletes the i-th vertex.  Marked cells are the paths whose edges
+    are all edges of g: the directed paths of g itself.  Embedded homology
+    of the result is the path homology input.
     """
     if not g.directed or not g.is_simple():
         raise ValueError("path complex requires a simple digraph")
@@ -470,14 +432,7 @@ def path_complex(g: MultiGraph, max_len: int) -> SuperHypergraph:
     for v in vs:
         extend((v,))
 
-    ds, _ = close_under_faces(sequences, tuple_grade, tuple_faces)
-
-    edge_set = {ends: e for e, ends in g.edge_ends.items()}
-    marked_cells = []
-    for n, j in ds.cells():
-        seq = ds.label(n, j)
-        if all((a, b) in edge_set for a, b in zip(seq, seq[1:])):
-            marked_cells.append((n, j))
-    labels = [[path_subgraph(comp, ds.label(n, j)) for j in range(ds.counts[n])]
-              for n in range(ds.dim_count)]
-    return SuperHypergraph(ds.with_labels(labels), GradedSubset.from_cells(marked_cells))
+    ds, _ = relabel(close_under_faces(sequences, tuple_grade, tuple_faces),
+                    partial(path_subgraph, comp))
+    marked_cells = [(n, j) for n, j in ds.cells() if ds.label(n, j).edges.issubset(g.edge_ends)]
+    return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))

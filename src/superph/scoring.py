@@ -15,7 +15,7 @@ import math
 import random
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graphs import Subgraph
+from .graphs import Subgraph, _cell_of, _subgraph_of, vertex_deletion_map
 
 Point = tuple[float, ...]
 
@@ -279,8 +279,9 @@ def seeded_random_scheme(seed: int) -> ScoringScheme:
 
 def is_regular_scheme(s: ScoringScheme, fam) -> tuple[bool, tuple | None]:
     """Monotonicity check over all comparable member pairs plus all
-    single-deletion covers of members; returns a violating (smaller, larger)
-    pair when one exists."""
+    single-deletion covers of members (the vertex-deletion faces, then the
+    single-edge deletions); returns a violating (smaller, larger) pair when
+    one exists."""
     members = list(fam)
     tol = 1e-12
 
@@ -295,10 +296,10 @@ def is_regular_scheme(s: ScoringScheme, fam) -> tuple[bool, tuple | None]:
                 if not check(p, q):
                     return False, (p, q)
     for m in members:
-        for v in sorted(m.vertices, key=repr):
-            if len(m.vertices) > 1:
-                small = m.delete_vertex(v)
-                if small.vertices and not check(small, m):
+        if len(m.vertices) > 1:
+            for cell in vertex_deletion_map(m.host)(_cell_of(m)):
+                small = _subgraph_of(m.host, cell)
+                if not check(small, m):
                     return False, (small, m)
         for e in sorted(m.edges, key=repr):
             small = Subgraph(m.host, m.vertices, m.edges - {e})

@@ -38,10 +38,13 @@ library's indexed ones replaced: they read a graph's incidence map or build
 the library's `DeltaSet`, but scan every edge per query and call face_fn
 twice per cell.  The closure orders its cells by `recursive_sort_key`,
 which compares the labels' ids, where the library compares a subgraph's
-host ranks.  The subgraph face maps of the vertex-deletion, partition and
-link-blowup constructions, and the clique enumeration, build every face as
-a checked `Subgraph` by the `Subgraph` methods and those scans, where the
-library closes bitmasks over the host's ranks.
+host ranks.  The subgraph face operations (vertex deletion, restriction,
+edge addition, one-edge reach and the layer BFS on a `Subgraph`) and on
+them the face maps of the vertex-deletion, partition, link-blowup and
+starting-vertex constructions, and the clique enumeration, build every
+face as a checked `Subgraph` (a `MarkedSubgraph` for starting-vertex
+faces) from id sets and those scans, where the library closes bitmasks
+over the host's ranks.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ from typing import Sequence
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            GradedSubset, SuperHypergraph, cell_sort_key,
                            delta_closure, full_subset, max_delta_subset)
+from superph.faceops import MarkedSubgraph
 from superph.fields import GF2, Field, FieldMatrix, Span, rref
+from superph.graphs import Subgraph
 from superph.homology import MvReport, MvRow, boundary_matrices
 from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
                                  TriangleRow)
@@ -579,14 +584,6 @@ def brute_zb_dims_gf2(sh, n):
     return z_dim, b_dim
 
 
-def gf2_span_members(vectors):
-    """All elements of the GF(2) span of bitmask vectors."""
-    span = {0}
-    for v in vectors:
-        span |= {s ^ v for s in span}
-    return span
-
-
 # ---------------------------------------------------------------------------
 # Independent elimination (forward only, no reuse of the library)
 # ---------------------------------------------------------------------------
@@ -636,25 +633,6 @@ def intersect_span_with_inside_gf2(masks, inside_cols, width):
                 basis[low] = v
                 break
     return [remap(v, back) for v in basis.values() if v < inside_limit]
-
-
-def dim_span_fractions(vectors):
-    """Dimension of the span of rational vectors, echelon keyed by pivot."""
-    basis: dict[int, list[Fraction]] = {}
-    for v in vectors:
-        v = [Fraction(x) for x in v]
-        while True:
-            nz = next((i for i, a in enumerate(v) if a), None)
-            if nz is None:
-                break
-            if nz in basis:
-                b = basis[nz]
-                c = v[nz] / b[nz]
-                v = [a - c * x for a, x in zip(v, b)]
-            else:
-                basis[nz] = v
-                break
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,7 +1142,7 @@ def brute_primary_closure_keys(members):
         seen.add(sub.key)
         if len(sub.vertices) > 1:
             for v in sorted(sub.vertices, key=cell_sort_key):
-                stack.append(sub.delete_vertex(v))
+                stack.append(delete_vertex(sub, v))
         elif len(sub.vertices) == 1:
             pass
     return seen
@@ -1263,14 +1241,6 @@ def two_pass_close_under_faces(seeds, grade, face_fn):
     return ds, marked
 
 
-def exhaustive_subsets(items, max_size=None):
-    items = list(items)
-    n = len(items) if max_size is None else min(len(items), max_size)
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            yield combo
-
-
 # ---------------------------------------------------------------------------
 # Witness scores
 # ---------------------------------------------------------------------------
@@ -1301,6 +1271,23 @@ def per_pair_witness_score(lam, pc, variant, witnesses=None):
 
 
 # ---------------------------------------------------------------------------
+# Scheme regularity
+# ---------------------------------------------------------------------------
+
+def monotone_on_covers(scheme, members) -> bool:
+    """Whether a scheme's scores never drop from a member to a larger one,
+    nor from a member's single-vertex (`delete_vertex`) or single-edge
+    deletion to the member, within 1e-12."""
+    pairs = [(p, q) for p in members for q in members
+             if p is not q and p.vertices <= q.vertices and p.edges <= q.edges]
+    for m in members:
+        if len(m.vertices) > 1:
+            pairs += [(delete_vertex(m, v), m) for v in m.vertices]
+        pairs += [(Subgraph(m.host, m.vertices, m.edges - {e}), m) for e in m.edges]
+    return all(scheme.score(small) <= scheme.score(large) + 1e-12 for small, large in pairs)
+
+
+# ---------------------------------------------------------------------------
 # Scanning graph lookups
 # ---------------------------------------------------------------------------
 
@@ -1323,10 +1310,60 @@ def scan_neighbors(g, v):
     return out
 
 
-def scan_has_edge_between(sub, u, v):
+# ---------------------------------------------------------------------------
+# Subgraph face operations
+# ---------------------------------------------------------------------------
+
+def delete_vertex(sub, v):
+    """The subgraph without v and its incident edges."""
+    ends = sub.host.edge_ends
+    return Subgraph(sub.host, sub.vertices - {v}, [e for e in sub.edges if v not in ends[e]])
+
+
+def restrict(sub, vertices):
+    """The subgraph induced by sub on a vertex subset."""
+    vs = frozenset(vertices) & sub.vertices
+    ends = sub.host.edge_ends
+    return Subgraph(sub.host, vs, [e for e in sub.edges if ends[e][0] in vs and ends[e][1] in vs])
+
+
+def add_edges(sub, edges):
+    return Subgraph(sub.host, sub.vertices, sub.edges | frozenset(edges))
+
+
+def out_neighbors_in(sub, vs):
+    """Vertices of sub outside vs reached by one (directed) edge of sub
+    from vs."""
+    vs = set(vs)
+    out = set()
+    for e in sub.edges:
+        u, w = sub.host.edge_ends[e]
+        if u in vs and w not in vs:
+            out.add(w)
+        if not sub.host.directed and w in vs and u not in vs:
+            out.add(u)
+    return out
+
+
+def has_edge_between(sub, u, v):
     """True iff the subgraph has an edge from u to v (between, when
-    undirected), by a scan of its edges."""
+    undirected), by a scan of the host's edges."""
     return any(e in sub.edges for e in scan_edges_between(sub.host, u, v))
+
+
+def subgraph_bfs_layers(sub, start):
+    """Neighborhood-extension partition: V_0 = start, V_{j+1} = the (out-)
+    link of V_j outside the layers so far, until no new vertices appear."""
+    if not start:
+        return []
+    layers = [frozenset(start)]
+    assigned = set(start)
+    while True:
+        nxt = out_neighbors_in(sub, layers[-1]) - assigned
+        if not nxt:
+            return layers
+        layers.append(frozenset(nxt))
+        assigned |= nxt
 
 
 # ---------------------------------------------------------------------------
@@ -1341,7 +1378,7 @@ def vertex_deletion_grade(sub):
 def vertex_deletion_faces(sub):
     """d_i deletes the i-th vertex, in `cell_sort_key` order of the ids,
     together with its incident edges."""
-    return [sub.delete_vertex(v) for v in sorted(sub.vertices, key=cell_sort_key)]
+    return [delete_vertex(sub, v) for v in sorted(sub.vertices, key=cell_sort_key)]
 
 
 def secondary_deletion_faces(sub):
@@ -1350,7 +1387,7 @@ def secondary_deletion_faces(sub):
     ordered = sorted(sub.vertices, key=cell_sort_key)
     out = vertex_deletion_faces(sub)
     for i in range(1, len(ordered) - 1):
-        out[i] = out[i].add_edges(scan_edges_between(sub.host, ordered[i - 1], ordered[i + 1]))
+        out[i] = add_edges(out[i], scan_edges_between(sub.host, ordered[i - 1], ordered[i + 1]))
     return out
 
 
@@ -1369,7 +1406,7 @@ def partition_face_map(clustering):
     """d_j restricts a subgraph to the vertices outside its j-th touched
     cluster."""
     def faces(sub):
-        return [sub.restrict(sub.vertices - clustering.blocks[k])
+        return [restrict(sub, sub.vertices - clustering.blocks[k])
                 for k in touched_clusters(clustering, sub)]
 
     return faces
@@ -1386,7 +1423,42 @@ def link_blowup_face_map(clustering):
             link = set().union(*(scan_neighbors(host, v) for v in vj)) - vj
             blow = link & sub.vertices
             induced = [e for e, (u, w) in host.edge_ends.items() if u in blow and w in blow]
-            out.append(sub.restrict(sub.vertices - vj).add_edges(induced))
+            out.append(add_edges(restrict(sub, sub.vertices - vj), induced))
+        return out
+
+    return faces
+
+
+def starting_vertex_grade(cell):
+    """Grade of a marked subgraph: its number of layers minus one."""
+    return len(subgraph_bfs_layers(cell.subgraph, cell.sv)) - 1
+
+
+def formal_edge_id(ghat, u, v):
+    """The id of the formal ∞ edge of the extension Ĝ from u to v (between
+    them, in `cell_sort_key` order, when undirected)."""
+    if ghat.directed:
+        return ("inf", u, v)
+    return ("inf",) + tuple(sorted((u, v), key=cell_sort_key))
+
+
+def starting_vertex_face_map(ghat):
+    """d_j removes layer j of a marked subgraph of the extension Ĝ with its
+    incident edges; for an interior layer it adds the formal edge from each
+    vertex of layer j-1 to each vertex of layer j+1 that the subgraph has
+    no edge from.  d_0 starts from layer 1, every other face from layer 0."""
+    def faces(cell):
+        sub = cell.subgraph
+        layers = subgraph_bfs_layers(sub, cell.sv)
+        n = len(layers) - 1
+        out = []
+        for j in range(n + 1):
+            face = restrict(sub, sub.vertices - layers[j])
+            if 0 < j < n:
+                face = add_edges(face, [formal_edge_id(ghat, v, w)
+                                        for v in layers[j - 1] for w in layers[j + 1]
+                                        if not has_edge_between(sub, v, w)])
+            out.append(MarkedSubgraph(face, layers[1] if j == 0 else layers[0]))
         return out
 
     return faces

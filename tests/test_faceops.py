@@ -5,17 +5,18 @@ import random
 
 import pytest
 
-import superph.faceops
-from superph import (Clustering, MarkedSubgraph, MultiGraph, SubgraphFamily,
+from superph import (Clustering, MarkedSubgraph, MultiGraph, Subgraph, SubgraphFamily,
                      cliques, clique_delta, edge_deletion_complex,
                      extend_graph, link_blowup_faces, partition_faces,
                      primary_vertex_deletion, secondary_vertex_deletion,
                      starting_vertex_faces)
-from superph.delta import cell_sort_key, close_under_faces, full_subset
+from superph.delta import GradedSubset, cell_sort_key, full_subset
 from superph.faceops import bfs_layers
 
 from oracles import (brute_cliques, brute_primary_closure_keys, cluster_grade,
-                     link_blowup_face_map, partition_face_map, secondary_deletion_faces,
+                     link_blowup_face_map, partition_face_map, restrict,
+                     secondary_deletion_faces, starting_vertex_face_map,
+                     starting_vertex_grade, subgraph_bfs_layers,
                      two_pass_close_under_faces, vertex_deletion_faces,
                      vertex_deletion_grade)
 from test_graphs import random_multigraph
@@ -395,6 +396,20 @@ def test_extend_graph_edge_counts():
     assert len(extend_graph(gu).edge_ends) == 1 + 3
 
 
+def test_extend_graph_rejects_an_edge_id_of_a_formal_edge():
+    # g's edge a -> b carries the id of the formal a -> c edge, which would
+    # silently replace it and leave c unreachable in a valid member
+    g = MultiGraph("abc", {("inf", "a", "c"): ("a", "b"), "e2": ("b", "c")}, directed=True)
+    with pytest.raises(ValueError, match="'inf', 'a', 'c'"):
+        extend_graph(g)
+    member = MarkedSubgraph(g.full(), frozenset("a"))
+    with pytest.raises(ValueError, match="'inf', 'a', 'c'"):
+        starting_vertex_faces([member], g)
+    gu = MultiGraph("ab", {("inf", "a", "b"): ("a", "b")})
+    with pytest.raises(ValueError, match="formal"):
+        extend_graph(gu)
+
+
 # ---------------------------------------------------------------------------
 # the one-pass face closure against the two-pass oracle
 # ---------------------------------------------------------------------------
@@ -403,7 +418,7 @@ def random_marked_member(rng, g):
     """A random subgraph cut down to what its first vertex reaches."""
     sub = random_subgraph(rng, g)
     sv = frozenset(sorted(sub.vertices, key=cell_sort_key)[:1])
-    return MarkedSubgraph(sub.restrict(set().union(*bfs_layers(sub, sv))), sv)
+    return MarkedSubgraph(restrict(sub, set().union(*subgraph_bfs_layers(sub, sv))), sv)
 
 
 def random_clustering(rng, g):
@@ -413,38 +428,37 @@ def random_clustering(rng, g):
     return Clustering(g, list(blocks.values()))
 
 
-def assert_matches_oracle(x, marked, seeds, grade, face_fn):
+def assert_matches_oracle(x, marked, seeds, grade, face_fn, marks=None):
     """A construction's Δ-set and marks against the two-pass oracle's
     closure of its seeds under a `Subgraph` face map of `oracles`, whose
-    cell order compares ids: counts, faces, label keys and marks."""
+    cell order compares ids: counts, faces, label keys and marks.  The
+    oracle's marks are marks(its Δ-set) when given, else its seeds."""
     want_x, want_marked = two_pass_close_under_faces(seeds, grade, face_fn)
     assert x.counts == want_x.counts and x.faces == want_x.faces
     assert [[lab.key for lab in row] for row in x.labels] == \
         [[lab.key for lab in row] for row in want_x.labels]
-    assert marked == want_marked
+    assert marked == (want_marked if marks is None else marks(want_x))
 
 
-def compare_with_two_pass_oracle(monkeypatch):
+def formal_free_cells(x):
+    """The cells of a starting-vertex Δ-set whose labels carry no formal
+    ("inf", u, v) edge."""
+    return GradedSubset.from_cells(
+        (n, j) for n, j in x.cells()
+        if not any(isinstance(e, tuple) and e[0] == "inf" for e in x.label(n, j).subgraph.edges))
+
+
+def compare_with_two_pass_oracle():
     """A function running the six constructions on its arguments, each
-    checked by `assert_matches_oracle`.  Starting-vertex faces keep their
-    face map to themselves: their closure is compared with the oracle on
-    its raw labels.  Returns the function and the list of compared Δ-set
-    shapes."""
+    checked by `assert_matches_oracle`; starting-vertex faces are closed
+    over their members rebuilt on the extension Ĝ, and marked where they
+    carry no formal ∞ edge.  Returns the function and the list of compared
+    Δ-set shapes."""
     compared = []
 
-    def check(x, marked, seeds, grade, face_fn):
-        assert_matches_oracle(x, marked, seeds, grade, face_fn)
+    def check(x, marked, seeds, grade, face_fn, marks=None):
+        assert_matches_oracle(x, marked, seeds, grade, face_fn, marks)
         compared.append(x.counts)
-
-    def both(seeds, grade, face_fn):
-        seeds = list(seeds)
-        want_ds, want_marked = two_pass_close_under_faces(seeds, grade, face_fn)
-        ds, marked = close_under_faces(seeds, grade, face_fn)
-        assert ds.counts == want_ds.counts and ds.faces == want_ds.faces
-        assert ds.labels == want_ds.labels
-        assert marked == want_marked
-        compared.append(ds.counts)
-        return ds, marked
 
     def run(clique_host, fam, secondary_fam, clus, sv_members, sv_host):
         x = clique_delta(clique_host, max_dim=3)
@@ -459,15 +473,18 @@ def compare_with_two_pass_oracle(monkeypatch):
         check(sh.x, sh.h, fam.members, cluster_grade(clus), partition_face_map(clus))
         sh = link_blowup_faces(fam, clus)
         check(sh.x, sh.h, fam.members, cluster_grade(clus), link_blowup_face_map(clus))
-        with monkeypatch.context() as m:
-            m.setattr(superph.faceops, "close_under_faces", both)
-            starting_vertex_faces(sv_members, sv_host)
+        sh = starting_vertex_faces(sv_members, sv_host)
+        ghat = extend_graph(sv_host)
+        seeds = [MarkedSubgraph(Subgraph(ghat, m.subgraph.vertices, m.subgraph.edges), m.sv)
+                 for m in sv_members]
+        check(sh.x, sh.h, seeds, starting_vertex_grade, starting_vertex_face_map(ghat),
+              formal_free_cells)
 
     return run, compared
 
 
-def test_close_under_faces_matches_two_pass_oracle(monkeypatch):
-    run, compared = compare_with_two_pass_oracle(monkeypatch)
+def test_close_under_faces_matches_two_pass_oracle():
+    run, compared = compare_with_two_pass_oracle()
     rng = random.Random(0xFACE)
     for _ in range(6):
         g = random_graph(rng, rng.randint(3, 6), p=0.6)
@@ -492,10 +509,10 @@ def simple_part(g):
     return MultiGraph(g.vertices, edges)
 
 
-def test_close_under_faces_matches_two_pass_oracle_on_mixed_ids(monkeypatch):
+def test_close_under_faces_matches_two_pass_oracle_on_mixed_ids():
     # int, str and tuple ids, loops and parallel edges; some members are
     # built on a smaller host object, whose ranks differ from the family's
-    run, compared = compare_with_two_pass_oracle(monkeypatch)
+    run, compared = compare_with_two_pass_oracle()
     rng = random.Random(0xD1CE)
     hosts = 0
     while hosts < 6:

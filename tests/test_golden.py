@@ -2,10 +2,12 @@
 
 The benchmark's references pin only GF(2) persist outputs and static Q
 tables.  These jobs pin the sha256 of barcodes.csv, correlation.csv and
-triangle.csv over GF(3) and Q on partially marked families, and of one
-experimental (non-regular) scheme, so any change to the reduction engine
-that moves a pivot, a representative or a row shows here.  The inputs are
-written from a seeded generator with fixed-precision coordinates.
+triangle.csv over GF(3) and Q on partially marked families, of one
+experimental (non-regular) scheme, and of one starting-vertex family on
+the ∞-extension of a digraph, so any change to the reduction engine that
+moves a pivot, a representative or a row, or to the starting-vertex face
+closure that moves a cell, shows here.  The inputs are written from a
+seeded generator with fixed-precision coordinates.
 """
 
 import hashlib
@@ -20,11 +22,8 @@ from superph.cli import main
 OUTPUTS = ("barcodes.csv", "correlation.csv", "triangle.csv")
 
 
-def write_inputs(tmp_path, name: str, points: int, share: float):
-    """A noisy circle, its complete graph, and a seeded family of vertex
-    sets of size at most 3 (each kept with probability `share`) with their
-    induced edges; H is the family, X its closure under vertex deletion."""
-    rng = random.Random(name)
+def write_cloud(tmp_path, rng, points: int) -> list[str]:
+    """A noisy circle of `points` named points; returns the names."""
     names = [f"p{i}" for i in range(points)]
     lines = []
     for i, v in enumerate(names):
@@ -32,6 +31,15 @@ def write_inputs(tmp_path, name: str, points: int, share: float):
         r = 1 + rng.gauss(0, 0.05)
         lines.append(f"{v} {r * math.cos(a):.6f} {r * math.sin(a):.6f}\n")
     (tmp_path / "cloud.xy").write_text("".join(lines))
+    return names
+
+
+def write_inputs(tmp_path, name: str, points: int, share: float):
+    """A noisy circle, its complete graph, and a seeded family of vertex
+    sets of size at most 3 (each kept with probability `share`) with their
+    induced edges; H is the family, X its closure under vertex deletion."""
+    rng = random.Random(name)
+    names = write_cloud(tmp_path, rng, points)
     edges = {e: f"e{k}" for k, e in enumerate(itertools.combinations(names, 2))}
     (tmp_path / "graph.txt").write_text(
         "directed 0\n" + "".join(f"v {v}\n" for v in names)
@@ -50,28 +58,61 @@ def write_inputs(tmp_path, name: str, points: int, share: float):
             "--max-dim", "2"]
 
 
+def write_sv_inputs(tmp_path, name: str, points: int, share: float):
+    """A noisy circle, a digraph on it keeping each arc with probability
+    `share`, and one member per vertex: the vertex as its starting vertex
+    plus up to three vertices reached along seeded arcs out of the member
+    so far.  X is the members' closure under starting-vertex faces on the
+    ∞-extension, H its ∞-free cells."""
+    rng = random.Random(name)
+    names = write_cloud(tmp_path, rng, points)
+    arcs = {}
+    for u, v in itertools.permutations(names, 2):
+        if rng.random() < share:
+            arcs[f"a{len(arcs)}"] = (u, v)
+    (tmp_path / "graph.txt").write_text(
+        "directed 1\n" + "".join(f"v {v}\n" for v in names)
+        + "".join(f"e {e} {u} {v}\n" for e, (u, v) in arcs.items()))
+    family = []
+    for start in names:
+        reached, chosen = [start], []
+        for e, (u, v) in arcs.items():
+            if u in reached and v not in reached and len(reached) < 4 and rng.random() < 0.5:
+                reached.append(v)
+                chosen.append(e)
+        family.append(f"member\nv {' '.join(reached)}\n"
+                      + (f"e {' '.join(chosen)}\n" if chosen else "") + f"sv {start}\n")
+    (tmp_path / "family.txt").write_text("".join(family))
+    return ["--cloud", str(tmp_path / "cloud.xy"), "--graph", str(tmp_path / "graph.txt"),
+            "--family", str(tmp_path / "family.txt"), "--construction", "starting_vertex"]
+
+
 JOBS = {
-    "gf3_partial": (9, 0.6, ["--scheme", "vr", "--field", "gfp:3"], (
+    "gf3_partial": (write_inputs, 9, 0.6, ["--scheme", "vr", "--field", "gfp:3"], (
         "2e3e836d6d6bfb5501ad51e36b62f95d8f2b8c3b349a8a6a6ca1f310b603d8ea",
         "7a49c60635fd94fd865b6b07068833deb722fb75f0324c2f3ae924580330ab0e",
         "36277556b2231b02bbed9c12faa6070e5f09bc39252e01e3d6f24293a938eda5")),
-    "rational_partial": (7, 0.6, ["--scheme", "vr", "--field", "rational"], (
+    "rational_partial": (write_inputs, 7, 0.6, ["--scheme", "vr", "--field", "rational"], (
         "3a0997bf6a386b81be3af3cc2fcc8ad937dd1cf99fc0f4807f59dbe7062a99fc",
         "0d48a2964e01bb287cd1c308d7c5cbe3f9706b6cf225c30c7f88eafd9d6022de",
         "25fe42a1c5077d76ae5090117ca140e9e8cf35a295596c35c6e8e7c00da8a6ff")),
-    "experimental_nonregular": (8, 0.7, ["--scheme", "seeded_random", "--seed", "5",
-                                         "--field", "gf2", "--experimental"], (
+    "experimental_nonregular": (write_inputs, 8, 0.7, [
+        "--scheme", "seeded_random", "--seed", "5", "--field", "gf2", "--experimental"], (
         "d1438974783c383ee59b5d3a27436621a425811134b28ce482e95b8d1fe22637",
         "9e9b5c5720d280cf8a22ffe21a642f138098db0eab2e45b6a2da53a460ae1b53",
         "7bb4b4c7f156de92fc10b4288f53f5631869177cdc2b52850736fbb608440f62")),
+    "starting_vertex": (write_sv_inputs, 7, 0.35, ["--scheme", "vr", "--field", "gf2"], (
+        "4af390ed450ff91a34fd82dde4358063b8d34f0757ae504cd331a7593ecd440f",
+        "484647507ce37f8133446304ec59d83790a576d2d081429ec60d34c336785f5f",
+        "43661a75c7a97b46f0e332d6b5d77f9b6f86fdcbe405827fe29d217567a0484b")),
 }
 
 
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_persist_outputs_match_golden_digests(tmp_path, job):
-    points, share, flags, digests = JOBS[job]
+    write, points, share, flags, digests = JOBS[job]
     out = tmp_path / "out"
-    assert main(["persist"] + write_inputs(tmp_path, job, points, share) + flags
+    assert main(["persist"] + write(tmp_path, job, points, share) + flags
                 + ["--out", str(out)]) == 0
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
     assert got == digests

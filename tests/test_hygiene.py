@@ -1,12 +1,14 @@
 """Static hygiene of the package sources: no module imports a name it never
 reads (`superph/__init__.py` is skipped, since its imports are the
-package's exports), and no private top-level definition is left unused."""
+package's exports), and no private top-level definition is left unused.
+Of the test oracles, every top-level definition is read by a test module
+or by another definition of the oracles."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "superph")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "superph")
 
 
 def unread_imports(source: str) -> list[tuple[int, str]]:
@@ -90,3 +92,50 @@ def test_package_has_no_unread_private_definitions():
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 sources[name[:-3]] = fh.read()
     assert unread_private_definitions(sources) == []
+
+
+def unread_oracles(oracles: str, tests: list[str]) -> list[tuple[int, str]]:
+    """(line, name) of every top-level definition of the oracles source that
+    no test source reads (by `from oracles import`, or as an attribute of
+    the `oracles` module) and no other top-level definition of the oracles
+    reads by name."""
+    tree = ast.parse(oracles)
+    read = set()
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined += [(node.lineno, name) for name in names]
+        inner = {n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= inner - set(names)
+    for source in tests:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                read.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "oracles":
+                read.add(node.attr)
+    return [(line, name) for line, name in defined if name not in read]
+
+
+def test_unread_oracles_detector():
+    oracles = ("LIMIT = 3\ndef used(): return helper()\ndef helper(): return LIMIT\n"
+               "def attr(): pass\ndef lost(): return lost()\nclass Gone: pass\n")
+    tests = ["from oracles import used\n", "import oracles\noracles.attr()\n"]
+    assert unread_oracles(oracles, tests) == [(5, "lost"), (6, "Gone")]
+
+
+def test_every_oracle_is_read():
+    sources = {}
+    for name in sorted(os.listdir(TESTS)):
+        if name.endswith(".py"):
+            with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    oracles = sources.pop("oracles.py")
+    assert unread_oracles(oracles, list(sources.values())) == []

@@ -9,10 +9,10 @@ from superph import (MultiGraph, PointCloud, SubgraphFamily,
                      cech_points, cech_score, clique_delta, constant_scheme,
                      critical_values, is_regular_scheme, min_enclosing_ball,
                      pullback_score, seeded_random_scheme, vr_points,
-                     vr_scheme, vr_score, witness_score)
+                     vr_scheme, vr_score, witness_scheme, witness_score)
 from superph.scoring import round_score
 
-from oracles import per_pair_witness_score
+from oracles import monotone_on_covers, per_pair_witness_score
 
 from conftest import unit_square_cloud
 
@@ -228,7 +228,6 @@ def test_constant_scheme_regular():
 
 
 def test_weak_witness_not_regular_on_line():
-    from superph import witness_scheme
     pc = PointCloud({0: (0.0,), 1: (1.0,), 2: (2.5,), 3: (6.0,)})
     g = MultiGraph.complete([0, 1, 2, 3])
     scheme = witness_scheme(pc, "weak")
@@ -239,6 +238,34 @@ def test_weak_witness_not_regular_on_line():
     small, large = pair
     assert small.vertices <= large.vertices
     assert scheme.score(small) > scheme.score(large)
+
+
+def test_regularity_check_matches_oracle():
+    # random families on random graphs: the flag of the cover oracle, and
+    # a returned pair is a comparable pair whose score drops
+    rng = random.Random(0x5C0E)
+    flags = set()
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        g = MultiGraph(range(n), {f"e{i}_{j}": (i, j) for i in range(n)
+                                  for j in range(i + 1, n) if rng.random() < 0.6})
+        pc = PointCloud({v: (round(rng.uniform(0, 4), 3),) for v in range(n + 1)})
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            vs = {v for v in range(n) if rng.random() < 0.7} or {0}
+            members.append(g.subgraph(vs, [e for e, (u, w) in g.edge_ends.items()
+                                           if u in vs and w in vs and rng.random() < 0.7]))
+        fam = SubgraphFamily(g, members)
+        for scheme in (vr_scheme(pc), witness_scheme(pc, "weak"),
+                       seeded_random_scheme(rng.randint(0, 99))):
+            ok, pair = is_regular_scheme(scheme, fam)
+            assert ok == monotone_on_covers(scheme, fam.members)
+            flags.add(ok)
+            if pair is not None:
+                small, large = pair
+                assert small.vertices <= large.vertices and small.edges <= large.edges
+                assert scheme.score(small) > scheme.score(large) + 1e-12
+    assert flags == {True, False}
 
 
 def test_critical_values_unit_square():
