@@ -7,9 +7,9 @@ the ∞-extended working graph.  Every constructor but edge deletion seeds
 validated super-hypergraph whose parental Δ-set cells are subgraphs (with
 their starting vertices, for starting-vertex faces), so cells reached
 along different deletion sequences coincide.  Every closure runs on the
-members as host rank bitmasks (`graphs._Cell`, and `_StartCell` with a
-starting-vertex mask) and labels each cell once, after the closure, by
-`relabel`.  Edge deletion returns the members' edge sets and whether they
+members as masks over the host's one index, its rank-mask tables
+(`graphs._Cell`, and `_StartCell` with a starting-vertex mask), and labels
+each cell once, after the closure, by `relabel`.  Edge deletion returns the members' edge sets and whether they
 are closed under single-edge deletion.
 """
 
@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face, relabel)
-from .graphs import (MultiGraph, Subgraph, _Cell, _RankMasks, _cell_of, _ranks,
-                     _subgraph_of, is_subgraph, vertex_deletion_map, vertex_grade)
+from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _ranks, _subgraph_of, _union,
+                     _vertex_mask, is_subgraph, vertex_deletion_map, vertex_grade)
 
 
 class SubgraphFamily:
@@ -94,7 +94,7 @@ class MarkedSubgraph:
         host = sub.host
         vm, em = _cell_of(sub)
         covered = 0
-        for layer in _layer_masks(host._rank_masks(), em, _vertex_mask(host, self.sv)):
+        for layer in _layer_masks(host, em, _vertex_mask(host, self.sv)):
             covered |= layer
         if covered != vm:
             missing = [host._vids[r] for r in _ranks(vm & ~covered)]
@@ -110,18 +110,14 @@ class MarkedSubgraph:
         return cell_sort_key(self.key)
 
 
-def _vertex_mask(host: MultiGraph, vertices) -> int:
-    vrank = host._vrank
-    return sum(1 << vrank[v] for v in vertices)
-
-
-def _layer_masks(masks: _RankMasks, em: int, start: int) -> list[int]:
-    """The neighborhood-extension partition of the subgraph with edge mask
-    em from the vertex mask start, as vertex masks: V_0 = start, V_{j+1} =
-    the vertices outside the layers so far reached by an edge (out of) V_j."""
+def _layer_masks(host: MultiGraph, em: int, start: int) -> list[int]:
+    """The neighborhood-extension partition of the subgraph of host with
+    edge mask em from the vertex mask start, as vertex masks: V_0 = start,
+    V_{j+1} = the vertices outside the layers so far reached by an edge
+    (out of) V_j."""
     if not start:
         return []
-    out, pairs = masks.out, masks.pairs
+    out, pairs = host._out, host._pairs
     layers = [start]
     assigned = start
     while True:
@@ -143,8 +139,7 @@ def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
     host = sub.host
     vids = host._vids
     return [frozenset(vids[r] for r in _ranks(layer))
-            for layer in _layer_masks(host._rank_masks(), _cell_of(sub)[1],
-                                      _vertex_mask(host, start))]
+            for layer in _layer_masks(host, _cell_of(sub)[1], _vertex_mask(host, start))]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +170,7 @@ def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
     host = fam.host
     if not host.is_simple():
         raise ValueError("secondary vertex-deletion requires a simple host graph")
-    masks = host._rank_masks()
-    keep, pairs = [~m for m in masks.inc], masks.pairs
+    keep, pairs = [~m for m in host._inc], host._pairs
 
     def face_fn(cell: _Cell) -> list[_Cell]:
         vm, em = cell
@@ -222,14 +216,10 @@ def edge_deletion_complex(fam: SubgraphFamily) -> EdgeDeletionResult:
 def _cluster_masks(host: MultiGraph, clustering: Clustering) -> list[tuple[int, int, int]]:
     """Per cluster: its vertex mask, and the complements of its vertex mask
     and of its incident-edge mask."""
-    vrank, inc = host._vrank, host._rank_masks().inc
     out = []
     for block in clustering.blocks:
-        vm = em = 0
-        for v in block:
-            vm |= 1 << vrank[v]
-            em |= inc[vrank[v]]
-        out.append((vm, ~vm, ~em))
+        vm = _vertex_mask(host, block)
+        out.append((vm, ~vm, ~_union(host._inc, vm)))
     return out
 
 
@@ -258,8 +248,7 @@ def partition_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergr
 def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergraph:
     """Cluster deletion that re-adds working-graph edges among the deleted
     cluster's neighbors: d_j(H) = H[V(H) - V_j] ∪ G[lk(V_j) ∩ V(H)]."""
-    host_masks = fam.host._rank_masks()
-    nbrs, induced = host_masks.nbrs, host_masks.induced
+    nbrs, induced = fam.host._nbrs, fam.host._induced_edges
     masks = _cluster_masks(fam.host, clustering)
 
     def face_fn(cell: _Cell) -> list[_Cell]:
@@ -268,10 +257,7 @@ def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHyper
         for bv, nbv, nbe in masks:
             if vm & bv:
                 keep = vm & nbv
-                link = 0
-                for r in _ranks(vm & bv):
-                    link |= nbrs[r]
-                out.append(_Cell((keep, em & nbe | induced(link & keep))))
+                out.append(_Cell((keep, em & nbe | induced(_union(nbrs, vm & bv) & keep))))
         return out
 
     return _close_family(fam, _cluster_grade(masks), face_fn)
@@ -321,8 +307,7 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
     edges are all edges of g, i.e. the subgraphs of g itself.
     """
     ghat = extend_graph(g)
-    masks = ghat._rank_masks()
-    inc, pairs = masks.inc, masks.pairs
+    inc, pairs = ghat._inc, ghat._pairs
     formal = sum(1 << r for e, r in ghat._erank.items() if e not in g.edge_ends)
     seeds = []
     for m in members:
@@ -334,23 +319,20 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
         seeds.append(_StartCell((vm, em, _vertex_mask(ghat, m.sv))))
 
     def grade(cell: _StartCell) -> int:
-        return len(_layer_masks(masks, cell[1], cell[2])) - 1
+        return len(_layer_masks(ghat, cell[1], cell[2])) - 1
 
     def face_fn(cell: _StartCell) -> list[_StartCell]:
         vm, em, sm = cell
-        layers = _layer_masks(masks, em, sm)
+        layers = _layer_masks(ghat, em, sm)
         n = len(layers) - 1
         out = []
         for j, layer in enumerate(layers):
-            drop = 0
-            for r in _ranks(layer):
-                drop |= inc[r]
-            face_em = em & ~drop
+            face_em = em & ~_union(inc, layer)
+            # no own edge joins layer j-1 to layer j+1: its head would be in layer j
             if 0 < j < n:
                 for v in _ranks(layers[j - 1]):
                     for w in _ranks(layers[j + 1]):
-                        if not pairs[v, w] & em:
-                            face_em |= pairs[v, w] & formal
+                        face_em |= pairs[v, w] & formal
             out.append(_StartCell((vm ^ layer, face_em, layers[1] if j == 0 else sm)))
         return out
 

@@ -14,7 +14,7 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
-from .delta import DeltaSet, DeltaStructureError, GradedSubset
+from .delta import DeltaSet, DeltaStructureError, GradedSubset, cell_sort_key
 from .faceops import MarkedSubgraph, SubgraphFamily, Clustering
 from .graphs import MultiGraph, Subgraph
 from .persistence import Bar, Barcode
@@ -81,9 +81,9 @@ def write_graph(path, g: MultiGraph):
                 raise ValueError(f"cannot write {kind} id {text!r}: graph file ids "
                                  "must be non-empty and hold no whitespace or '#'")
     out = [f"directed {1 if g.directed else 0}"]
-    for v in sorted(g.vertices):
+    for v in g._vids:
         out.append(f"v {v}")
-    for e in sorted(g.edge_ends):
+    for e in g._eids:
         u, w = g.edge_ends[e]
         out.append(f"e {e} {u} {w}")
     atomic_write(path, "\n".join(out) + "\n")
@@ -135,21 +135,25 @@ def read_family(path, g: MultiGraph) -> tuple[SubgraphFamily, list[MarkedSubgrap
 
 
 def write_family(path, members: Iterable[Subgraph], sv: Iterable[frozenset] | None = None):
+    """Write the format `read_family` reads, ids in the host's rank order."""
     out = []
     sv = list(sv) if sv is not None else None
     for i, m in enumerate(members):
         out.append("member")
-        if m.vertices:
-            out.append("v " + " ".join(str(v) for v in sorted(m.vertices)))
-        if m.edges:
-            out.append("e " + " ".join(str(e) for e in sorted(m.edges)))
+        vs, es = m.key
+        if vs:
+            out.append("v " + " ".join(map(str, vs)))
+        if es:
+            out.append("e " + " ".join(map(str, es)))
         if sv is not None:
-            out.append("sv " + " ".join(str(v) for v in sorted(sv[i])))
+            out.append("sv " + " ".join(map(str, sorted(sv[i], key=cell_sort_key))))
     atomic_write(path, "\n".join(out) + "\n")
 
 
 def read_clustering(path, g: MultiGraph) -> Clustering:
-    """Clustering file: `<vertex> <block index>` lines, one per vertex."""
+    """Clustering file: `<vertex> <block index>` lines, one per vertex.
+    The blocks are the vertices grouped by index, in index order; the
+    indices need not be consecutive, but must be non-negative."""
     assign: dict[str, int] = {}
     for lineno, line in _lines(path):
         parts = line.split()
@@ -158,16 +162,19 @@ def read_clustering(path, g: MultiGraph) -> Clustering:
         if parts[0] in assign:
             raise FormatError(path, lineno, f"vertex {parts[0]!r} assigned twice")
         try:
-            assign[parts[0]] = int(parts[1])
+            index = int(parts[1])
         except ValueError:
             raise FormatError(path, lineno, f"block index not an integer: {parts[1]!r}")
+        if index < 0:
+            raise FormatError(path, lineno, f"block index is negative: {index}")
+        assign[parts[0]] = index
     if set(assign) != set(g.vertices):
         raise FormatError(path, 1, "clustering must assign every vertex exactly once")
-    nblocks = max(assign.values()) + 1 if assign else 0
-    blocks = [[v for v, b in assign.items() if b == i] for i in range(nblocks)]
-    blocks = [b for b in blocks if b]
+    blocks: dict[int, list] = {}
+    for v, index in assign.items():
+        blocks.setdefault(index, []).append(v)
     try:
-        return Clustering(g, blocks)
+        return Clustering(g, [blocks[i] for i in sorted(blocks)])
     except ValueError as exc:
         raise FormatError(path, 1, str(exc)) from exc
 

@@ -1,5 +1,10 @@
 """Directed/undirected multigraphs, subgraphs, and the classical complexes
-built from them (clique Δ-set, neighborhood complex, path complex)."""
+built from them (clique Δ-set, neighborhood complex, path complex).
+
+A `MultiGraph` keeps one index, built at construction: the ranks of its
+ids and bitmask tables over them.  Its id lookups decode those masks, and
+every construction closes subgraphs as (vertex mask, edge mask) cells over
+them."""
 
 from __future__ import annotations
 
@@ -16,17 +21,21 @@ class MultiGraph:
     edge -> (initial vertex, terminal vertex).  For undirected graphs the
     incidence pair is treated as unordered.
 
-    Built once per graph: the edges joining each endpoint pair (both orders
-    when undirected), out- and in-adjacency, the rank of every vertex and
-    edge id in `cell_sort_key` order and the ids by rank.  A subgraph's
-    `key` lists its ids in rank order and its `sort_key` is its sorted
-    ranks, so building either compares no ids.  The constructions close
-    subgraphs as rank bitmasks over the tables of `_RankMasks`, built on
-    first use; their vertex-deletion face maps delete a subgraph's vertices
-    in rank order."""
+    Built once per graph, its one index: the rank of every vertex and edge
+    id in `cell_sort_key` order, the ids by rank, and bitmask tables over
+    the ranks, where bit r of a vertex (edge) mask stands for the vertex
+    (edge) of rank r.  `_inc[r]` masks the edges incident to vertex r,
+    loops included; `_pairs[a, b]` masks the edges from a to b, in both
+    orders when undirected; `_nbrs[r]` masks the vertices adjacent to r
+    ignoring direction and loops, `_out[r]` those reached from r by an edge
+    (`_nbrs` itself when undirected); `_loops` masks the loops.
+    `neighbors`, `edges_between` and `induced` decode these masks, and the
+    constructions close subgraphs as masks over them.  A subgraph's `key`
+    lists its ids in rank order and its `sort_key` is its sorted ranks, so
+    building either compares no ids."""
 
-    __slots__ = ("vertices", "edge_ends", "directed", "_adj", "_in_adj",
-                 "_between", "_vrank", "_erank", "_vids", "_eids", "_masks")
+    __slots__ = ("vertices", "edge_ends", "directed", "_vrank", "_erank", "_vids",
+                 "_eids", "_inc", "_pairs", "_nbrs", "_out", "_loops")
 
     def __init__(self, vertices: Iterable[Hashable],
                  edges: Mapping[Hashable, tuple[Hashable, Hashable]],
@@ -41,32 +50,34 @@ class MultiGraph:
         self.directed = bool(directed)
         self._vids = tuple(sorted(self.vertices, key=cell_sort_key))
         self._eids = tuple(sorted(ends, key=cell_sort_key))
-        self._vrank = {v: i for i, v in enumerate(self._vids)}
+        self._vrank = vrank = {v: i for i, v in enumerate(self._vids)}
         self._erank = {e: i for i, e in enumerate(self._eids)}
-        self._masks = None
-        adj: dict[Hashable, set] = {v: set() for v in self.vertices}
-        in_adj = {v: set() for v in self.vertices} if self.directed else adj
-        between: dict[tuple, list] = {}
-        for e, (u, v) in ends.items():
-            between.setdefault((u, v), []).append(e)
-            if u != v:
-                adj[u].add(v)
-                in_adj[v].add(u)
-                if not self.directed:
-                    between.setdefault((v, u), []).append(e)
-        self._adj = adj
-        self._in_adj = in_adj
-        self._between = {pair: tuple(sorted(es, key=self._erank.__getitem__))
-                         for pair, es in between.items()}
+        self._inc = inc = [0] * len(vrank)
+        self._nbrs = nbrs = [0] * len(vrank)
+        self._out = out = [0] * len(vrank) if self.directed else nbrs
+        self._pairs = pairs = {}
+        loops = 0
+        for r, e in enumerate(self._eids):
+            bit = 1 << r
+            u, v = ends[e]
+            a, b = vrank[u], vrank[v]
+            inc[a] |= bit
+            inc[b] |= bit
+            pairs[a, b] = pairs.get((a, b), 0) | bit
+            if a == b:
+                loops |= bit
+                continue
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+            if self.directed:
+                out[a] |= 1 << b
+            else:
+                pairs[b, a] = pairs.get((b, a), 0) | bit
+        self._loops = loops
 
     @property
     def edges(self) -> frozenset:
         return frozenset(self.edge_ends)
-
-    def _rank_masks(self) -> "_RankMasks":
-        if self._masks is None:
-            self._masks = _RankMasks(self)
-        return self._masks
 
     def is_simple(self) -> bool:
         seen = set()
@@ -81,20 +92,38 @@ class MultiGraph:
 
     def neighbors(self, v) -> set:
         """Adjacent vertices ignoring direction and loops."""
-        return self._adj[v] | self._in_adj[v]
+        vids = self._vids
+        return {vids[r] for r in _ranks(self._nbrs[self._vrank[v]])}
 
     def edges_between(self, u, v) -> list:
-        """Edge ids joining u and v (from u to v when directed), sorted."""
-        return list(self._between.get((u, v), ()))
+        """Edge ids joining u and v (from u to v when directed), sorted;
+        none when either id is not a vertex."""
+        a, b = self._vrank.get(u), self._vrank.get(v)
+        if a is None or b is None:
+            return []
+        eids = self._eids
+        return [eids[r] for r in _ranks(self._pairs.get((a, b), 0))]
+
+    def _induced_edges(self, vmask: int) -> int:
+        """Mask of the edges with every endpoint in vmask: those met at two
+        of its vertices, and its loops."""
+        once = twice = 0
+        for r in _ranks(vmask):
+            m = self._inc[r]
+            twice |= once & m
+            once |= m
+        return twice | (once & self._loops)
 
     def subgraph(self, vertices: Iterable, edges: Iterable) -> "Subgraph":
         return Subgraph(self, vertices, edges)
 
     def induced(self, vertices: Iterable) -> "Subgraph":
         vs = frozenset(vertices)
-        between = self._between
-        es = [e for u in vs for v in vs for e in between.get((u, v), ())]
-        return Subgraph(self, vs, es)
+        if not vs <= self.vertices:
+            raise ValueError("subgraph vertices not in host")
+        eids = self._eids
+        em = self._induced_edges(_vertex_mask(self, vs))
+        return Subgraph(self, vs, [eids[r] for r in _ranks(em)])
 
     def full(self) -> "Subgraph":
         return Subgraph(self, self.vertices, self.edge_ends)
@@ -173,7 +202,7 @@ class Subgraph:
 
 def is_subgraph(h: Subgraph, g: MultiGraph) -> bool:
     """Containment plus incidence restriction."""
-    if not (h.vertices <= g.vertices and h.edges <= g.edges):
+    if not (h.vertices <= g.vertices and h.edges <= g.edge_ends.keys()):
         return False
     for e in h.edges:
         u, v = h.host.edge_ends[e]
@@ -188,52 +217,6 @@ def is_subgraph(h: Subgraph, g: MultiGraph) -> bool:
 # Subgraphs as rank bitmasks
 # ---------------------------------------------------------------------------
 
-class _RankMasks:
-    """A host's tables over vertex and edge ranks: bit r of a vertex (edge)
-    mask stands for the vertex (edge) of rank r.
-
-    `inc[r]` masks the edges incident to vertex r, loops included;
-    `pairs[a, b]` masks the edges from a to b, in both orders when
-    undirected, as `_between` does; `nbrs[r]` masks the vertices adjacent
-    to r ignoring direction and loops, `out[r]` those reached from r by an
-    edge (`nbrs` itself when undirected); `loops` masks the loops."""
-
-    __slots__ = ("inc", "pairs", "nbrs", "out", "loops")
-
-    def __init__(self, g: MultiGraph):
-        vrank, erank = g._vrank, g._erank
-        self.inc = inc = [0] * len(vrank)
-        self.nbrs = nbrs = [0] * len(vrank)
-        self.out = out = [0] * len(vrank) if g.directed else nbrs
-        self.pairs = pairs = {}
-        self.loops = 0
-        for e, (u, v) in g.edge_ends.items():
-            bit = 1 << erank[e]
-            a, b = vrank[u], vrank[v]
-            inc[a] |= bit
-            inc[b] |= bit
-            pairs[a, b] = pairs.get((a, b), 0) | bit
-            if a == b:
-                self.loops |= bit
-                continue
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
-            if g.directed:
-                out[a] |= 1 << b
-            else:
-                pairs[b, a] = pairs.get((b, a), 0) | bit
-
-    def induced(self, vmask: int) -> int:
-        """Mask of the host edges with every endpoint in vmask: those met
-        at two of its vertices, and its loops."""
-        once = twice = 0
-        for r in _ranks(vmask):
-            m = self.inc[r]
-            twice |= once & m
-            once |= m
-        return twice | (once & self.loops)
-
-
 def _ranks(mask: int) -> tuple[int, ...]:
     """The set bits of mask, increasing."""
     out = []
@@ -243,6 +226,20 @@ def _ranks(mask: int) -> tuple[int, ...]:
         mask ^= 1 << r
     out.reverse()
     return tuple(out)
+
+
+def _union(table: list[int], mask: int) -> int:
+    """The union of table[r] over the set bits r of mask."""
+    out = 0
+    for r in _ranks(mask):
+        out |= table[r]
+    return out
+
+
+def _vertex_mask(host: MultiGraph, vertices: Iterable) -> int:
+    """The mask of host vertex ids over the host's ranks."""
+    vrank = host._vrank
+    return sum(1 << vrank[v] for v in vertices)
 
 
 class _Cell(tuple):
@@ -261,9 +258,8 @@ class _Cell(tuple):
 
 def _cell_of(sub: Subgraph) -> _Cell:
     """The cell of a subgraph over its host's ranks."""
-    vrank, erank = sub.host._vrank, sub.host._erank
-    return _Cell((sum(1 << vrank[v] for v in sub.vertices),
-                  sum(1 << erank[e] for e in sub.edges)))
+    erank = sub.host._erank
+    return _Cell((_vertex_mask(sub.host, sub.vertices), sum(1 << erank[e] for e in sub.edges)))
 
 
 def _subgraph_of(host: MultiGraph, cell: _Cell) -> Subgraph:
@@ -284,7 +280,7 @@ def vertex_grade(cell: _Cell) -> int:
 def vertex_deletion_map(host: MultiGraph):
     """The face map on the cells of host whose d_i deletes the i-th vertex,
     in rank order, together with its incident edges."""
-    keep = [~m for m in host._rank_masks().inc]
+    keep = [~m for m in host._inc]
 
     def faces(cell: _Cell) -> list[_Cell]:
         vm, em = cell
@@ -301,9 +297,8 @@ def _clique_cells(g: MultiGraph, max_size: int) -> list[_Cell]:
     """The cells of `cliques(g, max_size)`, in its order."""
     if g.directed:
         raise ValueError("cliques are defined for undirected graphs")
-    masks = g._rank_masks()
-    nbrs = masks.nbrs
-    choices = {pair: [1 << r for r in _ranks(m)] for pair, m in masks.pairs.items()}
+    nbrs = g._nbrs
+    choices = {pair: [1 << r for r in _ranks(m)] for pair, m in g._pairs.items()}
     out = []
 
     def extend(ranks: tuple, vm: int, candidates: int):

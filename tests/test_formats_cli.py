@@ -4,11 +4,13 @@ import argparse
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 
 import pytest
 from dataclasses import fields
+from hypothesis import given, settings, strategies as st
 
 import superph.delta
 from superph import GradedSubset, MultiGraph, from_simplicial, full_subset
@@ -108,6 +110,116 @@ def test_clustering_round_trip(tmp_path):
     p.write_text("a 0\n")
     with pytest.raises(FormatError):
         formats.read_clustering(p, g)
+
+
+def test_clustering_large_block_index_parses_at_once(tmp_path):
+    # an index far above the block count must not be walked index by
+    # index; the alarm turns a walk into a failure instead of an OOM kill
+    g = MultiGraph(["a", "b", "c"], {})
+    p = tmp_path / "c.txt"
+    p.write_text("a 0\nb 1000000000000\nc 0\n")
+    q = tmp_path / "renumbered.txt"
+    q.write_text("a 0\nb 1\nc 0\n")
+
+    def walked(signum, frame):
+        raise TimeoutError("read_clustering walked the block indices")
+
+    old = signal.signal(signal.SIGALRM, walked)
+    signal.alarm(5)
+    try:
+        clus = formats.read_clustering(p, g)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert clus.blocks == formats.read_clustering(q, g).blocks
+
+
+def test_clustering_negative_block_index_names_its_line(tmp_path):
+    g = MultiGraph(["a", "b", "c"], {})
+    p = tmp_path / "c.txt"
+    p.write_text("a 0\nb -1\nc 1\n")
+    with pytest.raises(FormatError, match=r":2: .*-1"):
+        formats.read_clustering(p, g)
+
+
+def reference_blocks(lines, vertices):
+    """The blocks of a clustering file's (vertex, index) lines grouped by
+    index, in index order, or None when the file must be refused."""
+    assign = {}
+    for v, token in lines:
+        try:
+            index = int(token)
+        except ValueError:
+            return None
+        if v in assign or index < 0:
+            return None
+        assign[v] = index
+    if set(assign) != vertices:
+        return None
+    return tuple(frozenset(v for v in assign if assign[v] == i)
+                 for i in sorted(set(assign.values())))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.data())
+def test_clustering_reader_fuzz(tmp_path_factory, data):
+    # one line per vertex, then one fault or none: a missing, unknown or
+    # repeated vertex, or a negative or non-integer index; indices run up
+    # to 10**15.  The reader gives the reference grouping or a
+    # FormatError, within the default deadline
+    names = ["a", "b", "c", "d"]
+    vertices = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    index = st.one_of(st.integers(0, 3), st.integers(0, 10**15)).map(str)
+    bad = st.one_of(st.integers(-5, -1).map(str),
+                    st.sampled_from(["x", "1.5", "0x1", "--1", "+2", "007", "1e3", "1_0"]))
+    lines = [(v, data.draw(index)) for v in vertices]
+    fault = data.draw(st.sampled_from(["none", "missing", "unknown", "twice", "token"]))
+    k = data.draw(st.integers(0, len(lines) - 1))
+    if fault == "missing":
+        del lines[k]
+    elif fault == "unknown":
+        lines.append(("zz", data.draw(index)))
+    elif fault == "twice":
+        lines.append((lines[k][0], data.draw(index)))
+    elif fault == "token":
+        lines[k] = (lines[k][0], data.draw(bad))
+    lines = data.draw(st.permutations(lines))
+    p = tmp_path_factory.getbasetemp() / "fuzz_clustering.txt"
+    p.write_text("".join(f"{v} {t}\n" for v, t in lines))
+    expected = reference_blocks(lines, set(vertices))
+    g = MultiGraph(vertices, {})
+    if expected is None:
+        with pytest.raises(FormatError):
+            formats.read_clustering(p, g)
+    else:
+        assert formats.read_clustering(p, g).blocks == expected
+
+
+def test_writers_take_mixed_id_types(tmp_path):
+    # ids are written in the host's rank order: numbers before strings
+    g = MultiGraph([1, "a", 2], {0: (1, "a"), "x": ("a", "a"), "y": (1, 1)})
+    p = tmp_path / "g.graph"
+    formats.write_graph(p, g)
+    assert p.read_text() == "directed 0\nv 1\nv 2\nv a\ne 0 1 a\ne x a a\ne y 1 1\n"
+    q = tmp_path / "fam.txt"
+    formats.write_family(q, [g.full(), g.subgraph({1, "a"}, [0])],
+                         [frozenset({1, "a"}), frozenset({1})])
+    assert q.read_text() == ("member\nv 1 2 a\ne 0 x y\nsv 1 a\n"
+                             "member\nv 1 a\ne 0\nsv 1\n")
+
+
+def test_writers_keep_the_bytes_of_string_ids(tmp_path):
+    g = MultiGraph(["b", "a10", "a9", "c"], {"e2": ("b", "a9"), "e10": ("c", "c"),
+                                             "E": ("a10", "b")})
+    p = tmp_path / "g.graph"
+    formats.write_graph(p, g)
+    assert p.read_text() == ("directed 0\nv a10\nv a9\nv b\nv c\n"
+                             "e E a10 b\ne e10 c c\ne e2 b a9\n")
+    q = tmp_path / "fam.txt"
+    formats.write_family(q, [g.full(), g.subgraph({"b", "a9"}, ["e2"])],
+                         [frozenset({"c", "a9"}), frozenset({"b"})])
+    assert q.read_text() == ("member\nv a10 a9 b c\ne E e10 e2\nsv a9 c\n"
+                             "member\nv a9 b\ne e2\nsv b\n")
 
 
 def test_graph_rejects_repeated_vertex_line(tmp_path):

@@ -104,6 +104,52 @@ def test_edge_index_matches_scan(directed):
     assert loops and parallels
 
 
+def scan_is_subgraph(h, g):
+    """Containment plus incidence restriction, by a scan of h's edges."""
+    return h.vertices <= g.vertices and all(
+        e in g.edge_ends and g.edge_ends[e] == h.host.edge_ends[e]
+        and set(g.edge_ends[e]) <= h.vertices for e in h.edges)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_host_lookups_match_scans_inside_and_outside_the_host(directed):
+    # the id-keyed lookups against scans of edge_ends, on ids of the host
+    # and ids it does not have; subgraphs of a second random graph over
+    # the same id pools test is_subgraph on other hosts
+    rng = random.Random(23 + directed)
+    outside = ["absent", 99, ("no", 1)]
+    verdicts = set()
+    for _ in range(80):
+        g = random_multigraph(rng, directed)
+        other = random_multigraph(rng, directed)
+        probe = sorted(g.vertices, key=cell_sort_key) + outside
+        for u, v in itertools.product(probe, repeat=2):
+            assert g.edges_between(u, v) == scan_edges_between(g, u, v), (g, u, v)
+        for v in probe:
+            if v in g.vertices:
+                assert g.neighbors(v) == scan_neighbors(g, v)
+            else:
+                with pytest.raises(KeyError):
+                    g.neighbors(v)
+        for _ in range(4):
+            vs = [v for v in probe if rng.random() < 0.5]
+            if set(vs) <= g.vertices:
+                sub = g.induced(vs)
+                assert sub.host is g and sub.vertices == frozenset(vs)
+                assert sub.edges == frozenset(
+                    e for e, (a, b) in g.edge_ends.items() if a in sub.vertices
+                    and b in sub.vertices)
+            else:
+                with pytest.raises(ValueError):
+                    g.induced(vs)
+        for h in [g.full(), random_multigraph_subgraph(rng, g), other.full(),
+                  random_multigraph_subgraph(rng, other)]:
+            verdict = scan_is_subgraph(h, g)
+            assert is_subgraph(h, g) == verdict, (g, h)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_subgraph_key_matches_cell_sort_key(directed):
     rng = random.Random(7 + directed)
