@@ -406,18 +406,19 @@ def is_complete(sh: SuperHypergraph, *, regular: bool | None = None) -> Complete
 # Constructions
 # ---------------------------------------------------------------------------
 
-def close_under_faces(seeds: Iterable[Hashable], grade: Callable[[Hashable], int],
+def close_under_faces(seeds: Iterable[Hashable],
                       face_fn: Callable[[Hashable], Sequence[Hashable]],
                       ) -> tuple[DeltaSet, GradedSubset]:
     """Least family containing *seeds* and closed under face_fn, as a Δ-set.
 
-    grade(label) gives the dimension; face_fn(label) returns the ordered face
-    labels (d_0 .. d_n) of a label of positive grade.  face_fn runs once per
-    distinct label: the face lists of the discovery pass become the face
-    rows, holding the first instance seen of each label.  Cells are indexed
-    in deterministic label order per dimension.  Raises DeltaStructureError
-    if a face has the wrong grade and DeltaIdentityError if the face maps
-    violate the Δ-identity.
+    face_fn(label) returns the ordered face labels (d_0 .. d_n) of a label,
+    so a label's grade is its face count minus one; a 0-cell's one face
+    (the empty cell) is not a cell.  face_fn runs once per distinct label:
+    the face lists of the discovery pass become the face rows, holding the
+    first instance seen of each label.  Cells are indexed in deterministic
+    label order per dimension.  Raises ValueError for an empty face list,
+    DeltaStructureError if a face has the wrong grade and DeltaIdentityError
+    if the face maps violate the Δ-identity.
     """
     seed_list = list(seeds)
     canon: dict = {}  # label -> the first instance seen of it
@@ -428,13 +429,14 @@ def close_under_faces(seeds: Iterable[Hashable], grade: Callable[[Hashable], int
     face_labels: dict[int, list] = {}  # id(label) -> canonical face labels
     while stack:
         lab = stack.pop()
-        n = grade(lab)
+        faces = face_fn(lab)
+        n = len(faces) - 1
         if n < 0:
             raise ValueError(f"negative grade for label {lab!r}")
         by_dim.setdefault(n, []).append(lab)
         if n > 0:
             row = []
-            for fl in face_fn(lab):
+            for fl in faces:
                 c = canon.get(fl)
                 if c is None:
                     canon[fl] = c = fl
@@ -481,11 +483,6 @@ def relabel(closure: tuple[DeltaSet, GradedSubset | None], label: Callable
         for j, lab in enumerate(row):
             row[j] = label(lab)
     return ds.with_labels(rows), marked
-
-
-def tuple_grade(lab: tuple) -> int:
-    """Grade of a vertex-tuple label: its length minus one."""
-    return len(lab) - 1
 
 
 def tuple_faces(lab: tuple) -> list[tuple]:
@@ -536,7 +533,7 @@ def from_hypergraph(hyperedges: Iterable[Iterable], order: Sequence | None = Non
         raise ValueError("hyperedges must be nonempty")
     pos = _vertex_positions(set().union(*edges), order)
     seeds = [tuple(sorted(e, key=pos.__getitem__)) for e in edges]
-    return SuperHypergraph(*close_under_faces(seeds, tuple_grade, tuple_faces))
+    return SuperHypergraph(*close_under_faces(seeds, tuple_faces))
 
 
 def hypergraph_cone(hyperedges: Iterable[Iterable], apex) -> list[frozenset]:
@@ -553,5 +550,5 @@ def hypergraph_cone(hyperedges: Iterable[Iterable], apex) -> list[frozenset]:
 def standard_simplex_delta(n: int) -> DeltaSet:
     """Δ-set of the full n-simplex on vertices 0..n (empty for n < 0)."""
     seeds = [tuple(range(n + 1))] if n >= 0 else []
-    ds, _ = close_under_faces(seeds, tuple_grade, tuple_faces)
+    ds, _ = close_under_faces(seeds, tuple_faces)
     return ds

@@ -3,14 +3,15 @@
 Five constructions: primary and secondary vertex deletion, edge deletion,
 partition (cluster) faces, link-blowup faces, and starting-vertex faces on
 the ∞-extended working graph.  Every constructor but edge deletion seeds
-`close_under_faces` with its members and one face map, and returns the
-validated super-hypergraph whose parental Δ-set cells are subgraphs (with
-their starting vertices, for starting-vertex faces), so cells reached
-along different deletion sequences coincide.  Every closure runs on the
-members as masks over the host's one index, its rank-mask tables
-(`graphs._Cell`, and `_StartCell` with a starting-vertex mask), and labels
-each cell once, after the closure, by `relabel`.  Edge deletion returns the members' edge sets and whether they
-are closed under single-edge deletion.
+`close_under_faces` with its members and one face map, which also fixes
+each cell's grade (its face count minus one), and returns the validated
+super-hypergraph whose parental Δ-set cells are subgraphs (with their
+starting vertices, for starting-vertex faces), so cells reached along
+different deletion sequences coincide.  Every closure runs on the members
+as masks over the host's one index, its rank-mask tables (`graphs._Cell`,
+and `_StartCell` with a starting-vertex mask), and labels each cell once,
+after the closure, by `relabel`.  Edge deletion returns the members' edge
+sets and whether they are closed under single-edge deletion.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face, relabel)
 from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _ranks, _subgraph_of, _union,
-                     _vertex_mask, is_subgraph, vertex_deletion_map, vertex_grade)
+                     _vertex_mask, is_subgraph, vertex_deletion_map)
 
 
 class SubgraphFamily:
@@ -146,11 +147,11 @@ def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
 # Vertex-deletion topologies
 # ---------------------------------------------------------------------------
 
-def _close_family(fam: SubgraphFamily, grade, face_fn) -> SuperHypergraph:
+def _close_family(fam: SubgraphFamily, face_fn) -> SuperHypergraph:
     """The family's cells closed under face_fn, with the members marked."""
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
-    return SuperHypergraph(*relabel(close_under_faces([_cell_of(m) for m in fam], grade, face_fn),
+    return SuperHypergraph(*relabel(close_under_faces([_cell_of(m) for m in fam], face_fn),
                                     partial(_subgraph_of, fam.host)))
 
 
@@ -158,7 +159,7 @@ def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
     """Grade by vertex count minus one; d_i deletes the i-th vertex (in the
     host's rank order) together with its incident edges.  The parental
     Δ-set is the family plus all iterated faces."""
-    return _close_family(fam, vertex_grade, vertex_deletion_map(fam.host))
+    return _close_family(fam, vertex_deletion_map(fam.host))
 
 
 def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
@@ -182,7 +183,7 @@ def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
                 out[i] = _Cell((out[i][0], out[i][1] | bridge))
         return out
 
-    return _close_family(fam, vertex_grade, face_fn)
+    return _close_family(fam, face_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +224,6 @@ def _cluster_masks(host: MultiGraph, clustering: Clustering) -> list[tuple[int, 
     return out
 
 
-def _cluster_grade(masks: list[tuple[int, int, int]]):
-    """Grade of a cell: the number of clusters it meets, minus one."""
-
-    def grade(cell: _Cell) -> int:
-        vm = cell[0]
-        return sum(1 for bv, _, _ in masks if vm & bv) - 1
-
-    return grade
-
-
 def partition_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergraph:
     """Grade by the number of touched clusters minus one; d_j removes every
     vertex of the j-th touched cluster with its incident edges."""
@@ -242,7 +233,7 @@ def partition_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergr
         vm, em = cell
         return [_Cell((vm & nbv, em & nbe)) for bv, nbv, nbe in masks if vm & bv]
 
-    return _close_family(fam, _cluster_grade(masks), face_fn)
+    return _close_family(fam, face_fn)
 
 
 def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergraph:
@@ -260,7 +251,7 @@ def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHyper
                 out.append(_Cell((keep, em & nbe | induced(_union(nbrs, vm & bv) & keep))))
         return out
 
-    return _close_family(fam, _cluster_grade(masks), face_fn)
+    return _close_family(fam, face_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +309,11 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
         vm, em = _cell_of(Subgraph(ghat, m.subgraph.vertices, m.subgraph.edges))
         seeds.append(_StartCell((vm, em, _vertex_mask(ghat, m.sv))))
 
-    def grade(cell: _StartCell) -> int:
-        return len(_layer_masks(ghat, cell[1], cell[2])) - 1
-
     def face_fn(cell: _StartCell) -> list[_StartCell]:
         vm, em, sm = cell
         layers = _layer_masks(ghat, em, sm)
         n = len(layers) - 1
+        d0_start = layers[1] if n else 0  # a 0-cell's one face is the empty cell
         out = []
         for j, layer in enumerate(layers):
             face_em = em & ~_union(inc, layer)
@@ -333,7 +322,7 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
                 for v in _ranks(layers[j - 1]):
                     for w in _ranks(layers[j + 1]):
                         face_em |= pairs[v, w] & formal
-            out.append(_StartCell((vm ^ layer, face_em, layers[1] if j == 0 else sm)))
+            out.append(_StartCell((vm ^ layer, face_em, d0_start if j == 0 else sm)))
         return out
 
     def label(cell: _StartCell) -> MarkedSubgraph:
@@ -341,7 +330,7 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
         return MarkedSubgraph(_subgraph_of(ghat, _Cell((vm, em))),
                               frozenset(ghat._vids[r] for r in _ranks(sm)))
 
-    ds, _ = relabel(close_under_faces(seeds, grade, face_fn), label)
+    ds, _ = relabel(close_under_faces(seeds, face_fn), label)
     marked_cells = [(n, j) for n, j in ds.cells()
                     if ds.label(n, j).subgraph.edges.issubset(g.edge_ends)]
     return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))

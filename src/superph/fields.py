@@ -51,27 +51,18 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """A coefficient field: GF(2), GF(p) for a prime p, or the rationals.
+    """A coefficient field by its characteristic: GF(p) for a prime p, or
+    the rationals for p = None.
 
     GF(p) scalars are ints reduced mod p; rational scalars are Fractions
     (arbitrary precision, so elimination never overflows or rounds).
     """
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, kind: str, p: int | None = None):
-        if kind == "gf2":
-            p = 2
-        elif kind == "gfp":
-            if p is None or not (2 <= p < 2**31) or not _is_prime(p):
-                raise ValueError(f"modulus must be a prime in [2, 2^31), got {p!r}")
-            if p == 2:
-                kind = "gf2"
-        elif kind == "rational":
-            p = None
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
+    def __init__(self, p: int | None):
+        if p is not None and (not (2 <= p < 2**31) or not _is_prime(p)):
+            raise ValueError(f"modulus must be a prime in [2, 2^31), got {p!r}")
         self.p = p
 
     @property
@@ -111,25 +102,21 @@ class Field:
         return Fraction(1) / a
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
-        if self.kind == "gf2":
-            return "GF(2)"
-        if self.kind == "gfp":
-            return f"GF({self.p})"
-        return "QQ"
+        return f"GF({self.p})" if self.p else "QQ"
 
 
-GF2 = Field("gf2")
-QQ = Field("rational")
+GF2 = Field(2)
+QQ = Field(None)
 
 
 def GF(p: int) -> Field:
-    return Field("gf2") if p == 2 else Field("gfp", p)
+    return Field(p)
 
 
 # ---------------------------------------------------------------------------

@@ -70,22 +70,33 @@ def read_graph(path) -> MultiGraph:
         raise FormatError(path, 1, str(exc)) from exc
 
 
+def _id_texts(what: str, ids: Iterable) -> list[str]:
+    """The texts ids are written as, in order.  Every reader splits its
+    lines on whitespace, cuts them at `#` (the comment mark) and names an
+    id by its text, so a text that is empty, holds whitespace or `#`, or
+    repeats an earlier one is refused with ValueError."""
+    texts: list[str] = []
+    seen: set[str] = set()
+    for i in ids:
+        text = str(i)
+        if text.split() != [text] or "#" in text:
+            raise ValueError(f"cannot write {what} {text!r}: ids must be non-empty "
+                             "and hold no whitespace or '#'")
+        if text in seen:
+            raise ValueError(f"cannot write {what} {text!r} twice")
+        seen.add(text)
+        texts.append(text)
+    return texts
+
+
 def write_graph(path, g: MultiGraph):
     """Write the format `read_graph` reads.  Ids are written as their text,
-    so an id whose text is empty or holds whitespace or `#` (the comment
-    mark) is refused with ValueError."""
-    for kind, ids in (("vertex", g.vertices), ("edge", g.edge_ends)):
-        for i in ids:
-            text = str(i)
-            if text.split() != [text] or "#" in text:
-                raise ValueError(f"cannot write {kind} id {text!r}: graph file ids "
-                                 "must be non-empty and hold no whitespace or '#'")
+    checked by `_id_texts`."""
     out = [f"directed {1 if g.directed else 0}"]
-    for v in g._vids:
-        out.append(f"v {v}")
-    for e in g._eids:
+    out += [f"v {v}" for v in _id_texts("vertex id", g._vids)]
+    for e, text in zip(g._eids, _id_texts("edge id", g._eids)):
         u, w = g.edge_ends[e]
-        out.append(f"e {e} {u} {w}")
+        out.append(f"e {text} {u} {w}")
     atomic_write(path, "\n".join(out) + "\n")
 
 
@@ -135,18 +146,20 @@ def read_family(path, g: MultiGraph) -> tuple[SubgraphFamily, list[MarkedSubgrap
 
 
 def write_family(path, members: Iterable[Subgraph], sv: Iterable[frozenset] | None = None):
-    """Write the format `read_family` reads, ids in the host's rank order."""
+    """Write the format `read_family` reads, ids in the host's rank order,
+    checked by `_id_texts`."""
     out = []
     sv = list(sv) if sv is not None else None
     for i, m in enumerate(members):
         out.append("member")
         vs, es = m.key
         if vs:
-            out.append("v " + " ".join(map(str, vs)))
+            out.append("v " + " ".join(_id_texts("vertex id", vs)))
         if es:
-            out.append("e " + " ".join(map(str, es)))
+            out.append("e " + " ".join(_id_texts("edge id", es)))
         if sv is not None:
-            out.append("sv " + " ".join(map(str, sorted(sv[i], key=cell_sort_key))))
+            out.append("sv " + " ".join(_id_texts("vertex id",
+                                                  sorted(sv[i], key=cell_sort_key))))
     atomic_write(path, "\n".join(out) + "\n")
 
 
@@ -286,15 +299,16 @@ def read_delta(path) -> tuple[DeltaSet, GradedSubset | None]:
 
 
 def write_delta(path, ds: DeltaSet, marked: GradedSubset | None = None):
+    """Write the format `read_delta` reads.  A cell is named by its label's
+    text with the spaces taken out (`c<dim>_<index>` when unlabelled),
+    checked by `_id_texts` within its dimension."""
     out = []
     names = []
     for n in range(ds.dim_count):
-        row = []
-        for j in range(ds.counts[n]):
-            name = str(ds.label(n, j)) if ds.labels is not None else f"c{n}_{j}"
-            name = name.replace(" ", "")
-            row.append(name)
-        names.append(row)
+        labels = (ds.labels[n] if ds.labels is not None
+                  else [f"c{n}_{j}" for j in range(ds.counts[n])])
+        names.append(_id_texts(f"dimension-{n} cell name",
+                               (str(lab).replace(" ", "") for lab in labels)))
     for n in range(ds.dim_count):
         for j in range(ds.counts[n]):
             face_ids = " ".join(names[n - 1][t] for t in ds.faces[n][j]) if n else ""

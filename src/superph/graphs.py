@@ -13,7 +13,7 @@ from itertools import combinations, product
 from typing import Hashable, Iterable, Mapping
 
 from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
-                    close_under_faces, relabel, tuple_faces, tuple_grade)
+                    close_under_faces, relabel, tuple_faces)
 
 
 class MultiGraph:
@@ -272,11 +272,6 @@ def _subgraph_of(host: MultiGraph, cell: _Cell) -> Subgraph:
     return sub
 
 
-def vertex_grade(cell: _Cell) -> int:
-    """Grade of a cell under vertex deletion: its vertex count minus one."""
-    return cell[0].bit_count() - 1
-
-
 def vertex_deletion_map(host: MultiGraph):
     """The face map on the cells of host whose d_i deletes the i-th vertex,
     in rank order, together with its incident edges."""
@@ -336,8 +331,8 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
         raise ValueError("clique Δ-set is defined for undirected graphs")
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    ds, _ = relabel(close_under_faces(_clique_cells(g, max_dim + 1), vertex_grade,
-                                      vertex_deletion_map(g)), partial(_subgraph_of, g))
+    ds, _ = relabel(close_under_faces(_clique_cells(g, max_dim + 1), vertex_deletion_map(g)),
+                    partial(_subgraph_of, g))
     return ds
 
 
@@ -427,7 +422,7 @@ def path_complex(g: MultiGraph, max_len: int) -> SuperHypergraph:
     for v in vs:
         extend((v,))
 
-    ds, _ = relabel(close_under_faces(sequences, tuple_grade, tuple_faces),
+    ds, _ = relabel(close_under_faces(sequences, tuple_faces),
                     partial(path_subgraph, comp))
     marked_cells = [(n, j) for n, j in ds.cells() if ds.label(n, j).edges.issubset(g.edge_ends)]
     return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))

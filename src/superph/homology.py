@@ -60,16 +60,20 @@ class ChainComplex:
     """
 
     field: Field
-    dims: tuple[int, ...]
     columns: tuple[tuple[dict, ...], ...]
     memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @property
+    def dims(self) -> tuple[int, ...]:
+        """The number of cells of each degree: its column count."""
+        return tuple(map(len, self.columns))
+
+    @property
     def dim_count(self) -> int:
-        return len(self.dims)
+        return len(self.columns)
 
     def space_dim(self, n: int) -> int:
-        return self.dims[n] if 0 <= n < len(self.dims) else 0
+        return len(self.columns[n]) if 0 <= n < len(self.columns) else 0
 
 
 def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
@@ -96,7 +100,7 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     for n in range(2, x.dim_count):
         if any(combine(field, col, columns[n - 1]) for col in columns[n]):
             raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
-    return ChainComplex(field, x.counts, tuple(columns))
+    return ChainComplex(field, tuple(columns))
 
 
 # ---------------------------------------------------------------------------

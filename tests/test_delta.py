@@ -74,10 +74,6 @@ def test_with_labels_shares_faces_and_checks_label_counts():
 # close_under_faces
 # ---------------------------------------------------------------------------
 
-def simplex_grade(s):
-    return len(s) - 1
-
-
 def simplex_faces(s):
     return [s[:i] + s[i + 1:] for i in range(len(s))]
 
@@ -90,7 +86,7 @@ def test_close_under_faces_rejects_identity_violation():
         return faces
 
     with pytest.raises(DeltaIdentityError) as err:
-        close_under_faces([(0, 1, 2)], simplex_grade, swapped)
+        close_under_faces([(0, 1, 2)], swapped)
     assert err.value.report.violations
 
 
@@ -99,15 +95,22 @@ def test_close_under_faces_rejects_face_of_wrong_grade():
         return [s[:1]] + simplex_faces(s)[1:] if len(s) == 3 else simplex_faces(s)
 
     with pytest.raises(DeltaStructureError, match="grade-2 label has grade 0"):
-        close_under_faces([(0, 1, 2)], simplex_grade, short)
+        close_under_faces([(0, 1, 2)], short)
+
+    # a face list missing d_2 makes the triangle a grade-1 label of edges
+    def miscounted(s):
+        return simplex_faces(s)[:2] if len(s) == 3 else simplex_faces(s)
+
+    with pytest.raises(DeltaStructureError, match="grade-1 label has grade 1"):
+        close_under_faces([(0, 1, 2)], miscounted)
 
 
 def test_close_under_faces_rejects_negative_grade():
     with pytest.raises(ValueError, match="negative grade") as err:
-        close_under_faces([(0, 1)], simplex_grade, lambda s: [(), s[:1]])
+        close_under_faces([(0, 1)], lambda s: simplex_faces(s) if len(s) == 2 else [])
     assert type(err.value) is ValueError
     with pytest.raises(ValueError, match="negative grade"):
-        close_under_faces([()], simplex_grade, simplex_faces)
+        close_under_faces([()], simplex_faces)
 
 
 def test_close_under_faces_calls_face_fn_once_per_cell():
@@ -118,11 +121,10 @@ def test_close_under_faces_calls_face_fn_once_per_cell():
         return simplex_faces(s)
 
     # two tetrahedra sharing a triangle, one seed given twice
-    ds, marked = close_under_faces([(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3)],
-                                   simplex_grade, counting)
-    positive = {ds.label(n, j) for n, j in ds.cells() if n > 0}
-    assert set(calls) == positive
-    assert sum(calls.values()) == sum(ds.counts[1:]) == len(positive)
+    ds, marked = close_under_faces([(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3)], counting)
+    labels = {ds.label(n, j) for n, j in ds.cells()}
+    assert set(calls) == labels
+    assert sum(calls.values()) == ds.total_cells() == len(labels)
     assert ds.counts == (5, 9, 7, 2) and len(marked) == 2
 
 

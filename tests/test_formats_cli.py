@@ -13,7 +13,8 @@ from dataclasses import fields
 from hypothesis import given, settings, strategies as st
 
 import superph.delta
-from superph import GradedSubset, MultiGraph, from_simplicial, full_subset
+from superph import (GradedSubset, MultiGraph, from_simplicial, full_subset,
+                     standard_simplex_delta)
 from superph import cli, formats
 from superph.cli import JobConfig, build_super_hypergraph, main
 from superph.formats import FormatError
@@ -60,7 +61,37 @@ def test_write_graph_refuses_ids_its_reader_rejects(tmp_path):
     for bad in ("", "x y", "x#y"):
         with pytest.raises(ValueError, match="vertex id"):
             formats.write_graph(p, MultiGraph([bad, "a"], {}))
+    # two ids with one text would read back as one duplicated id
+    with pytest.raises(ValueError, match="vertex id '1' twice"):
+        formats.write_graph(p, MultiGraph([1, "1"], {}))
     assert not p.exists()
+
+
+def test_write_family_refuses_ids_its_reader_rejects(tmp_path):
+    p = tmp_path / "fam.txt"
+    with pytest.raises(ValueError, match=r"edge id \"\('k', 'a', 'b'\)\""):
+        formats.write_family(p, [MultiGraph.complete(["a", "b"]).full()])
+    g = MultiGraph(["a", "x#1"], {})
+    with pytest.raises(ValueError, match="vertex id 'x#1'"):
+        formats.write_family(p, [g.full()])
+    with pytest.raises(ValueError, match="vertex id 'x#1'"):
+        formats.write_family(p, [g.subgraph({"a"}, ())], [frozenset({"x#1"})])
+    assert not p.exists()
+
+
+def test_write_delta_refuses_names_its_reader_rejects(tmp_path):
+    p = tmp_path / "x.delta"
+    x = standard_simplex_delta(1)
+    with pytest.raises(ValueError, match="dimension-0 cell name 'x#1'"):
+        formats.write_delta(p, x.with_labels([["x#1", "y"], ["e"]]))
+    with pytest.raises(ValueError, match="dimension-0 cell name '1' twice"):
+        formats.write_delta(p, x.with_labels([[1, "1"], ["e"]]))
+    assert not p.exists()
+    # a name may repeat across dimensions
+    formats.write_delta(p, x.with_labels([["a", "b"], ["a"]]))
+    assert p.read_text() == "cell 0 a :\ncell 0 b :\ncell 1 a : b a\n"
+    back, _ = formats.read_delta(p)
+    assert back == x
 
 
 def test_graph_parse_errors(tmp_path):

@@ -368,7 +368,7 @@ def _tampered(field):
     columns = list(cc.columns)
     columns[2] = tuple({first: field.one} if j == triangle else col
                        for j, col in enumerate(columns[2]))
-    return filt, ChainComplex(field, cc.dims, tuple(columns))
+    return filt, ChainComplex(field, tuple(columns))
 
 
 @pytest.mark.parametrize("which", MODULE_KINDS)
