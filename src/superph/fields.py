@@ -16,12 +16,11 @@ a sum of spans is one reduction of their vectors, and a kernel
 (`relations`) or an intersection is the relations among a concatenation
 of columns.  All routines are exact.
 
-Over GF(2), the package's default field, every nonzero scalar is 1 and
-vectors are {index: 1} dicts.  `axpy` subtracts a vector as the symmetric
-difference of supports and `combine` keeps the indices hit an odd number
-of times, so the reduction's inner loop calls no `Field` method; GF(p) and
-Q take the generic route, which `tests/oracles.py` also runs over GF(2)
-as the reference.
+Each field does its own scalar arithmetic in `axpy` and `combine`, which
+call no `Field` method: over GF(2), the default, vectors are {index: 1}
+dicts, subtracted as symmetric differences of supports and summed by
+occurrence parity; over GF(p) an entry is (a - c·b) mod p, and over Q
+a - c·b, an int when integral.  `tests/oracles.py` has the generic route.
 
 `FieldMatrix` is a small dense matrix, the return type of induced maps;
 `rref` (Gauss–Jordan elimination) has no caller in the package and stays
@@ -36,70 +35,52 @@ from typing import Iterable, Sequence
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
 
 
 class Field:
     """A coefficient field by its characteristic: GF(p) for a prime p, or
     the rationals for p = None.
 
-    GF(p) scalars are ints reduced mod p; rational scalars are Fractions
-    (arbitrary precision, so elimination never overflows or rounds).
+    GF(p) scalars are ints reduced mod p; rational scalars are exact, ints
+    when integral and Fractions (arbitrary precision) otherwise.
     """
 
     __slots__ = ("p",)
+    zero = 0
+    one = 1
 
     def __init__(self, p: int | None):
         if p is not None and (not (2 <= p < 2**31) or not _is_prime(p)):
             raise ValueError(f"modulus must be a prime in [2, 2^31), got {p!r}")
         self.p = p
 
-    @property
-    def zero(self):
-        return 0 if self.p else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.p else Fraction(1)
-
     def of(self, x):
-        """Canonical scalar from an int or Fraction."""
-        if self.p:
-            return int(x) % self.p
-        return x if isinstance(x, Fraction) else Fraction(x)
+        """Canonical scalar from an int or Fraction (n/d mod p over GF(p))."""
+        if not self.p:
+            return x if type(x) is int else _rational(Fraction(x))
+        if isinstance(x, Fraction):
+            return x.numerator * self.inv(x.denominator) % self.p
+        return int(x) % self.p
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        return (a + b) % self.p if self.p else _rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        return (a - b) % self.p if self.p else _rational(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        return (a * b) % self.p if self.p else _rational(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.p else -a
 
     def inv(self, a):
-        if self.p:
-            a %= self.p
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, -1, self.p)
-        if a == 0:
+        if not (a % self.p if self.p else a):
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        if self.p:
+            return pow(a, -1, self.p)
+        return int(a) if a == 1 or a == -1 else _rational(1 / Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -111,12 +92,14 @@ class Field:
         return f"GF({self.p})" if self.p else "QQ"
 
 
+def _rational(x):
+    """A rational as an int when it is integral."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 GF2 = Field(2)
 QQ = Field(None)
-
-
-def GF(p: int) -> Field:
-    return Field(p)
+GF = Field
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +111,9 @@ def axpy(field: Field, dst: dict, c, src: dict):
 
     Over GF(2) every nonzero scalar is 1, so for c = 1 this is the symmetric
     difference of the supports: an index of src leaves dst if it is there
-    and enters it with coefficient 1 if not, without a `Field` call."""
-    if field.p == 2:
+    and enters it with coefficient 1 if not.  No `Field` method is called."""
+    p = field.p
+    if p == 2:
         if c:
             for i in src:
                 if i in dst:
@@ -137,8 +121,13 @@ def axpy(field: Field, dst: dict, c, src: dict):
                 else:
                     dst[i] = 1
         return
+    get = dst.get
     for i, b in src.items():
-        t = field.sub(dst[i], field.mul(c, b)) if i in dst else field.neg(field.mul(c, b))
+        t = get(i, 0) - c * b
+        if p:
+            t %= p
+        elif type(t) is Fraction and t.denominator == 1:
+            t = t.numerator
         if t:
             dst[i] = t
         else:
@@ -150,8 +139,9 @@ def combine(field: Field, coeffs: dict, vectors) -> dict:
     zeros.
 
     Over GF(2) an index keeps coefficient 1 when an odd number of the
-    vectors with c = 1 hold it, and the sum calls no `Field` method."""
-    if field.p == 2:
+    vectors with c = 1 hold it.  No `Field` method is called."""
+    p = field.p
+    if p == 2:
         odd: dict = {}
         get = odd.get
         for k, c in coeffs.items():
@@ -160,10 +150,13 @@ def combine(field: Field, coeffs: dict, vectors) -> dict:
                     odd[i] = not get(i)
         return {i: 1 for i, a in odd.items() if a}
     out: dict = {}
+    get = out.get
     for k, c in coeffs.items():
         for i, b in vectors[k].items():
-            out[i] = field.add(out[i], field.mul(c, b)) if i in out else field.mul(c, b)
-    return {i: a for i, a in out.items() if a}
+            out[i] = get(i, 0) + c * b
+    if p:
+        return {i: a % p for i, a in out.items() if a % p}
+    return {i: a if type(a) is int else _rational(a) for i, a in out.items() if a}
 
 
 def pivot_order(entries: Sequence) -> tuple[list, dict]:
@@ -202,7 +195,7 @@ def reduce_vector(field: Field, r: dict, owner: dict, vectors) -> tuple:
     return None, multiples
 
 
-def reduce_columns(field: Field, columns: Iterable[dict]) -> tuple[list, list[dict], list[dict]]:
+def reduce_columns(field: Field, columns: Iterable[dict], with_v: bool = True) -> tuple:
     """Lowest-one column reduction (Edelsbrunner–Letscher–Zomorodian 2002,
     Zomorodian–Carlsson 2005) of sparse columns over any field.
 
@@ -215,22 +208,23 @@ def reduce_columns(field: Field, columns: Iterable[dict]) -> tuple[list, list[di
     scalar}, and vs[j] is the combination {input column index: scalar} of
     input columns that it equals.  The non-None lows are distinct, so their
     count is the rank of the input columns, and the vs of zero columns are a
-    basis of the relations among them.
+    basis of the relations among them.  With with_v=False, vs is None.
     """
     lows: list = []
-    vs: list[dict] = []
+    vs: list | None = [] if with_v else None
     reduced: list[dict] = []
     owner: dict = {}
     for j, col in enumerate(columns):
         r = dict(col)
         low, multiples = reduce_vector(field, r, owner, reduced)
-        v = {j: field.one}
-        for k, c in multiples.items():
-            axpy(field, v, c, vs[k])
+        if with_v:
+            v = {j: 1}
+            for k, c in multiples.items():
+                axpy(field, v, c, vs[k])
+            vs.append(v)
         if low is not None:
             owner[low] = j
         lows.append(low)
-        vs.append(v)
         reduced.append(r)
     return lows, vs, reduced
 
@@ -261,12 +255,12 @@ class Span:
 
     def __init__(self, field: Field, vectors: Iterable[dict] = ()):
         basis: dict = {}
-        reduced = reduce_columns(field, (_clean(field, v) for v in vectors))[2]
+        reduced = reduce_columns(field, (_clean(field, v) for v in vectors),
+                                 with_v=False)[2]
         for v in sorted(filter(None, reduced), key=max):
             for low in [i for i in v if i in basis]:
                 axpy(field, v, v[low], basis[low])
-            c = field.inv(v[max(v)])
-            basis[max(v)] = {i: field.mul(c, a) for i, a in v.items()}
+            basis[max(v)] = combine(field, {0: field.inv(v[max(v)])}, (v,))
         self.field = field
         self.vectors = tuple(MappingProxyType(v) for v in basis.values())
         self._owner = {low: k for k, low in enumerate(basis)}

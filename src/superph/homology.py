@@ -218,7 +218,7 @@ def _ranks(cc: ChainComplex, n: int, cols: frozenset, marked_rows: frozenset):
         rows, position = pivot_order([0 if i in marked_rows else 1
                                       for i in range(cc.space_dim(n - 1))])
         lows = reduce_columns(cc.field, ({position[i]: a for i, a in cc.columns[n][j].items()}
-                                         for j in sorted(cols)))[0]
+                                         for j in sorted(cols)), with_v=False)[0]
         ranks = cc.memo[key] = (len(lows) - lows.count(None),
                                 sum(low is not None and rows[low] not in marked_rows
                                     for low in lows))

@@ -557,7 +557,7 @@ def _rank_profile(field: Field, gens: list[tuple[int, dict]], steps: int) -> lis
     """dim span{v : (i, v) in gens, i <= s} at every step s, from one
     reduction of the generators in entry order."""
     gens = sorted(gens, key=lambda g: g[0])
-    lows = reduce_columns(field, [v for _, v in gens])[0]
+    lows = reduce_columns(field, [v for _, v in gens], with_v=False)[0]
     return _step_counts([i for (i, _), low in zip(gens, lows) if low is not None], steps)
 
 

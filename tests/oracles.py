@@ -7,8 +7,9 @@ exceptions read library pieces but compute by another route:
 
 - the generic sparse arithmetic (`dict_axpy`, `dict_combine`, and
   `dict_route` to run the library on them): Σ c·v through `Field` calls
-  over every field, where the library takes symmetric differences and
-  occurrence parities over GF(2);
+  over GF(p) and plain Fractions over Q, where the library takes symmetric
+  differences and occurrence parities over GF(2), reduces inline mod p and
+  keeps integral rationals as ints;
 - the keyed reduction (`keyed_reduce_vector`, `keyed_reduce_columns`):
   the lowest-one reduction with the pivot order passed in as a key on the
   vectors' own indices, on the generic arithmetic, where the library
@@ -71,11 +72,22 @@ from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
 # Generic sparse arithmetic and the keyed reduction, for every field
 # ---------------------------------------------------------------------------
 
+def _generic(field: Field):
+    """(sub, mul, add) of the generic route: `Field` calls over GF(p), and
+    plain Fraction arithmetic over Q, which keeps integral results as
+    Fractions, where the library stores them as ints."""
+    if field.p:
+        return field.sub, field.mul, field.add
+    return ((lambda a, b: Fraction(a) - b), (lambda a, b: Fraction(a) * b),
+            (lambda a, b: Fraction(a) + b))
+
+
 def dict_axpy(field: Field, dst: dict, c, src: dict):
-    """dst -= c * src through `Field` calls: the generic route of
-    `fields.axpy`, which the library takes only over GF(p) and Q."""
+    """dst -= c * src through `Field` calls, or Fractions over Q: the
+    generic route of `fields.axpy`."""
+    sub, mul, _ = _generic(field)
     for i, b in src.items():
-        t = field.sub(dst[i], field.mul(c, b)) if i in dst else field.neg(field.mul(c, b))
+        t = sub(dst[i] if i in dst else 0, mul(c, b))
         if t:
             dst[i] = t
         else:
@@ -83,12 +95,13 @@ def dict_axpy(field: Field, dst: dict, c, src: dict):
 
 
 def dict_combine(field: Field, coeffs: dict, vectors) -> dict:
-    """Σ c · vectors[k] through `Field` calls: the generic route of
-    `fields.combine`."""
+    """Σ c · vectors[k] through `Field` calls, or Fractions over Q: the
+    generic route of `fields.combine`."""
+    _, mul, add = _generic(field)
     out: dict = {}
     for k, c in coeffs.items():
         for i, b in vectors[k].items():
-            out[i] = field.add(out[i], field.mul(c, b)) if i in out else field.mul(c, b)
+            out[i] = add(out[i], mul(c, b)) if i in out else mul(c, b)
     return {i: a for i, a in out.items() if a}
 
 

@@ -322,6 +322,36 @@ def test_gfp_inverse_and_reduction():
         GF(9)
 
 
+def test_gfp_of_fraction_is_numerator_times_inverse():
+    # n/d over GF(p) is n·d⁻¹ mod p, not int(n/d) truncated: 1/2 is 2 in
+    # GF(3), so the span of {0: 1/2} is a line; p dividing d has no value
+    assert GF(3).of(Fraction(1, 2)) == 2 and GF(3).of(Fraction(-1, 2)) == 1
+    assert GF(5).of(Fraction(3, 4)) == 2 and GF(7).of(Fraction(14, 2)) == 0
+    assert Span(GF(3), [{0: Fraction(1, 2)}]).dim == 1
+    assert Span(GF(3), [{0: 1}]).contains({0: Fraction(1, 2)})
+    for p, d in ((3, 3), (5, 10)):
+        with pytest.raises(ZeroDivisionError):
+            GF(p).of(Fraction(1, d))
+
+
+def test_rational_scalars_are_ints_when_integral():
+    # integral rationals are ints and the rest Fractions, with the values,
+    # equality and hashes of the Fractions they stand for
+    assert type(QQ.one) is int and type(QQ.zero) is int
+    half = Fraction(1, 2)
+    results = [QQ.of(3), QQ.of(Fraction(4, 2)), QQ.of(True), QQ.inv(half), QQ.inv(-1),
+               QQ.mul(half, 2), QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.neg(2)]
+    assert results == [3, 2, 1, 2, -1, 1, 1, 1, -2]
+    assert all(type(a) is int for a in results)
+    assert [QQ.of(1.5), QQ.inv(2), QQ.mul(half, 3), QQ.neg(half)] == \
+        [Fraction(3, 2), half, Fraction(3, 2), -half]
+    assert all(type(a) is Fraction for a in (QQ.of(1.5), QQ.inv(2), QQ.mul(half, 3)))
+    assert {QQ.of(Fraction(6, 3)): "x"} == {Fraction(2): "x"}
+    assert hash(QQ.of(Fraction(6, 3))) == hash(Fraction(2))
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+
+
 def test_rational_uses_exact_fractions():
     # elimination keeps exact arithmetic: a matrix engineered to blow up
     # floating point has exact rank 3
@@ -340,7 +370,7 @@ def test_matmul_apply_agree(rng):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) arithmetic against the generic route
+# The fields' inline arithmetic against the generic route
 # ---------------------------------------------------------------------------
 
 def _items(vectors):
@@ -348,50 +378,99 @@ def _items(vectors):
     return [list(v.items()) for v in vectors]
 
 
+def _scalars(field):
+    """Nonzero canonical scalars to draw from: every residue over GF(p), and
+    integral and non-integral rationals over Q."""
+    if field.p:
+        return list(range(1, field.p))
+    return [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(5, 4)]
+
+
 def _gf2_family(supports, repeats, cancels):
     """{i: 1} vectors on the drawn supports, plus copies of some (repeated
     vectors) and the sums of some pairs (cancelling triples)."""
-    vectors = [dict.fromkeys(s, 1) for s in supports]
+    return _family(GF2, [[(i, 1) for i in s] for s in supports], [(k, 1) for k in repeats],
+                   [(a, b, 1, 1) for a, b in cancels])
+
+
+def _family(field, entries, scaled, cancels):
+    """Vectors {i: scalar} from drawn (index, scalar) lists, plus scaled
+    copies of some (repeated lows) and the combinations a·u + b·w of some
+    pairs (cancelling triples), all with canonical scalars."""
+    vectors = [_canonical(field, dict(e)) for e in entries]
     if vectors:
-        vectors += [dict(vectors[k % len(vectors)]) for k in repeats]
-        vectors += [dict_combine(GF2, {a % len(vectors): 1, b % len(vectors): 1}, vectors)
-                    for a, b in cancels]
+        vectors += [_canonical(field, dict_combine(field, {k % len(vectors): c}, vectors))
+                    for k, c in scaled]
+        vectors += [_canonical(field, dict_combine(field, {a % len(vectors): c,
+                                                           b % len(vectors): d}, vectors))
+                    for a, b, c, d in cancels]
     return vectors
 
 
-def _assert_gf2_matches_dict_route(vectors, coeffs, probe, row_rank):
-    # axpy of every ordered pair, in place, and combine
-    for dst in vectors:
+def _canonical(field, vec):
+    return {i: field.of(a) for i, a in vec.items() if field.of(a)}
+
+
+def _assert_canonical(field, vectors):
+    # no stored zero; over GF(p) a residue in [1, p), over Q an int when
+    # integral and a Fraction otherwise
+    for v in vectors:
+        for a in v.values():
+            assert a
+            if field.p:
+                assert type(a) is int and 0 < a < field.p
+            else:
+                assert type(a) is int or (type(a) is Fraction and a.denominator != 1)
+
+
+def _assert_matches_dict_route(field, vectors, coeffs, probe, row_rank):
+    # axpy of every ordered pair, in place: with a drawn multiple, and with
+    # the multiple that cancels the entry of dst at the low of src
+    scalars = _scalars(field)
+    for n, dst in enumerate(vectors):
         for src in vectors:
-            fast, slow = dict(dst), dict(dst)
-            axpy(GF2, fast, 1, src)
-            dict_axpy(GF2, slow, 1, src)
-            assert list(fast.items()) == list(slow.items())
-    assert list(combine(GF2, coeffs, vectors).items()) == \
-        list(dict_combine(GF2, coeffs, vectors).items())
-    # the whole reduction, on the rows as given and relabelled to the
-    # positions of a row order
+            cs = [scalars[n % len(scalars)]]
+            if src and max(src) in dst:
+                cs.append(field.mul(dst[max(src)], field.inv(src[max(src)])))
+            for k, c in enumerate(cs):
+                fast, slow = dict(dst), dict(dst)
+                axpy(field, fast, c, src)
+                dict_axpy(field, slow, c, src)
+                assert list(fast.items()) == list(slow.items())
+                _assert_canonical(field, [fast])
+                assert k == 0 or max(src) not in fast
+    fast = combine(field, coeffs, vectors)
+    assert list(fast.items()) == list(dict_combine(field, coeffs, vectors).items())
+    _assert_canonical(field, [fast])
+    # the whole reduction, with and without V, on the rows as given and
+    # relabelled to the positions of a row order
     for vs, pr in ((vectors, probe),
                    ([_relabel(v, row_rank) for v in vectors], _relabel(probe, row_rank))):
-        fast = reduce_columns(GF2, vs)
+        fast = reduce_columns(field, vs)
         with dict_route():
-            slow = reduce_columns(GF2, vs)
+            slow = reduce_columns(field, vs)
         assert fast[0] == slow[0]
         assert _items(fast[1]) == _items(slow[1]) and _items(fast[2]) == _items(slow[2])
+        _assert_canonical(field, fast[1] + fast[2])
+        lows, none, reduced = reduce_columns(field, vs, with_v=False)
+        assert lows == fast[0] and none is None and _items(reduced) == _items(fast[2])
         owner = {low: j for j, low in enumerate(fast[0]) if low is not None}
         r_fast, r_slow = dict(pr), dict(pr)
-        out_fast = reduce_vector(GF2, r_fast, owner, fast[2])
+        out_fast = reduce_vector(field, r_fast, owner, fast[2])
         with dict_route():
-            out_slow = reduce_vector(GF2, r_slow, owner, fast[2])
+            out_slow = reduce_vector(field, r_slow, owner, fast[2])
         assert out_fast == out_slow and list(r_fast.items()) == list(r_slow.items())
+        _assert_canonical(field, [r_fast, out_fast[1]])
     # spans: bases, sums, intersections and membership
     half = len(vectors) // 2
-    a, b = Span(GF2, vectors[:half]), Span(GF2, vectors[half:])
+    a, b = Span(field, vectors[:half]), Span(field, vectors[half:])
     fast = (a, b, a.sum(b), a.intersect(b), a.contains(probe))
     with dict_route():
-        a, b = Span(GF2, vectors[:half]), Span(GF2, vectors[half:])
+        a, b = Span(field, vectors[:half]), Span(field, vectors[half:])
         slow = (a, b, a.sum(b), a.intersect(b), a.contains(probe))
     assert fast == slow
+    for span in fast[:4]:
+        _assert_canonical(field, span.vectors)
 
 
 def test_gf2_arithmetic_matches_dict_route(rng):
@@ -406,8 +485,8 @@ def test_gf2_arithmetic_matches_dict_route(rng):
         probe = dict.fromkeys(rng.sample(range(10), rng.randint(0, 6)), 1)
         order = list(range(10))
         rng.shuffle(order)
-        _assert_gf2_matches_dict_route(vectors, coeffs, probe,
-                                       {r: k for k, r in enumerate(order)})
+        _assert_matches_dict_route(GF2, vectors, coeffs, probe,
+                                   {r: k for k, r in enumerate(order)})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -422,8 +501,48 @@ def test_gf2_arithmetic_matches_dict_route_property(data):
                                               unique=True, max_size=len(vectors))), 1)
     probe = dict.fromkeys(data.draw(indices), 1)
     order = data.draw(st.permutations(range(8)))
-    _assert_gf2_matches_dict_route(vectors, coeffs, probe,
+    _assert_matches_dict_route(GF2, vectors, coeffs, probe,
+                               {r: k for k, r in enumerate(order)})
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ])
+def test_field_arithmetic_matches_dict_route(field, rng):
+    # seeded families of up to 12 vectors on 10 rows with drawn scalars
+    # (non-integral ones over Q), scaled copies and cancelling triples: the
+    # inline arithmetic over GF(p) and Q gives the generic route's vectors,
+    # key order included, and stores only canonical nonzero scalars
+    scalars = _scalars(field)
+    for _ in range(40):
+        entries = [[(i, rng.choice(scalars)) for i in rng.sample(range(10), rng.randint(0, 6))]
+                   for _ in range(rng.randint(0, 8))]
+        scaled = [(rng.randrange(8), rng.choice(scalars)) for _ in range(rng.randint(0, 2))]
+        cancels = [(rng.randrange(8), rng.randrange(8), rng.choice(scalars), rng.choice(scalars))
+                   for _ in range(rng.randint(0, 2))]
+        vectors = _family(field, entries, scaled, cancels)
+        coeffs = {k: rng.choice(scalars) for k in range(len(vectors)) if rng.random() < 0.6}
+        probe = {i: rng.choice(scalars) for i in rng.sample(range(10), rng.randint(0, 6))}
+        order = list(range(10))
+        rng.shuffle(order)
+        _assert_matches_dict_route(field, vectors, coeffs, probe,
                                    {r: k for k, r in enumerate(order)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_field_arithmetic_matches_dict_route_property(data):
+    field = data.draw(st.sampled_from((GF(3), GF(5), QQ)))
+    scalar = st.sampled_from(_scalars(field))
+    vector = st.dictionaries(st.integers(0, 7), scalar, max_size=6)
+    entries = [list(v.items()) for v in data.draw(st.lists(vector, max_size=7))]
+    scaled = data.draw(st.lists(st.tuples(st.integers(0, 6), scalar), max_size=2))
+    cancels = data.draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), scalar, scalar),
+                                 max_size=2))
+    vectors = _family(field, entries, scaled, cancels)
+    coeffs = data.draw(st.dictionaries(st.integers(0, max(len(vectors) - 1, 0)), scalar,
+                                       max_size=len(vectors)))
+    order = data.draw(st.permutations(range(8)))
+    _assert_matches_dict_route(field, vectors, coeffs if vectors else {}, data.draw(vector),
+                               {r: k for k, r in enumerate(order)})
 
 
 def test_reduce_vector_fails_when_the_low_does_not_fall():

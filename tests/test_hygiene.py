@@ -139,3 +139,35 @@ def test_every_oracle_is_read():
                 sources[name] = fh.read()
     oracles = sources.pop("oracles.py")
     assert unread_oracles(oracles, list(sources.values())) == []
+
+
+FIELD_ARITHMETIC = {"add", "sub", "mul", "neg", "inv", "of"}
+
+
+def field_method_calls(source: str, functions: set[str]) -> list[tuple[str, int, str]]:
+    """(function, line, method) of every call to a `Field` arithmetic
+    method (any `x.add(...)`, `x.mul(...)`, ... call) inside the named
+    top-level functions."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found += [(node.name, n.lineno, n.func.attr) for n in ast.walk(node)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in FIELD_ARITHMETIC]
+    return found
+
+
+def test_field_method_calls_detector():
+    src = ("def axpy(field, d, c, s):\n    d[0] = field.sub(d[0], c)\n    d.get(0)\n"
+           "def combine(f, c, v):\n    return {0: f.mul(1, f.inv(2))}\n"
+           "def other(f):\n    return f.neg(1)\n")
+    assert field_method_calls(src, {"axpy", "combine"}) == [
+        ("axpy", 2, "sub"), ("combine", 5, "mul"), ("combine", 5, "inv")]
+
+
+def test_vector_kernels_call_no_field_method():
+    # `axpy` and `combine` are the reduction's inner loop: each field's
+    # scalar arithmetic is written inline there, never as a `Field` call
+    # per entry
+    with open(os.path.join(SRC, "fields.py"), encoding="utf-8") as fh:
+        assert field_method_calls(fh.read(), {"axpy", "combine"}) == []

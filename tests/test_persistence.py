@@ -3,6 +3,8 @@ exact triangle."""
 
 import itertools
 import math
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,11 @@ from superph import (GF2, QQ, Bar, DeltaSet, GradedSubset, MultiGraph,
                      constant_scheme, correlation_matrix, full_barcode,
                      full_subset, partition_persistence, seeded_random_scheme,
                      triangle_report, vr_scheme)
-from superph import persistence
+from superph import fields, homology, persistence
 from superph.faceops import Clustering, SubgraphFamily, primary_vertex_deletion
 from superph.fields import GF, FieldMatrix, combine
-from superph.homology import ChainComplex, boundary_matrices
+from superph.homology import (ChainComplex, boundary_matrices, embedded_betti,
+                              embedded_chain_data)
 from superph.persistence import (ARROWS, MODULE_KINDS, DominationError,
                                  RegularityError)
 from superph.scoring import PointCloud, pullback_scheme, vr_points
@@ -760,6 +763,44 @@ def test_triangle_reduces_only_sums_of_spaces(rng, monkeypatch):
         assert len(calls) == 3 * ds.dim_count - 1 == 11
         assert report.exact
         assert report == dense_triangle_report(filt, field)
+
+
+def test_rank_only_reductions_build_no_v(rng, monkeypatch):
+    # the static ranks, the triangle's rank profiles and Span read only the
+    # lows and reduced columns of their reductions, so none of them builds
+    # a V column; relations, inf_basis and the modules read V and get it
+    real = fields.reduce_columns
+    built: dict = {}
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        code = sys._getframe(1).f_code
+        caller = (os.path.basename(code.co_filename), code.co_name)
+        built.setdefault(caller, set()).add(out[1] is not None)
+        return out
+
+    for module in (fields, homology, persistence):
+        monkeypatch.setattr(module, "reduce_columns", counted)
+    for field in (GF2, GF(3), QQ):
+        pc = random_cloud(rng, max_points=6)
+        ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=2)
+        marks = GradedSubset({n: {j for j in range(ds.counts[n]) if rng.random() < 0.7}
+                              for n in range(ds.dim_count)})
+        sh = SuperHypergraph(ds, marks)
+        for mode in ("absolute", "relative", "ambient"):
+            embedded_betti(sh, field, mode)
+        data = embedded_chain_data(sh, field)
+        data.inf[1].sum(data.sup[1]).intersect(data.sup[1])
+        filt = build_filtration(sh, vr_scheme(pc))
+        for which in MODULE_KINDS:
+            full_barcode(filt, field, which)
+        assert triangle_report(filt, field).exact
+    assert built == {("homology.py", "_ranks"): {False},
+                     ("persistence.py", "_rank_profile"): {False},
+                     ("fields.py", "__init__"): {False},
+                     ("fields.py", "relations"): {True},
+                     ("homology.py", "inf_basis"): {True},
+                     ("persistence.py", "__init__"): {True}}
 
 
 # ---------------------------------------------------------------------------
