@@ -7,7 +7,10 @@ cells; all homology in this package is computed from such pairs.
 
 Cells are addressed as (dim, index) pairs.  Labels are opaque payloads
 (vertex tuples, subgraphs, ...) so the same core serves simplicial
-complexes, clique Δ-sets and subgraph collections.
+complexes, clique Δ-sets and subgraph collections.  A Δ-set built over a
+graph's rank masks stores its labels as (vertex mask, edge mask) cells
+together with that host, and decodes a subgraph only where a label is
+read (`DeltaSet.label`, `DeltaSet.labels`).
 """
 
 from __future__ import annotations
@@ -71,10 +74,13 @@ class DeltaSet:
     """Graded cell sets with face maps.
 
     counts[n] is the number of n-cells; faces[n][j] is the ordered face list
-    (d_0 .. d_n) of the j-th n-cell, as indices into dimension n-1.
+    (d_0 .. d_n) of the j-th n-cell, as indices into dimension n-1.  When
+    `host` is a graph, the stored labels `_labels` are (vertex mask, edge
+    mask) cells over its ranks, and `label` and `labels` decode them into
+    subgraphs of it; otherwise they are the labels themselves.
     """
 
-    __slots__ = ("counts", "faces", "labels")
+    __slots__ = ("counts", "faces", "_labels", "host")
 
     def __init__(self, counts: Sequence[int], faces: Sequence[Sequence[Sequence[int]]],
                  labels: Sequence[Sequence] | None = None):
@@ -100,7 +106,8 @@ class DeltaSet:
                 rows.append(row)
             norm_faces.append(tuple(rows))
         self.faces = tuple(norm_faces)
-        self.labels = _label_rows(self.counts, labels)
+        self._labels = _label_rows(self.counts, labels)
+        self.host = None
 
     @property
     def dim_count(self) -> int:
@@ -112,22 +119,31 @@ class DeltaSet:
     def total_cells(self) -> int:
         return sum(self.counts)
 
+    @property
+    def labels(self) -> tuple[tuple, ...] | None:
+        """The labels, one tuple per dimension, or None."""
+        if self.host is None:
+            return self._labels
+        return tuple(tuple(map(self.host._cell_subgraph, row)) for row in self._labels)
+
     def label(self, dim: int, idx: int):
-        if self.labels is None:
+        if self._labels is None:
             raise ValueError("Δ-set carries no labels")
-        return self.labels[dim][idx]
+        lab = self._labels[dim][idx]
+        return lab if self.host is None else self.host._cell_subgraph(lab)
 
     def cells(self) -> Iterable[CellId]:
         for n, c in enumerate(self.counts):
             for j in range(c):
                 yield (n, j)
 
-    def with_labels(self, labels) -> "DeltaSet":
+    def with_labels(self, labels, host=None) -> "DeltaSet":
         """This Δ-set's counts and face rows, shared, with other labels (or
-        none); only the label counts are checked."""
+        none), stored over host when given; only the label counts are
+        checked."""
         ds = DeltaSet.__new__(DeltaSet)
-        ds.counts, ds.faces = self.counts, self.faces
-        ds.labels = _label_rows(self.counts, labels)
+        ds.counts, ds.faces, ds.host = self.counts, self.faces, host
+        ds._labels = _label_rows(self.counts, labels)
         return ds
 
     def validate(self) -> ValidationReport:

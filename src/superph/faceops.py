@@ -9,20 +9,22 @@ super-hypergraph whose parental Δ-set cells are subgraphs (with their
 starting vertices, for starting-vertex faces), so cells reached along
 different deletion sequences coincide.  Every closure runs on the members
 as masks over the host's one index, its rank-mask tables (`graphs._Cell`,
-and `_StartCell` with a starting-vertex mask), and labels each cell once,
-after the closure, by `relabel`.  Edge deletion returns the members' edge
+and `_StartCell` with a starting-vertex mask).  The four subgraph-family
+closures keep those cells as the labels, over the host
+(`graphs._keep_cells`), and a `Subgraph` is decoded only where a label is
+read; starting-vertex faces label each cell once, after the closure, with
+its marked subgraph by `relabel`.  Edge deletion returns the members' edge
 sets and whether they are closed under single-edge deletion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face, relabel)
-from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _ranks, _subgraph_of, _union,
+from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _keep_cells, _ranks, _union,
                      _vertex_mask, is_subgraph, vertex_deletion_map)
 
 
@@ -151,8 +153,8 @@ def _close_family(fam: SubgraphFamily, face_fn) -> SuperHypergraph:
     """The family's cells closed under face_fn, with the members marked."""
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
-    return SuperHypergraph(*relabel(close_under_faces([_cell_of(m) for m in fam], face_fn),
-                                    partial(_subgraph_of, fam.host)))
+    return SuperHypergraph(*_keep_cells(fam.host, close_under_faces([_cell_of(m) for m in fam],
+                                                                    face_fn)))
 
 
 def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
@@ -327,7 +329,7 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
 
     def label(cell: _StartCell) -> MarkedSubgraph:
         vm, em, sm = cell
-        return MarkedSubgraph(_subgraph_of(ghat, _Cell((vm, em))),
+        return MarkedSubgraph(ghat._cell_subgraph(_Cell((vm, em))),
                               frozenset(ghat._vids[r] for r in _ranks(sm)))
 
     ds, _ = relabel(close_under_faces(seeds, face_fn), label)

@@ -51,7 +51,7 @@ class Field:
     one = 1
 
     def __init__(self, p: int | None):
-        if p is not None and (not (2 <= p < 2**31) or not _is_prime(p)):
+        if p is not None and (type(p) is not int or not 2 <= p < 2**31 or not _is_prime(p)):
             raise ValueError(f"modulus must be a prime in [2, 2^31), got {p!r}")
         self.p = p
 

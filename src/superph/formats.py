@@ -303,12 +303,9 @@ def write_delta(path, ds: DeltaSet, marked: GradedSubset | None = None):
     text with the spaces taken out (`c<dim>_<index>` when unlabelled),
     checked by `_id_texts` within its dimension."""
     out = []
-    names = []
-    for n in range(ds.dim_count):
-        labels = (ds.labels[n] if ds.labels is not None
-                  else [f"c{n}_{j}" for j in range(ds.counts[n])])
-        names.append(_id_texts(f"dimension-{n} cell name",
-                               (str(lab).replace(" ", "") for lab in labels)))
+    labels = ds.labels or [[f"c{n}_{j}" for j in range(c)] for n, c in enumerate(ds.counts)]
+    names = [_id_texts(f"dimension-{n} cell name", (str(lab).replace(" ", "") for lab in row))
+             for n, row in enumerate(labels)]
     for n in range(ds.dim_count):
         for j in range(ds.counts[n]):
             face_ids = " ".join(names[n - 1][t] for t in ds.faces[n][j]) if n else ""

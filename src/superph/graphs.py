@@ -4,7 +4,10 @@ built from them (clique Δ-set, neighborhood complex, path complex).
 A `MultiGraph` keeps one index, built at construction: the ranks of its
 ids and bitmask tables over them.  Its id lookups decode those masks, and
 every construction closes subgraphs as (vertex mask, edge mask) cells over
-them."""
+them.  The clique Δ-set keeps those cells as its labels, over its host
+(`_keep_cells`, which checks each cell's edges as `Subgraph` does), and
+`DeltaSet.label` decodes a `Subgraph` only when one is read; the path
+complex labels its cells with subgraphs of the completion by `relabel`."""
 
 from __future__ import annotations
 
@@ -116,6 +119,14 @@ class MultiGraph:
 
     def subgraph(self, vertices: Iterable, edges: Iterable) -> "Subgraph":
         return Subgraph(self, vertices, edges)
+
+    def _cell_subgraph(self, cell: "_Cell") -> "Subgraph":
+        """The subgraph a cell over these ranks stands for, built by the
+        checked constructor, its sort key filled in from the ranks."""
+        key = cell.sort_key
+        sub = Subgraph(self, [self._vids[r] for r in key[1]], [self._eids[r] for r in key[2]])
+        sub._sort_key = key
+        return sub
 
     def induced(self, vertices: Iterable) -> "Subgraph":
         vs = frozenset(vertices)
@@ -256,20 +267,26 @@ class _Cell(tuple):
         return (4, _ranks(self[0]), _ranks(self[1]))
 
 
-def _cell_of(sub: Subgraph) -> _Cell:
-    """The cell of a subgraph over its host's ranks."""
-    erank = sub.host._erank
-    return _Cell((_vertex_mask(sub.host, sub.vertices), sum(1 << erank[e] for e in sub.edges)))
+def _cell_of(sub: Subgraph, host: MultiGraph | None = None) -> _Cell:
+    """The cell of a subgraph over the ranks of host, its own by default."""
+    host = host or sub.host
+    return _Cell((_vertex_mask(host, sub.vertices), sum(1 << host._erank[e] for e in sub.edges)))
 
 
-def _subgraph_of(host: MultiGraph, cell: _Cell) -> Subgraph:
-    """The subgraph a cell stands for, built by the checked constructor,
-    its sort key filled in from the ranks."""
-    key = cell.sort_key
-    vids, eids = host._vids, host._eids
-    sub = Subgraph(host, [vids[r] for r in key[1]], [eids[r] for r in key[2]])
-    sub._sort_key = key
-    return sub
+def _keep_cells(host: MultiGraph, closure: tuple[DeltaSet, GradedSubset]
+               ) -> tuple[DeltaSet, GradedSubset]:
+    """A `close_under_faces` result whose labels are cells over host's
+    ranks, with those cells kept as its labels over host, so that
+    `DeltaSet.label` reads them as subgraphs.  Each cell is checked once,
+    as `Subgraph` checks its edges: ValueError names the lowest-ranked edge
+    of a cell whose endpoints are not all in it."""
+    ds, marked = closure
+    stray = next((bad for row in ds.labels for vm, em in row
+                  if (bad := em & ~host._induced_edges(vm))), 0)
+    if stray:
+        raise ValueError(f"edge {host._eids[(stray & -stray).bit_length() - 1]!r} "
+                         "selected without its endpoints")
+    return ds.with_labels(ds.labels, host), marked
 
 
 def vertex_deletion_map(host: MultiGraph):
@@ -321,7 +338,7 @@ def cliques(g: MultiGraph, max_size: int) -> list[Subgraph]:
     Enumeration is lexicographic in (vertex set, edge choices), in the
     host's rank order.
     """
-    return [_subgraph_of(g, cell) for cell in _clique_cells(g, max_size)]
+    return [g._cell_subgraph(cell) for cell in _clique_cells(g, max_size)]
 
 
 def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
@@ -331,8 +348,8 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
         raise ValueError("clique Δ-set is defined for undirected graphs")
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    ds, _ = relabel(close_under_faces(_clique_cells(g, max_dim + 1), vertex_deletion_map(g)),
-                    partial(_subgraph_of, g))
+    ds, _ = _keep_cells(g, close_under_faces(_clique_cells(g, max_dim + 1),
+                                            vertex_deletion_map(g)))
     return ds
 
 

@@ -66,13 +66,9 @@ from .delta import DeltaMorphism, SuperHypergraph, validate_morphism
 from .fields import (Field, FieldMatrix, Span, combine, pivot_order, reduce_columns,
                      reduce_vector)
 from .homology import ChainComplex, FilteredBasis, boundary_matrices, inf_basis
-from .scoring import cell_scores, label_subgraph
+from .scoring import DominationError, _cell_masks, _scores
 
 MODULE_KINDS = ("ambient", "embedded", "relative")
-
-
-class DominationError(ValueError):
-    """The Δ-set is not (visibly) dominated by a working graph."""
 
 
 class RegularityError(ValueError):
@@ -119,36 +115,32 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
     the filtration at the sorted distinct critical values.
 
     Requires every cell to carry a finite-subgraph label, labels to be
-    injective, and faces to be labeled by subgraphs of their cofaces.  With
+    injective, and faces to be labeled by subgraphs of their cofaces.  The
+    labels are read as (vertex mask, edge mask) cells over one host
+    (`scoring._cell_masks`), so these checks compare masks.  With
     experimental=True a non-regular scheme is allowed (the modules are then
     built from infimum chains of the graded sublevel sets).
     """
     x = sh.x
-    if x.labels is None and x.total_cells() > 0:
-        raise DominationError("cells carry no subgraph labels")
+    host, cells = _cell_masks(x)
     seen = {}
-    for n, j in x.cells():
-        sub = label_subgraph(x.label(n, j))
-        key = getattr(sub, "key", None)
-        if key is None:
-            raise DominationError(f"cell ({n},{j}) label is not a subgraph")
-        if key in seen:
-            raise DominationError(f"labels not injective: cells {seen[key]} and {(n, j)}")
-        seen[key] = (n, j)
+    for n, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            if cell in seen:
+                raise DominationError(f"labels not injective: cells {seen[cell]} and {(n, j)}")
+            seen[cell] = (n, j)
     # Faces must live over vertex subsets of their cofaces.  Edge containment
     # is not required: the secondary, path and starting-vertex face
     # operations patch deleted layers with working-graph or formal edges, so
     # their faces are not literal edge-subgraphs; sublevel sets still form
     # Δ-subsets because score monotonicity is validated below.
-    for n in range(1, x.dim_count):
-        for j in range(x.counts[n]):
-            big = label_subgraph(x.label(n, j))
+    for n in range(1, len(cells)):
+        for j, (big, _) in enumerate(cells[n]):
             for t in x.faces[n][j]:
-                small = label_subgraph(x.label(n - 1, t))
-                if not small.vertices <= big.vertices:
+                if cells[n - 1][t][0] & ~big:
                     raise DominationError(
                         f"face of cell ({n},{j}) does not shrink its vertex set")
-    scores = cell_scores(scheme, x)
+    scores = _scores(scheme, host, cells)
     monotone = all(scores[n - 1][t] <= scores[n][j]
                    for n in range(1, x.dim_count)
                    for j in range(x.counts[n])

@@ -6,6 +6,12 @@ The six point-cloud schemes use a reference embedding of the vertices into
 R^m: Vietoris–Rips (half diameter), Čech (minimal enclosing ball radius) and
 the four witness variants, whose infimum over ambient points is restricted
 to a finite user-supplied witness set.
+
+Cell labels are scored as (vertex mask, edge mask) cells over one host's
+ranks (`_cell_masks`).  A scheme that reads only a subgraph's vertex set
+(the point-cloud and pull-back schemes) scores a cell from its vertex ranks
+through one rank -> point table per call; any other scheme scores the
+`Subgraph` the cell stands for, built for the call and not kept.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 import random
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graphs import Subgraph, _cell_of, _subgraph_of, vertex_deletion_map
+from .graphs import MultiGraph, Subgraph, _cell_of, _ranks, vertex_deletion_map
 
 Point = tuple[float, ...]
 
@@ -58,10 +64,6 @@ class PointCloud:
         return list(self.points.values())
 
 
-def _dist(p: Point, q: Point) -> float:
-    return math.dist(p, q)
-
-
 # ---------------------------------------------------------------------------
 # Point-set scores (also the pull-back bases)
 # ---------------------------------------------------------------------------
@@ -71,13 +73,8 @@ def vr_points(points: Sequence[Point]) -> float:
     pts = list(points)
     if not pts:
         raise ValueError("empty point set")
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = _dist(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best / 2.0
+    return max((math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]),
+               default=0.0) / 2.0
 
 
 def _circumball(support: Sequence[Point]) -> tuple[Point, float]:
@@ -116,13 +113,13 @@ def min_enclosing_ball(points: Sequence[Point]) -> tuple[Point, float]:
             return _circumball(support)
         center, radius = welzl(i + 1, support)
         p = pts[i]
-        if center and _dist(p, center) <= radius * (1 + 1e-12) + 1e-14:
+        if center and math.dist(p, center) <= radius * (1 + 1e-12) + 1e-14:
             return center, radius
         return welzl(i + 1, support + [p])
 
     # Iterative restarts guard against float flutter in degenerate inputs.
     center, radius = welzl(0, [])
-    worst = max(_dist(p, center) for p in pts)
+    worst = max(math.dist(p, center) for p in pts)
     if worst > radius * (1 + 1e-9) + 1e-12:
         radius = worst
     return center, radius
@@ -138,13 +135,11 @@ def cech_points(points: Sequence[Point]) -> float:
 # ---------------------------------------------------------------------------
 
 def vr_score(lam: Iterable, pc: PointCloud) -> float:
-    pts = pc.of(_nonempty(lam))
-    return vr_points(pts)
+    return vr_points(pc.of(_nonempty(lam)))
 
 
 def cech_score(lam: Iterable, pc: PointCloud) -> float:
-    pts = pc.of(_nonempty(lam))
-    return cech_points(pts)
+    return cech_points(pc.of(_nonempty(lam)))
 
 
 WITNESS_VARIANTS = ("strong", "vr_strong", "weak", "vr_weak")
@@ -165,42 +160,42 @@ def witness_score(lam: Iterable, pc: PointCloud, variant: str,
         raise ValueError("witness set is empty")
     else:
         witnesses = [tuple(float(c) for c in p) for p in witnesses]
-    landmarks = pc.all_points()
+    near = pc.all_points()  # the landmarks; the weak variants exclude lam
     if variant in ("weak", "vr_weak"):
-        excl = [p for v, p in pc.points.items() if v not in lam]
-        if not excl:
+        near = [p for v, p in pc.points.items() if v not in lam]
+        if not near:
             raise ValueError("weak witness scoring needs a proper landmark subset")
-        near = excl
-    else:
-        near = landmarks
 
     # each witness with its distance to the nearest landmark
-    offsets = [(x, min(_dist(x, z) for z in near)) for x in witnesses]
+    offsets = [(x, min(math.dist(x, z) for z in near)) for x in witnesses]
     if variant in ("strong", "weak"):
-        return min(max(_dist(x, y) for y in lam_pts) - nx for x, nx in offsets)
+        return min(max(math.dist(x, y) for y in lam_pts) - nx for x, nx in offsets)
     # VR variants: outer sup over vertex pairs (a singleton degenerates to
     # the plain variant on that point).
-    best = -math.inf
-    for i in range(len(lam_pts)):
-        for j in range(i, len(lam_pts)):
-            if len(lam_pts) > 1 and i == j:
-                continue
-            pi, pj = lam_pts[i], lam_pts[j]
-            val = min(max(_dist(x, pi), _dist(x, pj)) - nx for x, nx in offsets)
-            best = max(best, val)
-    return best
+    pairs = [(p, q) for i, p in enumerate(lam_pts) for q in lam_pts[i + 1:]] \
+        or [(lam_pts[0], lam_pts[0])]
+    return max(min(max(math.dist(x, p), math.dist(x, q)) - nx for x, nx in offsets)
+               for p, q in pairs)
+
+
+def _image(f: Mapping | Callable) -> Callable[[object], Point]:
+    """The point a reference map takes a vertex to."""
+    getter = f.__getitem__ if isinstance(f, Mapping) else f
+
+    def point(v) -> Point:
+        try:
+            return tuple(float(c) for c in getter(v))
+        except KeyError as exc:
+            raise ValueError(f"reference map undefined on vertex {exc.args[0]!r}") from exc
+
+    return point
 
 
 def pullback_score(f: Mapping | Callable, base: Callable[[Sequence[Point]], float],
                    h: Subgraph) -> float:
     """Score of the image point set of the subgraph's vertices (duplicates
     collapse)."""
-    getter = f.__getitem__ if isinstance(f, Mapping) else f
-    try:
-        image = {tuple(float(c) for c in getter(v)) for v in h.vertices}
-    except KeyError as exc:
-        raise ValueError(f"reference map undefined on vertex {exc.args[0]!r}") from exc
-    return base(sorted(image))
+    return base(sorted(set(map(_image(f), h.vertices))))
 
 
 def _nonempty(lam: Iterable) -> set:
@@ -218,14 +213,18 @@ def _nonempty(lam: Iterable) -> set:
 
 class ScoringScheme:
     """An evaluation contract Subgraph -> R plus a declared regularity claim
-    (monotone under subgraph inclusion)."""
+    (monotone under subgraph inclusion).  A scheme that reads only a
+    subgraph's vertex set also keeps that reading as `_vertices`, a pair
+    (point, of_points): the score is of_points of the list of point(v) over
+    the vertices v."""
 
-    __slots__ = ("name", "regular", "_fn")
+    __slots__ = ("name", "regular", "_fn", "_vertices")
 
     def __init__(self, name: str, fn: Callable[[Subgraph], float], regular: bool):
         self.name = name
         self._fn = fn
         self.regular = regular
+        self._vertices = None
 
     def score(self, sub: Subgraph) -> float:
         return float(self._fn(sub))
@@ -234,27 +233,36 @@ class ScoringScheme:
         return f"ScoringScheme({self.name!r}, regular={self.regular})"
 
 
+def _vertex_scheme(name: str, point: Callable, of_points: Callable[[list], float],
+                   regular: bool = True) -> ScoringScheme:
+    """A scheme that reads only a subgraph's vertex set: of_points of the
+    list of point(v) over its vertices v."""
+    s = ScoringScheme(name, lambda h: of_points([point(v) for v in h.vertices]), regular)
+    s._vertices = (point, of_points)
+    return s
+
+
 def vr_scheme(pc: PointCloud) -> ScoringScheme:
-    return ScoringScheme("vr", lambda h: vr_score(h.vertices, pc), regular=True)
+    return _vertex_scheme("vr", pc.coords, vr_points)
 
 
 def cech_scheme(pc: PointCloud) -> ScoringScheme:
-    return ScoringScheme("cech", lambda h: cech_score(h.vertices, pc), regular=True)
+    return _vertex_scheme("cech", pc.coords, cech_points)
 
 
 def witness_scheme(pc: PointCloud, variant: str,
                    witnesses: Sequence[Sequence[float]] | None = None) -> ScoringScheme:
     if variant not in WITNESS_VARIANTS:
         raise ValueError(f"unknown witness variant {variant!r}")
-    regular = variant in ("strong", "vr_strong")
-    return ScoringScheme(f"witness:{variant}",
-                         lambda h: witness_score(h.vertices, pc, variant, witnesses),
-                         regular=regular)
+    # a vertex stands for itself, once the cloud is found to embed it
+    return _vertex_scheme(f"witness:{variant}", lambda v: (pc.coords(v), v)[1],
+                          lambda lam: witness_score(lam, pc, variant, witnesses),
+                          regular=variant in ("strong", "vr_strong"))
 
 
 def pullback_scheme(f: Mapping | Callable, base: Callable[[Sequence[Point]], float],
                     name: str = "pullback") -> ScoringScheme:
-    return ScoringScheme(name, lambda h: pullback_score(f, base, h), regular=True)
+    return _vertex_scheme(name, _image(f), lambda pts: base(sorted(set(pts))))
 
 
 def constant_scheme(value: float = 0.0) -> ScoringScheme:
@@ -283,41 +291,63 @@ def is_regular_scheme(s: ScoringScheme, fam) -> tuple[bool, tuple | None]:
     single-edge deletions); returns a violating (smaller, larger) pair when
     one exists."""
     members = list(fam)
-    tol = 1e-12
-
-    def check(small: Subgraph, large: Subgraph):
-        return s.score(small) <= s.score(large) + tol
-
-    for p in members:
-        for q in members:
-            if p is q:
-                continue
-            if p.vertices <= q.vertices and p.edges <= q.edges:
-                if not check(p, q):
-                    return False, (p, q)
+    pairs = [(p, q) for p in members for q in members
+             if p is not q and p.vertices <= q.vertices and p.edges <= q.edges]
     for m in members:
         if len(m.vertices) > 1:
-            for cell in vertex_deletion_map(m.host)(_cell_of(m)):
-                small = _subgraph_of(m.host, cell)
-                if not check(small, m):
-                    return False, (small, m)
-        for e in sorted(m.edges, key=repr):
-            small = Subgraph(m.host, m.vertices, m.edges - {e})
-            if not check(small, m):
-                return False, (small, m)
-    return True, None
+            pairs += [(m.host._cell_subgraph(cell), m)
+                      for cell in vertex_deletion_map(m.host)(_cell_of(m))]
+        pairs += [(Subgraph(m.host, m.vertices, m.edges - {e}), m)
+                  for e in sorted(m.edges, key=repr)]
+    bad = next(((p, q) for p, q in pairs if not s.score(p) <= s.score(q) + 1e-12), None)
+    return bad is None, bad
 
 
-def label_subgraph(label):
-    """The subgraph a cell label stands for: a marked subgraph's subgraph,
-    else the label itself."""
-    return getattr(label, "subgraph", label)
+class DominationError(ValueError):
+    """The Δ-set is not (visibly) dominated by a working graph."""
+
+
+def _cell_masks(x) -> tuple[MultiGraph, Sequence[Sequence]]:
+    """(host, rows): every cell label of a Δ-set as a (vertex mask, edge
+    mask) cell over one host's ranks, per dimension.  Labels stored as
+    cells are read as they are; subgraph labels (or marked subgraphs) are
+    converted once, over their host, or over the union of their hosts'
+    vertices and edges when they sit on several, so equal id sets give
+    equal cells."""
+    if x.host is not None:
+        return x.host, x._labels
+    if x._labels is None and x.total_cells():
+        raise DominationError("cells carry no subgraph labels")
+    # a marked subgraph stands for its subgraph
+    subs = [[getattr(lab, "subgraph", lab) for lab in row] for row in x._labels or ()]
+    bad = next(((n, j) for n, row in enumerate(subs) for j, sub in enumerate(row)
+                if not isinstance(sub, Subgraph)), None)
+    if bad:
+        raise DominationError("cell ({},{}) label is not a subgraph".format(*bad))
+    hosts = list({id(sub.host): sub.host for row in subs for sub in row}.values())
+    host = hosts[0] if len(hosts) == 1 else MultiGraph(
+        set().union(*(h.vertices for h in hosts)),
+        {e: ends for h in reversed(hosts) for e, ends in h.edge_ends.items()},
+        any(h.directed for h in hosts))
+    return host, [[_cell_of(sub, host) for sub in row] for row in subs]
+
+
+def _scores(s: ScoringScheme, host: MultiGraph, cells) -> list[list[float]]:
+    """Rounded score of every cell of `_cell_masks`, per dimension.  A
+    vertex scheme maps each vertex rank once, in the order the cells first
+    reach it, and reads a cell's points in rank order."""
+    if s._vertices is None:
+        return [[round_score(s.score(host._cell_subgraph(c))) for c in row] for row in cells]
+    point, of_points = s._vertices
+    vids, table = host._vids, {}
+    return [[round_score(of_points([table[r] if r in table else
+                                    table.setdefault(r, point(vids[r])) for r in _ranks(vm)]))
+             for vm, _ in row] for row in cells]
 
 
 def cell_scores(s: ScoringScheme, x) -> list[list[float]]:
     """Rounded score of every cell label of a Δ-set, per dimension."""
-    return [[round_score(s.score(label_subgraph(x.label(n, j)))) for j in range(x.counts[n])]
-            for n in range(x.dim_count)]
+    return _scores(s, *_cell_masks(x))
 
 
 def critical_values(s: ScoringScheme, x) -> list[float]:

@@ -45,7 +45,11 @@ them the face maps of the vertex-deletion, partition, link-blowup and
 starting-vertex constructions, and the clique enumeration, build every
 face as a checked `Subgraph` (a `MarkedSubgraph` for starting-vertex
 faces) from id sets and those scans, where the library closes bitmasks
-over the host's ranks.
+over the host's ranks.  The checked relabel (`checked_relabel`) is the
+route that labelled the rank-mask constructions before their labels stayed
+masks: one checked `Subgraph` per cell, built from the ids of the cell's
+set bits, where the library keeps the masks and decodes a label only when
+one is read.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from typing import Sequence
 
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            GradedSubset, SuperHypergraph, cell_sort_key,
-                           delta_closure, full_subset, max_delta_subset)
+                           delta_closure, full_subset, max_delta_subset, relabel)
 from superph.faceops import MarkedSubgraph
 from superph.fields import GF2, Field, FieldMatrix, Span, rref
 from superph.graphs import Subgraph
@@ -1487,3 +1491,21 @@ def brute_cliques(g, max_size):
             choices = [scan_edges_between(g, u, v) for u, v in itertools.combinations(vs, 2)]
             out += [g.subgraph(vs, combo) for combo in itertools.product(*choices)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The checked relabel of mask cells
+# ---------------------------------------------------------------------------
+
+def checked_relabel(host, closure):
+    """A `close_under_faces` result over host's ranks with every (vertex
+    mask, edge mask) cell relabelled by the checked `Subgraph` constructor,
+    from the ids of its set bits, scanned bit by bit."""
+    vids, eids = host._vids, host._eids
+
+    def label(cell):
+        vm, em = cell
+        return Subgraph(host, [v for r, v in enumerate(vids) if vm >> r & 1],
+                        [e for r, e in enumerate(eids) if em >> r & 1])
+
+    return relabel(closure, label)

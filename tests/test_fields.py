@@ -322,6 +322,14 @@ def test_gfp_inverse_and_reduction():
         GF(9)
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, Fraction(3), True, "3"])
+def test_field_rejects_a_non_int_modulus(p):
+    # a modulus that is not an int (a bool neither) is refused at
+    # construction, not left to fail in pow() or to print as GF(2.5)
+    with pytest.raises(ValueError, match=r"modulus must be a prime in \[2, 2\^31\)"):
+        GF(p)
+
+
 def test_gfp_of_fraction_is_numerator_times_inverse():
     # n/d over GF(p) is n·d⁻¹ mod p, not int(n/d) truncated: 1/2 is 2 in
     # GF(3), so the span of {0: 1/2} is a line; p dividing d has no value

@@ -6,8 +6,11 @@ triangle.csv over GF(3) and Q on partially marked families, of one
 experimental (non-regular) scheme, and of one starting-vertex family on
 the ∞-extension of a digraph, so any change to the reduction engine that
 moves a pivot, a representative or a row, or to the starting-vertex face
-closure that moves a cell, shows here.  The inputs are written from a
-seeded generator with fixed-precision coordinates.
+closure that moves a cell, shows here.  Four GF(2) jobs, each of about
+10² cells, pin the other rank-mask constructions (clique, secondary
+vertex deletion, partition and link-blowup faces), so a change to their
+cell order or labels shows too.  The inputs are written from a seeded
+generator with fixed-precision coordinates.
 """
 
 import hashlib
@@ -87,6 +90,30 @@ def write_sv_inputs(tmp_path, name: str, points: int, share: float):
             "--family", str(tmp_path / "family.txt"), "--construction", "starting_vertex"]
 
 
+def write_clique_inputs(tmp_path, name: str, points: int, share: float):
+    """A noisy circle whose complete graph is the host; X is its clique
+    Δ-set to dimension 2, every cell marked (`share` is not read)."""
+    write_cloud(tmp_path, random.Random(name), points)
+    return ["--cloud", str(tmp_path / "cloud.xy"), "--construction", "clique", "--max-dim", "2"]
+
+
+def family_inputs(construction: str):
+    """The inputs of `write_inputs` closed by another family construction;
+    partition and link-blowup faces read a clustering of the circle into
+    arcs of three consecutive points."""
+
+    def write(tmp_path, name: str, points: int, share: float):
+        argv = write_inputs(tmp_path, name, points, share)
+        argv[argv.index("primary_vd")] = construction
+        if construction in ("partition", "link_blowup"):
+            (tmp_path / "clusters.txt").write_text(
+                "".join(f"p{i} {i // 3}\n" for i in range(points)))
+            argv += ["--clustering", str(tmp_path / "clusters.txt")]
+        return argv
+
+    return write
+
+
 JOBS = {
     "gf3_partial": (write_inputs, 9, 0.6, ["--scheme", "vr", "--field", "gfp:3"], (
         "2e3e836d6d6bfb5501ad51e36b62f95d8f2b8c3b349a8a6a6ca1f310b603d8ea",
@@ -105,6 +132,24 @@ JOBS = {
         "4af390ed450ff91a34fd82dde4358063b8d34f0757ae504cd331a7593ecd440f",
         "484647507ce37f8133446304ec59d83790a576d2d081429ec60d34c336785f5f",
         "43661a75c7a97b46f0e332d6b5d77f9b6f86fdcbe405827fe29d217567a0484b")),
+    "clique": (write_clique_inputs, 8, 1.0, ["--scheme", "vr", "--field", "gf2"], (
+        "c010885e5903e1f35c2db727355d1f345f957c4fe6a7aaf7caab17dfd80852a9",
+        "2f60323a8aee80e59d03ec287666e77dfdc1917dad31ad75a69b0bfb2d70d769",
+        "ab33959e35f6274df4c3ac0649de88b50c47d3c3e9f67fa28389de8d3dbfc6db")),
+    "secondary_vd": (family_inputs("secondary_vd"), 9, 0.5,
+                     ["--scheme", "vr", "--field", "gf2"], (
+        "9dec47635cafa78c3904c392c8740ed3a0b593236746f7aa10fdbee482dc753f",
+        "bbc57ff6473a6567f71ee22167d02eccf8d92f14e8dd42da93f5c7b206228f84",
+        "4c073d9ff90936a6df5ed648f3267e542c34488a34a612141f4db6cd6aba57cf")),
+    "partition": (family_inputs("partition"), 9, 0.5, ["--scheme", "vr", "--field", "gf2"], (
+        "4b9f67c131a150da2f7698e0fd657a6e66c5387d005995c8ff703390132cd5af",
+        "72a271da65091fc0e0020346c1596c830da1058173f29aa3c781522ea0ea1ebe",
+        "e2242d27212d17551ffdb2215eed81aa9be1828897e19bef2e9274245884aaab")),
+    "link_blowup": (family_inputs("link_blowup"), 9, 0.5,
+                    ["--scheme", "vr", "--field", "gf2"], (
+        "6b957b95c25df9b27ac83234be98583d95cace05f49df01a3fd7eb16f460e774",
+        "7e2c52ba07b7028ad592d2bad9edf03907ac75fe7723db22bf0b042fbf9c21fa",
+        "987ae905c0c33bfa5caef8271976c528a615f5b5545672299b68e01f0b171015")),
 }
 
 

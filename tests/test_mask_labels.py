@@ -1,0 +1,201 @@
+"""Labels stay masks: the rank-mask constructions keep (vertex mask, edge
+mask) cells as their labels, the filtration checks and the point-cloud
+scores read those masks, and a `Subgraph` is built only where a label is
+read."""
+
+import itertools
+import random
+
+import pytest
+
+import superph.faceops
+import superph.graphs
+from superph import (Clustering, DeltaSet, GradedSubset, MultiGraph, PointCloud, Subgraph,
+                     SubgraphFamily, SuperHypergraph, build_filtration, cech_scheme,
+                     clique_delta, cliques, critical_values, full_subset, link_blowup_faces,
+                     partition_faces, primary_vertex_deletion, secondary_vertex_deletion,
+                     seeded_random_scheme, vr_points, vr_scheme, witness_scheme)
+from superph.cli import main
+from superph.graphs import _Cell, _ranks
+from superph.persistence import DominationError
+from superph.scoring import pullback_scheme
+
+from oracles import checked_relabel
+
+
+def mixed_inputs():
+    """A seeded simple graph on nine points in the unit square, a family of
+    vertex sets of size one to four with their induced edges, and a
+    clustering into three blocks."""
+    rng = random.Random(26)
+    names = [f"v{i}" for i in range(9)]
+    pc = PointCloud({v: (rng.random(), rng.random()) for v in names})
+    edges = {f"e{i}{j}": (names[i], names[j])
+             for i, j in itertools.combinations(range(9), 2) if rng.random() < 0.6}
+    g = MultiGraph(names, edges)
+    members = [g.induced(vs) for k in (1, 2, 3, 4) for vs in itertools.combinations(names, k)
+               if rng.random() < 0.15]
+    return g, pc, SubgraphFamily(g, members), Clustering(g, [names[0::3], names[1::3],
+                                                            names[2::3]])
+
+
+KINDS = ("clique", "primary_vd", "secondary_vd", "partition", "link_blowup")
+
+
+def construct(kind, g, fam, clustering) -> SuperHypergraph:
+    if kind == "clique":
+        x = clique_delta(g, max_dim=2)
+        return SuperHypergraph(x, full_subset(x))
+    if kind in ("partition", "link_blowup"):
+        return (partition_faces if kind == "partition" else link_blowup_faces)(fam, clustering)
+    return (primary_vertex_deletion if kind == "primary_vd" else secondary_vertex_deletion)(fam)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mask_constructions_filter_and_score_without_a_subgraph(monkeypatch, kind):
+    # construction, domination and injectivity checks, and the scores of
+    # the schemes that read only vertex sets build no Subgraph at all
+    g, pc, fam, clustering = mixed_inputs()
+    built = []
+    init = Subgraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subgraph, "__init__", counted)
+    sh = construct(kind, g, fam, clustering)
+    assert sh.x.total_cells() > 20 and sh.x.dim_count > 1
+    for scheme in (vr_scheme(pc), cech_scheme(pc), witness_scheme(pc, "vr_strong"),
+                   pullback_scheme(pc.points, vr_points)):
+        assert list(build_filtration(sh, scheme).times) == critical_values(scheme, sh.x)
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mask_labels_read_as_the_checked_relabel(monkeypatch, kind):
+    # label and labels decode the kept masks into the subgraphs the checked
+    # relabel of the same closure builds: equal, with equal keys, sort keys
+    # and host
+    g, _, fam, clustering = mixed_inputs()
+    closures = []
+    keep = superph.graphs._keep_cells
+
+    def captured(host, closure):
+        closures.append((host, closure))
+        return keep(host, closure)
+
+    monkeypatch.setattr(superph.graphs, "_keep_cells", captured)
+    monkeypatch.setattr(superph.faceops, "_keep_cells", captured)
+    sh = construct(kind, g, fam, clustering)
+    [(host, closure)] = closures
+    want, want_marked = checked_relabel(host, closure)
+    x = sh.x
+    assert host is g and x.host is g and x == want
+    assert kind == "clique" or sh.h == want_marked
+    assert x.labels == want.labels
+    for n, j in x.cells():
+        got, ref = x.label(n, j), want.label(n, j)
+        assert got == ref and got.host is g
+        assert (got.key, got.sort_key) == (ref.key, ref.sort_key)
+    assert [[lab.key for lab in row] for row in x.labels] == \
+        [[lab.key for lab in row] for row in want.labels]
+
+
+# ---------------------------------------------------------------------------
+# the checks keep their errors
+# ---------------------------------------------------------------------------
+
+def stray_edge_map(host):
+    """Vertex deletion that keeps every edge, those of the deleted vertex
+    included."""
+    return lambda cell: [_Cell((cell[0] ^ (1 << r), cell[1])) for r in _ranks(cell[0])]
+
+
+@pytest.mark.parametrize("owner, build", [
+    (superph.graphs, lambda g: clique_delta(g, max_dim=2)),
+    (superph.faceops, lambda g: primary_vertex_deletion(SubgraphFamily(g, cliques(g, 3)))),
+])
+def test_a_stray_edge_fails_as_the_subgraph_constructor(monkeypatch, owner, build):
+    # the first cell in order with an edge off its vertices, ({0}, {01}),
+    # fails with the checked constructor's message
+    monkeypatch.setattr(owner, "vertex_deletion_map", stray_edge_map)
+    g = MultiGraph([0, 1, 2], {10: (0, 1), 11: (0, 2), 12: (1, 2)})
+    with pytest.raises(ValueError, match=r"^edge 10 selected without its endpoints$"):
+        build(g)
+
+
+def labelled(labels_by_dim, counts, faces, hosts):
+    """A Δ-set whose labels are the given vertex sets, each a subgraph
+    without edges on hosts[k % len(hosts)] for its k-th label overall."""
+    rows, k = [], 0
+    for row in labels_by_dim:
+        rows.append([])
+        for vs in row:
+            rows[-1].append(hosts[k % len(hosts)].subgraph(vs, ()))
+            k += 1
+    return DeltaSet(counts, faces).with_labels(rows)
+
+
+def path_hosts(count: int):
+    """count equal but distinct host objects on the path a - b - c."""
+    return [MultiGraph(["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c")})
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("hosts", [1, 2])
+def test_domination_errors_keep_their_messages(hosts):
+    hs = path_hosts(hosts)
+    scheme = seeded_random_scheme(1)
+    same = labelled([[{"a"}, {"a"}]], [2], [()], hs)
+    with pytest.raises(DominationError, match=r"^labels not injective: cells \(0, 0\) and "
+                                              r"\(0, 1\)$"):
+        build_filtration(SuperHypergraph(same, GradedSubset()), scheme, experimental=True)
+    grows = labelled([[{"a", "b"}, {"c"}], [{"a", "c"}]], [2, 1], [(), [(0, 1)]], hs)
+    with pytest.raises(DominationError, match=r"^face of cell \(1,0\) does not shrink its "
+                                              r"vertex set$"):
+        build_filtration(SuperHypergraph(grows, GradedSubset()), scheme, experimental=True)
+    untyped = grows.with_labels([[grows.label(0, 0), "c"], [grows.label(1, 0)]])
+    with pytest.raises(DominationError, match=r"^cell \(0,1\) label is not a subgraph$"):
+        build_filtration(SuperHypergraph(untyped, GradedSubset()), scheme)
+    with pytest.raises(DominationError, match=r"^cells carry no subgraph labels$"):
+        build_filtration(SuperHypergraph(grows.with_labels(None), GradedSubset()), scheme)
+
+
+def test_subgraph_labels_on_several_hosts_filter_as_on_one():
+    # subgraph labels spread over equal host objects: the same injectivity,
+    # domination, scores and filtration as the same labels on one host
+    g, pc, fam, _ = mixed_inputs()
+    sh = primary_vertex_deletion(fam)
+    twin = MultiGraph(g.vertices, g.edge_ends)
+    spread = sh.x.with_labels([[Subgraph(twin if j % 2 else g, lab.vertices, lab.edges)
+                                for j, lab in enumerate(row)] for row in sh.x.labels])
+    assert spread.host is None
+    spread_sh = SuperHypergraph(spread, sh.h)
+    for scheme, experimental in ((vr_scheme(pc), False), (seeded_random_scheme(4), True)):
+        want = build_filtration(sh, scheme, experimental)
+        got = build_filtration(spread_sh, scheme, experimental)
+        assert (got.times, got.entry, got.marked) == (want.times, want.entry, want.marked)
+        assert critical_values(scheme, spread) == critical_values(scheme, sh.x)
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("vr", "vertex 'b' is not embedded"),
+    ("cech", "vertex 'b' is not embedded"),
+    ("witness:strong", "vertex 'b' is not embedded"),
+    ("pullback", "reference map undefined on vertex 'b'"),
+])
+def test_unembedded_vertex_named_first_in_rank_order(tmp_path, capsys, scheme, message):
+    # the first cell scored, ({b, c}, {bc}) after ({a}, {}), has two
+    # unembedded vertices: the lower-ranked one is named, whatever the
+    # string hashes of the process
+    (tmp_path / "g.txt").write_text(
+        "directed 0\nv a\nv b\nv c\ne ab a b\ne bc b c\ne ac a c\n")
+    (tmp_path / "cloud.xy").write_text("a 0 0\n")
+    (tmp_path / "fam.txt").write_text("member\nv a b c\ne ab bc ac\n")
+    (tmp_path / "cl.txt").write_text("a 0\nb 1\nc 1\n")
+    argv = ["score", "--graph", str(tmp_path / "g.txt"), "--cloud", str(tmp_path / "cloud.xy"),
+            "--family", str(tmp_path / "fam.txt"), "--clustering", str(tmp_path / "cl.txt"),
+            "--construction", "partition", "--scheme", scheme]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
