@@ -107,6 +107,11 @@ class MarkedSubgraph:
     def key(self):
         return (self.subgraph.key, tuple(sorted(self.sv, key=cell_sort_key)))
 
+    def __repr__(self):
+        # the starting vertices in `cell_sort_key` order, not a frozenset's
+        # hash order, so a written cell name is the same in every process
+        return f"MarkedSubgraph(subgraph={self.subgraph!r}, sv={self.key[1]!r})"
+
     @property
     def sort_key(self):
         """`cell_sort_key` order: that of the key, element by element."""

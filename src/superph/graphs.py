@@ -17,6 +17,7 @@ from typing import Hashable, Iterable, Mapping
 
 from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
                     close_under_faces, relabel, tuple_faces)
+from .fields import _ranks
 
 
 class MultiGraph:
@@ -227,17 +228,6 @@ def is_subgraph(h: Subgraph, g: MultiGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Subgraphs as rank bitmasks
 # ---------------------------------------------------------------------------
-
-def _ranks(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, increasing."""
-    out = []
-    while mask:
-        r = mask.bit_length() - 1
-        out.append(r)
-        mask ^= 1 << r
-    out.reverse()
-    return tuple(out)
-
 
 def _union(table: list[int], mask: int) -> int:
     """The union of table[r] over the set bits r of mask."""

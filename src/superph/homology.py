@@ -54,9 +54,11 @@ from .fields import (Field, Span, combine, pivot_order, reduce_columns, reduce_v
 class ChainComplex:
     """Per-degree boundary maps of a Δ-set over a field.
 
-    columns[n][j] is ∂_n of the j-th n-cell as a sparse column {row: nonzero
-    entry} in row order, rows indexing (n-1)-cells; the columns of degree 0
-    are empty.  `memo` holds the column reductions built on this complex.
+    columns[n][j] is ∂_n of the j-th n-cell as a sparse column in the
+    field's vector format (`Field.kernel`: {row: nonzero entry}, or over
+    GF(2) an int with bit row set), rows indexing (n-1)-cells; the columns
+    of degree 0 are zero.  `memo` holds the column reductions built on this
+    complex.
     """
 
     field: Field
@@ -86,6 +88,7 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     report = x.validate()
     if not report.ok:
         raise DeltaIdentityError(report)
+    vector = field.kernel.vector
     columns = []
     for n in range(x.dim_count):
         cols = []
@@ -94,8 +97,7 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
             if n > 0:  # faces[0] is ()
                 for i, t in enumerate(x.faces[n][j]):
                     count[t] = count.get(t, 0) + (-1) ** i
-            col = ((t, field.of(c)) for t, c in sorted(count.items()))
-            cols.append({t: a for t, a in col if a})
+            cols.append(vector(field, ((t, field.of(c)) for t, c in sorted(count.items()))))
         columns.append(tuple(cols))
     for n in range(2, x.dim_count):
         if any(combine(field, col, columns[n - 1]) for col in columns[n]):
@@ -110,26 +112,33 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
 class FilteredBasis(NamedTuple):
     """Filtered basis of one degree of an infimum complex.
 
-    vectors[k], a sparse chain {cell: scalar}, enters at entries[k].  The
+    vectors[k], a sparse chain over the cells, enters at entries[k].  The
     cells are numbered by `position` in pivot order, never-marked cells
-    last, and columns[k] is vectors[k] over those positions.  lead[p] = k
+    last.  columns[k] is vectors[k] over those positions, and lead[p] = k
     when columns[k] has coefficient one at position p and its other entries
-    at earlier positions, so the columns have distinct lows."""
+    at earlier positions, so the columns have distinct lows.  A basis of
+    cells has no columns and no lead (None): its k-th vector is the cell at
+    position k."""
 
     entries: tuple
     vectors: tuple
-    columns: tuple
-    lead: dict
-    position: dict
+    position: list
+    columns: tuple | None = None
+    lead: dict | None = None
 
-    def coordinates(self, field: Field, chain: dict) -> dict:
-        """{k: scalar} with chain = Σ scalar · vectors[k]: the chain is
-        relabelled to positions once and solved triangularly by lead.
-        Never-marked cells come after every marked one, so a chain holding
-        one, like any chain outside the span, is left with a low and
-        raises."""
-        low, out = reduce_vector(field, {self.position[c]: a for c, a in chain.items()},
-                                 self.lead, self.columns)
+    def coordinates(self, field: Field, chain):
+        """The vector {k: scalar} with chain = Σ scalar · vectors[k]: the
+        chain is relabelled to positions once and, unless the basis is its
+        cells, solved triangularly by lead.  Never-marked cells come after
+        every marked one, so a chain holding one, like any chain outside the
+        span, is left with a low at or past the basis and raises."""
+        kernel = field.kernel
+        r = kernel.relabel(chain, self.position)
+        if self.columns is None:
+            low, out = kernel.low(r), r
+            low = None if low < len(self.entries) else low
+        else:
+            low, out, _ = reduce_vector(field, r, self.lead, self.columns)
         if low is not None:
             raise AssertionError("chain outside the infimum complex")
         return out
@@ -145,27 +154,26 @@ def inf_basis(cc: ChainComplex, entry: Sequence[Sequence], n: int) -> FilteredBa
     e(σ), or at e(low) when its low is later, and is dropped when that is
     never.  When every marked cell's faces enter no later than the cell, the
     marking is a filtered Δ-subset and the basis is its cells."""
+    field = cc.field
+    kernel = field.kernel
     e = entry[n]
     order, position = pivot_order(e)
     cells = [j for j in order if e[j] != math.inf]
-    one = cc.field.one
     below = entry[n - 1] if n else ()
-    if all(below[i] <= e[j] for j in cells for i in cc.columns[n][j]):
-        return FilteredBasis(tuple(e[j] for j in cells), tuple({j: one} for j in cells),
-                             tuple({p: one} for p in range(len(cells))),
-                             {p: p for p in range(len(cells))}, position)
+    if all(below[i] <= e[j] for j in cells for i in kernel.decode(cc.columns[n][j])):
+        return FilteredBasis(tuple(e[j] for j in cells),
+                             tuple(kernel.vector(field, ((j, 1),)) for j in cells), position)
     rows, row_position = pivot_order(below)
     lows, vs, _ = reduce_columns(
-        cc.field, ({row_position[i]: a for i, a in cc.columns[n][j].items()} for j in cells))
+        field, (kernel.relabel(cc.columns[n][j], row_position) for j in cells))
     kept = []
     for p, (j, low, v) in enumerate(zip(cells, lows, vs)):
         at = e[j] if low is None else max(e[j], below[rows[low]])
         if at != math.inf:
-            kept.append((at, dict(v), p))  # compact: axpy grew and shrank v
+            kept.append((at, v, p))
     return FilteredBasis(tuple(k[0] for k in kept),
-                         tuple({cells[p]: c for p, c in k[1].items()} for k in kept),
-                         tuple(k[1] for k in kept), {k[2]: b for b, k in enumerate(kept)},
-                         position)
+                         tuple(kernel.relabel(k[1], cells) for k in kept), position,
+                         tuple(k[1] for k in kept), {k[2]: b for b, k in enumerate(kept)})
 
 
 @dataclass(frozen=True)
@@ -188,12 +196,13 @@ def embedded_chain_data(sh: SuperHypergraph, field: Field,
     h = sh.h
     entry = tuple(tuple(0 if j in h.at(n) else math.inf for j in range(count))
                   for n, count in enumerate(cc.dims))
+    vector = field.kernel.vector
     inf = []
     sup = []
     for n in range(cc.dim_count):
         inf.append(Span(field, inf_basis(cc, entry, n).vectors))
         up = [cc.columns[n + 1][j] for j in h.at(n + 1)] if n + 1 < cc.dim_count else []
-        sup.append(Span(field, [{j: field.one} for j in h.at(n)] + up))
+        sup.append(Span(field, [vector(field, ((j, 1),)) for j in h.at(n)] + up))
     return EmbeddedChainData(field, tuple(inf), tuple(sup))
 
 
@@ -217,8 +226,9 @@ def _ranks(cc: ChainComplex, n: int, cols: frozenset, marked_rows: frozenset):
     if ranks is None:
         rows, position = pivot_order([0 if i in marked_rows else 1
                                       for i in range(cc.space_dim(n - 1))])
-        lows = reduce_columns(cc.field, ({position[i]: a for i, a in cc.columns[n][j].items()}
-                                         for j in sorted(cols)), with_v=False)[0]
+        relabel = cc.field.kernel.relabel
+        lows = reduce_columns(cc.field, (relabel(cc.columns[n][j], position) for j in sorted(cols)),
+                              with_v=False)[0]
         ranks = cc.memo[key] = (len(lows) - lows.count(None),
                                 sum(low is not None and rows[low] not in marked_rows
                                     for low in lows))
@@ -300,9 +310,9 @@ def _zb(cc: ChainComplex, spaces: Sequence[Span], n: int) -> tuple[Span, Span]:
     """Cycles and boundaries in degree n of the subcomplex V_* ⊆ C_*."""
     f = cc.field
     span = spaces[n]
-    kernel = relations(f, [combine(f, v, cc.columns[n]) for v in span.vectors])
-    up = spaces[n + 1].vectors if n + 1 < len(spaces) else ()
-    return (Span(f, (combine(f, u, span.vectors) for u in kernel)),
+    kernel = relations(f, [combine(f, v, cc.columns[n]) for v in span.basis])
+    up = spaces[n + 1].basis if n + 1 < len(spaces) else ()
+    return (Span(f, (combine(f, u, span.basis) for u in kernel)),
             Span(f, (combine(f, v, cc.columns[n + 1]) for v in up)))
 
 

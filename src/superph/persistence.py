@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .delta import DeltaMorphism, SuperHypergraph, validate_morphism
-from .fields import (Field, FieldMatrix, Span, combine, pivot_order, reduce_columns,
+from .fields import (Field, FieldMatrix, Span, axpy, combine, pivot_order, reduce_columns,
                      reduce_vector)
 from .homology import ChainComplex, FilteredBasis, boundary_matrices, inf_basis
 from .scoring import DominationError, _cell_masks, _scores
@@ -157,8 +157,8 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
 # Filtered complexes, reduced once
 # ---------------------------------------------------------------------------
 
-def _chain_boundary(cc: ChainComplex, n: int, chain: dict) -> dict:
-    """∂_n of a sparse chain {n-cell: scalar}."""
+def _chain_boundary(cc: ChainComplex, n: int, chain):
+    """∂_n of a sparse chain over the n-cells."""
     return combine(cc.field, chain, cc.columns[n])
 
 
@@ -177,10 +177,12 @@ class _Summand(NamedTuple):
 
 
 def _check_filtered(field: Field, entries, columns):
-    """The differential respects entries and squares to zero."""
+    """The differential respects entries and squares to zero.  Each degree's
+    entries are in pivot order, so a column's latest entry is at its low."""
+    low = field.kernel.low
     for n in range(1, len(entries)):
         for k, col in enumerate(columns[n]):
-            if any(entries[n - 1][r] > entries[n][k] for r in col):
+            if col and entries[n - 1][low(col)] > entries[n][k]:
                 raise AssertionError("monotonicity of the filtered basis broken")
             if n > 1 and combine(field, col, columns[n - 1]):
                 raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
@@ -196,9 +198,12 @@ class _Complex:
     inf(X) / inf(H).  The ambient and embedded modules are the cone of the
     zero map, hb = (), where Cone_n = xb[n] and d = ∂.  Once, when it is
     built, each degree's elements are renumbered in pivot order
-    (`fields.pivot_order` of the entries; element k moves to
-    position[n][k]), so `entries`, `chains` (the c-part chain each element
-    stands for), the reduction and the solves are all indexed by position.
+    (`fields.pivot_order` of the entries; a-part element k moves to
+    position[n][0][k], c-part element k to position[n][1][k], or stays at k
+    when that table is None: no a-part and the entries already in pivot
+    order, as for a basis of cells), so `entries`, `chains` (the c-part
+    chain each element stands for), the reduction and the solves are all
+    indexed by position.
     Module degrees are 0 .. len(xb)-1.
 
     Checked here: the differential respects entries (the filtration is
@@ -210,22 +215,26 @@ class _Complex:
                  xb: Sequence[FilteredBasis]):
         self.cc = cc
         self.field = field = cc.field
-        none = FilteredBasis((), (), (), {}, {})
+        self.zero = zero = field.kernel.vector(field, ())
+        none = FilteredBasis((), (), [])
         self.parts = [(hb[n - 1] if 0 < n <= len(hb) else none, xb[n] if n < len(xb) else none)
                       for n in range(len(xb) + 1)]
         self.position, self.entries, self.chains, columns = [], [], [], []
         for n, (a, c) in enumerate(self.parts):
             e = a.entries + c.entries
             order, position = pivot_order(e)
-            self.position.append(position)
+            shift = len(a.entries)
+            moved = shift or order != list(range(len(e)))
+            self.position.append((position[:shift], position[shift:] if moved else None))
             self.entries.append([e[k] for k in order])
-            chains = ({},) * len(a.vectors) + c.vectors
+            chains = (zero,) * shift + c.vectors
             self.chains.append([chains[k] for k in order])
             # d(v, 0) = (-∂v, v) and d(0, v) = (0, ∂v) in Cone_{n-1}; degree-0
-            # columns are empty
+            # columns are zero
             cols = ([self.lift(n - 1, v) for v in a.vectors]
-                    + [self.coordinates(n - 1, {}, _chain_boundary(cc, n, v)) for v in c.vectors]
-                    if n else [{}] * len(e))
+                    + [self.coordinates(n - 1, zero, _chain_boundary(cc, n, v))
+                       for v in c.vectors]
+                    if n else [zero] * len(e))
             columns.append([cols[k] for k in order])
         entries = self.entries
         _check_filtered(field, entries, columns)
@@ -239,7 +248,7 @@ class _Complex:
             cyc = {}
             for k, (low, v, r) in enumerate(zip(lows, vs, reduced)):
                 if low is None:
-                    cyc[k] = dict(v)  # compact: axpy grew and shrank v
+                    cyc[k] = v
                 elif low not in self.cycles[n - 1]:
                     raise AssertionError("boundary space not inside cycle space")
                 else:
@@ -267,38 +276,41 @@ class _Complex:
             self.owners.append(dict(zip(reps, reps)))
             self.summands.append(summands)
 
-    def chain(self, n: int, coords: dict) -> dict:
+    def chain(self, n: int, coords):
         return combine(self.field, coords, self.chains[n])
 
-    def representative(self, n: int, summand: _Summand) -> dict:
+    def representative(self, n: int, summand: _Summand):
         """The representative cycle of a summand, as a chain."""
         return self.chain(n, self.reps[n][summand.low])
 
-    def coordinates(self, n: int, a: dict, c: dict) -> dict:
-        """{position: scalar} of the Cone_n element (a, c), for chains a of
-        inf_{n-1}(H) and c of inf_n(X)."""
+    def coordinates(self, n: int, a, c):
+        """The vector over positions of the Cone_n element (a, c), for
+        chains a of inf_{n-1}(H) and c of inf_n(X)."""
         ha, xc = self.parts[n]
-        position, shift = self.position[n], len(ha.entries)
-        out = {position[k]: s for k, s in ha.coordinates(self.field, a).items()}
-        out.update((position[shift + k], s) for k, s in xc.coordinates(self.field, c).items())
-        return out
+        pa, pc = self.position[n]
+        relabel = self.field.kernel.relabel
+        out = xc.coordinates(self.field, c)
+        if not a:
+            return out if pc is None else relabel(out, pc)
+        return relabel(out, pc, relabel(ha.coordinates(self.field, a), pa))
 
-    def lift(self, n: int, chain: dict) -> dict:
+    def lift(self, n: int, chain):
         """Cone_n coordinates of (-∂c, c) for a chain c of inf_n(X): the cone
         cycle that a module cycle c stands for.  The a-part is solved only
         where inf_{n-1}(H) has basis elements; elsewhere a is zero on every
         cone cycle, and the reduction against the representatives is what
         checks that c is a cycle."""
         f = self.field
-        a = ({i: f.neg(s) for i, s in _chain_boundary(self.cc, n, chain).items()}
-             if self.parts[n][0].entries else {})
+        a = (axpy(f, f.kernel.vector(f, ()), f.one, _chain_boundary(self.cc, n, chain))
+             if self.parts[n][0].entries else self.zero)
         return self.coordinates(n, a, chain)
 
-    def solve(self, n: int, chain: dict) -> dict:
-        """Coefficients {low: scalar} of a degree-n cycle of the module,
-        given by its chain, in the representatives: its cone coordinates,
-        then one triangular solve by low."""
-        low, out = reduce_vector(self.field, self.lift(n, chain), self.owners[n], self.reps[n])
+    def solve(self, n: int, chain):
+        """Coefficients of a degree-n cycle of the module, given by its
+        chain, in the representatives, as a vector over their lows: its cone
+        coordinates, then one triangular solve by low."""
+        low, out, _ = reduce_vector(self.field, self.lift(n, chain), self.owners[n],
+                                    self.reps[n])
         if low is not None:
             raise AssertionError("arrow image outside the target cycle space")
         return out
@@ -446,7 +458,7 @@ def _arrow_coefficients(filt: Filtration, field: Field, arrow: str, degree: int)
             chain = scx.representative(degree, s)
             if arrow == "boundary":
                 chain = _chain_boundary(filt.chain_complex(field), degree, chain)
-            solved = dcx.solve(dst[1], chain)
+            solved = field.kernel.decode(dcx.solve(dst[1], chain))
             coeffs.append({column[low]: c for low, c in solved.items() if low in column})
     return src_sum, dst_sum, coeffs
 
@@ -488,7 +500,7 @@ def embedded_homology_basis(sh: SuperHypergraph, field: Field, n: int):
     boundaries of the infimum complex, chosen deterministically."""
     cx, summands = _one_step_module(sh, field, n)
     killed = cx.boundary_chains(n) if 0 <= n < sh.x.dim_count else ()
-    return ([cx.representative(n, s) for s in summands],
+    return ([field.kernel.decode(cx.representative(n, s)) for s in summands],
             Span(field, (chain for _, chain in killed)))
 
 
@@ -503,10 +515,12 @@ def induced_homology_map(m: DeltaMorphism, source: SuperHypergraph,
         raise ValueError(f"invalid morphism: {report.failures[0]}")
     scx, src = _one_step_module(source, field, degree)
     dcx, dst = _one_step_module(target, field, degree)
-    units = [{t: field.one} for t in m.maps[degree]]
+    kernel = field.kernel
+    units = [kernel.vector(field, ((t, 1),)) for t in m.maps[degree]]
     cols = []
     for s in src:
-        solved = dcx.solve(degree, combine(field, scx.representative(degree, s), units))
+        solved = kernel.decode(dcx.solve(degree,
+                                         combine(field, scx.representative(degree, s), units)))
         cols.append([solved.get(t.low, field.zero) for t in dst])
     return FieldMatrix.from_columns(field, cols, len(dst))
 

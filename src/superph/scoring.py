@@ -16,6 +16,7 @@ through one rank -> point table per call; any other scheme scores the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -154,20 +155,31 @@ def witness_score(lam: Iterable, pc: PointCloud, variant: str,
         raise ValueError(f"unknown witness variant {variant!r}")
     lam = _nonempty(lam)
     lam_pts = pc.of(lam)
-    if witnesses is None:
-        witnesses = pc.all_points()
-    elif not witnesses:
-        raise ValueError("witness set is empty")
-    else:
-        witnesses = [tuple(float(c) for c in p) for p in witnesses]
+    witnesses = _witness_points(pc, witnesses)
     near = pc.all_points()  # the landmarks; the weak variants exclude lam
     if variant in ("weak", "vr_weak"):
         near = [p for v, p in pc.points.items() if v not in lam]
         if not near:
             raise ValueError("weak witness scoring needs a proper landmark subset")
+    return _witness_value(lam_pts, variant, _offsets(witnesses, near))
 
-    # each witness with its distance to the nearest landmark
-    offsets = [(x, min(math.dist(x, z) for z in near)) for x in witnesses]
+
+def _witness_points(pc: PointCloud, witnesses) -> list[Point]:
+    """The witness set as float points, the cloud's own when None."""
+    if witnesses is None:
+        return pc.all_points()
+    if not witnesses:
+        raise ValueError("witness set is empty")
+    return [tuple(float(c) for c in p) for p in witnesses]
+
+
+def _offsets(witnesses: list[Point], near: list[Point]) -> list[tuple[Point, float]]:
+    """Each witness with its distance to the nearest landmark in `near`."""
+    return [(x, min(math.dist(x, z) for z in near)) for x in witnesses]
+
+
+def _witness_value(lam_pts: list[Point], variant: str, offsets) -> float:
+    """A witness score from the subset's points and the `_offsets` table."""
     if variant in ("strong", "weak"):
         return min(max(math.dist(x, y) for y in lam_pts) - nx for x, nx in offsets)
     # VR variants: outer sup over vertex pairs (a singleton degenerates to
@@ -252,11 +264,23 @@ def cech_scheme(pc: PointCloud) -> ScoringScheme:
 
 def witness_scheme(pc: PointCloud, variant: str,
                    witnesses: Sequence[Sequence[float]] | None = None) -> ScoringScheme:
+    """The witness scheme of a variant.  The strong variants' landmarks are
+    the whole cloud, so their nearest-landmark table is built once, on the
+    first score, and read by every cell; the weak variants exclude the
+    cell's vertices and build it per cell (`witness_score`)."""
     if variant not in WITNESS_VARIANTS:
         raise ValueError(f"unknown witness variant {variant!r}")
+    if variant in ("weak", "vr_weak"):
+        def of_points(lam):
+            return witness_score(lam, pc, variant, witnesses)
+    else:
+        offsets = functools.cache(lambda: _offsets(_witness_points(pc, witnesses),
+                                                   pc.all_points()))
+
+        def of_points(lam):
+            return _witness_value(pc.of(_nonempty(lam)), variant, offsets())
     # a vertex stands for itself, once the cloud is found to embed it
-    return _vertex_scheme(f"witness:{variant}", lambda v: (pc.coords(v), v)[1],
-                          lambda lam: witness_score(lam, pc, variant, witnesses),
+    return _vertex_scheme(f"witness:{variant}", lambda v: (pc.coords(v), v)[1], of_points,
                           regular=variant in ("strong", "vr_strong"))
 
 

@@ -6,10 +6,10 @@ so the main library is checked by a second route, not by itself.  Some
 exceptions read library pieces but compute by another route:
 
 - the generic sparse arithmetic (`dict_axpy`, `dict_combine`, and
-  `dict_route` to run the library on them): Σ c·v through `Field` calls
-  over GF(p) and plain Fractions over Q, where the library takes symmetric
-  differences and occurrence parities over GF(2), reduces inline mod p and
-  keeps integral rationals as ints;
+  `dict_route` to run the library on them): Σ c·v on {index: scalar}
+  dicts through `Field` calls over GF(2) and GF(p) and plain Fractions
+  over Q, where the library XORs int bitsets over GF(2), reduces inline
+  mod p and keeps integral rationals as ints;
 - the keyed reduction (`keyed_reduce_vector`, `keyed_reduce_columns`):
   the lowest-one reduction with the pivot order passed in as a key on the
   vectors' own indices, on the generic arithmetic, where the library
@@ -86,9 +86,9 @@ def _generic(field: Field):
             (lambda a, b: Fraction(a) + b))
 
 
-def dict_axpy(field: Field, dst: dict, c, src: dict):
-    """dst -= c * src through `Field` calls, or Fractions over Q: the
-    generic route of `fields.axpy`."""
+def dict_axpy(field: Field, dst: dict, c, src: dict) -> dict:
+    """dst -= c * src, in place, through `Field` calls, or Fractions over
+    Q: the generic route of `fields.axpy`."""
     sub, mul, _ = _generic(field)
     for i, b in src.items():
         t = sub(dst[i] if i in dst else 0, mul(c, b))
@@ -96,6 +96,7 @@ def dict_axpy(field: Field, dst: dict, c, src: dict):
             dst[i] = t
         else:
             del dst[i]
+    return dst
 
 
 def dict_combine(field: Field, coeffs: dict, vectors) -> dict:
@@ -112,19 +113,21 @@ def dict_combine(field: Field, coeffs: dict, vectors) -> dict:
 @contextlib.contextmanager
 def dict_route():
     """Run the library on the generic arithmetic over every field, GF(2)
-    included: `axpy` and `combine` are swapped for the two routines above
-    wherever the library binds them, and restored on exit."""
-    from superph import fields, homology, persistence
-    saved = [(m, name, getattr(m, name))
-             for m, name in ((fields, "axpy"), (fields, "combine"),
-                             (homology, "combine"), (persistence, "combine"))]
-    for m, name, _ in saved:
-        setattr(m, name, dict_axpy if name == "axpy" else dict_combine)
+    included: both vector kernels become the dict kernel with `axpy` and
+    `combine` swapped for the two routines above, so GF(2) vectors are
+    {index: 1} dicts too, and are restored on exit."""
+    from superph.fields import _Dicts, _Masks
+    names = [name for name in vars(_Dicts) if not name.startswith("__")]
+    generic = dict(vars(_Dicts), axpy=staticmethod(dict_axpy),
+                   combine=staticmethod(dict_combine))
+    saved = [(kernel, name, vars(kernel)[name]) for kernel in (_Dicts, _Masks) for name in names]
+    for kernel, name, _ in saved:
+        setattr(kernel, name, generic[name])
     try:
         yield
     finally:
-        for m, name, fn in saved:
-            setattr(m, name, fn)
+        for kernel, name, fn in saved:
+            setattr(kernel, name, fn)
 
 
 def keyed_reduce_vector(field: Field, r: dict, owner: dict, vectors, key=None) -> tuple:
@@ -191,11 +194,11 @@ def identity_matrix(field: Field, n: int) -> FieldMatrix:
 
 
 def from_sparse_columns(field: Field, nrows: int, columns) -> FieldMatrix:
-    """Dense matrix from sparse columns {row: nonzero entry}."""
+    """Dense matrix from sparse columns in the field's vector format."""
     nc = len(columns)
     flat = [field.zero] * (nrows * nc)
     for j, col in enumerate(columns):
-        for i, a in col.items():
+        for i, a in field.kernel.decode(col).items():
             flat[i * nc + j] = a
     return FieldMatrix(field, nrows, nc, flat)
 
@@ -745,7 +748,7 @@ def inf_space(cc, marks, n: int) -> SubspaceBasis:
     if key not in cc.memo:
         below = marks.at(n - 1)
         if 0 < n < cc.dim_count and all(i in below for j in marks.at(n)
-                                        for i in cc.columns[n][j]):
+                                        for i in cc.field.kernel.decode(cc.columns[n][j])):
             inf = SubspaceBasis.coordinate(cc.field, cc.space_dim(n), marks.at(n))
         else:
             inf = dense_inf_space(cc, marks, n)

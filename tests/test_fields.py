@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superph.fields import (GF, GF2, QQ, FieldMatrix, Span, axpy, combine, reduce_columns,
-                            reduce_vector)
+from superph.fields import (GF, GF2, QQ, FieldMatrix, Span, _ranks, axpy, combine,
+                            reduce_columns, reduce_vector)
 
 from oracles import (SubspaceBasis, contains_subspace, dict_axpy, dict_combine, dict_route,
                      dim_span_gf2_masks, identity_matrix, image_basis, kernel_basis,
@@ -27,6 +27,17 @@ def gf2_vectors(n):
 
 def mask(vec):
     return sum(1 << i for i, v in enumerate(vec) if v)
+
+
+def _vec(field, vec: dict):
+    """A sparse vector {index: canonical scalar} in the field's vector
+    format: a new dict, or an int mask over GF(2)."""
+    return field.kernel.vector(field, vec.items())
+
+
+def _dict(field, v) -> dict:
+    """A vector in the field's format as a {index: scalar} dict."""
+    return dict(field.kernel.decode(v))
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +91,19 @@ def test_reduce_columns_lows_and_v(field, rng):
         order = list(range(rows))
         rng.shuffle(order)
         row_rank = {r: k for k, r in enumerate(order)}
-        columns = [{row_rank[i]: a for i, a in enumerate(matrix_column(m, j)) if a}
+        columns = [_vec(field, {row_rank[i]: a for i, a in enumerate(matrix_column(m, j)) if a})
                    for j in range(cols)]
         lows, vs, reduced = reduce_columns(field, columns)
         found = [low for low in lows if low is not None]
         assert len(found) == len(set(found)) == rank(m)
         for j, (low, v) in enumerate(zip(lows, vs)):
+            v = _dict(field, v)
             assert v[j] == field.one and max(v) == j
             combo = m.apply([v.get(k, field.zero) for k in range(cols)])
             support = [i for i, a in enumerate(combo) if a]
             assert (None if low is None else order[low]) == \
                 (max(support, key=row_rank.get) if support else None)
-            assert reduced[j] == {row_rank[i]: combo[i] for i in support}
+            assert _dict(field, reduced[j]) == {row_rank[i]: combo[i] for i in support}
 
 
 def _relabel(vec: dict, labels) -> dict:
@@ -124,21 +136,23 @@ def test_reduce_columns_on_positions_matches_keyed_oracle(field, rng):
         order = list(range(nrows))
         rng.shuffle(order)
         position = {i: p for p, i in enumerate(order)}
-        lows, vs, reduced = reduce_columns(field, [_relabel(c, position) for c in columns])
+        lows, vs, reduced = reduce_columns(field, [_vec(field, _relabel(c, position))
+                                                   for c in columns])
         ref_lows, ref_vs, ref_reduced = keyed_reduce_columns(field, columns, position)
         assert [None if low is None else order[low] for low in lows] == ref_lows
-        assert _items(vs) == _items(ref_vs)
-        assert _items([_relabel(r, order) for r in reduced]) == _items(ref_reduced)
+        assert _items(field, vs) == _items(field, ref_vs)
+        assert _items(field, [_relabel(_dict(field, r), order) for r in reduced]) == \
+            _items(field, ref_reduced)
         probe = vector()
-        r, ref_r = _relabel(probe, position), dict(probe)
-        low, multiples = reduce_vector(field, r, {low: j for j, low in enumerate(lows)
-                                                  if low is not None}, reduced)
+        r, ref_r = _vec(field, _relabel(probe, position)), dict(probe)
+        low, multiples, r = reduce_vector(field, r, {low: j for j, low in enumerate(lows)
+                                                     if low is not None}, reduced)
         ref_low, ref_multiples = keyed_reduce_vector(
             field, ref_r, {low: j for j, low in enumerate(ref_lows) if low is not None},
             ref_reduced, position.__getitem__)
         assert (None if low is None else order[low]) == ref_low
-        assert list(multiples.items()) == list(ref_multiples.items())
-        assert list(_relabel(r, order).items()) == list(ref_r.items())
+        assert _items(field, [multiples]) == _items(field, [ref_multiples])
+        assert _items(field, [_relabel(_dict(field, r), order)]) == _items(field, [ref_r])
     assert repeated >= 10
 
 
@@ -381,8 +395,13 @@ def test_matmul_apply_agree(rng):
 # The fields' inline arithmetic against the generic route
 # ---------------------------------------------------------------------------
 
-def _items(vectors):
-    """Sparse vectors as item lists, so that the order of the keys counts."""
+def _items(field, vectors):
+    """Sparse vectors as item lists, so that the order of the keys counts;
+    over GF(2), where the library's int masks have no key order, the items
+    of a mask or a dict are sorted."""
+    if field.p == 2:
+        return [sorted(dict.fromkeys(_ranks(v), 1).items() if type(v) is int else v.items())
+                for v in vectors]
     return [list(v.items()) for v in vectors]
 
 
@@ -421,9 +440,9 @@ def _canonical(field, vec):
 
 def _assert_canonical(field, vectors):
     # no stored zero; over GF(p) a residue in [1, p), over Q an int when
-    # integral and a Fraction otherwise
+    # integral and a Fraction otherwise (a GF(2) mask holds only ones)
     for v in vectors:
-        for a in v.values():
+        for a in _dict(field, v).values():
             assert a
             if field.p:
                 assert type(a) is int and 0 < a < field.p
@@ -432,8 +451,10 @@ def _assert_canonical(field, vectors):
 
 
 def _assert_matches_dict_route(field, vectors, coeffs, probe, row_rank):
-    # axpy of every ordered pair, in place: with a drawn multiple, and with
-    # the multiple that cancels the entry of dst at the low of src
+    # the library's vectors (int masks over GF(2), dicts otherwise) against
+    # the generic route's dicts, compared as items after decoding.  axpy of
+    # every ordered pair: with a drawn multiple, and with the multiple that
+    # cancels the entry of dst at the low of src
     scalars = _scalars(field)
     for n, dst in enumerate(vectors):
         for src in vectors:
@@ -441,44 +462,47 @@ def _assert_matches_dict_route(field, vectors, coeffs, probe, row_rank):
             if src and max(src) in dst:
                 cs.append(field.mul(dst[max(src)], field.inv(src[max(src)])))
             for k, c in enumerate(cs):
-                fast, slow = dict(dst), dict(dst)
-                axpy(field, fast, c, src)
-                dict_axpy(field, slow, c, src)
-                assert list(fast.items()) == list(slow.items())
+                fast = axpy(field, _vec(field, dst), c, _vec(field, src))
+                slow = dict_axpy(field, dict(dst), c, src)
+                assert _items(field, [fast]) == _items(field, [slow])
                 _assert_canonical(field, [fast])
-                assert k == 0 or max(src) not in fast
-    fast = combine(field, coeffs, vectors)
-    assert list(fast.items()) == list(dict_combine(field, coeffs, vectors).items())
+                assert k == 0 or max(src) not in _dict(field, fast)
+    fast = combine(field, _vec(field, coeffs), [_vec(field, v) for v in vectors])
+    assert _items(field, [fast]) == _items(field, [dict_combine(field, coeffs, vectors)])
     _assert_canonical(field, [fast])
     # the whole reduction, with and without V, on the rows as given and
     # relabelled to the positions of a row order
     for vs, pr in ((vectors, probe),
                    ([_relabel(v, row_rank) for v in vectors], _relabel(probe, row_rank))):
-        fast = reduce_columns(field, vs)
+        fast = reduce_columns(field, [_vec(field, v) for v in vs])
         with dict_route():
             slow = reduce_columns(field, vs)
         assert fast[0] == slow[0]
-        assert _items(fast[1]) == _items(slow[1]) and _items(fast[2]) == _items(slow[2])
+        assert _items(field, fast[1]) == _items(field, slow[1])
+        assert _items(field, fast[2]) == _items(field, slow[2])
         _assert_canonical(field, fast[1] + fast[2])
-        lows, none, reduced = reduce_columns(field, vs, with_v=False)
-        assert lows == fast[0] and none is None and _items(reduced) == _items(fast[2])
+        lows, none, reduced = reduce_columns(field, [_vec(field, v) for v in vs], with_v=False)
+        assert lows == fast[0] and none is None
+        assert _items(field, reduced) == _items(field, fast[2])
         owner = {low: j for j, low in enumerate(fast[0]) if low is not None}
-        r_fast, r_slow = dict(pr), dict(pr)
-        out_fast = reduce_vector(field, r_fast, owner, fast[2])
+        out_fast = reduce_vector(field, _vec(field, pr), owner, fast[2])
         with dict_route():
-            out_slow = reduce_vector(field, r_slow, owner, fast[2])
-        assert out_fast == out_slow and list(r_fast.items()) == list(r_slow.items())
-        _assert_canonical(field, [r_fast, out_fast[1]])
+            out_slow = reduce_vector(field, dict(pr), owner, slow[2])
+        assert out_fast[0] == out_slow[0]
+        assert _items(field, out_fast[1:]) == _items(field, out_slow[1:])
+        _assert_canonical(field, out_fast[1:])
     # spans: bases, sums, intersections and membership
     half = len(vectors) // 2
     a, b = Span(field, vectors[:half]), Span(field, vectors[half:])
-    fast = (a, b, a.sum(b), a.intersect(b), a.contains(probe))
+    fast = (a, b, a.sum(b), a.intersect(b))
+    inside = a.contains(probe)
     with dict_route():
         a, b = Span(field, vectors[:half]), Span(field, vectors[half:])
-        slow = (a, b, a.sum(b), a.intersect(b), a.contains(probe))
-    assert fast == slow
-    for span in fast[:4]:
-        _assert_canonical(field, span.vectors)
+        slow = [span.vectors for span in (a, b, a.sum(b), a.intersect(b))]
+        assert a.contains(probe) == inside
+    assert [span.vectors for span in fast] == slow
+    for span in fast:
+        _assert_canonical(field, span.basis)
 
 
 def test_gf2_arithmetic_matches_dict_route(rng):
@@ -554,20 +578,25 @@ def test_field_arithmetic_matches_dict_route_property(data):
 
 
 def test_reduce_vector_fails_when_the_low_does_not_fall():
-    # an axpy that never removes a key keeps the low in place, so its owner
-    # comes up again; the reduction must raise instead of looping.  It runs
-    # in a subprocess with a time limit, so a loop fails the test instead of
-    # hanging the suite.
+    # on dicts, an axpy that never removes a key keeps the low in place, so
+    # its owner comes up again; on GF(2) masks, an owner without the low
+    # bit sets it again.  The reduction must raise instead of looping.  It
+    # runs in a subprocess with a time limit, so a loop fails the test
+    # instead of hanging the suite.
     code = ("from superph import fields\n"
             "def union_axpy(field, dst, c, src):\n"
             "    dst.update(dict.fromkeys(src, 1))\n"
-            "fields.axpy = union_axpy\n"
-            "try:\n"
-            "    fields.reduce_vector(fields.GF2, {0: 1, 2: 1}, {2: 0}, [{1: 1, 2: 1}])\n"
-            "except AssertionError as exc:\n"
-            "    print(exc)\n")
+            "    return dst\n"
+            "fields._Dicts.axpy = staticmethod(union_axpy)\n"
+            "for field, r, vectors in ((fields.GF(3), {0: 1, 2: 1}, [{1: 1, 2: 1}]),\n"
+            "                          (fields.GF2, 0b101, [0b010])):\n"
+            "    try:\n"
+            "        fields.reduce_vector(field, r, {2: 0}, vectors)\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "owner 0 used twice: the low 2 did not fall\n"
+    assert proc.stdout == ("owner 0 used twice: the low 2 did not fall\n"
+                           "owner 0 does not hold the low 2\n")

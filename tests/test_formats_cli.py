@@ -94,6 +94,40 @@ def test_write_delta_refuses_names_its_reader_rejects(tmp_path):
     assert back == x
 
 
+def test_write_delta_of_starting_vertex_cells_ignores_the_hash_seed(tmp_path):
+    # a starting-vertex cell is named by its label's text, which lists the
+    # starting vertices in `cell_sort_key` order: two processes with
+    # different hash seeds write byte-identical files for one seeded family
+    # with str ids and several starting vertices per member
+    code = (
+        "import random, sys\n"
+        "from superph import MarkedSubgraph, MultiGraph, starting_vertex_faces\n"
+        "from superph.formats import write_delta\n"
+        "rng = random.Random(3)\n"
+        "names = [f'v{i}' for i in range(6)]\n"
+        "pairs = [(u, v) for u in names for v in names if u != v and rng.random() < 0.4]\n"
+        "g = MultiGraph(names, {f'a{k}': p for k, p in enumerate(pairs)}, directed=True)\n"
+        "members = []\n"
+        "for k in range(4):\n"
+        "    sv = set(rng.sample(names, 2))\n"
+        "    arcs = [e for e, (u, v) in g.edge_ends.items() if u in sv and v not in sv][:2]\n"
+        "    vs = sv | {g.edge_ends[e][1] for e in arcs}\n"
+        "    members.append(MarkedSubgraph(g.subgraph(vs, arcs), frozenset(sv)))\n"
+        "sh = starting_vertex_faces(members, g)\n"
+        "write_delta(sys.argv[1], sh.x, sh.h)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    texts = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"sv{seed}.delta"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                              text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        texts.append(path.read_text())
+    assert texts[0] == texts[1]
+    assert "sv=('v" in texts[0]
+
+
 def test_graph_parse_errors(tmp_path):
     p = tmp_path / "bad.graph"
     p.write_text("directed 0\nv a\nzz\n")

@@ -150,7 +150,8 @@ def test_dense_inf_matches_sparse_inf_basis(field, rng):
         for n, count in enumerate(x.counts):
             basis = inf_basis(cc, entry, n)
             assert set(basis.entries) <= {0}
-            span = SubspaceBasis(field, count, [[v.get(j, field.zero) for j in range(count)]
+            span = SubspaceBasis(field, count, [[field.kernel.decode(v).get(j, field.zero)
+                                                 for j in range(count)]
                                                 for v in basis.vectors])
             assert dense_inf_space(cc, sh.h, n) == span
             assert dense_span(data.inf[n], count) == span
@@ -182,9 +183,9 @@ def test_inf_basis_coordinates_reject_chains_outside_inf(field):
         basis = inf_basis(cc, entry, n)
         for chain in outside[n]:
             with pytest.raises(AssertionError, match="chain outside the infimum complex"):
-                basis.coordinates(field, chain)
+                basis.coordinates(field, field.kernel.vector(field, chain.items()))
         for chain in inside[n]:
-            chain = {j: field.of(a) for j, a in chain.items()}
+            chain = field.kernel.vector(field, ((j, field.of(a)) for j, a in chain.items()))
             assert combine(field, basis.coordinates(field, chain), basis.vectors) == chain
 
 

@@ -10,7 +10,7 @@ from superph import (MultiGraph, PointCloud, SubgraphFamily,
                      critical_values, is_regular_scheme, min_enclosing_ball,
                      pullback_score, seeded_random_scheme, vr_points,
                      vr_scheme, vr_score, witness_scheme, witness_score)
-from superph.scoring import round_score
+from superph.scoring import WITNESS_VARIANTS, cell_scores, round_score
 
 from oracles import monotone_on_covers, per_pair_witness_score
 
@@ -155,6 +155,22 @@ def test_witness_score_matches_per_pair_reference(variant):
         for witnesses in (None, given):
             assert witness_score(lam, pc, variant, witnesses) == \
                 per_pair_witness_score(lam, pc, variant, witnesses)
+
+
+@pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+def test_witness_cell_scores_match_per_cell_witness_score(variant):
+    # the strong schemes read one nearest-landmark table per scheme, the
+    # weak ones build it per cell: every cell of a clique Δ-set scores
+    # bit-identically to `witness_score` on its vertex set, with the cloud
+    # and with a given set as witnesses
+    rng = random.Random(f"witness-cells/{variant}")
+    pc = PointCloud({f"p{i}": (rng.uniform(-2, 2), rng.uniform(-2, 2)) for i in range(7)})
+    x = clique_delta(MultiGraph.complete(pc.ids()), max_dim=2)
+    given = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
+    for witnesses in (None, given):
+        want = [[round_score(witness_score(x.label(n, j).vertices, pc, variant, witnesses))
+                 for j in range(x.counts[n])] for n in range(x.dim_count)]
+        assert cell_scores(witness_scheme(pc, variant, witnesses), x) == want
 
 
 def test_scores_ignore_vertex_order_and_repeats():
