@@ -24,8 +24,9 @@ from typing import Iterable, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face, relabel)
-from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _keep_cells, _ranks, _union,
-                     _vertex_mask, is_subgraph, vertex_deletion_map)
+from .fields import _ranks
+from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _keep_cells, _union, _vertex_mask,
+                     is_subgraph, vertex_deletion_map)
 
 
 class SubgraphFamily:

@@ -22,7 +22,8 @@ import math
 import random
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graphs import MultiGraph, Subgraph, _cell_of, _ranks, vertex_deletion_map
+from .fields import _ranks
+from .graphs import MultiGraph, Subgraph, _cell_of, vertex_deletion_map
 
 Point = tuple[float, ...]
 
