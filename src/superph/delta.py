@@ -137,14 +137,20 @@ class DeltaSet:
             for j in range(c):
                 yield (n, j)
 
+    @classmethod
+    def _built(cls, counts: tuple, faces: tuple, labels, host=None) -> "DeltaSet":
+        """Counts and face rows in normal form (no trailing zero count, int
+        rows of length n + 1) kept as they are, labels as `with_labels`."""
+        ds = cls.__new__(cls)
+        ds.counts, ds.faces, ds.host = counts, faces, host
+        ds._labels = _label_rows(counts, labels)
+        return ds
+
     def with_labels(self, labels, host=None) -> "DeltaSet":
         """This Δ-set's counts and face rows, shared, with other labels (or
         none), stored over host when given; only the label counts are
         checked."""
-        ds = DeltaSet.__new__(DeltaSet)
-        ds.counts, ds.faces, ds.host = self.counts, self.faces, host
-        ds._labels = _label_rows(self.counts, labels)
-        return ds
+        return DeltaSet._built(self.counts, self.faces, labels, host)
 
     def validate(self) -> ValidationReport:
         """Check face-reference ranges, then every instance of the Δ-identity."""
@@ -424,6 +430,7 @@ def is_complete(sh: SuperHypergraph, *, regular: bool | None = None) -> Complete
 
 def close_under_faces(seeds: Iterable[Hashable],
                       face_fn: Callable[[Hashable], Sequence[Hashable]],
+                      key: Callable[[Hashable], object] = cell_sort_key,
                       ) -> tuple[DeltaSet, GradedSubset]:
     """Least family containing *seeds* and closed under face_fn, as a Δ-set.
 
@@ -431,10 +438,10 @@ def close_under_faces(seeds: Iterable[Hashable],
     so a label's grade is its face count minus one; a 0-cell's one face
     (the empty cell) is not a cell.  face_fn runs once per distinct label:
     the face lists of the discovery pass become the face rows, holding the
-    first instance seen of each label.  Cells are indexed in deterministic
-    label order per dimension.  Raises ValueError for an empty face list,
-    DeltaStructureError if a face has the wrong grade and DeltaIdentityError
-    if the face maps violate the Δ-identity.
+    first instance seen of each label.  Cells are indexed per dimension in
+    increasing key(label) order, key being injective on the labels.  Raises
+    ValueError for an empty face list, DeltaStructureError if a face has the
+    wrong grade and DeltaIdentityError if the face maps violate the Δ-identity.
     """
     seed_list = list(seeds)
     canon: dict = {}  # label -> the first instance seen of it
@@ -462,10 +469,9 @@ def close_under_faces(seeds: Iterable[Hashable],
     if not by_dim:
         return DeltaSet((), (), ()), GradedSubset()
     top = max(by_dim)
-    ordered = [sorted(by_dim.get(n, ()), key=cell_sort_key) for n in range(top + 1)]
+    ordered = [sorted(by_dim.get(n, ()), key=key) for n in range(top + 1)]
     # Face rows hold canonical instances only, so identity finds their cells.
     index = {id(lab): (n, j) for n, labs in enumerate(ordered) for j, lab in enumerate(labs)}
-    counts = [len(labs) for labs in ordered]
     faces: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
     for n in range(1, top + 1):
         for lab in ordered[n]:
@@ -477,7 +483,8 @@ def close_under_faces(seeds: Iterable[Hashable],
                         f"face of a grade-{n} label has grade {fd}: {fl!r}")
                 row.append(fi)
             faces[n].append(tuple(row))
-    ds = DeltaSet(counts, faces, ordered)
+    # in normal form as built: a grade-n label's faces have grade n - 1
+    ds = DeltaSet._built(tuple(map(len, ordered)), tuple(map(tuple, faces)), ordered)
     report = ds.validate()
     if not report.ok:
         raise DeltaIdentityError(report)

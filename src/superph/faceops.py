@@ -8,12 +8,14 @@ each cell's grade (its face count minus one), and returns the validated
 super-hypergraph whose parental Δ-set cells are subgraphs (with their
 starting vertices, for starting-vertex faces), so cells reached along
 different deletion sequences coincide.  Every closure runs on the members
-as masks over the host's one index, its rank-mask tables (`graphs._Cell`,
-and `_StartCell` with a starting-vertex mask).  The four subgraph-family
-closures keep those cells as the labels, over the host
-(`graphs._keep_cells`), and a `Subgraph` is decoded only where a label is
-read; starting-vertex faces label each cell once, after the closure, with
-its marked subgraph by `relabel`.  Edge deletion returns the members' edge
+as masks over the host's one index, its rank-mask tables: a cell is a
+plain int tuple (vertex mask, edge mask), with a third mask, the starting
+vertices, for starting-vertex faces, and the ranks of its masks order the
+cells as the (marked) subgraphs they stand for (`graphs._rank_key`,
+`_start_key`).  The four subgraph-family closures keep those cells as the
+labels, over the host (`graphs._keep_cells`), and a `Subgraph` is decoded
+only where a label is read; starting-vertex faces label each cell once,
+after the closure, with its marked subgraph by `relabel`.  Edge deletion returns the members' edge
 sets and whether they are closed under single-edge deletion.
 """
 
@@ -25,8 +27,8 @@ from typing import Iterable, Sequence
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face, relabel)
 from .fields import _ranks
-from .graphs import (MultiGraph, Subgraph, _Cell, _cell_of, _keep_cells, _union, _vertex_mask,
-                     is_subgraph, vertex_deletion_map)
+from .graphs import (MultiGraph, Subgraph, _cell_of, _keep_cells, _rank_key, _union,
+                     _vertex_mask, is_subgraph, vertex_deletion_map)
 
 
 class SubgraphFamily:
@@ -160,7 +162,7 @@ def _close_family(fam: SubgraphFamily, face_fn) -> SuperHypergraph:
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
     return SuperHypergraph(*_keep_cells(fam.host, close_under_faces([_cell_of(m) for m in fam],
-                                                                    face_fn)))
+                                                                    face_fn, _rank_key)))
 
 
 def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
@@ -181,14 +183,14 @@ def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
         raise ValueError("secondary vertex-deletion requires a simple host graph")
     keep, pairs = [~m for m in host._inc], host._pairs
 
-    def face_fn(cell: _Cell) -> list[_Cell]:
+    def face_fn(cell: tuple[int, int]) -> list[tuple[int, int]]:
         vm, em = cell
         ranks = _ranks(vm)
-        out = [_Cell((vm ^ (1 << r), em & keep[r])) for r in ranks]
+        out = [(vm ^ (1 << r), em & keep[r]) for r in ranks]
         for i in range(1, len(ranks) - 1):
             bridge = pairs.get((ranks[i - 1], ranks[i + 1]))
             if bridge:
-                out[i] = _Cell((out[i][0], out[i][1] | bridge))
+                out[i] = (out[i][0], out[i][1] | bridge)
         return out
 
     return _close_family(fam, face_fn)
@@ -237,9 +239,9 @@ def partition_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHypergr
     vertex of the j-th touched cluster with its incident edges."""
     masks = _cluster_masks(fam.host, clustering)
 
-    def face_fn(cell: _Cell) -> list[_Cell]:
+    def face_fn(cell: tuple[int, int]) -> list[tuple[int, int]]:
         vm, em = cell
-        return [_Cell((vm & nbv, em & nbe)) for bv, nbv, nbe in masks if vm & bv]
+        return [(vm & nbv, em & nbe) for bv, nbv, nbe in masks if vm & bv]
 
     return _close_family(fam, face_fn)
 
@@ -250,13 +252,13 @@ def link_blowup_faces(fam: SubgraphFamily, clustering: Clustering) -> SuperHyper
     nbrs, induced = fam.host._nbrs, fam.host._induced_edges
     masks = _cluster_masks(fam.host, clustering)
 
-    def face_fn(cell: _Cell) -> list[_Cell]:
+    def face_fn(cell: tuple[int, int]) -> list[tuple[int, int]]:
         vm, em = cell
         out = []
         for bv, nbv, nbe in masks:
             if vm & bv:
                 keep = vm & nbv
-                out.append(_Cell((keep, em & nbe | induced(_union(nbrs, vm & bv) & keep))))
+                out.append((keep, em & nbe | induced(_union(nbrs, vm & bv) & keep)))
         return out
 
     return _close_family(fam, face_fn)
@@ -282,17 +284,10 @@ def extend_graph(g: MultiGraph) -> MultiGraph:
     return MultiGraph(g.vertices, edges, directed=g.directed)
 
 
-class _StartCell(tuple):
-    """A subgraph of Ĝ with starting vertices, as (vertex mask, edge mask,
-    starting-vertex mask) over Ĝ's ranks.  `sort_key` orders these cells
-    as `MarkedSubgraph.sort_key` orders the marked subgraphs they stand
-    for."""
-
-    __slots__ = ()
-
-    @property
-    def sort_key(self) -> tuple:
-        return (_ranks(self[0]), _ranks(self[1]), _ranks(self[2]))
+def _start_key(cell: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """`graphs._rank_key` of a (vertex mask, edge mask, starting-vertex mask)
+    cell, then its starting vertices' ranks: the order of `MarkedSubgraph`."""
+    return (*_rank_key(cell), _ranks(cell[2]))
 
 
 def starting_vertex_faces(members: Sequence[MarkedSubgraph],
@@ -315,9 +310,9 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
         if not is_subgraph(m.subgraph, g):
             raise ValueError(f"member is not a subgraph of the working graph: {m!r}")
         vm, em = _cell_of(Subgraph(ghat, m.subgraph.vertices, m.subgraph.edges))
-        seeds.append(_StartCell((vm, em, _vertex_mask(ghat, m.sv))))
+        seeds.append((vm, em, _vertex_mask(ghat, m.sv)))
 
-    def face_fn(cell: _StartCell) -> list[_StartCell]:
+    def face_fn(cell: tuple[int, int, int]) -> list[tuple[int, int, int]]:
         vm, em, sm = cell
         layers = _layer_masks(ghat, em, sm)
         n = len(layers) - 1
@@ -330,15 +325,15 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
                 for v in _ranks(layers[j - 1]):
                     for w in _ranks(layers[j + 1]):
                         face_em |= pairs[v, w] & formal
-            out.append(_StartCell((vm ^ layer, face_em, d0_start if j == 0 else sm)))
+            out.append((vm ^ layer, face_em, d0_start if j == 0 else sm))
         return out
 
-    def label(cell: _StartCell) -> MarkedSubgraph:
+    def label(cell: tuple[int, int, int]) -> MarkedSubgraph:
         vm, em, sm = cell
-        return MarkedSubgraph(ghat._cell_subgraph(_Cell((vm, em))),
+        return MarkedSubgraph(ghat._cell_subgraph((vm, em)),
                               frozenset(ghat._vids[r] for r in _ranks(sm)))
 
-    ds, _ = relabel(close_under_faces(seeds, face_fn), label)
+    ds, _ = relabel(close_under_faces(seeds, face_fn, _start_key), label)
     marked_cells = [(n, j) for n, j in ds.cells()
                     if ds.label(n, j).subgraph.edges.issubset(g.edge_ends)]
     return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))

@@ -3,7 +3,7 @@ built from them (clique Δ-set, neighborhood complex, path complex).
 
 A `MultiGraph` keeps one index, built at construction: the ranks of its
 ids and bitmask tables over them.  Its id lookups decode those masks, and
-every construction closes subgraphs as (vertex mask, edge mask) cells over
+every construction closes subgraphs as (vertex mask, edge mask) pairs over
 them.  The clique Δ-set keeps those cells as its labels, over its host
 (`_keep_cells`, which checks each cell's edges as `Subgraph` does), and
 `DeltaSet.label` decodes a `Subgraph` only when one is read; the path
@@ -32,14 +32,15 @@ class MultiGraph:
     loops included; `_pairs[a, b]` masks the edges from a to b, in both
     orders when undirected; `_nbrs[r]` masks the vertices adjacent to r
     ignoring direction and loops, `_out[r]` those reached from r by an edge
-    (`_nbrs` itself when undirected); `_loops` masks the loops.
-    `neighbors`, `edges_between` and `induced` decode these masks, and the
-    constructions close subgraphs as masks over them.  A subgraph's `key`
-    lists its ids in rank order and its `sort_key` is its sorted ranks, so
-    building either compares no ids."""
+    (`_nbrs` itself when undirected); `_loops` masks the loops, and
+    `_ends[r]` the endpoints of edge r.  `neighbors`, `edges_between` and
+    `induced` decode these masks, and the constructions close subgraphs as
+    masks over them.  A subgraph's `key` lists its ids in rank order and
+    its `sort_key` is its sorted ranks, so building either compares no
+    ids."""
 
     __slots__ = ("vertices", "edge_ends", "directed", "_vrank", "_erank", "_vids",
-                 "_eids", "_inc", "_pairs", "_nbrs", "_out", "_loops")
+                 "_eids", "_inc", "_pairs", "_nbrs", "_out", "_loops", "_ends")
 
     def __init__(self, vertices: Iterable[Hashable],
                  edges: Mapping[Hashable, tuple[Hashable, Hashable]],
@@ -60,11 +61,13 @@ class MultiGraph:
         self._nbrs = nbrs = [0] * len(vrank)
         self._out = out = [0] * len(vrank) if self.directed else nbrs
         self._pairs = pairs = {}
+        self._ends = ends_of = [0] * len(self._eids)
         loops = 0
         for r, e in enumerate(self._eids):
             bit = 1 << r
             u, v = ends[e]
             a, b = vrank[u], vrank[v]
+            ends_of[r] = 1 << a | 1 << b
             inc[a] |= bit
             inc[b] |= bit
             pairs[a, b] = pairs.get((a, b), 0) | bit
@@ -121,12 +124,13 @@ class MultiGraph:
     def subgraph(self, vertices: Iterable, edges: Iterable) -> "Subgraph":
         return Subgraph(self, vertices, edges)
 
-    def _cell_subgraph(self, cell: "_Cell") -> "Subgraph":
-        """The subgraph a cell over these ranks stands for, built by the
-        checked constructor, its sort key filled in from the ranks."""
-        key = cell.sort_key
-        sub = Subgraph(self, [self._vids[r] for r in key[1]], [self._eids[r] for r in key[2]])
-        sub._sort_key = key
+    def _cell_subgraph(self, cell: tuple[int, int]) -> "Subgraph":
+        """The subgraph a (vertex mask, edge mask) cell over these ranks
+        stands for, built by the checked constructor, its sort key filled
+        in from the ranks."""
+        vr, er = _ranks(cell[0]), _ranks(cell[1])
+        sub = Subgraph(self, [self._vids[r] for r in vr], [self._eids[r] for r in er])
+        sub._sort_key = (4, vr, er)
         return sub
 
     def induced(self, vertices: Iterable) -> "Subgraph":
@@ -243,24 +247,17 @@ def _vertex_mask(host: MultiGraph, vertices: Iterable) -> int:
     return sum(1 << vrank[v] for v in vertices)
 
 
-class _Cell(tuple):
-    """A subgraph of a host as (vertex mask, edge mask) over its ranks.
-
-    Hashing and equality are the tuple's; `sort_key` is the `sort_key` of
-    the subgraph the cell stands for, so a closure of cells indexes them
-    as it would the subgraphs."""
-
-    __slots__ = ()
-
-    @property
-    def sort_key(self) -> tuple:
-        return (4, _ranks(self[0]), _ranks(self[1]))
+def _rank_key(cell: tuple[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The order key of a closure of (vertex mask, edge mask) cells: the
+    sorted ranks of each mask, which orders the cells as the `sort_key`s
+    of the subgraphs they stand for."""
+    return (_ranks(cell[0]), _ranks(cell[1]))
 
 
-def _cell_of(sub: Subgraph, host: MultiGraph | None = None) -> _Cell:
+def _cell_of(sub: Subgraph, host: MultiGraph | None = None) -> tuple[int, int]:
     """The cell of a subgraph over the ranks of host, its own by default."""
     host = host or sub.host
-    return _Cell((_vertex_mask(host, sub.vertices), sum(1 << host._erank[e] for e in sub.edges)))
+    return (_vertex_mask(host, sub.vertices), sum(1 << host._erank[e] for e in sub.edges))
 
 
 def _keep_cells(host: MultiGraph, closure: tuple[DeltaSet, GradedSubset]
@@ -271,9 +268,9 @@ def _keep_cells(host: MultiGraph, closure: tuple[DeltaSet, GradedSubset]
     as `Subgraph` checks its edges: ValueError names the lowest-ranked edge
     of a cell whose endpoints are not all in it."""
     ds, marked = closure
-    stray = next((bad for row in ds.labels for vm, em in row
-                  if (bad := em & ~host._induced_edges(vm))), 0)
-    if stray:
+    bad = [c for row in ds.labels for c in row if _union(host._ends, c[1]) & ~c[0]]
+    if bad:
+        stray = bad[0][1] & ~host._induced_edges(bad[0][0])
         raise ValueError(f"edge {host._eids[(stray & -stray).bit_length() - 1]!r} "
                          "selected without its endpoints")
     return ds.with_labels(ds.labels, host), marked
@@ -284,9 +281,9 @@ def vertex_deletion_map(host: MultiGraph):
     in rank order, together with its incident edges."""
     keep = [~m for m in host._inc]
 
-    def faces(cell: _Cell) -> list[_Cell]:
+    def faces(cell: tuple[int, int]) -> list[tuple[int, int]]:
         vm, em = cell
-        return [_Cell((vm ^ (1 << r), em & keep[r])) for r in _ranks(vm)]
+        return [(vm ^ (1 << r), em & keep[r]) for r in _ranks(vm)]
 
     return faces
 
@@ -295,7 +292,7 @@ def vertex_deletion_map(host: MultiGraph):
 # Cliques
 # ---------------------------------------------------------------------------
 
-def _clique_cells(g: MultiGraph, max_size: int) -> list[_Cell]:
+def _clique_cells(g: MultiGraph, max_size: int) -> list[tuple[int, int]]:
     """The cells of `cliques(g, max_size)`, in its order."""
     if g.directed:
         raise ValueError("cliques are defined for undirected graphs")
@@ -305,7 +302,7 @@ def _clique_cells(g: MultiGraph, max_size: int) -> list[_Cell]:
 
     def extend(ranks: tuple, vm: int, candidates: int):
         for combo in product(*[choices[pair] for pair in combinations(ranks, 2)]):
-            out.append(_Cell((vm, sum(combo))))
+            out.append((vm, sum(combo)))
         if len(ranks) >= max_size:
             return
         while candidates:
@@ -339,7 +336,7 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     ds, _ = _keep_cells(g, close_under_faces(_clique_cells(g, max_dim + 1),
-                                            vertex_deletion_map(g)))
+                                            vertex_deletion_map(g), _rank_key))
     return ds
 
 

@@ -66,7 +66,7 @@ from .delta import DeltaMorphism, SuperHypergraph, validate_morphism
 from .fields import (Field, FieldMatrix, Span, axpy, combine, pivot_order, reduce_columns,
                      reduce_vector)
 from .homology import ChainComplex, FilteredBasis, boundary_matrices, inf_basis
-from .scoring import DominationError, _cell_masks, _scores
+from .scoring import DominationError, _cell_masks, _scores, round_score
 
 MODULE_KINDS = ("ambient", "embedded", "relative")
 
@@ -140,7 +140,7 @@ def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) ->
                 if cells[n - 1][t][0] & ~big:
                     raise DominationError(
                         f"face of cell ({n},{j}) does not shrink its vertex set")
-    scores = _scores(scheme, host, cells)
+    scores = [list(map(round_score, row)) for row in _scores(scheme, host, cells)]
     monotone = all(scores[n - 1][t] <= scores[n][j]
                    for n in range(1, x.dim_count)
                    for j in range(x.counts[n])

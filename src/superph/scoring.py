@@ -20,6 +20,7 @@ import functools
 import hashlib
 import math
 import random
+from itertools import combinations, starmap
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .fields import _ranks
@@ -75,8 +76,7 @@ def vr_points(points: Sequence[Point]) -> float:
     pts = list(points)
     if not pts:
         raise ValueError("empty point set")
-    return max((math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]),
-               default=0.0) / 2.0
+    return max(starmap(math.dist, combinations(pts, 2)), default=0.0) / 2.0
 
 
 def _circumball(support: Sequence[Point]) -> tuple[Point, float]:
@@ -358,23 +358,23 @@ def _cell_masks(x) -> tuple[MultiGraph, Sequence[Sequence]]:
 
 
 def _scores(s: ScoringScheme, host: MultiGraph, cells) -> list[list[float]]:
-    """Rounded score of every cell of `_cell_masks`, per dimension.  A
+    """Unrounded score of every cell of `_cell_masks`, per dimension.  A
     vertex scheme maps each vertex rank once, in the order the cells first
     reach it, and reads a cell's points in rank order."""
     if s._vertices is None:
-        return [[round_score(s.score(host._cell_subgraph(c))) for c in row] for row in cells]
+        return [[s.score(host._cell_subgraph(c)) for c in row] for row in cells]
     point, of_points = s._vertices
     vids, table = host._vids, {}
-    return [[round_score(of_points([table[r] if r in table else
-                                    table.setdefault(r, point(vids[r])) for r in _ranks(vm)]))
+    return [[of_points([table[r] if r in table else
+                        table.setdefault(r, point(vids[r])) for r in _ranks(vm)])
              for vm, _ in row] for row in cells]
 
 
 def cell_scores(s: ScoringScheme, x) -> list[list[float]]:
     """Rounded score of every cell label of a Δ-set, per dimension."""
-    return _scores(s, *_cell_masks(x))
+    return [list(map(round_score, row)) for row in _scores(s, *_cell_masks(x))]
 
 
 def critical_values(s: ScoringScheme, x) -> list[float]:
     """Sorted distinct (rounded) scores of all cell labels of a Δ-set."""
-    return sorted({v for row in cell_scores(s, x) for v in row})
+    return sorted(set(map(round_score, {v for row in _scores(s, *_cell_masks(x)) for v in row})))

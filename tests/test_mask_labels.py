@@ -7,20 +7,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superph.faceops
 import superph.graphs
-from superph import (Clustering, DeltaSet, GradedSubset, MultiGraph, PointCloud, Subgraph,
-                     SubgraphFamily, SuperHypergraph, build_filtration, cech_scheme,
-                     clique_delta, cliques, critical_values, full_subset, link_blowup_faces,
-                     partition_faces, primary_vertex_deletion, secondary_vertex_deletion,
-                     seeded_random_scheme, vr_points, vr_scheme, witness_scheme)
+from superph import (Clustering, DeltaSet, GradedSubset, MarkedSubgraph, MultiGraph,
+                     PointCloud, Subgraph, SubgraphFamily, SuperHypergraph, build_filtration,
+                     cech_scheme, clique_delta, cliques, critical_values, full_subset,
+                     link_blowup_faces, partition_faces, primary_vertex_deletion,
+                     secondary_vertex_deletion, seeded_random_scheme, vr_points, vr_scheme,
+                     witness_scheme)
 from superph.cli import main
-from superph.graphs import _Cell, _ranks
+from superph.faceops import _start_key
+from superph.graphs import _rank_key, _ranks
 from superph.persistence import DominationError
-from superph.scoring import pullback_scheme
+from superph.scoring import cell_scores, pullback_scheme
 
-from oracles import checked_relabel
+from oracles import checked_relabel, recursive_sort_key
 
 
 def mixed_inputs():
@@ -51,11 +54,27 @@ def construct(kind, g, fam, clustering) -> SuperHypergraph:
     return (primary_vertex_deletion if kind == "primary_vd" else secondary_vertex_deletion)(fam)
 
 
+def near_ties(names) -> PointCloud:
+    """Points on a line, every third one lifted off it by 1e-7, so that a
+    distance k between a lifted and an unlifted point reads sqrt(k² + 1e-14):
+    distinct from k in the float, equal to it in 12 digits."""
+    return PointCloud({v: (float(i), 1e-7 * (i % 3 == 0)) for i, v in enumerate(names)})
+
+
+def assert_times_are_the_critical_values(sh, scheme, experimental=False):
+    times = list(build_filtration(sh, scheme, experimental).times)
+    assert times == critical_values(scheme, sh.x) == \
+        sorted({v for row in cell_scores(scheme, sh.x) for v in row})
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_mask_constructions_filter_and_score_without_a_subgraph(monkeypatch, kind):
     # construction, domination and injectivity checks, and the scores of
-    # the schemes that read only vertex sets build no Subgraph at all
+    # the schemes that read only vertex sets build no Subgraph at all; the
+    # critical values are the distinct rounded cell scores, also where
+    # distinct unrounded scores round to one value
     g, pc, fam, clustering = mixed_inputs()
+    tied = near_ties(sorted(g.vertices))
     built = []
     init = Subgraph.__init__
 
@@ -66,10 +85,68 @@ def test_mask_constructions_filter_and_score_without_a_subgraph(monkeypatch, kin
     monkeypatch.setattr(Subgraph, "__init__", counted)
     sh = construct(kind, g, fam, clustering)
     assert sh.x.total_cells() > 20 and sh.x.dim_count > 1
-    for scheme in (vr_scheme(pc), cech_scheme(pc), witness_scheme(pc, "vr_strong"),
-                   pullback_scheme(pc.points, vr_points)):
-        assert list(build_filtration(sh, scheme).times) == critical_values(scheme, sh.x)
+    for cloud in (pc, tied):
+        for scheme in (vr_scheme(cloud), cech_scheme(cloud), witness_scheme(cloud, "vr_strong"),
+                       pullback_scheme(cloud.points, vr_points)):
+            assert_times_are_the_critical_values(sh, scheme)
     assert built == []
+    raw = {vr_points(tied.of(sh.x.label(n, j).vertices)) for n, j in sh.x.cells()}
+    assert len(raw) > len(critical_values(vr_scheme(tied), sh.x))
+    assert_times_are_the_critical_values(sh, seeded_random_scheme(5), experimental=True)
+
+
+# ---------------------------------------------------------------------------
+# the closure's order keys
+# ---------------------------------------------------------------------------
+
+@st.composite
+def hosts_with_cells(draw):
+    """A multigraph with mixed ids and parallel edges, often more than 64 of
+    them, and distinct (vertex mask, edge mask, starting-vertex mask) cells
+    over its ranks.  Each drawn vertex mask comes with its empty and its
+    full induced edge mask beside a drawn one, and its own vertices as the
+    starting set beside a drawn one that reaches them all."""
+    directed = draw(st.booleans())
+    vs = draw(st.lists(st.sampled_from((0, 1, 2, 10, "a", "b", (0, "x"), ("t", 1))),
+                       min_size=2, max_size=6, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                          min_size=1, max_size=12))
+    copies = 65 // len(pairs) + 1 if draw(st.booleans()) else 1
+    ids = (lambda k: k, lambda k: f"e{k}", lambda k: ("e", k))
+    host = MultiGraph(vs, {ids[k % 3](k): pair
+                           for k, pair in enumerate(pairs * copies)}, directed)
+    cells = set()
+    for vm in draw(st.lists(st.integers(1, (1 << len(vs)) - 1), min_size=1, max_size=8)):
+        induced = host._induced_edges(vm)
+        sm = draw(st.integers(1, (1 << len(vs)) - 1)) & vm
+        for em in (0, induced, draw(st.integers(0, induced))):
+            em &= induced
+            for start in {vm, sm} - {0}:
+                sub = host._cell_subgraph((vm, em))
+                try:
+                    marked = MarkedSubgraph(sub, frozenset(host._vids[r] for r in _ranks(start)))
+                except ValueError:  # a starting set that does not reach every vertex
+                    continue
+                cells.add((vm, em, start, marked))
+    return host, sorted(cells, key=lambda c: recursive_sort_key(c[3]))
+
+
+def strictly_increasing(keys) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(hosts_with_cells())
+def test_rank_keys_order_cells_as_their_labels(drawn):
+    # listed in the id order of their marked subgraphs, the cells' rank keys
+    # increase strictly, as the subgraphs' and marked subgraphs' sort keys do
+    host, cells = drawn
+    assert strictly_increasing([c[3].sort_key for c in cells])
+    assert strictly_increasing([_start_key(c[:3]) for c in cells])
+    subgraph_cells = sorted({c[:2] for c in cells}, key=lambda c: recursive_sort_key(
+        host._cell_subgraph(c)))
+    assert strictly_increasing([host._cell_subgraph(c).sort_key for c in subgraph_cells])
+    assert strictly_increasing([_rank_key(c) for c in subgraph_cells])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -109,7 +186,7 @@ def test_mask_labels_read_as_the_checked_relabel(monkeypatch, kind):
 def stray_edge_map(host):
     """Vertex deletion that keeps every edge, those of the deleted vertex
     included."""
-    return lambda cell: [_Cell((cell[0] ^ (1 << r), cell[1])) for r in _ranks(cell[0])]
+    return lambda cell: [(cell[0] ^ (1 << r), cell[1]) for r in _ranks(cell[0])]
 
 
 @pytest.mark.parametrize("owner, build", [
