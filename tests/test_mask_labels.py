@@ -1,7 +1,7 @@
 """Labels stay masks: the rank-mask constructions keep (vertex mask, edge
-mask) cells as their labels, the filtration checks and the point-cloud
-scores read those masks, and a `Subgraph` is built only where a label is
-read."""
+mask) cells as their labels, ordered by their ranks as the labels are, the
+filtration checks and the point-cloud scores read those masks, and a
+`Subgraph` is built only where a label is read."""
 
 import itertools
 import random
