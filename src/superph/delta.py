@@ -483,7 +483,7 @@ def close_under_faces(seeds: Iterable[Hashable],
                         f"face of a grade-{n} label has grade {fd}: {fl!r}")
                 row.append(fi)
             faces[n].append(tuple(row))
-    # in normal form as built: a grade-n label's faces have grade n - 1
+    # in normal form as built: counts end at top, an n-cell's row is n + 1 ints
     ds = DeltaSet._built(tuple(map(len, ordered)), tuple(map(tuple, faces)), ordered)
     report = ds.validate()
     if not report.ok:
