@@ -80,7 +80,7 @@ class DeltaSet:
     subgraphs of it; otherwise they are the labels themselves.
     """
 
-    __slots__ = ("counts", "faces", "_labels", "host")
+    __slots__ = ("counts", "faces", "_labels", "host", "_report")
 
     def __init__(self, counts: Sequence[int], faces: Sequence[Sequence[Sequence[int]]],
                  labels: Sequence[Sequence] | None = None):
@@ -108,6 +108,7 @@ class DeltaSet:
         self.faces = tuple(norm_faces)
         self._labels = _label_rows(self.counts, labels)
         self.host = None
+        self._report = None
 
     @property
     def dim_count(self) -> int:
@@ -138,22 +139,34 @@ class DeltaSet:
                 yield (n, j)
 
     @classmethod
-    def _built(cls, counts: tuple, faces: tuple, labels, host=None) -> "DeltaSet":
+    def _built(cls, counts: tuple, faces: tuple, labels, host=None,
+               report: ValidationReport | None = None) -> "DeltaSet":
         """Counts and face rows in normal form (no trailing zero count, int
-        rows of length n + 1) kept as they are, labels as `with_labels`."""
+        rows of length n + 1) kept as they are, labels as `with_labels`, and
+        the validation report of those rows when one is known."""
         ds = cls.__new__(cls)
-        ds.counts, ds.faces, ds.host = counts, faces, host
+        ds.counts, ds.faces, ds.host, ds._report = counts, faces, host, report
         ds._labels = _label_rows(counts, labels)
         return ds
 
     def with_labels(self, labels, host=None) -> "DeltaSet":
         """This Δ-set's counts and face rows, shared, with other labels (or
         none), stored over host when given; only the label counts are
-        checked."""
-        return DeltaSet._built(self.counts, self.faces, labels, host)
+        checked.  The validation report of the shared rows comes along."""
+        return DeltaSet._built(self.counts, self.faces, labels, host, self._report)
 
     def validate(self) -> ValidationReport:
-        """Check face-reference ranges, then every instance of the Δ-identity."""
+        """Check face-reference ranges, then every instance of the Δ-identity.
+
+        The face rows are immutable tuples, so the report is computed once,
+        by the walk `_check` on the first call, and kept: later calls return
+        it without walking the rows again.  A failing report fails every
+        caller that checks it."""
+        if self._report is None:
+            self._report = self._check()
+        return self._report
+
+    def _check(self) -> ValidationReport:
         structural = []
         for n in range(1, self.dim_count):
             below = self.counts[n - 1]
@@ -344,20 +357,17 @@ def validate_morphism(m: DeltaMorphism,
 # ---------------------------------------------------------------------------
 
 def delta_closure(sh: SuperHypergraph) -> GradedSubset:
-    """Smallest Δ-subset of sh.x containing sh.h: h plus all iterated faces."""
-    x = sh.x
-    seen: set[CellId] = set()
-    stack = list(sh.h.cells())
-    while stack:
-        cell = stack.pop()
-        if cell in seen:
-            continue
-        seen.add(cell)
-        dim, idx = cell
-        if dim > 0:
-            for t in x.faces[dim][idx]:
-                stack.append((dim - 1, t))
-    return GradedSubset.from_cells(seen)
+    """Smallest Δ-subset of sh.x containing sh.h: h plus all iterated faces,
+    by levels from the top degree down, closure_n = h_n ∪ the faces of
+    closure_{n+1}."""
+    x, h = sh.x, sh.h
+    levels: list = [None] * x.dim_count
+    cells: set[int] = set()
+    for n in reversed(range(x.dim_count)):
+        cells.update(h.at(n))
+        levels[n] = cells
+        cells = set().union(*map(x.faces[n].__getitem__, cells)) if n else set()
+    return GradedSubset(dict(enumerate(levels)))
 
 
 def max_delta_subset(sh: SuperHypergraph) -> GradedSubset:

@@ -14,7 +14,7 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
-from .delta import DeltaSet, DeltaStructureError, GradedSubset, cell_sort_key
+from .delta import DeltaSet, GradedSubset, cell_sort_key
 from .faceops import MarkedSubgraph, SubgraphFamily, Clustering
 from .graphs import MultiGraph, Subgraph
 from .persistence import Bar, Barcode
@@ -272,21 +272,16 @@ def read_delta(path) -> tuple[DeltaSet, GradedSubset | None]:
         counts.append(len(named))
         labels.append(tuple(name for name, _, _ in named))
         rows = []
-        for name, face_ids, lineno in named:
-            if n == 0:
-                continue
-            row = []
-            for f in face_ids:
-                if (n - 1, f) not in index:
-                    raise FormatError(path, lineno,
-                                      f"cell {name!r}: unknown face {f!r} in dimension {n - 1}")
-                row.append(index[(n - 1, f)])
-            rows.append(tuple(row))
+        for name, face_ids, lineno in named if n else ():
+            try:
+                rows.append(tuple([index[n - 1, f] for f in face_ids]))
+            except KeyError as exc:
+                raise FormatError(path, lineno, f"cell {name!r}: unknown face "
+                                                f"{exc.args[0][1]!r} in dimension {n - 1}") from None
         faces.append(tuple(rows))
-    try:
-        ds = DeltaSet(counts, faces, labels)
-    except DeltaStructureError as exc:
-        raise FormatError(path, 1, str(exc)) from exc
+    # in normal form as built: the counts end at top, and an n-cell's row is
+    # the n + 1 face ids the parser counted
+    ds = DeltaSet._built(tuple(counts), tuple(faces), labels)
     if not marks:
         return ds, None
     marked = []

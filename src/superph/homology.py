@@ -22,10 +22,12 @@ rows X_{n-1} ∖ H_{n-1} and the columns H_n:
   inside H), from the ranks of ∂ restricted to closure ∖ core.
 
 Every one of these is the rank of ∂_n on a set of columns, or of its block
-on the rows outside a set of marked rows; one reduction with the unmarked
-rows ordered last gives both, and the ambient and relative tables share the
-reduction of each full ∂_n.  The persistence modules (`superph.persistence`)
-are filtered versions of the same reduction.
+on the rows outside a set of marked rows.  A reduced column depends only on
+the columns before it, so one reduction of each ∂_n, the columns H_n first
+and the unmarked rows ordered last, gives rk ∂_n|H_n and rk M_n on its
+prefix and rk ∂_n and r_n on the whole: the three tables and the gap
+series share it.  The persistence modules (`superph.persistence`) are
+filtered versions of the same reduction.
 
 A basis of inf_n is the filtered basis of a marking (`inf_basis`), which
 the persistence modules also build on: the marked n-cells reduced against
@@ -210,28 +212,46 @@ def embedded_chain_data(sh: SuperHypergraph, field: Field,
 # Betti numbers from ranks of the sparse reduction
 # ---------------------------------------------------------------------------
 
-def _ranks(cc: ChainComplex, n: int, cols: frozenset, marked_rows: frozenset):
-    """(rk of ∂_n on the columns `cols`, rk of its block on the rows
-    X_{n-1} ∖ marked_rows); memoised on the arguments.
+def _ranks(cc: ChainComplex, n: int, cols: Sequence[int], marked_rows: frozenset,
+           prefix: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(rk, rk on the rows X_{n-1} ∖ marked_rows) of ∂_n on the first
+    `prefix` of the columns `cols`, then on all of them.
 
-    The columns are reduced with the rows in pivot order of entry 0 for the
-    marked rows and 1 for the unmarked ones, so a reduced column has an
-    unmarked low exactly when it has an unmarked entry: the columns with
-    unmarked lows are independent on the unmarked rows, and the others
-    vanish there."""
+    One reduction of the columns in the order given, with the rows in pivot
+    order of entry 0 for the marked rows and 1 for the unmarked ones, so a
+    reduced column has an unmarked low exactly when it has an unmarked
+    entry: the columns with unmarked lows are independent on the unmarked
+    rows, and the others vanish there; marked_rows ⊆ X_{n-1}, so the
+    unmarked rows are the positions from len(marked_rows) on.  A reduced
+    column depends only on the columns before it, so the prefix reads off
+    the same reduction."""
+    position = pivot_order([0 if i in marked_rows else 1
+                            for i in range(cc.space_dim(n - 1))])[1]
+    relabel = cc.field.kernel.relabel
+    lows = reduce_columns(cc.field, (relabel(cc.columns[n][j], position) for j in cols),
+                          with_v=False)[0]
+    return tuple((len(part) - part.count(None),
+                  sum(low >= len(marked_rows) for low in part if low is not None))
+                 for part in (lows[:prefix], lows))
+
+
+def _boundary_ranks(cc: ChainComplex, n: int, marked: frozenset, marked_rows: frozenset):
+    """(rk ∂_n|H_n, rk M_n, rk ∂_n, r_n) for H_n = marked and
+    H_{n-1} = marked_rows, where M_n and r_n are the ranks of ∂_n|H_n and of
+    ∂_n on the rows X_{n-1} ∖ H_{n-1}; memoised on the arguments.
+
+    One reduction of ∂_n per degree gives all four (`_ranks`): the columns
+    H_n (sorted) first, then X_n ∖ H_n (sorted).  The unmarked rank does
+    not depend on the column order, since the marked rows come first."""
     if not 0 < n < cc.dim_count:
-        return 0, 0
-    key = ("ranks", n, cols, marked_rows)
+        return 0, 0, 0, 0
+    key = ("ranks", n, marked, marked_rows)
     ranks = cc.memo.get(key)
     if ranks is None:
-        rows, position = pivot_order([0 if i in marked_rows else 1
-                                      for i in range(cc.space_dim(n - 1))])
-        relabel = cc.field.kernel.relabel
-        lows = reduce_columns(cc.field, (relabel(cc.columns[n][j], position) for j in sorted(cols)),
-                              with_v=False)[0]
-        ranks = cc.memo[key] = (len(lows) - lows.count(None),
-                                sum(low is not None and rows[low] not in marked_rows
-                                    for low in lows))
+        cols = sorted(marked)
+        rest = [j for j in range(cc.space_dim(n)) if j not in marked]
+        head, whole = _ranks(cc, n, cols + rest, marked_rows, len(cols))
+        ranks = cc.memo[key] = head + whole
     return ranks
 
 
@@ -255,23 +275,17 @@ def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
         raise ValueError(f"unknown mode {mode!r}")
     if cc is None:
         cc = boundary_matrices(sh.x, field)
-    x, h = full_subset(sh.x), sh.h
+    h = sh.h
     out = []
     for n in range(sh.x.dim_count):
+        here = _boundary_ranks(cc, n, h.at(n), h.at(n - 1))
+        up = _boundary_ranks(cc, n + 1, h.at(n + 1), h.at(n))
         if mode == "absolute":
-            rank_n = _ranks(cc, n, h.at(n), h.at(n - 1))[0]
-            rank_up, rank_m_up = _ranks(cc, n + 1, h.at(n + 1), h.at(n))
-            out.append(len(h.at(n)) - rank_n - rank_up + rank_m_up)
-            continue
-        # rk ∂_n on X_n does not depend on the row order, so the ambient
-        # table reads it off the reduction of the relative table
-        full_n = _ranks(cc, n, x.at(n), h.at(n - 1))
-        full_up = _ranks(cc, n + 1, x.at(n + 1), h.at(n))
-        if mode == "ambient":
-            out.append(cc.dims[n] - full_n[0] - full_up[0])
-        else:
-            dim_inf = len(h.at(n)) - _ranks(cc, n, h.at(n), h.at(n - 1))[1]
-            out.append(cc.dims[n] - dim_inf - full_n[1] - full_up[1])
+            out.append(len(h.at(n)) - here[0] - up[0] + up[1])
+        elif mode == "ambient":
+            out.append(cc.dims[n] - here[2] - up[2])
+        else:  # dim inf_n = |H_n| - rk M_n
+            out.append(cc.dims[n] - (len(h.at(n)) - here[1]) - here[3] - up[3])
     return tuple(out)
 
 
@@ -282,7 +296,7 @@ def gap_series(sh: SuperHypergraph, field: Field,
     if cc is None:
         cc = boundary_matrices(sh.x, field)
     h = sh.h
-    ranks = [_ranks(cc, n, h.at(n), h.at(n - 1))[1] for n in range(sh.x.dim_count + 1)]
+    ranks = [_boundary_ranks(cc, n, h.at(n), h.at(n - 1))[1] for n in range(sh.x.dim_count + 1)]
     return tuple(ranks[n] + ranks[n + 1] for n in range(sh.x.dim_count))
 
 
@@ -297,7 +311,7 @@ def geometric_gap_betti(sh: SuperHypergraph, field: Field) -> tuple[int, ...]:
     x = full_subset(sh.x)
     nd = sh.x.dim_count
     cells = [closure.at(n) - core.at(n) for n in range(nd)]
-    ranks = [0] + [_ranks(cc, n, cells[n], x.at(n - 1) - cells[n - 1])[1]
+    ranks = [0] + [_ranks(cc, n, sorted(cells[n]), x.at(n - 1) - cells[n - 1], 0)[1][1]
                    for n in range(1, nd)] + [0]
     return tuple(len(cells[n]) - ranks[n] - ranks[n + 1] for n in range(nd))
 

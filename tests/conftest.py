@@ -59,6 +59,20 @@ def vertex_identified_quotient(which: int) -> SuperHypergraph:
     return SuperHypergraph(x, full_subset(x))
 
 
+def count_identity_walks(monkeypatch) -> list:
+    """Record each walk of the Δ-identity (`DeltaSet._check`, which
+    `DeltaSet.validate` runs once per Δ-set) from now on."""
+    walks = []
+    real = DeltaSet._check
+
+    def counted(self):
+        walks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DeltaSet, "_check", counted)
+    return walks
+
+
 def random_hypergraph(rng: random.Random, max_vertices: int = 6,
                       max_edges: int = 20) -> list[frozenset]:
     nv = rng.randint(1, max_vertices)

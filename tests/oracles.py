@@ -34,6 +34,10 @@ exceptions read library pieces but compute by another route:
   one sparse column reduction;
 - the geometric gap homology by dense quotient matrices on closure ∖ core.
 
+The depth-first Δ-closure (`dfs_delta_closure`) is the route the library's
+closure by levels replaced: it pushes one (dim, index) cell at a time, and
+the geometric gap oracles take their closure from it.
+
 The scanning graph lookups and the two-pass face closure are the routes the
 library's indexed ones replaced: they read a graph's incidence map or build
 the library's `DeltaSet`, but scan every edge per query and call face_fn
@@ -63,7 +67,7 @@ from typing import Sequence
 
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            GradedSubset, SuperHypergraph, cell_sort_key,
-                           delta_closure, full_subset, max_delta_subset, relabel)
+                           full_subset, max_delta_subset, relabel)
 from superph.faceops import MarkedSubgraph
 from superph.fields import GF2, Field, FieldMatrix, Span, rref
 from superph.graphs import Subgraph
@@ -1102,7 +1106,7 @@ def dense_gap_series(sh, field: Field) -> tuple[int, ...]:
 
 def dense_geometric_gap_betti(sh, field: Field) -> tuple[int, ...]:
     """dim Z - dim B of the dense `relative_zb` of (closure, core)."""
-    closure = delta_closure(sh)
+    closure = dfs_delta_closure(sh)
     core = max_delta_subset(sh)
     cc = boundary_matrices(sh.x, field)
     out = []
@@ -1110,6 +1114,24 @@ def dense_geometric_gap_betti(sh, field: Field) -> tuple[int, ...]:
         z, b = relative_zb(cc, closure, core, n)
         out.append(z.dim - b.dim)
     return tuple(out)
+
+
+def dfs_delta_closure(sh) -> GradedSubset:
+    """Smallest Δ-subset of sh.x containing sh.h, by a depth-first search
+    over (dim, index) cells: each cell popped adds its faces to the stack."""
+    x = sh.x
+    seen: set = set()
+    stack = list(sh.h.cells())
+    while stack:
+        cell = stack.pop()
+        if cell in seen:
+            continue
+        seen.add(cell)
+        dim, idx = cell
+        if dim > 0:
+            for t in x.faces[dim][idx]:
+                stack.append((dim - 1, t))
+    return GradedSubset.from_cells(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1142,7 @@ def quotient_gap_betti(sh, field: Field) -> tuple[int, ...]:
     """Betti numbers of C(closure) / C(core), with ∂ restricted to the cells
     of closure ∖ core (closure = Δ-closure of H, core = largest Δ-subset
     inside H)."""
-    closure = delta_closure(sh)
+    closure = dfs_delta_closure(sh)
     core = max_delta_subset(sh)
     x = sh.x
     cc = boundary_matrices(x, field)

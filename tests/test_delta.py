@@ -6,8 +6,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superph import (DeltaMorphism, DeltaSet, GradedSubset, SuperHypergraph,
+from superph import (GF2, QQ, DeltaMorphism, DeltaSet, GradedSubset, SuperHypergraph,
                      delta_closure, from_hypergraph, from_simplicial,
                      full_subset, hypergraph_cone, is_complete, is_regular,
                      max_delta_subset, standard_simplex_delta,
@@ -16,11 +17,13 @@ from superph.delta import (DeltaIdentityError, DeltaStructureError,
                            close_under_faces, missing_face)
 from superph.faceops import SubgraphFamily, edge_deletion_complex
 from superph.graphs import MultiGraph
+from superph.homology import boundary_matrices
 
-from oracles import subset_closure
+from oracles import dfs_delta_closure, subset_closure
 
-from conftest import (collapsed_tower, pillow_delta,
-                      two_simplex_missing_vertex_sh, vertex_identified_quotient)
+from conftest import (collapsed_tower, count_identity_walks, pillow_delta,
+                      random_super_hypergraph, two_simplex_missing_vertex_sh,
+                      vertex_identified_quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +35,7 @@ def test_validate_standard_simplex():
 
 
 def test_validate_detects_swapped_faces():
-    x = standard_simplex_delta(2)
-    # swap d0 and d2 of the unique 2-cell
-    row = list(x.faces[2][0])
-    row[0], row[2] = row[2], row[0]
-    broken = DeltaSet(x.counts, [x.faces[0], x.faces[1], [tuple(row)]])
+    broken = _broken_triangle()
     report = broken.validate()
     assert not report.ok
     # hand evaluation: d1 d0 f = d0 of [01] = {0}, d0 d2 f = d0 of [12] = {2}
@@ -51,6 +50,59 @@ def test_validate_reports_out_of_range():
     ds = DeltaSet([1, 1], [(), [(5, 0)]])
     report = ds.validate()
     assert not report.ok and report.structural
+
+
+def _broken_triangle() -> DeltaSet:
+    """The 2-simplex with d0 and d2 of its 2-cell swapped."""
+    x = standard_simplex_delta(2)
+    row = list(x.faces[2][0])
+    row[0], row[2] = row[2], row[0]
+    return DeltaSet(x.counts, [x.faces[0], x.faces[1], [tuple(row)]])
+
+
+def test_validation_report_is_kept(monkeypatch):
+    # the face rows are immutable: the first `validate` walks the identity,
+    # later calls (and boundary_matrices) return the kept report
+    walks = count_identity_walks(monkeypatch)
+    x = standard_simplex_delta(3)
+    assert walks == [x]  # close_under_faces validates what it builds
+    report = x.validate()
+    assert report.ok and x.validate() is report
+    boundary_matrices(x, QQ)
+    assert len(walks) == 1
+    y = DeltaSet(x.counts, x.faces)
+    assert y.validate() == report and len(walks) == 2
+
+
+def test_failing_validation_raises_at_every_call(monkeypatch):
+    # a kept failing report still fails every call site that checks it
+    broken = _broken_triangle()
+    walks = count_identity_walks(monkeypatch)
+    for field in (GF2, QQ, GF2):
+        with pytest.raises(DeltaIdentityError, match=r"cell \(2, 0\)") as err:
+            boundary_matrices(broken, field)
+        assert not err.value.report.ok and err.value.report.violations
+    assert not broken.validate().ok
+    assert len(walks) == 1
+    relabelled = broken.with_labels([["a", "b", "c"], ["x", "y", "z"], ["f"]])
+    with pytest.raises(DeltaIdentityError):
+        boundary_matrices(relabelled, QQ)
+    assert len(walks) == 1
+
+
+def test_with_labels_carries_the_report(monkeypatch):
+    # `with_labels` shares the face rows, so a validated Δ-set's report
+    # comes along and the relabelled Δ-set is not walked again; an
+    # unvalidated one stays unvalidated
+    walks = count_identity_walks(monkeypatch)
+    x = DeltaSet([1, 2, 2], [(), [(0, 0), (0, 0)], [(0, 1, 0), (0, 1, 0)]])
+    fresh = x.with_labels([["v"], ["e1", "e2"], ["f1", "f2"]])
+    assert walks == []
+    report = x.validate()
+    labelled = x.with_labels([["v"], ["e1", "e2"], ["f1", "f2"]])
+    assert labelled.validate() is report and labelled.with_labels(None).validate() is report
+    assert len(walks) == 1
+    assert fresh.validate() == report and len(walks) == 2
 
 
 def test_structure_error_on_bad_face_arity():
@@ -309,6 +361,63 @@ def test_closure_monotone_idempotent(rng):
         assert again == cl
         core = max_delta_subset(sh)
         assert core.issubset(sh.h)
+
+
+def _assert_closure_matches_oracle(sh):
+    closure = dfs_delta_closure(sh)
+    assert delta_closure(sh) == closure
+    assert is_regular(sh) == (closure == full_subset(sh.x))
+    return closure == full_subset(sh.x)
+
+
+def _markings(rng, x):
+    """The empty marking, the top degree alone (all of it, and one cell),
+    every cell, and random markings that keep each cell with probability
+    0.2, 0.5 or 0.8."""
+    top = x.dim_count - 1
+    out = [GradedSubset(), full_subset(x)]
+    if top >= 0:
+        out += [GradedSubset({top: range(x.counts[top])}), GradedSubset({top: {0}})]
+    out += [GradedSubset({n: {j for j in range(x.counts[n]) if rng.random() < keep}
+                          for n in range(x.dim_count)})
+            for keep in (0.2, 0.5, 0.8)]
+    return out
+
+
+def test_closure_by_levels_matches_depth_first_oracle(rng):
+    # the closure by levels and `is_regular` against the depth-first
+    # closure: closures of random hypergraphs, the pillow (repeated faces),
+    # collapsed towers and a simplex, under empty, top-only, full and
+    # random markings, regular and not
+    spaces = [random_super_hypergraph(rng, max_vertices=6, max_edges=12).x
+              for _ in range(25)]
+    spaces += [pillow_delta(), standard_simplex_delta(3), DeltaSet((), ())]
+    spaces += [collapsed_tower(k) for k in (1, 2, 4)]
+    verdicts = Counter()
+    for x in spaces:
+        for marks in _markings(rng, x):
+            verdicts[_assert_closure_matches_oracle(SuperHypergraph(x, marks))] += 1
+    assert verdicts[True] >= 40 and verdicts[False] >= 40
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_closure_by_levels_property(data):
+    # drawn Δ-sets (closures of drawn hypergraphs, the pillow, collapsed
+    # towers) with drawn markings: the same closure and regularity verdict
+    # as the depth-first oracle
+    kind = data.draw(st.sampled_from(("hypergraph", "pillow", "tower")))
+    if kind == "hypergraph":
+        edges = data.draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1,
+                                                 max_size=4), min_size=1, max_size=6))
+        x = from_hypergraph(edges).x
+    elif kind == "pillow":
+        x = pillow_delta()
+    else:
+        x = collapsed_tower(data.draw(st.integers(0, 4)))
+    marks = GradedSubset({n: data.draw(st.sets(st.integers(0, x.counts[n] - 1)))
+                          for n in range(x.dim_count)})
+    _assert_closure_matches_oracle(SuperHypergraph(x, marks))
 
 
 # ---------------------------------------------------------------------------

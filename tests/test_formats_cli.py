@@ -13,7 +13,7 @@ from dataclasses import fields
 from hypothesis import given, settings, strategies as st
 
 import superph.delta
-from superph import (GradedSubset, MultiGraph, from_simplicial, full_subset,
+from superph import (DeltaSet, GradedSubset, MultiGraph, from_simplicial, full_subset,
                      standard_simplex_delta)
 from superph import cli, formats
 from superph.cli import JobConfig, build_super_hypergraph, main
@@ -22,7 +22,8 @@ from superph.graphs import Subgraph, neighborhood_complex
 from superph.persistence import Bar, Barcode
 from superph.render import render_diagram
 
-from conftest import pillow_delta
+from conftest import (collapsed_tower, count_identity_walks, pillow_delta,
+                      random_super_hypergraph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -364,6 +365,73 @@ def test_delta_file_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         formats.read_delta(p)
     assert "unknown cell" in str(err.value)
+
+
+def _checked_delta(text: str) -> DeltaSet:
+    """The Δ-set of a well-formed file through the checked constructor: cells
+    grouped by dimension in file order, faces by name."""
+    cells: dict[int, list] = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if parts and parts[0] == "cell":
+            cells.setdefault(int(parts[1]), []).append((parts[2], parts[4:]))
+    top = max(cells)
+    index = [{name: j for j, (name, _) in enumerate(cells[n])} for n in range(top + 1)]
+    faces = [()] + [[[index[n - 1][f] for f in fs] for _, fs in cells[n]]
+                    for n in range(1, top + 1)]
+    return DeltaSet([len(cells[n]) for n in range(top + 1)], faces,
+                    [[name for name, _ in cells[n]] for n in range(top + 1)])
+
+
+def test_read_delta_matches_checked_constructor(tmp_path):
+    # seeded Δ-set files (closures of random hypergraphs, the pillow and
+    # collapsed towers, cell lines of different dimensions interleaved, marks
+    # anywhere): the rows `read_delta` keeps as built are the checked
+    # constructor's, int tuples of length n + 1
+    rng = random.Random(2029)
+    spaces = [random_super_hypergraph(rng, max_vertices=6, max_edges=12).x for _ in range(30)]
+    spaces += [pillow_delta(), collapsed_tower(3), standard_simplex_delta(0)]
+    p = tmp_path / "x.delta"
+    for x in spaces:
+        formats.write_delta(p, x)
+        lines = p.read_text().splitlines()
+        by_dim = [[line for line in lines if line.split()[1] == str(n)]
+                  for n in range(x.dim_count)]
+        shuffled = []
+        while any(by_dim):  # interleave dimensions, keeping each one's order
+            shuffled.append(rng.choice([d for d in by_dim if d]).pop(0))
+        marks = [f"mark {n} {line.split()[2]}" for line in shuffled
+                 for n in [int(line.split()[1])] if rng.random() < 0.4]
+        for mark in marks:
+            shuffled.insert(rng.randrange(len(shuffled) + 1), mark)
+        text = "\n".join(shuffled) + "\n"
+        p.write_text(text)
+        got, marked = formats.read_delta(p)
+        want = _checked_delta(text)
+        assert (got.counts, got.faces, got.labels) == (want.counts, want.faces, want.labels)
+        assert got == want and hash(got) == hash(want)
+        assert all(type(row) is tuple and len(row) == n + 1
+                   and all(type(t) is int for t in row)
+                   for n, rows in enumerate(got.faces) for row in rows)
+        assert got.validate() == want.validate()
+        assert (marked is None) == (not marks)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("cell 0 v :\ncell 0 w :\ncell 1 e : v w v\n", 3,
+     "cell 'e' of dimension 1 needs 2 faces, got 3"),
+    ("cell 0 v :\ncell 1 e : v v\ncell 2 f : e e x\n", 3,
+     "cell 'f': unknown face 'x' in dimension 1"),
+    ("cell 0 v :\ncell 1 e : v v\ncell 0 v :\n", 3, "duplicate cell id 'v' in dimension 0"),
+    ("cell 0 v :\nmark 0 v\nmark 1 v\n", 3, "mark names unknown cell 'v' in dimension 1"),
+])
+def test_read_delta_errors_name_their_line(tmp_path, text, lineno, message):
+    # each refused file names the line at fault and what is wrong with it
+    p = tmp_path / "x.delta"
+    p.write_text(text)
+    with pytest.raises(FormatError) as err:
+        formats.read_delta(p)
+    assert str(err.value).endswith(f"x.delta:{lineno}: {message}"), str(err.value)
 
 
 def test_barcode_round_trip(tmp_path):
@@ -880,6 +948,34 @@ def test_cli_validate_reports_violation(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "violation" in out
+    # a homology job on it is a validation failure (exit 2) too, each time
+    # the file is read, and writes nothing
+    for _ in range(2):
+        assert main(["homology", "--delta", str(delta), "--out", str(tmp_path / "o")]) == 2
+        assert "validation failure: Δ-identity violated" in capsys.readouterr().err
+        assert main(["validate", "--delta", str(delta)]) == 2
+        assert "violation: cell (2, 0)" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_jobs_walk_the_identity_once(tmp_path, monkeypatch):
+    # the Δ-identity is walked once per job: a homology job validates after
+    # reading and again in boundary_matrices, a persist job after the
+    # closure and in the filtration's boundary_matrices, on one kept report
+    walks = count_identity_walks(monkeypatch)
+    delta = tmp_path / "x.delta"
+    delta.write_text(
+        "cell 0 v :\ncell 1 e1 : v v\ncell 1 e2 : v v\n"
+        "cell 2 f1 : e1 e2 e1\ncell 2 f2 : e1 e2 e1\n"
+        "mark 0 v\nmark 2 f1\n")
+    assert main(["homology", "--delta", str(delta), "--properties",
+                 "--out", str(tmp_path / "h")]) == 0
+    assert len(walks) == 1
+    cloud = write_square_inputs(tmp_path)
+    assert main(["persist", "--cloud", str(cloud), "--construction", "clique",
+                 "--scheme", "vr", "--max-dim", "2", "--field", "gf2",
+                 "--out", str(tmp_path / "p")]) == 0
+    assert len(walks) == 2
 
 
 def test_cli_validate_completeness(tmp_path, capsys):

@@ -29,7 +29,7 @@ from oracles import (SubspaceBasis, boundaries, boundary_of_span,
                      dense_inclusion_quasi_iso, dense_induced_homology_map,
                      dense_inf_space, dense_mv_diagnostics, dense_span,
                      dense_subcomplex_homology, dense_vector, inf_zb,
-                     kernel_basis, matrix_column, preimage_basis,
+                     kernel_basis, keyed_reduce_vector, matrix_column, preimage_basis,
                      quotient_gap_betti, rank,
                      subspace_intersect, subspace_sum)
 
@@ -543,9 +543,9 @@ def test_sparse_static_homology_matches_dense_oracle(rng):
 
 
 def test_betti_tables_reduce_each_full_boundary_once(rng, monkeypatch):
-    # the ambient table takes rk ∂_n from the reduction of the relative
-    # table (the rank does not depend on the row order): one reduction of
-    # ∂_n on H_n and one on X_n per degree n >= 1, not a third
+    # one reduction of ∂_n per degree n >= 1 serves the three tables and the
+    # gap series: the columns H_n come first, so the prefix of the reduction
+    # gives rk ∂_n|H_n and rk M_n and the whole gives rk ∂_n and r_n
     import superph.homology
     real = superph.homology.reduce_columns
     calls = []
@@ -555,15 +555,71 @@ def test_betti_tables_reduce_each_full_boundary_once(rng, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(superph.homology, "reduce_columns", counted)
-    sh = _random_clique_sh(rng)
-    assert all(0 < len(sh.h.at(n)) < sh.x.counts[n] for n in range(sh.x.dim_count))
-    cc = boundary_matrices(sh.x, QQ)
-    tables = tuple(embedded_betti(sh, QQ, mode, cc=cc)
-                   for mode in ("absolute", "relative", "ambient"))
-    assert gap_series(sh, QQ, cc=cc) == dense_gap_series(sh, QQ)
-    assert len(calls) == 2 * (sh.x.dim_count - 1)
-    assert tables == tuple(dense_embedded_betti(sh, QQ, mode)
-                           for mode in ("absolute", "relative", "ambient"))
+    for field in (GF2, GF(3), QQ):
+        calls.clear()
+        sh = _random_clique_sh(rng)
+        assert all(0 < len(sh.h.at(n)) < sh.x.counts[n] for n in range(sh.x.dim_count))
+        cc = boundary_matrices(sh.x, field)
+        tables = tuple(embedded_betti(sh, field, mode, cc=cc)
+                       for mode in ("absolute", "relative", "ambient"))
+        assert gap_series(sh, field, cc=cc) == dense_gap_series(sh, field)
+        assert len(calls) == sh.x.dim_count - 1, field
+        assert tables == tuple(dense_embedded_betti(sh, field, mode)
+                               for mode in ("absolute", "relative", "ambient"))
+
+
+def _column_additions(field, columns) -> int:
+    """Column additions of the lowest-one reduction of the columns in the
+    order given: one per owner used by `keyed_reduce_vector`."""
+    owner, reduced, additions = {}, [], 0
+    for col in columns:
+        r = dict(field.kernel.decode(col))
+        low, multiples = keyed_reduce_vector(field, r, owner, reduced)
+        additions += len(multiples)
+        if low is not None:
+            owner[low] = len(reduced)
+        reduced.append(r)
+    return additions
+
+
+def test_geometric_gap_reduces_only_closure_minus_core(rng, monkeypatch):
+    # geometric gap homology reduces ∂_n on the columns closure_n ∖ core_n
+    # alone, once per degree n >= 1, with the rows outside closure ∖ core
+    # first: no more reductions, columns or column additions than that
+    # reference reduction, on a seeded corpus over GF(2), GF(3) and Q
+    import superph.homology
+    real = superph.homology.reduce_columns
+    calls = []
+
+    def listed(field, columns, *args, **kwargs):
+        calls.append(list(columns))
+        return real(field, calls[-1], *args, **kwargs)
+
+    monkeypatch.setattr(superph.homology, "reduce_columns", listed)
+    cases = [random_super_hypergraph(rng, max_vertices=5, max_edges=10, keep=keep)
+             for keep in (0.3, 0.6, 0.85) for _ in range(4)]
+    cases += [_random_clique_sh(rng) for _ in range(3)]
+    cases += [pillow_sh(), pillow_sh(include_vertex=False)]
+    reduced_columns = 0
+    for k, sh in enumerate(cases):
+        field = (GF2, GF(3), QQ)[k % 3]
+        calls.clear()
+        got = geometric_gap_betti(sh, field)
+        assert got == quotient_gap_betti(sh, field)
+        closure, core = delta_closure(sh), max_delta_subset(sh)
+        cells = [closure.at(n) - core.at(n) for n in range(sh.x.dim_count)]
+        cc = boundary_matrices(sh.x, field)
+        assert len(calls) == max(sh.x.dim_count - 1, 0)
+        for n, columns in enumerate(calls, start=1):
+            outside = [i for i in range(sh.x.counts[n - 1]) if i not in cells[n - 1]]
+            rows = outside + sorted(cells[n - 1])
+            position = {i: p for p, i in enumerate(rows)}
+            reference = [cc.field.kernel.relabel(cc.columns[n][j], position)
+                         for j in sorted(cells[n])]
+            assert len(columns) == len(reference)
+            assert _column_additions(field, columns) <= _column_additions(field, reference)
+            reduced_columns += len(columns)
+    assert reduced_columns >= 100
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
