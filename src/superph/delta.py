@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
+from operator import itemgetter, ne
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Sequence
 
 CellId = tuple[int, int]
@@ -159,35 +162,42 @@ class DeltaSet:
         """Check face-reference ranges, then every instance of the Δ-identity.
 
         The face rows are immutable tuples, so the report is computed once,
-        by the walk `_check` on the first call, and kept: later calls return
-        it without walking the rows again.  A failing report fails every
+        by `_check` on the first call, and kept: later calls return it
+        without checking the rows again.  A failing report fails every
         caller that checks it."""
         if self._report is None:
             self._report = self._check()
         return self._report
 
     def _check(self) -> ValidationReport:
+        """The validation report of the face rows, degree by degree.
+
+        A degree whose references (as a set) span [0, count below) is in
+        range; otherwise each reference outside it is reported, cell by
+        cell, and the identity is not checked.  The identity
+        d_i d_j = d_j d_{i+1} (i >= j) is checked by columns: slot j's face
+        rows below[row[j]] over all n-cells, entry i of slot j against
+        entry j of slot i + 1.  Only a degree with a failing column is
+        walked cell by cell, for its violations by cell, then j, then i."""
         structural = []
         for n in range(1, self.dim_count):
-            below = self.counts[n - 1]
-            for j, row in enumerate(self.faces[n]):
-                for i, t in enumerate(row):
-                    if not (0 <= t < below):
-                        structural.append(
-                            f"cell ({n},{j}): d_{i} -> index {t} out of range [0,{below})")
+            size = self.counts[n - 1]
+            refs = set(chain.from_iterable(self.faces[n]))
+            if refs and not (0 <= min(refs) and max(refs) < size):
+                structural += [f"cell ({n},{j}): d_{i} -> index {t} out of range [0,{size})"
+                               for j, row in enumerate(self.faces[n])
+                               for i, t in enumerate(row) if not 0 <= t < size]
         if structural:
             return ValidationReport(False, tuple(structural), ())
         violations = []
         for n in range(2, self.dim_count):
-            for x in range(self.counts[n]):
-                row = self.faces[n][x]
-                for j in range(n + 1):
-                    for i in range(j, n):
-                        # d_i d_j = d_j d_{i+1} on an n-cell, i >= j
-                        lhs = self.faces[n - 1][row[j]][i]
-                        rhs = self.faces[n - 1][row[i + 1]][j]
-                        if lhs != rhs:
-                            violations.append(((n, x), i, j))
+            below, rows = self.faces[n - 1], self.faces[n]
+            cols = [list(map(below.__getitem__, map(itemgetter(j), rows))) for j in range(n + 1)]
+            if any(any(map(ne, map(itemgetter(i), cols[j]), map(itemgetter(j), cols[i + 1])))
+                   for j in range(n + 1) for i in range(j, n)):
+                violations += [((n, x), i, j) for x, row in enumerate(rows)
+                               for j in range(n + 1) for i in range(j, n)
+                               if below[row[j]][i] != below[row[i + 1]][j]]
         return ValidationReport(not violations, (), tuple(violations))
 
     def __eq__(self, other):
@@ -440,7 +450,7 @@ def is_complete(sh: SuperHypergraph, *, regular: bool | None = None) -> Complete
 
 def close_under_faces(seeds: Iterable[Hashable],
                       face_fn: Callable[[Hashable], Sequence[Hashable]],
-                      key: Callable[[Hashable], object] = cell_sort_key,
+                      order: Callable[[list], list] = partial(sorted, key=cell_sort_key),
                       ) -> tuple[DeltaSet, GradedSubset]:
     """Least family containing *seeds* and closed under face_fn, as a Δ-set.
 
@@ -449,9 +459,10 @@ def close_under_faces(seeds: Iterable[Hashable],
     (the empty cell) is not a cell.  face_fn runs once per distinct label:
     the face lists of the discovery pass become the face rows, holding the
     first instance seen of each label.  Cells are indexed per dimension in
-    increasing key(label) order, key being injective on the labels.  Raises
-    ValueError for an empty face list, DeltaStructureError if a face has the
-    wrong grade and DeltaIdentityError if the face maps violate the Δ-identity.
+    the order order(labels) returns, increasing `cell_sort_key` by default
+    (the mask constructions pass `graphs._rank_order`).  Raises ValueError
+    for an empty face list, DeltaStructureError if a face has the wrong
+    grade and DeltaIdentityError if the face maps violate the Δ-identity.
     """
     seed_list = list(seeds)
     canon: dict = {}  # label -> the first instance seen of it
@@ -479,26 +490,31 @@ def close_under_faces(seeds: Iterable[Hashable],
     if not by_dim:
         return DeltaSet((), (), ()), GradedSubset()
     top = max(by_dim)
-    ordered = [sorted(by_dim.get(n, ()), key=key) for n in range(top + 1)]
+    ordered = [order(by_dim.get(n, ())) for n in range(top + 1)]
     # Face rows hold canonical instances only, so identity finds their cells.
-    index = {id(lab): (n, j) for n, labs in enumerate(ordered) for j, lab in enumerate(labs)}
-    faces: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+    index = [{id(lab): j for j, lab in enumerate(labs)} for labs in ordered]
+    faces: list[tuple] = [()]
     for n in range(1, top + 1):
+        find = index[n - 1].__getitem__
+        rows = []
         for lab in ordered[n]:
-            row = []
-            for fl in face_labels.pop(id(lab)):
-                fd, fi = index[id(fl)]
-                if fd != n - 1:
-                    raise DeltaStructureError(
-                        f"face of a grade-{n} label has grade {fd}: {fl!r}")
-                row.append(fi)
-            faces[n].append(tuple(row))
+            row = face_labels.pop(id(lab))
+            try:
+                rows.append(tuple(map(find, map(id, row))))
+            except KeyError:
+                fl = next(fl for fl in row if id(fl) not in index[n - 1])
+                fd = next(d for d, at in enumerate(index) if id(fl) in at)
+                raise DeltaStructureError(
+                    f"face of a grade-{n} label has grade {fd}: {fl!r}") from None
+        faces.append(tuple(rows))
     # in normal form as built: counts end at top, an n-cell's row is n + 1 ints
-    ds = DeltaSet._built(tuple(map(len, ordered)), tuple(map(tuple, faces)), ordered)
+    ds = DeltaSet._built(tuple(map(len, ordered)), tuple(faces), ordered)
     report = ds.validate()
     if not report.ok:
         raise DeltaIdentityError(report)
-    marked = GradedSubset.from_cells(index[id(canon[lab])] for lab in seed_list)
+    seed_ids = set(map(id, map(canon.__getitem__, seed_list)))
+    marked = GradedSubset({n: map(at.__getitem__, at.keys() & seed_ids)
+                           for n, at in enumerate(index)})
     return ds, marked
 
 

@@ -22,13 +22,14 @@ sets and whether they are closed under single-edge deletion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face, relabel)
 from .fields import _ranks
-from .graphs import (MultiGraph, Subgraph, _cell_of, _keep_cells, _rank_key, _union,
-                     _vertex_mask, is_subgraph, vertex_deletion_map)
+from .graphs import (MultiGraph, Subgraph, _cell_of, _keep_cells, _rank_key, _rank_order,
+                     _union, _vertex_mask, is_subgraph, vertex_deletion_map)
 
 
 class SubgraphFamily:
@@ -162,7 +163,7 @@ def _close_family(fam: SubgraphFamily, face_fn) -> SuperHypergraph:
     if any(not m.vertices for m in fam):
         raise ValueError("members must have at least one vertex")
     return SuperHypergraph(*_keep_cells(fam.host, close_under_faces([_cell_of(m) for m in fam],
-                                                                    face_fn, _rank_key)))
+                                                                    face_fn, _rank_order)))
 
 
 def primary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
@@ -333,7 +334,8 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
         return MarkedSubgraph(ghat._cell_subgraph((vm, em)),
                               frozenset(ghat._vids[r] for r in _ranks(sm)))
 
-    ds, _ = relabel(close_under_faces(seeds, face_fn, _start_key), label)
+    ds, _ = relabel(close_under_faces(seeds, face_fn, partial(_rank_order, key=_start_key)),
+                    label)
     marked_cells = [(n, j) for n, j in ds.cells()
                     if ds.label(n, j).subgraph.edges.issubset(g.edge_ends)]
     return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
@@ -254,6 +255,17 @@ def _rank_key(cell: tuple[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (_ranks(cell[0]), _ranks(cell[1]))
 
 
+def _rank_order(cells: Iterable[tuple], key=_rank_key) -> list[tuple]:
+    """`sorted(cells, key=key)` for distinct mask cells and a key that
+    starts with the ranks of the vertex mask (`_rank_key`,
+    `faceops._start_key`): the cells by their vertex ranks alone, and by
+    the whole key only when two of them share a vertex mask."""
+    out = sorted(cells, key=lambda cell: _ranks(cell[0]))
+    if len(set(map(itemgetter(0), out))) < len(out):
+        out.sort(key=key)
+    return out
+
+
 def _cell_of(sub: Subgraph, host: MultiGraph | None = None) -> tuple[int, int]:
     """The cell of a subgraph over the ranks of host, its own by default."""
     host = host or sub.host
@@ -336,7 +348,7 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     ds, _ = _keep_cells(g, close_under_faces(_clique_cells(g, max_dim + 1),
-                                            vertex_deletion_map(g), _rank_key))
+                                            vertex_deletion_map(g), _rank_order))
     return ds
 
 

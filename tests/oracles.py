@@ -36,7 +36,10 @@ exceptions read library pieces but compute by another route:
 
 The depth-first Δ-closure (`dfs_delta_closure`) is the route the library's
 closure by levels replaced: it pushes one (dim, index) cell at a time, and
-the geometric gap oracles take their closure from it.
+the geometric gap oracles take their closure from it.  The row-by-row
+Δ-identity check (`rowwise_delta_check`) is the route the library's check
+by columns replaced: it reads every face reference and every instance of
+the identity one entry at a time.
 
 The scanning graph lookups and the two-pass face closure are the routes the
 library's indexed ones replaced: they read a graph's incidence map or build
@@ -66,8 +69,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
-                           GradedSubset, SuperHypergraph, cell_sort_key,
-                           full_subset, max_delta_subset, relabel)
+                           GradedSubset, SuperHypergraph, ValidationReport,
+                           cell_sort_key, full_subset, max_delta_subset, relabel)
 from superph.faceops import MarkedSubgraph
 from superph.fields import GF2, Field, FieldMatrix, Span, rref
 from superph.graphs import Subgraph
@@ -1132,6 +1135,33 @@ def dfs_delta_closure(sh) -> GradedSubset:
             for t in x.faces[dim][idx]:
                 stack.append((dim - 1, t))
     return GradedSubset.from_cells(seen)
+
+
+def rowwise_delta_check(x) -> ValidationReport:
+    """The validation report of x's face rows, entry by entry: every face
+    reference against the cell count below, then, when all are in range,
+    d_i d_j = d_j d_{i+1} (i >= j) on each n-cell, by cell, then j, then i."""
+    structural = []
+    for n in range(1, x.dim_count):
+        below = x.counts[n - 1]
+        for j, row in enumerate(x.faces[n]):
+            for i, t in enumerate(row):
+                if not (0 <= t < below):
+                    structural.append(
+                        f"cell ({n},{j}): d_{i} -> index {t} out of range [0,{below})")
+    if structural:
+        return ValidationReport(False, tuple(structural), ())
+    violations = []
+    for n in range(2, x.dim_count):
+        for c in range(x.counts[n]):
+            row = x.faces[n][c]
+            for j in range(n + 1):
+                for i in range(j, n):
+                    lhs = x.faces[n - 1][row[j]][i]
+                    rhs = x.faces[n - 1][row[i + 1]][j]
+                    if lhs != rhs:
+                        violations.append(((n, c), i, j))
+    return ValidationReport(not violations, (), tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superph import (GF2, QQ, DeltaMorphism, DeltaSet, GradedSubset, SuperHypergraph,
-                     delta_closure, from_hypergraph, from_simplicial,
+                     clique_delta, delta_closure, from_hypergraph, from_simplicial,
                      full_subset, hypergraph_cone, is_complete, is_regular,
                      max_delta_subset, standard_simplex_delta,
                      validate_morphism)
-from superph.delta import (DeltaIdentityError, DeltaStructureError,
+from superph.delta import (DeltaIdentityError, DeltaStructureError, ValidationReport,
                            close_under_faces, missing_face)
 from superph.faceops import SubgraphFamily, edge_deletion_complex
 from superph.graphs import MultiGraph
 from superph.homology import boundary_matrices
 
-from oracles import dfs_delta_closure, subset_closure
+from oracles import dfs_delta_closure, rowwise_delta_check, subset_closure
 
 from conftest import (collapsed_tower, count_identity_walks, pillow_delta,
                       random_super_hypergraph, two_simplex_missing_vertex_sh,
@@ -50,6 +50,18 @@ def test_validate_reports_out_of_range():
     ds = DeltaSet([1, 1], [(), [(5, 0)]])
     report = ds.validate()
     assert not report.ok and report.structural
+
+
+def test_validate_reports_negative_face_index():
+    # a negative reference is out of range, never read as an index from
+    # the end of the dimension below
+    report = DeltaSet([1, 1], [(), [(-1, 0)]]).validate()
+    assert not report.ok and not report.violations
+    assert report.structural == ("cell (1,0): d_0 -> index -1 out of range [0,1)",)
+    x = standard_simplex_delta(2)
+    rows = [x.faces[0], x.faces[1], [(x.faces[2][0][0], -3, x.faces[2][0][2])]]
+    report = DeltaSet(x.counts, rows).validate()
+    assert report == rowwise_delta_check(DeltaSet(x.counts, rows)) and report.structural
 
 
 def _broken_triangle() -> DeltaSet:
@@ -148,6 +160,12 @@ def test_close_under_faces_rejects_face_of_wrong_grade():
 
     with pytest.raises(DeltaStructureError, match="grade-2 label has grade 0"):
         close_under_faces([(0, 1, 2)], short)
+    # the misgraded face is also a seed, of its own grade: the error names
+    # it and that grade, whichever seed comes first
+    for seeds in ([(0, 1, 2), (0,)], [(0,), (0, 1, 2)], [(0,), (0, 1, 2), (3, 4)]):
+        with pytest.raises(DeltaStructureError,
+                           match=r"^face of a grade-2 label has grade 0: \(0,\)$"):
+            close_under_faces(seeds, short)
 
     # a face list missing d_2 makes the triangle a grade-1 label of edges
     def miscounted(s):
@@ -418,6 +436,89 @@ def test_closure_by_levels_property(data):
     marks = GradedSubset({n: data.draw(st.sets(st.integers(0, x.counts[n] - 1)))
                           for n in range(x.dim_count)})
     _assert_closure_matches_oracle(SuperHypergraph(x, marks))
+
+
+# ---------------------------------------------------------------------------
+# The check by columns against the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+FAULTS = ("none", "swap", "swaps", "retarget", "range")
+
+
+def _random_multigraph(rng: random.Random) -> MultiGraph:
+    """Up to 7 vertices, edges drawn with repeats (parallel edges)."""
+    nv = rng.randint(1, 7)
+    pairs = [(a, b) for a, b in itertools.combinations(range(nv), 2) if rng.random() < 0.7]
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 3))] if pairs else []
+    return MultiGraph(range(nv), dict(enumerate(pairs)))
+
+
+def _with_fault(x: DeltaSet, fault: str, draw) -> DeltaSet:
+    """x with a fault injected in its face rows: two faces of one cell
+    swapped (`swap`), of several cells (`swaps`), one face reference moved
+    to another cell below (`retarget`), or out of range, negative or past
+    the end (`range`).  draw(k) picks an int in [0, k)."""
+    faces = [list(rows) for rows in x.faces]
+    dims = [n for n in range(1, x.dim_count) if x.counts[n]]
+    for _ in range({"none": 0, "swaps": 3}.get(fault, 1) if dims else 0):
+        n = dims[draw(len(dims))]
+        j = draw(x.counts[n])
+        row = list(faces[n][j])
+        a = draw(n + 1)
+        if fault in ("swap", "swaps"):
+            b = (a + 1 + draw(n)) % (n + 1)
+            row[a], row[b] = row[b], row[a]
+        elif fault == "retarget":
+            row[a] = draw(x.counts[n - 1])
+        else:
+            row[a] = (-1 - draw(2), x.counts[n - 1] + draw(2))[draw(2)]
+        faces[n][j] = tuple(row)
+    return DeltaSet(x.counts, faces)
+
+
+def _assert_check_matches_oracle(x: DeltaSet) -> ValidationReport:
+    """x's report by columns equals the row-by-row report: the verdict,
+    the structural messages and the violations, each in order."""
+    want = rowwise_delta_check(x)
+    assert x._check() == want
+    return want
+
+
+def test_check_by_columns_matches_rowwise_oracle():
+    # closures of random hypergraphs (up to degree 5) and clique Δ-sets of
+    # random multigraphs (up to degree 4), each as built and with faults
+    rng = random.Random(30)
+    spaces = [random_super_hypergraph(rng, max_vertices=6, max_edges=8).x for _ in range(20)]
+    spaces += [clique_delta(_random_multigraph(rng), max_dim=4) for _ in range(20)]
+    spaces += [pillow_delta(), collapsed_tower(3), DeltaSet((), ())]
+    seen = Counter()
+    for x in spaces:
+        for fault in FAULTS:
+            report = _assert_check_matches_oracle(_with_fault(x, fault, rng.randrange))
+            cells = {cell for cell, _, _ in report.violations}
+            seen[fault, report.ok, bool(report.structural), len(cells) > 1] += 1
+    assert seen["none", True, False, False] == len(spaces)
+    assert seen["range", False, True, False] >= 30
+    for fault in ("swap", "swaps", "retarget"):
+        assert seen[fault, False, False, False] + seen[fault, False, False, True] >= 10
+    assert seen["swaps", False, False, True] >= 10
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_check_by_columns_property(data):
+    # drawn hypergraph closures and clique Δ-sets up to degree 4, with a
+    # drawn fault: the report by columns is the row-by-row report
+    if data.draw(st.booleans()):
+        edges = data.draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=5),
+                                   min_size=1, max_size=5))
+        x = from_hypergraph(edges).x
+    else:
+        g = _random_multigraph(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+        x = clique_delta(g, max_dim=data.draw(st.integers(2, 4)))
+    fault = data.draw(st.sampled_from(FAULTS))
+    _assert_check_matches_oracle(
+        _with_fault(x, fault, lambda k: data.draw(st.integers(0, k - 1))))
 
 
 # ---------------------------------------------------------------------------

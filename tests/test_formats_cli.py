@@ -1,6 +1,8 @@
 """File formats, CLI subcommands, exit codes, determinism, rendering."""
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import random
@@ -13,8 +15,8 @@ from dataclasses import fields
 from hypothesis import given, settings, strategies as st
 
 import superph.delta
-from superph import (DeltaSet, GradedSubset, MultiGraph, from_simplicial, full_subset,
-                     standard_simplex_delta)
+from superph import (DeltaSet, GradedSubset, MultiGraph, from_hypergraph, from_simplicial,
+                     full_subset, standard_simplex_delta)
 from superph import cli, formats
 from superph.cli import JobConfig, build_super_hypergraph, main
 from superph.formats import FormatError
@@ -24,6 +26,7 @@ from superph.render import render_diagram
 
 from conftest import (collapsed_tower, count_identity_walks, pillow_delta,
                       random_super_hypergraph)
+from oracles import rowwise_delta_check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -259,6 +262,76 @@ def test_clustering_reader_fuzz(tmp_path_factory, data):
             formats.read_clustering(p, g)
     else:
         assert formats.read_clustering(p, g).blocks == expected
+
+
+DELTA_FAULTS = ("none", "swap", "unknown_face", "duplicate_id", "face_count", "unknown_mark")
+
+
+def _delta_cell_id(n: int, j: int) -> str:
+    return f"{'abcdef'[n]}{j}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_delta_reader_fuzz(tmp_path_factory, data):
+    # a Δ-set file of drawn cells (a hypergraph closure, or drawn face
+    # rows, mostly violating the identity), faces and marks, then one fault
+    # or none: two faces of a cell swapped, an unknown face id, a duplicate
+    # cell id, a wrong face count or an unknown mark.  `validate` exits 0
+    # or 2 as the row-by-row check of the written rows says, printing its
+    # violations in order, 1 on a malformed file, and never fails otherwise
+    if data.draw(st.booleans()):
+        edges = data.draw(st.lists(st.frozensets(st.integers(0, 4), min_size=1, max_size=4),
+                                   min_size=1, max_size=4))
+        x = from_hypergraph(edges).x
+        counts, faces = list(x.counts), [list(rows) for rows in x.faces]
+    else:
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        faces = [[]] + [[tuple(data.draw(st.integers(0, counts[n - 1] - 1))
+                               for _ in range(n + 1)) for _ in range(counts[n])]
+                        for n in range(1, len(counts))]
+    cells = [(n, _delta_cell_id(n, j),
+              [_delta_cell_id(n - 1, t) for t in faces[n][j]] if n else [])
+             for n in range(len(counts)) for j in range(counts[n])]
+    marks = [(n, _delta_cell_id(n, j)) for n in range(len(counts)) for j in range(counts[n])
+             if data.draw(st.booleans())]
+    fault = data.draw(st.sampled_from(DELTA_FAULTS))
+    if fault in ("swap", "unknown_face") and len(counts) == 1:
+        fault = "none"  # 0-cells have no faces
+    k = data.draw(st.integers(counts[0] if fault in ("swap", "unknown_face") else 0,
+                              len(cells) - 1))
+    n, cell_id, face_ids = cells[k]
+    if fault == "swap":
+        a, b = data.draw(st.permutations(range(n + 1)))[:2]
+        face_ids[a], face_ids[b] = face_ids[b], face_ids[a]
+        faces[n][int(cell_id[1:])] = tuple(int(f[1:]) for f in face_ids)
+    elif fault == "unknown_face":
+        face_ids[data.draw(st.integers(0, n))] = "zz"
+    elif fault == "duplicate_id":
+        cells.insert(k + 1, (n, cell_id, face_ids))
+    elif fault == "face_count":
+        if n and data.draw(st.booleans()):
+            face_ids.pop()
+        else:
+            face_ids.append(_delta_cell_id(0, 0))
+    elif fault == "unknown_mark":
+        marks.append(data.draw(st.sampled_from([(n, "zz"), (len(counts), "a0")])))
+    path = tmp_path_factory.getbasetemp() / "fuzz.delta"
+    path.write_text("".join(f"cell {n} {c} : {' '.join(fs)}\n" for n, c, fs in cells)
+                    + "".join(f"mark {n} {c}\n" for n, c in marks))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", "--delta", str(path)])
+    if fault not in ("none", "swap"):
+        assert code == 1 and err.getvalue().startswith("error: ")
+        return
+    report = rowwise_delta_check(DeltaSet(counts, faces))
+    assert code == (0 if report.ok else 2), err.getvalue()
+    if report.ok:
+        assert out.getvalue().startswith("validate_delta: ok\n")
+    else:
+        assert out.getvalue() == "".join(f"violation: cell {cell} (i={i}, j={j})\n"
+                                         for cell, i, j in report.violations)
 
 
 def test_writers_take_mixed_id_types(tmp_path):

@@ -5,6 +5,7 @@ filtration checks and the point-cloud scores read those masks, and a
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,12 @@ from superph import (Clustering, DeltaSet, GradedSubset, MarkedSubgraph, MultiGr
                      link_blowup_faces, partition_faces, primary_vertex_deletion,
                      secondary_vertex_deletion, seeded_random_scheme, vr_points, vr_scheme,
                      witness_scheme)
+from superph import formats
 from superph.cli import main
+from superph.delta import close_under_faces
 from superph.faceops import _start_key
-from superph.graphs import _rank_key, _ranks
+from superph.graphs import (_clique_cells, _keep_cells, _rank_key, _rank_order, _ranks,
+                            vertex_deletion_map)
 from superph.persistence import DominationError
 from superph.scoring import cell_scores, pullback_scheme
 
@@ -147,6 +151,63 @@ def test_rank_keys_order_cells_as_their_labels(drawn):
         host._cell_subgraph(c)))
     assert strictly_increasing([host._cell_subgraph(c).sort_key for c in subgraph_cells])
     assert strictly_increasing([_rank_key(c) for c in subgraph_cells])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(hosts_with_cells(), st.randoms(use_true_random=False))
+def test_rank_order_is_the_sort_by_rank_keys(drawn, rnd):
+    # drawn cells, several on each vertex mask, in any order: the level
+    # order is the sort by the whole rank key
+    _, cells = drawn
+    pairs = list({c[:2] for c in cells})
+    triples = [c[:3] for c in cells]
+    rnd.shuffle(pairs)
+    rnd.shuffle(triples)
+    assert _rank_order(pairs) == sorted(pairs, key=_rank_key)
+    assert _rank_order(triples, key=_start_key) == sorted(triples, key=_start_key)
+
+
+def assert_levels_in_rank_key_order(x) -> int:
+    """Each level of x's mask labels is in `_rank_key` order; the number
+    of levels where two cells share a vertex mask."""
+    for level in x._labels:
+        assert list(level) == sorted(level, key=_rank_key)
+    return sum(len({vm for vm, _ in level}) < len(level) for level in x._labels)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_closure_levels_in_rank_key_order(data):
+    # clique Δ-sets of multigraphs (parallel edges: clique cells that share
+    # a vertex mask) and secondary closures of members missing some induced
+    # edges (bridges add edges to faces)
+    nv = data.draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(
+        lambda p: p[0] != p[1])
+    pairs = data.draw(st.lists(pair, max_size=16))
+    assert_levels_in_rank_key_order(clique_delta(MultiGraph(range(nv), dict(enumerate(pairs))),
+                                                 max_dim=3))
+    simple = MultiGraph(range(nv), dict(enumerate({tuple(sorted(p)) for p in pairs})))
+    members = []
+    for vs in data.draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=1), min_size=1,
+                                 max_size=4)):
+        edges = sorted(simple.induced(vs).edges)
+        members.append(simple.subgraph(vs, [e for e in edges if data.draw(st.booleans())]))
+    assert_levels_in_rank_key_order(secondary_vertex_deletion(SubgraphFamily(simple, members)).x)
+
+
+def test_clique_delta_file_is_the_rank_key_sort(tmp_path):
+    # a seeded multigraph whose clique cells share vertex masks: the Δ-set
+    # file is the one of the closure sorted by the whole rank key
+    rng = random.Random(30)
+    g = MultiGraph(range(7), {k: tuple(rng.sample(range(7), 2)) for k in range(26)})
+    x = clique_delta(g, max_dim=3)
+    assert assert_levels_in_rank_key_order(x) >= 3
+    by_key, _ = _keep_cells(g, close_under_faces(_clique_cells(g, 4), vertex_deletion_map(g),
+                                                 partial(sorted, key=_rank_key)))
+    formats.write_delta(tmp_path / "x.delta", x)
+    formats.write_delta(tmp_path / "by_key.delta", by_key)
+    assert (tmp_path / "x.delta").read_bytes() == (tmp_path / "by_key.delta").read_bytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
