@@ -8,7 +8,9 @@ the ∞-extension of a digraph, so any change to the reduction engine that
 moves a pivot, a representative or a row, or to the starting-vertex face
 closure that moves a cell, shows here.  Four GF(2) jobs, each of about
 10² cells, pin the other rank-mask constructions (clique, secondary
-vertex deletion, partition and link-blowup faces), so a change to their
+vertex deletion, partition and link-blowup faces), and three more the
+graph-data constructions (the path complex of a digraph and edge deletion
+over GF(2), the neighborhood complex over GF(3)), so a change to their
 cell order or labels shows too.  The inputs are written from a seeded
 generator with fixed-precision coordinates.
 """
@@ -37,9 +39,9 @@ def write_cloud(tmp_path, rng, points: int) -> list[str]:
     return names
 
 
-def write_inputs(tmp_path, name: str, points: int, share: float):
+def write_inputs(tmp_path, name: str, points: int, share: float, sizes=(1, 2, 3)):
     """A noisy circle, its complete graph, and a seeded family of vertex
-    sets of size at most 3 (each kept with probability `share`) with their
+    sets of the given sizes (each kept with probability `share`) with their
     induced edges; H is the family, X its closure under vertex deletion."""
     rng = random.Random(name)
     names = write_cloud(tmp_path, rng, points)
@@ -48,7 +50,7 @@ def write_inputs(tmp_path, name: str, points: int, share: float):
         "directed 0\n" + "".join(f"v {v}\n" for v in names)
         + "".join(f"e {eid} {u} {v}\n" for (u, v), eid in edges.items()))
     family = []
-    for k in (1, 2, 3):
+    for k in sizes:
         for m in itertools.combinations(names, k):
             if rng.random() < share:
                 family.append("member\nv " + " ".join(m) + "\n")
@@ -61,6 +63,20 @@ def write_inputs(tmp_path, name: str, points: int, share: float):
             "--max-dim", "2"]
 
 
+def write_graph(tmp_path, rng, names: list[str], share: float, directed: bool) -> dict:
+    """A graph on the names keeping each arc (each pair when undirected)
+    with probability `share`; returns its edges."""
+    pairs = itertools.permutations(names, 2) if directed else itertools.combinations(names, 2)
+    arcs = {}
+    for u, v in pairs:
+        if rng.random() < share:
+            arcs[f"a{len(arcs)}"] = (u, v)
+    (tmp_path / "graph.txt").write_text(
+        f"directed {int(directed)}\n" + "".join(f"v {v}\n" for v in names)
+        + "".join(f"e {e} {u} {v}\n" for e, (u, v) in arcs.items()))
+    return arcs
+
+
 def write_sv_inputs(tmp_path, name: str, points: int, share: float):
     """A noisy circle, a digraph on it keeping each arc with probability
     `share`, and one member per vertex: the vertex as its starting vertex
@@ -69,13 +85,7 @@ def write_sv_inputs(tmp_path, name: str, points: int, share: float):
     ∞-extension, H its ∞-free cells."""
     rng = random.Random(name)
     names = write_cloud(tmp_path, rng, points)
-    arcs = {}
-    for u, v in itertools.permutations(names, 2):
-        if rng.random() < share:
-            arcs[f"a{len(arcs)}"] = (u, v)
-    (tmp_path / "graph.txt").write_text(
-        "directed 1\n" + "".join(f"v {v}\n" for v in names)
-        + "".join(f"e {e} {u} {v}\n" for e, (u, v) in arcs.items()))
+    arcs = write_graph(tmp_path, rng, names, share, directed=True)
     family = []
     for start in names:
         reached, chosen = [start], []
@@ -97,13 +107,27 @@ def write_clique_inputs(tmp_path, name: str, points: int, share: float):
     return ["--cloud", str(tmp_path / "cloud.xy"), "--construction", "clique", "--max-dim", "2"]
 
 
-def family_inputs(construction: str):
+def graph_inputs(construction: str, directed: bool, max_dim: int):
+    """A noisy circle and a seeded graph on it (`write_graph`), closed by a
+    construction that reads only the graph: the path complex of a digraph
+    or the neighborhood complex."""
+
+    def write(tmp_path, name: str, points: int, share: float):
+        rng = random.Random(name)
+        write_graph(tmp_path, rng, write_cloud(tmp_path, rng, points), share, directed)
+        return ["--cloud", str(tmp_path / "cloud.xy"), "--graph", str(tmp_path / "graph.txt"),
+                "--construction", construction, "--max-dim", str(max_dim)]
+
+    return write
+
+
+def family_inputs(construction: str, sizes=(1, 2, 3)):
     """The inputs of `write_inputs` closed by another family construction;
     partition and link-blowup faces read a clustering of the circle into
     arcs of three consecutive points."""
 
     def write(tmp_path, name: str, points: int, share: float):
-        argv = write_inputs(tmp_path, name, points, share)
+        argv = write_inputs(tmp_path, name, points, share, sizes)
         argv[argv.index("primary_vd")] = construction
         if construction in ("partition", "link_blowup"):
             (tmp_path / "clusters.txt").write_text(
@@ -150,6 +174,21 @@ JOBS = {
         "6b957b95c25df9b27ac83234be98583d95cace05f49df01a3fd7eb16f460e774",
         "7e2c52ba07b7028ad592d2bad9edf03907ac75fe7723db22bf0b042fbf9c21fa",
         "987ae905c0c33bfa5caef8271976c528a615f5b5545672299b68e01f0b171015")),
+    "path": (graph_inputs("path", directed=True, max_dim=2), 6, 0.4,
+             ["--scheme", "vr", "--field", "gf2"], (
+        "b11c9aee4e585aff084a9158e0126bee2972bd0de131ff07e588390872ba6571",
+        "1d1dccc95e2de6ae9963233d36507143c2564fa4020d8ebd70f3f6714815969e",
+        "3a838ffe8394158840502bfb883ff39269d4f14c75e43437319788e7e4f266ae")),
+    "neighborhood": (graph_inputs("neighborhood", directed=False, max_dim=3), 9, 0.35,
+                     ["--scheme", "vr", "--field", "gfp:3"], (
+        "4504c1963ec18908d170d472f955e283ff7501c3c34df689ebd981460bee1b16",
+        "af03756c2a55b39cb61f042354005925ed09244717d8d218b9f1a071a9b5b13f",
+        "e4899a59bed3de80cacf27eda57ec11a97a3e66c04626aa58f54882483710c72")),
+    "edge_del": (family_inputs("edge_del", sizes=(2, 3)), 8, 0.4,
+                 ["--scheme", "vr", "--field", "gf2"], (
+        "89af16462ba9a2dff55fc0d7716c55ab11caa3ca02e40d8b4722e528fe96b384",
+        "06cbb09564368a2d84b3396c350194bbbb4e5d6318af396e41638f45a29fb91c",
+        "1b909ef5fd765b6e078fdb8b80280039de62c10bdff52029f2b8deb4fa6e1ae9")),
 }
 
 
