@@ -17,13 +17,11 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import formats, homology, render
-from .delta import (DeltaIdentityError, SuperHypergraph, from_hypergraph, full_subset,
-                    is_complete, is_regular, relabel)
-from .faceops import (edge_deletion_complex, link_blowup_faces,
-                      partition_faces, primary_vertex_deletion,
-                      secondary_vertex_deletion, starting_vertex_faces)
+from .delta import DeltaIdentityError, SuperHypergraph, full_subset, is_complete, is_regular
+from .faceops import (edge_deletion_faces, link_blowup_faces, partition_faces,
+                      primary_vertex_deletion, secondary_vertex_deletion, starting_vertex_faces)
 from .fields import GF, GF2, QQ
-from .graphs import MultiGraph, Subgraph, clique_delta, path_complex
+from .graphs import MultiGraph, clique_delta, neighborhood_delta, path_complex
 from .homology import embedded_betti, gap_series
 from .persistence import (build_filtration, correlation_matrix, full_barcode,
                           triangle_report)
@@ -165,12 +163,8 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
             raise DeltaIdentityError(report)
         return SuperHypergraph(ds, marked if marked is not None else full_subset(ds))
     g = _load_graph(cfg)
-    if kind == "clique":
-        ds = clique_delta(g, max_dim=cfg.max_dim)
-        return SuperHypergraph(ds, full_subset(ds))
-    if kind == "neighborhood":
-        sh = from_hypergraph(nb for nb in (g.neighbors(w) - {w} for w in g.vertices) if nb)
-        ds, _ = relabel((sh.x, sh.h), lambda vs: Subgraph(g, vs))
+    if kind in ("clique", "neighborhood"):
+        ds = clique_delta(g, cfg.max_dim) if kind == "clique" else neighborhood_delta(g)
         return SuperHypergraph(ds, full_subset(ds))
     if kind == "path":
         return path_complex(g, cfg.max_dim)
@@ -181,10 +175,7 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
     if kind == "secondary_vd":
         return secondary_vertex_deletion(fam)
     if kind == "edge_del":
-        sh = from_hypergraph(edge_deletion_complex(fam).hyperedges)
-        ends = g.edge_ends
-        return SuperHypergraph(*relabel(
-            (sh.x, sh.h), lambda es: Subgraph(g, [v for e in es for v in ends[e]], es)))
+        return edge_deletion_faces(fam)
     if kind in ("partition", "link_blowup"):
         cl_path = _require(cfg, "clustering", f"the {kind} construction")
         clustering = formats.read_clustering(cl_path, g)

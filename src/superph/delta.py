@@ -7,10 +7,12 @@ cells; all homology in this package is computed from such pairs.
 
 Cells are addressed as (dim, index) pairs.  Labels are opaque payloads
 (vertex tuples, subgraphs, ...) so the same core serves simplicial
-complexes, clique Δ-sets and subgraph collections.  A Δ-set built over a
-graph's rank masks stores its labels as (vertex mask, edge mask) cells
-together with that host, and decodes a subgraph only where a label is
-read (`DeltaSet.label`, `DeltaSet.labels`).
+complexes, clique Δ-sets and subgraph collections.  Every construction on
+graph data stores its labels as (vertex mask, edge mask) cells over a
+graph's rank masks (with a third mask, the starting vertices, for
+starting-vertex faces) together with that host, and decodes a subgraph
+(or marked subgraph) only where a label is read (`DeltaSet.label`,
+`DeltaSet.labels`).
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ class DeltaSet:
     counts[n] is the number of n-cells; faces[n][j] is the ordered face list
     (d_0 .. d_n) of the j-th n-cell, as indices into dimension n-1.  When
     `host` is a graph, the stored labels `_labels` are (vertex mask, edge
-    mask) cells over its ranks, and `label` and `labels` decode them into
-    subgraphs of it; otherwise they are the labels themselves.
+    mask) cells over its ranks, or (vertex, edge, starting-vertex) mask
+    triples, and `label` and `labels` decode them into subgraphs of it, or
+    marked subgraphs (`MultiGraph._cell_subgraph`); otherwise they are the
+    labels themselves.
     """
 
     __slots__ = ("counts", "faces", "_labels", "host", "_report")
@@ -516,22 +520,6 @@ def close_under_faces(seeds: Iterable[Hashable],
     marked = GradedSubset({n: map(at.__getitem__, at.keys() & seed_ids)
                            for n, at in enumerate(index)})
     return ds, marked
-
-
-def relabel(closure: tuple[DeltaSet, GradedSubset | None], label: Callable
-            ) -> tuple[DeltaSet, GradedSubset | None]:
-    """A (Δ-set, marks) pair, such as a `close_under_faces` result, with
-    every cell label replaced by label(cell label).  Each old label is
-    dropped as its replacement is built, so the two label sets are not all
-    held at once."""
-    ds, marked = closure
-    del closure
-    rows = [list(row) for row in ds.labels]
-    ds = ds.with_labels(None)
-    for row in rows:
-        for j, lab in enumerate(row):
-            row[j] = label(lab)
-    return ds.with_labels(rows), marked
 
 
 def tuple_faces(lab: tuple) -> list[tuple]:

@@ -1,22 +1,23 @@
 """Face operations turning families of subgraphs into super-hypergraphs.
 
-Five constructions: primary and secondary vertex deletion, edge deletion,
+Six constructions: primary and secondary vertex deletion, edge deletion,
 partition (cluster) faces, link-blowup faces, and starting-vertex faces on
-the ∞-extended working graph.  Every constructor but edge deletion seeds
-`close_under_faces` with its members and one face map, which also fixes
-each cell's grade (its face count minus one), and returns the validated
-super-hypergraph whose parental Δ-set cells are subgraphs (with their
-starting vertices, for starting-vertex faces), so cells reached along
-different deletion sequences coincide.  Every closure runs on the members
-as masks over the host's one index, its rank-mask tables: a cell is a
-plain int tuple (vertex mask, edge mask), with a third mask, the starting
-vertices, for starting-vertex faces, and the ranks of its masks order the
-cells as the (marked) subgraphs they stand for (`graphs._rank_key`,
-`_start_key`).  The four subgraph-family closures keep those cells as the
-labels, over the host (`graphs._keep_cells`), and a `Subgraph` is decoded
-only where a label is read; starting-vertex faces label each cell once,
-after the closure, with its marked subgraph by `relabel`.  Edge deletion returns the members' edge
-sets and whether they are closed under single-edge deletion.
+the ∞-extended working graph.  Each seeds `close_under_faces` with its
+members and one face map, which also fixes each cell's grade (its face
+count minus one), and returns the validated super-hypergraph whose
+parental Δ-set cells are subgraphs (with their starting vertices, for
+starting-vertex faces), so cells reached along different deletion
+sequences coincide.  Every closure runs on the members as masks over the
+host's one index, its rank-mask tables: a cell is a plain int tuple
+(vertex mask, edge mask), with a third mask, the starting vertices, for
+starting-vertex faces.  The ranks of its masks order the cells as the
+(marked) subgraphs they stand for (`graphs._rank_key`, `_start_key`), and
+the edge ranks alone for edge deletion, whose d_i deletes the i-th edge.
+Every closure keeps its cells as the labels, over the host
+(`graphs._keep_cells`), and a `Subgraph` or `MarkedSubgraph` is decoded
+only where a label is read.  `edge_deletion_complex` returns the
+members' edge sets and whether they are closed under single-edge
+deletion.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
-                    missing_face, relabel)
+                    missing_face)
 from .fields import _ranks
-from .graphs import (MultiGraph, Subgraph, _cell_of, _keep_cells, _rank_key, _rank_order,
-                     _union, _vertex_mask, is_subgraph, vertex_deletion_map)
+from .graphs import (MarkedSubgraph, MultiGraph, Subgraph, _cell_of, _check_reach,
+                     _keep_cells, _layer_masks, _rank_key, _rank_order, _union, _vertex_mask,
+                     is_subgraph, vertex_deletion_map)
 
 
 class SubgraphFamily:
@@ -82,66 +84,6 @@ class Clustering:
     @classmethod
     def singletons(cls, host: MultiGraph) -> "Clustering":
         return cls(host, [[v] for v in sorted(host.vertices, key=cell_sort_key)])
-
-
-@dataclass(frozen=True)
-class MarkedSubgraph:
-    """A subgraph with marked starting-vertices; every vertex must be
-    reachable by a (directed) path out of the marked set."""
-
-    subgraph: Subgraph
-    sv: frozenset
-
-    def __post_init__(self):
-        sub = self.subgraph
-        if not self.sv <= sub.vertices:
-            raise ValueError("starting vertices must lie in the subgraph")
-        if sub.vertices and not self.sv:
-            raise ValueError("nonempty subgraph needs at least one starting vertex")
-        host = sub.host
-        vm, em = _cell_of(sub)
-        covered = 0
-        for layer in _layer_masks(host, em, _vertex_mask(host, self.sv)):
-            covered |= layer
-        if covered != vm:
-            missing = [host._vids[r] for r in _ranks(vm & ~covered)]
-            raise ValueError(f"vertices unreachable from the starting set: {missing}")
-
-    @property
-    def key(self):
-        return (self.subgraph.key, tuple(sorted(self.sv, key=cell_sort_key)))
-
-    def __repr__(self):
-        # the starting vertices in `cell_sort_key` order, not a frozenset's
-        # hash order, so a written cell name is the same in every process
-        return f"MarkedSubgraph(subgraph={self.subgraph!r}, sv={self.key[1]!r})"
-
-    @property
-    def sort_key(self):
-        """`cell_sort_key` order: that of the key, element by element."""
-        return cell_sort_key(self.key)
-
-
-def _layer_masks(host: MultiGraph, em: int, start: int) -> list[int]:
-    """The neighborhood-extension partition of the subgraph of host with
-    edge mask em from the vertex mask start, as vertex masks: V_0 = start,
-    V_{j+1} = the vertices outside the layers so far reached by an edge
-    (out of) V_j."""
-    if not start:
-        return []
-    out, pairs = host._out, host._pairs
-    layers = [start]
-    assigned = start
-    while True:
-        nxt = 0
-        for r in _ranks(layers[-1]):
-            for w in _ranks(out[r] & ~assigned):
-                if pairs[r, w] & em:
-                    nxt |= 1 << w
-        if not nxt:
-            return layers
-        layers.append(nxt)
-        assigned |= nxt
 
 
 def bfs_layers(sub: Subgraph, start: frozenset) -> list[frozenset]:
@@ -219,6 +161,25 @@ def edge_deletion_complex(fam: SubgraphFamily) -> EdgeDeletionResult:
     closed = missing_face(edge_sets) is None
     hyper = tuple(sorted(edge_sets, key=cell_sort_key))
     return EdgeDeletionResult(hyper, closed, hyper if closed else None)
+
+
+def edge_deletion_faces(fam: SubgraphFamily) -> SuperHypergraph:
+    """The members' edge sets closed under single-edge deletion, each cell
+    an edge set with its endpoints: grade by edge count minus one, d_i
+    deletes the i-th edge in the host's rank order, and the cells of a
+    grade are in the order of their edge ranks.  Members with equal edge
+    sets are one cell; the members are marked."""
+    if any(not m.edges for m in fam):
+        raise ValueError("members must have at least one edge")
+    ends = fam.host._ends
+
+    def face_fn(cell: tuple[int, int]) -> list[tuple[int, int]]:
+        em = cell[1]
+        return [(_union(ends, em ^ 1 << r), em ^ 1 << r) for r in _ranks(em)]
+
+    seeds = [(_union(ends, em), em) for _, em in map(_cell_of, fam)]
+    return SuperHypergraph(*_keep_cells(fam.host, close_under_faces(
+        seeds, face_fn, partial(sorted, key=lambda cell: _ranks(cell[1])))))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +271,7 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
             raise ValueError("members must have at least one vertex")
         if not is_subgraph(m.subgraph, g):
             raise ValueError(f"member is not a subgraph of the working graph: {m!r}")
-        vm, em = _cell_of(Subgraph(ghat, m.subgraph.vertices, m.subgraph.edges))
-        seeds.append((vm, em, _vertex_mask(ghat, m.sv)))
+        seeds.append((*_cell_of(m.subgraph, ghat), _vertex_mask(ghat, m.sv)))
 
     def face_fn(cell: tuple[int, int, int]) -> list[tuple[int, int, int]]:
         vm, em, sm = cell
@@ -329,13 +289,13 @@ def starting_vertex_faces(members: Sequence[MarkedSubgraph],
             out.append((vm ^ layer, face_em, d0_start if j == 0 else sm))
         return out
 
-    def label(cell: tuple[int, int, int]) -> MarkedSubgraph:
-        vm, em, sm = cell
-        return MarkedSubgraph(ghat._cell_subgraph((vm, em)),
-                              frozenset(ghat._vids[r] for r in _ranks(sm)))
-
-    ds, _ = relabel(close_under_faces(seeds, face_fn, partial(_rank_order, key=_start_key)),
-                    label)
-    marked_cells = [(n, j) for n, j in ds.cells()
-                    if ds.label(n, j).subgraph.edges.issubset(g.edge_ends)]
-    return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))
+    ds, _ = _keep_cells(ghat, close_under_faces(seeds, face_fn,
+                                                partial(_rank_order, key=_start_key)))
+    # the `MarkedSubgraph` check of each cell, whose starting vertices lie in
+    # its vertices: those of d_0 are layer 1 of its coface, other faces keep them
+    for row in ds._labels:
+        for cell in row:
+            _check_reach(ghat, *cell)
+    return SuperHypergraph(ds, GradedSubset({n: [j for j, (_, em, _) in enumerate(row)
+                                                 if not em & formal]
+                                             for n, row in enumerate(ds._labels)}))

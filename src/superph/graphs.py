@@ -3,21 +3,22 @@ built from them (clique Δ-set, neighborhood complex, path complex).
 
 A `MultiGraph` keeps one index, built at construction: the ranks of its
 ids and bitmask tables over them.  Its id lookups decode those masks, and
-every construction closes subgraphs as (vertex mask, edge mask) pairs over
-them.  The clique Δ-set keeps those cells as its labels, over its host
+every construction closes subgraphs as (vertex mask, edge mask) cells over
+them, with a third mask, the starting vertices, for a `MarkedSubgraph`.
+The Δ-sets keep those cells as their labels, over their host
 (`_keep_cells`, which checks each cell's edges as `Subgraph` does), and
-`DeltaSet.label` decodes a `Subgraph` only when one is read; the path
-complex labels its cells with subgraphs of the completion by `relabel`."""
+`DeltaSet.label` decodes a `Subgraph` or `MarkedSubgraph` only when one
+is read."""
 
 from __future__ import annotations
 
-from functools import partial
+from dataclasses import dataclass
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from .delta import (DeltaSet, GradedSubset, SuperHypergraph, cell_sort_key,
-                    close_under_faces, relabel, tuple_faces)
+                    close_under_faces, tuple_faces)
 from .fields import _ranks
 
 
@@ -125,13 +126,16 @@ class MultiGraph:
     def subgraph(self, vertices: Iterable, edges: Iterable) -> "Subgraph":
         return Subgraph(self, vertices, edges)
 
-    def _cell_subgraph(self, cell: tuple[int, int]) -> "Subgraph":
+    def _cell_subgraph(self, cell: tuple[int, ...]):
         """The subgraph a (vertex mask, edge mask) cell over these ranks
         stands for, built by the checked constructor, its sort key filled
-        in from the ranks."""
+        in from the ranks; the `MarkedSubgraph` of a cell with a third
+        mask, its starting vertices."""
         vr, er = _ranks(cell[0]), _ranks(cell[1])
         sub = Subgraph(self, [self._vids[r] for r in vr], [self._eids[r] for r in er])
         sub._sort_key = (4, vr, er)
+        if len(cell) == 3:
+            return MarkedSubgraph(sub, frozenset(self._vids[r] for r in _ranks(cell[2])))
         return sub
 
     def induced(self, vertices: Iterable) -> "Subgraph":
@@ -228,6 +232,73 @@ def is_subgraph(h: Subgraph, g: MultiGraph) -> bool:
         if u not in h.vertices or v not in h.vertices:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class MarkedSubgraph:
+    """A subgraph with marked starting-vertices; every vertex must be
+    reachable by a (directed) path out of the marked set.  The check runs
+    on the subgraph's masks (`_check_reach`), as the starting-vertex
+    closure checks each of its cells."""
+
+    subgraph: Subgraph
+    sv: frozenset
+
+    def __post_init__(self):
+        sub = self.subgraph
+        if not self.sv <= sub.vertices:
+            raise ValueError("starting vertices must lie in the subgraph")
+        _check_reach(sub.host, *_cell_of(sub), _vertex_mask(sub.host, self.sv))
+
+    @property
+    def key(self):
+        return (self.subgraph.key, tuple(sorted(self.sv, key=cell_sort_key)))
+
+    def __repr__(self):
+        # the starting vertices in `cell_sort_key` order, not a frozenset's
+        # hash order, so a written cell name is the same in every process
+        return f"MarkedSubgraph(subgraph={self.subgraph!r}, sv={self.key[1]!r})"
+
+    @property
+    def sort_key(self):
+        """`cell_sort_key` order: that of the key, element by element."""
+        return cell_sort_key(self.key)
+
+
+def _layer_masks(host: MultiGraph, em: int, start: int) -> list[int]:
+    """The neighborhood-extension partition of the subgraph of host with
+    edge mask em from the vertex mask start, as vertex masks: V_0 = start,
+    V_{j+1} = the vertices outside the layers so far reached by an edge
+    (out of) V_j."""
+    if not start:
+        return []
+    out, pairs = host._out, host._pairs
+    layers = [start]
+    assigned = start
+    while True:
+        nxt = 0
+        for r in _ranks(layers[-1]):
+            for w in _ranks(out[r] & ~assigned):
+                if pairs[r, w] & em:
+                    nxt |= 1 << w
+        if not nxt:
+            return layers
+        layers.append(nxt)
+        assigned |= nxt
+
+
+def _check_reach(host: MultiGraph, vm: int, em: int, sm: int) -> None:
+    """The check of a `MarkedSubgraph` on its cell over host's ranks, with
+    its starting vertices sm inside its vertices vm: ValueError unless sm
+    is nonempty when vm is and every vertex is reached out of sm."""
+    if vm and not sm:
+        raise ValueError("nonempty subgraph needs at least one starting vertex")
+    covered = 0
+    for layer in _layer_masks(host, em, sm):
+        covered |= layer
+    if covered != vm:
+        missing = [host._vids[r] for r in _ranks(vm & ~covered)]
+        raise ValueError(f"vertices unreachable from the starting set: {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +427,23 @@ def clique_delta(g: MultiGraph, max_dim: int = 3) -> DeltaSet:
 # Neighborhood complex
 # ---------------------------------------------------------------------------
 
+def neighborhood_delta(g: MultiGraph) -> DeltaSet:
+    """Δ-set of the neighborhood complex: each vertex's neighbourhood
+    (ignoring direction and loops) closed under vertex deletion; d_i
+    deletes the i-th vertex in the host's rank order.  Its cells are the
+    (vertex mask, 0) cells of the simplices, with no dimension bound."""
+    ds, _ = _keep_cells(g, close_under_faces([(m, 0) for m in g._nbrs if m],
+                                            vertex_deletion_map(g), _rank_order))
+    return ds
+
+
 def neighborhood_complex(g: MultiGraph) -> list[frozenset]:
     """Simplices are vertex sets whose members are all adjacent to a common
-    other vertex; closed under nonempty subsets by construction.  Every
-    nonempty subset of each neighbourhood is listed, with no dimension
-    bound, so a vertex of degree k alone gives 2^k - 1 simplices.  The CLI
-    builds the same Δ-set as the closure of the neighbourhoods themselves
-    (`delta.from_hypergraph`), without listing the subsets."""
-    simplices: set[frozenset] = set()
-    for w in g.vertices:
-        nb = sorted(g.neighbors(w) - {w}, key=cell_sort_key)
-        n = len(nb)
-        for mask in range(1, 1 << n):
-            simplices.add(frozenset(nb[i] for i in range(n) if mask >> i & 1))
-    return sorted(simplices, key=cell_sort_key)
+    other vertex: the vertex sets of the cells of `neighborhood_delta`, in
+    `cell_sort_key` order."""
+    vids = g._vids
+    return sorted((frozenset(map(vids.__getitem__, _ranks(vm)))
+                   for row in neighborhood_delta(g)._labels for vm, _ in row), key=cell_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +471,6 @@ def completion(g: MultiGraph) -> MultiGraph:
     return MultiGraph(g.vertices, edges, directed=True)
 
 
-def path_subgraph(host: MultiGraph, seq: tuple) -> Subgraph:
-    """The subgraph of a complete simple digraph traced by a vertex sequence."""
-    edges = []
-    for a, b in zip(seq, seq[1:]):
-        es = host.edges_between(a, b)
-        if not es:
-            raise ValueError(f"no edge {a!r} -> {b!r} in host")
-        edges.append(es[0])
-    return Subgraph(host, seq, edges)
-
-
 def path_complex(g: MultiGraph, max_len: int) -> SuperHypergraph:
     """Directed paths of a simple digraph inside the path Δ-set of its
     completion.
@@ -416,29 +479,37 @@ def path_complex(g: MultiGraph, max_len: int) -> SuperHypergraph:
     length k+1 (k <= max_len), i.e. the directed paths of the completion;
     d_i deletes the i-th vertex.  Marked cells are the paths whose edges
     are all edges of g: the directed paths of g itself.  Embedded homology
-    of the result is the path homology input.
+    of the result is the path homology input.  A cell is kept as its
+    (vertex mask, edge mask) over the completion, the cells of a dimension
+    in the order of their vertex sequences.
     """
     if not g.directed or not g.is_simple():
         raise ValueError("path complex requires a simple digraph")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     comp = completion(g)
-    vs = sorted(g.vertices, key=cell_sort_key)
+    size = len(comp._vids)
+    words: list[tuple] = []  # the injective words of vertex ranks
 
-    sequences: list[tuple] = []
-
-    def extend(seq: tuple):
-        sequences.append(seq)
-        if len(seq) > max_len:
+    def extend(word: tuple):
+        words.append(word)
+        if len(word) > max_len:
             return
-        for w in vs:
-            if w not in seq:
-                extend(seq + (w,))
+        for r in range(size):
+            if r not in word:
+                extend(word + (r,))
 
-    for v in vs:
-        extend((v,))
+    for r in range(size):
+        extend((r,))
 
-    ds, _ = relabel(close_under_faces(sequences, tuple_faces),
-                    partial(path_subgraph, comp))
-    marked_cells = [(n, j) for n, j in ds.cells() if ds.label(n, j).edges.issubset(g.edge_ends)]
-    return SuperHypergraph(ds, GradedSubset.from_cells(marked_cells))
+    # ranks follow `cell_sort_key` order, so the word order is that of the
+    # vertex tuples; a word's masks determine it, as comp is simple
+    ds, _ = close_under_faces(words, tuple_faces, sorted)
+    pairs = comp._pairs
+    cells = [[(sum(1 << r for r in word), sum(pairs[ab] for ab in zip(word, word[1:])))
+              for word in row] for row in ds.labels]
+    ds, _ = _keep_cells(comp, (ds.with_labels(cells), None))
+    formal = sum(1 << r for e, r in comp._erank.items() if e not in g.edge_ends)
+    return SuperHypergraph(ds, GradedSubset({n: [j for j, (_, em) in enumerate(row)
+                                                 if not em & formal]
+                                             for n, row in enumerate(cells)}))

@@ -335,12 +335,16 @@ class DominationError(ValueError):
 def _cell_masks(x) -> tuple[MultiGraph, Sequence[Sequence]]:
     """(host, rows): every cell label of a Δ-set as a (vertex mask, edge
     mask) cell over one host's ranks, per dimension.  Labels stored as
-    cells are read as they are; subgraph labels (or marked subgraphs) are
-    converted once, over their host, or over the union of their hosts'
-    vertices and edges when they sit on several, so equal id sets give
-    equal cells."""
+    cells are read as they are, a starting-vertex cell as its first two
+    masks; subgraph labels (or marked subgraphs) that a caller gives by
+    hand are converted once, over their host, or over the union of their
+    hosts' vertices and edges when they sit on several, so equal id sets
+    give equal cells."""
     if x.host is not None:
-        return x.host, x._labels
+        rows = x._labels
+        if rows and rows[0] and len(rows[0][0]) == 3:
+            rows = [[cell[:2] for cell in row] for row in rows]
+        return x.host, rows
     if x._labels is None and x.total_cells():
         raise DominationError("cells carry no subgraph labels")
     # a marked subgraph stands for its subgraph

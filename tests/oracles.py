@@ -55,8 +55,8 @@ faces) from id sets and those scans, where the library closes bitmasks
 over the host's ranks.  The checked relabel (`checked_relabel`) is the
 route that labelled the rank-mask constructions before their labels stayed
 masks: one checked `Subgraph` per cell, built from the ids of the cell's
-set bits, where the library keeps the masks and decodes a label only when
-one is read.
+set bits (one checked `MarkedSubgraph` for a starting-vertex cell), where
+the library keeps the masks and decodes a label only when one is read.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from typing import Sequence
 
 from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            GradedSubset, SuperHypergraph, ValidationReport,
-                           cell_sort_key, full_subset, max_delta_subset, relabel)
+                           cell_sort_key, full_subset, max_delta_subset)
 from superph.faceops import MarkedSubgraph
 from superph.fields import GF2, Field, FieldMatrix, Span, rref
 from superph.graphs import Subgraph
@@ -1552,15 +1552,25 @@ def brute_cliques(g, max_size):
 # The checked relabel of mask cells
 # ---------------------------------------------------------------------------
 
+def relabel(closure, label):
+    """A (Δ-set, marks) pair, such as a `close_under_faces` result, with
+    every cell label replaced by label(cell label)."""
+    ds, marked = closure
+    return ds.with_labels([list(map(label, row)) for row in ds.labels]), marked
+
+
 def checked_relabel(host, closure):
     """A `close_under_faces` result over host's ranks with every (vertex
     mask, edge mask) cell relabelled by the checked `Subgraph` constructor,
-    from the ids of its set bits, scanned bit by bit."""
+    from the ids of its set bits, scanned bit by bit; a cell with a third
+    mask, its starting vertices, by the checked `MarkedSubgraph`."""
     vids, eids = host._vids, host._eids
 
     def label(cell):
-        vm, em = cell
-        return Subgraph(host, [v for r, v in enumerate(vids) if vm >> r & 1],
-                        [e for r, e in enumerate(eids) if em >> r & 1])
+        sub = Subgraph(host, [v for r, v in enumerate(vids) if cell[0] >> r & 1],
+                       [e for r, e in enumerate(eids) if cell[1] >> r & 1])
+        if len(cell) == 2:
+            return sub
+        return MarkedSubgraph(sub, frozenset(v for r, v in enumerate(vids) if cell[2] >> r & 1))
 
     return relabel(closure, label)

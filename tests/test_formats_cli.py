@@ -15,18 +15,18 @@ from dataclasses import fields
 from hypothesis import given, settings, strategies as st
 
 import superph.delta
-from superph import (DeltaSet, GradedSubset, MultiGraph, from_hypergraph, from_simplicial,
-                     full_subset, standard_simplex_delta)
+from superph import (DeltaSet, GradedSubset, MultiGraph, from_hypergraph, full_subset,
+                     standard_simplex_delta)
 from superph import cli, formats
 from superph.cli import JobConfig, build_super_hypergraph, main
 from superph.formats import FormatError
-from superph.graphs import Subgraph, neighborhood_complex
+from superph.graphs import Subgraph
 from superph.persistence import Bar, Barcode
 from superph.render import render_diagram
 
 from conftest import (collapsed_tower, count_identity_walks, pillow_delta,
                       random_super_hypergraph)
-from oracles import rowwise_delta_check
+from oracles import rowwise_delta_check, scan_neighbors, subset_closure
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -332,6 +332,72 @@ def test_delta_reader_fuzz(tmp_path_factory, data):
     else:
         assert out.getvalue() == "".join(f"violation: cell {cell} (i={i}, j={j})\n"
                                          for cell, i, j in report.violations)
+
+
+GRAPH_FAULTS = ("none", "no_header", "unknown_endpoint", "duplicate_edge", "bad_line",
+                "unknown_member_edge", "edge_without_endpoints", "sv_on_some",
+                "sv_outside", "sv_unreachable", "empty_sv")
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_graph_and_family_reader_fuzz(tmp_path_factory, data):
+    # a graph file of drawn edges (loops, parallel edges, isolated
+    # vertices), a family file of drawn members (with `sv` lines or not),
+    # then one fault or none: `validate` under each graph-data
+    # construction exits 0, 1 or 2, never 3 (a computation error)
+    directed = data.draw(st.booleans())
+    vs = [f"v{i}" for i in range(data.draw(st.integers(1, 5)))]
+    ends = data.draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=7))
+    edges = {f"e{k}": uv for k, uv in enumerate(ends)}
+    graph = [f"directed {int(directed)}"] + [f"v {v}" for v in vs] + \
+        [f"e {e} {u} {v}" for e, (u, v) in edges.items()]
+    with_sv = data.draw(st.booleans())
+    members = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        es = data.draw(st.lists(st.sampled_from(sorted(edges)), unique=True)) if edges else []
+        mvs = sorted({w for e in es for w in edges[e]}
+                     | data.draw(st.sets(st.sampled_from(vs), min_size=1)))
+        sv = data.draw(st.sampled_from([mvs, mvs[:1]]))  # the first may not reach all
+        members.append([f"v {' '.join(mvs)}"] + ([f"e {' '.join(es)}"] if es else [])
+                       + ([f"sv {' '.join(sv)}"] if with_sv else []))
+    fault = data.draw(st.sampled_from(GRAPH_FAULTS))
+    if fault == "no_header":
+        graph.pop(0)
+    elif fault == "unknown_endpoint":
+        graph.append("e stray v0 zz")
+    elif fault == "duplicate_edge" and edges:
+        graph.append(graph[-1])
+    elif fault == "bad_line":
+        graph.append("x y")
+    elif members:
+        member = data.draw(st.sampled_from(members))
+        if fault == "unknown_member_edge":
+            member.append("e zz")
+        elif fault == "edge_without_endpoints" and edges:
+            member[0] = "v"
+            member.append(f"e {sorted(edges)[0]}")
+        elif fault == "sv_on_some":
+            members[0] = [line for line in members[0] if not line.startswith("sv")]
+            member.append("sv v0")
+        elif fault == "sv_outside":
+            member.append("sv zz")
+        elif fault == "sv_unreachable" and len(vs) > 1:
+            members.append([f"v {vs[0]} {vs[1]}", f"sv {vs[0]}"])
+        elif fault == "empty_sv":
+            member.append("sv")
+    base = tmp_path_factory.getbasetemp()
+    (base / "fuzz_graph.txt").write_text("".join(line + "\n" for line in graph))
+    (base / "fuzz_family.txt").write_text(
+        "".join("member\n" + "".join(line + "\n" for line in m) for m in members))
+    for construction in ("path", "neighborhood", "edge_del", "starting_vertex"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--graph", str(base / "fuzz_graph.txt"),
+                         "--family", str(base / "fuzz_family.txt"),
+                         "--construction", construction, "--max-dim", "2"])
+        assert code in (0, 1, 2), (construction, err.getvalue())
+        assert (code == 0) == out.getvalue().startswith("validate_delta: ok\n")
 
 
 def test_writers_take_mixed_id_types(tmp_path):
@@ -681,10 +747,11 @@ def test_cli_neighborhood_matches_subset_enumeration(tmp_path):
                                              directed=case % 2 == 1))
         g = formats.read_graph(path)
         sh = build_super_hypergraph(JobConfig(graph=str(path), construction="neighborhood"))
-        ref = from_simplicial(neighborhood_complex(g))
-        assert (sh.x.counts, sh.x.faces) == (ref.counts, ref.faces)
+        counts, faces, labels, _ = subset_closure(
+            [nb for nb in (scan_neighbors(g, v) for v in g.vertices) if nb])
+        assert (sh.x.counts, sh.x.faces) == (counts, faces)
         assert [[lab.key for lab in row] for row in sh.x.labels] == \
-            [[Subgraph(g, lab).key for lab in row] for row in ref.labels]
+            [[Subgraph(g, lab).key for lab in row] for row in labels]
         assert sh.h == full_subset(sh.x)
 
 
@@ -749,6 +816,36 @@ def test_cli_edge_deletion_construction(tmp_path):
     assert tables["embedded"] == [0, 0, 0]
     assert tables["ambient"] == [1, 0, 0]
     assert (out / "manifest.txt").exists()
+
+
+def test_cli_edge_deletion_matches_subset_enumeration(tmp_path):
+    # seeded multigraphs (loops, parallel edges, directed or not) and
+    # families whose members may hold isolated vertices: the CLI builds the
+    # closure of the members' edge sets under single-edge deletion, each
+    # cell the subgraph of its edges and their endpoints, the members marked
+    rng = random.Random(32)
+    for case in range(25):
+        n = rng.randint(1, 6)
+        vertices = [f"v{i}" for i in range(n)]
+        edges = {f"e{k}": (rng.choice(vertices), rng.choice(vertices))
+                 for k in range(rng.randint(1, 2 * n))}
+        g = MultiGraph(vertices, edges, directed=case % 2 == 1)
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            es = rng.sample(sorted(edges), rng.randint(1, min(4, len(edges))))
+            extra = rng.sample(vertices, rng.randint(0, n))
+            members.append(g.subgraph({w for e in es for w in edges[e]} | set(extra), es))
+        formats.write_graph(tmp_path / "g.graph", g)
+        formats.write_family(tmp_path / "fam.txt", members)
+        sh = build_super_hypergraph(JobConfig(graph=str(tmp_path / "g.graph"),
+                                              family=str(tmp_path / "fam.txt"),
+                                              construction="edge_del"))
+        counts, faces, labels, marked = subset_closure([m.edges for m in members])
+        assert (sh.x.counts, sh.x.faces) == (counts, faces)
+        assert [[lab.key for lab in row] for row in sh.x.labels] == \
+            [[Subgraph(g, [w for e in lab for w in edges[e]], lab).key for lab in row]
+             for row in labels]
+        assert sh.h.cells() == marked
 
 
 def test_cli_persist_square_and_determinism(tmp_path):

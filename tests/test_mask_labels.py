@@ -1,7 +1,8 @@
 """Labels stay masks: the rank-mask constructions keep (vertex mask, edge
-mask) cells as their labels, ordered by their ranks as the labels are, the
+mask) cells as their labels (with a third mask, the starting vertices, for
+starting-vertex faces), ordered by their ranks as the labels are, the
 filtration checks and the point-cloud scores read those masks, and a
-`Subgraph` is built only where a label is read."""
+`Subgraph` or `MarkedSubgraph` is built only where a label is read."""
 
 import itertools
 import random
@@ -15,15 +16,15 @@ import superph.graphs
 from superph import (Clustering, DeltaSet, GradedSubset, MarkedSubgraph, MultiGraph,
                      PointCloud, Subgraph, SubgraphFamily, SuperHypergraph, build_filtration,
                      cech_scheme, clique_delta, cliques, critical_values, full_subset,
-                     link_blowup_faces, partition_faces, primary_vertex_deletion,
-                     secondary_vertex_deletion, seeded_random_scheme, vr_points, vr_scheme,
-                     witness_scheme)
+                     link_blowup_faces, partition_faces, path_complex, primary_vertex_deletion,
+                     secondary_vertex_deletion, seeded_random_scheme, starting_vertex_faces,
+                     vr_points, vr_scheme, witness_scheme)
 from superph import formats
-from superph.cli import main
+from superph.cli import JobConfig, build_super_hypergraph, main
 from superph.delta import close_under_faces
-from superph.faceops import _start_key
+from superph.faceops import _start_key, edge_deletion_faces
 from superph.graphs import (_clique_cells, _keep_cells, _rank_key, _rank_order, _ranks,
-                            vertex_deletion_map)
+                            neighborhood_delta, vertex_deletion_map)
 from superph.persistence import DominationError
 from superph.scoring import cell_scores, pullback_scheme
 
@@ -47,12 +48,42 @@ def mixed_inputs():
 
 
 KINDS = ("clique", "primary_vd", "secondary_vd", "partition", "link_blowup")
+# the graph-data constructions: the path complex is built on `oriented(g)`,
+# starting-vertex faces on `marked_members(fam)`
+GRAPH_KINDS = ("path", "neighborhood", "edge_del", "starting_vertex")
 
 
-def construct(kind, g, fam, clustering) -> SuperHypergraph:
-    if kind == "clique":
-        x = clique_delta(g, max_dim=2)
+def oriented(g) -> MultiGraph:
+    """A simple digraph on g's vertices: each edge of g from its first end
+    to its second, every third one in both directions."""
+    arcs = dict(g.edge_ends)
+    arcs.update({f"back{e}": (v, u) for k, (e, (u, v)) in enumerate(sorted(arcs.items()))
+                 if k % 3 == 0})
+    return MultiGraph(g.vertices, arcs, directed=True)
+
+
+def marked_members(fam) -> list:
+    """Each member with its lowest-ranked vertex as the starting set when
+    that reaches every vertex, else with all its vertices."""
+    out = []
+    for m in fam:
+        try:
+            out.append(MarkedSubgraph(m, frozenset([min(m.key[0])])))
+        except ValueError:
+            out.append(MarkedSubgraph(m, m.vertices))
+    return out
+
+
+def construct(kind, g, fam, clustering, members=None) -> SuperHypergraph:
+    if kind in ("clique", "neighborhood"):
+        x = clique_delta(g, max_dim=2) if kind == "clique" else neighborhood_delta(g)
         return SuperHypergraph(x, full_subset(x))
+    if kind == "path":
+        return path_complex(oriented(g), 2)
+    if kind == "edge_del":
+        return edge_deletion_faces(SubgraphFamily(g, [m for m in fam if m.edges]))
+    if kind == "starting_vertex":
+        return starting_vertex_faces(members or marked_members(fam), g)
     if kind in ("partition", "link_blowup"):
         return (partition_faces if kind == "partition" else link_blowup_faces)(fam, clustering)
     return (primary_vertex_deletion if kind == "primary_vd" else secondary_vertex_deletion)(fam)
@@ -210,11 +241,12 @@ def test_clique_delta_file_is_the_rank_key_sort(tmp_path):
     assert (tmp_path / "x.delta").read_bytes() == (tmp_path / "by_key.delta").read_bytes()
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + GRAPH_KINDS)
 def test_mask_labels_read_as_the_checked_relabel(monkeypatch, kind):
-    # label and labels decode the kept masks into the subgraphs the checked
-    # relabel of the same closure builds: equal, with equal keys, sort keys
-    # and host
+    # label and labels decode the kept masks into the subgraphs (marked
+    # subgraphs) the checked relabel of the same closure builds: equal, with
+    # equal keys, sort keys and host, and for a marked subgraph equal
+    # starting vertices and repr
     g, _, fam, clustering = mixed_inputs()
     closures = []
     keep = superph.graphs._keep_cells
@@ -229,15 +261,55 @@ def test_mask_labels_read_as_the_checked_relabel(monkeypatch, kind):
     [(host, closure)] = closures
     want, want_marked = checked_relabel(host, closure)
     x = sh.x
-    assert host is g and x.host is g and x == want
-    assert kind == "clique" or sh.h == want_marked
+    assert x.host is host and x == want and x.total_cells() > 20
+    assert host is g or kind in ("path", "starting_vertex")
+    if kind not in ("clique", "neighborhood", "path", "starting_vertex"):  # members marked
+        assert sh.h == want_marked
     assert x.labels == want.labels
     for n, j in x.cells():
         got, ref = x.label(n, j), want.label(n, j)
-        assert got == ref and got.host is g
+        assert got == ref and getattr(got, "subgraph", got).host is host
         assert (got.key, got.sort_key) == (ref.key, ref.sort_key)
+        if kind == "starting_vertex":
+            assert got.sv == ref.sv and repr(got) == repr(ref)
     assert [[lab.key for lab in row] for row in x.labels] == \
         [[lab.key for lab in row] for row in want.labels]
+
+
+def count_label_objects(monkeypatch) -> dict:
+    """Count `Subgraph.__init__` and `MarkedSubgraph.__post_init__` calls
+    from now on."""
+    counts = {Subgraph: 0, MarkedSubgraph: 0}
+    for cls, name in ((Subgraph, "__init__"), (MarkedSubgraph, "__post_init__")):
+        def counted(self, *args, _real=getattr(cls, name), _cls=cls):
+            counts[_cls] += 1
+            _real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+def test_graph_constructions_build_no_label_per_cell(tmp_path, monkeypatch, kind):
+    # the library constructions and their VR scores build no Subgraph or
+    # MarkedSubgraph; through the CLI, which reads the family, at most one
+    # of each per family member
+    g, pc, fam, clustering = mixed_inputs()
+    members = marked_members(fam)
+    counts = count_label_objects(monkeypatch)
+    sh = construct(kind, g, fam, clustering, members)
+    critical_values(vr_scheme(pc), sh.x)
+    assert counts == {Subgraph: 0, MarkedSubgraph: 0}
+    formats.write_graph(tmp_path / "g.txt", oriented(g) if kind == "path" else g)
+    if kind == "edge_del":
+        members = [m for m in members if m.subgraph.edges]
+    formats.write_family(tmp_path / "fam.txt", [m.subgraph for m in members],
+                         [m.sv for m in members])
+    cfg = JobConfig(graph=str(tmp_path / "g.txt"), family=str(tmp_path / "fam.txt"),
+                    construction=kind, max_dim=2)
+    x = build_super_hypergraph(cfg).x
+    assert x.counts == sh.x.counts and x.total_cells() > 2 * len(members)
+    assert counts[Subgraph] <= len(members) and counts[MarkedSubgraph] <= len(members)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +370,21 @@ def test_domination_errors_keep_their_messages(hosts):
         build_filtration(SuperHypergraph(untyped, GradedSubset()), scheme)
     with pytest.raises(DominationError, match=r"^cells carry no subgraph labels$"):
         build_filtration(SuperHypergraph(grows.with_labels(None), GradedSubset()), scheme)
+
+
+def test_starting_vertex_cells_differing_in_starting_vertices_are_not_injective(tmp_path, capsys):
+    # the filtration reads a starting-vertex cell as its vertex and edge
+    # masks: ({a, b}, {e1}) with starting set {a, b} (a 0-cell) and with
+    # starting set {a} (a 1-cell) are one label
+    (tmp_path / "g.txt").write_text("directed 1\nv a\nv b\nv c\ne e1 a b\ne e2 b c\n")
+    (tmp_path / "cloud.xy").write_text("a 0 0\nb 1 0\nc 1 1\n")
+    (tmp_path / "fam.txt").write_text("member\nv a b\ne e1\nsv a\nmember\nv a b\ne e1\nsv a b\n")
+    argv = ["persist", "--graph", str(tmp_path / "g.txt"), "--cloud", str(tmp_path / "cloud.xy"),
+            "--family", str(tmp_path / "fam.txt"), "--construction", "starting_vertex",
+            "--scheme", "vr", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "validation failure: labels not injective: cells (0, 1) and (1, 0)\n"
 
 
 def test_subgraph_labels_on_several_hosts_filter_as_on_one():
