@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -88,6 +89,9 @@ class JobConfig:
             setattr(cfg, key, value)
         if cfg.max_dim < 0:
             raise UsageError(f"config key 'max_dim': must be >= 0, got {cfg.max_dim}")
+        if not math.isfinite(cfg.constant_value):
+            raise UsageError(f"config key 'constant_value': must be finite, "
+                             f"got {cfg.constant_value}")
         return cfg
 
     def coefficient_field(self):

@@ -21,6 +21,7 @@ import hashlib
 import math
 import random
 from itertools import combinations, starmap
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .fields import _ranks
@@ -80,47 +81,64 @@ def vr_points(points: Sequence[Point]) -> float:
 
 
 def _circumball(support: Sequence[Point]) -> tuple[Point, float]:
-    """Ball through the support points with center in their affine hull."""
-    import numpy as np  # only Čech scores need it; deferred to keep imports light
-
+    """Ball through the support points with center in their affine hull
+    (Gärtner 1999): the center is p0 + Σ_k λ_k (p_k − p0), where
+    2Gλ = (|p_k − p0|²)_k and G is the Gram matrix of the differences
+    p_k − p0.  The system is solved by Gaussian elimination with partial
+    pivoting in floats, and a zero pivot (an affinely dependent support)
+    leaves its λ at 0.  The radius is the largest distance from the center
+    to a support point, so the ball covers the support either way."""
     if not support:
         return (), 0.0
-    p0 = np.asarray(support[0], dtype=float)
-    if len(support) == 1:
-        return tuple(p0.tolist()), 0.0
-    diffs = np.asarray([np.asarray(p, dtype=float) - p0 for p in support[1:]])
-    gram = 2.0 * diffs @ diffs.T
-    rhs = np.einsum("ij,ij->i", diffs, diffs)
-    try:
-        lam = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        lam = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    center = p0 + diffs.T @ lam
-    radius = max(float(np.linalg.norm(np.asarray(p) - center)) for p in support)
-    return tuple(center.tolist()), radius
+    p0 = support[0]
+    diffs = [[a - b for a, b in zip(p, p0)] for p in support[1:]]
+    rows = [[2.0 * sum(map(mul, u, v)) for v in diffs] + [sum(map(mul, u, u))]
+            for u in diffs]
+    n = len(rows)
+    for k in range(n):
+        top = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[top] = rows[top], rows[k]
+        pivot = rows[k]
+        if pivot[k]:
+            for row in rows[k + 1:]:
+                f = row[k] / pivot[k]
+                for j in range(k + 1, n + 1):
+                    row[j] -= f * pivot[j]
+    lam = [0.0] * n
+    for k in reversed(range(n)):
+        if rows[k][k]:
+            lam[k] = rows[k][n] / rows[k][k]
+            for row in rows[:k]:
+                row[n] -= lam[k] * row[k]
+    center = tuple(c + sum(l * u[i] for l, u in zip(lam, diffs)) for i, c in enumerate(p0))
+    return center, max(math.dist(p, center) for p in support)
 
 
 def min_enclosing_ball(points: Sequence[Point]) -> tuple[Point, float]:
-    """Welzl's move-to-front minimal enclosing ball, deterministic via a
-    fixed shuffle seed."""
+    """Welzl's minimal enclosing ball (1991), deterministic via a fixed
+    shuffle seed.  `ball(i, support)` starts from the support's circumball
+    and takes pts[j] for j from the end down to i: a point outside the ball
+    joins the support, and the ball is rebuilt over pts[j + 1:].  Only a
+    grown support recurses, so the depth is at most dim + 2 whatever the
+    number of points."""
     pts = sorted({tuple(float(c) for c in p) for p in points})
     if not pts:
         raise ValueError("empty point set")
     rng = random.Random(0xB0BA)
     rng.shuffle(pts)
-    dim = len(pts[0])
+    full = len(pts[0]) + 1
 
-    def welzl(i: int, support: list[Point]) -> tuple[Point, float]:
-        if i == len(pts) or len(support) == dim + 1:
-            return _circumball(support)
-        center, radius = welzl(i + 1, support)
-        p = pts[i]
-        if center and math.dist(p, center) <= radius * (1 + 1e-12) + 1e-14:
-            return center, radius
-        return welzl(i + 1, support + [p])
+    def ball(i: int, support: list[Point]) -> tuple[Point, float]:
+        center, radius = _circumball(support)
+        if len(support) < full:
+            for j in reversed(range(i, len(pts))):
+                p = pts[j]
+                if not (center and math.dist(p, center) <= radius * (1 + 1e-12) + 1e-14):
+                    center, radius = ball(j + 1, support + [p])
+        return center, radius
 
-    # Iterative restarts guard against float flutter in degenerate inputs.
-    center, radius = welzl(0, [])
+    center, radius = ball(0, [])
+    # a point that float rounding leaves just outside widens the radius
     worst = max(math.dist(p, center) for p in pts)
     if worst > radius * (1 + 1e-9) + 1e-12:
         radius = worst

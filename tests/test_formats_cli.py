@@ -462,8 +462,9 @@ def test_cli_score_rejects_bad_point_cloud(tmp_path, capsys, text, lineno, messa
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the Čech scores and is imported there: a module-level
-    # import would add its load time to every command
+    # the package imports only the standard library (test_hygiene checks
+    # the sources); numpy, if installed, would add its load time to every
+    # command
     code = "import sys, superph.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
@@ -1014,6 +1015,30 @@ def test_cli_negative_max_dim_is_usage_error(tmp_path, capsys, command, construc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: config key 'max_dim': must be >= 0, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, shown", [("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"),
+                                          ("Infinity", "inf")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["score", "persist"])
+def test_cli_nonfinite_constant_value_is_usage_error(tmp_path, capsys, command, source,
+                                                     value, shown):
+    # a constant score must be a real number: inf would give bars
+    # [inf, inf) and nan a filtration with no order, so either is a config
+    # error naming its key
+    argv = [command, "--cloud", str(write_square_inputs(tmp_path)), "--construction",
+            "clique", "--scheme", "constant", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += [f"--constant-value={value}"]  # argparse reads a bare -inf as a flag
+    else:
+        job = tmp_path / "job.cfg"
+        job.write_text(f"constant_value = {value}\n")
+        argv += ["--config", str(job)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key 'constant_value': must be finite, got {shown}\n"
     assert not (tmp_path / "out").exists()
 
 

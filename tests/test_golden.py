@@ -11,8 +11,10 @@ closure that moves a cell, shows here.  Four GF(2) jobs, each of about
 vertex deletion, partition and link-blowup faces), and three more the
 graph-data constructions (the path complex of a digraph and edge deletion
 over GF(2), the neighborhood complex over GF(3)), so a change to their
-cell order or labels shows too.  The inputs are written from a seeded
-generator with fixed-precision coordinates.
+cell order or labels shows too.  One more pins the Čech scores on the
+clique Δ-set, so a change to the minimal enclosing ball that moves a
+rounded radius shows.  The inputs are written from a seeded generator
+with fixed-precision coordinates.
 """
 
 import hashlib
@@ -160,6 +162,10 @@ JOBS = {
         "c010885e5903e1f35c2db727355d1f345f957c4fe6a7aaf7caab17dfd80852a9",
         "2f60323a8aee80e59d03ec287666e77dfdc1917dad31ad75a69b0bfb2d70d769",
         "ab33959e35f6274df4c3ac0649de88b50c47d3c3e9f67fa28389de8d3dbfc6db")),
+    "cech": (write_clique_inputs, 8, 1.0, ["--scheme", "cech", "--field", "gf2"], (
+        "9890d31db7cde2490fc4a5b8b0ac0aaf8f33de56b3fc5bd971cefd684f18eead",
+        "9e7bd1f2d9434186f547fe548c154b6f16d73ddefd9bd58574c1bf7bf9f3a578",
+        "67cbec551a780df3deb645b38ff81aa2368f438322233e26ff8c57df1fa5c87d")),
     "secondary_vd": (family_inputs("secondary_vd"), 9, 0.5,
                      ["--scheme", "vr", "--field", "gf2"], (
         "9dec47635cafa78c3904c392c8740ed3a0b593236746f7aa10fdbee482dc753f",

@@ -1,4 +1,5 @@
-"""Static hygiene of the package sources: no module imports a name it never
+"""Static hygiene of the package sources: every import is of the package
+itself or of the standard library, no module imports a name it never
 reads (`superph/__init__.py` is skipped, since its imports are the
 package's exports), and no private top-level definition is left unused.
 Of the test oracles, every top-level definition is read by a test module
@@ -6,6 +7,7 @@ or by another definition of the oracles."""
 
 import ast
 import os
+import sys
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src", "superph")
@@ -43,6 +45,38 @@ def test_package_has_no_unread_imports():
         if name.endswith(".py") and name != "__init__.py":
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 found += [f"{name}:{line} {imp}" for line, imp in unread_imports(fh.read())]
+    assert found == []
+
+
+def outside_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every import that is neither relative nor of a
+    standard-library module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_outside_imports_detector():
+    src = ("from __future__ import annotations\nimport os.path, numpy as np\n"
+           "from . import fields\nfrom .graphs import MultiGraph\n"
+           "def f():\n    import scipy.linalg\n    from collections import abc\n")
+    assert outside_imports(src) == [(2, "numpy"), (6, "scipy.linalg")]
+
+
+def test_package_imports_only_the_standard_library():
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                found += [f"{name}:{line} {imp}" for line, imp in outside_imports(fh.read())]
     assert found == []
 
 

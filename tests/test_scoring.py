@@ -10,7 +10,7 @@ from superph import (MultiGraph, PointCloud, SubgraphFamily,
                      critical_values, is_regular_scheme, min_enclosing_ball,
                      pullback_score, seeded_random_scheme, vr_points,
                      vr_scheme, vr_score, witness_scheme, witness_score)
-from superph.scoring import WITNESS_VARIANTS, cell_scores, round_score
+from superph.scoring import WITNESS_VARIANTS, _circumball, cell_scores, round_score
 
 from oracles import monotone_on_covers, per_pair_witness_score
 
@@ -73,6 +73,56 @@ def test_meb_high_dimension():
            (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
     _, r = min_enclosing_ball(pts)
     assert abs(r - math.sqrt(3) / 2) < 1e-9  # circumradius of the regular simplex
+
+
+def test_cech_score_depth_does_not_grow_with_point_count():
+    # Welzl's recursion goes one level deeper only when the support grows,
+    # so 1 200 points score without a RecursionError; three points on the
+    # unit circle spanning an acute triangle fix the ball, the rest lie
+    # strictly inside it
+    rng = random.Random(3)
+    pts = []
+    while len(pts) < 1197:
+        x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if x * x + y * y < 0.98:
+            pts.append((x, y))
+    pts += [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
+    center, r = min_enclosing_ball(pts)
+    assert math.dist(center, (0.0, 0.0)) < 1e-12 and abs(r - 1) < 1e-12
+    assert cech_score(range(len(pts)), PointCloud(dict(enumerate(pts)))) == r
+
+
+def test_circumball_consistent_singular_support():
+    # four cocircular points in R^3: the Gram system is singular but
+    # consistent, and the zero pivot's λ at 0 still gives the circumcentre
+    center, r = _circumball([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0),
+                             (0.0, -1.0, 0.0)])
+    assert max(map(abs, center)) < 1e-12 and abs(r - 1) < 1e-12
+
+
+@pytest.mark.parametrize("support", [
+    [(2.0, 0.0), (0.0, 0.0), (5.0, 0.0)],
+    [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+    [(0.5, -1.0), (2.0, 2.0), (-0.25, -2.5)],
+    [(1.0, 2.0, 3.0), (3.0, 2.0, 1.0), (7.0, 2.0, -3.0)],
+])
+def test_circumball_inconsistent_singular_support(support):
+    # no ball has three collinear points on its boundary; with the zero
+    # pivot's λ at 0 the centre stays on their line, and the radius reaches
+    # the farthest support point
+    center, r = _circumball(support)
+    p0, p1 = support[:2]
+    u = [a - b for a, b in zip(p1, p0)]
+    w = [a - b for a, b in zip(center, p0)]
+    assert all(abs(u[i] * w[j] - u[j] * w[i]) < 1e-12
+               for i in range(len(u)) for j in range(i))
+    assert r == max(math.dist(p, center) for p in support)
+
+
+def test_circumball_zero_pivot_rule():
+    # 2Gλ = b reads [[2, 6], [6, 18]] λ = (1, 9): partial pivoting takes the
+    # second row first, the other row then has a zero pivot, and its λ is 0
+    assert _circumball([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)]) == ((1.5, 0.0), 1.5)
 
 
 def test_vr_cech_inequalities(rng):
