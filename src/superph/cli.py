@@ -207,7 +207,11 @@ def build_scheme(cfg: JobConfig):
         cloud = _load_cloud(cfg)
         witnesses = None
         if cfg.witnesses:
-            witnesses = formats.read_point_cloud(cfg.witnesses).all_points()
+            read = formats.read_point_cloud(cfg.witnesses)
+            if read.dim != cloud.dim:
+                raise formats.FormatError(cfg.witnesses, 1, f"witness points have {read.dim} "
+                                          f"coordinates, the cloud's points have {cloud.dim}")
+            witnesses = read.all_points()
         return witness_scheme(cloud, name.split(":", 1)[1], witnesses)
     if name == "pullback":
         if cfg.pullback_base not in ("vr", "cech"):

@@ -222,8 +222,10 @@ class _Masks:
 
     @staticmethod
     def relabel(v, table, out=0):
-        for i in _ranks(v):
+        while v:
+            i = v.bit_length() - 1
             out |= 1 << table[i]
+            v ^= 1 << i
         return out
 
     @staticmethod
@@ -233,8 +235,10 @@ class _Masks:
     @staticmethod
     def combine(field, coeffs, vectors):
         out = 0
-        for k in _ranks(coeffs):
+        while coeffs:
+            k = coeffs.bit_length() - 1
             out ^= vectors[k]
+            coeffs ^= 1 << k
         return out
 
     @staticmethod

@@ -117,10 +117,12 @@ class MultiGraph:
         """Mask of the edges with every endpoint in vmask: those met at two
         of its vertices, and its loops."""
         once = twice = 0
-        for r in _ranks(vmask):
+        while vmask:
+            r = vmask.bit_length() - 1
             m = self._inc[r]
             twice |= once & m
             once |= m
+            vmask ^= 1 << r
         return twice | (once & self._loops)
 
     def subgraph(self, vertices: Iterable, edges: Iterable) -> "Subgraph":
@@ -308,8 +310,10 @@ def _check_reach(host: MultiGraph, vm: int, em: int, sm: int) -> None:
 def _union(table: list[int], mask: int) -> int:
     """The union of table[r] over the set bits r of mask."""
     out = 0
-    for r in _ranks(mask):
+    while mask:
+        r = mask.bit_length() - 1
         out |= table[r]
+        mask ^= 1 << r
     return out
 
 
@@ -366,7 +370,12 @@ def vertex_deletion_map(host: MultiGraph):
 
     def faces(cell: tuple[int, int]) -> list[tuple[int, int]]:
         vm, em = cell
-        return [(vm ^ (1 << r), em & keep[r]) for r in _ranks(vm)]
+        out, rest = [], vm
+        while rest:
+            low = rest & -rest
+            out.append((vm ^ low, em & keep[low.bit_length() - 1]))
+            rest ^= low
+        return out
 
     return faces
 

@@ -11,7 +11,12 @@ Cell labels are scored as (vertex mask, edge mask) cells over one host's
 ranks (`_cell_masks`).  A scheme that reads only a subgraph's vertex set
 (the point-cloud and pull-back schemes) scores a cell from its vertex ranks
 through one rank -> point table per call; any other scheme scores the
-`Subgraph` the cell stands for, built for the call and not kept.
+`Subgraph` the cell stands for, built for the call and not kept.  A
+pairwise scheme (VR, VR-strong witness), whose score is the maximum of a
+symmetric pair value over the vertex pairs, scores a cell of three or more
+vertices from its two one-vertex deletions when both were scored
+(Zomorodian 2010): every pair of the cell but the lowest two lies in one
+of them.
 """
 
 from __future__ import annotations
@@ -245,9 +250,10 @@ def _nonempty(lam: Iterable) -> set:
 class ScoringScheme:
     """An evaluation contract Subgraph -> R plus a declared regularity claim
     (monotone under subgraph inclusion).  A scheme that reads only a
-    subgraph's vertex set also keeps that reading as `_vertices`, a pair
-    (point, of_points): the score is of_points of the list of point(v) over
-    the vertices v."""
+    subgraph's vertex set also keeps that reading as `_vertices`, a triple
+    (point, of_points, pair): the score is of_points of the list of point(v)
+    over the vertices v, and when pair is not None it is also the maximum of
+    pair(p, q), a symmetric value, over the pairs of those points."""
 
     __slots__ = ("name", "regular", "_fn", "_vertices")
 
@@ -265,16 +271,17 @@ class ScoringScheme:
 
 
 def _vertex_scheme(name: str, point: Callable, of_points: Callable[[list], float],
-                   regular: bool = True) -> ScoringScheme:
+                   regular: bool = True, pair: Callable | None = None) -> ScoringScheme:
     """A scheme that reads only a subgraph's vertex set: of_points of the
-    list of point(v) over its vertices v."""
+    list of point(v) over its vertices v; `pair` as in `ScoringScheme`."""
     s = ScoringScheme(name, lambda h: of_points([point(v) for v in h.vertices]), regular)
-    s._vertices = (point, of_points)
+    s._vertices = (point, of_points, pair)
     return s
 
 
 def vr_scheme(pc: PointCloud) -> ScoringScheme:
-    return _vertex_scheme("vr", pc.coords, vr_points)
+    return _vertex_scheme("vr", pc.coords, vr_points,
+                          pair=lambda p, q: math.dist(p, q) / 2.0)
 
 
 def cech_scheme(pc: PointCloud) -> ScoringScheme:
@@ -286,9 +293,16 @@ def witness_scheme(pc: PointCloud, variant: str,
     """The witness scheme of a variant.  The strong variants' landmarks are
     the whole cloud, so their nearest-landmark table is built once, on the
     first score, and read by every cell; the weak variants exclude the
-    cell's vertices and build it per cell (`witness_score`)."""
+    cell's vertices and build it per cell (`witness_score`).  Witness
+    points of another dimension than the cloud's are refused here, once.
+    VR-strong is pairwise: its pair value is the score of the two points."""
     if variant not in WITNESS_VARIANTS:
         raise ValueError(f"unknown witness variant {variant!r}")
+    dims = sorted({len(x) for x in witnesses or ()} - {pc.dim})
+    if dims:
+        raise ValueError(f"witness points have {dims[0]} coordinates, "
+                         f"the cloud's points have {pc.dim}")
+    pair = None
     if variant in ("weak", "vr_weak"):
         def of_points(lam):
             return witness_score(lam, pc, variant, witnesses)
@@ -298,9 +312,13 @@ def witness_scheme(pc: PointCloud, variant: str,
 
         def of_points(lam):
             return _witness_value(pc.of(_nonempty(lam)), variant, offsets())
+
+        if variant == "vr_strong":
+            def pair(p, q):
+                return _witness_value(pc.of((p, q)), variant, offsets())
     # a vertex stands for itself, once the cloud is found to embed it
     return _vertex_scheme(f"witness:{variant}", lambda v: (pc.coords(v), v)[1], of_points,
-                          regular=variant in ("strong", "vr_strong"))
+                          regular=variant in ("strong", "vr_strong"), pair=pair)
 
 
 def pullback_scheme(f: Mapping | Callable, base: Callable[[Sequence[Point]], float],
@@ -382,14 +400,43 @@ def _cell_masks(x) -> tuple[MultiGraph, Sequence[Sequence]]:
 def _scores(s: ScoringScheme, host: MultiGraph, cells) -> list[list[float]]:
     """Unrounded score of every cell of `_cell_masks`, per dimension.  A
     vertex scheme maps each vertex rank once, in the order the cells first
-    reach it, and reads a cell's points in rank order."""
+    reach it, and reads a cell's points in rank order.
+
+    A pairwise scheme keeps the score of every vertex mask scored so far.
+    A cell with at least three vertices whose two lowest ranks are a < b
+    and whose deletions V∖a and V∖b were both scored takes
+    max(pair(p_a, p_b), s(V∖a), s(V∖b)): every other pair lies in one of
+    them, and max returns one of the floats the pairs give, so the score
+    is the one of_points gives.  Both were scored, so every vertex of the
+    cell is in the table already, and the vertices are looked up in the
+    same order as without the shortcut."""
     if s._vertices is None:
         return [[s.score(host._cell_subgraph(c)) for c in row] for row in cells]
-    point, of_points = s._vertices
+    point, of_points, pair = s._vertices
     vids, table = host._vids, {}
-    return [[of_points([table[r] if r in table else
-                        table.setdefault(r, point(vids[r])) for r in _ranks(vm)])
-             for vm, _ in row] for row in cells]
+
+    def direct(vm: int) -> float:
+        return of_points([table[r] if r in table else
+                          table.setdefault(r, point(vids[r])) for r in _ranks(vm)])
+
+    if pair is None:
+        return [[direct(vm) for vm, _ in row] for row in cells]
+    seen = {}
+
+    def score(vm: int) -> float:
+        rest = vm & (vm - 1)  # without the lowest vertex a
+        if rest & (rest - 1):
+            second = rest & -rest
+            without_a, without_b = seen.get(rest), seen.get(vm ^ second)
+            if without_a is not None and without_b is not None:
+                value = seen[vm] = max(pair(table[(vm ^ rest).bit_length() - 1],
+                                            table[second.bit_length() - 1]),
+                                       without_a, without_b)
+                return value
+        value = seen[vm] = direct(vm)
+        return value
+
+    return [[score(vm) for vm, _ in row] for row in cells]
 
 
 def cell_scores(s: ScoringScheme, x) -> list[list[float]]:

@@ -57,6 +57,10 @@ route that labelled the rank-mask constructions before their labels stayed
 masks: one checked `Subgraph` per cell, built from the ids of the cell's
 set bits (one checked `MarkedSubgraph` for a starting-vertex cell), where
 the library keeps the masks and decodes a label only when one is read.
+The decoded mask walks (`decoded_union`, `decoded_induced_edges`,
+`decoded_vertex_deletion_map`, `decoded_combine`, `decoded_relabel`)
+decode a mask into its ranks with `fields._ranks` and loop over them,
+where the library walks the mask's bits in place.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from superph.delta import (DeltaIdentityError, DeltaSet, DeltaStructureError,
                            GradedSubset, SuperHypergraph, ValidationReport,
                            cell_sort_key, full_subset, max_delta_subset)
 from superph.faceops import MarkedSubgraph
-from superph.fields import GF2, Field, FieldMatrix, Span, rref
+from superph.fields import GF2, Field, FieldMatrix, Span, _ranks, rref
 from superph.graphs import Subgraph
 from superph.homology import MvReport, MvRow, boundary_matrices
 from superph.persistence import (MODULE_KINDS, Bar, Barcode, TriangleReport,
@@ -1574,3 +1578,47 @@ def checked_relabel(host, closure):
         return MarkedSubgraph(sub, frozenset(v for r, v in enumerate(vids) if cell[2] >> r & 1))
 
     return relabel(closure, label)
+
+
+# ---------------------------------------------------------------------------
+# Mask walks through a decode
+# ---------------------------------------------------------------------------
+
+def decoded_union(table, mask: int) -> int:
+    """The union of table[r] over the decoded ranks r of mask."""
+    out = 0
+    for r in _ranks(mask):
+        out |= table[r]
+    return out
+
+
+def decoded_induced_edges(host, vmask: int) -> int:
+    """The edges of host met twice by the decoded vertices of vmask, and
+    the loops met once."""
+    once = twice = 0
+    for r in _ranks(vmask):
+        twice |= once & host._inc[r]
+        once |= host._inc[r]
+    return twice | (once & host._loops)
+
+
+def decoded_vertex_deletion_map(host):
+    """The vertex-deletion faces of a cell: one per decoded vertex rank r,
+    increasing, without r and its incident edges."""
+    return lambda cell: [(cell[0] & ~(1 << r), cell[1] & ~host._inc[r])
+                         for r in _ranks(cell[0])]
+
+
+def decoded_combine(coeffs: int, vectors) -> int:
+    """The GF(2) sum of vectors[k] over the decoded ranks k of coeffs."""
+    out = 0
+    for k in _ranks(coeffs):
+        out ^= vectors[k]
+    return out
+
+
+def decoded_relabel(v: int, table, out: int = 0) -> int:
+    """out with bit table[i] set for every decoded rank i of v."""
+    for i in _ranks(v):
+        out |= 1 << table[i]
+    return out

@@ -1042,6 +1042,25 @@ def test_cli_nonfinite_constant_value_is_usage_error(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["score", "persist"])
+@pytest.mark.parametrize("variant", ["strong", "vr_strong", "weak", "vr_weak"])
+def test_cli_witnesses_of_another_dimension_are_a_format_error(tmp_path, capsys, command,
+                                                               variant):
+    # a 3-D witness file beside a 2-D cloud is an input error naming the
+    # witness file and both dimensions, found before any output is written
+    witnesses = tmp_path / "wit.xyz"
+    witnesses.write_text("w0 0 0 0\nw1 1 1 1\n")
+    argv = [command, "--cloud", str(write_square_inputs(tmp_path)), "--construction", "clique",
+            "--scheme", f"witness:{variant}", "--witnesses", str(witnesses),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {witnesses}:1: witness points have 3 coordinates, "
+                            "the cloud's points have 2\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value, loaded", [
     ("1", True), ("TRUE", True), ("Yes", True),
     ("0", False), ("False", False), ("no", False),

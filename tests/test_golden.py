@@ -13,8 +13,10 @@ graph-data constructions (the path complex of a digraph and edge deletion
 over GF(2), the neighborhood complex over GF(3)), so a change to their
 cell order or labels shows too.  One more pins the Čech scores on the
 clique Δ-set, so a change to the minimal enclosing ball that moves a
-rounded radius shows.  The inputs are written from a seeded generator
-with fixed-precision coordinates.
+rounded radius shows, and one the VR-strong witness scores there, so a
+change to the witness values or to the pairwise scoring route shows.
+The inputs are written from a seeded generator with fixed-precision
+coordinates.
 """
 
 import hashlib
@@ -166,6 +168,11 @@ JOBS = {
         "9890d31db7cde2490fc4a5b8b0ac0aaf8f33de56b3fc5bd971cefd684f18eead",
         "9e7bd1f2d9434186f547fe548c154b6f16d73ddefd9bd58574c1bf7bf9f3a578",
         "67cbec551a780df3deb645b38ff81aa2368f438322233e26ff8c57df1fa5c87d")),
+    "witness_vr_strong": (write_clique_inputs, 8, 1.0,
+                          ["--scheme", "witness:vr_strong", "--field", "gf2"], (
+        "1d6db79b632f03da1d8a4c40121765e466a272857d73de27f76389eb478e013a",
+        "7b82cf4dd6bf9b9b851c99df4072e64a61d3496c75a4c94bc02aecf656f300fe",
+        "d0cf3fb2ece2657bb0b9871d53c07d4a974aae0c0d46093090a970525fb94004")),
     "secondary_vd": (family_inputs("secondary_vd"), 9, 0.5,
                      ["--scheme", "vr", "--field", "gf2"], (
         "9dec47635cafa78c3904c392c8740ed3a0b593236746f7aa10fdbee482dc753f",

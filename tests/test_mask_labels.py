@@ -6,10 +6,10 @@ filtration checks and the point-cloud scores read those masks, and a
 
 import itertools
 import random
-from functools import partial
+from functools import cache, partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import superph.faceops
 import superph.graphs
@@ -22,13 +22,15 @@ from superph import (Clustering, DeltaSet, GradedSubset, MarkedSubgraph, MultiGr
 from superph import formats
 from superph.cli import JobConfig, build_super_hypergraph, main
 from superph.delta import close_under_faces
+from superph.fields import GF2, _Masks
 from superph.faceops import _start_key, edge_deletion_faces
 from superph.graphs import (_clique_cells, _keep_cells, _rank_key, _rank_order, _ranks,
-                            neighborhood_delta, vertex_deletion_map)
+                            _union, neighborhood_delta, vertex_deletion_map)
 from superph.persistence import DominationError
-from superph.scoring import cell_scores, pullback_scheme
+from superph.scoring import _cell_masks, _scores, cell_scores, pullback_scheme
 
-from oracles import checked_relabel, recursive_sort_key
+from oracles import (checked_relabel, decoded_combine, decoded_induced_edges, decoded_relabel,
+                     decoded_union, decoded_vertex_deletion_map, recursive_sort_key)
 
 
 def mixed_inputs():
@@ -128,6 +130,134 @@ def test_mask_constructions_filter_and_score_without_a_subgraph(monkeypatch, kin
     raw = {vr_points(tied.of(sh.x.label(n, j).vertices)) for n, j in sh.x.cells()}
     assert len(raw) > len(critical_values(vr_scheme(tied), sh.x))
     assert_times_are_the_critical_values(sh, seeded_random_scheme(5), experimental=True)
+
+
+# ---------------------------------------------------------------------------
+# the pairwise route
+# ---------------------------------------------------------------------------
+
+PAIRWISE = (vr_scheme, partial(witness_scheme, variant="vr_strong"))
+PAIRWISE_IDS = ("vr", "witness_vr_strong")
+
+
+def count_direct_scores(scheme) -> list:
+    """Record each direct (of_points) score of a vertex scheme from now on."""
+    point, of_points, pair = scheme._vertices
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return of_points(points)
+
+    scheme._vertices = (point, counted, pair)
+    return calls
+
+
+def assert_scores_are_the_direct_ones(scheme, x) -> list:
+    """Every unrounded `_scores` value equals `scheme.score` of the cell's
+    label, bit for bit; the sizes of the cells scored directly."""
+    calls = count_direct_scores(scheme)
+    got = _scores(scheme, *_cell_masks(x))
+    assert got == [[scheme.score(x.label(n, j)) for j in range(x.counts[n])]
+                   for n in range(x.dim_count)]
+    return calls
+
+
+@pytest.mark.parametrize("scheme_of", PAIRWISE, ids=PAIRWISE_IDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_pairwise_scores_equal_the_direct_route(kind, scheme_of):
+    # on the plain cloud and on near ties, whose distances differ in the
+    # float and not in 12 digits; the clique Δ-set scores most of its cells
+    # from their deletions
+    g, pc, fam, clustering = mixed_inputs()
+    x = construct(kind, g, fam, clustering).x
+    for cloud in (pc, near_ties(sorted(g.vertices))):
+        direct = assert_scores_are_the_direct_ones(scheme_of(cloud), x)
+        if kind == "clique":
+            assert len(direct) < x.total_cells() and max(direct) == 2
+
+
+@pytest.mark.parametrize("scheme_of", PAIRWISE, ids=PAIRWISE_IDS)
+def test_pairwise_scores_of_a_large_partition_member(scheme_of):
+    # partition faces delete whole clusters, so no cell of a 40-vertex
+    # member has its one-vertex deletions: every cell is scored directly
+    rng = random.Random(33)
+    names = [f"u{i}" for i in range(44)]
+    g = MultiGraph.complete(names)
+    pc = PointCloud({v: (rng.random(), rng.random(), rng.random()) for v in names})
+    fam = SubgraphFamily(g, [g.induced(names[:40]), g.induced(names[38:])])
+    x = partition_faces(fam, Clustering(g, [names[k::4] for k in range(4)])).x
+    direct = assert_scores_are_the_direct_ones(scheme_of(pc), x)
+    assert len(direct) == x.total_cells() and max(direct) == 40
+
+
+def first_unembedded(x, cloud) -> str:
+    """The message of the first vertex, in cell order and then in rank
+    order within a cell, that the cloud does not embed."""
+    for n, j in x.cells():
+        label = x.label(n, j)
+        for v in getattr(label, "subgraph", label).key[0]:
+            if v not in cloud.points:
+                return f"vertex {v!r} is not embedded"
+    raise AssertionError("every vertex is embedded")
+
+
+@pytest.mark.parametrize("scheme_of", PAIRWISE, ids=PAIRWISE_IDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_pairwise_scores_name_the_first_unembedded_vertex(kind, scheme_of):
+    g, pc, fam, clustering = mixed_inputs()
+    x = construct(kind, g, fam, clustering).x
+    cloud = PointCloud({v: p for v, p in pc.points.items() if v not in ("v2", "v7")})
+    with pytest.raises(ValueError) as err:
+        critical_values(scheme_of(cloud), x)
+    assert str(err.value) == first_unembedded(x, cloud)
+
+
+# ---------------------------------------------------------------------------
+# walks over the set bits of a mask
+# ---------------------------------------------------------------------------
+
+WIDE = 10_050
+# ranks at the ends of a word and far past one machine word
+EDGE_RANKS = (0, 1, 2, 63, 64, 65, 127, 128, 9_999, 10_000, 10_001, WIDE - 1)
+
+
+@cache
+def wide_tables():
+    """A multigraph on the ranks 0..WIDE-1 whose edges (loops and parallel
+    edges among them) join EDGE_RANKS and a few other vertices; a table of
+    WIDE nonzero masks; and a table of WIDE distinct targets."""
+    rng = random.Random(33)
+    ends = list(EDGE_RANKS) + rng.sample(range(WIDE), 30)
+    pairs = [(0, 0), (0, 1), (0, 10_000), (64, 10_000), (10_000, 10_000), (0, 1)]
+    pairs += [(rng.choice(ends), rng.choice(ends)) for _ in range(400)]
+    host = MultiGraph(range(WIDE), dict(enumerate(pairs)))
+    assert host._vids == tuple(range(WIDE))
+    masks = [1 << r | 1 << rng.randrange(WIDE) for r in range(WIDE)]
+    return host, masks, rng.sample(range(WIDE + 64), WIDE)
+
+
+wide_masks = st.sets(st.one_of(st.sampled_from(EDGE_RANKS), st.integers(0, WIDE - 1)),
+                     max_size=10).map(lambda ranks: sum(1 << r for r in ranks))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(wide_masks, wide_masks, wide_masks)
+@example(0, 0, 0)
+@example(1, 1, 1)
+@example(1 | 1 << 10_000, 1 << 64, 1 << 10_000)
+@example(1 | 2 | 1 << 64 | 1 << 10_000, (1 << WIDE) - 1, 1 << 64 | 1)
+def test_mask_walks_match_their_decoded_forms(vm, em, other):
+    # the walks over set bits in place give what a decode into ranks gives:
+    # the same unions and sums, and the same faces in the same order
+    host, masks, targets = wide_tables()
+    assert _union(masks, vm) == decoded_union(masks, vm)
+    assert _union(host._inc, vm) == decoded_union(host._inc, vm)
+    assert host._induced_edges(vm) == decoded_induced_edges(host, vm)
+    assert vertex_deletion_map(host)((vm, em)) == decoded_vertex_deletion_map(host)((vm, em))
+    assert _Masks.combine(GF2, vm, masks) == decoded_combine(vm, masks)
+    assert _Masks.relabel(vm, targets) == decoded_relabel(vm, targets)
+    assert _Masks.relabel(vm, targets, other) == decoded_relabel(vm, targets, other)
 
 
 # ---------------------------------------------------------------------------

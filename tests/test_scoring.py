@@ -192,6 +192,16 @@ def test_witness_set_given_empty_or_as_ints():
 
 
 @pytest.mark.parametrize("variant", ["strong", "vr_strong", "weak", "vr_weak"])
+def test_witness_scheme_rejects_witnesses_of_another_dimension(variant):
+    # checked once, when the scheme is built, before any cell is scored
+    pc = PointCloud({0: (0.0, 0.0), 1: (2.0, 0.0)})
+    with pytest.raises(ValueError, match=r"^witness points have 3 coordinates, the cloud's "
+                                         r"points have 2$"):
+        witness_scheme(pc, variant, witnesses=[(1.0, 1.0), (1.0, 1.0, 1.0)])
+    assert witness_scheme(pc, variant, witnesses=[(1, 1)]).name == f"witness:{variant}"
+
+
+@pytest.mark.parametrize("variant", ["strong", "vr_strong", "weak", "vr_weak"])
 def test_witness_score_matches_per_pair_reference(variant):
     rng = random.Random(f"witness/{variant}")
     for _ in range(30):
