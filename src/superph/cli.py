@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 
-from . import formats, homology, render
+from . import formats, render
 from .delta import DeltaIdentityError, SuperHypergraph, full_subset, is_complete, is_regular
 from .faceops import (edge_deletion_faces, link_blowup_faces, partition_faces,
                       primary_vertex_deletion, secondary_vertex_deletion, starting_vertex_faces)
@@ -193,8 +193,8 @@ def build_super_hypergraph(cfg: JobConfig) -> SuperHypergraph:
 
 def build_scheme(cfg: JobConfig):
     name = cfg.scheme
-    if name is None:
-        raise UsageError(f"scheme must be one of {SCHEMES}")
+    if name not in SCHEMES:
+        raise UsageError(f"scheme must be one of {SCHEMES}, got {name!r}")
     if name == "constant":
         return constant_scheme(cfg.constant_value)
     if name == "seeded_random":
@@ -213,14 +213,13 @@ def build_scheme(cfg: JobConfig):
                                           f"coordinates, the cloud's points have {cloud.dim}")
             witnesses = read.all_points()
         return witness_scheme(cloud, name.split(":", 1)[1], witnesses)
-    if name == "pullback":
-        if cfg.pullback_base not in ("vr", "cech"):
-            raise UsageError(f"config key 'pullback_base': must be vr or cech, "
-                             f"got {cfg.pullback_base!r}")
-        cloud = _load_cloud(cfg)
-        base = vr_points if cfg.pullback_base == "vr" else cech_points
-        return pullback_scheme(cloud.points, base, name=f"pullback:{cfg.pullback_base}")
-    raise UsageError(f"scheme must be one of {SCHEMES}, got {name!r}")
+    # the one scheme left: pullback
+    if cfg.pullback_base not in ("vr", "cech"):
+        raise UsageError(f"config key 'pullback_base': must be vr or cech, "
+                         f"got {cfg.pullback_base!r}")
+    cloud = _load_cloud(cfg)
+    base = vr_points if cfg.pullback_base == "vr" else cech_points
+    return pullback_scheme(cloud.points, base, name=f"pullback:{cfg.pullback_base}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +262,12 @@ def run_homology(cfg: JobConfig) -> int:
     report.cell_counts = sh.x.counts
     fld = cfg.coefficient_field()
     t0 = time.perf_counter()
-    cc = homology.boundary_matrices(sh.x, fld)
     tables = {
-        "embedded": embedded_betti(sh, fld, "absolute", cc=cc),
-        "relative": embedded_betti(sh, fld, "relative", cc=cc),
-        "ambient": embedded_betti(sh, fld, "ambient", cc=cc),
+        "embedded": embedded_betti(sh, fld, "absolute"),
+        "relative": embedded_betti(sh, fld, "relative"),
+        "ambient": embedded_betti(sh, fld, "ambient"),
     }
-    series = gap_series(sh, fld, cc=cc)
+    series = gap_series(sh, fld)
     report.timings["homology"] = time.perf_counter() - t0
     outputs = [("betti.csv", "write_betti_csv", tables), ("gap.csv", "write_gap_csv", series)]
     if cfg.properties:

@@ -84,10 +84,11 @@ class DeltaSet:
     mask) cells over its ranks, or (vertex, edge, starting-vertex) mask
     triples, and `label` and `labels` decode them into subgraphs of it, or
     marked subgraphs (`MultiGraph._cell_subgraph`); otherwise they are the
-    labels themselves.
+    labels themselves.  `_complexes` holds the chain complex of each field
+    (`homology.boundary_matrices`), built from the face rows once.
     """
 
-    __slots__ = ("counts", "faces", "_labels", "host", "_report")
+    __slots__ = ("counts", "faces", "_labels", "host", "_report", "_complexes")
 
     def __init__(self, counts: Sequence[int], faces: Sequence[Sequence[Sequence[int]]],
                  labels: Sequence[Sequence] | None = None):
@@ -116,6 +117,7 @@ class DeltaSet:
         self._labels = _label_rows(self.counts, labels)
         self.host = None
         self._report = None
+        self._complexes = {}
 
     @property
     def dim_count(self) -> int:
@@ -147,20 +149,25 @@ class DeltaSet:
 
     @classmethod
     def _built(cls, counts: tuple, faces: tuple, labels, host=None,
-               report: ValidationReport | None = None) -> "DeltaSet":
+               report: ValidationReport | None = None,
+               complexes: dict | None = None) -> "DeltaSet":
         """Counts and face rows in normal form (no trailing zero count, int
         rows of length n + 1) kept as they are, labels as `with_labels`, and
-        the validation report of those rows when one is known."""
+        the validation report and chain complexes of those rows when they
+        are known."""
         ds = cls.__new__(cls)
         ds.counts, ds.faces, ds.host, ds._report = counts, faces, host, report
+        ds._complexes = {} if complexes is None else complexes
         ds._labels = _label_rows(counts, labels)
         return ds
 
     def with_labels(self, labels, host=None) -> "DeltaSet":
         """This Δ-set's counts and face rows, shared, with other labels (or
         none), stored over host when given; only the label counts are
-        checked.  The validation report of the shared rows comes along."""
-        return DeltaSet._built(self.counts, self.faces, labels, host, self._report)
+        checked.  The validation report of the shared rows comes along, and
+        so do their chain complexes, one dict for both Δ-sets."""
+        return DeltaSet._built(self.counts, self.faces, labels, host, self._report,
+                               self._complexes)
 
     def validate(self) -> ValidationReport:
         """Check face-reference ranges, then every instance of the Δ-identity.

@@ -7,10 +7,13 @@ complex is the smallest subcomplex containing it, sup_n = D_n + ∂(D_{n+1}).
 Their common homology — cycles D_n ∩ ker ∂ modulo boundaries
 D_n ∩ ∂(D_{n+1}) — is the embedded homology of the pair.
 
-The static invariants are ranks of pieces of ∂, read off one sparse
-lowest-one column reduction (`fields.reduce_columns`) of the boundary
-columns, memoised on the chain complex.  With M_n = ∂_n restricted to the
-rows X_{n-1} ∖ H_{n-1} and the columns H_n:
+Every invariant of (H, X) is read from one chain complex, that of X:
+`boundary_matrices` builds it once per Δ-set and field and keeps it on the
+Δ-set, so every caller shares its columns and its rank memo.  The static
+invariants are ranks of pieces of ∂, read off one sparse lowest-one column
+reduction (`fields.reduce_columns`) of the boundary columns, memoised on
+the chain complex.  With M_n = ∂_n restricted to the rows X_{n-1} ∖ H_{n-1}
+and the columns H_n:
 
 - ambient β_n = |X_n| - rk ∂_n - rk ∂_{n+1};
 - embedded β_n = |H_n| - rk ∂_n|H_n - rk ∂_{n+1}|H_{n+1} + rk M_{n+1};
@@ -59,8 +62,8 @@ class ChainComplex:
     columns[n][j] is ∂_n of the j-th n-cell as a sparse column in the
     field's vector format (`Field.kernel`: {row: nonzero entry}, or over
     GF(2) an int with bit row set), rows indexing (n-1)-cells; the columns
-    of degree 0 are zero.  `memo` holds the column reductions built on this
-    complex.
+    of degree 0 are zero.  `memo` holds the ranks of the column
+    reductions built on this complex.
     """
 
     field: Field
@@ -85,8 +88,13 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     Each coefficient is summed as an integer face count and then taken into
     the field once.
 
-    The Δ-identity is validated first.  Each degree's sparse columns are
-    built once from the face lists, and ∂∂ = 0 is checked on them."""
+    The complex is kept on the Δ-set, one per field, as `DeltaSet.validate`
+    keeps its report: the Δ-identity is validated, each degree's sparse
+    columns are built from the face lists and ∂∂ = 0 is checked on them
+    once per Δ-set and field, and every later call returns that complex."""
+    cc = x._complexes.get(field)
+    if cc is not None:
+        return cc
     report = x.validate()
     if not report.ok:
         raise DeltaIdentityError(report)
@@ -104,7 +112,8 @@ def boundary_matrices(x: DeltaSet, field: Field) -> ChainComplex:
     for n in range(2, x.dim_count):
         if any(combine(field, col, columns[n - 1]) for col in columns[n]):
             raise AssertionError(f"∂∂ != 0 between degrees {n} and {n - 2}")
-    return ChainComplex(field, tuple(columns))
+    cc = x._complexes[field] = ChainComplex(field, tuple(columns))
+    return cc
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +197,11 @@ class EmbeddedChainData:
     sup: tuple[Span, ...]
 
 
-def embedded_chain_data(sh: SuperHypergraph, field: Field,
-                        cc: ChainComplex | None = None) -> EmbeddedChainData:
+def embedded_chain_data(sh: SuperHypergraph, field: Field) -> EmbeddedChainData:
     """inf_n = D_n ∩ ∂⁻¹(D_{n-1}) and sup_n = D_n + ∂(D_{n+1}), where D_n
     is the coordinate span of the marked n-cells; inf_n is spanned by the
     basis of the marking entering at one step."""
-    if cc is None:
-        cc = boundary_matrices(sh.x, field)
+    cc = boundary_matrices(sh.x, field)
     h = sh.h
     entry = tuple(tuple(0 if j in h.at(n) else math.inf for j in range(count))
                   for n, count in enumerate(cc.dims))
@@ -255,8 +262,8 @@ def _boundary_ranks(cc: ChainComplex, n: int, marked: frozenset, marked_rows: fr
     return ranks
 
 
-def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
-                   cc: ChainComplex | None = None) -> tuple[int, ...]:
+def embedded_betti(sh: SuperHypergraph, field: Field,
+                   mode: str = "absolute") -> tuple[int, ...]:
     """Betti numbers of the embedded (absolute), relative, or ambient homology.
 
     With M_n = ∂_n on the rows X_{n-1} ∖ H_{n-1} and the columns H_n:
@@ -273,8 +280,7 @@ def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
     """
     if mode not in ("absolute", "relative", "ambient"):
         raise ValueError(f"unknown mode {mode!r}")
-    if cc is None:
-        cc = boundary_matrices(sh.x, field)
+    cc = boundary_matrices(sh.x, field)
     h = sh.h
     out = []
     for n in range(sh.x.dim_count):
@@ -289,12 +295,10 @@ def embedded_betti(sh: SuperHypergraph, field: Field, mode: str = "absolute",
     return tuple(out)
 
 
-def gap_series(sh: SuperHypergraph, field: Field,
-               cc: ChainComplex | None = None) -> tuple[int, ...]:
+def gap_series(sh: SuperHypergraph, field: Field) -> tuple[int, ...]:
     """Coefficients of the Hilbert–Poincaré series of sup/inf:
     coefficient n = dim sup_n - dim inf_n = rk M_n + rk M_{n+1}."""
-    if cc is None:
-        cc = boundary_matrices(sh.x, field)
+    cc = boundary_matrices(sh.x, field)
     h = sh.h
     ranks = [_boundary_ranks(cc, n, h.at(n), h.at(n - 1))[1] for n in range(sh.x.dim_count + 1)]
     return tuple(ranks[n] + ranks[n + 1] for n in range(sh.x.dim_count))
@@ -400,17 +404,11 @@ def mv_diagnostics(sh: SuperHypergraph, a: GradedSubset, b: GradedSubset,
     if a.union(b) != full_subset(x):
         raise ValueError("A ∪ B must cover every cell of X")
     cc = boundary_matrices(x, field)
-
-    def chain_data(marks: GradedSubset) -> EmbeddedChainData:
-        return embedded_chain_data(SuperHypergraph(x, marks), field, cc)
-
     h_a = sh.h.intersection(a)
     h_b = sh.h.intersection(b)
-    h_ab = sh.h.intersection(a).intersection(b)
-    data_a = chain_data(h_a)
-    data_b = chain_data(h_b)
-    data_ab = chain_data(h_ab)
-    data_x = chain_data(sh.h)
+    data_a, data_b, data_ab, data_x = (
+        embedded_chain_data(SuperHypergraph(x, marks), field)
+        for marks in (h_a, h_b, h_a.intersection(b), sh.h))
 
     nd = x.dim_count
     sup_int = [data_a.sup[n].intersect(data_b.sup[n]) for n in range(nd)]

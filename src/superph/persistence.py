@@ -81,11 +81,13 @@ class Filtration:
     entry[n][j] is the step at which cell (n, j) joins X(t): the first i with
     scores[n][j] <= times[i], or math.inf if there is none; marked[n][j] is
     the step at which it joins H(t), math.inf for a cell outside H.  The
-    chain complex over each field is memoised, and the reduced filtered
-    complexes on its `memo`, keyed by the entry tables they are built from.
+    chain complex over a field is the Δ-set's own (`boundary_matrices`);
+    the filtered bases and reduced modules built on it are kept here, in
+    `_modules`, keyed by the field and the entry tables they are built
+    from, so they are freed with the filtration.
     """
 
-    __slots__ = ("sh", "times", "entry", "marked", "_cc")
+    __slots__ = ("sh", "times", "entry", "marked", "_modules")
 
     def __init__(self, sh: SuperHypergraph, times: Sequence[float],
                  scores: Sequence[Sequence[float]]):
@@ -98,16 +100,14 @@ class Filtration:
             for row in scores)
         self.marked = tuple(tuple(e if j in sh.h.at(n) else math.inf for j, e in enumerate(row))
                             for n, row in enumerate(self.entry))
-        self._cc: dict[Field, ChainComplex] = {}
+        self._modules: dict[tuple, object] = {}
 
     @property
     def steps(self) -> int:
         return len(self.times)
 
     def chain_complex(self, field: Field) -> ChainComplex:
-        if field not in self._cc:
-            self._cc[field] = boundary_matrices(self.sh.x, field)
-        return self._cc[field]
+        return boundary_matrices(self.sh.x, field)
 
 
 def build_filtration(sh: SuperHypergraph, scheme, experimental: bool = False) -> Filtration:
@@ -326,33 +326,35 @@ class _Complex:
                 for t, r in self.killers[n].values()]
 
 
-def _bases(cc: ChainComplex, entry) -> tuple[FilteredBasis, ...]:
+def _bases(filt: Filtration, cc: ChainComplex, entry) -> tuple[FilteredBasis, ...]:
     """The filtered bases of inf(·) of the marking entering at `entry`, in
-    every degree, memoised on the chain complex under that entry table."""
-    key = ("bases", entry)
-    if key not in cc.memo:
-        cc.memo[key] = tuple(inf_basis(cc, entry, n) for n in range(cc.dim_count))
-    return cc.memo[key]
+    every degree, memoised on the filtration under the field and that entry
+    table."""
+    key = ("bases", cc.field, entry)
+    if key not in filt._modules:
+        filt._modules[key] = tuple(inf_basis(cc, entry, n) for n in range(cc.dim_count))
+    return filt._modules[key]
 
 
 def _complex(filt: Filtration, field: Field, which: str) -> _Complex:
-    """The reduced filtered complex of one module kind, memoised on the chain
-    complex under the entry tables of its a-part and c-part: the relative
-    module is the cone of inf(H(t)) -> inf(X(t)), the ambient and embedded
-    ones the cone of the zero map into inf(X(t)) and inf(H(t)).  Under a full
-    marking the two tables are equal, so the embedded module is the ambient
-    one."""
+    """The reduced filtered complex of one module kind, memoised on the
+    filtration under the field and the entry tables of its a-part and
+    c-part: the relative module is the cone of inf(H(t)) -> inf(X(t)), the
+    ambient and embedded ones the cone of the zero map into inf(X(t)) and
+    inf(H(t)).  Under a full marking the two tables are equal, so the
+    embedded module is the ambient one.  The chain complex is fetched only
+    when a module is built."""
     if which not in MODULE_KINDS:
         raise ValueError(f"unknown module kind {which!r}")
-    cc = filt.chain_complex(field)
     relative = which == "relative"
     h_entry = filt.marked if relative else None
     x_entry = filt.marked if which == "embedded" else filt.entry
-    key = ("cone", h_entry, x_entry)
-    if key not in cc.memo:
-        cc.memo[key] = _Complex(cc, _bases(cc, h_entry) if relative else (),
-                                _bases(cc, x_entry))
-    return cc.memo[key]
+    key = ("cone", field, h_entry, x_entry)
+    if key not in filt._modules:
+        cc = filt.chain_complex(field)
+        filt._modules[key] = _Complex(cc, _bases(filt, cc, h_entry) if relative else (),
+                                      _bases(filt, cc, x_entry))
+    return filt._modules[key]
 
 
 def _summands(filt: Filtration, field: Field, which: str, degree: int) -> list[_Summand]:
@@ -457,7 +459,7 @@ def _arrow_coefficients(filt: Filtration, field: Field, arrow: str, degree: int)
         for s in src_sum:
             chain = scx.representative(degree, s)
             if arrow == "boundary":
-                chain = _chain_boundary(filt.chain_complex(field), degree, chain)
+                chain = _chain_boundary(scx.cc, degree, chain)
             solved = field.kernel.decode(dcx.solve(dst[1], chain))
             coeffs.append({column[low]: c for low, c in solved.items() if low in column})
     return src_sum, dst_sum, coeffs
@@ -584,7 +586,6 @@ def triangle_report(filt: Filtration, field: Field) -> TriangleReport:
     steps, nd = filt.steps, filt.sh.x.dim_count
     if not steps:
         return TriangleReport((), True)
-    cc = filt.chain_complex(field)
     cxs = {w: _complex(filt, field, w) for w in MODULE_KINDS}
     z = {(w, n): cxs[w].cycle_chains(n) for w in MODULE_KINDS for n in range(nd)}
     b = {(w, n): cxs[w].boundary_chains(n) for w in MODULE_KINDS for n in range(nd)}
@@ -600,7 +601,7 @@ def triangle_report(filt: Filtration, field: Field) -> TriangleReport:
 
     zero = [0] * steps
     connecting = [zero] + [
-        rank([(i, _chain_boundary(cc, n, v)) for i, v in z["relative", n]],
+        rank([(i, _chain_boundary(cxs["relative"].cc, n, v)) for i, v in z["relative", n]],
              b["embedded", n - 1])
         for n in range(1, nd)] + [zero]
     rows = []

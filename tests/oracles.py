@@ -469,10 +469,9 @@ class DenseChainData:
     sup: tuple[SubspaceBasis, ...]
 
 
-def dense_embedded_chain_data(sh, field: Field, cc=None) -> DenseChainData:
+def dense_embedded_chain_data(sh, field: Field) -> DenseChainData:
     """inf_n and sup_n = D_n + ∂(D_{n+1}) as dense subspaces."""
-    if cc is None:
-        cc = boundary_matrices(sh.x, field)
+    cc = boundary_matrices(sh.x, field)
     nd = sh.x.dim_count
     return DenseChainData(
         tuple(dense_inf_space(cc, sh.h, n) for n in range(nd)),
@@ -508,7 +507,7 @@ def dense_mv_diagnostics(sh, a, b, field: Field) -> MvReport:
     x = sh.x
     cc = boundary_matrices(x, field)
     data_a, data_b, data_ab, data_x = (
-        dense_embedded_chain_data(SuperHypergraph(x, marks), field, cc)
+        dense_embedded_chain_data(SuperHypergraph(x, marks), field)
         for marks in (sh.h.intersection(a), sh.h.intersection(b),
                       sh.h.intersection(a).intersection(b), sh.h))
     nd = x.dim_count
@@ -737,15 +736,18 @@ def oracle_persistence_bars_gf2(filt, degree, marked_only=False):
 
 def levels(filt):
     """(level_x, level_h): the cells of X(t_i) and of H(t_i) = H ∩ X(t_i)
-    at every step i, built once per filtration: they depend on no field, so
-    they are memoised on its GF(2) chain complex."""
+    at every step i, built once per pair of entry tables: they depend on no
+    field, so they are memoised on the Δ-set's GF(2) chain complex, which
+    every filtration of that Δ-set shares, under the filtration's `entry`
+    and `marked` tables."""
     memo = filt.chain_complex(GF2).memo
-    if "oracle_levels" not in memo:
+    key = ("oracle_levels", filt.entry, filt.marked)
+    if key not in memo:
         level_x = [GradedSubset({n: [j for j, e in enumerate(row) if e <= i]
                                  for n, row in enumerate(filt.entry)})
                    for i in range(filt.steps)]
-        memo["oracle_levels"] = (level_x, [filt.sh.h.intersection(lx) for lx in level_x])
-    return memo["oracle_levels"]
+        memo[key] = (level_x, [filt.sh.h.intersection(lx) for lx in level_x])
+    return memo[key]
 
 
 def inf_space(cc, marks, n: int) -> SubspaceBasis:

@@ -136,10 +136,10 @@ def test_criterion_08_inf_sup_agreement_and_gap_acyclicity():
     for k, sh in enumerate(instances):
         for field in (GF2, QQ):
             cc = boundary_matrices(sh.x, field)
-            data = embedded_chain_data(sh, field, cc)
+            data = embedded_chain_data(sh, field)
             from_inf = subcomplex_homology(cc, list(data.inf))
             from_sup = subcomplex_homology(cc, list(data.sup))
-            assert from_inf == from_sup == embedded_betti(sh, field, cc=cc), k
+            assert from_inf == from_sup == embedded_betti(sh, field), k
             inf = [dense_span(s, c) for s, c in zip(data.inf, sh.x.counts)]
             sup = [dense_span(s, c) for s, c in zip(data.sup, sh.x.counts)]
             nd = sh.x.dim_count

@@ -703,15 +703,16 @@ def test_cli_homology_rejects_malformed_delta(tmp_path, capsys, text, lineno, me
 
 
 def test_cli_homology_builds_one_boundary_per_job(tmp_path, monkeypatch):
-    # the three Betti tables and the gap series share one ∂; the outputs are
-    # those of a build per table
+    # the three Betti tables and the gap series share one ∂, the Δ-set's
+    # complex, which each of them fetches; the outputs are those of a build
+    # per table
     import superph.homology
     real = superph.homology.boundary_matrices
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(superph.homology, "boundary_matrices", counted)
     delta = tmp_path / "pillow.delta"
@@ -722,7 +723,7 @@ def test_cli_homology_builds_one_boundary_per_job(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["homology", "--delta", str(delta), "--field", "rational",
                  "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 4 and all(cc is calls[0] for cc in calls)
     assert (out / "betti.csv").read_text() == (
         "module,degree,value\n"
         "embedded,0,1\nembedded,1,0\nembedded,2,1\n"
@@ -903,6 +904,44 @@ def test_cli_usage_errors(tmp_path):
     cloud = write_square_inputs(tmp_path)
     assert main(["persist", "--cloud", str(cloud), "--construction", "zz",
                  "--scheme", "vr"]) == 1
+
+
+@pytest.mark.parametrize("scheme", ["witness:bogus", "bogus"])
+def test_cli_unknown_scheme_is_usage_error(tmp_path, capsys, scheme):
+    # a scheme outside SCHEMES, a witness variant included, is a usage error
+    # (exit 1) naming the schemes, checked before any input is read
+    cloud = write_square_inputs(tmp_path)
+    assert main(["score", "--cloud", str(cloud), "--construction", "clique",
+                 "--scheme", scheme]) == 1
+    err = capsys.readouterr().err
+    assert f"error: scheme must be one of {cli.SCHEMES}, got {scheme!r}" in err, err
+
+
+def test_cli_jobs_on_an_empty_delta_file(tmp_path):
+    # a Δ-set file holding only a comment is the empty Δ-set: a homology job
+    # and a constant-scheme persist job succeed and write their files with
+    # headers only
+    delta = tmp_path / "empty.delta"
+    delta.write_text("# no cells\n")
+    assert main(["homology", "--delta", str(delta), "--out", str(tmp_path / "h")]) == 0
+    assert (tmp_path / "h" / "betti.csv").read_text() == "module,degree,value\n"
+    assert (tmp_path / "h" / "gap.csv").read_text() == "degree,value\n"
+    assert main(["persist", "--delta", str(delta), "--scheme", "constant",
+                 "--out", str(tmp_path / "p")]) == 0
+    headers = {"barcodes.csv": "degree,birth,death,multiplicity,module",
+               "correlation.csv": "arrow,row,col,value",
+               "triangle.csv": "degree,step,t,dim_embedded,dim_ambient,dim_relative,"
+                               "rank_j,rank_p,rank_boundary,exact"}
+    for name, header in headers.items():
+        assert (tmp_path / "p" / name).read_text() == header + "\n", name
+
+
+def test_cli_mark_without_cells_is_format_error(tmp_path, capsys):
+    delta = tmp_path / "marks.delta"
+    delta.write_text("mark 0 a\n")
+    assert main(["homology", "--delta", str(delta), "--out", str(tmp_path / "o")]) == 1
+    assert "marks.delta:1: mark without any cells" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("config, flags, message", [

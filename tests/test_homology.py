@@ -81,6 +81,79 @@ def test_boundary_rejects_invalid_delta():
         boundary_matrices(broken, GF2)
 
 
+def _partial_simplex_sh() -> SuperHypergraph:
+    x = standard_simplex_delta(3)
+    return SuperHypergraph(x, GradedSubset({0: {0, 1}, 2: {0}, 3: {0}}))
+
+
+def test_one_chain_complex_per_delta_set_and_field(monkeypatch):
+    # every reader of a Δ-set's chain complex fetches it through the module
+    # global `boundary_matrices` and gets one object, which a with_labels
+    # copy shares; a second field gets its own
+    import superph.homology
+    from superph import persistence
+    real = superph.homology.boundary_matrices
+    fetched = []
+
+    def recorded(*args):
+        fetched.append(real(*args))
+        return fetched[-1]
+
+    for module in (superph.homology, persistence):
+        monkeypatch.setattr(module, "boundary_matrices", recorded)
+    sh = _partial_simplex_sh()
+    x = sh.x
+    full = full_subset(x)
+    readers = {
+        "embedded_betti": lambda: embedded_betti(sh, QQ, "relative"),
+        "gap_series": lambda: gap_series(sh, QQ),
+        "embedded_chain_data": lambda: embedded_chain_data(sh, QQ),
+        "geometric_gap_betti": lambda: geometric_gap_betti(sh, QQ),
+        "mv_diagnostics": lambda: mv_diagnostics(sh, full, full, QQ),
+        "Filtration.chain_complex": lambda: persistence.Filtration(
+            sh, (0.0,), [[0.0] * count for count in x.counts]).chain_complex(QQ),
+    }
+    cc = real(x, QQ)
+    assert real(x, QQ) is cc
+    for name, read in readers.items():
+        fetched.clear()
+        read()
+        assert fetched and all(got is cc for got in fetched), name
+    assert real(x.with_labels(None), QQ) is cc
+    other = real(x, GF2)
+    assert other is not cc and other.field == GF2 and real(x, GF2) is other
+    assert real(DeltaSet(x.counts, x.faces), QQ) is not cc
+
+
+def test_boundary_columns_built_once_per_delta_set_and_field(monkeypatch):
+    # the columns are built, and ∂∂ = 0 checked with one `combine` per
+    # column of degree >= 2, once per Δ-set and field, however many readers
+    # fetch the complex; a with_labels copy builds nothing, a new Δ-set on
+    # the same rows builds its own
+    import superph.homology
+    real = superph.homology.combine
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(superph.homology, "combine", counted)
+    sh = _partial_simplex_sh()
+    x = sh.x
+    checked = sum(x.counts[2:])
+    for k, field in enumerate((QQ, GF2, QQ, GF2), start=1):
+        for mode in ("absolute", "relative", "ambient"):
+            embedded_betti(sh, field, mode)
+        gap_series(sh, field)
+        embedded_chain_data(sh, field)
+        geometric_gap_betti(sh, field)
+        boundary_matrices(x.with_labels(None), field)
+        assert len(calls) == min(k, 2) * checked, field
+    boundary_matrices(DeltaSet(x.counts, x.faces), QQ)
+    assert len(calls) == 3 * checked
+
+
 # ---------------------------------------------------------------------------
 # embedded chain data
 # ---------------------------------------------------------------------------
@@ -114,7 +187,7 @@ def test_chain_data_invariants(rng):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         for field in (GF2, QQ):
             cc = boundary_matrices(sh.x, field)
-            data = embedded_chain_data(sh, field, cc)
+            data = embedded_chain_data(sh, field)
             inf = [dense_span(s, c) for s, c in zip(data.inf, sh.x.counts)]
             sup = [dense_span(s, c) for s, c in zip(data.sup, sh.x.counts)]
             for n in range(sh.x.dim_count):
@@ -144,7 +217,7 @@ def test_dense_inf_matches_sparse_inf_basis(field, rng):
             sh = SuperHypergraph(x, full_subset(x))
             full += 1
         cc = boundary_matrices(x, field)
-        data = embedded_chain_data(sh, field, cc)
+        data = embedded_chain_data(sh, field)
         entry = tuple(tuple(0 if j in sh.h.at(n) else math.inf for j in range(count))
                       for n, count in enumerate(x.counts))
         for n, count in enumerate(x.counts):
@@ -294,7 +367,7 @@ def test_nonface_marking_detects_cycles(rng):
                 marks[n] = nonface
         shn = SuperHypergraph(x, GradedSubset(marks))
         cc = boundary_matrices(x, GF2)
-        betti = embedded_betti(shn, GF2, cc=cc)
+        betti = embedded_betti(shn, GF2)
         for n in range(x.dim_count):
             span = SubspaceBasis.coordinate(GF2, x.counts[n], shn.h.at(n))
             assert betti[n] == cycles_in_span(cc, n, span).dim
@@ -324,10 +397,10 @@ def test_inf_sup_homology_agree(rng):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         for field in (GF2, QQ, GF(5)):
             cc = boundary_matrices(sh.x, field)
-            data = embedded_chain_data(sh, field, cc)
+            data = embedded_chain_data(sh, field)
             from_inf = subcomplex_homology(cc, list(data.inf))
             from_sup = subcomplex_homology(cc, list(data.sup))
-            assert from_inf == from_sup == embedded_betti(sh, field, cc=cc)
+            assert from_inf == from_sup == embedded_betti(sh, field)
 
 
 def test_closure_stability(rng):
@@ -360,9 +433,9 @@ def test_relative_homology_inf_and_sup_quotients_agree(rng):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         for field in (GF2, QQ):
             cc = boundary_matrices(sh.x, field)
-            data = embedded_chain_data(sh, field, cc)
+            data = embedded_chain_data(sh, field)
             sup = [dense_span(s, c) for s, c in zip(data.sup, sh.x.counts)]
-            via_inf = embedded_betti(sh, field, "relative", cc=cc)
+            via_inf = embedded_betti(sh, field, "relative")
             nd = sh.x.dim_count
             via_sup = []
             for n in range(nd):
@@ -417,10 +490,10 @@ def test_gap_nonnegative_and_acyclic(rng):
     for _ in range(10):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         cc = boundary_matrices(sh.x, GF2)
-        series = gap_series(sh, GF2, cc)
+        series = gap_series(sh, GF2)
         assert all(v >= 0 for v in series)
         # homology of sup/inf is zero: dim Z(quotient) == dim B(quotient)
-        data = embedded_chain_data(sh, GF2, cc)
+        data = embedded_chain_data(sh, GF2)
         inf = [dense_span(s, c) for s, c in zip(data.inf, sh.x.counts)]
         sup = [dense_span(s, c) for s, c in zip(data.sup, sh.x.counts)]
         nd = sh.x.dim_count
@@ -467,9 +540,10 @@ def test_geometric_gap_matches_quotient_oracle(rng):
 
 
 def test_shared_memo_does_not_leak_between_markings(rng):
-    # one chain complex serves two markings of the same X, in turn; every
-    # result must equal the one computed on a fresh chain complex
+    # the Δ-set's one chain complex serves two markings of X, in turn; every
+    # result must equal the one computed on the complex of a fresh copy of X
     differ = 0
+    modes = ("absolute", "relative", "ambient")
     for _ in range(6):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=10)
         x = sh.x
@@ -477,26 +551,25 @@ def test_shared_memo_does_not_leak_between_markings(rng):
             {n: {j for j in range(x.counts[n]) if rng.random() < 0.5}
              for n in range(x.dim_count)}))
         for field in (GF2, GF(3), QQ):
-            cc = boundary_matrices(x, field)
             tables = []
             for marked in (sh, other, sh, other):
-                table = tuple(embedded_betti(marked, field, mode, cc=cc)
-                              for mode in ("absolute", "relative", "ambient"))
-                assert table == tuple(embedded_betti(marked, field, mode)
-                                      for mode in ("absolute", "relative", "ambient"))
-                gap = gap_series(marked, field, cc=cc)
-                assert gap == gap_series(marked, field)
+                fresh = SuperHypergraph(DeltaSet(x.counts, x.faces), marked.h)
+                table = tuple(embedded_betti(marked, field, mode) for mode in modes)
+                assert table == tuple(embedded_betti(fresh, field, mode) for mode in modes)
+                gap = gap_series(marked, field)
+                assert gap == gap_series(fresh, field)
                 tables.append((table, gap))
             differ += tables[0] != tables[1]
             # markings equal to sh except in one degree share every memo key
             # that leaves that degree out
             for k in range(x.dim_count):
-                variant = SuperHypergraph(x, GradedSubset(
-                    {n: sh.h.at(n) for n in sh.h.dims() if n != k}))
+                h = GradedSubset({n: sh.h.at(n) for n in sh.h.dims() if n != k})
+                variant = SuperHypergraph(x, h)
+                fresh = SuperHypergraph(DeltaSet(x.counts, x.faces), h)
                 for mode in ("absolute", "relative"):
-                    assert embedded_betti(variant, field, mode, cc=cc) == \
-                        embedded_betti(variant, field, mode)
-                assert gap_series(variant, field, cc=cc) == gap_series(variant, field)
+                    assert embedded_betti(variant, field, mode) == \
+                        embedded_betti(fresh, field, mode)
+                assert gap_series(variant, field) == gap_series(fresh, field)
     assert differ > 0
 
 
@@ -559,10 +632,9 @@ def test_betti_tables_reduce_each_full_boundary_once(rng, monkeypatch):
         calls.clear()
         sh = _random_clique_sh(rng)
         assert all(0 < len(sh.h.at(n)) < sh.x.counts[n] for n in range(sh.x.dim_count))
-        cc = boundary_matrices(sh.x, field)
-        tables = tuple(embedded_betti(sh, field, mode, cc=cc)
+        tables = tuple(embedded_betti(sh, field, mode)
                        for mode in ("absolute", "relative", "ambient"))
-        assert gap_series(sh, field, cc=cc) == dense_gap_series(sh, field)
+        assert gap_series(sh, field) == dense_gap_series(sh, field)
         assert len(calls) == sh.x.dim_count - 1, field
         assert tables == tuple(dense_embedded_betti(sh, field, mode)
                                for mode in ("absolute", "relative", "ambient"))
@@ -811,8 +883,8 @@ def test_sparse_spans_match_dense_oracle_property(seed, keep, field):
             assert dense_span(Span(field, relations(field, cc.columns[n])), size) == \
                 kernel_basis(boundaries(cc)[n])
 
-    data = embedded_chain_data(sh, field, cc)
-    dense = dense_embedded_chain_data(sh, field, cc)
+    data = embedded_chain_data(sh, field)
+    dense = dense_embedded_chain_data(sh, field)
     assert [dense_span(s, c) for s, c in zip(data.inf, counts)] == list(dense.inf)
     assert [dense_span(s, c) for s, c in zip(data.sup, counts)] == list(dense.sup)
     for spans, dense_spans in ((data.inf, dense.inf), (data.sup, dense.sup)):
@@ -844,7 +916,7 @@ def test_sparse_spans_match_dense_oracle_property(seed, keep, field):
         dense_reps = [dense_vector(field, counts[degree], r) for r in reps]
         assert all(z.contains(r) for r in dense_reps)
         assert subspace_sum(b, SubspaceBasis(field, counts[degree], dense_reps)).dim == \
-            b.dim + len(reps) == b.dim + embedded_betti(sh, field, cc=cc)[degree]
+            b.dim + len(reps) == b.dim + embedded_betti(sh, field)[degree]
 
 
 def test_homology_basis_of_the_empty_delta_set():

@@ -223,3 +223,60 @@ def test_vector_kernels_call_no_field_method():
     assert {"axpy", "combine", "_Dicts.axpy", "_Dicts.combine", "_Masks.axpy",
             "_Masks.combine"} <= {name for name, _ in functions(source)}
     assert field_method_calls(source, {"axpy", "combine"}) == []
+
+
+def complex_parameters(source: str) -> list[tuple[int, str]]:
+    """(line, function) of every function that takes a chain complex `cc`
+    it could fetch itself: a `cc` parameter with a default, or one beside a
+    Δ-set `x` or super-hypergraph `sh`, whose complex `boundary_matrices`
+    keeps.  A function on the complex alone, such as `inf_basis(cc, ...)`,
+    has no Δ-set to fetch it from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            names = [a.arg for a in params]
+            if "cc" not in names:
+                continue
+            positional = args.posonlyargs + args.args
+            defaulted = {a.arg for a in positional[len(positional) - len(args.defaults):]}
+            defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None}
+            if "cc" in defaulted or {"x", "sh"} & set(names):
+                found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def memo_reads(source: str) -> list[int]:
+    """Lines of every read of a `.memo` attribute."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr == "memo"]
+
+
+def test_complex_parameters_detector():
+    src = ("def betti(sh, field, mode='a', cc=None):\n    return cc.memo\n"
+           "def chain_data(sh, field, cc):\n    pass\n"
+           "def basis(cc, entry, n):\n    pass\n"
+           "class C:\n    def solve(self, *, cc=None):\n        pass\n"
+           "def ranks(x, cc, n):\n    pass\n"
+           "def fetch(x, field):\n    return boundary_matrices(x, field)\n")
+    assert complex_parameters(src) == [(1, "betti"), (3, "chain_data"), (8, "solve"),
+                                       (10, "ranks")]
+    assert memo_reads(src) == [2]
+
+
+def test_callers_fetch_the_kept_chain_complex():
+    # every reader of a Δ-set's chain complex fetches the one that
+    # `boundary_matrices` keeps on the Δ-set, never takes one from its
+    # caller; the persistence layer keeps its bases and modules on the
+    # filtration, never on the complex's memo
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                source = fh.read()
+            found += [f"{name}:{line} {fn}" for line, fn in complex_parameters(source)]
+            if name == "persistence.py":
+                found += [f"{name}:{line} .memo" for line in memo_reads(source)]
+    assert found == []

@@ -94,6 +94,7 @@ def test_empty_filtration():
     filt = build_filtration(sh, constant_scheme(0.0))
     assert filt.times == ()
     assert full_barcode(filt, GF2, "ambient").bars == ()
+    assert triangle_report(filt, GF2) == persistence.TriangleReport((), True)
 
 
 def test_filtration_requires_labels():
@@ -339,13 +340,15 @@ def test_sparse_persistence_property(data):
 
 def test_gf2_persistence_matches_dict_route(rng):
     # barcodes, every correlation matrix and the triangle over GF(2), on the
-    # library's arithmetic and on the generic route, each on a fresh
-    # filtration (the reductions are memoised on it)
-    def outputs(sh, scheme):
-        filt = build_filtration(sh, scheme)
+    # library's arithmetic and on the generic route, each on a fresh Δ-set
+    # and filtration (the chain complex, in the kernel's vector format, is
+    # kept on the Δ-set, and the reductions on the filtration)
+    def outputs(pc, marks):
+        ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=3)
+        filt = build_filtration(SuperHypergraph(ds, marks), vr_scheme(pc))
         return ([full_barcode(filt, GF2, w) for w in MODULE_KINDS],
                 [correlation_matrix(filt, GF2, a, n)
-                 for a in ARROWS for n in range(sh.x.dim_count)],
+                 for a in ARROWS for n in range(ds.dim_count)],
                 triangle_report(filt, GF2))
 
     for case in range(6):
@@ -353,10 +356,9 @@ def test_gf2_persistence_matches_dict_route(rng):
         ds = clique_delta(MultiGraph.complete(pc.ids()), max_dim=3)
         marks = GradedSubset({n: {j for j in range(ds.counts[n]) if rng.random() < 0.7}
                               for n in range(ds.dim_count)})
-        sh = SuperHypergraph(ds, marks)
-        fast = outputs(sh, vr_scheme(pc))
+        fast = outputs(pc, marks)
         with oracles.dict_route():
-            slow = outputs(sh, vr_scheme(pc))
+            slow = outputs(pc, marks)
         assert fast == slow, case
 
 
@@ -374,9 +376,8 @@ def _sublevel_betti(filt, field, i: int) -> dict:
     sub = SuperHypergraph(DeltaSet([len(row) for row in keep], faces),
                           GradedSubset({n: [index[n][j] for j in row if filt.marked[n][j] <= i]
                                         for n, row in enumerate(keep)}))
-    cc = boundary_matrices(sub.x, field)
     pad = (0,) * x.dim_count
-    return {which: (embedded_betti(sub, field, mode, cc=cc) + pad)[:x.dim_count]
+    return {which: (embedded_betti(sub, field, mode) + pad)[:x.dim_count]
             for which, mode in (("ambient", "ambient"), ("embedded", "absolute"),
                                 ("relative", "relative"))}
 
@@ -459,6 +460,37 @@ def test_filtered_complex_checks_boundaries_are_cycles(monkeypatch):
     monkeypatch.setattr("superph.persistence._check_filtered", lambda *a: None)
     with pytest.raises(AssertionError, match="boundary space not inside cycle space"):
         full_barcode(filt, GF2, "ambient")
+
+
+def test_tampered_complex_reaches_a_new_filtration(monkeypatch):
+    # the Δ-set keeps the checked complex that a first filtration's module
+    # was built on; a new filtration of the same Δ-set fetches its complex
+    # through the module global, so a patched one still reaches its modules,
+    # while the first filtration's kept module fetches nothing
+    filt, broken = _tampered(QQ)
+    bars = full_barcode(filt, QQ, "ambient").bars
+    monkeypatch.setattr("superph.persistence.boundary_matrices", lambda x, f: broken)
+    assert full_barcode(filt, QQ, "ambient").bars == bars
+    again = persistence.Filtration(filt.sh, range(filt.steps), filt.entry)
+    assert again.entry == filt.entry
+    with pytest.raises(AssertionError, match="∂∂ != 0"):
+        full_barcode(again, QQ, "ambient")
+
+
+def test_modules_are_freed_with_their_filtration():
+    # bases and modules are kept on the filtration, not on the Δ-set's chain
+    # complex: once the filtration is dropped its modules are collected,
+    # while the Δ-set and its complex live on
+    import gc
+    import weakref
+    filt = square_filtration()
+    sh = filt.sh
+    module = weakref.ref(persistence._complex(filt, GF2, "relative"))
+    assert module() is not None and module().cc is boundary_matrices(sh.x, GF2)
+    del filt
+    gc.collect()
+    assert module() is None
+    assert boundary_matrices(sh.x, GF2).dims == sh.x.counts
 
 
 @pytest.mark.parametrize("field", [GF2, QQ])
