@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: homology, persist, render, validate, score.  Job options are
-the fields of `JobConfig`: they come from a flat `key = value` config file
-(--config), and each key's flag (the key with dashes) overrides it.  Exit
+the keys of `JobConfig.KEYS`: they come from a flat `key = value` config
+file (--config), and each key's flag (the key with dashes) overrides it.  Exit
 codes: 0 success, 1 usage/config error, 2 validation failure, 3 computation
 error.
 """
@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
 
 from . import formats, render
 from .delta import DeltaIdentityError, SuperHypergraph, full_subset, is_complete, is_regular
@@ -44,24 +43,33 @@ class ValidationFailure(ValueError):
     pass
 
 
-@dataclass
 class JobConfig:
-    graph: str | None = None
-    cloud: str | None = None
-    family: str | None = None
-    clustering: str | None = None
-    delta: str | None = None
-    witnesses: str | None = None
-    construction: str | None = None
-    scheme: str | None = None
-    field: str = "gf2"
-    out: str = "."
-    pullback_base: str = "vr"
-    max_dim: int = 3
-    constant_value: float = 0.0
-    seed: int = 0
-    experimental: bool = False
-    properties: bool = False
+    """The options of one job: an attribute per key of `KEYS`, the (key,
+    default) table that also gives each job subcommand its flags.  A key's
+    type is its default's (bool, int or float), else a str or None; keyword
+    arguments set keys, the rest keep their defaults.  Mutable, and equal
+    when every key's value is."""
+
+    KEYS = (("graph", None), ("cloud", None), ("family", None), ("clustering", None),
+            ("delta", None), ("witnesses", None), ("construction", None), ("scheme", None),
+            ("field", "gf2"), ("out", "."), ("pullback_base", "vr"), ("max_dim", 3),
+            ("constant_value", 0.0), ("seed", 0), ("experimental", False),
+            ("properties", False))
+    __slots__ = tuple(dict(KEYS))
+
+    def __init__(self, **values):
+        for key, default in self.KEYS:
+            setattr(self, key, values.pop(key, default))
+        if values:
+            raise TypeError(f"unknown JobConfig keys {sorted(values)}")
+
+    def __eq__(self, other):
+        return isinstance(other, JobConfig) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
+
+    def __repr__(self):
+        return "JobConfig(" + ", ".join(f"{key}={getattr(self, key)!r}"
+                                        for key in self.__slots__) + ")"
 
     @classmethod
     def load(cls, config_path: str | None, overrides: dict) -> "JobConfig":
@@ -70,10 +78,11 @@ class JobConfig:
             raw.update(formats.read_config(config_path))
         raw.update({k: v for k, v in overrides.items() if v is not None})
         cfg = cls()
+        defaults = dict(cls.KEYS)
         for key, value in raw.items():
-            if not hasattr(cfg, key):
+            if key not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
+            current = defaults[key]
             if isinstance(current, bool):
                 flag = str(value).lower()
                 if flag not in ("1", "true", "yes", "0", "false", "no"):
@@ -108,12 +117,17 @@ class JobConfig:
         raise UsageError(f"unknown field {self.field!r} (gf2 | gfp:<p> | rational)")
 
 
-@dataclass
 class RunReport:
-    timings: dict = field(default_factory=dict)
-    cell_counts: tuple = ()
-    critical_count: int = 0
-    outputs: list = field(default_factory=list)
+    """What one job did, for `report.txt`: phase timings, cells per
+    dimension, the critical-value count and the paths written."""
+
+    __slots__ = ("timings", "cell_counts", "critical_count", "outputs")
+
+    def __init__(self):
+        self.timings: dict = {}
+        self.cell_counts: tuple = ()
+        self.critical_count = 0
+        self.outputs: list = []
 
     def render(self) -> str:
         lines = ["run report"]
@@ -130,13 +144,17 @@ class RunReport:
 # Construction of the super-hypergraph from inputs
 # ---------------------------------------------------------------------------
 
+def _existing(path: str) -> str:
+    if not os.path.exists(path):
+        raise UsageError(f"input file not found: {path}")
+    return path
+
+
 def _require(cfg: JobConfig, attr: str, why: str) -> str:
     value = getattr(cfg, attr)
     if value is None:
         raise UsageError(f"{why} requires the `{attr}` input")
-    if not os.path.exists(value):
-        raise UsageError(f"input file not found: {value}")
-    return value
+    return _existing(value)
 
 
 def _load_graph(cfg: JobConfig) -> MultiGraph:
@@ -207,7 +225,7 @@ def build_scheme(cfg: JobConfig):
         cloud = _load_cloud(cfg)
         witnesses = None
         if cfg.witnesses:
-            read = formats.read_point_cloud(cfg.witnesses)
+            read = formats.read_point_cloud(_existing(cfg.witnesses))
             if read.dim != cloud.dim:
                 raise formats.FormatError(cfg.witnesses, 1, f"witness points have {read.dim} "
                                           f"coordinates, the cloud's points have {cloud.dim}")
@@ -330,7 +348,7 @@ def run_score(cfg: JobConfig) -> int:
 
 
 def run_render(input_path: str, output_path: str) -> int:
-    barcodes = formats.read_barcodes_csv(input_path)
+    barcodes = formats.read_barcodes_csv(_existing(input_path))
     formats.atomic_write(output_path, render.render_diagram(barcodes))
     return 0
 
@@ -340,16 +358,16 @@ def run_render(input_path: str, output_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_job_flags(p: argparse.ArgumentParser):
-    """--config, then one flag per JobConfig field: the key with dashes,
-    taking a string (`JobConfig.load` parses it) or, for a bool key, set
-    to "1" by its presence."""
+    """--config, then one flag per key of `JobConfig.KEYS`: the key with
+    dashes, taking a string (`JobConfig.load` parses it) or, for a bool
+    key, set to "1" by its presence."""
     p.add_argument("--config", help="flat key = value job file")
-    for f in fields(JobConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(flag, dest=f.name, action="store_const", const="1")
+    for key, default in JobConfig.KEYS:
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, dest=key, action="store_const", const="1")
         else:
-            p.add_argument(flag, dest=f.name)
+            p.add_argument(flag, dest=key)
 
 
 RUNNERS = {"homology": run_homology, "persist": run_persist, "validate": run_validate,

@@ -17,12 +17,11 @@ starting-vertex faces) together with that host, and decodes a subgraph
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from operator import itemgetter, ne
-from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 CellId = tuple[int, int]
 
@@ -68,8 +67,7 @@ class DeltaIdentityError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     structural: tuple[str, ...] = ()
     violations: tuple[tuple[CellId, int, int], ...] = ()
@@ -122,9 +120,6 @@ class DeltaSet:
     @property
     def dim_count(self) -> int:
         return len(self.counts)
-
-    def n_cells(self, dim: int) -> int:
-        return self.counts[dim] if 0 <= dim < len(self.counts) else 0
 
     def total_cells(self) -> int:
         return sum(self.counts)
@@ -282,9 +277,6 @@ class GradedSubset:
         dims = set(self.members) & set(other.members)
         return GradedSubset({d: self.at(d) & other.at(d) for d in dims})
 
-    def issubset(self, other: "GradedSubset") -> bool:
-        return all(s <= other.at(d) for d, s in self.members.items())
-
     def __eq__(self, other):
         return isinstance(other, GradedSubset) and self.members == other.members
 
@@ -339,8 +331,7 @@ class DeltaMorphism:
         return (dim, self.maps[dim][idx])
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     ok: bool
     failures: tuple[tuple, ...] = ()
 
@@ -411,8 +402,7 @@ def is_regular(sh: SuperHypergraph) -> bool:
     return delta_closure(sh) == full_subset(sh.x)
 
 
-@dataclass(frozen=True)
-class CompletenessResult:
+class CompletenessResult(NamedTuple):
     complete: bool
     certificate: tuple | None = None
 

@@ -22,9 +22,8 @@ deletion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .delta import (GradedSubset, SuperHypergraph, cell_sort_key, close_under_faces,
                     missing_face)
@@ -143,8 +142,7 @@ def secondary_vertex_deletion(fam: SubgraphFamily) -> SuperHypergraph:
 # Edge-deletion topology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeDeletionResult:
+class EdgeDeletionResult(NamedTuple):
     """Members identified with their edge sets, plus single-edge-deletion
     closure data.  When closed, the family is a simplicial complex on the
     edge universe (a graph complex in the deletion sense)."""

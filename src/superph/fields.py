@@ -79,9 +79,6 @@ class Field:
     def mul(self, a, b):
         return (a * b) % self.p if self.p else _rational(a * b)
 
-    def neg(self, a):
-        return (-a) % self.p if self.p else -a
-
     def inv(self, a):
         if not (a % self.p if self.p else a):
             raise ZeroDivisionError("inverse of zero")

@@ -12,7 +12,6 @@ is read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
@@ -236,21 +235,34 @@ def is_subgraph(h: Subgraph, g: MultiGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class MarkedSubgraph:
     """A subgraph with marked starting-vertices; every vertex must be
     reachable by a (directed) path out of the marked set.  The check runs
     on the subgraph's masks (`_check_reach`), as the starting-vertex
-    closure checks each of its cells."""
+    closure checks each of its cells.  Equality and hashing read
+    (subgraph, sv), and neither can be set or deleted after construction."""
 
-    subgraph: Subgraph
-    sv: frozenset
+    __slots__ = ("subgraph", "sv")
 
-    def __post_init__(self):
-        sub = self.subgraph
-        if not self.sv <= sub.vertices:
+    def __init__(self, subgraph: Subgraph, sv: frozenset):
+        if not sv <= subgraph.vertices:
             raise ValueError("starting vertices must lie in the subgraph")
-        _check_reach(sub.host, *_cell_of(sub), _vertex_mask(sub.host, self.sv))
+        _check_reach(subgraph.host, *_cell_of(subgraph), _vertex_mask(subgraph.host, sv))
+        object.__setattr__(self, "subgraph", subgraph)
+        object.__setattr__(self, "sv", sv)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a MarkedSubgraph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a MarkedSubgraph")
+
+    def __eq__(self, other):
+        return (isinstance(other, MarkedSubgraph) and self.subgraph == other.subgraph
+                and self.sv == other.sv)
+
+    def __hash__(self):
+        return hash((self.subgraph, self.sv))
 
     @property
     def key(self):

@@ -44,9 +44,7 @@ are the one-step case of the persistence engine
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .delta import (CellId, DeltaIdentityError, DeltaSet, GradedSubset,
@@ -55,7 +53,6 @@ from .fields import (Field, Span, combine, pivot_order, reduce_columns, reduce_v
                      relations)
 
 
-@dataclass(frozen=True)
 class ChainComplex:
     """Per-degree boundary maps of a Δ-set over a field.
 
@@ -63,12 +60,26 @@ class ChainComplex:
     field's vector format (`Field.kernel`: {row: nonzero entry}, or over
     GF(2) an int with bit row set), rows indexing (n-1)-cells; the columns
     of degree 0 are zero.  `memo` holds the ranks of the column
-    reductions built on this complex.
+    reductions built on this complex.  Equality, hashing and the repr read
+    `field` and `columns`, never `memo`.
     """
 
-    field: Field
-    columns: tuple[tuple[dict, ...], ...]
-    memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("field", "columns", "memo")
+
+    def __init__(self, field: Field, columns: tuple[tuple[dict, ...], ...]):
+        self.field = field
+        self.columns = columns
+        self.memo: dict = {}
+
+    def __eq__(self, other):
+        return (isinstance(other, ChainComplex) and self.field == other.field
+                and self.columns == other.columns)
+
+    def __hash__(self):
+        return hash((self.field, self.columns))
+
+    def __repr__(self):
+        return f"ChainComplex(field={self.field!r}, columns={self.columns!r})"
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -187,8 +198,7 @@ def inf_basis(cc: ChainComplex, entry: Sequence[Sequence], n: int) -> FilteredBa
                          tuple(k[1] for k in kept), {k[2]: b for b, k in enumerate(kept)})
 
 
-@dataclass(frozen=True)
-class EmbeddedChainData:
+class EmbeddedChainData(NamedTuple):
     """Infimum and supremum subcomplexes inside each C_n(X), as spans of
     chains {n-cell: scalar}."""
 
@@ -359,8 +369,7 @@ def inclusion_quasi_iso(cc: ChainComplex, sub: Sequence[Span],
     return ok, tuple(rows)
 
 
-@dataclass(frozen=True)
-class MvRow:
+class MvRow(NamedTuple):
     degree: int
     dim_sup_intersect: int
     dim_sup_sum: int
@@ -372,8 +381,7 @@ class MvRow:
     dim_sup_b: int
 
 
-@dataclass(frozen=True)
-class MvReport:
+class MvReport(NamedTuple):
     rows: tuple[MvRow, ...]
     sup_sum_equals_sup_x: bool
     inf_intersect_equals_inf_of_intersection: bool
@@ -445,8 +453,7 @@ def mv_diagnostics(sh: SuperHypergraph, a: GradedSubset, b: GradedSubset,
 # Mod-2 diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     is_cycle: bool
     odd_in_degree_cells: tuple[CellId, ...]
 

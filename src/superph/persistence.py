@@ -59,7 +59,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .delta import DeltaMorphism, SuperHypergraph, validate_morphism
@@ -367,22 +366,16 @@ def _summands(filt: Filtration, field: Field, which: str, degree: int) -> list[_
 # Barcodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(NamedTuple):
     degree: int
     birth: float
     death: float  # math.inf for a bar that never dies
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class Barcode:
+class Barcode(NamedTuple):
     module: str
     bars: tuple[Bar, ...]
-
-    def total_at(self, degree: int, t: float) -> int:
-        return sum(b.multiplicity for b in self.bars
-                   if b.degree == degree and b.birth <= t < b.death)
 
 
 def full_barcode(filt: Filtration, field: Field, which: str) -> Barcode:
@@ -406,8 +399,7 @@ def full_barcode(filt: Filtration, field: Field, which: str) -> Barcode:
 ARROWS = ("J", "P", "boundary")
 
 
-@dataclass(frozen=True)
-class IntervalId:
+class IntervalId(NamedTuple):
     module: str
     degree: int
     index: int
@@ -420,8 +412,7 @@ class IntervalId:
         return f"{self.module}:d{self.degree}:{self.index}:[{self.birth:.12g},{death})"
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     arrow: str
     rows: tuple[IntervalId, ...]  # source interval summands
     cols: tuple[IntervalId, ...]  # target interval summands
@@ -531,8 +522,7 @@ def induced_homology_map(m: DeltaMorphism, source: SuperHypergraph,
 # Exact-triangle report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TriangleRow:
+class TriangleRow(NamedTuple):
     degree: int
     step: int
     t: float
@@ -547,8 +537,7 @@ class TriangleRow:
     exact_at_embedded: bool
 
 
-@dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(NamedTuple):
     rows: tuple[TriangleRow, ...]
     exact: bool
 

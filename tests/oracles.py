@@ -97,6 +97,11 @@ def _generic(field: Field):
             (lambda a, b: Fraction(a) + b))
 
 
+def neg(field: Field, a):
+    """-a as a canonical scalar of the field."""
+    return (-a) % field.p if field.p else -a
+
+
 def dict_axpy(field: Field, dst: dict, c, src: dict) -> dict:
     """dst -= c * src, in place, through `Field` calls, or Fractions over
     Q: the generic route of `fields.axpy`."""
@@ -304,7 +309,7 @@ def _kernel_vectors(m: FieldMatrix) -> list[list]:
         v = [f.zero] * m.cols
         v[fc] = f.one
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced[r][fc])
+            v[pc] = neg(f, reduced[r][fc])
         vecs.append(v)
     return vecs
 
@@ -548,7 +553,7 @@ def dense_induced_homology_map(m, source, target, field: Field, degree: int) -> 
     target."""
     reps_s, _ = dense_embedded_homology_basis(source, field, degree)
     reps_t, b_t = dense_embedded_homology_basis(target, field, degree)
-    nt = target.x.n_cells(degree)
+    nt = n_cells(target.x, degree)
     cols = []
     for rep in reps_s:
         img = [field.zero] * nt
@@ -568,6 +573,11 @@ def dense_induced_homology_map(m, source, target, field: Field, degree: int) -> 
 # ---------------------------------------------------------------------------
 # GF(2) chain enumeration on a super-hypergraph
 # ---------------------------------------------------------------------------
+
+def n_cells(x, dim: int) -> int:
+    """The number of dim-cells of the Δ-set x, 0 outside its degrees."""
+    return x.counts[dim] if 0 <= dim < len(x.counts) else 0
+
 
 def face_masks(x, n):
     """For each n-cell the GF(2) boundary as a bitmask over (n-1)-cells."""
@@ -679,7 +689,7 @@ def oracle_persistence_bars_gf2(filt, degree, marked_only=False):
     """
     x = filt.sh.x
     n = degree
-    bd = face_masks(x, n) if n > 0 else [0] * x.n_cells(n)
+    bd = face_masks(x, n) if n > 0 else [0] * n_cells(x, n)
     bd_up = face_masks(x, n + 1) if n + 1 < x.dim_count else []
     steps = filt.steps
     z_gens = []
@@ -708,7 +718,7 @@ def oracle_persistence_bars_gf2(filt, degree, marked_only=False):
         z_gens.append(kernel)
         bnd = [bd_up[j] for j in up]
         if marked_only:
-            bnd = intersect_span_with_inside_gf2(bnd, cols, x.n_cells(n))
+            bnd = intersect_span_with_inside_gf2(bnd, cols, n_cells(x, n))
         b_gens.append(bnd)
 
     def rank(i, j):
@@ -905,7 +915,7 @@ def _interval_decomposition(zb, field: Field, ambient: int,
 
 def decomposition(filt, field: Field, which: str, degree: int) -> list[IntervalSummand]:
     return _interval_decomposition(zb_family(filt, field, which, degree), field,
-                                   filt.sh.x.n_cells(degree), degree)
+                                   n_cells(filt.sh.x, degree), degree)
 
 
 def decomposition_barcode(filt, field: Field, which: str, degree: int) -> Barcode:
@@ -918,6 +928,12 @@ def decomposition_barcode(filt, field: Field, which: str, degree: int) -> Barcod
         acc[(birth, death)] = acc.get((birth, death), 0) + 1
     bars = tuple(Bar(degree, b, d, m) for (b, d), m in sorted(acc.items()))
     return Barcode(which, bars)
+
+
+def total_at(bc: Barcode, degree: int, t: float) -> int:
+    """The number of degree-`degree` bars of bc alive at t, with multiplicity."""
+    return sum(b.multiplicity for b in bc.bars
+               if b.degree == degree and b.birth <= t < b.death)
 
 
 def dense_full_barcode(filt, field: Field, which: str) -> Barcode:
@@ -1041,7 +1057,7 @@ def persistence_module(filt, field: Field, which: str, degree: int) -> Persisten
         reps.append(extend_independent(b, z.vectors))
     dims = [len(r) for r in reps]
     maps = []
-    ambient = filt.sh.x.n_cells(degree) if degree < filt.sh.x.dim_count else 0
+    ambient = n_cells(filt.sh.x, degree) if degree < filt.sh.x.dim_count else 0
     for i in range(len(zb) - 1):
         z1, b1 = zb[i + 1]
         basis = list(reps[i + 1]) + list(b1.vectors)
@@ -1123,6 +1139,11 @@ def dense_geometric_gap_betti(sh, field: Field) -> tuple[int, ...]:
         z, b = relative_zb(cc, closure, core, n)
         out.append(z.dim - b.dim)
     return tuple(out)
+
+
+def issubset(a: GradedSubset, b: GradedSubset) -> bool:
+    """Every cell of the graded subset a is a cell of b."""
+    return all(s <= b.at(d) for d, s in a.members.items())
 
 
 def dfs_delta_closure(sh) -> GradedSubset:

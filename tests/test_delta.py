@@ -19,7 +19,7 @@ from superph.faceops import SubgraphFamily, edge_deletion_complex
 from superph.graphs import MultiGraph
 from superph.homology import boundary_matrices
 
-from oracles import dfs_delta_closure, rowwise_delta_check, subset_closure
+from oracles import dfs_delta_closure, issubset, rowwise_delta_check, subset_closure
 
 from conftest import (collapsed_tower, count_identity_walks, pillow_delta,
                       random_super_hypergraph, two_simplex_missing_vertex_sh,
@@ -374,11 +374,11 @@ def test_closure_monotone_idempotent(rng):
     for _ in range(20):
         sh = random_super_hypergraph(rng, max_vertices=5, max_edges=8)
         cl = delta_closure(sh)
-        assert sh.h.issubset(cl)
+        assert issubset(sh.h, cl)
         again = delta_closure(SuperHypergraph(sh.x, cl))
         assert again == cl
         core = max_delta_subset(sh)
-        assert core.issubset(sh.h)
+        assert issubset(core, sh.h)
 
 
 def _assert_closure_matches_oracle(sh):
@@ -576,6 +576,8 @@ def test_collapsed_tower_regular_not_complete_against_simplex():
     y = collapsed_tower(3)
     shy = SuperHypergraph(y, GradedSubset({3: {0}}))
     assert is_complete(shy).complete
+    # a result is true exactly when the input is complete
+    assert not is_complete(sh) and is_complete(shy)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,31 @@ def test_sv_reachability_enforced():
         MarkedSubgraph(g.subgraph({"a", "b"}, ()), frozenset("a"))
 
 
+def test_marked_subgraph_contract():
+    # equal and hashed by (subgraph, sv), never equal to a plain tuple,
+    # immutable, checked at construction, and printed with its starting
+    # vertices in sorted order
+    g = MultiGraph("abc", {"e1": ("a", "b"), "e2": ("b", "c")}, directed=True)
+    sub = g.subgraph({"a", "b", "c"}, ["e1", "e2"])
+    m = MarkedSubgraph(sub, frozenset("a"))
+    same = MarkedSubgraph(g.subgraph({"c", "b", "a"}, ["e2", "e1"]), frozenset("a"))
+    assert m == same and hash(m) == hash(same) and len({m, same}) == 1
+    assert m != MarkedSubgraph(sub, frozenset("ab")) and m != (sub, frozenset("a"))
+    assert (m.subgraph, m.sv) == (sub, frozenset("a"))
+    assert repr(MarkedSubgraph(sub, frozenset("ba"))) == (
+        "MarkedSubgraph(subgraph=Subgraph(V=('a', 'b', 'c'), E=('e1', 'e2')), sv=('a', 'b'))")
+    for name in ("subgraph", "sv", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert (m.subgraph, m.sv) == (sub, frozenset("a"))
+    with pytest.raises(ValueError, match="must lie in the subgraph"):
+        MarkedSubgraph(g.subgraph({"a", "b"}, ["e1"]), frozenset("c"))
+    with pytest.raises(ValueError, match="unreachable"):
+        MarkedSubgraph(g.subgraph({"a", "b", "c"}, ["e1"]), frozenset("a"))
+
+
 def test_sv_marked_cells_are_ground_subgraphs():
     g = MultiGraph("abc", {"e1": ("a", "b"), "e2": ("b", "c")}, directed=True)
     member = MarkedSubgraph(g.subgraph({"a", "b", "c"}, ["e1", "e2"]),

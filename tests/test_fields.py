@@ -15,7 +15,7 @@ from superph.fields import (GF, GF2, QQ, FieldMatrix, Span, _ranks, axpy, combin
 from oracles import (SubspaceBasis, contains_subspace, dict_axpy, dict_combine, dict_route,
                      dim_span_gf2_masks, identity_matrix, image_basis, kernel_basis,
                      keyed_reduce_columns, keyed_reduce_vector, matrix_column,
-                     matrix_from_rows, preimage_basis, rank, solve, subspace_intersect,
+                     matrix_from_rows, neg, preimage_basis, rank, solve, subspace_intersect,
                      subspace_sum)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -362,10 +362,10 @@ def test_rational_scalars_are_ints_when_integral():
     assert type(QQ.one) is int and type(QQ.zero) is int
     half = Fraction(1, 2)
     results = [QQ.of(3), QQ.of(Fraction(4, 2)), QQ.of(True), QQ.inv(half), QQ.inv(-1),
-               QQ.mul(half, 2), QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.neg(2)]
+               QQ.mul(half, 2), QQ.add(half, half), QQ.sub(Fraction(3, 2), half), neg(QQ, 2)]
     assert results == [3, 2, 1, 2, -1, 1, 1, 1, -2]
     assert all(type(a) is int for a in results)
-    assert [QQ.of(1.5), QQ.inv(2), QQ.mul(half, 3), QQ.neg(half)] == \
+    assert [QQ.of(1.5), QQ.inv(2), QQ.mul(half, 3), neg(QQ, half)] == \
         [Fraction(3, 2), half, Fraction(3, 2), -half]
     assert all(type(a) is Fraction for a in (QQ.of(1.5), QQ.inv(2), QQ.mul(half, 3)))
     assert {QQ.of(Fraction(6, 3)): "x"} == {Fraction(2): "x"}

@@ -11,7 +11,6 @@ import subprocess
 import sys
 
 import pytest
-from dataclasses import fields
 from hypothesis import given, settings, strategies as st
 
 import superph.delta
@@ -951,12 +950,16 @@ def test_cli_mark_without_cells_is_format_error(tmp_path, capsys):
     (None, ["--max-dim", "x"], "config key 'max_dim': bad int 'x'"),
     (None, ["--seed", "1.5"], "config key 'seed': bad int '1.5'"),
     (None, ["--constant-value", "y"], "config key 'constant_value': bad float 'y'"),
+    ("bogus = 1\n", [], "unknown config key 'bogus'"),
+    ("load = 1\n", [], "unknown config key 'load'"),
+    ("coefficient_field = gf2\n", [], "unknown config key 'coefficient_field'"),
 ])
 def test_cli_unparsable_config_value_is_usage_error(tmp_path, capsys, config, flags,
                                                     message):
-    # a config value that does not parse is a usage/config error (exit 1),
-    # not a validation failure (exit 2); a flag is parsed as its config key
-    # is, with the same message, and nothing is written
+    # a config value that does not parse, or a key outside JobConfig.KEYS
+    # (a method's name included), is a usage/config error (exit 1), not a
+    # validation failure (exit 2); a flag is parsed as its config key is,
+    # with the same message, and nothing is written
     cloud = write_square_inputs(tmp_path)
     argv = ["homology", "--cloud", str(cloud), "--construction", "clique",
             "--out", str(tmp_path / "out")] + flags
@@ -986,15 +989,15 @@ def test_cli_job_flags_are_the_config_keys(command):
     flags = {(s, a.dest) for a in job_subparser(command)._actions
              for s in a.option_strings if a.dest != "help"}
     assert flags == {("--config", "config")} | {
-        ("--" + f.name.replace("_", "-"), f.name) for f in fields(JobConfig)}
+        ("--" + key.replace("_", "-"), key) for key, _ in JobConfig.KEYS}
 
 
-def sample_value(f) -> str:
-    if isinstance(f.default, bool):
+def sample_value(key, default) -> str:
+    if isinstance(default, bool):
         return "1"
-    if isinstance(f.default, (int, float)):
-        return {int: "7", float: "0.25"}[type(f.default)]
-    return f"{f.name}-value"
+    if isinstance(default, (int, float)):
+        return {int: "7", float: "0.25"}[type(default)]
+    return f"{key}-value"
 
 
 def loaded_config(monkeypatch, argv) -> JobConfig:
@@ -1015,18 +1018,18 @@ def test_cli_flags_and_config_give_the_same_job(tmp_path, monkeypatch, command):
     # a value set by flag loads as the same value set in the config file,
     # for every key and every value type
     flags, lines = [], []
-    for f in fields(JobConfig):
-        flag = "--" + f.name.replace("_", "-")
-        flags += [flag] if isinstance(f.default, bool) else [flag, sample_value(f)]
-        lines.append(f"{f.name} = {sample_value(f)}\n")
+    for key, default in JobConfig.KEYS:
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if isinstance(default, bool) else [flag, sample_value(key, default)]
+        lines.append(f"{key} = {sample_value(key, default)}\n")
     job = tmp_path / "job.cfg"
     job.write_text("".join(lines))
     by_flag = loaded_config(monkeypatch, [command] + flags)
     assert by_flag == loaded_config(monkeypatch, [command, "--config", str(job)])
-    for f in fields(JobConfig):
-        value = getattr(by_flag, f.name)
-        want = str if f.default is None else type(f.default)
-        assert value != f.default and type(value) is want, f.name
+    for key, default in JobConfig.KEYS:
+        value = getattr(by_flag, key)
+        want = str if default is None else type(default)
+        assert value != default and type(value) is want, key
 
 
 @pytest.mark.parametrize("value", ["-1", "-5"])
@@ -1313,13 +1316,13 @@ def test_cli_unembedded_vertex_is_validation_failure(tmp_path, capsys, command, 
 
 
 def test_readme_cli_section_names_every_job_key():
-    # the config keys are listed once, in JobConfig; the README's CLI section
-    # names each of them
+    # the config keys are listed once, in JobConfig.KEYS; the README's CLI
+    # section names each of them
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme, encoding="utf-8") as fh:
         section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    assert [f.name for f in fields(JobConfig) if f"`{f.name}`" not in section] == []
+    assert [key for key, _ in JobConfig.KEYS if f"`{key}`" not in section] == []
 
 
 def test_cli_score_prints_critical_values(tmp_path, capsys):
@@ -1353,6 +1356,22 @@ def test_cli_render(tmp_path):
     svg2 = tmp_path / "d2.svg"
     main(["render", "--input", str(bars), "--output", str(svg2)])
     assert svg.read_text() == svg2.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--input", "{missing}", "--output", "{out}/d.svg"],
+    ["persist", "--cloud", "{cloud}", "--construction", "clique", "--scheme",
+     "witness:strong", "--witnesses", "{missing}", "--out", "{out}"],
+])
+def test_cli_missing_input_is_usage_error(tmp_path, capsys, argv):
+    # a missing input file of `render`, as of a job (its witness file
+    # included), is a usage error (exit 1) with one message, and nothing is
+    # written
+    missing = tmp_path / "missing.txt"
+    names = {"missing": missing, "out": tmp_path / "out", "cloud": write_square_inputs(tmp_path)}
+    assert main([a.format(**names) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: input file not found: {missing}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_empty_and_infinite():

@@ -11,7 +11,7 @@ from superph import (MultiGraph, Subgraph, clique_delta, cliques, completion,
 from superph.delta import cell_sort_key
 
 from oracles import (add_edges, delete_vertex, recursive_sort_key, restrict,
-                     scan_edges_between, scan_neighbors)
+                     scan_edges_between, scan_neighbors, total_at)
 
 
 def path_graph():
@@ -473,7 +473,7 @@ def injective_words_mismatches(routes=("static", "bars")) -> list:
                     out.append((n, k, field, "static", got, want))
                 if filt is not None:
                     bars = full_barcode(filt, field, "ambient")
-                    alive = [bars.total_at(i, filt.times[-1]) for i in range(k + 1)]
+                    alive = [total_at(bars, i, filt.times[-1]) for i in range(k + 1)]
                     if alive != want:
                         out.append((n, k, field, "bars", alive, want))
     return out

@@ -18,7 +18,7 @@ from superph import (GF2, QQ, GF, DeltaMorphism, DeltaSet, GradedSubset,
                      subcomplex_homology)
 from superph.delta import ValidationReport, delta_closure, max_delta_subset
 from superph.fields import Span, combine, relations
-from superph.homology import inclusion_quasi_iso, inf_basis
+from superph.homology import ChainComplex, inclusion_quasi_iso, inf_basis
 from superph.persistence import embedded_homology_basis
 from conftest import (collapsed_tower, pillow_delta, pillow_sh,
                       random_super_hypergraph)
@@ -123,6 +123,19 @@ def test_one_chain_complex_per_delta_set_and_field(monkeypatch):
     other = real(x, GF2)
     assert other is not cc and other.field == GF2 and real(x, GF2) is other
     assert real(DeltaSet(x.counts, x.faces), QQ) is not cc
+
+
+def test_chain_complex_equality_ignores_memo():
+    # equality, hashing and the repr read the field and the columns; the
+    # memo of reductions kept on a complex is not part of its value
+    x = standard_simplex_delta(2)
+    embedded_betti(SuperHypergraph(x, GradedSubset({2: {0}})), GF2)
+    cc = boundary_matrices(x, GF2)
+    fresh = ChainComplex(cc.field, cc.columns)
+    assert cc.memo and not fresh.memo
+    assert fresh == cc and hash(fresh) == hash(cc)
+    assert repr(fresh) == repr(cc) == f"ChainComplex(field=GF(2), columns={cc.columns!r})"
+    assert ChainComplex(QQ, cc.columns) != cc and cc != (GF2, cc.columns)
 
 
 def test_boundary_columns_built_once_per_delta_set_and_field(monkeypatch):

@@ -3,10 +3,12 @@ itself or of the standard library, no module imports a name it never
 reads (`superph/__init__.py` is skipped, since its imports are the
 package's exports), and no private top-level definition is left unused.
 Of the test oracles, every top-level definition is read by a test module
-or by another definition of the oracles."""
+or by another definition of the oracles.  Importing the package loads no
+dataclass machinery."""
 
 import ast
 import os
+import subprocess
 import sys
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -280,3 +282,28 @@ def test_callers_fetch_the_kept_chain_complex():
             if name == "persistence.py":
                 found += [f"{name}:{line} .memo" for line in memo_reads(source)]
     assert found == []
+
+
+MACHINERY = {"dataclasses", "inspect"}
+
+
+def loaded_machinery(snippet: str) -> set[str]:
+    """The modules of `MACHINERY` in `sys.modules` after a fresh interpreter,
+    with the package's sources on its path, runs snippet."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    proc = subprocess.run([sys.executable, "-c", snippet + "\nimport sys\nprint(*sys.modules)\n"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    return MACHINERY & set(proc.stdout.split())
+
+
+def test_loaded_machinery_detector():
+    assert loaded_machinery("import dataclasses") == MACHINERY
+    assert loaded_machinery("import math") == set()
+
+
+def test_package_import_loads_no_dataclass_machinery():
+    # every CLI job runs in a fresh process, which pays for what the import
+    # loads: no record type of the package is a dataclass
+    assert {snippet: loaded_machinery(snippet)
+            for snippet in ("import superph", "import superph.cli")} == {
+        "import superph": set(), "import superph.cli": set()}

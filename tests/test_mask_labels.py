@@ -407,15 +407,15 @@ def test_mask_labels_read_as_the_checked_relabel(monkeypatch, kind):
 
 
 def count_label_objects(monkeypatch) -> dict:
-    """Count `Subgraph.__init__` and `MarkedSubgraph.__post_init__` calls
-    from now on."""
+    """Count `Subgraph.__init__` and `MarkedSubgraph.__init__` calls from
+    now on."""
     counts = {Subgraph: 0, MarkedSubgraph: 0}
-    for cls, name in ((Subgraph, "__init__"), (MarkedSubgraph, "__post_init__")):
-        def counted(self, *args, _real=getattr(cls, name), _cls=cls):
+    for cls in (Subgraph, MarkedSubgraph):
+        def counted(self, *args, _real=cls.__init__, _cls=cls):
             counts[_cls] += 1
             _real(self, *args)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return counts
 
 

@@ -20,7 +20,7 @@ from superph.fields import GF, FieldMatrix, combine
 from superph.homology import (ChainComplex, boundary_matrices, embedded_betti,
                               embedded_chain_data)
 from superph.persistence import (ARROWS, MODULE_KINDS, DominationError,
-                                 RegularityError)
+                                 RegularityError, TriangleRow)
 from superph.scoring import PointCloud, pullback_scheme, vr_points
 
 from conftest import pillow_delta, random_cloud, unit_square_cloud
@@ -28,10 +28,10 @@ import oracles
 from oracles import (PersistenceModule, SubspaceBasis, barcode, boundaries,
                      decomposition_barcode, dense_full_barcode, dense_inf_space,
                      dense_triangle_report, express_in_vectors, identity_matrix,
-                     inf_zb, levels, matrix_from_rows, oracle_persistence_bars_gf2,
-                     persistence_module,
+                     inf_zb, issubset, levels, matrix_from_rows, n_cells,
+                     oracle_persistence_bars_gf2, persistence_module,
                      preimage_basis, rank as matrix_rank, rank_full_barcode,
-                     subspace_intersect, zb_family)
+                     subspace_intersect, total_at, zb_family)
 
 SQ2 = float(f"{math.sqrt(2) / 2:.12g}")
 
@@ -76,7 +76,7 @@ def test_constant_scheme_single_step():
     bc = full_barcode(filt, GF2, "embedded")
     static = embedded_betti(sh, GF2)
     for n, want in enumerate(static):
-        assert bc.total_at(n, 0.0) == want
+        assert total_at(bc, n, 0.0) == want
         assert all(b.death == math.inf for b in bc.bars)
 
 
@@ -149,7 +149,7 @@ def test_filtration_levels_nested_and_delta_closed():
     for i in range(filt.steps):
         lv = level_x[i]
         if i:
-            assert level_x[i - 1].issubset(lv)
+            assert issubset(level_x[i - 1], lv)
         x = filt.sh.x
         for n in range(1, x.dim_count):
             for j in lv.at(n):
@@ -232,7 +232,7 @@ def test_barcode_counts_match_dims(rng):
                 m = persistence_module(filt, GF2, which, n)
                 bc = barcode(m)
                 for i, t in enumerate(filt.times):
-                    assert bc.total_at(n, t) == m.dims[i]
+                    assert total_at(bc, n, t) == m.dims[i]
                 # rank function reconstructed from the barcode
                 for i in range(filt.steps):
                     for j in range(i, filt.steps):
@@ -390,7 +390,7 @@ def _barcode_mismatches(filt, field) -> list:
     for i, t in enumerate(filt.times):
         static = _sublevel_betti(filt, field, i)
         for which in MODULE_KINDS:
-            alive = tuple(bars[which].total_at(n, t) for n in range(filt.sh.x.dim_count))
+            alive = tuple(total_at(bars[which], n, t) for n in range(filt.sh.x.dim_count))
             if alive != static[which]:
                 found.append((which, i))
     return found
@@ -709,7 +709,7 @@ def test_correlation_coefficients_constant_on_overlap(rng):
                 scx = persistence._complex(filt, field, src[0])
                 dcx = persistence._complex(filt, field, dst[0])
                 dst_zb = zb_family(filt, field, *dst)
-                amb = filt.sh.x.n_cells(dst[1])
+                amb = n_cells(filt.sh.x, dst[1])
                 seen: dict[tuple[int, int], object] = {}
                 for i in range(filt.steps):
                     alive_dst = [(b, s) for b, s in enumerate(dst_sum) if _alive(s, i)]
@@ -789,6 +789,26 @@ def test_correlation_entries_respect_overlap(rng):
 # ---------------------------------------------------------------------------
 # triangle report
 # ---------------------------------------------------------------------------
+
+def test_records_keep_their_fields_and_reprs():
+    # Bar and TriangleRow keep their field names and order, and their repr
+    # names each field; each unpacks as, and equals, the tuple of its values
+    bar = Bar(1, 0.5, math.inf, 2)
+    assert Bar._fields == ("degree", "birth", "death", "multiplicity")
+    assert repr(bar) == "Bar(degree=1, birth=0.5, death=inf, multiplicity=2)"
+    degree, birth, death, mult = bar
+    assert (degree, birth, death, mult) == bar == (1, 0.5, math.inf, 2)
+    row = TriangleRow(1, 2, 0.5, 1, 2, 1, 1, 1, 0, True, True, False)
+    assert TriangleRow._fields == (
+        "degree", "step", "t", "dim_embedded", "dim_ambient", "dim_relative", "rank_j",
+        "rank_p", "rank_boundary", "exact_at_ambient", "exact_at_relative",
+        "exact_at_embedded")
+    assert repr(row) == (
+        "TriangleRow(degree=1, step=2, t=0.5, dim_embedded=1, dim_ambient=2, "
+        "dim_relative=1, rank_j=1, rank_p=1, rank_boundary=0, exact_at_ambient=True, "
+        "exact_at_relative=True, exact_at_embedded=False)")
+    assert row._replace(exact_at_embedded=True)[-1] is True and len(row) == 12
+
 
 def test_triangle_fully_marked():
     filt = square_filtration()
